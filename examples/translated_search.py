@@ -13,6 +13,7 @@ frame, and renders the final alignment BLAST-style.
 
 from repro import Mendel, MendelConfig, QueryParams
 from repro.align import format_pairwise, needleman_wunsch
+from repro.obs.trace import TraceContext
 from repro.seq import (
     DNA,
     PROTEIN,
@@ -74,10 +75,9 @@ def main() -> None:
     winning = next(
         f for f in six_frame_translations(query) if f.seq_id == best.query_id
     )
-    traced = mendel.engine.run(winning, params, trace=True)
+    traced = mendel.query(winning, params, trace_ctx=TraceContext())
     print("distributed dataflow of the winning frame:")
-    for event in traced.trace:
-        print(f"  {event}")
+    print(traced.root_span.format_tree())
 
     # Render the alignment BLAST-style (global alignment of the spans).
     q_span = winning.codes[best.query_start : best.query_end]

@@ -16,7 +16,7 @@ without a physical testbed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,6 +63,19 @@ class NodeStats:
     blocks_recovered: int = 0
     recoveries: int = 0
     corrupt_reads: int = 0
+
+
+class SearchCost(NamedTuple):
+    """What one :meth:`StorageNode.local_knn` cost, returned beside its
+    hits: ``seconds`` is the modelled service time (CPU for ``evals``
+    distance evaluations plus ``io_seconds`` of device time); the ``io_*``
+    fields are the cold tier reads it paid for (zero on a RAM node)."""
+
+    evals: int
+    seconds: float
+    io_seeks: int
+    io_bytes: int
+    io_seconds: float
 
 
 class StorageNode:
@@ -137,9 +150,6 @@ class StorageNode:
         #: re-spill automatically after flows that must run in RAM
         #: (inserts, placement resets, quarantine repair)
         self.auto_respill = False
-        #: cold-read accounting of the last :meth:`local_knn`
-        #: (``{"seeks", "bytes", "seconds"}``), for span annotation
-        self.last_io: dict | None = None
         # Observability: children resolved once so the per-search cost is a
         # lock-and-add, not a registry lookup.
         registry = default_registry()
@@ -336,13 +346,14 @@ class StorageNode:
         query_codes: np.ndarray,
         k: int,
         max_radius: float = float("inf"),
-    ) -> tuple[list, float]:
-        """k-NN over the local tree; returns ``(hits, service_seconds)``.
+    ) -> tuple[list, SearchCost]:
+        """k-NN over the local tree; returns ``(hits, cost)``.
 
-        ``hits`` are ``(distance, block_id)`` pairs; ``service_seconds`` is
-        the modelled node-local compute time for the search.  ``max_radius``
-        bounds the search ball (the query pipeline passes the largest
-        distance its identity filter could accept).
+        ``hits`` are ``(distance, block_id)`` pairs; ``cost`` is the
+        :class:`SearchCost` of this search — its distance evaluations, the
+        modelled node-local service time and any cold tier reads.
+        ``max_radius`` bounds the search ball (the query pipeline passes
+        the largest distance its identity filter could accept).
         """
         before = self.tree.adapter.pair_evaluations
         hits = (
@@ -352,7 +363,8 @@ class StorageNode:
         )
         evals = self.tree.adapter.pair_evaluations - before
         seconds = self.service_time(evals)
-        self.last_io = None
+        seeks = nbytes = 0
+        io_seconds = 0.0
         if self.tiered:
             # Cold page fetches accumulated during traversal are charged as
             # device time (seek + transfer), not scaled by CPU speed.
@@ -360,11 +372,6 @@ class StorageNode:
             if seeks or nbytes:
                 io_seconds = self.tier.io_seconds(seeks, nbytes)
                 seconds += io_seconds
-                self.last_io = {
-                    "seeks": seeks,
-                    "bytes": nbytes,
-                    "seconds": io_seconds,
-                }
         self.stats.queries_served += 1
         self.stats.evals_charged += evals
         self.stats.busy_seconds += seconds
@@ -373,7 +380,7 @@ class StorageNode:
             self._m_evals.inc(evals)
         if hits:
             self._m_blocks.inc(len(hits))
-        return hits, seconds
+        return hits, SearchCost(evals, seconds, seeks, nbytes, io_seconds)
 
     def service_time(self, evals: int, overhead_evals: int = 50) -> float:
         """Simulated seconds to perform *evals* distance evaluations

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.index import IndexStats, MendelIndex
 from repro.core.params import MendelConfig, QueryParams
-from repro.core.query import QueryEngine, QueryReport
+from repro.core.query import QueryEngine, QueryReport, QueryStats
 from repro.seq.records import SequenceRecord, SequenceSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -176,19 +176,7 @@ class Mendel:
         reports = self.engine.run_batch(frames, params)
         merged_alignments = [a for r in reports for a in r.alignments]
         merged_alignments.sort(key=lambda a: (a.evalue, -a.score))
-        stats = reports[0].stats
-        for report in reports[1:]:
-            stats.windows += report.stats.windows
-            stats.subqueries_routed += report.stats.subqueries_routed
-            stats.candidate_hits += report.stats.candidate_hits
-            stats.anchors_extended += report.stats.anchors_extended
-            stats.anchors_merged += report.stats.anchors_merged
-            stats.gapped_extensions += report.stats.gapped_extensions
-            stats.node_evals += report.stats.node_evals
-        stats.turnaround = max(r.stats.turnaround for r in reports)
-        stats.messages = reports[-1].stats.messages  # shared network counters
-        stats.bytes_sent = reports[-1].stats.bytes_sent
-        stats.alignments_reported = len(merged_alignments)
+        stats = QueryStats.merged([r.stats for r in reports])
         return QueryReport(
             query_id=record.seq_id, alignments=merged_alignments, stats=stats
         )

@@ -20,11 +20,15 @@ The pipeline, executed as discrete-event processes so the reported
    gapped extension (band of ``l`` diagonals); results are scored with the
    user matrix ``M``, assigned Karlin–Altschul E-values, filtered at ``E``,
    deduplicated, ranked, and returned.
+
+Step 4's node-local work is the pure :func:`node_kernel`; everything on the
+simulated clock around it is a :class:`_BatchRun`, whose ``publish`` is the
+only writer of a node's cost record to stats, counters, profile and span.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,6 +46,7 @@ from repro.cluster.messages import (
 from repro.cluster.node import StorageNode
 from repro.core.aggregate import merge_anchors
 from repro.core.anchors import evaluate_candidate, extend_anchor
+from repro.core.blocks import BlockStore
 from repro.core.index import MendelIndex
 from repro.core.params import QueryParams
 from repro.obs.events import EventLog
@@ -54,6 +59,7 @@ from repro.seq.matrices import dna_matrix, named_matrix
 from repro.seq.records import SequenceRecord
 from repro.sim.engine import AllOf, AnyOf, Simulation
 from repro.sim.network import Network
+from repro.sim.resource import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.schedule import FaultSchedule
@@ -88,6 +94,21 @@ class QueryStats:
         return [(stage, getattr(self, field_name))
                 for stage, field_name in FUNNEL_STAGES]
 
+    @classmethod
+    def merged(cls, parts: "list[QueryStats]") -> "QueryStats":
+        """Stats of one logical query answered as several sub-queries of
+        one batch (translated search's six frames): counts are summed,
+        ``turnaround`` is the slowest part's, and ``messages`` /
+        ``bytes_sent`` — already totals of the batch's shared network —
+        are taken once."""
+        out = cls(**{
+            spec.name: sum(getattr(part, spec.name) for part in parts)
+            for spec in fields(cls)
+        })
+        out.turnaround = max(part.turnaround for part in parts)
+        out.messages, out.bytes_sent = parts[-1].messages, parts[-1].bytes_sent
+        return out
+
 
 #: The attrition funnel (paper pipeline III-E / V-B), in order: each stage
 #: name paired with the :class:`QueryStats` field holding its count.
@@ -100,26 +121,29 @@ FUNNEL_STAGES: tuple[tuple[str, str], ...] = (
     ("gapped_extensions", "gapped_extensions"),
     ("alignments", "alignments_reported"),
 )
+_FUNNEL_FIELD = dict(FUNNEL_STAGES)
+
+#: Cost-profile site names: those of the closures the :class:`_BatchRun`
+#: methods replaced, so PROFILE files diff cleanly across that change.
+_NODE_SITE = "core/query.py:node_proc"
+_SYSTEM_SITE = "core/query.py:system_proc"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One step of the distributed dataflow, for observability.
+@dataclass
+class NodeCost:
+    """What one node-local subquery cost, returned by value from
+    :func:`node_kernel` (``service_seconds`` includes ``io_seconds``)."""
 
-    ``time`` is simulated seconds since the query entered the system;
-    ``actor`` is a node id, group id, or ``"client"``; ``detail`` is a
-    human-readable payload summary.
-    """
-
-    time: float
-    actor: str
-    event: str
-    detail: str = ""
-
-    def __str__(self) -> str:
-        return f"[{self.time * 1e3:9.3f} ms] {self.actor:>12}  {self.event}" + (
-            f"  ({self.detail})" if self.detail else ""
-        )
+    evals: int = 0
+    candidates: int = 0
+    identity_pass: int = 0
+    cscore_pass: int = 0
+    anchors: int = 0
+    extension_ops: int = 0
+    io_seeks: int = 0
+    io_bytes: int = 0
+    io_seconds: float = 0.0
+    service_seconds: float = 0.0
 
 
 @dataclass
@@ -139,7 +163,6 @@ class QueryReport:
     query_id: str
     alignments: list[Alignment]
     stats: QueryStats
-    trace: list[TraceEvent] = field(default_factory=list)
     coverage: float = 1.0
     degraded: bool = False
     failed_nodes: list[str] = field(default_factory=list)
@@ -194,6 +217,511 @@ class _NodeFailure:
 
     node_id: str
     reason: str  # "unreachable" | "died" | "deadline"
+
+
+def node_kernel(
+    node: StorageNode, query_codes: np.ndarray, windows: list[_Window],
+    params: QueryParams, radius: float, matrix: np.ndarray, store: BlockStore,
+) -> tuple[list[Anchor], NodeCost]:
+    """One node's share of a query (pipeline step 4): local k-NN per
+    window, identity then c-score filter, anchor extension.
+
+    No simulator, registry, span or :class:`QueryStats` in here: what the
+    work cost comes back in the :class:`NodeCost`, each fact counted once.
+    """
+    positives = matrix if store.database.alphabet.name == "protein" else None
+    anchors: list[Anchor] = []
+    seen: set[tuple[str, int, int]] = set()
+    cost = NodeCost()
+    for window in windows:
+        hits, search = node.local_knn(window.codes, params.n, max_radius=radius)
+        cost.evals += search.evals
+        cost.service_seconds += search.seconds
+        cost.io_seeks += search.io_seeks
+        cost.io_bytes += search.io_bytes
+        cost.io_seconds += search.io_seconds
+        cost.candidates += len(hits)
+        for _dist, block_id in hits:
+            # Verified read: a hit whose durable copy fails its content
+            # digest is skipped — the query's fan-out to the block's other
+            # replicas answers from a healthy copy instead of serving
+            # rotted bytes.
+            if not node.verify_block(block_id):
+                continue
+            score = evaluate_candidate(
+                window.codes, store.codes_of(block_id), positives
+            )
+            if score.identity < params.i:
+                continue
+            cost.identity_pass += 1
+            if score.c_score < params.c:
+                continue
+            cost.cscore_pass += 1
+            block = store.block(block_id)
+            anchor = extend_anchor(
+                query=query_codes, subject=store.record_of(block_id).codes,
+                seq_id=block.seq_id, query_start=window.query_start,
+                query_end=window.query_start + block.length,
+                subject_start=block.start, identity_threshold=params.i,
+                matrix=matrix,
+            )
+            key = (anchor.seq_id, anchor.diagonal, anchor.query_start)
+            if key in seen:
+                continue
+            seen.add(key)
+            cost.extension_ops += anchor.length
+            anchors.append(anchor)
+    cost.anchors = len(anchors)
+    cost.service_seconds += node.service_time_ops(cost.extension_ops)
+    return anchors, cost
+
+
+@dataclass
+class _QueryState:
+    """Everything one in-flight query of a batch accumulates."""
+
+    index: int
+    query: SequenceRecord
+    arrival: float
+    trace_ctx: TraceContext | None
+    stats: QueryStats = field(default_factory=QueryStats)
+    root: "Span | object" = NO_SPAN
+    #: blocks in scope of the routed subqueries / searched by a responder
+    total: set[int] = field(default_factory=set)
+    covered: set[int] = field(default_factory=set)
+    failed: set[str] = field(default_factory=set)
+    alignments: list[Alignment] = field(default_factory=list)
+    completed_at: float | None = None
+    coverage: float = 1.0
+
+    @property
+    def degraded(self) -> bool:
+        return self.coverage < 1.0
+
+
+@dataclass(eq=False)
+class _BatchRun:
+    """The simulated processes of one :meth:`QueryEngine.run_batch` call:
+    a generator method per role (:meth:`node`, :meth:`guarded_node`,
+    :meth:`group`, :meth:`system`) over the clock, network, CPU locks and
+    metric families the batch shares."""
+
+    engine: "QueryEngine"
+    params: QueryParams
+    sim: Simulation
+    net: Network
+    subquery_deadline: float | None
+    monitor: HealthMonitor | None
+    elog: EventLog | None
+
+    def __post_init__(self) -> None:
+        index, params = self.engine.index, self.params
+        self.topo = index.topology
+        self.store = index.store
+        self.matrix = resolve_matrix(params, index.alphabet)
+        self.radius = self.engine.search_radius(params)
+        self.tolerance = (params.tolerance if params.tolerance is not None
+                          else 0.5 * self.radius)
+        nodes = self.topo.nodes
+        self.entry = next((n for n in nodes if n.alive), nodes[0])
+        # CPU locks are created on demand: the autoscaler can add nodes
+        # mid-run, and those must contend like any seed node.
+        self.locks: dict[str, Resource] = {}
+        self.states: list[_QueryState] = []
+        self._resolve_metrics()
+
+    def _resolve_metrics(self) -> None:
+        counter = default_registry().counter
+        self.m_queries = counter(
+            "repro_queries_total", "Queries evaluated by the engine",
+            ("status",))
+        self.m_routed = counter(
+            "repro_subqueries_routed_total",
+            "Window subqueries routed to storage groups", ("group",))
+        self.m_retries = counter(
+            "repro_hedged_retries_total",
+            "Subqueries hedged with a retry after a drop/timeout", ("group",))
+        self.m_failures = counter(
+            "repro_node_failures_total",
+            "Subqueries that terminally failed (no anchors contributed)",
+            ("group", "reason"))
+        m_funnel = counter(
+            "repro_query_funnel_total",
+            "Candidates surviving each stage of the query attrition funnel",
+            ("stage",))
+        self.funnel = {stage: m_funnel.labels(stage=stage)
+                       for stage, _field in FUNNEL_STAGES}
+
+    def inflight_before(self, cutoff: float) -> int:
+        """Queries that arrived before *cutoff* and have not completed: the
+        autoscaler holds a topology change's dual-ownership window open
+        until none is left, so mid-rebalance answers match a quiesced one."""
+        return sum(state.arrival < cutoff and state.completed_at is None
+                   for state in self.states)
+
+    def lock_for(self, node_id: str) -> Resource:
+        lock = self.locks.get(node_id)
+        if lock is None:
+            lock = self.locks[node_id] = Resource(self.sim, name=node_id)
+        return lock
+
+    @staticmethod
+    def _subquery_bytes(src: str, dst: str, windows: list[_Window]) -> int:
+        nbytes = sum(w.codes.nbytes for w in windows)
+        return SubQuery(src=src, dst=dst, codes_bytes=nbytes).wire_bytes()
+
+    def publish(self, stats: QueryStats, stage: str, site: str,
+                counts: dict[str, int], **costs: int) -> None:
+        """Add funnel-stage *counts* to the query's stats and the funnel
+        counters and charge them, after the other *costs*, to the cost
+        profile — the one writer of all three, so they cannot disagree."""
+        for name, count in counts.items():
+            field_name = _FUNNEL_FIELD[name]
+            setattr(stats, field_name, getattr(stats, field_name) + count)
+            self.funnel[name].inc(count)
+        profile_charge(stage, site, **costs, **counts)
+
+    def publish_node(self, cost: NodeCost, stats: QueryStats, span) -> None:
+        """One node's cost record, to stats, counters, profile and span."""
+        stats.node_evals += cost.evals
+        self.publish(
+            stats, "node", _NODE_SITE,
+            {"knn_candidates": cost.candidates,
+             "identity_pass": cost.identity_pass,
+             "cscore_pass": cost.cscore_pass,
+             "anchors_extended": cost.anchors},
+            distance_evals=cost.evals, residues_compared=cost.extension_ops,
+            blocks_scanned=cost.candidates, cold_read_bytes=cost.io_bytes,
+            cold_read_seeks=cost.io_seeks,
+        )
+        span.annotate(evals=cost.evals, candidates=cost.candidates,
+                      identity_pass=cost.identity_pass,
+                      cscore_pass=cost.cscore_pass)
+
+    # -- processes ---------------------------------------------------------------
+
+    def node(self, state: _QueryState, node: StorageNode,
+             coordinator: StorageNode, windows: list[_Window], span):
+        sim, net = self.sim, self.net
+        # Broadcast delivery coordinator -> node (drop-aware: a lossy
+        # link or partition loses the subquery; the caller hedges).
+        delivered, delay = net.try_transfer(
+            coordinator.node_id, node.node_id,
+            self._subquery_bytes(coordinator.node_id, node.node_id, windows),
+        )
+        yield delay
+        if not delivered or not node.alive:
+            return _NodeFailure(node.node_id, "unreachable")
+        # Acquire the node CPU: concurrent queries queue FIFO here.
+        lock = self.lock_for(node.node_id)
+        yield lock.request()
+        try:
+            anchors, cost = node_kernel(
+                node, state.query.codes, windows, self.params, self.radius,
+                self.matrix, self.store,
+            )
+            self.publish_node(cost, state.stats, span)
+            # Cold tier reads this subquery paid for (device time is
+            # inside the service yield below).
+            io_span = span.child(
+                "cold_read", sim_now=sim.now, actor=node.node_id,
+                seeks=cost.io_seeks, bytes=cost.io_bytes, category="io",
+            ) if cost.io_seeks or cost.io_bytes else NO_SPAN
+            yield cost.service_seconds
+            io_span.annotate(io_seconds=cost.io_seconds)
+            io_span.finish(sim_now=sim.now)
+        finally:
+            lock.release()
+        if not node.alive:
+            # Crash-stop mid-service: the partial results died with it.
+            return _NodeFailure(node.node_id, "died")
+        # Report anchors node -> coordinator (drop-aware).
+        delivered, delay = net.try_transfer(
+            node.node_id, coordinator.node_id,
+            AnchorReport(src=node.node_id, dst=coordinator.node_id,
+                         anchor_count=len(anchors)).wire_bytes(),
+        )
+        yield delay
+        if not delivered:
+            return _NodeFailure(node.node_id, "unreachable")
+        return anchors
+
+    def guarded_node(self, state: _QueryState, node: StorageNode,
+                     coordinator: StorageNode, windows: list[_Window],
+                     parent_span):
+        """One subquery with a deadline and a single hedged retry.
+
+        Retries only make sense while the node is still alive (a dropped
+        message or straggler round); a dead node's blocks are covered —
+        if at all — by the replica holders in the same fan-out.
+        """
+        sim = self.sim
+        attempts = 0
+        while True:
+            span = parent_span.child(
+                f"node:{node.node_id}", sim_now=sim.now, actor=node.node_id,
+                windows=len(windows), attempt=attempts,
+            )
+            if attempts:
+                span.annotate(hedged_retry=True)
+            inner = sim.spawn(
+                self.node(state, node, coordinator, windows, span),
+                name=f"q{state.index}:node:{node.node_id}:a{attempts}",
+            )
+            if self.subquery_deadline is not None:
+                timer = sim.event(f"q{state.index}:deadline:{node.node_id}")
+                timer.fire_at(self.subquery_deadline)
+                which, value = yield AnyOf([inner, timer])
+                result = (value if which == 0
+                          else _NodeFailure(node.node_id, "deadline"))
+            else:
+                result = yield inner
+            if not isinstance(result, _NodeFailure):
+                span.annotate(anchors=len(result))
+                span.finish(sim_now=sim.now)
+                return result
+            span.annotate(failed=result.reason)
+            span.finish(sim_now=sim.now)
+            if attempts >= 1 or not node.alive:
+                self.m_failures.labels(group=node.group_id,
+                                       reason=result.reason).inc()
+                return result
+            attempts += 1
+            state.stats.hedged_retries += 1
+            self.m_retries.labels(group=node.group_id).inc()
+
+    def group(self, state: _QueryState, group: StorageGroup,
+              windows: list[_Window], parent_span):
+        sim, net, entry = self.sim, self.net, self.entry
+        gspan = parent_span.child(
+            f"group:{group.group_id}", sim_now=sim.now,
+            actor=group.group_id, windows=len(windows),
+        )
+        # Pin the coordinator for this query's lifetime: src/dst of every
+        # in-flight transfer stays stable even if the entry node dies
+        # mid-query (the replies were already addressed).
+        coordinator = group.entry_point()
+        gspan.annotate(coordinator=coordinator.node_id)
+        # System entry -> group coordinator (the subquery batch).
+        yield net.transfer(
+            entry.node_id, coordinator.node_id,
+            self._subquery_bytes(entry.node_id, coordinator.node_id, windows),
+        )
+        self._scope_coverage(state, group, gspan)
+        fanout = [node for node in group.nodes if node.alive]
+        # Tiered members: prefetch every page whose summary ball can
+        # intersect a subquery's search ball — one batched sequential
+        # fetch per node instead of per-miss seeks — and pin the
+        # candidate set so concurrent queries cannot evict it mid-scan.
+        codes = [w.codes for w in windows]
+        prefetch_pins = [
+            (node, keys) for node in fanout if node.tiered
+            for keys in [node.tier.prefetch(codes, self.radius)] if keys
+        ]
+        node_events = [
+            sim.spawn(self.guarded_node(state, node, coordinator, windows,
+                                        gspan),
+                      name=f"q{state.index}:guard:{node.node_id}")
+            for node in fanout
+        ]
+        if not node_events:
+            gspan.annotate(failed="group-down")
+            gspan.finish(sim_now=sim.now)
+            return []  # whole group down: no anchors from here
+        per_node = yield AllOf(node_events)
+        for node, keys in prefetch_pins:
+            if node.tier is not None:
+                node.tier.release_pins(keys)
+        collected = self._collect(state, group, fanout, per_node, gspan)
+        aspan = gspan.child("group_aggregate", sim_now=sim.now,
+                            actor=group.group_id)
+        merged = merge_anchors(collected)
+        yield coordinator.service_time_ops(4 * max(1, len(collected)))
+        aspan.annotate(anchors_in=len(collected), anchors_out=len(merged))
+        aspan.finish(sim_now=sim.now)
+        # Group coordinator -> system entry.
+        yield net.transfer(
+            coordinator.node_id, entry.node_id,
+            GroupReport(src=coordinator.node_id, dst=entry.node_id,
+                        anchor_count=len(merged)).wire_bytes(),
+        )
+        gspan.annotate(anchors=len(merged))
+        gspan.finish(sim_now=sim.now)
+        return merged
+
+    def _scope_coverage(self, state: _QueryState, group: StorageGroup,
+                        gspan) -> None:
+        """Coverage denominator: every distinct block *group* knows about
+        is in scope for the routed subqueries (a crashed member's durable
+        manifest still counts — its blocks are in scope even though its
+        RAM is gone)."""
+        dead_members = []
+        for member in group.nodes:
+            state.total.update(member.known_block_ids)
+            if not member.alive:
+                state.failed.add(member.node_id)
+                dead_members.append(member.node_id)
+        if dead_members:
+            gspan.annotate(dead_nodes=",".join(sorted(dead_members)))
+
+    def _collect(self, state: _QueryState, group: StorageGroup,
+                 fanout: list[StorageNode], per_node: list,
+                 gspan) -> list[Anchor]:
+        """Anchors of the nodes that answered (their blocks count as
+        covered); the ones that did not are recorded and reported."""
+        collected: list[Anchor] = []
+        failed_here = []
+        for node, result in zip(fanout, per_node):
+            if isinstance(result, _NodeFailure):
+                state.failed.add(node.node_id)
+                failed_here.append(node.node_id)
+            else:
+                collected.extend(result)
+                state.covered.update(node.block_ids)
+        if failed_here:
+            gspan.annotate(failed_nodes=",".join(sorted(failed_here)))
+            if self.elog is not None:
+                self.elog.emit(
+                    "subquery_failed", group.group_id,
+                    f"{len(failed_here)} subquery failure(s) for "
+                    f"{state.query.seq_id}", sim_time=self.sim.now,
+                    trace_id=getattr(gspan, "trace_id", None),
+                    span_id=getattr(gspan, "span_id", None),
+                    nodes=",".join(sorted(failed_here)),
+                )
+        return collected
+
+    def system(self, state: _QueryState):
+        sim, net, entry, query = self.sim, self.net, self.entry, state.query
+        if state.arrival > 0:
+            yield state.arrival
+        if state.trace_ctx is not None:
+            state.root = state.trace_ctx.begin(
+                f"query:{query.seq_id}", sim_now=sim.now, actor="client",
+                query_id=query.seq_id, residues=len(query),
+                entry=entry.node_id,
+            )
+        root = state.root
+        # Client -> system entry point.
+        span = root.child("receive", sim_now=sim.now, actor="client")
+        yield net.transfer("client", entry.node_id, query.codes.nbytes + 64)
+        span.finish(sim_now=sim.now)
+        routing = yield from self._route(state)
+        span = root.child("fanout", sim_now=sim.now, actor=entry.node_id,
+                          groups=len(routing))
+        group_events = [
+            sim.spawn(self.group(state, group, wins, span),
+                      name=f"q{state.index}:group:{gid}")
+            for gid, (group, wins) in sorted(routing.items())
+        ]
+        merged: list[Anchor] = []
+        if group_events:
+            per_group = yield AllOf(group_events)
+            merged = merge_anchors([a for group in per_group for a in group])
+        self.publish(state.stats, "fanout", _SYSTEM_SITE,
+                     {"anchors_merged": len(merged)})
+        span.annotate(anchors_merged=len(merged))
+        span.finish(sim_now=sim.now)
+        yield from self._gapped(state, merged)
+        # System entry -> client.
+        span = root.child("reply", sim_now=sim.now, actor=entry.node_id)
+        yield net.transfer(
+            entry.node_id, "client",
+            QueryResult(src=entry.node_id, dst="client",
+                        alignment_count=len(state.alignments)).wire_bytes(),
+        )
+        span.finish(sim_now=sim.now)
+        root.finish(sim_now=sim.now)
+        self._complete(state)
+
+    def _route(self, state: _QueryState):
+        """Window the query and hash each window through the vp-prefix
+        tree with branching tolerance; returns ``{group id: (group,
+        windows routed to it)}``."""
+        entry, stats = self.entry, state.stats
+        span = state.root.child("route", sim_now=self.sim.now,
+                                actor=entry.node_id)
+        windows = self.engine.windows_for(state.query, self.params)
+        stats.windows = len(windows)
+        adapter = self.engine.index.prefix_tree._tree.adapter
+        hash_before = adapter.pair_evaluations
+        routing: dict[str, tuple[StorageGroup, list[_Window]]] = {}
+        for window in windows:
+            for group in self.topo.groups_for_query(window.codes,
+                                                    self.tolerance):
+                routed = routing.setdefault(group.group_id, (group, []))[1]
+                routed.append(window)
+                stats.subqueries_routed += 1
+                self.m_routed.labels(group=group.group_id).inc()
+        hash_evals = adapter.pair_evaluations - hash_before
+        self.publish(stats, "route", _SYSTEM_SITE, {},
+                     distance_evals=hash_evals)
+        yield entry.service_time(hash_evals)
+        stats.groups_contacted = len(routing)
+        span.annotate(windows=len(windows), groups=len(routing),
+                      subqueries=stats.subqueries_routed)
+        span.finish(sim_now=self.sim.now)
+        return routing
+
+    def _gapped(self, state: _QueryState, merged: list[Anchor]):
+        """The final gapped pass at the system entry point."""
+        entry = self.entry
+        span = state.root.child("gapped", sim_now=self.sim.now,
+                                actor=entry.node_id)
+        (alignments, gapped_count), gapped_ops = self.engine._gapped_pass(
+            state.query, merged, self.params, self.matrix
+        )
+        state.alignments = alignments
+        self.publish(
+            state.stats, "gapped", _SYSTEM_SITE,
+            {"gapped_extensions": gapped_count, "alignments": len(alignments)},
+            residues_compared=int(gapped_ops),
+        )
+        yield entry.service_time_ops(gapped_ops)
+        span.annotate(extensions=gapped_count, alignments=len(alignments))
+        span.finish(sim_now=self.sim.now)
+
+    def _complete(self, state: _QueryState) -> None:
+        """Stamp completion and feed the health monitor / event log."""
+        now = self.sim.now
+        state.completed_at = now
+        stats = state.stats
+        stats.turnaround = now - state.arrival
+        if state.total:
+            state.coverage = len(state.covered & state.total) / len(state.total)
+        trace_id = getattr(state.root, "trace_id", None)
+        if self.monitor is not None:
+            self.monitor.observe_query(
+                now, stats.turnaround, state.coverage,
+                degraded=state.degraded, trace_id=trace_id,
+            )
+        if self.elog is not None:
+            self.elog.emit(
+                "query", self.entry.node_id, f"{state.query.seq_id} answered",
+                sim_time=now, trace_id=trace_id,
+                coverage=round(state.coverage, 6), degraded=state.degraded,
+                turnaround=round(stats.turnaround, 9),
+            )
+
+    def report(self, state: _QueryState) -> QueryReport:
+        """The finished query's report (call after the clock has run)."""
+        stats, root = state.stats, state.root
+        stats.messages = self.net.stats.messages
+        stats.bytes_sent = self.net.stats.bytes_sent
+        root.annotate(
+            coverage=round(state.coverage, 6), degraded=state.degraded,
+            hedged_retries=stats.hedged_retries, turnaround=stats.turnaround,
+        )
+        if state.failed:
+            root.annotate(failed_nodes=",".join(sorted(state.failed)))
+        status = "degraded" if state.degraded else "ok"
+        self.m_queries.labels(status=status).inc()
+        return QueryReport(
+            query_id=state.query.seq_id, alignments=state.alignments,
+            stats=stats, coverage=state.coverage, degraded=state.degraded,
+            failed_nodes=sorted(state.failed),
+            root_span=root if isinstance(root, Span) else None,
+        )
 
 
 class QueryEngine:
@@ -256,7 +784,6 @@ class QueryEngine:
         self,
         query: SequenceRecord,
         params: QueryParams | None = None,
-        trace: bool = False,
         faults: "FaultSchedule | None" = None,
         subquery_deadline: float | None = None,
         trace_ctx: TraceContext | None = None,
@@ -265,13 +792,12 @@ class QueryEngine:
     ) -> QueryReport:
         """Evaluate *query*; returns ranked alignments and statistics.
 
-        With ``trace=True`` the report carries a
-        :class:`TraceEvent` timeline of the distributed dataflow.  With a
-        *trace_ctx*, the report additionally carries a full span tree
-        (``report.root_span``) stamped with both wall and sim clocks.
+        With a *trace_ctx*, the report carries the span tree of the
+        distributed dataflow (``report.root_span``), stamped with both
+        wall and sim clocks.
         """
         return self.run_batch(
-            [query], params, trace=trace, faults=faults,
+            [query], params, faults=faults,
             subquery_deadline=subquery_deadline,
             trace_contexts=[trace_ctx] if trace_ctx is not None else None,
             monitor=monitor, event_log=event_log,
@@ -282,7 +808,6 @@ class QueryEngine:
         queries: list[SequenceRecord],
         params: QueryParams | None = None,
         arrival_interval: float = 0.0,
-        trace: bool = False,
         faults: "FaultSchedule | None" = None,
         subquery_deadline: float | None = None,
         trace_contexts: "list[TraceContext] | None" = None,
@@ -291,16 +816,17 @@ class QueryEngine:
         arrival_times: "list[float] | None" = None,
         autoscaler=None,
     ) -> list[QueryReport]:
-        """Evaluate *queries* concurrently on one simulated cluster.
+        """Evaluate *queries* concurrently on one simulated cluster; returns
+        one report per query, in input order.
 
-        Query ``i`` arrives at simulated time ``i * arrival_interval``
-        (0 = all at once); *arrival_times* overrides the uniform spacing
-        with an explicit non-decreasing schedule (one entry per query) —
-        how the autoscale scenarios shape diurnal and flash-crowd load.  Overlapping queries contend for each node's CPU
-        through a FIFO :class:`~repro.sim.resource.Resource`, so per-query
-        turnarounds reflect queueing under load — the throughput story a
-        storage framework lives or dies by.  A single-query batch reduces
-        exactly to the sequential behaviour.
+        Query ``i`` arrives at simulated time ``i * arrival_interval`` (0 =
+        all at once), or at ``arrival_times[i]`` when that explicit
+        non-decreasing schedule is given — how the autoscale scenarios
+        shape diurnal and flash-crowd load.  Overlapping queries contend
+        for each node's CPU through a FIFO :class:`~repro.sim.resource.
+        Resource`, so each ``turnaround`` (completion minus arrival)
+        reflects queueing under load; a single-query batch reduces exactly
+        to the sequential behaviour.
 
         *faults* attaches a scripted :class:`~repro.faults.schedule.
         FaultSchedule` to the run's clock: nodes crash, restart, or
@@ -309,30 +835,25 @@ class QueryEngine:
         deterministically from the schedule's seed.  *subquery_deadline*
         bounds each node-level subquery in simulated seconds; a subquery
         that misses it (straggler, drop) is hedged with one retry, after
-        which the node counts as failed and the report degrades.
-
-        Returns one report per query, in input order; each report's
-        ``turnaround`` is completion time minus that query's arrival time,
-        and each carries ``coverage`` / ``degraded`` / ``failed_nodes``
-        describing how complete the answer is.
+        which the node counts as failed and the report degrades
+        (``coverage`` / ``degraded`` / ``failed_nodes`` say how complete
+        each answer is).
 
         *trace_contexts* (one :class:`~repro.obs.trace.TraceContext` per
-        query) enables span-tree tracing: each query's report carries a
-        ``root_span`` whose children tile the turnaround stage by stage
-        (receive, route, fanout with per-group/per-node subspans, gapped,
-        reply), annotated with hedged retries, node failures, and degraded
-        coverage.
+        query) records each query's span tree as ``report.root_span``: its
+        children tile the turnaround stage by stage (receive, route, fanout
+        with per-group/per-node subspans, gapped, reply), annotated with
+        hedged retries, node failures, and degraded coverage.
 
-        *monitor* attaches a :class:`~repro.obs.health.HealthMonitor` to
-        the run's sim clock: every completed query feeds its availability /
-        coverage / turnaround SLIs, a tick process evaluates the SLO
-        engine across the run, and the monitor's event log collects the
-        query/fault/repair/alert stream.  With *faults* set and no monitor
-        given, one is auto-created scaled to the schedule's horizon and
-        exposed as ``engine.last_monitor``.  *event_log* routes event
-        emission without a full monitor (``None`` + no faults = no event
-        overhead at all, keeping the traced/untraced fig6a comparison
-        clean).
+        *monitor* puts a :class:`~repro.obs.health.HealthMonitor` on the
+        run's sim clock: every completed query feeds its availability /
+        coverage / turnaround SLIs, a tick process evaluates the SLO engine
+        across the run, and its event log collects the query / fault /
+        repair / alert stream.  With *faults* set and no monitor given, one
+        is auto-created scaled to the schedule's horizon and exposed as
+        ``engine.last_monitor``; without faults monitoring is strictly
+        opt-in, so the plain read path pays no event overhead.
+        *event_log* routes event emission without a full monitor.
 
         *autoscaler* spawns an :class:`~repro.scale.controller.AutoScaler`
         tick process on the same clock and horizon as the monitor, closing
@@ -341,9 +862,41 @@ class QueryEngine:
         alerts resolve.  When the scaler brings its own monitor and none
         is passed here, that monitor is attached to the run.
         """
-        from repro.sim.resource import Resource
-
         params = params or QueryParams()
+        arrivals = self._check_batch(
+            queries, arrival_interval, arrival_times, subquery_deadline,
+            trace_contexts,
+        )
+        sim = Simulation()
+        net = Network(sim=sim, rng=faults.seed if faults is not None else None)
+        monitor, elog = self._attach_health(
+            sim, net, faults, monitor, event_log, autoscaler,
+            arrival_interval, max(arrivals, default=0.0),
+        )
+        batch = _BatchRun(self, params, sim, net, subquery_deadline,
+                          monitor, elog)
+        contexts = trace_contexts or [None] * len(queries)
+        batch.states = [
+            _QueryState(i, query, arrivals[i], contexts[i])
+            for i, query in enumerate(queries)
+        ]
+        if autoscaler is not None:
+            autoscaler.inflight_before = batch.inflight_before
+        done_events = [
+            sim.spawn(batch.system(state), name=f"q{state.index}:system-entry")
+            for state in batch.states
+        ]
+        sim.run()
+        if not all(event.fired for event in done_events):
+            raise RuntimeError("query simulation did not complete")
+        return [batch.report(state) for state in batch.states]
+
+    def _check_batch(
+        self, queries: list[SequenceRecord], arrival_interval: float,
+        arrival_times: "list[float] | None", subquery_deadline: float | None,
+        trace_contexts: "list[TraceContext] | None",
+    ) -> list[float]:
+        """Validate a batch's inputs; returns each query's arrival time."""
         if trace_contexts is not None and len(trace_contexts) != len(queries):
             raise ValueError(
                 f"{len(trace_contexts)} trace contexts for "
@@ -373,17 +926,19 @@ class QueryEngine:
                     f"query alphabet {query.alphabet.name!r} does not match "
                     f"the indexed alphabet {self.index.alphabet.name!r}"
                 )
-        matrix = resolve_matrix(params, self.index.alphabet)
-        is_protein = self.index.alphabet.name == "protein"
-        topo = self.index.topology
-        store = self.index.store
-        sim = Simulation()
-        net = Network(sim=sim, rng=faults.seed if faults is not None else None)
+        if arrival_times is not None:
+            return list(arrival_times)
+        return [i * arrival_interval for i in range(len(queries))]
+
+    def _attach_health(
+        self, sim: Simulation, net: Network, faults: "FaultSchedule | None",
+        monitor: HealthMonitor | None, event_log: EventLog | None,
+        autoscaler, arrival_interval: float, last_arrival: float,
+    ) -> tuple[HealthMonitor | None, EventLog | None]:
+        """Put the chaos controller, health monitor and autoscaler on the
+        run's clock (see :meth:`run_batch` for who gets a monitor); returns
+        the monitor and event log the run feeds."""
         self.last_chaos = None
-        # Continuous health: under faults every run gets a monitor (auto-
-        # created, horizon-scaled) unless the caller brought one; without
-        # faults monitoring is strictly opt-in so the plain fig6a read
-        # path stays byte-for-byte what the overhead gate compares.
         if monitor is None and autoscaler is not None:
             monitor = autoscaler.monitor
         if monitor is None and faults is not None:
@@ -404,10 +959,6 @@ class QueryEngine:
                 recorder=monitor.recorder if monitor is not None else None,
             )
             self.last_chaos.install()
-        if arrival_times is not None:
-            last_arrival = max(arrival_times) if arrival_times else 0.0
-        else:
-            last_arrival = max(0.0, (len(queries) - 1) * arrival_interval)
         if monitor is not None:
             if self.last_chaos is not None:
                 monitor.backlog_fn = self.last_chaos.pending_repairs
@@ -420,562 +971,7 @@ class QueryEngine:
             if autoscaler is not None:
                 sim.spawn(autoscaler.tick_proc(sim, stop_at),
                           name="autoscaler")
-        entry = next((n for n in topo.nodes if n.alive), topo.nodes[0])
-        # CPU locks are created on demand: the autoscaler can add nodes
-        # mid-run, and those must contend like any seed node.
-        locks: dict[str, Resource] = {}
-
-        def lock_for(node_id: str) -> Resource:
-            lock = locks.get(node_id)
-            if lock is None:
-                lock = Resource(sim, name=node_id)
-                locks[node_id] = lock
-            return lock
-        radius = self.search_radius(params)
-        tolerance = (
-            params.tolerance
-            if params.tolerance is not None
-            else 0.5 * self.search_radius(params)
-        )
-
-        per_query_stats = [QueryStats() for _ in queries]
-        holders: list[dict] = [
-            {"covered": set(), "total": set(), "failed": set()} for _ in queries
-        ]
-        if autoscaler is not None:
-            # The scaler holds a topology change's dual-ownership window
-            # open until every query that arrived before the change has
-            # completed — the precise condition for mid-rebalance answers
-            # to match a quiesced cluster.
-            def _inflight_before(cutoff: float) -> int:
-                count = 0
-                for qi in range(len(queries)):
-                    at = (
-                        arrival_times[qi] if arrival_times is not None
-                        else qi * arrival_interval
-                    )
-                    if at < cutoff and "completed_at" not in holders[qi]:
-                        count += 1
-                return count
-
-            autoscaler.inflight_before = _inflight_before
-        traces: list[list[TraceEvent]] = [[] for _ in queries]
-        roots: list = [NO_SPAN] * len(queries)
-
-        registry = default_registry()
-        m_queries = registry.counter(
-            "repro_queries_total",
-            "Queries evaluated by the engine",
-            ("status",),
-        )
-        m_routed = registry.counter(
-            "repro_subqueries_routed_total",
-            "Window subqueries routed to storage groups",
-            ("group",),
-        )
-        m_retries = registry.counter(
-            "repro_hedged_retries_total",
-            "Subqueries hedged with a retry after a drop/timeout",
-            ("group",),
-        )
-        m_failures = registry.counter(
-            "repro_node_failures_total",
-            "Subqueries that terminally failed (no anchors contributed)",
-            ("group", "reason"),
-        )
-        m_funnel = registry.counter(
-            "repro_query_funnel_total",
-            "Candidates surviving each stage of the query attrition funnel",
-            ("stage",),
-        )
-        funnel = {stage: m_funnel.labels(stage=stage)
-                  for stage, _field in FUNNEL_STAGES}
-
-        def make_note(index: int):
-            if not trace:
-                return lambda actor, event, detail="": None
-
-            def note(actor: str, event: str, detail: str = "") -> None:
-                traces[index].append(
-                    TraceEvent(time=sim.now, actor=actor, event=event,
-                               detail=detail)
-                )
-
-            return note
-
-        def node_proc(index: int, query: SequenceRecord, node: StorageNode,
-                      coordinator: StorageNode, windows: list[_Window],
-                      span=NO_SPAN):
-            stats = per_query_stats[index]
-            note = make_note(index)
-            # Broadcast delivery coordinator -> node (drop-aware: a lossy
-            # link or partition loses the subquery; the caller hedges).
-            delivered, delay = net.try_transfer(
-                coordinator.node_id,
-                node.node_id,
-                SubQuery(
-                    src=coordinator.node_id,
-                    dst=node.node_id,
-                    codes_bytes=sum(w.codes.nbytes for w in windows),
-                ).wire_bytes(),
-            )
-            yield delay
-            if not delivered or not node.alive:
-                return _NodeFailure(node.node_id, "unreachable")
-            # Acquire the node CPU: concurrent queries queue FIFO here.
-            lock = lock_for(node.node_id)
-            yield lock.request()
-            try:
-                anchors: list[Anchor] = []
-                service = 0.0
-                extension_ops = 0
-                candidates = identity_survivors = cscore_survivors = 0
-                seen: set[tuple[str, int, int]] = set()
-                local_before = node.tree.adapter.pair_evaluations
-                io_seeks = io_bytes = 0
-                io_seconds = 0.0
-                for window in windows:
-                    hits, seconds = node.local_knn(
-                        window.codes, params.n, max_radius=radius
-                    )
-                    service += seconds
-                    if node.last_io is not None:
-                        io_seeks += node.last_io["seeks"]
-                        io_bytes += node.last_io["bytes"]
-                        io_seconds += node.last_io["seconds"]
-                    stats.candidate_hits += len(hits)
-                    candidates += len(hits)
-                    for _dist, block_id in hits:
-                        # Verified read: a hit whose durable copy fails its
-                        # content digest is skipped — the query's fan-out to
-                        # the block's other replicas answers from a healthy
-                        # copy instead of serving rotted bytes.
-                        if not node.verify_block(block_id):
-                            note(node.node_id, "corrupt_skip",
-                                 f"block {block_id} failed digest check")
-                            continue
-                        candidate = store.codes_of(block_id)
-                        score = evaluate_candidate(
-                            window.codes, candidate,
-                            matrix if is_protein else None,
-                        )
-                        if score.identity < params.i:
-                            continue
-                        stats.identity_pass += 1
-                        identity_survivors += 1
-                        if score.c_score < params.c:
-                            continue
-                        stats.cscore_pass += 1
-                        cscore_survivors += 1
-                        block = store.block(block_id)
-                        subject = store.record_of(block_id)
-                        anchor = extend_anchor(
-                            query=query.codes,
-                            subject=subject.codes,
-                            seq_id=block.seq_id,
-                            query_start=window.query_start,
-                            query_end=window.query_start + block.length,
-                            subject_start=block.start,
-                            identity_threshold=params.i,
-                            matrix=matrix,
-                        )
-                        key = (anchor.seq_id, anchor.diagonal, anchor.query_start)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        extension_ops += anchor.length
-                        anchors.append(anchor)
-                evals = node.tree.adapter.pair_evaluations - local_before
-                stats.anchors_extended += len(anchors)
-                stats.node_evals += evals
-                funnel["knn_candidates"].inc(candidates)
-                funnel["identity_pass"].inc(identity_survivors)
-                funnel["cscore_pass"].inc(cscore_survivors)
-                funnel["anchors_extended"].inc(len(anchors))
-                profile_charge(
-                    "node", "core/query.py:node_proc",
-                    distance_evals=evals,
-                    residues_compared=extension_ops,
-                    blocks_scanned=candidates,
-                    cold_read_bytes=io_bytes,
-                    cold_read_seeks=io_seeks,
-                    knn_candidates=candidates,
-                    identity_pass=identity_survivors,
-                    cscore_pass=cscore_survivors,
-                    anchors_extended=len(anchors),
-                )
-                span.annotate(evals=evals, candidates=candidates,
-                              identity_pass=identity_survivors,
-                              cscore_pass=cscore_survivors)
-                io_span = None
-                if io_seeks or io_bytes:
-                    # Cold tier reads this subquery paid for (device time is
-                    # inside the service yield below).
-                    io_span = span.child(
-                        "cold_read", sim_now=sim.now, actor=node.node_id,
-                        seeks=io_seeks, bytes=io_bytes, category="io",
-                    )
-                yield service + node.service_time_ops(extension_ops)
-                if io_span is not None:
-                    io_span.annotate(io_seconds=io_seconds)
-                    io_span.finish(sim_now=sim.now)
-            finally:
-                lock.release()
-            if not node.alive:
-                # Crash-stop mid-service: the partial results died with it.
-                return _NodeFailure(node.node_id, "died")
-            note(node.node_id, "local search done",
-                 f"{len(windows)} windows -> {len(anchors)} anchors")
-            # Report anchors node -> coordinator (drop-aware).
-            delivered, delay = net.try_transfer(
-                node.node_id,
-                coordinator.node_id,
-                AnchorReport(
-                    src=node.node_id,
-                    dst=coordinator.node_id,
-                    anchor_count=len(anchors),
-                ).wire_bytes(),
-            )
-            yield delay
-            if not delivered:
-                return _NodeFailure(node.node_id, "unreachable")
-            return anchors
-
-        def guarded_node(index: int, query: SequenceRecord, node: StorageNode,
-                         coordinator: StorageNode, windows: list[_Window],
-                         parent_span=NO_SPAN):
-            """One subquery with a deadline and a single hedged retry.
-
-            Retries only make sense while the node is still alive (a dropped
-            message or straggler round); a dead node's blocks are covered —
-            if at all — by the replica holders in the same fan-out.
-            """
-            stats = per_query_stats[index]
-            attempts = 0
-            while True:
-                span = parent_span.child(
-                    f"node:{node.node_id}", sim_now=sim.now,
-                    actor=node.node_id, windows=len(windows),
-                    attempt=attempts,
-                )
-                if attempts:
-                    span.annotate(hedged_retry=True)
-                inner = sim.spawn(
-                    node_proc(index, query, node, coordinator, windows,
-                              span=span),
-                    name=f"q{index}:node:{node.node_id}:a{attempts}",
-                )
-                if subquery_deadline is not None:
-                    timer = sim.event(f"q{index}:deadline:{node.node_id}")
-                    timer.fire_at(subquery_deadline)
-                    which, value = yield AnyOf([inner, timer])
-                    result = (
-                        value if which == 0
-                        else _NodeFailure(node.node_id, "deadline")
-                    )
-                else:
-                    result = yield inner
-                if not isinstance(result, _NodeFailure):
-                    span.annotate(anchors=len(result))
-                    span.finish(sim_now=sim.now)
-                    return result
-                span.annotate(failed=result.reason)
-                span.finish(sim_now=sim.now)
-                if attempts >= 1 or not node.alive:
-                    m_failures.labels(
-                        group=node.group_id, reason=result.reason
-                    ).inc()
-                    return result
-                attempts += 1
-                stats.hedged_retries += 1
-                m_retries.labels(group=node.group_id).inc()
-
-        def group_proc(index: int, query: SequenceRecord, group: StorageGroup,
-                       windows: list[_Window], parent_span=NO_SPAN):
-            stats = per_query_stats[index]
-            note = make_note(index)
-            holder = holders[index]
-            gspan = parent_span.child(
-                f"group:{group.group_id}", sim_now=sim.now,
-                actor=group.group_id, windows=len(windows),
-            )
-            # Pin the coordinator for this query's lifetime: src/dst of every
-            # in-flight transfer stays stable even if the entry node dies
-            # mid-query (the replies were already addressed).
-            coordinator = group.entry_point()
-            gspan.annotate(coordinator=coordinator.node_id)
-            # System entry -> group coordinator (the subquery batch).
-            yield net.transfer(
-                entry.node_id,
-                coordinator.node_id,
-                SubQuery(
-                    src=entry.node_id,
-                    dst=coordinator.node_id,
-                    codes_bytes=sum(w.codes.nbytes for w in windows),
-                ).wire_bytes(),
-            )
-            # Coverage denominators: every distinct block this group knows
-            # about is in scope for the routed subqueries (a crashed
-            # member's durable manifest still counts — its blocks are in
-            # scope even though its RAM is gone).
-            dead_members = []
-            for member in group.nodes:
-                holder["total"].update(member.known_block_ids)
-                if not member.alive:
-                    holder["failed"].add(member.node_id)
-                    dead_members.append(member.node_id)
-            if dead_members:
-                gspan.annotate(dead_nodes=",".join(sorted(dead_members)))
-            fanout = [node for node in group.nodes if node.alive]
-            # Tiered members: prefetch every page whose summary ball can
-            # intersect a subquery's search ball — one batched sequential
-            # fetch per node instead of per-miss seeks — and pin the
-            # candidate set so concurrent queries cannot evict it mid-scan.
-            prefetch_pins = [
-                (node, keys)
-                for node in fanout
-                if node.tiered
-                for keys in [node.tier.prefetch([w.codes for w in windows],
-                                                radius)]
-                if keys
-            ]
-            node_events = [
-                sim.spawn(
-                    guarded_node(index, query, node, coordinator, windows,
-                                 parent_span=gspan),
-                    name=f"q{index}:guard:{node.node_id}",
-                )
-                for node in fanout
-            ]
-            if not node_events:
-                gspan.annotate(failed="group-down")
-                gspan.finish(sim_now=sim.now)
-                return []  # whole group down: no anchors from here
-            per_node = yield AllOf(node_events)
-            for node, keys in prefetch_pins:
-                if node.tier is not None:
-                    node.tier.release_pins(keys)
-            collected: list[Anchor] = []
-            failed_here = []
-            for node, result in zip(fanout, per_node):
-                if isinstance(result, _NodeFailure):
-                    holder["failed"].add(node.node_id)
-                    failed_here.append(node.node_id)
-                else:
-                    collected.extend(result)
-                    holder["covered"].update(node.block_ids)
-            if failed_here:
-                gspan.annotate(failed_nodes=",".join(sorted(failed_here)))
-                if elog is not None:
-                    elog.emit(
-                        "subquery_failed", group.group_id,
-                        f"{len(failed_here)} subquery failure(s) for "
-                        f"{query.seq_id}",
-                        sim_time=sim.now,
-                        trace_id=getattr(gspan, "trace_id", None),
-                        span_id=getattr(gspan, "span_id", None),
-                        nodes=",".join(sorted(failed_here)),
-                    )
-            aspan = gspan.child("group_aggregate", sim_now=sim.now,
-                                actor=group.group_id)
-            merged = merge_anchors(collected)
-            yield coordinator.service_time_ops(4 * max(1, len(collected)))
-            note(group.group_id, "group aggregation",
-                 f"{len(collected)} anchors merged to {len(merged)}")
-            aspan.annotate(anchors_in=len(collected), anchors_out=len(merged))
-            aspan.finish(sim_now=sim.now)
-            # Group coordinator -> system entry.
-            yield net.transfer(
-                coordinator.node_id,
-                entry.node_id,
-                GroupReport(
-                    src=coordinator.node_id,
-                    dst=entry.node_id,
-                    anchor_count=len(merged),
-                ).wire_bytes(),
-            )
-            gspan.annotate(anchors=len(merged))
-            gspan.finish(sim_now=sim.now)
-            return merged
-
-        def system_proc(index: int, query: SequenceRecord, arrival: float):
-            stats = per_query_stats[index]
-            note = make_note(index)
-            if arrival > 0:
-                yield arrival
-            ctx = trace_contexts[index] if trace_contexts is not None else None
-            root = (
-                ctx.begin(f"query:{query.seq_id}", sim_now=sim.now,
-                          actor="client", query_id=query.seq_id,
-                          residues=len(query), entry=entry.node_id)
-                if ctx is not None
-                else NO_SPAN
-            )
-            roots[index] = root
-            # Client -> system entry point.
-            span = root.child("receive", sim_now=sim.now, actor="client")
-            yield net.transfer("client", entry.node_id, query.codes.nbytes + 64)
-            span.finish(sim_now=sim.now)
-            note(entry.node_id, "query received",
-                 f"{len(query)} residues from client")
-
-            span = root.child("route", sim_now=sim.now, actor=entry.node_id)
-            windows = self.windows_for(query, params)
-            stats.windows = len(windows)
-
-            # Route windows: vp-prefix hash with branching tolerance.
-            adapter = self.index.prefix_tree._tree.adapter
-            hash_before = adapter.pair_evaluations
-            routing: dict[str, list[_Window]] = {}
-            groups_by_id: dict[str, StorageGroup] = {}
-            for window in windows:
-                for group in topo.groups_for_query(window.codes, tolerance):
-                    routing.setdefault(group.group_id, []).append(window)
-                    groups_by_id[group.group_id] = group
-                    stats.subqueries_routed += 1
-                    m_routed.labels(group=group.group_id).inc()
-            hash_evals = adapter.pair_evaluations - hash_before
-            profile_charge("route", "core/query.py:system_proc",
-                           distance_evals=hash_evals)
-            yield entry.service_time(hash_evals)
-            stats.groups_contacted = len(routing)
-            span.annotate(windows=len(windows), groups=len(routing),
-                          subqueries=stats.subqueries_routed)
-            span.finish(sim_now=sim.now)
-            note(entry.node_id, "windows hashed",
-                 f"{len(windows)} windows -> {len(routing)} groups "
-                 f"({stats.subqueries_routed} subqueries)")
-
-            span = root.child("fanout", sim_now=sim.now, actor=entry.node_id,
-                              groups=len(routing))
-            group_events = [
-                sim.spawn(group_proc(index, query, groups_by_id[gid], wins,
-                                     parent_span=span),
-                          name=f"q{index}:group:{gid}")
-                for gid, wins in sorted(routing.items())
-            ]
-            merged: list[Anchor] = []
-            if group_events:
-                per_group = yield AllOf(group_events)
-                merged = merge_anchors([a for group in per_group for a in group])
-            stats.anchors_merged = len(merged)
-            funnel["anchors_merged"].inc(len(merged))
-            profile_charge("fanout", "core/query.py:system_proc",
-                           anchors_merged=len(merged))
-            span.annotate(anchors_merged=len(merged))
-            span.finish(sim_now=sim.now)
-            note(entry.node_id, "system aggregation",
-                 f"{len(merged)} merged anchors")
-
-            span = root.child("gapped", sim_now=sim.now, actor=entry.node_id)
-            (alignments, gapped_count), gapped_ops = self._gapped_pass(
-                query, merged, params, matrix
-            )
-            stats.gapped_extensions = gapped_count
-            funnel["gapped_extensions"].inc(gapped_count)
-            funnel["alignments"].inc(len(alignments))
-            profile_charge("gapped", "core/query.py:system_proc",
-                           residues_compared=int(gapped_ops),
-                           gapped_extensions=gapped_count,
-                           alignments=len(alignments))
-            yield entry.service_time_ops(gapped_ops)
-            span.annotate(extensions=gapped_count, alignments=len(alignments))
-            span.finish(sim_now=sim.now)
-            note(entry.node_id, "gapped pass done",
-                 f"{gapped_count} extensions -> {len(alignments)} alignments")
-
-            # System entry -> client.
-            span = root.child("reply", sim_now=sim.now, actor=entry.node_id)
-            yield net.transfer(
-                entry.node_id,
-                "client",
-                QueryResult(
-                    src=entry.node_id,
-                    dst="client",
-                    alignment_count=len(alignments),
-                ).wire_bytes(),
-            )
-            span.finish(sim_now=sim.now)
-            note("client", "result received",
-                 f"{len(alignments)} ranked alignments")
-            root.finish(sim_now=sim.now)
-            holders[index]["alignments"] = alignments
-            holders[index]["completed_at"] = sim.now
-            holders[index]["arrival"] = arrival
-            if monitor is not None or elog is not None:
-                holder = holders[index]
-                total, covered = holder["total"], holder["covered"]
-                coverage = (
-                    1.0 if not total else len(covered & total) / len(total)
-                )
-                turnaround = sim.now - arrival
-                trace_id = getattr(root, "trace_id", None)
-                if monitor is not None:
-                    monitor.observe_query(
-                        sim.now, turnaround, coverage,
-                        degraded=coverage < 1.0, trace_id=trace_id,
-                    )
-                if elog is not None:
-                    elog.emit(
-                        "query", entry.node_id,
-                        f"{query.seq_id} answered", sim_time=sim.now,
-                        trace_id=trace_id,
-                        coverage=round(coverage, 6),
-                        degraded=coverage < 1.0,
-                        turnaround=round(turnaround, 9),
-                    )
-
-        done_events = [
-            sim.spawn(
-                system_proc(
-                    i, query,
-                    arrival_times[i] if arrival_times is not None
-                    else i * arrival_interval,
-                ),
-                name=f"q{i}:system-entry",
-            )
-            for i, query in enumerate(queries)
-        ]
-        sim.run()
-        if not all(event.fired for event in done_events):
-            raise RuntimeError("query simulation did not complete")
-
-        reports: list[QueryReport] = []
-        for index, query in enumerate(queries):
-            stats = per_query_stats[index]
-            holder = holders[index]
-            alignments = holder.get("alignments", [])
-            stats.turnaround = holder["completed_at"] - holder["arrival"]
-            stats.alignments_reported = len(alignments)
-            stats.messages = net.stats.messages
-            stats.bytes_sent = net.stats.bytes_sent
-            total = holder["total"]
-            covered = holder["covered"]
-            coverage = 1.0 if not total else len(covered & total) / len(total)
-            degraded = coverage < 1.0
-            root = roots[index]
-            root.annotate(
-                coverage=round(coverage, 6),
-                degraded=degraded,
-                hedged_retries=stats.hedged_retries,
-                turnaround=stats.turnaround,
-            )
-            if holder["failed"]:
-                root.annotate(failed_nodes=",".join(sorted(holder["failed"])))
-            m_queries.labels(status="degraded" if degraded else "ok").inc()
-            reports.append(
-                QueryReport(
-                    query_id=query.seq_id,
-                    alignments=alignments,
-                    stats=stats,
-                    trace=traces[index],
-                    coverage=coverage,
-                    degraded=degraded,
-                    failed_nodes=sorted(holder["failed"]),
-                    root_span=root if isinstance(root, Span) else None,
-                )
-            )
-        return reports
+        return monitor, elog
 
     # -- the final gapped pass -------------------------------------------------------
 

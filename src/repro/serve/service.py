@@ -955,7 +955,6 @@ def _replay(report: QueryReport, query_id: str) -> QueryReport:
         query_id=query_id,
         alignments=report.alignments,
         stats=report.stats,
-        trace=report.trace,
         coverage=report.coverage,
         degraded=report.degraded,
         failed_nodes=report.failed_nodes,

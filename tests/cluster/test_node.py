@@ -58,16 +58,20 @@ class TestLocalKnn:
         node = make_node()
         data = blocks(30)
         node.store_blocks(data, list(range(100, 130)))
-        hits, seconds = node.local_knn(data[3], 2)
+        hits, cost = node.local_knn(data[3], 2)
         assert hits[0][1] == 103
         assert hits[0][0] == 0.0
-        assert seconds > 0
+        assert cost.seconds > 0
+        assert cost.evals == node.stats.evals_charged > 0
+        # an all-RAM node pays no cold reads
+        assert (cost.io_seeks, cost.io_bytes, cost.io_seconds) == (0, 0, 0.0)
 
     def test_empty_node(self):
         node = make_node()
-        hits, seconds = node.local_knn(blocks(1)[0], 3)
+        hits, cost = node.local_knn(blocks(1)[0], 3)
         assert hits == []
-        assert seconds > 0  # still charges request overhead
+        assert cost.evals == 0
+        assert cost.seconds > 0  # still charges request overhead
 
     def test_stats_accumulate(self):
         node = make_node()

@@ -1,11 +1,16 @@
 """Tests for the Mendel facade (repro.core.framework)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import Mendel, MendelConfig, QueryParams
+from repro.core.query import QueryStats
+from repro.seq import SequenceRecord
 from repro.seq.alphabet import PROTEIN
 from repro.seq.generate import random_set
 from repro.seq.mutate import mutate_to_identity
+from repro.seq.translate import STANDARD_CODE, six_frame_translations
 
 
 class TestBuild:
@@ -36,6 +41,28 @@ class TestQueries:
         reports = mendel.query_many(probes, QueryParams(k=4, n=4))
         assert len(reports) == 2
         assert [r.query_id for r in reports] == ["m0", "m1"]
+
+    def test_translated_stats_merge_every_field(self, mendel, protein_db):
+        codon_of = {amino: codon for codon, amino in STANDARD_CODE.items()}
+        dna = "".join(codon_of[ch] for ch in protein_db.records[3].text[:90])
+        query = SequenceRecord.from_text("gene", dna, "dna")
+        params = QueryParams(k=4, n=4, i=0.8)
+        merged = mendel.query_translated(query, params).stats
+        counts = [n for _stage, n in merged.funnel()]
+        assert counts == sorted(counts, reverse=True) and counts[-1] > 0
+        frames = [
+            mendel.query(frame, params).stats
+            for frame in six_frame_translations(query)
+        ]
+        assert len(frames) == 6
+        additive = {f.name for f in fields(QueryStats)} - {
+            "turnaround", "messages", "bytes_sent"
+        }
+        for name in sorted(additive):
+            assert getattr(merged, name) == sum(
+                getattr(stats, name) for stats in frames
+            ), name
+        assert merged.identity_pass > 0 and merged.groups_contacted > 0
 
     def test_load_fractions_exposed(self, mendel):
         fractions = mendel.load_fractions()

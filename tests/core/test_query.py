@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.params import QueryParams
-from repro.core.query import QueryEngine, resolve_matrix
+from repro.core.query import QueryEngine, node_kernel, resolve_matrix
+from repro.obs.metrics import default_registry
+from repro.obs.trace import TraceContext
 from repro.seq.alphabet import DNA, PROTEIN
 from repro.seq.matrices import BLOSUM62, PAM250
 from repro.seq.mutate import mutate_to_identity
@@ -68,6 +70,45 @@ class TestSearchRadius:
             QueryParams(i=0.5, search_radius_scale=0.5)
         )
         assert half == pytest.approx(full / 2)
+
+
+class TestNodeKernel:
+    def test_pure_and_equal_to_the_traced_run(self, mendel, planted_probe):
+        """Called directly — no Simulation — the kernel returns what the
+        same node's span reports, and publishes nothing."""
+        probe, _ = planted_probe
+        params = QueryParams(k=4, n=6, i=0.7)
+        engine, index = mendel.engine, mendel.index
+        traced = mendel.query(probe, params, trace_ctx=TraceContext())
+        radius = engine.search_radius(params)
+        group = index.topology.groups[0]
+        windows = [
+            window for window in engine.windows_for(probe, params)
+            if group in index.topology.groups_for_query(window.codes,
+                                                        0.5 * radius)
+        ]
+        node = group.nodes[0]
+        span = traced.root_span.find(f"node:{node.node_id}")
+        assert span.attrs["windows"] == len(windows) > 0
+
+        registry = default_registry()
+        before = (registry.family_total("repro_query_funnel_total"),
+                  registry.family_total("repro_queries_total"))
+        anchors, cost = node_kernel(
+            node, probe.codes, windows, params, radius,
+            resolve_matrix(params, index.alphabet), index.store,
+        )
+        assert before == (registry.family_total("repro_query_funnel_total"),
+                          registry.family_total("repro_queries_total"))
+        assert {
+            "evals": cost.evals, "candidates": cost.candidates,
+            "identity_pass": cost.identity_pass,
+            "cscore_pass": cost.cscore_pass, "anchors": len(anchors),
+        } == {key: span.attrs[key] for key in
+              ("evals", "candidates", "identity_pass", "cscore_pass",
+               "anchors")}
+        assert cost.anchors == len(anchors) > 0
+        assert cost.service_seconds > 0 and cost.io_seconds == 0.0
 
 
 class TestEndToEnd:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Mendel, MendelConfig, QueryParams
+from repro.obs.trace import TraceContext
 from repro.seq.alphabet import PROTEIN
 from repro.seq.generate import random_set
 from repro.seq.mutate import mutate_to_identity
@@ -74,30 +75,11 @@ class TestAddNode:
 
 
 class TestTracing:
-    def test_trace_timeline(self, deployment):
+    def test_span_tree_render(self, deployment):
         mendel, db = deployment
         probe = mutate_to_identity(db.records[2], 0.9, rng=3, seq_id="t")
-        report = mendel.engine.run(probe, QueryParams(k=4, n=4, i=0.7),
-                                   trace=True)
-        assert report.trace
-        assert report.trace[0].event == "query received"
-        assert report.trace[-1].event == "result received"
-        times = [event.time for event in report.trace]
-        assert times == sorted(times)
-        assert times[-1] == pytest.approx(report.stats.turnaround)
-        # Every contacted group aggregated exactly once.
-        group_events = [e for e in report.trace if e.event == "group aggregation"]
-        assert len(group_events) == report.stats.groups_contacted
-
-    def test_trace_off_by_default(self, deployment):
-        mendel, db = deployment
-        probe = mutate_to_identity(db.records[2], 0.9, rng=3, seq_id="t")
-        assert mendel.query(probe, QueryParams(k=4, n=4)).trace == []
-
-    def test_trace_str_render(self, deployment):
-        mendel, db = deployment
-        probe = mutate_to_identity(db.records[2], 0.9, rng=3, seq_id="t")
-        report = mendel.engine.run(probe, QueryParams(k=4, n=4, i=0.7),
-                                   trace=True)
-        text = str(report.trace[0])
-        assert "ms]" in text and "query received" in text
+        report = mendel.query(probe, QueryParams(k=4, n=4, i=0.7),
+                              trace_ctx=TraceContext())
+        lines = report.root_span.format_tree().splitlines()
+        assert " ms " in lines[0] and "query:t" in lines[0]
+        assert "receive" in lines[1] and "reply" in lines[-1]

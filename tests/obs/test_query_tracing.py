@@ -49,6 +49,8 @@ class TestPipelineSpans:
         fanout = traced_report.root_span.find("fanout")
         groups = [c for c in fanout.children if c.name.startswith("group:")]
         assert groups, "fanout recorded no group spans"
+        # Every contacted group fanned out (and aggregated) exactly once.
+        assert len(groups) == traced_report.stats.groups_contacted
         for group in groups:
             assert "coordinator" in group.attrs
             nodes = [c for c in group.children if c.name.startswith("node:")]
