@@ -30,16 +30,15 @@ byte* (the acceptance criterion CI's ``explore-smoke`` job checks).
 from __future__ import annotations
 
 import json
-import platform
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.bench.regress import (
     COUNT_TOLERANCE,
-    SCHEMA_VERSION,
     SIM_TOLERANCE,
     Metric,
+    bench_report,
 )
 from repro.bench.workloads import (
     FamilySpec,
@@ -376,47 +375,37 @@ def run_cell(cell: Cell, seed: int = 0, query_count: int = 8) -> CellResult:
         arrival + report.stats.turnaround
         for arrival, report in zip(arrivals, reports)
     )
-    bench = {
-        "schema_version": SCHEMA_VERSION,
-        "suite": SUITE_NAME,
-        "seed": seed,
-        "cell": cell.name,
-        "python": platform.python_version(),
-        "workloads": {
+    bench = bench_report(
+        SUITE_NAME,
+        seed,
+        {
             cell.name: {
-                "metrics": {
-                    "sim_turnaround_mean_ms": Metric(
-                        mean_ms, "ms", "lower", SIM_TOLERANCE
-                    ).to_dict(),
-                    "sim_turnaround_max_ms": Metric(
-                        max(turnarounds), "ms", "lower", SIM_TOLERANCE
-                    ).to_dict(),
-                    "sim_makespan_ms": Metric(
-                        makespan * 1e3, "ms", "lower", SIM_TOLERANCE
-                    ).to_dict(),
-                    "distance_evals": Metric(
-                        float(evals), "evals", "stable", COUNT_TOLERANCE
-                    ).to_dict(),
-                    "slow_queries": Metric(
-                        float(len(slow)), "queries", "stable", 0.0
-                    ).to_dict(),
-                    "trace_families": Metric(
-                        float(len(families)), "families", "stable", 0.0
-                    ).to_dict(),
-                    "degraded_queries": Metric(
-                        float(sum(1 for e in entries if e["degraded"])),
-                        "queries", "stable", 0.0,
-                    ).to_dict(),
-                    "hedged_retries": Metric(
-                        float(hedged), "retries", "stable", 0.0
-                    ).to_dict(),
-                    "cold_read_queries": Metric(
-                        float(cold), "queries", "stable", 0.0
-                    ).to_dict(),
-                }
+                "sim_turnaround_mean_ms": Metric(
+                    mean_ms, "ms", "lower", SIM_TOLERANCE
+                ),
+                "sim_turnaround_max_ms": Metric(
+                    max(turnarounds), "ms", "lower", SIM_TOLERANCE
+                ),
+                "sim_makespan_ms": Metric(
+                    makespan * 1e3, "ms", "lower", SIM_TOLERANCE
+                ),
+                "distance_evals": Metric(
+                    evals, "evals", "stable", COUNT_TOLERANCE
+                ),
+                "slow_queries": Metric(len(slow), "queries", "stable", 0.0),
+                "trace_families": Metric(
+                    len(families), "families", "stable", 0.0
+                ),
+                "degraded_queries": Metric(
+                    sum(1 for e in entries if e["degraded"]),
+                    "queries", "stable", 0.0,
+                ),
+                "hedged_retries": Metric(hedged, "retries", "stable", 0.0),
+                "cold_read_queries": Metric(cold, "queries", "stable", 0.0),
             }
         },
-    }
+        cell=cell.name,
+    )
     return CellResult(
         cell=cell,
         seed=seed,

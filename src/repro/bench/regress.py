@@ -2,15 +2,13 @@
 and the tolerance-band comparator behind ``repro bench --regress``.
 
 The repo's figures reproduce the paper's *shapes*; this module tracks the
-reproduction's *own* performance over time.  One run executes five
+reproduction's *own* cost model over time.  One run executes four
 canonical workloads at fixed laptop scale and fixed seeds:
 
-* ``index_build``   — build a family database deployment (wall + simulated
+* ``index_build``   — build a family database deployment (simulated
   makespan + construction counters);
 * ``query_sweep``   — a fig6a-style read sweep over three query lengths
   (per-length simulated turnaround + pipeline counters);
-* ``throughput``    — the serving gateway under a small concurrent burst
-  (ops/sec and wall-latency percentiles from the obs histograms);
 * ``cold_vs_warm_query`` — the tiered-storage scenario
   (:mod:`repro.tier.scenario`): the fig6a sweep all-RAM, then spilled to
   compressed block files behind a bounded cache (equivalence flag, cold
@@ -38,7 +36,7 @@ BENCH file schema (``schema_version`` 1)::
               "value": 12.34,          # the measurement
               "unit": "ms",            # display unit
               "direction": "lower",    # lower | higher | stable
-              "tolerance": 0.9         # fractional band, see below
+              "tolerance": 0.05        # fractional band, see below
             }, ...
           }
         }, ...
@@ -51,12 +49,12 @@ The comparator flags metric M as a regression when, for tolerance ``t``:
 * ``direction == "higher"`` and ``new < old * (1 - t)``;
 * ``direction == "stable"`` and ``|new - old| > t * max(|old|, 1)``.
 
-Tolerances encode what a metric *can* promise across machines: wall-clock
-metrics carry wide bands (0.9 — only a ~2x slowdown fails, absorbing
-runner variance), while simulated-clock metrics and pipeline counters are
-seed-deterministic and machine-independent, so they carry tight bands and
+Every metric the suite emits is simulated-clock or counter data:
+seed-deterministic and machine-independent, so the bands are tight and
 catch real algorithmic regressions even when the baseline was produced on
-different hardware.
+different hardware.  Wall-clock numbers are ``perfbench``'s job (repeated
+runs, spread reported), not a single shot's; the comparator still honours
+whatever band a metric in an older BENCH file declares.
 """
 
 from __future__ import annotations
@@ -64,30 +62,25 @@ from __future__ import annotations
 import json
 import platform
 import re
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.bench.workloads import (
-    FamilySpec,
-    generate_family_database,
-    generate_read_queries,
-)
+from repro.bench.workloads import FamilySpec
 from repro.core.framework import Mendel
-from repro.core.params import MendelConfig, QueryParams
-from repro.obs.metrics import MetricsRegistry
+from repro.scenario import (
+    SWEEP_LENGTHS,
+    SWEEP_PARAMS,
+    build_deployment,
+    sweep_queries,
+)
 
 SCHEMA_VERSION = 1
 SUITE_NAME = "repro-regress"
 
-#: Wall-clock band: flag only ~2x slowdowns (CI runners vary widely).
-WALL_TOLERANCE = 0.9
 #: Simulated-clock band: the sim is seed-deterministic; drift is a change.
 SIM_TOLERANCE = 0.05
 #: Counter band: pipeline counters are exactly reproducible.
 COUNT_TOLERANCE = 0.02
-#: Throughput band (direction "higher"): flag drops below 0.55x baseline.
-THROUGHPUT_TOLERANCE = 0.45
 
 _BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
 
@@ -158,180 +151,99 @@ class SchemaMismatch(ValueError):
 # -- workloads -------------------------------------------------------------------
 
 
-def _wall(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
+def bench_report(
+    suite: str, seed: int, workloads: "dict[str, dict[str, Metric]]", **extra
+) -> dict:
+    """The BENCH document for *workloads* (workload -> metric -> Metric)."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "suite": suite,
+        "seed": seed,
+        "python": platform.python_version(),
+        **extra,
+        "workloads": {
+            workload: {
+                "metrics": {
+                    name: metric.to_dict() for name, metric in metrics.items()
+                }
+            }
+            for workload, metrics in workloads.items()
+        },
+    }
+
+
+def suite_deployment(seed: int) -> Mendel:
+    """The deployment the suite measures (and ``repro profile`` captures
+    on, so cost profiles and BENCH metrics describe the same work)."""
+    return build_deployment(
+        seed,
+        FamilySpec(families=30, members_per_family=4, length=150),
+        group_count=4,
+        group_size=3,
+    )
 
 
 def run_suite(seed: int = 23) -> dict:
     """Execute the canonical workloads; returns the BENCH report dict."""
-    workloads: dict[str, dict] = {}
+    # Imported here: the tier scenario builds its BENCH metrics from this
+    # module's Metric.
+    from repro.tier.scenario import run_tier_scenario
+
+    workloads: dict[str, dict[str, Metric]] = {}
 
     # -- index build -----------------------------------------------------------
-    spec = FamilySpec(families=30, members_per_family=4, length=150)
-    config = MendelConfig(group_count=4, group_size=3, seed=seed)
-    database = generate_family_database(spec, rng=seed)
-    mendel, build_wall = _wall(lambda: Mendel.build(database, config))
+    mendel = suite_deployment(seed)
     stats = mendel.index.stats
     workloads["index_build"] = {
-        "metrics": {
-            "wall_s": Metric(build_wall, "s", "lower", WALL_TOLERANCE).to_dict(),
-            "sim_makespan_s": Metric(
-                stats.simulated_makespan, "s", "lower", SIM_TOLERANCE
-            ).to_dict(),
-            "blocks": Metric(
-                stats.block_count, "blocks", "stable", 0.0
-            ).to_dict(),
-            "hash_evals": Metric(
-                stats.hash_evals, "evals", "stable", COUNT_TOLERANCE
-            ).to_dict(),
-        }
+        "sim_makespan_s": Metric(
+            stats.simulated_makespan, "s", "lower", SIM_TOLERANCE
+        ),
+        "blocks": Metric(stats.block_count, "blocks", "stable", 0.0),
+        "hash_evals": Metric(
+            stats.hash_evals, "evals", "stable", COUNT_TOLERANCE
+        ),
     }
 
     # -- query sweep (fig6a shape at fixed laptop scale) -----------------------
-    params = QueryParams(k=8, n=6, i=0.8)
-    sweep_metrics: dict[str, dict] = {}
-    sweep_queries = []
-    total_evals = 0
-    total_candidates = 0
-    sweep_wall = 0.0
-    for length in (300, 600, 900):
-        queries = generate_read_queries(
-            database, 1, length, rng=seed + length, id_prefix=f"sweep-{length}"
-        )
-        sweep_queries.extend(queries)
-        reports, wall = _wall(
-            lambda queries=queries: [mendel.query(q, params) for q in queries]
-        )
-        sweep_wall += wall
-        sim_ms = 1e3 * sum(r.stats.turnaround for r in reports) / len(reports)
-        sweep_metrics[f"sim_turnaround_ms_len{length}"] = Metric(
-            sim_ms, "ms", "lower", SIM_TOLERANCE
-        ).to_dict()
-        total_evals += sum(r.stats.node_evals for r in reports)
-        total_candidates += sum(r.stats.candidate_hits for r in reports)
-    sweep_metrics["wall_s"] = Metric(
-        sweep_wall, "s", "lower", WALL_TOLERANCE
-    ).to_dict()
-    sweep_metrics["distance_evals"] = Metric(
-        total_evals, "evals", "stable", COUNT_TOLERANCE
-    ).to_dict()
-    sweep_metrics["knn_candidates"] = Metric(
-        total_candidates, "candidates", "stable", COUNT_TOLERANCE
-    ).to_dict()
-    workloads["query_sweep"] = {"metrics": sweep_metrics}
-
-    # -- serving throughput ----------------------------------------------------
-    from repro.serve.service import QueryService
-
-    burst = [q for q in sweep_queries for _ in range(4)]
-    registry = MetricsRegistry()  # private: percentile reservoirs start clean
-    service = QueryService(
-        mendel,
-        max_workers=4,
-        batch_window=0.0,
-        cache_capacity=0,
-        tracing=False,
-        registry=registry,
-    )
-    try:
-        start = time.perf_counter()
-        futures = [service.submit(q, params) for q in burst]
-        for future in futures:
-            future.result(timeout=120.0)
-        serve_wall = time.perf_counter() - start
-        latency = service.stats.latency
-        workloads["throughput"] = {
-            "metrics": {
-                "ops_per_s": Metric(
-                    len(burst) / max(serve_wall, 1e-9),
-                    "ops/s",
-                    "higher",
-                    THROUGHPUT_TOLERANCE,
-                ).to_dict(),
-                "latency_p50_ms": Metric(
-                    1e3 * latency.percentile(50), "ms", "lower", WALL_TOLERANCE
-                ).to_dict(),
-                "latency_p95_ms": Metric(
-                    1e3 * latency.percentile(95), "ms", "lower", WALL_TOLERANCE
-                ).to_dict(),
-            }
-        }
-    finally:
-        service.close()
+    queries = sweep_queries(mendel, seed)
+    reports = [mendel.query(q, SWEEP_PARAMS) for q in queries]
+    workloads["query_sweep"] = {
+        **{
+            f"sim_turnaround_ms_len{length}": Metric(
+                1e3 * report.stats.turnaround, "ms", "lower", SIM_TOLERANCE
+            )
+            for length, report in zip(SWEEP_LENGTHS, reports)
+        },
+        "distance_evals": Metric(
+            sum(r.stats.node_evals for r in reports),
+            "evals", "stable", COUNT_TOLERANCE,
+        ),
+        "knn_candidates": Metric(
+            sum(r.stats.candidate_hits for r in reports),
+            "candidates", "stable", COUNT_TOLERANCE,
+        ),
+    }
 
     # -- tiered storage: cold vs warm ------------------------------------------
-    from repro.tier.scenario import run_tier_scenario
-
-    tier = run_tier_scenario(seed=seed)
-    warm_ms = tier["warm"]["sim_turnaround_ms"]
-    cold_ms = tier["cold"]["sim_turnaround_ms"]
-    workloads["cold_vs_warm_query"] = {
-        "metrics": {
-            "wall_s": Metric(
-                tier["warm"]["wall_s"] + tier["cold"]["wall_s"],
-                "s",
-                "lower",
-                WALL_TOLERANCE,
-            ).to_dict(),
-            "sim_turnaround_warm_ms": Metric(
-                sum(warm_ms) / len(warm_ms), "ms", "lower", SIM_TOLERANCE
-            ).to_dict(),
-            "sim_turnaround_cold_ms": Metric(
-                sum(cold_ms) / len(cold_ms), "ms", "lower", SIM_TOLERANCE
-            ).to_dict(),
-            "distance_evals": Metric(
-                tier["counters"]["distance_evals"],
-                "evals",
-                "stable",
-                COUNT_TOLERANCE,
-            ).to_dict(),
-            "result_equivalent": Metric(
-                1.0 if tier["equivalent"] else 0.0, "bool", "stable", 0.0
-            ).to_dict(),
-            "bytes_on_disk": Metric(
-                tier["tier"]["bytes_on_disk"], "bytes", "stable", 0.02
-            ).to_dict(),
-            "compression_ratio": Metric(
-                tier["tier"]["compression_ratio"], "x", "higher", 0.1
-            ).to_dict(),
-            "capacity_x": Metric(
-                tier["capacity"]["capacity_x"], "x", "higher", 0.05
-            ).to_dict(),
-        }
-    }
+    workloads.update(run_tier_scenario(seed=seed).bench_metrics())
 
     # -- degraded-mode query ---------------------------------------------------
     victim = mendel.index.topology.nodes[0].node_id
     mendel.fail_node(victim)
     try:
-        report, degraded_wall = _wall(
-            lambda: mendel.query(sweep_queries[0], params)
-        )
+        report = mendel.query(queries[0], SWEEP_PARAMS)
         workloads["degraded_query"] = {
-            "metrics": {
-                "coverage": Metric(
-                    report.coverage, "fraction", "higher", SIM_TOLERANCE
-                ).to_dict(),
-                "sim_turnaround_ms": Metric(
-                    1e3 * report.stats.turnaround, "ms", "lower", SIM_TOLERANCE
-                ).to_dict(),
-                "wall_s": Metric(
-                    degraded_wall, "s", "lower", WALL_TOLERANCE
-                ).to_dict(),
-            }
+            "coverage": Metric(
+                report.coverage, "fraction", "higher", SIM_TOLERANCE
+            ),
+            "sim_turnaround_ms": Metric(
+                1e3 * report.stats.turnaround, "ms", "lower", SIM_TOLERANCE
+            ),
         }
     finally:
         mendel.recover_node(victim)
 
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "suite": SUITE_NAME,
-        "seed": seed,
-        "python": platform.python_version(),
-        "workloads": workloads,
-    }
+    return bench_report(SUITE_NAME, seed, workloads)
 
 
 # -- BENCH file management -------------------------------------------------------

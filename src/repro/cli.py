@@ -35,15 +35,25 @@ candidate attrition funnel (:mod:`repro.core.explain`).
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from repro.bench import figures as _figures
 from repro.bench.harness import format_table
-from repro.core import Mendel, MendelConfig, QueryParams, load_index, save_index
+from repro.bench.regress import bench_report, suite_deployment
+from repro.core import Mendel, QueryParams, load_index, save_index
 from repro.core.autoconfig import suggest_config
 from repro.core.query import QueryEngine
+from repro.faults.scenario import run_kill_recover_scenario
+from repro.obs.dashboard import render_frame
+from repro.scale.scenario import run_diurnal_scenario, run_flash_crowd_scenario
+from repro.scenario import SWEEP_PARAMS, Outcome, sweep_queries
 from repro.seq.fasta import read_fasta
+from repro.store.scenario import run_durability_scenario, run_scrub_scenario
+from repro.tier.scenario import run_tier_scenario
 
 _FIGURES = {
     "fig5": _figures.run_fig5_load_balance,
@@ -165,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthetic reference sequences")
     chaos.add_argument("--probes", type=int, default=6,
                        help="queries spread across the failure window")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="seed for database, schedule, and link drops")
+    chaos.add_argument("--seed", type=int, default=None,
+                       help="seed for database, schedule, and link drops "
+                            "(default: $CHAOS_SEED or 0)")
     chaos.add_argument("--subquery-deadline", type=float, default=None,
                        help="per-subquery deadline in simulated seconds")
     chaos.add_argument("--log", action="store_true",
@@ -631,37 +642,16 @@ def _cmd_bench_diff(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace, out) -> int:
-    import json
-    import os
-
-    from repro.bench.workloads import (
-        FamilySpec,
-        generate_family_database,
-        generate_read_queries,
-    )
-    from repro.core.params import MendelConfig
     from repro.obs.profile import Profiler, write_profile_artifacts
     from repro.obs.trace import TraceContext
 
-    seed = (
-        args.seed if args.seed is not None
-        else int(os.environ.get("CHAOS_SEED", "0"))
-    )
+    seed = args.seed
     profiler = Profiler(hz=args.hz)
     profiler.start()
     try:
-        spec = FamilySpec(families=30, members_per_family=4, length=150)
-        config = MendelConfig(group_count=4, group_size=3, seed=seed)
-        database = generate_family_database(spec, rng=seed)
-        mendel = Mendel.build(database, config)
-        params = QueryParams(k=8, n=6, i=0.8)
-        for length in (300, 600, 900):
-            queries = generate_read_queries(
-                database, args.queries, length, rng=seed + length,
-                id_prefix=f"profile-{length}",
-            )
-            for record in queries:
-                mendel.query(record, params, trace_ctx=TraceContext())
+        mendel = suite_deployment(seed)
+        for record in sweep_queries(mendel, seed, args.queries, "profile"):
+            mendel.query(record, SWEEP_PARAMS, trace_ctx=TraceContext())
     finally:
         snap = profiler.stop()
     if args.as_json:
@@ -746,43 +736,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace, out) -> int:
-    from repro.faults.scenario import run_kill_recover_scenario
-
-    result = run_kill_recover_scenario(
-        replication=args.replication,
-        group_count=args.groups,
-        group_size=args.group_size,
-        database_size=args.sequences,
-        probe_count=args.probes,
-        seed=args.seed,
-        subquery_deadline=args.subquery_deadline,
-    )
-    rows = [{"metric": key, "value": value}
-            for key, value in result.summary_rows()]
-    print(format_table(rows, title="kill one node per group, then recover"),
-          file=out)
-    per_query = [
-        {
-            "query": report.query_id,
-            "coverage": f"{report.coverage:.3f}",
-            "degraded": str(report.degraded),
-            "failed_nodes": ",".join(report.failed_nodes) or "-",
-            "best_hit": (report.best().subject_id
-                         if report.best() is not None else "-"),
-        }
-        for report in result.reports
-    ]
-    print(format_table(per_query, title="per-query reports"), file=out)
-    if args.log:
-        for line in result.chaos_log:
-            print(line, file=out)
-    return 0
-
-
 def _cmd_explain(args: argparse.Namespace, out) -> int:
-    import json
-
     index = load_index(args.archive)
     alphabet = args.alphabet or index.alphabet.name
     queries = read_fasta(args.fasta, alphabet)
@@ -807,8 +761,6 @@ def _cmd_explain(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_call(args: argparse.Namespace, out) -> int:
-    import json
-
     from repro.serve.client import ServeClient
     from repro.serve.errors import ServeError
 
@@ -881,67 +833,9 @@ def _cmd_call(args: argparse.Namespace, out) -> int:
         client.close()
 
 
-def _cmd_watch(args: argparse.Namespace, out) -> int:
-    import json
-    import os
-
-    from repro.obs.dashboard import render_frame
-
-    if args.gateway:
-        return _watch_gateway(args, out)
-
-    # Headless scenario mode: run the canonical kill/recover experiment
-    # with a live monitor and render what it saw — the CI smoke path.
-    from repro.faults.scenario import run_kill_recover_scenario
-
-    seed = (
-        args.seed if args.seed is not None
-        else int(os.environ.get("CHAOS_SEED", "0"))
-    )
-    result = run_kill_recover_scenario(
-        replication=args.replication,
-        group_count=args.groups,
-        group_size=args.group_size,
-        probe_count=args.probes,
-        seed=seed,
-        subquery_deadline=args.subquery_deadline,
-    )
-    monitor = result.monitor
-    frame = monitor.snapshot()
-    frame["firing"] = monitor.alerts_firing()
-    frame["seed"] = seed
-    if args.event_log:
-        with open(args.event_log, "w", encoding="utf-8") as handle:
-            json.dump(monitor.events.to_dicts(), handle, indent=2,
-                      sort_keys=True)
-    if args.format == "json":
-        print(json.dumps(frame, indent=2, sort_keys=True), file=out)
-    else:
-        print(render_frame(frame), file=out)
-    if args.assert_cycle:
-        fired = any(
-            t.slo == args.assert_cycle and t.to in ("warning", "critical")
-            for t in monitor.slo_engine.transitions
-        )
-        resolved = any(
-            t.slo == args.assert_cycle and t.to == "resolved"
-            for t in monitor.slo_engine.transitions
-        )
-        if not (fired and resolved):
-            print(
-                f"ASSERT FAIL: SLO {args.assert_cycle!r} "
-                f"fired={fired} resolved={resolved}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
 def _watch_gateway(args: argparse.Namespace, out) -> int:
-    import json
     import time as _time
 
-    from repro.obs.dashboard import render_frame
     from repro.serve.client import ServeClient
     from repro.serve.errors import ServeError
 
@@ -971,336 +865,152 @@ def _watch_gateway(args: argparse.Namespace, out) -> int:
         client.close()
 
 
-def _cmd_autoscale(args: argparse.Namespace, out) -> int:
-    import json
-    import os
-    import platform
-
-    from repro.scale import (
-        run_diurnal_scenario,
-        run_flash_crowd_scenario,
-    )
-
-    seed = (
-        args.seed if args.seed is not None
-        else int(os.environ.get("CHAOS_SEED", "0"))
-    )
-    runner = (
-        run_flash_crowd_scenario if args.scenario == "flash"
-        else run_diurnal_scenario
-    )
-    result = runner(seed=seed, controller=not args.no_controller)
-
-    if args.event_log:
-        with open(args.event_log, "w", encoding="utf-8") as handle:
-            json.dump(result.event_log.to_dicts(), handle, indent=2,
-                      sort_keys=True)
-    if args.bench_out:
-        degraded = sum(1 for r in result.reports if r.degraded)
-        bench = {
-            "python": platform.python_version(),
-            "schema_version": 1,
-            "seed": seed,
-            "suite": "repro-autoscale",
-            "workloads": {
-                f"autoscale-{result.scenario}": {
-                    "metrics": {
-                        "loop_closed": {
-                            "direction": "stable", "tolerance": 0.0,
-                            "unit": "bool",
-                            "value": 1.0 if result.loop_closed() else 0.0,
-                        },
-                        "scale_actions": {
-                            "direction": "stable", "tolerance": 0.0,
-                            "unit": "count",
-                            "value": float(len(result.actions)),
-                        },
-                        "degraded_queries": {
-                            "direction": "lower", "tolerance": 0.0,
-                            "unit": "count", "value": float(degraded),
-                        },
-                        "mean_turnaround": {
-                            "direction": "lower", "tolerance": 0.25,
-                            "unit": "s", "value": result.mean_turnaround,
-                        },
-                    },
-                },
-            },
-        }
-        with open(args.bench_out, "w", encoding="utf-8") as handle:
-            json.dump(bench, handle, indent=2, sort_keys=True)
-
-    if args.format == "json":
-        frame = {
-            "scenario": result.scenario,
-            "seed": seed,
-            "controller": result.controller_enabled,
-            "loop_closed": result.loop_closed(),
-            "fired_at": result.fired_at(),
-            "resolved_at": result.resolved_at(),
-            "actions": result.actions,
-            "topology_events": result.topology_events,
-            "alert_transitions": result.alert_transitions,
-            "final_topology": result.final_topology,
-            "mean_turnaround": result.mean_turnaround,
-            "max_turnaround": result.p_max_turnaround,
-        }
-        print(json.dumps(frame, indent=2, sort_keys=True), file=out)
-    else:
-        width = max(len(k) for k, _ in result.summary_rows())
-        for key, value in result.summary_rows():
-            print(f"{key:<{width}}  {value}", file=out)
-        if result.actions:
-            print("", file=out)
-            print("topology actions:", file=out)
-            for action in result.actions:
-                extra = f" -> {action['target']}" if action.get("target") else ""
-                print(
-                    f"  t={action['at'] * 1e3:9.3f} ms  "
-                    f"{action['action']:<12} {action['group']}{extra}  "
-                    f"[{action['cause']}]",
-                    file=out,
-                )
-
-    if args.assert_loop and not result.loop_closed():
-        print(
-            f"ASSERT FAIL: autoscale loop did not close "
-            f"(fired={result.fired_at()} resolved={result.resolved_at()} "
-            f"actions={len(result.actions)})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_tier(args: argparse.Namespace, out) -> int:
-    import json
-    import os
-    import platform
-
-    from repro.tier.scenario import run_tier_scenario
-
-    seed = (
-        args.seed if args.seed is not None
-        else int(os.environ.get("CHAOS_SEED", "0"))
-    )
-    report = run_tier_scenario(
-        seed=seed,
-        families=args.families,
-        members_per_family=args.members,
-        cache_fraction=args.cache_fraction,
-    )
-
-    warm_ms = report["warm"]["sim_turnaround_ms"]
-    cold_ms = report["cold"]["sim_turnaround_ms"]
-    if args.bench_out:
-        bench = {
-            "python": platform.python_version(),
-            "schema_version": 1,
-            "seed": seed,
-            "suite": "repro-tier",
-            "workloads": {
-                "cold_vs_warm_query": {
-                    "metrics": {
-                        "result_equivalent": {
-                            "direction": "stable", "tolerance": 0.0,
-                            "unit": "bool",
-                            "value": 1.0 if report["equivalent"] else 0.0,
-                        },
-                        "capacity_x": {
-                            "direction": "higher", "tolerance": 0.05,
-                            "unit": "x",
-                            "value": report["capacity"]["capacity_x"],
-                        },
-                        "compression_ratio": {
-                            "direction": "higher", "tolerance": 0.1,
-                            "unit": "x",
-                            "value": report["tier"]["compression_ratio"],
-                        },
-                        "bytes_on_disk": {
-                            "direction": "stable", "tolerance": 0.02,
-                            "unit": "bytes",
-                            "value": float(report["tier"]["bytes_on_disk"]),
-                        },
-                        "sim_turnaround_warm_ms": {
-                            "direction": "lower", "tolerance": 0.05,
-                            "unit": "ms",
-                            "value": sum(warm_ms) / len(warm_ms),
-                        },
-                        "sim_turnaround_cold_ms": {
-                            "direction": "lower", "tolerance": 0.05,
-                            "unit": "ms",
-                            "value": sum(cold_ms) / len(cold_ms),
-                        },
-                        "wall_s": {
-                            "direction": "lower", "tolerance": 0.9,
-                            "unit": "s",
-                            "value": report["warm"]["wall_s"]
-                            + report["cold"]["wall_s"],
-                        },
-                    },
-                },
-            },
-        }
-        with open(args.bench_out, "w", encoding="utf-8") as handle:
-            json.dump(bench, handle, indent=2, sort_keys=True)
-
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True), file=out)
-    else:
-        cache = report["cold"]["cache"]
-        rows = [
-            ("blocks", f"{report['blocks']}"),
-            ("nodes", f"{report['nodes']}"),
-            ("raw bytes", f"{report['raw_bytes']}"),
-            ("bytes on disk", f"{report['tier']['bytes_on_disk']}"),
-            ("compression", f"{report['tier']['compression_ratio']:.3f}x"),
-            ("resident",
-             f"{100 * report['tier']['resident_fraction']:.2f}%"),
-            ("cold cache", f"{report['cold']['cache_bytes']} bytes "
-                           f"(hits {cache['hits']:.0f} / misses "
-                           f"{cache['misses']:.0f} / evictions "
-                           f"{cache['evictions']:.0f})"),
-            ("warm sim ms", " / ".join(f"{v:.1f}" for v in warm_ms)),
-            ("cold sim ms", " / ".join(f"{v:.1f}" for v in cold_ms)),
-            ("warm2 sim ms", f"{report['warm2_sim_turnaround_ms']:.1f}"),
-            ("capacity_x", f"{report['capacity']['capacity_x']:.1f} "
-                           f"(cache {report['capacity']['cache_bytes']} B, "
-                           f"pinned {report['capacity']['pinned_bytes']} B, "
-                           f"summaries "
-                           f"{report['capacity']['summary_bytes']} B)"),
-            ("equivalent", str(report["equivalent"])),
-        ]
-        width = max(len(k) for k, _ in rows)
-        for key, value in rows:
-            print(f"{key:<{width}}  {value}", file=out)
-
-    if args.assert_equivalent and not report["equivalent"]:
-        failed = [k for k, ok in report["phases_equal"].items() if not ok]
-        print(
-            f"ASSERT FAIL: tiered phases diverged from the all-RAM "
-            f"baseline: {', '.join(failed)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_recover(args: argparse.Namespace, out) -> int:
-    import json
-    import os
-
-    from repro.store.scenario import run_durability_scenario
-
-    seed = (
-        args.seed if args.seed is not None
-        else int(os.environ.get("CHAOS_SEED", "0"))
-    )
-    result = run_durability_scenario(
-        replication=args.replication,
-        group_count=args.groups,
-        group_size=args.group_size,
-        database_size=args.sequences,
-        probe_count=args.probes,
-        seed=seed,
-    )
-    if args.event_log and result.monitor is not None:
-        with open(args.event_log, "w", encoding="utf-8") as handle:
-            json.dump(result.monitor.events.to_dicts(), handle, indent=2,
-                      sort_keys=True)
-    if args.format == "json":
-        frame = {
-            "seed": seed,
-            "victims": result.victims,
-            "identical": result.identical,
-            "mismatched_queries": result.mismatched_queries,
-            "blocks_recovered": result.blocks_recovered,
-            "recovery": result.recovery,
-            "recall": result.recall,
-            "control_recall": result.control_recall,
-        }
-        print(json.dumps(frame, indent=2, sort_keys=True), file=out)
-    else:
+def _summary_table(title: str) -> Callable[[Outcome], str]:
+    def text(outcome: Outcome) -> str:
         rows = [{"metric": key, "value": value}
-                for key, value in result.summary_rows()]
-        print(format_table(
-            rows, title="crash, recover from snapshot+WAL, compare"),
-            file=out)
-    if args.log:
-        for line in result.chaos_log:
-            print(line, file=out)
-    if args.assert_identical and not result.identical:
-        print(
-            f"ASSERT FAIL: recovered cluster diverged from control on "
-            f"{len(result.mismatched_queries)} queries "
-            f"({','.join(result.mismatched_queries)})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+                for key, value in outcome.summary_rows()]
+        return format_table(rows, title=title)
+    return text
 
 
-def _cmd_scrub(args: argparse.Namespace, out) -> int:
-    import json
-    import os
+def _summary_lines(outcome: Outcome) -> str:
+    rows = outcome.summary_rows()
+    width = max(len(key) for key, _ in rows)
+    return "\n".join(f"{key:<{width}}  {value}" for key, value in rows)
 
-    from repro.store.scenario import run_scrub_scenario
 
-    seed = (
-        args.seed if args.seed is not None
-        else int(os.environ.get("CHAOS_SEED", "0"))
-    )
-    result = run_scrub_scenario(
-        replication=args.replication,
-        group_count=args.groups,
-        group_size=args.group_size,
-        database_size=args.sequences,
-        probe_count=args.probes,
-        flip_count=args.flips,
-        seed=seed,
-    )
-    if args.event_log and result.monitor is not None:
-        with open(args.event_log, "w", encoding="utf-8") as handle:
-            json.dump(result.monitor.events.to_dicts(), handle, indent=2,
-                      sort_keys=True)
-    if args.format == "json":
-        frame = {
-            "seed": seed,
-            "flips": [{"node": n, "block": b} for n, b in result.flips],
-            "corruptions_detected": result.corruptions_detected,
-            "heals_requested": result.heals_requested,
-            "unhealed": result.unhealed,
-            "wrong_answers": result.wrong_answers,
-            "resolved": result.resolved,
-            "event_chain": result.event_chain(),
-            "recall": result.recall,
-            "control_recall": result.control_recall,
+def _chaos_text(result) -> str:
+    per_query = [
+        {
+            "query": report.query_id,
+            "coverage": f"{report.coverage:.3f}",
+            "degraded": str(report.degraded),
+            "failed_nodes": ",".join(report.failed_nodes) or "-",
+            "best_hit": (report.best().subject_id
+                         if report.best() is not None else "-"),
         }
-        print(json.dumps(frame, indent=2, sort_keys=True), file=out)
-    else:
-        rows = [{"metric": key, "value": value}
-                for key, value in result.summary_rows()]
-        print(format_table(
-            rows, title="inject bit rot, scrub, heal, verify"), file=out)
-    if args.log:
-        for line in result.chaos_log:
-            print(line, file=out)
-    if args.assert_resolved:
-        chain = result.event_chain()
-        ordered = all(
-            kind in chain for kind in
-            ("bit_flip", "corruption_detected", "scrub_heal")
-        ) and chain.index("bit_flip") < chain.index("corruption_detected")
-        if not (result.resolved and ordered and not result.wrong_answers):
-            print(
-                f"ASSERT FAIL: scrub loop did not close "
-                f"(detected={result.corruptions_detected}/"
-                f"{len(result.flips)} heals={result.heals_requested} "
-                f"unhealed={result.unhealed} "
-                f"wrong_answers={len(result.wrong_answers)} "
-                f"chain={chain})",
-                file=sys.stderr,
+        for report in result.reports
+    ]
+    return "\n".join([
+        _summary_table("kill one node per group, then recover")(result),
+        format_table(per_query, title="per-query reports"),
+    ])
+
+
+def _autoscale_text(result) -> str:
+    lines = [_summary_lines(result)]
+    if result.actions:
+        lines += ["", "topology actions:"]
+        for action in result.actions:
+            extra = f" -> {action['target']}" if action.get("target") else ""
+            lines.append(
+                f"  t={action['at'] * 1e3:9.3f} ms  "
+                f"{action['action']:<12} {action['group']}{extra}  "
+                f"[{action['cause']}]"
             )
+    return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """One scenario command: how its flags become a scenario run, how the
+    outcome prints as text, and which flag demands ``outcome.checks()``."""
+
+    run: Callable[[argparse.Namespace], Outcome]
+    text: Callable[[Outcome], str]
+    assert_flag: str | None = None
+
+
+_SCENARIOS = {
+    "chaos": _Scenario(
+        run=lambda a: run_kill_recover_scenario(
+            replication=a.replication, group_count=a.groups,
+            group_size=a.group_size, database_size=a.sequences,
+            probe_count=a.probes, seed=a.seed,
+            subquery_deadline=a.subquery_deadline,
+        ),
+        text=_chaos_text,
+    ),
+    # Headless watch: the same experiment, seen through its health monitor.
+    "watch": _Scenario(
+        run=lambda a: run_kill_recover_scenario(
+            replication=a.replication, group_count=a.groups,
+            group_size=a.group_size, probe_count=a.probes, seed=a.seed,
+            subquery_deadline=a.subquery_deadline,
+        ),
+        text=lambda result: render_frame(result.frame()),
+        assert_flag="assert_cycle",
+    ),
+    "autoscale": _Scenario(
+        run=lambda a: (
+            run_flash_crowd_scenario if a.scenario == "flash"
+            else run_diurnal_scenario
+        )(seed=a.seed, controller=not a.no_controller),
+        text=_autoscale_text,
+        assert_flag="assert_loop",
+    ),
+    "recover": _Scenario(
+        run=lambda a: run_durability_scenario(
+            replication=a.replication, group_count=a.groups,
+            group_size=a.group_size, database_size=a.sequences,
+            probe_count=a.probes, seed=a.seed,
+        ),
+        text=_summary_table("crash, recover from snapshot+WAL, compare"),
+        assert_flag="assert_identical",
+    ),
+    "scrub": _Scenario(
+        run=lambda a: run_scrub_scenario(
+            replication=a.replication, group_count=a.groups,
+            group_size=a.group_size, database_size=a.sequences,
+            probe_count=a.probes, flip_count=a.flips, seed=a.seed,
+        ),
+        text=_summary_table("inject bit rot, scrub, heal, verify"),
+        assert_flag="assert_resolved",
+    ),
+    "tier": _Scenario(
+        run=lambda a: run_tier_scenario(
+            seed=a.seed, families=a.families,
+            members_per_family=a.members, cache_fraction=a.cache_fraction,
+        ),
+        text=_summary_lines,
+        assert_flag="assert_equivalent",
+    ),
+}
+
+
+def _write_json(path: str, payload) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+
+
+def _run_scenario(args: argparse.Namespace, out, entry: _Scenario) -> int:
+    """Every scenario command: run, write the artifacts asked for, print
+    the frame or the text view, then hold the outcome to its checks.
+    (A flag a command does not define reads as unset.)"""
+    outcome = entry.run(args)
+    if getattr(args, "event_log", None):
+        _write_json(args.event_log, outcome.monitor.events.to_dicts())
+    if getattr(args, "bench_out", None):
+        _write_json(args.bench_out, bench_report(
+            f"repro-{args.command}", args.seed, outcome.bench_metrics()
+        ))
+    if getattr(args, "format", "text") == "json":
+        print(json.dumps(outcome.frame(), indent=2, sort_keys=True), file=out)
+    else:
+        print(entry.text(outcome), file=out)
+    if getattr(args, "log", False):
+        for line in outcome.chaos_log:
+            print(line, file=out)
+    demanded = getattr(args, entry.assert_flag) if entry.assert_flag else None
+    if demanded:
+        # --assert-cycle names the SLO to check; the others are switches.
+        checks = (outcome.checks() if demanded is True
+                  else outcome.checks(demanded))
+        failed = [name for name, ok in checks.items() if not ok]
+        if failed:
+            flag = "--" + entry.assert_flag.replace("_", "-")
+            print(f"ASSERT FAIL ({flag}): " + "; ".join(failed),
+                  file=sys.stderr)
             return 1
     return 0
 
@@ -1344,7 +1054,6 @@ def _cmd_trace(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace, out) -> int:
-    import json
     import math
 
     from repro.obs.analyze import (
@@ -1424,16 +1133,9 @@ def _cmd_analyze(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace, out) -> int:
-    import json
-    import os
-
     from repro.bench.explore import run_explore
 
-    seed = (
-        args.seed if args.seed is not None
-        else int(os.environ.get("CHAOS_SEED", "0"))
-    )
-    result = run_explore(args.grid, seed=seed, query_count=args.queries)
+    result = run_explore(args.grid, seed=args.seed, query_count=args.queries)
     if args.out:
         paths = result.write(args.out)
         print(f"wrote {len(paths)} artifacts to {args.out}", file=out)
@@ -1486,25 +1188,32 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) is None:
+        # The seeded commands: --seed wins, else $CHAOS_SEED, else 0.
+        raw = os.environ.get("CHAOS_SEED", "0")
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            print(f"error: CHAOS_SEED must be an integer, got {raw!r}",
+                  file=sys.stderr)
+            return 2
     handlers = {
         "index": _cmd_index,
         "info": _cmd_info,
         "query": _cmd_query,
         "bench": _cmd_bench,
         "serve": _cmd_serve,
-        "chaos": _cmd_chaos,
         "call": _cmd_call,
-        "watch": _cmd_watch,
-        "autoscale": _cmd_autoscale,
-        "recover": _cmd_recover,
-        "scrub": _cmd_scrub,
-        "tier": _cmd_tier,
         "trace": _cmd_trace,
         "explain": _cmd_explain,
         "analyze": _cmd_analyze,
         "explore": _cmd_explore,
         "profile": _cmd_profile,
     }
+    if args.command == "watch" and args.gateway:
+        return _watch_gateway(args, out)
+    if args.command in _SCENARIOS:
+        return _run_scenario(args, out, _SCENARIOS[args.command])
     return handlers[args.command](args, out)
 
 

@@ -3,16 +3,16 @@
 ``run_kill_recover_scenario`` builds a fresh deployment, measures a healthy
 baseline, then replays the same query batch while a scripted
 :class:`~repro.faults.schedule.FaultSchedule` crashes the first node of
-every group at ``kill_at`` and restarts it at ``recover_at`` (default
-``2 * kill_at``), with queries arriving throughout the failure window.  It
+every group half-way through the healthy makespan and restarts it at twice
+that time, with queries arriving throughout the failure window.  It
 reports *recall under failure* (did degraded queries still find the planted
 subject?) alongside per-query coverage — the experiment behind
-``repro chaos`` and ``examples/chaos.py``.
+``repro chaos``, ``repro watch`` (headless) and ``examples/chaos.py``.
 
-Everything is seeded: the database, the probes, the deployment, and the
-schedule all derive from ``seed``, so two calls with equal arguments
-produce byte-identical reports (the replayability contract chaos testing
-depends on).
+Build, probes, the traced and monitored run, and the seeding contract (two
+calls with equal arguments produce byte-identical reports and event logs)
+come from :mod:`repro.scenario`; this module adds the fault script and the
+verdict.
 """
 
 from __future__ import annotations
@@ -20,47 +20,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.framework import Mendel
-from repro.core.params import MendelConfig, QueryParams
 from repro.core.query import QueryReport
-from repro.faults.schedule import FaultSchedule, kill_and_recover
-from repro.obs.events import EventLog
-from repro.obs.health import HealthMonitor
-from repro.obs.trace import TraceContext
-from repro.seq import PROTEIN, random_set
-from repro.seq.mutate import mutate_to_identity
+from repro.faults.schedule import kill_and_recover
+from repro.scenario import (
+    PARAMS,
+    Run,
+    build_deployment,
+    drive,
+    planted_probes,
+    probe_recall,
+)
 
 
 @dataclass
-class ScenarioResult:
-    """Outcome of one kill/recover experiment."""
+class ScenarioResult(Run):
+    """Outcome of one kill/recover experiment (the chaos run's reports,
+    monitor and chaos counters, plus the verdict)."""
 
-    #: reports from the chaos run, in query order
-    reports: list[QueryReport]
     #: reports from the healthy run of the same batch (fresh deployment)
-    baseline: list[QueryReport]
-    #: the schedule that was replayed
-    schedule: FaultSchedule
-    #: node ids crashed at ``kill_at``
+    baseline: list[QueryReport] = field(default_factory=list)
+    #: node ids crashed
     victims: list[str] = field(default_factory=list)
-    #: expected best subject per probe (the planted target)
-    expected: list[str] = field(default_factory=list)
     #: fraction of probes whose best hit matched the planted subject
     recall: float = 0.0
     baseline_recall: float = 0.0
-    #: chaos-controller counters (repairs, detections, drops)
-    chaos_summary: dict = field(default_factory=dict)
-    #: chaos timeline, stringified for printing
-    chaos_log: list[str] = field(default_factory=list)
-    #: the health monitor that rode the chaos run (SLIs, alert
-    #: transitions with correlated causes, event log) — ``None`` only if
-    #: monitoring was explicitly disabled
-    monitor: "HealthMonitor | None" = None
-
-    @property
-    def alert_transitions(self) -> list[dict]:
-        if self.monitor is None:
-            return []
-        return [t.to_dict() for t in self.monitor.slo_engine.transitions]
 
     @property
     def min_coverage(self) -> float:
@@ -89,32 +72,71 @@ class ScenarioResult:
              str(self.chaos_summary.get("messages_dropped", 0))),
         ]
 
+    def frame(self) -> dict:
+        """The dashboard frame at run end (``repro watch --format json``)."""
+        frame = self.monitor.snapshot()
+        frame["firing"] = self.monitor.alerts_firing()
+        frame["seed"] = self.schedule.seed
+        return frame
 
-def _build(seed: int, replication: int, group_count: int, group_size: int,
-           database_size: int, sequence_length: int) -> Mendel:
-    database = random_set(
-        count=database_size,
-        length=sequence_length,
-        alphabet=PROTEIN,
-        rng=seed + 1,
-        id_prefix="ref",
+    def checks(self, slo: str = "availability") -> dict[str, bool]:
+        """The alert cycle ``repro watch --assert-cycle SLO`` demands: the
+        kill pages *slo* with an explanation, recovery resolves it, and
+        the run ends with nothing firing."""
+        cycle = [t for t in self.monitor.slo_engine.transitions
+                 if t.slo == slo]
+        fired = next(
+            (i for i, t in enumerate(cycle)
+             if t.to in ("warning", "critical")), None,
+        )
+        return {
+            f"{slo} alert fired": fired is not None,
+            f"{slo} alert resolved afterwards": fired is not None and any(
+                t.to == "resolved" for t in cycle[fired:]
+            ),
+            "alert carries a suspected cause":
+                fired is not None and cycle[fired].cause is not None,
+            "alert carries trace ids":
+                fired is not None and bool(cycle[fired].trace_ids),
+            "nothing left firing": self.monitor.alerts_firing() == [],
+        }
+
+
+def twin_deployments(
+    seed: int, database_size: int, probe_count: int, **shape
+) -> tuple[Mendel, Mendel, list, list[str]]:
+    """Where every fault experiment starts: ``(control, subject, probes,
+    expected)`` — two identically seeded deployments of *database_size*
+    150-residue proteins (the faulted run mutates the subject; the control
+    stays healthy) and one planted probe batch spread over the database."""
+    if probe_count < 1:
+        raise ValueError(f"probe_count must be >= 1, got {probe_count}")
+    control = build_deployment(seed, (database_size, 150), **shape)
+    subject = build_deployment(seed, (database_size, 150), **shape)
+    probes, expected = planted_probes(subject, probe_count, seed + 10,
+                                      spread=True)
+    return control, subject, probes, expected
+
+
+def crash_first_nodes(
+    mendel: Mendel, probes: list, kill_at: float, label: str, seed: int,
+    subquery_deadline: float | None = None,
+) -> tuple[list[str], Run]:
+    """Drive *probes* while the first node of every group crashes at
+    ``kill_at`` and restarts at ``2 * kill_at``.  The batch arrives spread
+    over ``3 * kill_at`` — some queries run healthy, some against a dead
+    cluster slice, some after recovery.  Returns ``(victims, run)``."""
+    victims = [g.nodes[0].node_id for g in mendel.index.topology.groups]
+    schedule = kill_and_recover(
+        victims, kill_at=kill_at, recover_at=2 * kill_at,
+        seed=seed, heartbeat_interval=kill_at / 8,
     )
-    config = MendelConfig(
-        group_count=group_count,
-        group_size=group_size,
-        replication=replication,
-        sample_size=256,
-        seed=seed + 2,
+    run = drive(
+        mendel, probes, label, seed, faults=schedule,
+        arrival_interval=3 * kill_at / len(probes),
+        subquery_deadline=subquery_deadline,
     )
-    return Mendel.build(database, config)
-
-
-def _recall(reports: list[QueryReport], expected: list[str]) -> float:
-    hits = 0
-    for report, target in zip(reports, expected):
-        best = report.best()
-        hits += best is not None and best.subject_id == target
-    return hits / max(1, len(expected))
+    return victims, run
 
 
 def run_kill_recover_scenario(
@@ -122,98 +144,25 @@ def run_kill_recover_scenario(
     group_count: int = 3,
     group_size: int = 3,
     database_size: int = 18,
-    sequence_length: int = 150,
     probe_count: int = 6,
-    identity: float = 0.9,
     seed: int = 0,
-    kill_at: float | None = None,
-    recover_at: float | None = None,
     subquery_deadline: float | None = None,
-    params: QueryParams | None = None,
-    monitor: "HealthMonitor | None" = None,
-    event_log: "EventLog | None" = None,
 ) -> ScenarioResult:
-    """Run the kill-one-node-per-group experiment; see the module docstring.
-
-    ``kill_at`` defaults to half the healthy batch's makespan (so the
-    failure lands mid-batch) and ``recover_at`` to ``2 * kill_at``.  The
-    probe batch arrives spread over ``3 * kill_at`` — some queries run
-    healthy, some against a dead cluster slice, some after recovery.
-    """
-    if probe_count < 1:
-        raise ValueError(f"probe_count must be >= 1, got {probe_count}")
-    params = params or QueryParams(k=4, n=6, i=0.7)
-
-    # Healthy baseline on its own deployment (the chaos run mutates state).
-    baseline_mendel = _build(
-        seed, replication, group_count, group_size,
-        database_size, sequence_length,
+    """Run the kill-one-node-per-group experiment; see the module docstring."""
+    healthy, mendel, probes, expected = twin_deployments(
+        seed, database_size, probe_count, replication=replication,
+        group_count=group_count, group_size=group_size,
     )
-    database = baseline_mendel.index.database
-    step = max(1, database_size // probe_count)
-    targets = [database.records[(i * step) % database_size]
-               for i in range(probe_count)]
-    probes = [
-        mutate_to_identity(target, identity, rng=seed + 10 + i,
-                           seq_id=f"probe-{i}")
-        for i, target in enumerate(targets)
-    ]
-    expected = [target.seq_id for target in targets]
-    baseline = baseline_mendel.engine.run_batch(probes, params)
-
-    # Derive the failure window from the healthy makespan.
-    makespan = max(r.stats.turnaround for r in baseline)
-    if kill_at is None:
-        kill_at = makespan / 2
-    if recover_at is None:
-        recover_at = 2 * kill_at
-    arrival_interval = 3 * kill_at / probe_count
-
-    # Fresh, identically seeded deployment for the chaos run.
-    mendel = _build(
-        seed, replication, group_count, group_size,
-        database_size, sequence_length,
+    # Half the healthy makespan puts the failure mid-batch.
+    baseline = healthy.engine.run_batch(probes, PARAMS)
+    kill_at = max(r.stats.turnaround for r in baseline) / 2
+    victims, run = crash_first_nodes(
+        mendel, probes, kill_at, "chaos", seed, subquery_deadline,
     )
-    victims = [group.nodes[0].node_id for group in mendel.index.topology.groups]
-    schedule = kill_and_recover(
-        victims,
-        kill_at=kill_at,
-        recover_at=recover_at,
-        seed=seed,
-        heartbeat_interval=kill_at / 8,
-    )
-    # Explicit, seed-derived trace ids: the process-global TraceContext
-    # counter would differ between two otherwise-identical runs, breaking
-    # the byte-identical event-log replay contract.
-    contexts = [
-        TraceContext(trace_id=f"chaos-{seed}-q{i}")
-        for i in range(probe_count)
-    ]
-    if monitor is None:
-        monitor = HealthMonitor.for_chaos_run(
-            schedule.effective_horizon,
-            arrival_interval=arrival_interval,
-            event_log=event_log if event_log is not None else EventLog(),
-        )
-    reports = mendel.query_under_faults(
-        probes,
-        schedule,
-        params=params,
-        arrival_interval=arrival_interval,
-        subquery_deadline=subquery_deadline,
-        trace_contexts=contexts,
-        monitor=monitor,
-    )
-    chaos = mendel.engine.last_chaos
     return ScenarioResult(
-        reports=reports,
+        **vars(run),
         baseline=baseline,
-        schedule=schedule,
         victims=victims,
-        expected=expected,
-        recall=_recall(reports, expected),
-        baseline_recall=_recall(baseline, expected),
-        chaos_summary=chaos.summary() if chaos is not None else {},
-        chaos_log=[str(entry) for entry in chaos.log] if chaos is not None else [],
-        monitor=mendel.engine.last_monitor,
+        recall=probe_recall(run.reports, expected),
+        baseline_recall=probe_recall(baseline, expected),
     )

@@ -27,16 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.framework import Mendel
-from repro.core.params import MendelConfig, QueryParams
+from repro.bench.regress import SIM_TOLERANCE, Metric
 from repro.core.query import QueryReport
 from repro.obs.events import EventLog, TOPOLOGY_KINDS
 from repro.obs.health import HealthMonitor
-from repro.obs.trace import TraceContext
 from repro.scale.controller import AutoScaler
 from repro.scale.policy import ScalerPolicy
-from repro.seq import PROTEIN, random_set
-from repro.seq.mutate import mutate_to_identity
+from repro.scenario import PARAMS, build_deployment, drive, planted_probes
 
 
 @dataclass
@@ -50,17 +47,18 @@ class ScaleScenarioResult:
     controller_enabled: bool
     #: per-query reports, in arrival order
     reports: list[QueryReport]
-    #: the arrival schedule that was replayed (simulated seconds)
-    arrival_times: list[float]
     #: calibrated single-query turnaround and latency objective
     t_base: float
     latency_threshold: float
     monitor: HealthMonitor
-    event_log: EventLog
     #: the controller (``None`` when disabled)
     scaler: AutoScaler | None = None
     #: final topology: group id -> {"nodes": int, "blocks": int}
     final_topology: dict = field(default_factory=dict)
+
+    @property
+    def event_log(self) -> EventLog:
+        return self.monitor.events
 
     @property
     def alert_transitions(self) -> list[dict]:
@@ -115,6 +113,10 @@ class ScaleScenarioResult:
     def p_max_turnaround(self) -> float:
         return max((r.stats.turnaround for r in self.reports), default=0.0)
 
+    @property
+    def degraded_queries(self) -> int:
+        return sum(1 for r in self.reports if r.degraded)
+
     def summary_rows(self) -> list[tuple[str, str]]:
         """Key/value rows for tabular display (CLI and example)."""
         fired = self.fired_at()
@@ -140,81 +142,87 @@ class ScaleScenarioResult:
             )),
         ]
 
+    def frame(self) -> dict:
+        return {
+            "scenario": self.scenario,
+            "seed": self.seed,
+            "controller": self.controller_enabled,
+            "loop_closed": self.loop_closed(),
+            "fired_at": self.fired_at(),
+            "resolved_at": self.resolved_at(),
+            "actions": self.actions,
+            "topology_events": self.topology_events,
+            "alert_transitions": self.alert_transitions,
+            "final_topology": self.final_topology,
+            "mean_turnaround": self.mean_turnaround,
+            "max_turnaround": self.p_max_turnaround,
+        }
 
-def _build(seed: int, group_count: int, group_size: int,
-           database_size: int, sequence_length: int,
-           replication: int) -> Mendel:
-    database = random_set(
-        count=database_size,
-        length=sequence_length,
-        alphabet=PROTEIN,
-        rng=seed + 1,
-        id_prefix="ref",
-    )
-    config = MendelConfig(
-        group_count=group_count,
-        group_size=group_size,
-        replication=replication,
-        sample_size=256,
-        seed=seed + 2,
-    )
-    return Mendel.build(database, config)
+    def checks(self) -> dict[str, bool]:
+        """What ``repro autoscale --assert-loop`` demands: the loop closed
+        by scaling *out*, the action is in the event log, and no query
+        degraded mid-rebalance."""
+        kinds = {e["kind"] for e in self.topology_events}
+        return {
+            "alert fired": self.fired_at() is not None,
+            "alert resolved": self.resolved_at() is not None,
+            "scaler acted inside the alert window": self.loop_closed(),
+            "scaled out": any(a["action"] in ("split_group", "add_node")
+                              for a in self.actions),
+            "scale-out is in the event log":
+                bool(kinds & {"group_split", "node_added"}),
+            "no query degraded": self.degraded_queries == 0,
+        }
 
-
-def _calibrate(seed: int, group_count: int, group_size: int,
-               database_size: int, sequence_length: int,
-               replication: int, params: QueryParams) -> float:
-    """Single-query turnaround on a throwaway identically-seeded
-    deployment (keeps the scenario run's metrics and events clean)."""
-    mendel = _build(seed, group_count, group_size, database_size,
-                    sequence_length, replication)
-    probe = mutate_to_identity(
-        mendel.index.database.records[0], 0.9, rng=seed + 9,
-        seq_id="calibrate",
-    )
-    report = mendel.engine.run_batch([probe], params)[0]
-    return max(report.stats.turnaround, 1e-9)
+    def bench_metrics(self) -> dict[str, dict[str, Metric]]:
+        """The ``--bench-out`` workload: seed-exact sim numbers only."""
+        return {
+            f"autoscale-{self.scenario}": {
+                "loop_closed": Metric(
+                    1.0 if self.loop_closed() else 0.0, "bool", "stable", 0.0
+                ),
+                "scale_actions": Metric(
+                    len(self.actions), "count", "stable", 0.0
+                ),
+                "degraded_queries": Metric(
+                    self.degraded_queries, "count", "lower", 0.0
+                ),
+                "mean_turnaround": Metric(
+                    self.mean_turnaround, "s", "lower", SIM_TOLERANCE
+                ),
+            }
+        }
 
 
 def _run(
     scenario: str,
-    arrival_times: list[float],
-    *,
     seed: int,
     controller: bool,
+    corpus: tuple[int, int],
     group_count: int,
-    group_size: int,
-    database_size: int,
-    sequence_length: int,
-    replication: int,
-    params: QueryParams,
-    t_base: float,
-    latency_threshold: float,
-    policy: ScalerPolicy | None,
-    fast_window: float,
+    policy: ScalerPolicy,
+    traffic,
 ) -> ScaleScenarioResult:
-    mendel = _build(seed, group_count, group_size, database_size,
-                    sequence_length, replication)
-    database = mendel.index.database
-    count = len(arrival_times)
-    probes = [
-        mutate_to_identity(
-            database.records[i % database_size], 0.9,
-            rng=seed + 100 + i, seq_id=f"probe-{i}",
-        )
-        for i in range(count)
-    ]
-    contexts = [
-        TraceContext(trace_id=f"scale-{scenario}-{seed}-q{i}")
-        for i in range(count)
-    ]
-    event_log = EventLog()
+    """Calibrate, shape the traffic, and drive it with the control loop on
+    the clock.  *traffic* maps the calibrated single-query turnaround
+    ``t_base`` to ``(arrival_times, fast_window)``."""
+    shape = dict(group_count=group_count, group_size=2, replication=1)
+    # Calibration runs on a throwaway identically-seeded deployment, which
+    # keeps the scenario run's metrics and events clean.
+    throwaway = build_deployment(seed, corpus, **shape)
+    calibration, _ = planted_probes(throwaway, 1, seed + 9)
+    report = throwaway.engine.run_batch(calibration, PARAMS)[0]
+    t_base = max(report.stats.turnaround, 1e-9)
+    latency_threshold = 1.5 * t_base
+    arrival_times, fast_window = traffic(t_base)
+
+    mendel = build_deployment(seed, corpus, **shape)
+    probes, _ = planted_probes(mendel, len(arrival_times), seed + 100)
     horizon = arrival_times[-1] if arrival_times else 1.0
-    slow = max(horizon, 4.0 * fast_window)
     monitor = HealthMonitor(
-        windows=(fast_window, slow),
+        windows=(fast_window, max(horizon, 4.0 * fast_window)),
         latency_threshold=latency_threshold,
-        event_log=event_log,
+        event_log=EventLog(),
         label=f"scale-{scenario}",
     )
     scaler = None
@@ -222,31 +230,21 @@ def _run(
         scaler = AutoScaler(
             index=mendel.index,
             monitor=monitor,
-            policy=policy or ScalerPolicy(
-                cooldown_ticks=1,
-                idle_ticks_before_scale_in=3,
-                split_min_blocks=32,
-            ),
-            event_log=event_log,
+            policy=policy,
+            event_log=monitor.events,
         )
-    reports = mendel.engine.run_batch(
-        probes,
-        params,
-        arrival_times=arrival_times,
-        trace_contexts=contexts,
-        monitor=monitor,
-        autoscaler=scaler,
+    run = drive(
+        mendel, probes, f"scale-{scenario}", seed,
+        arrival_times=arrival_times, monitor=monitor, autoscaler=scaler,
     )
     return ScaleScenarioResult(
         scenario=scenario,
         seed=seed,
         controller_enabled=controller,
-        reports=reports,
-        arrival_times=list(arrival_times),
+        reports=run.reports,
         t_base=t_base,
         latency_threshold=latency_threshold,
         monitor=monitor,
-        event_log=event_log,
         scaler=scaler,
         final_topology={
             g.group_id: {"nodes": len(g.nodes), "blocks": g.block_count}
@@ -258,16 +256,10 @@ def _run(
 def run_flash_crowd_scenario(
     seed: int = 0,
     controller: bool = True,
-    group_count: int = 1,
-    group_size: int = 2,
     database_size: int = 12,
-    sequence_length: int = 120,
-    replication: int = 1,
     calm_queries: int = 4,
     burst_queries: int = 28,
     tail_queries: int = 8,
-    params: QueryParams | None = None,
-    policy: ScalerPolicy | None = None,
 ) -> ScaleScenarioResult:
     """Sustained overload: calm warm-up, a burst arriving at ``0.55 *
     t_base`` — faster than the seed topology serves, slower than the
@@ -276,85 +268,60 @@ def run_flash_crowd_scenario(
     backlog drains, and the alert resolves while tail traffic is still
     arriving.
     """
-    params = params or QueryParams(k=4, n=6, i=0.7)
-    t_base = _calibrate(seed, group_count, group_size, database_size,
-                        sequence_length, replication, params)
-    theta = 1.5 * t_base
-    calm_interval = 8.0 * t_base
-    burst_interval = 0.55 * t_base
-    tail_interval = 2.5 * t_base
-    arrivals: list[float] = [i * calm_interval for i in range(calm_queries)]
-    burst_start = arrivals[-1] + calm_interval if arrivals else 0.0
-    arrivals += [
-        burst_start + i * burst_interval for i in range(burst_queries)
-    ]
-    tail_start = arrivals[-1] + tail_interval if arrivals else 0.0
-    arrivals += [
-        tail_start + i * tail_interval for i in range(tail_queries)
-    ]
-    fast_window = 6.0 * burst_interval
-    return _run(
-        "flash_crowd", arrivals,
-        seed=seed, controller=controller,
-        group_count=group_count, group_size=group_size,
-        database_size=database_size, sequence_length=sequence_length,
-        replication=replication, params=params,
-        t_base=t_base, latency_threshold=theta,
-        policy=policy, fast_window=fast_window,
+    def traffic(t_base: float) -> tuple[list[float], float]:
+        calm_interval = 8.0 * t_base
+        burst_interval = 0.55 * t_base
+        tail_interval = 2.5 * t_base
+        arrivals = [i * calm_interval for i in range(calm_queries)]
+        burst_start = arrivals[-1] + calm_interval if arrivals else 0.0
+        arrivals += [
+            burst_start + i * burst_interval for i in range(burst_queries)
+        ]
+        tail_start = arrivals[-1] + tail_interval if arrivals else 0.0
+        arrivals += [
+            tail_start + i * tail_interval for i in range(tail_queries)
+        ]
+        return arrivals, 6.0 * burst_interval
+
+    policy = ScalerPolicy(
+        cooldown_ticks=1,
+        idle_ticks_before_scale_in=3,
+        split_min_blocks=32,
     )
+    return _run("flash_crowd", seed, controller, (database_size, 120), 1,
+                policy, traffic)
 
 
 def run_diurnal_scenario(
-    seed: int = 0,
-    controller: bool = True,
-    group_count: int = 2,
-    group_size: int = 2,
-    database_size: int = 12,
-    sequence_length: int = 120,
-    replication: int = 1,
-    queries_per_cycle: int = 20,
-    cycles: int = 2,
-    params: QueryParams | None = None,
-    policy: ScalerPolicy | None = None,
+    seed: int = 0, controller: bool = True
 ) -> ScaleScenarioResult:
-    """Two day/night cycles: arrival spacing swings sinusoidally between
-    ``0.6 * t_base`` (peak) and ``8 * t_base`` (trough), so the scaler
-    grows node-by-node at the peaks and — after enough calm ticks —
-    drains back down at the troughs, never below the configured shape.
-    Splits are disabled by the default policy here: diurnal load is a
-    *throughput* swing, not a skew change, so tier-2 elasticity is the
+    """Two day/night cycles of 20 queries: arrival spacing swings
+    sinusoidally between ``0.6 * t_base`` (peak) and ``8 * t_base``
+    (trough), so the scaler grows node-by-node at the peaks and — after
+    enough calm ticks — drains back down at the troughs, never below the
+    configured shape.  Splits are disabled by the policy here: diurnal load
+    is a *throughput* swing, not a skew change, so tier-2 elasticity is the
     right (and reversible) response.
     """
-    params = params or QueryParams(k=4, n=6, i=0.7)
-    if policy is None:
-        policy = ScalerPolicy(
-            split_min_blocks=1_000_000_000,  # tier-2 only: add/drain nodes
-            cooldown_ticks=1,
-            idle_ticks_before_scale_in=2,
-        )
-    t_base = _calibrate(seed, group_count, group_size, database_size,
-                        sequence_length, replication, params)
-    theta = 1.5 * t_base
-    lo, hi = 0.6 * t_base, 8.0 * t_base
-    count = queries_per_cycle * cycles
-    arrivals: list[float] = []
-    now = 0.0
-    for i in range(count):
-        # Phase runs trough -> peak -> trough each cycle; spacing is the
-        # sinusoid's value at the *departure* point, so the peak packs
-        # queries densely and the trough spreads them out.
-        phase = 2.0 * math.pi * (i / queries_per_cycle)
-        level = 0.5 * (1.0 - math.cos(phase))  # 0 at trough, 1 at peak
-        interval = hi + (lo - hi) * level
-        arrivals.append(now)
-        now += interval
-    fast_window = 5.0 * lo
-    return _run(
-        "diurnal", arrivals,
-        seed=seed, controller=controller,
-        group_count=group_count, group_size=group_size,
-        database_size=database_size, sequence_length=sequence_length,
-        replication=replication, params=params,
-        t_base=t_base, latency_threshold=theta,
-        policy=policy, fast_window=fast_window,
+    queries_per_cycle, cycles = 20, 2
+
+    def traffic(t_base: float) -> tuple[list[float], float]:
+        lo, hi = 0.6 * t_base, 8.0 * t_base
+        arrivals: list[float] = []
+        now = 0.0
+        for i in range(queries_per_cycle * cycles):
+            # Phase runs trough -> peak -> trough each cycle; spacing is the
+            # sinusoid's value at the *departure* point, so the peak packs
+            # queries densely and the trough spreads them out.
+            phase = 2.0 * math.pi * (i / queries_per_cycle)
+            level = 0.5 * (1.0 - math.cos(phase))  # 0 at trough, 1 at peak
+            arrivals.append(now)
+            now += hi + (lo - hi) * level
+        return arrivals, 5.0 * lo
+
+    policy = ScalerPolicy(
+        split_min_blocks=1_000_000_000,  # tier-2 only: add/drain nodes
+        cooldown_ticks=1,
+        idle_ticks_before_scale_in=2,
     )
+    return _run("diurnal", seed, controller, (12, 120), 2, policy, traffic)

@@ -1,6 +1,6 @@
 """Durability and scrub experiments: the proof obligations of ``repro.store``.
 
-Two seeded, replayable scenario drivers mirror ``repro.faults.scenario``:
+Two seeded, replayable scenario drivers over :mod:`repro.scenario`:
 
 ``run_durability_scenario``
     The recovery-correctness experiment behind ``repro recover``.  Two
@@ -20,74 +20,42 @@ Two seeded, replayable scenario drivers mirror ``repro.faults.scenario``:
     ``scrub_heal`` → ``repair``), a final audit pass must find nothing
     left to heal, and the answers must match an uncorrupted control run
     (verified reads route around rot while it is being healed).
-
-Everything derives from ``seed`` (database, probes, deployment, schedule,
-trace ids), so equal arguments give byte-identical results — the contract
-``CHAOS_SEED``-matrixed CI jobs replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.align.result import Alignment
-from repro.core.params import QueryParams
 from repro.core.query import QueryReport
-from repro.faults.scenario import _build, _recall
-from repro.faults.schedule import FaultEvent, FaultSchedule, kill_and_recover
-from repro.obs.events import EventLog
-from repro.obs.health import HealthMonitor
-from repro.obs.trace import TraceContext
-from repro.seq.mutate import mutate_to_identity
+from repro.faults.scenario import crash_first_nodes, twin_deployments
+from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.scenario import PARAMS, Run, answer_signature, drive, probe_recall
 from repro.store.scrub import IntegrityScrubber
 
-
-def _serialize_alignment(alignment: Alignment) -> tuple:
-    """A byte-stable tuple of everything an answer asserts."""
-    return (
-        alignment.query_id,
-        alignment.subject_id,
-        alignment.query_start,
-        alignment.query_end,
-        alignment.subject_start,
-        alignment.subject_end,
-        repr(alignment.score),
-        repr(alignment.bit_score),
-        repr(alignment.evalue),
-        repr(alignment.identity),
-        alignment.gaps,
-    )
+#: simulated time of the crash (``repro recover``) / the bit flips
+#: (``repro scrub``)
+KILL_AT = 0.01
+FLIP_AT = 0.005
+#: cadence of the scrubber under ``repro scrub``
+SCRUB_INTERVAL = FLIP_AT / 2
 
 
-def serialize_answers(reports: list[QueryReport]) -> list[list[tuple]]:
-    """Per-query answer fingerprints for exact comparison."""
+def _differing(probes: list, reports: list[QueryReport],
+               control: list[QueryReport]) -> list[str]:
+    """Ids of the probes the two clusters answered differently."""
     return [
-        [_serialize_alignment(a) for a in report.alignments]
-        for report in reports
+        probe.seq_id
+        for probe, got, want in zip(probes, reports, control)
+        if answer_signature(got) != answer_signature(want)
     ]
-
-
-def _probes(mendel, probe_count: int, identity: float, seed: int):
-    database = mendel.index.database
-    size = len(database.records)
-    step = max(1, size // probe_count)
-    targets = [database.records[(i * step) % size] for i in range(probe_count)]
-    probes = [
-        mutate_to_identity(target, identity, rng=seed + 10 + i,
-                           seq_id=f"probe-{i}")
-        for i, target in enumerate(targets)
-    ]
-    return probes, [target.seq_id for target in targets]
 
 
 @dataclass
-class DurabilityResult:
-    """Outcome of one crash / durable-recovery / replay experiment."""
+class DurabilityResult(Run):
+    """Outcome of one crash / durable-recovery / replay experiment
+    (``reports`` is the batch issued *during* the failure window)."""
 
-    schedule: FaultSchedule
     victims: list[str] = field(default_factory=list)
-    #: reports from the probe batch issued *during* the failure window
-    chaos_reports: list[QueryReport] = field(default_factory=list)
     #: per-victim replay reports (torn records, CRC errors, blocks)
     recovery: dict = field(default_factory=dict)
     #: post-recovery probe batch on the recovered cluster…
@@ -98,9 +66,6 @@ class DurabilityResult:
     mismatched_queries: list[str] = field(default_factory=list)
     recall: float = 0.0
     control_recall: float = 0.0
-    chaos_summary: dict = field(default_factory=dict)
-    chaos_log: list[str] = field(default_factory=list)
-    monitor: "HealthMonitor | None" = None
 
     @property
     def identical(self) -> bool:
@@ -114,7 +79,7 @@ class DurabilityResult:
     def summary_rows(self) -> list[tuple[str, str]]:
         return [
             ("victims", ",".join(self.victims)),
-            ("queries under chaos", str(len(self.chaos_reports))),
+            ("queries under chaos", str(len(self.reports))),
             ("blocks replayed", str(self.blocks_recovered)),
             ("torn WAL records", str(sum(
                 rep.get("torn_records", 0) for rep in self.recovery.values()
@@ -128,55 +93,48 @@ class DurabilityResult:
              str(self.chaos_summary.get("blocks_streamed", 0))),
         ]
 
+    def frame(self) -> dict:
+        return {
+            "seed": self.schedule.seed,
+            "victims": self.victims,
+            "identical": self.identical,
+            "mismatched_queries": self.mismatched_queries,
+            "blocks_recovered": self.blocks_recovered,
+            "recovery": self.recovery,
+            "recall": self.recall,
+            "control_recall": self.control_recall,
+        }
+
+    def checks(self) -> dict[str, bool]:
+        """What ``repro recover --assert-identical`` demands."""
+        return {
+            "recovered == control": self.identical,
+            "blocks replayed from durable state": self.blocks_recovered > 0,
+            "no CRC errors during replay": all(
+                rep.get("crc_errors", 0) == 0
+                for rep in self.recovery.values()
+            ),
+        }
+
 
 def run_durability_scenario(
     replication: int = 2,
     group_count: int = 3,
     group_size: int = 3,
     database_size: int = 18,
-    sequence_length: int = 150,
     probe_count: int = 6,
-    identity: float = 0.9,
     seed: int = 0,
-    kill_at: float = 0.01,
-    recover_at: float | None = None,
-    params: QueryParams | None = None,
-    event_log: "EventLog | None" = None,
 ) -> DurabilityResult:
     """Crash every group's first node mid-batch, restart it from durable
     state, then prove the recovered cluster indistinguishable from one that
     never crashed; see the module docstring."""
-    if probe_count < 1:
-        raise ValueError(f"probe_count must be >= 1, got {probe_count}")
-    params = params or QueryParams(k=4, n=6, i=0.7)
-
-    control = _build(seed, replication, group_count, group_size,
-                     database_size, sequence_length)
-    mendel = _build(seed, replication, group_count, group_size,
-                    database_size, sequence_length)
-    probes, expected = _probes(mendel, probe_count, identity, seed)
-
-    if recover_at is None:
-        recover_at = 2 * kill_at
-    victims = [g.nodes[0].node_id for g in mendel.index.topology.groups]
-    schedule = kill_and_recover(
-        victims, kill_at=kill_at, recover_at=recover_at,
-        seed=seed, heartbeat_interval=kill_at / 8,
+    control, mendel, probes, expected = twin_deployments(
+        seed, database_size, probe_count, replication=replication,
+        group_count=group_count, group_size=group_size,
     )
-    arrival_interval = 3 * kill_at / probe_count
-    contexts = [TraceContext(trace_id=f"durability-{seed}-q{i}")
-                for i in range(probe_count)]
-    monitor = HealthMonitor.for_chaos_run(
-        schedule.effective_horizon,
-        arrival_interval=arrival_interval,
-        event_log=event_log if event_log is not None else EventLog(),
+    victims, run = crash_first_nodes(
+        mendel, probes, KILL_AT, "durability", seed,
     )
-    chaos_reports = mendel.query_under_faults(
-        probes, schedule, params=params,
-        arrival_interval=arrival_interval,
-        trace_contexts=contexts, monitor=monitor,
-    )
-    chaos = mendel.engine.last_chaos
     recovery = {
         victim: dict(mendel.index.node(victim).last_recovery or {})
         for victim in victims
@@ -184,39 +142,26 @@ def run_durability_scenario(
 
     # The verdict batch: same probes, both clusters, no faults.  The
     # recovered cluster must answer exactly like the control.
-    probe_reports = mendel.engine.run_batch(probes, params)
-    control_reports = control.engine.run_batch(probes, params)
-    recovered_answers = serialize_answers(probe_reports)
-    control_answers = serialize_answers(control_reports)
-    mismatched = [
-        probes[i].seq_id
-        for i in range(probe_count)
-        if recovered_answers[i] != control_answers[i]
-    ]
+    probe_reports = mendel.engine.run_batch(probes, PARAMS)
+    control_reports = control.engine.run_batch(probes, PARAMS)
     return DurabilityResult(
-        schedule=schedule,
+        **vars(run),
         victims=victims,
-        chaos_reports=chaos_reports,
         recovery=recovery,
         probe_reports=probe_reports,
         control_reports=control_reports,
-        mismatched_queries=mismatched,
-        recall=_recall(probe_reports, expected),
-        control_recall=_recall(control_reports, expected),
-        chaos_summary=chaos.summary() if chaos is not None else {},
-        chaos_log=[str(e) for e in chaos.log] if chaos is not None else [],
-        monitor=monitor,
+        mismatched_queries=_differing(probes, probe_reports, control_reports),
+        recall=probe_recall(probe_reports, expected),
+        control_recall=probe_recall(control_reports, expected),
     )
 
 
 @dataclass
-class ScrubScenarioResult:
+class ScrubScenarioResult(Run):
     """Outcome of one bit-rot / scrub / heal experiment."""
 
-    schedule: FaultSchedule
     #: ``(node_id, block_id)`` pairs whose durable bytes were flipped
     flips: list[tuple[str, int]] = field(default_factory=list)
-    reports: list[QueryReport] = field(default_factory=list)
     #: the same batch against an uncorrupted control deployment
     control_reports: list[QueryReport] = field(default_factory=list)
     #: query ids answered differently from the control (must stay empty:
@@ -226,9 +171,6 @@ class ScrubScenarioResult:
     unhealed: int = 0
     recall: float = 0.0
     control_recall: float = 0.0
-    chaos_summary: dict = field(default_factory=dict)
-    chaos_log: list[str] = field(default_factory=list)
-    monitor: "HealthMonitor | None" = None
 
     @property
     def corruptions_detected(self) -> int:
@@ -249,8 +191,6 @@ class ScrubScenarioResult:
 
     def event_chain(self) -> list[str]:
         """Kinds of the corruption-relevant events, in log order."""
-        if self.monitor is None:
-            return []
         relevant = {"bit_flip", "corruption_detected", "scrub_heal",
                     "repair", "alert"}
         return [e.kind for e in self.monitor.events.events()
@@ -272,33 +212,55 @@ class ScrubScenarioResult:
             ("resolved", "yes" if self.resolved else "NO"),
         ]
 
+    def frame(self) -> dict:
+        return {
+            "seed": self.schedule.seed,
+            "flips": [{"node": n, "block": b} for n, b in self.flips],
+            "corruptions_detected": self.corruptions_detected,
+            "heals_requested": self.heals_requested,
+            "unhealed": self.unhealed,
+            "wrong_answers": self.wrong_answers,
+            "resolved": self.resolved,
+            "event_chain": self.event_chain(),
+            "recall": self.recall,
+            "control_recall": self.control_recall,
+        }
+
+    def checks(self) -> dict[str, bool]:
+        """What ``repro scrub --assert-resolved`` demands."""
+        chain = self.event_chain()
+        links = ("bit_flip", "corruption_detected", "scrub_heal", "repair")
+        return {
+            "every flip detected":
+                self.corruptions_detected >= len(self.flips) > 0,
+            "heals requested": self.heals_requested > 0,
+            "post-run audit clean": self.unhealed == 0,
+            "no wrong answers": not self.wrong_answers,
+            "event log shows flip -> detect -> heal -> repair":
+                all(kind in chain for kind in links)
+                and chain.index("bit_flip")
+                < chain.index("corruption_detected")
+                < chain.index("scrub_heal"),
+        }
+
 
 def run_scrub_scenario(
     replication: int = 2,
     group_count: int = 2,
     group_size: int = 3,
     database_size: int = 12,
-    sequence_length: int = 150,
     probe_count: int = 6,
-    identity: float = 0.9,
     flip_count: int = 2,
     seed: int = 0,
-    flip_at: float = 0.005,
-    scrub_interval: float | None = None,
-    params: QueryParams | None = None,
-    event_log: "EventLog | None" = None,
 ) -> ScrubScenarioResult:
     """Inject silent bit rot, scrub it out, and prove no query ever served
     the rotted bytes; see the module docstring."""
     if flip_count < 1:
         raise ValueError(f"flip_count must be >= 1, got {flip_count}")
-    params = params or QueryParams(k=4, n=6, i=0.7)
-
-    control = _build(seed, replication, group_count, group_size,
-                     database_size, sequence_length)
-    mendel = _build(seed, replication, group_count, group_size,
-                    database_size, sequence_length)
-    probes, expected = _probes(mendel, probe_count, identity, seed)
+    control, mendel, probes, expected = twin_deployments(
+        seed, database_size, probe_count, replication=replication,
+        group_count=group_count, group_size=group_size,
+    )
 
     # Victim selection is deterministic: the first durable block of the
     # first node of each group, round-robin until flip_count is reached.
@@ -312,55 +274,32 @@ def run_scrub_scenario(
             continue
         flips.append((node.node_id, manifest[i % len(manifest)]))
 
-    if scrub_interval is None:
-        scrub_interval = flip_at / 2
-    events = [
-        FaultEvent.bit_flip(flip_at, node_id, block=block_id, bit=3 + i)
-        for i, (node_id, block_id) in enumerate(flips)
-    ]
     # Leave room after the last flip for a full scrub cycle per group plus
     # the chained heal repairs to drain.
-    horizon = flip_at + scrub_interval * (len(groups) * 3 + 4)
+    horizon = FLIP_AT + SCRUB_INTERVAL * (len(groups) * 3 + 4)
     schedule = FaultSchedule(
-        events=tuple(events),
+        events=tuple(
+            FaultEvent.bit_flip(FLIP_AT, node_id, block=block_id, bit=3 + i)
+            for i, (node_id, block_id) in enumerate(flips)
+        ),
         seed=seed,
-        scrub_interval=scrub_interval,
+        scrub_interval=SCRUB_INTERVAL,
         horizon=horizon,
     )
-    arrival_interval = horizon / (probe_count + 1)
-    contexts = [TraceContext(trace_id=f"scrub-{seed}-q{i}")
-                for i in range(probe_count)]
-    monitor = HealthMonitor.for_chaos_run(
-        schedule.effective_horizon,
-        arrival_interval=arrival_interval,
-        event_log=event_log if event_log is not None else EventLog(),
+    run = drive(
+        mendel, probes, "scrub", seed, faults=schedule,
+        arrival_interval=horizon / (probe_count + 1),
     )
-    reports = mendel.query_under_faults(
-        probes, schedule, params=params,
-        arrival_interval=arrival_interval,
-        trace_contexts=contexts, monitor=monitor,
-    )
-    chaos = mendel.engine.last_chaos
-    control_reports = control.engine.run_batch(probes, params)
-    scrubbed = serialize_answers(reports)
-    clean = serialize_answers(control_reports)
-    wrong = [probes[i].seq_id for i in range(probe_count)
-             if scrubbed[i] != clean[i]]
+    control_reports = control.engine.run_batch(probes, PARAMS)
 
     # Post-run audit: a detect-only scrub pass must come back clean.
     audit = IntegrityScrubber(mendel.index, heal=None)
-    unhealed = len(audit.scrub_all())
-
     return ScrubScenarioResult(
-        schedule=schedule,
+        **vars(run),
         flips=flips,
-        reports=reports,
         control_reports=control_reports,
-        wrong_answers=wrong,
-        unhealed=unhealed,
-        recall=_recall(reports, expected),
-        control_recall=_recall(control_reports, expected),
-        chaos_summary=chaos.summary() if chaos is not None else {},
-        chaos_log=[str(e) for e in chaos.log] if chaos is not None else [],
-        monitor=monitor,
+        wrong_answers=_differing(probes, run.reports, control_reports),
+        unhealed=len(audit.scrub_all()),
+        recall=probe_recall(run.reports, expected),
+        control_recall=probe_recall(control_reports, expected),
     )

@@ -1,9 +1,9 @@
 """The ``cold_vs_warm_query`` scenario: the tier's proof-of-claims run.
 
 One function, :func:`run_tier_scenario`, drives the whole tiered-storage
-story end to end on a fixed-seed synthetic corpus and returns a report
-dict shared by the ``repro tier`` CLI command and the
-``cold_vs_warm_query`` regression workload:
+story end to end on a fixed-seed synthetic corpus; its result is shared by
+the ``repro tier`` CLI command and the ``cold_vs_warm_query`` regression
+workload:
 
 1. **warm** — build a family database deployment and run the fig6a-style
    query sweep all-RAM (the baseline signatures and simulated latencies);
@@ -32,57 +32,36 @@ not per corpus.
 
 from __future__ import annotations
 
-import time
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bench.workloads import (
-    FamilySpec,
-    generate_family_database,
-    generate_read_queries,
-)
+from repro.bench.regress import COUNT_TOLERANCE, SIM_TOLERANCE, Metric
+from repro.bench.workloads import FamilySpec
 from repro.core.framework import Mendel
-from repro.core.params import MendelConfig, QueryParams
+from repro.scenario import (
+    SWEEP_LENGTHS,
+    SWEEP_PARAMS,
+    answer_signature,
+    build_deployment,
+    sweep_queries,
+)
 from repro.tier.store import TierConfig
 
-#: sweep lengths mirroring the fig6a read-length sweep
-SWEEP_LENGTHS = (300, 600, 900)
+#: capacity-phase cache budget as a fraction of the raw corpus (0.1% — the
+#: configuration the 100x claim is measured under)
+CAPACITY_CACHE_FRACTION = 0.001
 
 
-def _signature(report) -> tuple:
-    """Everything a query result promises to keep byte-identical across
-    tiering: the ranked alignments and the deterministic pipeline
-    counters.  Simulated turnaround is deliberately excluded — cold reads
-    are *supposed* to cost simulated time."""
-    alignments = tuple(
-        (
-            a.subject_id,
-            a.query_start,
-            a.query_end,
-            a.subject_start,
-            a.subject_end,
-            round(a.score, 6),
-            round(a.evalue, 9),
-        )
-        for a in report.alignments
-    )
-    return (
-        alignments,
-        report.stats.candidate_hits,
-        report.stats.node_evals,
-    )
-
-
-def _run_sweep(mendel: Mendel, queries: list, params: QueryParams) -> dict:
-    """One pass over the sweep queries: wall, per-query sim turnaround
-    (ms), signatures, and summed pipeline counters."""
-    start = time.perf_counter()
-    reports = [mendel.query(q, params) for q in queries]
-    wall = time.perf_counter() - start
+def _run_sweep(mendel: Mendel, queries: list) -> dict:
+    """One pass over the sweep queries: per-query sim turnaround (ms),
+    signatures, and summed pipeline counters."""
+    reports = [mendel.query(q, SWEEP_PARAMS) for q in queries]
     return {
-        "wall_s": wall,
         "sim_turnaround_ms": [1e3 * r.stats.turnaround for r in reports],
-        "signatures": [_signature(r) for r in reports],
+        # What tiering promises to keep byte-identical: the ranked
+        # alignments *and* the deterministic pipeline counters.
+        "signatures": [answer_signature(r, counters=True) for r in reports],
         "distance_evals": sum(r.stats.node_evals for r in reports),
         "candidate_hits": sum(r.stats.candidate_hits for r in reports),
     }
@@ -97,45 +76,124 @@ def _cache_delta(after: dict, before: dict) -> dict:
     }
 
 
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values)
+
+
+@dataclass
+class TierScenarioResult:
+    """Outcome of one cold-vs-warm run: the report dict (every number in
+    it is sim-clock or counter data, so it is byte-identical per seed)."""
+
+    report: dict
+
+    def frame(self) -> dict:
+        return self.report
+
+    def summary_rows(self) -> list[tuple[str, str]]:
+        report = self.report
+        tier, cold, cap = report["tier"], report["cold"], report["capacity"]
+        cache = cold["cache"]
+        return [
+            ("blocks", f"{report['blocks']}"),
+            ("nodes", f"{report['nodes']}"),
+            ("raw bytes", f"{report['raw_bytes']}"),
+            ("bytes on disk", f"{tier['bytes_on_disk']}"),
+            ("compression", f"{tier['compression_ratio']:.3f}x"),
+            ("resident", f"{100 * tier['resident_fraction']:.2f}%"),
+            ("cold cache", f"{cold['cache_bytes']} bytes "
+                           f"(hits {cache['hits']:.0f} / misses "
+                           f"{cache['misses']:.0f} / evictions "
+                           f"{cache['evictions']:.0f})"),
+            ("warm sim ms", " / ".join(
+                f"{v:.1f}" for v in report["warm"]["sim_turnaround_ms"])),
+            ("cold sim ms", " / ".join(
+                f"{v:.1f}" for v in cold["sim_turnaround_ms"])),
+            ("warm2 sim ms", f"{report['warm2_sim_turnaround_ms']:.1f}"),
+            ("capacity_x", f"{cap['capacity_x']:.1f} "
+                           f"(cache {cap['cache_bytes']} B, "
+                           f"pinned {cap['pinned_bytes']} B, "
+                           f"summaries {cap['summary_bytes']} B)"),
+            ("equivalent", str(report["equivalent"])),
+        ]
+
+    def checks(self) -> dict[str, bool]:
+        """What ``repro tier --assert-equivalent`` demands: every tiered
+        phase answers like the all-RAM baseline, and the tier really was
+        exercised (it compresses, cold reads cost simulated time, the
+        cache both hit and missed)."""
+        report = self.report
+        cache = report["cold"]["cache"]
+        checks = {
+            f"{phase} == all-RAM baseline": ok
+            for phase, ok in report["phases_equal"].items()
+        }
+        checks["codec compresses"] = report["tier"]["compression_ratio"] > 1.0
+        checks["cold queries pay for their reads"] = all(
+            c > w for w, c in zip(report["warm"]["sim_turnaround_ms"],
+                                  report["cold"]["sim_turnaround_ms"])
+        )
+        checks["cache hit and missed"] = (
+            cache["hits"] > 0 and cache["misses"] > 0
+        )
+        return checks
+
+    def bench_metrics(self) -> dict[str, dict[str, Metric]]:
+        """The ``cold_vs_warm_query`` workload of ``repro bench --regress``
+        and ``repro tier --bench-out``."""
+        report = self.report
+        return {
+            "cold_vs_warm_query": {
+                "sim_turnaround_warm_ms": Metric(
+                    _mean(report["warm"]["sim_turnaround_ms"]),
+                    "ms", "lower", SIM_TOLERANCE,
+                ),
+                "sim_turnaround_cold_ms": Metric(
+                    _mean(report["cold"]["sim_turnaround_ms"]),
+                    "ms", "lower", SIM_TOLERANCE,
+                ),
+                "distance_evals": Metric(
+                    report["counters"]["distance_evals"],
+                    "evals", "stable", COUNT_TOLERANCE,
+                ),
+                "result_equivalent": Metric(
+                    1.0 if report["equivalent"] else 0.0, "bool", "stable", 0.0
+                ),
+                "bytes_on_disk": Metric(
+                    report["tier"]["bytes_on_disk"], "bytes", "stable", 0.02
+                ),
+                "compression_ratio": Metric(
+                    report["tier"]["compression_ratio"], "x", "higher", 0.1
+                ),
+                "capacity_x": Metric(
+                    report["capacity"]["capacity_x"], "x", "higher", 0.05
+                ),
+            }
+        }
+
+
 def run_tier_scenario(
     seed: int = 23,
     families: int = 30,
     members_per_family: int = 5,
-    length: int = 300,
-    sweep_lengths: tuple[int, ...] = SWEEP_LENGTHS,
     cache_fraction: float = 0.10,
-    capacity_cache_fraction: float = 0.001,
-) -> dict:
-    """Run the full cold-vs-warm scenario; returns the report dict.
+) -> TierScenarioResult:
+    """Run the full cold-vs-warm scenario.
 
     *cache_fraction* bounds the cold-phase RAM cache relative to the raw
-    corpus bytes (the acceptance bar is <= 10%);
-    *capacity_cache_fraction* bounds the capacity-phase cache (0.1% —
-    the configuration the 100x claim is measured under).
+    corpus bytes (the acceptance bar is <= 10%).
     """
-    spec = FamilySpec(
-        families=families, members_per_family=members_per_family, length=length
-    )
-    database = generate_family_database(spec, rng=seed)
-    config = MendelConfig(
+    mendel = build_deployment(
+        seed,
+        FamilySpec(families=families, members_per_family=members_per_family,
+                   length=300),
         group_count=2,
         group_size=2,
         bucket_capacity=512,
         segment_length=32,
-        seed=seed,
     )
-    build_start = time.perf_counter()
-    mendel = Mendel.build(database, config)
-    build_wall = time.perf_counter() - build_start
-
-    params = QueryParams(k=8, n=6, i=0.8)
-    queries = [
-        q
-        for L in sweep_lengths
-        for q in generate_read_queries(
-            database, 1, L, rng=seed + L, id_prefix=f"sweep-{L}"
-        )
-    ]
+    database = mendel.index.database
+    queries = sweep_queries(mendel, seed)
 
     # Raw corpus bytes actually resident before any spill: every alive
     # node's code matrix (replication included — that is what RAM holds).
@@ -146,7 +204,7 @@ def run_tier_scenario(
     )
 
     # -- phase 1: warm (all-RAM baseline) --------------------------------------
-    warm = _run_sweep(mendel, queries, params)
+    warm = _run_sweep(mendel, queries)
 
     # -- phase 2: cold (spilled, bounded cache) --------------------------------
     cold_config = TierConfig(
@@ -155,20 +213,19 @@ def run_tier_scenario(
     cold_cache_bytes = max(1, int(cache_fraction * raw_bytes))
     cache = mendel.spill(cache_bytes=cold_cache_bytes, config=cold_config)
     stats_before = cache.stats()
-    cold = _run_sweep(mendel, queries, params)
+    cold = _run_sweep(mendel, queries)
     cold["cache"] = _cache_delta(cache.stats(), stats_before)
     tier = mendel.tier_report()
 
     # -- phase 3: warm2 (cache residency re-check, one query) ------------------
-    warm2_report = mendel.query(queries[0], params)
-    warm2_sig = _signature(warm2_report)
+    warm2 = _run_sweep(mendel, queries[:1])
 
     # -- phase 4: capacity (large pages, 0.1% cache) ---------------------------
     capacity_config = TierConfig(
         page_rows=2048, alphabet_size=database.alphabet.size
     )
     capacity_cache_bytes = max(
-        1, int(capacity_cache_fraction * raw_bytes)
+        1, int(CAPACITY_CACHE_FRACTION * raw_bytes)
     )
     mendel.spill(cache_bytes=capacity_cache_bytes, config=capacity_config)
     cap_tier = mendel.tier_report()
@@ -178,41 +235,33 @@ def run_tier_scenario(
         + capacity_cache_bytes
     )
     capacity_x = raw_bytes / max(resident_budget, 1)
-    cap_start = time.perf_counter()
-    cap_report = mendel.query(queries[0], params)
-    cap_wall = time.perf_counter() - cap_start
-    cap_sig = _signature(cap_report)
+    capacity = _run_sweep(mendel, queries[:1])
 
     # -- phase 5: unspill (round trip loses nothing) ---------------------------
     mendel.unspill()
-    unspilled_sig = _signature(mendel.query(queries[0], params))
+    unspilled = _run_sweep(mendel, queries[:1])
 
     phases_equal = {
         "cold": cold["signatures"] == warm["signatures"],
-        "warm2": warm2_sig == warm["signatures"][0],
-        "capacity": cap_sig == warm["signatures"][0],
-        "unspilled": unspilled_sig == warm["signatures"][0],
+        "warm2": warm2["signatures"] == warm["signatures"][:1],
+        "capacity": capacity["signatures"] == warm["signatures"][:1],
+        "unspilled": unspilled["signatures"] == warm["signatures"][:1],
     }
-    return {
+    return TierScenarioResult({
         "seed": seed,
         "families": families,
         "members_per_family": members_per_family,
-        "sweep_lengths": list(sweep_lengths),
+        "sweep_lengths": list(SWEEP_LENGTHS),
         "blocks": mendel.block_count,
         "nodes": mendel.node_count,
         "raw_bytes": raw_bytes,
-        "build_wall_s": build_wall,
-        "warm": {
-            "wall_s": warm["wall_s"],
-            "sim_turnaround_ms": warm["sim_turnaround_ms"],
-        },
+        "warm": {"sim_turnaround_ms": warm["sim_turnaround_ms"]},
         "cold": {
-            "wall_s": cold["wall_s"],
             "sim_turnaround_ms": cold["sim_turnaround_ms"],
             "cache_bytes": cold_cache_bytes,
             "cache": cold["cache"],
         },
-        "warm2_sim_turnaround_ms": 1e3 * warm2_report.stats.turnaround,
+        "warm2_sim_turnaround_ms": warm2["sim_turnaround_ms"][0],
         "tier": {
             "bytes_on_disk": tier["bytes_on_disk"],
             "compression_ratio": tier["compression_ratio"],
@@ -228,8 +277,7 @@ def run_tier_scenario(
             "resident_budget": resident_budget,
             "capacity_x": capacity_x,
             "compression_ratio": cap_tier["compression_ratio"],
-            "sim_turnaround_ms": 1e3 * cap_report.stats.turnaround,
-            "wall_s": cap_wall,
+            "sim_turnaround_ms": capacity["sim_turnaround_ms"][0],
         },
         "counters": {
             "distance_evals": warm["distance_evals"],
@@ -237,4 +285,4 @@ def run_tier_scenario(
         },
         "phases_equal": phases_equal,
         "equivalent": all(phases_equal.values()),
-    }
+    })

@@ -169,7 +169,7 @@ class TestSuiteEndToEnd:
     def test_schema_shape(self, suite_report):
         assert suite_report["schema_version"] == regress.SCHEMA_VERSION
         assert set(suite_report["workloads"]) == {
-            "index_build", "query_sweep", "throughput", "degraded_query",
+            "index_build", "query_sweep", "degraded_query",
             "cold_vs_warm_query",
         }
         for payload in suite_report["workloads"].values():
@@ -183,7 +183,10 @@ class TestSuiteEndToEnd:
             if name.startswith("sim_"):
                 assert raw["tolerance"] == regress.SIM_TOLERANCE
         build = suite_report["workloads"]["index_build"]["metrics"]
-        assert build["wall_s"]["tolerance"] == regress.WALL_TOLERANCE
+        assert build["sim_makespan_s"]["tolerance"] == regress.SIM_TOLERANCE
+        # Wall-clock numbers are perfbench's: the suite emits none.
+        for payload in suite_report["workloads"].values():
+            assert not any("wall" in name for name in payload["metrics"])
 
     def test_degraded_workload_really_degrades(self, suite_report):
         degraded = suite_report["workloads"]["degraded_query"]["metrics"]
@@ -196,5 +199,5 @@ class TestSuiteEndToEnd:
 
     def test_format_report_lists_every_metric(self, suite_report):
         text = regress.format_report(suite_report)
-        assert "ops_per_s" in text
+        assert "capacity_x" in text
         assert "sim_turnaround_ms_len600" in text

@@ -4,11 +4,8 @@ RECOVER gateway verbs."""
 
 import pytest
 
-from repro.store.scenario import (
-    run_durability_scenario,
-    run_scrub_scenario,
-    serialize_answers,
-)
+from repro.scenario import answer_signature
+from repro.store.scenario import run_durability_scenario, run_scrub_scenario
 
 SEEDS = [0, 7]
 
@@ -33,8 +30,8 @@ class TestCrashRecovery:
         second = run_durability_scenario(
             group_count=2, database_size=12, probe_count=4, seed=seed
         )
-        assert serialize_answers(first.probe_reports) \
-            == serialize_answers(second.probe_reports)
+        assert [answer_signature(r) for r in first.probe_reports] \
+            == [answer_signature(r) for r in second.probe_reports]
         assert first.recovery == second.recovery
         assert first.victims == second.victims
 

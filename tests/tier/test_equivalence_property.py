@@ -3,10 +3,12 @@ stream against an index whose cache is far smaller than the working set
 returns byte-identical results to an unbounded all-RAM twin."""
 
 import os
+from functools import partial
 
 import numpy as np
 
 from repro.core import Mendel, MendelConfig, QueryParams
+from repro.scenario import answer_signature
 from repro.seq import PROTEIN, random_set
 from repro.seq.mutate import mutate_to_identity
 from repro.tier import TierConfig
@@ -14,16 +16,7 @@ from repro.tier import TierConfig
 SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 
-def signature(report):
-    return (
-        tuple(
-            (a.subject_id, a.query_start, a.query_end, a.subject_start,
-             a.subject_end, round(a.score, 6), round(a.evalue, 9))
-            for a in report.alignments
-        ),
-        report.stats.candidate_hits,
-        report.stats.node_evals,
-    )
+signature = partial(answer_signature, counters=True)
 
 
 def test_bounded_cache_matches_unbounded_twin():

@@ -1,10 +1,13 @@
 """Spill/unspill through the full deployment: equivalence, reporting,
 auto-respill, durability dispatch, and the persist path."""
 
+from functools import partial
+
 import numpy as np
 
 from repro.core import Mendel, MendelConfig, QueryParams, load_index, save_index
 from repro.core.query import QueryEngine
+from repro.scenario import answer_signature
 from repro.seq import PROTEIN, random_set
 from repro.seq.mutate import mutate_to_identity
 from repro.tier import TierConfig, TieredPoints
@@ -28,16 +31,7 @@ def probes(db, count=4):
     ]
 
 
-def signature(report):
-    return (
-        tuple(
-            (a.subject_id, a.query_start, a.query_end, a.subject_start,
-             a.subject_end, round(a.score, 6), round(a.evalue, 9))
-            for a in report.alignments
-        ),
-        report.stats.candidate_hits,
-        report.stats.node_evals,
-    )
+signature = partial(answer_signature, counters=True)
 
 
 class TestSpillState:

@@ -3,6 +3,7 @@ move/rebuild where the old code moved RAM arrays, and answers never
 change."""
 
 from repro.core import Mendel, MendelConfig, QueryParams
+from repro.scenario import answer_signature as signature
 from repro.seq import PROTEIN, random_set
 from repro.seq.mutate import mutate_to_identity
 from repro.tier import TierConfig
@@ -19,16 +20,6 @@ def build(seed=9, group_size=3):
     mendel.spill(cache_bytes=1 << 13, config=TierConfig(page_rows=16))
     probe = mutate_to_identity(db.records[3], 0.85, rng=91, seq_id="probe")
     return db, mendel, probe
-
-
-def signature(report):
-    return (
-        tuple(
-            (a.subject_id, a.query_start, a.query_end, a.subject_start,
-             a.subject_end, round(a.score, 6), round(a.evalue, 9))
-            for a in report.alignments
-        ),
-    )
 
 
 PARAMS = QueryParams(k=6, n=6, i=0.7)
