@@ -33,9 +33,7 @@ def sweep():
     def measure(name, build):
         tree = build()
         insert_evals = tree.adapter.pair_evaluations
-        tree.adapter.reset_counter()
-        tree.knn(query, 5)
-        search_evals = tree.adapter.pair_evaluations
+        _, search_evals = tree.knn(query, 5)
         rows.append(
             {
                 "strategy": name,

@@ -37,16 +37,14 @@ def sweep():
         )
         tree.insert_batch(points)
         build_evals = tree.adapter.pair_evaluations
-        tree.adapter.reset_counter()
-        for q in queries:
-            tree.knn(q, 5)
+        search_evals = sum(evals for _, evals in tree.knn(queries, 5))
         rows.append(
             {
                 "bucket_capacity": capacity,
                 "vertices": count_vertices(tree.root),
                 "depth": tree.depth,
                 "build_evals": build_evals,
-                "search_evals_per_query": tree.adapter.pair_evaluations / 10,
+                "search_evals_per_query": search_evals / 10,
             }
         )
     return rows

@@ -7,9 +7,9 @@ blocks hashed to it, plus a simple service-time model calibrated by a
 lower speed factor and work takes proportionally longer in simulated time.
 
 The time model charges per *logical distance evaluation* performed by the
-node's vp-tree (counted by :class:`repro.vptree.metric.MetricAdapter`), so
-simulated service times track the real algorithmic work done rather than a
-fixed constant — this is what lets the evaluation figures reproduce shape
+node's vp-tree (counted by the search itself, :mod:`repro.vptree.search`),
+so simulated service times track the real algorithmic work done rather than
+a fixed constant — this is what lets the evaluation figures reproduce shape
 without a physical testbed.
 """
 
@@ -343,44 +343,49 @@ class StorageNode:
 
     def local_knn(
         self,
-        query_codes: np.ndarray,
+        windows: np.ndarray,
         k: int,
         max_radius: float = float("inf"),
-    ) -> tuple[list, SearchCost]:
-        """k-NN over the local tree; returns ``(hits, cost)``.
+    ) -> list[tuple[list, SearchCost]]:
+        """k-NN over the local tree for a ``(W, L)`` batch of query
+        windows; returns one ``(hits, cost)`` per row, in row order.
 
         ``hits`` are ``(distance, block_id)`` pairs; ``cost`` is the
-        :class:`SearchCost` of this search — its distance evaluations, the
-        modelled node-local service time and any cold tier reads.
-        ``max_radius`` bounds the search ball (the query pipeline passes
-        the largest distance its identity filter could accept).
+        :class:`SearchCost` of that window's search — its distance
+        evaluations, the modelled node-local service time and any cold tier
+        reads.  ``max_radius`` bounds the search ball (the query pipeline
+        passes the largest distance its identity filter could accept).
         """
-        before = self.tree.adapter.pair_evaluations
-        hits = (
-            self.tree.knn(query_codes, k, max_radius=max_radius)
-            if len(self.tree)
-            else []
-        )
-        evals = self.tree.adapter.pair_evaluations - before
-        seconds = self.service_time(evals)
-        seeks = nbytes = 0
-        io_seconds = 0.0
         if self.tiered:
-            # Cold page fetches accumulated during traversal are charged as
-            # device time (seek + transfer), not scaled by CPU speed.
-            seeks, nbytes = self.tier.drain_io()
+            # Window by window: the order pages are touched in feeds the
+            # shared cache's state, and each window is charged the cold
+            # reads its own traversal caused (drained right after it).
+            searches = (
+                self.tree.knn(window, k, max_radius=max_radius) + self.tier.drain_io()
+                for window in windows
+            )
+        else:
+            searches = (
+                found + (0, 0)
+                for found in self.tree.knn(windows, k, max_radius=max_radius)
+            )
+        out = []
+        for hits, evals, seeks, nbytes in searches:
+            seconds = self.service_time(evals)
+            io_seconds = 0.0
             if seeks or nbytes:
+                # Cold page fetches are charged as device time (seek +
+                # transfer), not scaled by CPU speed.
                 io_seconds = self.tier.io_seconds(seeks, nbytes)
                 seconds += io_seconds
-        self.stats.queries_served += 1
-        self.stats.evals_charged += evals
-        self.stats.busy_seconds += seconds
-        self._m_searches.inc()
-        if evals:
-            self._m_evals.inc(evals)
-        if hits:
-            self._m_blocks.inc(len(hits))
-        return hits, SearchCost(evals, seconds, seeks, nbytes, io_seconds)
+            self.stats.evals_charged += evals
+            self.stats.busy_seconds += seconds
+            out.append((hits, SearchCost(evals, seconds, seeks, nbytes, io_seconds)))
+        self.stats.queries_served += len(out)
+        self._m_searches.inc(len(out))
+        self._m_evals.inc(sum(cost.evals for _, cost in out))
+        self._m_blocks.inc(sum(len(hits) for hits, _ in out))
+        return out
 
     def service_time(self, evals: int, overhead_evals: int = 50) -> float:
         """Simulated seconds to perform *evals* distance evaluations

@@ -223,8 +223,9 @@ def node_kernel(
     node: StorageNode, query_codes: np.ndarray, windows: list[_Window],
     params: QueryParams, radius: float, matrix: np.ndarray, store: BlockStore,
 ) -> tuple[list[Anchor], NodeCost]:
-    """One node's share of a query (pipeline step 4): local k-NN per
-    window, identity then c-score filter, anchor extension.
+    """One node's share of a query (pipeline step 4): local k-NN over its
+    windows, then per window the identity and c-score filters and anchor
+    extension.
 
     No simulator, registry, span or :class:`QueryStats` in here: what the
     work cost comes back in the :class:`NodeCost`, each fact counted once.
@@ -233,8 +234,12 @@ def node_kernel(
     anchors: list[Anchor] = []
     seen: set[tuple[str, int, int]] = set()
     cost = NodeCost()
-    for window in windows:
-        hits, search = node.local_knn(window.codes, params.n, max_radius=radius)
+    # One search call for the whole subquery; costs are still summed window
+    # by window, so the float totals do not depend on the batching.
+    searches = node.local_knn(
+        np.stack([window.codes for window in windows]), params.n, max_radius=radius
+    )
+    for window, (hits, search) in zip(windows, searches):
         cost.evals += search.evals
         cost.service_seconds += search.seconds
         cost.io_seeks += search.io_seeks

@@ -12,9 +12,11 @@ untouched.  The exactness contract is structural:
   shared :class:`~repro.tier.cache.BlockCache` on demand;
 * the tree's ``points`` matrix is replaced by :class:`TieredPoints`, which
   serves the exact same bytes through the same indexing operations — so
-  traversal order, pruning decisions, distance counters, and k-NN results
-  are *byte-identical* to the all-RAM node, and only service time differs
-  (cold page reads are charged as simulated seek + transfer seconds).
+  the traversal's pruning decisions, its k-NN results and the distance
+  evaluations it is charged are *byte-identical* to what the all-RAM node
+  reports (which gets there by a scan, see :mod:`repro.vptree.search`),
+  and only service time differs (cold page reads are charged as simulated
+  seek + transfer seconds).
 
 Spilling is also a durability checkpoint: the block file carries the same
 per-row CRC32 digests the WAL acknowledges, so after a spill the snapshot

@@ -153,6 +153,10 @@ class DynamicVPTree(VPTree):
         # Amortised growth: self.points is a view over a doubling backing
         # buffer, so per-element insertion stays O(L) instead of O(nL).
         index = self.points.shape[0]
+        # Every mutation starts by appending its row, and each one changes
+        # what the flattened structure would hold (a bucket, a subtree, the
+        # bounds on the descent path): rebuild it at the next search.
+        self._flat = None
         storage = getattr(self, "_storage", None)
         if storage is None or index >= storage.shape[0]:
             new_cap = max(64, 2 * (storage.shape[0] if storage is not None else 0))
@@ -166,11 +170,16 @@ class DynamicVPTree(VPTree):
         return index
 
     def _descend_path(self, point: np.ndarray) -> list[VPNode]:
-        """Root-to-leaf path the element would take (left iff ``d <= mu``)."""
+        """Root-to-leaf path the element takes (left iff ``d <= mu``),
+        widening each vertex's ``low``/``high`` to admit it: the element
+        ends up somewhere beneath every vertex on the path, and search
+        rejects whole subtrees on those bounds."""
         path = [self.root]
         node = self.root
         while not node.is_leaf:
             dist = self.adapter.pair(point, self.points[node.vantage_index])
+            node.low = min(node.low, dist)
+            node.high = max(node.high, dist)
             node = node.left if dist <= node.mu else node.right
             path.append(node)
         return path
@@ -183,6 +192,7 @@ class DynamicVPTree(VPTree):
         rebuilt = self._build(indices, prefix=node.prefix)
         node.vantage_index = rebuilt.vantage_index
         node.mu = rebuilt.mu
+        node.mu_right = rebuilt.mu_right
         node.left = rebuilt.left
         node.right = rebuilt.right
         node.bucket = rebuilt.bucket

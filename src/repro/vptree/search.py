@@ -11,18 +11,44 @@ for the query ball ``B(q, tau)``:
 The stored lower/upper bounds (``node.low``/``node.high``) tighten case
 detection beyond the plain ``mu`` test.  Leaf buckets are scored with one
 vectorised batch call.
+
+**Executed kernel vs modelled cost.**  A k-NN search is charged the
+distance evaluations that traversal makes — one per visited internal vertex
+plus the bucket size of every visited leaf — and that figure is returned
+beside the hits.  Over an in-RAM point matrix the distances themselves come
+from *one* pass of ``adapter.batch`` over ``tree.points`` per query, in
+contiguous row blocks (at the radii Mendel searches with the traversal
+evaluates nearly every row anyway), after which the traversal's outcome is
+reproduced exactly:
+
+* if fewer than ``k`` rows lie inside ``max_radius`` the k-best heap can
+  never fill, so ``tau`` stays at ``max_radius`` for the whole walk, every
+  prune test is a fixed predicate of the query's distance to one vantage
+  row, and the visit set does not depend on visit order — it is computed
+  for all such queries of a batch at once (:meth:`FlatTree.reach`);
+* otherwise ``tau`` shrinks as the heap fills and tie-breaks depend on the
+  order vertices are met in, so :func:`_knn_visit` itself is replayed,
+  reading distances from the precomputed row instead of calling the metric.
+
+Over paged rows (a spilled node's :class:`~repro.tier.store.TieredPoints`)
+:func:`_knn_visit` fetches distances lazily, vertex by vertex, because the
+order pages are touched in is itself modelled (cache state, cold reads).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.vptree.tree import VPNode, VPTree
+
+#: ``(distance, payload)`` pairs ascending by distance, and the distance
+#: evaluations the search is charged
+SearchResult = tuple[list[tuple[float, object]], int]
 
 
 class _KBest:
@@ -65,7 +91,16 @@ class _KBest:
             # <= so boundary candidates still enter while the heap is short.
             mask = dists <= tau
             dists, indices = dists[mask], indices[mask]
-        order = np.argsort(dists, kind="stable")
+        # Ascending order makes the first k offers the only ones that can
+        # land.  If one of them is refused, the heap was already full with a
+        # maximum <= it, and a full heap's maximum never rises.  If all k
+        # land, the heap holds nothing larger than the k-th: a larger older
+        # entry would have been evicted before any of them, and were it
+        # still there the heap would hold k + 1.  Either way every later
+        # candidate is >= the maximum and fails ``offer``'s strict ``<``; a
+        # refused offer draws no tie-break counter, so stopping here leaves
+        # the heap exactly as offering the whole bucket would.
+        order = np.argsort(dists, kind="stable")[: self.k]
         for pos in order:
             self.offer(float(dists[pos]), int(indices[pos]))
 
@@ -78,56 +113,240 @@ def knn_search(
     query: np.ndarray,
     k: int,
     max_radius: float = float("inf"),
-) -> list[tuple[float, object]]:
-    """The k nearest elements of *tree* to *query* as ``(distance, payload)``
-    pairs, ascending by distance.
+) -> "SearchResult | list[SearchResult]":
+    """The k nearest elements of *tree* to *query*, with the search's cost.
+
+    *query* is one ``(L,)`` code vector or a ``(W, L)`` batch; the result is
+    one ``(hits, evals)`` pair or a list of them in row order (the
+    ``scipy.spatial.KDTree.query`` convention).  ``hits`` are ``(distance,
+    payload)`` pairs ascending by distance; ``evals`` is the number of
+    distance evaluations the section III-C traversal makes for that query,
+    counted by the search itself.
 
     ``max_radius`` restricts results (and the search) to a ball around the
     query — see :class:`_KBest`.
     """
     query = np.asarray(query, dtype=np.uint8)
+    queries = query[None, :] if query.ndim == 1 else query
     if tree.root is None:
-        return []
-    if query.shape != (tree.points.shape[1],):
-        raise ValueError(
-            f"query length {query.shape} does not match indexed "
-            f"segment length {tree.points.shape[1]}"
-        )
+        results: list[SearchResult] = [([], 0) for _ in range(queries.shape[0])]
+    else:
+        if queries.ndim != 2 or queries.shape[1] != tree.points.shape[1]:
+            raise ValueError(
+                f"query shape {query.shape} does not match indexed "
+                f"segment length {tree.points.shape[1]}"
+            )
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if isinstance(tree.points, np.ndarray):
+            results = _scan_batch(tree, queries, k, float(max_radius))
+        else:
+            results = [
+                _traverse(tree, k, max_radius, *_metric_source(tree, row))
+                for row in queries
+            ]
+    return results[0] if query.ndim == 1 else results
+
+
+# -- the traversal ---------------------------------------------------------------
+# It asks its distance source for the query's distance to one row (``int``
+# -> ``float``) or to a bucket of rows (index array -> ``float64`` array).
+
+
+def _metric_source(tree: "VPTree", query: np.ndarray) -> tuple[Callable, Callable]:
+    """Distances evaluated on demand, fetching only the rows asked for."""
+    adapter, points = tree.adapter, tree.points
+    return (
+        lambda row: adapter.pair(query, points[row]),
+        lambda rows: adapter.batch(query, points[rows]),
+    )
+
+
+def _traverse(
+    tree: "VPTree", k: int, max_radius: float,
+    dist_to_row: Callable, dist_to_rows: Callable,
+) -> SearchResult:
     best = _KBest(k, max_radius=max_radius)
-    _knn_visit(tree, tree.root, query, best)
-    return [(dist, tree.payloads[idx]) for dist, idx in best.sorted_items()]
+    evals = _knn_visit(tree.root, best, dist_to_row, dist_to_rows)
+    return [(dist, tree.payloads[idx]) for dist, idx in best.sorted_items()], evals
 
 
-def _knn_visit(tree: "VPTree", node: "VPNode", query: np.ndarray, best: _KBest) -> None:
+def _knn_visit(
+    node: "VPNode", best: _KBest, dist_to_row: Callable, dist_to_rows: Callable
+) -> int:
+    """Visit the subtree at *node*; returns the distance evaluations made
+    (one per internal vertex, one per bucket row)."""
     if node.is_leaf:
-        if node.bucket.shape[0]:
-            dists = tree.adapter.batch(query, tree.points[node.bucket])
-            best.offer_batch(dists, node.bucket)
-        return
+        size = node.bucket.shape[0]
+        if size:
+            best.offer_batch(dist_to_rows(node.bucket), node.bucket)
+        return size
 
-    dist = tree.adapter.pair(query, tree.points[node.vantage_index])
+    dist = dist_to_row(node.vantage_index)
     best.offer(dist, node.vantage_index)
+    evals = 1
 
     # Subtree-level reject via the stored bounds: every element beneath this
     # vertex lies at distance within [low, high] of its vantage point, so if
     # the tau-ball around the query cannot reach that annulus, skip it all.
     if dist - best.tau > node.high or dist + best.tau < node.low:
-        return
+        return evals
 
     # Descend the side the query falls on first so tau shrinks early, then
     # re-test the far side against the (possibly smaller) tau.  The left
-    # subtree holds distances <= mu, the right holds > mu (section III-C's
-    # three cases: both tests pass only when the tau-ball straddles mu).
+    # subtree holds distances <= mu, the right holds > mu_right (section
+    # III-C's three cases: both tests pass only when the tau-ball straddles
+    # mu; ``mu_right`` is ``mu`` unless ties at mu sit on both sides).
     if dist <= node.mu:
         if node.left is not None and dist - best.tau <= node.mu:
-            _knn_visit(tree, node.left, query, best)
-        if node.right is not None and dist + best.tau > node.mu:
-            _knn_visit(tree, node.right, query, best)
+            evals += _knn_visit(node.left, best, dist_to_row, dist_to_rows)
+        if node.right is not None and dist + best.tau > node.mu_right:
+            evals += _knn_visit(node.right, best, dist_to_row, dist_to_rows)
     else:
-        if node.right is not None and dist + best.tau > node.mu:
-            _knn_visit(tree, node.right, query, best)
+        if node.right is not None and dist + best.tau > node.mu_right:
+            evals += _knn_visit(node.right, best, dist_to_row, dist_to_rows)
         if node.left is not None and dist - best.tau <= node.mu:
-            _knn_visit(tree, node.left, query, best)
+            evals += _knn_visit(node.left, best, dist_to_row, dist_to_rows)
+    return evals
+
+
+# -- one distance pass per query ---------------------------------------------------
+
+#: distance cells (queries x rows) held at once by :func:`_scan_batch`; a
+#: longer batch is worked through in slices so memory stays bounded
+_SCAN_CELLS = 1 << 20
+#: code cells (rows x segment length) handed to one metric call: the batched
+#: metrics make several 8-byte-a-cell temporaries, which past a few hundred
+#: KB fall out of cache and cost ~3x per pair (7,900 rows x 32 residues in
+#: one call: 369 ns a pair; in 1,024-row blocks: 129 ns)
+_PASS_CELLS = 1 << 15
+
+
+class FlatTree:
+    """A vp-tree's vertices as pre-order arrays (a parent always sits below
+    its children's positions), each carrying the prune tests on the edge
+    from its parent, so the fixed-``tau`` visit sets of many queries come out
+    of a few array operations.  Structure only — no copy of the point matrix."""
+
+    def __init__(self, root: "VPNode", rows: int) -> None:
+        inf = float("inf")
+        parent, via_row, inner_max, outer_min, outer_above, weight = (
+            [] for _ in range(6)
+        )
+        levels: list[list[int]] = []
+        #: the vertex (vantage or bucket) each point row is stored at
+        self.vertex_of_row = np.zeros(rows, dtype=np.intp)
+        # The root's own edge entries are never read (it is always met).
+        stack = [(root, 0, root, False, 0)]
+        while stack:
+            node, above, above_node, right_side, level = stack.pop()
+            vertex = len(parent)
+            parent.append(above)
+            via_row.append(max(above_node.vantage_index, 0))
+            # With d the query's distance to the parent's vantage row, this
+            # vertex is met iff d - tau <= high (bounds), d + tau >= low
+            # (bounds) and its side's mu test holds: d - tau <= mu on the
+            # left, d + tau > mu_right on the right.
+            inner_max.append(
+                above_node.high if right_side else min(above_node.high, above_node.mu)
+            )
+            outer_min.append(above_node.low)
+            outer_above.append(above_node.mu_right if right_side else -inf)
+            if level == len(levels):
+                levels.append([])
+            levels[level].append(vertex)
+            if node.is_leaf:
+                weight.append(node.bucket.shape[0])
+                self.vertex_of_row[node.bucket] = vertex
+                continue
+            weight.append(1)
+            self.vertex_of_row[node.vantage_index] = vertex
+            if node.right is not None:
+                stack.append((node.right, vertex, node, True, level + 1))
+            if node.left is not None:
+                stack.append((node.left, vertex, node, False, level + 1))
+        self.parent = np.array(parent, dtype=np.intp)
+        #: the parent's vantage row and the three thresholds described above
+        self.via_row = np.array(via_row, dtype=np.intp)
+        self.inner_max = np.array(inner_max, dtype=np.float64)
+        self.outer_min = np.array(outer_min, dtype=np.float64)
+        self.outer_above = np.array(outer_above, dtype=np.float64)
+        #: distance evaluations a visit costs: 1, or the leaf's bucket size
+        self.weight = np.array(weight, dtype=np.int64)
+        #: non-root vertices grouped by depth, shallowest first
+        self.levels = [np.array(level, dtype=np.intp) for level in levels[1:]]
+
+    def reach(self, dists: np.ndarray, tau: float) -> np.ndarray:
+        """``(W, V)`` mask of the vertices :func:`_knn_visit` meets for each
+        row of *dists* ``(W, N)`` while ``tau`` never moves: a vertex is met
+        iff its parent is met and the edge tests pass — the traversal's own
+        float comparisons, which no longer depend on visit order."""
+        to_parent = dists[:, self.via_row]
+        inner, outer = to_parent - tau, to_parent + tau
+        mask = (
+            (inner <= self.inner_max)
+            & (outer >= self.outer_min)
+            & (outer > self.outer_above)
+        )
+        mask[:, 0] = True
+        for level in self.levels:
+            mask[:, level] &= mask[:, self.parent[level]]
+        return mask
+
+
+def _scan_batch(
+    tree: "VPTree", queries: np.ndarray, k: int, max_radius: float
+) -> list[SearchResult]:
+    """k-NN for every row of *queries* over an in-RAM point matrix, a
+    bounded number of distance cells at a time."""
+    step = max(1, _SCAN_CELLS // tree.points.shape[0])
+    return [
+        result
+        for start in range(0, queries.shape[0], step)
+        for result in _scan_slice(tree, queries[start:start + step], k, max_radius)
+    ]
+
+
+def _scan_slice(
+    tree: "VPTree", queries: np.ndarray, k: int, max_radius: float
+) -> list[SearchResult]:
+    """One distance pass per query, then the traversal's exact outcome
+    (see the module docstring for the two cases)."""
+    batch, points = tree.adapter.batch, tree.points
+    dists = np.empty((queries.shape[0], points.shape[0]), dtype=np.float64)
+    block = max(1, _PASS_CELLS // points.shape[1])
+    for row, query in zip(dists, queries):
+        for start in range(0, points.shape[0], block):
+            row[start:start + block] = batch(query, points[start:start + block])
+    in_ball = dists <= max_radius
+    fills = in_ball.sum(axis=1) >= k
+    results: list[SearchResult] = [
+        # the replay: distances read back from the pass just made
+        _traverse(tree, k, max_radius, row.item, row.take) if full else None
+        for row, full in zip(dists, fills.tolist())
+    ]
+    bounded = np.flatnonzero(~fills)
+    if bounded.size:
+        flat = tree.flat()
+        reach = flat.reach(dists[bounded], max_radius)
+        evals = (reach @ flat.weight).tolist()
+        for pos, w in enumerate(bounded.tolist()):
+            # Rows the traversal would have offered: inside the ball *and*
+            # stored at a vertex it meets.
+            rows = np.flatnonzero(in_ball[w])
+            rows = rows[reach[pos, flat.vertex_of_row[rows]]]
+            found = dists[w, rows]
+            # ``rows`` ascends, so a stable sort by distance is the
+            # ``(distance, row)`` order ``_KBest.sorted_items`` yields.
+            order = np.argsort(found, kind="stable")
+            results[w] = (
+                [
+                    (dist, tree.payloads[row])
+                    for dist, row in zip(found[order].tolist(), rows[order].tolist())
+                ],
+                evals[pos],
+            )
+    return results
 
 
 def radius_search(
@@ -170,5 +389,5 @@ def _radius_visit(
         return
     if node.left is not None and dist - radius <= node.mu:
         _radius_visit(tree, node.left, query, radius, hits)
-    if node.right is not None and dist + radius > node.mu:
+    if node.right is not None and dist + radius > node.mu_right:
         _radius_visit(tree, node.right, query, radius, hits)

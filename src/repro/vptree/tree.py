@@ -37,6 +37,10 @@ class VPNode:
 
     vantage_index: int = -1
     mu: float = 0.0
+    #: everything in the right subtree lies strictly beyond this: ``mu``,
+    #: except after a forced split of equidistant elements, where ties at
+    #: ``mu`` sit on both sides and it is the float just below ``mu``
+    mu_right: float = 0.0
     left: "VPNode | None" = None
     right: "VPNode | None" = None
     bucket: np.ndarray | None = None
@@ -114,6 +118,7 @@ class VPTree:
                 )
         self.bucket_capacity = int(bucket_capacity)
         self._rng = as_generator(rng)
+        self._flat = None
         indices = np.arange(points.shape[0], dtype=np.intp)
         self.root: VPNode | None = (
             self._build(indices, prefix=1) if points.shape[0] else None
@@ -134,6 +139,7 @@ class VPTree:
         rest = indices[indices != pos]
         dists = self.adapter.batch(self.points[pos], self.points[rest])
         mu = float(np.median(dists))
+        mu_right = mu
         near = dists <= mu
         # Guard against degenerate splits when many elements are equidistant:
         # force both sides non-empty by moving the farthest "near" elements.
@@ -143,9 +149,11 @@ class VPTree:
             near = np.zeros(rest.shape[0], dtype=bool)
             near[order[:half]] = True
             mu = float(dists[order[half - 1]]) if half else float(dists.min())
+            mu_right = float(np.nextafter(mu, -np.inf))
         node = VPNode(
             vantage_index=pos,
             mu=mu,
+            mu_right=mu_right,
             low=float(dists.min()),
             high=float(dists.max()),
             prefix=prefix,
@@ -156,20 +164,31 @@ class VPTree:
 
     # -- queries -----------------------------------------------------------
 
-    def knn(
-        self, query: np.ndarray, k: int, max_radius: float = float("inf")
-    ) -> list[tuple[float, object]]:
-        """The *k* nearest stored elements to *query*.
+    def knn(self, query: np.ndarray, k: int, max_radius: float = float("inf")):
+        """The *k* nearest stored elements to *query*, and what finding
+        them cost.
 
-        Returns ``(distance, payload)`` pairs sorted by ascending distance.
-        Implements the single-traversal search of section III-C: ``tau``
-        starts at ``max_radius`` (default: unbounded) and shrinks to the
-        current k-th best distance; subtrees are visited only when the
-        ``tau``-ball around the query can intersect them.
+        *query* is one ``(L,)`` code vector or a ``(W, L)`` batch; returns
+        one ``(hits, evals)`` pair or a list of them in row order.  ``hits``
+        are ``(distance, payload)`` pairs sorted by ascending distance;
+        ``evals`` counts the distance evaluations of the single-traversal
+        search of section III-C: ``tau`` starts at ``max_radius`` (default:
+        unbounded) and shrinks to the current k-th best distance; subtrees
+        are visited only when the ``tau``-ball around the query can
+        intersect them.
         """
         from repro.vptree.search import knn_search  # local import: avoids cycle
 
         return knn_search(self, query, k, max_radius=max_radius)
+
+    def flat(self):
+        """The tree's structure as a :class:`~repro.vptree.search.FlatTree`,
+        built on first use (a mutable subclass drops it when it changes)."""
+        from repro.vptree.search import FlatTree
+
+        if self._flat is None:
+            self._flat = FlatTree(self.root, self.points.shape[0])
+        return self._flat
 
     def radius_search(self, query: np.ndarray, radius: float) -> list[tuple[float, object]]:
         """All stored elements within *radius* of *query*."""
@@ -180,7 +199,8 @@ class VPTree:
     # -- introspection -----------------------------------------------------
 
     def __len__(self) -> int:
-        return 0 if self.root is None else self.root.subtree_size()
+        # Every row of the point matrix is stored at exactly one vertex.
+        return self.points.shape[0]
 
     @property
     def depth(self) -> int:
@@ -217,9 +237,10 @@ class VPTree:
                     raise AssertionError(
                         f"left-subtree element {idx} at distance {dist} > mu {node.mu}"
                     )
-                if side == "right" and dist <= node.mu:
+                if side == "right" and dist <= node.mu_right:
                     raise AssertionError(
-                        f"right-subtree element {idx} at distance {dist} <= mu {node.mu}"
+                        f"right-subtree element {idx} at distance {dist} "
+                        f"<= mu_right {node.mu_right}"
                     )
             self._validate(child)
 

@@ -6,9 +6,10 @@ import pytest
 from repro.cluster.node import HP_DL160, SUNFIRE_X4100, NodeProfile, StorageNode
 from repro.seq.alphabet import PROTEIN
 from repro.seq.distance import default_distance
+from repro.tier import BlockCache, TierConfig
 
 
-def make_node(profile=HP_DL160, bucket=8, seg=8):
+def make_node(profile=HP_DL160, bucket=8, seg=8, rng_seed=1):
     return StorageNode(
         node_id="g00.n0",
         group_id="g00",
@@ -16,7 +17,7 @@ def make_node(profile=HP_DL160, bucket=8, seg=8):
         segment_length=seg,
         profile=profile,
         bucket_capacity=bucket,
-        rng_seed=1,
+        rng_seed=rng_seed,
     )
 
 
@@ -58,7 +59,7 @@ class TestLocalKnn:
         node = make_node()
         data = blocks(30)
         node.store_blocks(data, list(range(100, 130)))
-        hits, cost = node.local_knn(data[3], 2)
+        [(hits, cost)] = node.local_knn(data[3:4], 2)
         assert hits[0][1] == 103
         assert hits[0][0] == 0.0
         assert cost.seconds > 0
@@ -68,7 +69,7 @@ class TestLocalKnn:
 
     def test_empty_node(self):
         node = make_node()
-        hits, cost = node.local_knn(blocks(1)[0], 3)
+        [(hits, cost)] = node.local_knn(blocks(1), 3)
         assert hits == []
         assert cost.evals == 0
         assert cost.seconds > 0  # still charges request overhead
@@ -76,9 +77,9 @@ class TestLocalKnn:
     def test_stats_accumulate(self):
         node = make_node()
         node.store_blocks(blocks(30), list(range(30)))
-        node.local_knn(blocks(1, seed=5)[0], 2)
-        node.local_knn(blocks(1, seed=6)[0], 2)
-        assert node.stats.queries_served == 2
+        node.local_knn(blocks(1, seed=5), 2)
+        node.local_knn(blocks(2, seed=6), 2)
+        assert node.stats.queries_served == 3
         assert node.stats.evals_charged > 0
         assert node.stats.busy_seconds > 0
 
@@ -86,8 +87,50 @@ class TestLocalKnn:
         node = make_node()
         data = blocks(30)
         node.store_blocks(data, list(range(30)))
-        hits, _ = node.local_knn(data[0], 10, max_radius=0.0)
+        [(hits, _)] = node.local_knn(data[:1], 10, max_radius=0.0)
         assert all(d == 0.0 for d, _ in hits)
+
+
+class TestSearchAcrossMedia:
+    def test_ram_spilled_recovered_unspilled_agree(self):
+        """An all-RAM node answers a window batch with one distance pass
+        per window, a spilled one by walking its tree page by page: hits
+        (order included) and charged evaluations must not tell them apart,
+        nor a node rebuilt from its durable state."""
+        # Seed 0 is what a restarted node rebuilds its tree with.
+        node = make_node(rng_seed=0)
+        data = blocks(150)
+        node.store_blocks(data, list(range(500, 650)))
+        windows = np.vstack([data[:5], blocks(5, seed=9)])
+
+        def answers():
+            return [
+                [(hits, cost.evals) for hits, cost in
+                 node.local_knn(windows, k, max_radius=radius)]
+                for k, radius in ((1, float("inf")), (6, 30.0), (151, 30.0),
+                                  (151, 0.0), (6, float("inf")))
+            ]
+
+        ram = answers()
+        assert all(evals > 0 for sweep in ram for _, evals in sweep)
+        node.fail()
+        node.recover()
+        assert answers() == ram
+
+        node.attach_tier(BlockCache(1 << 11),
+                         TierConfig(page_rows=8, alphabet_size=20))
+        node.spill()
+        assert node.tiered
+        seeks = node.tier.total_seeks
+        assert answers() == ram
+        assert node.tier.total_seeks > seeks  # it really read pages
+        node.fail()
+        node.recover()  # auto-respill: tiered again, from the block file
+        assert node.tiered
+        assert answers() == ram
+        node.unspill()
+        assert not node.tiered
+        assert answers() == ram
 
 
 class TestLifecycle:
@@ -112,7 +155,7 @@ class TestLifecycle:
         assert node.block_count == 10
         assert node.last_recovery is not None
         assert node.last_recovery["blocks"] == 10
-        hits, _ = node.local_knn(blocks(10)[3], 1)
+        [(hits, _)] = node.local_knn(blocks(10)[3:4], 1)
         assert hits[0][0] == 0.0
 
     def test_reset_storage_empties_index(self):

@@ -1,5 +1,8 @@
 """Tests for the query pipeline (repro.core.query)."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,35 @@ class TestNodeKernel:
                "anchors")}
         assert cost.anchors == len(anchors) > 0
         assert cost.service_seconds > 0 and cost.io_seconds == 0.0
+
+
+class TestConcurrentCosts:
+    def test_thread_pool_reads_the_sequential_costs(self, mendel, protein_db):
+        """A search's evaluations are what the search returns, not a delta
+        of a counter other threads also advance: overlapping queries on
+        one index are charged exactly what they are charged alone.
+        (Turnaround is not compared: routing still reads a shared counter
+        twice.)"""
+        probes = [
+            mutate_to_identity(protein_db.records[i], 0.85, rng=70 + i,
+                               seq_id=f"pooled-{i}")
+            for i in range(8)
+        ]
+
+        def costs(probe):
+            stats = mendel.query(probe, QueryParams()).stats
+            return stats.node_evals, stats.funnel()
+
+        sequential = [costs(probe) for probe in probes]
+        assert all(evals > 0 for evals, _ in sequential)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                pooled = list(pool.map(costs, probes, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == sequential
 
 
 class TestEndToEnd:

@@ -25,7 +25,7 @@ class TestInsert:
         p = make_points(1)[0]
         t.insert(p, payload="only")
         assert len(t) == 1
-        assert t.knn(p, 1)[0][1] == "only"
+        assert t.knn(p, 1)[0][0][1] == "only"
 
     def test_incremental_matches_brute_force(self, metric):
         pts = make_points(150, seed=3)
@@ -35,7 +35,7 @@ class TestInsert:
         assert len(t) == 150
         t.validate_invariants()
         q = make_points(1, seed=9)[0]
-        got = [d for d, _ in t.knn(q, 7)]
+        got = [d for d, _ in t.knn(q, 7)[0]]
         expected = sorted(metric(q, p) for p in pts)[:7]
         assert got == pytest.approx(expected)
 
@@ -64,7 +64,7 @@ class TestInsert:
         t = DynamicVPTree(metric, segment_length=8, rng=9)
         p = make_points(1)[0]
         index = t.insert(p)
-        assert t.knn(p, 1)[0][1] == index
+        assert t.knn(p, 1)[0][0][1] == index
 
 
 class TestBatchInsert:
@@ -90,7 +90,7 @@ class TestBatchInsert:
         t = DynamicVPTree(metric, segment_length=8, rng=15)
         t.insert_batch(pts)
         q = make_points(1, seed=16)[0]
-        got = [d for d, _ in t.knn(q, 5)]
+        got = [d for d, _ in t.knn(q, 5)[0]]
         expected = sorted(metric(q, p) for p in pts)[:5]
         assert got == pytest.approx(expected)
 

@@ -77,5 +77,5 @@ class TestSearchDeterminism:
         q = rng.integers(0, 20, 8).astype(np.uint8)
         radius = 30.0
         in_ball = tree.radius_search(q, radius)
-        bounded = tree.knn(q, len(pts), max_radius=radius)
+        bounded, _ = tree.knn(q, len(pts), max_radius=radius)
         assert [d for d, _ in in_ball] == [d for d, _ in bounded]

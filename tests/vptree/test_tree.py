@@ -49,20 +49,20 @@ class TestConstruction:
         t = VPTree(np.empty((0, 5), dtype=np.uint8), metric)
         assert len(t) == 0
         assert t.depth == 0
-        assert t.knn(np.zeros(5, dtype=np.uint8), 3) == []
+        assert t.knn(np.zeros(5, dtype=np.uint8), 3) == ([], 0)
 
     def test_single_point(self, metric):
         pts = np.array([[1, 2, 3]], dtype=np.uint8)
         t = VPTree(pts, metric)
         assert len(t) == 1
-        result = t.knn(np.array([1, 2, 3], dtype=np.uint8), 1)
-        assert result[0][0] == 0.0
+        hits, evals = t.knn(np.array([1, 2, 3], dtype=np.uint8), 1)
+        assert hits[0][0] == 0.0 and evals == 1
 
     def test_all_identical_points(self, metric):
         pts = np.tile(np.array([3, 3, 3], dtype=np.uint8), (40, 1))
         t = VPTree(pts, metric, bucket_capacity=4, rng=2)
         assert len(t) == 40
-        hits = t.knn(np.array([3, 3, 3], dtype=np.uint8), 5)
+        hits, _ = t.knn(np.array([3, 3, 3], dtype=np.uint8), 5)
         assert len(hits) == 5
         assert all(d == 0.0 for d, _ in hits)
 
@@ -81,7 +81,7 @@ class TestConstruction:
     def test_custom_payloads_returned(self, metric):
         pts = np.array([[0, 0], [5, 5]], dtype=np.uint8)
         t = VPTree(pts, HammingDistance(), payloads=["near", "far"])
-        hits = t.knn(np.array([0, 0], dtype=np.uint8), 1)
+        hits, _ = t.knn(np.array([0, 0], dtype=np.uint8), 1)
         assert hits[0][1] == "near"
 
     def test_prefixes_follow_path_rule(self, tree):
@@ -102,22 +102,22 @@ class TestKnn:
         rng = np.random.default_rng(5)
         for _ in range(25):
             q = rng.integers(0, 20, 10).astype(np.uint8)
-            got = tree.knn(q, 5)
+            got, _ = tree.knn(q, 5)
             expected = brute_knn(points, metric, q, 5)
             assert [d for d, _ in got] == [d for d, _ in expected]
 
     def test_query_in_tree_found_first(self, tree, points):
-        hits = tree.knn(points[17], 1)
+        hits, _ = tree.knn(points[17], 1)
         assert hits[0][0] == 0.0
 
     def test_k_larger_than_tree(self, metric):
         pts = np.random.default_rng(1).integers(0, 20, (5, 6)).astype(np.uint8)
         t = VPTree(pts, metric)
-        assert len(t.knn(pts[0], 50)) == 5
+        assert len(t.knn(pts[0], 50)[0]) == 5
 
     def test_sorted_ascending(self, tree, rng):
         q = rng.integers(0, 20, 10).astype(np.uint8)
-        hits = tree.knn(q, 10)
+        hits, _ = tree.knn(q, 10)
         dists = [d for d, _ in hits]
         assert dists == sorted(dists)
 
@@ -127,13 +127,13 @@ class TestKnn:
 
     def test_max_radius_is_lossless_filter(self, tree, points, metric, rng):
         q = rng.integers(0, 20, 10).astype(np.uint8)
-        unbounded = tree.knn(q, 8)
+        unbounded, _ = tree.knn(q, 8)
         radius = unbounded[-1][0]
-        bounded = tree.knn(q, 8, max_radius=radius)
+        bounded, _ = tree.knn(q, 8, max_radius=radius)
         assert [d for d, _ in bounded] == [d for d, _ in unbounded]
 
     def test_max_radius_zero_finds_exact_only(self, tree, points):
-        hits = tree.knn(points[3], 10, max_radius=0.0)
+        hits, _ = tree.knn(points[3], 10, max_radius=0.0)
         assert all(d == 0.0 for d, _ in hits)
         assert len(hits) >= 1
 
@@ -169,6 +169,6 @@ def test_knn_equals_brute_force_property(seed, k):
     metric = default_distance(PROTEIN)
     tree = VPTree(pts, metric, rng=seed, bucket_capacity=int(rng.integers(1, 9)))
     q = rng.integers(0, 20, 6).astype(np.uint8)
-    got = [d for d, _ in tree.knn(q, k)]
+    got = [d for d, _ in tree.knn(q, k)[0]]
     expected = [d for d, _ in brute_knn(pts, metric, q, k)]
     assert got == expected
