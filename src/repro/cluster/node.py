@@ -56,8 +56,6 @@ SUNFIRE_X4100 = NodeProfile(name="sunfire-x4100", speed_factor=0.6)
 class NodeStats:
     blocks_stored: int = 0
     queries_served: int = 0
-    evals_charged: int = 0
-    busy_seconds: float = 0.0
     #: durability-layer counters (survive crashes: they describe what the
     #: experiment observed, not what the node's RAM held)
     blocks_recovered: int = 0
@@ -190,9 +188,10 @@ class StorageNode:
 
     # -- storage -------------------------------------------------------------
 
-    def store_blocks(self, codes: np.ndarray, block_ids: list[int]) -> None:
+    def store_blocks(self, codes: np.ndarray, block_ids: list[int]) -> int:
         """Index a batch of blocks (rows of *codes*) in the local vp-tree
-        and journal each insert to the node's write-ahead log.
+        and journal each insert to the node's write-ahead log; returns the
+        distance evaluations the insert cost.
 
         An insert is *acknowledged* only once its WAL record is fully on
         the device; appends a torn write or full disk refused leave the
@@ -208,7 +207,11 @@ class StorageNode:
         # node folds back first and re-spills below, so repair streams,
         # quarantine rebuilds, and placement moves need no tier awareness.
         self.unspill()
+        # The one bracket of the adapter's lifetime count: an insert is
+        # the tree's only writer (searches count their own evaluations).
+        before = self.tree.adapter.pair_evaluations
         self.tree.insert_batch(codes, payloads=block_ids)
+        evals = self.tree.adapter.pair_evaluations - before
         self.block_ids.extend(block_ids)
         self.stats.blocks_stored += len(block_ids)
         acked = 0
@@ -225,6 +228,7 @@ class StorageNode:
         )
         if self.auto_respill and self._tier_attach is not None and self.alive:
             self.spill()
+        return evals
 
     def verify_block(self, block_id: int) -> bool:
         """Verified read gate: does this node's durable copy of *block_id*
@@ -378,8 +382,6 @@ class StorageNode:
                 # transfer), not scaled by CPU speed.
                 io_seconds = self.tier.io_seconds(seeks, nbytes)
                 seconds += io_seconds
-            self.stats.evals_charged += evals
-            self.stats.busy_seconds += seconds
             out.append((hits, SearchCost(evals, seconds, seeks, nbytes, io_seconds)))
         self.stats.queries_served += len(out)
         self._m_searches.inc(len(out))

@@ -20,7 +20,7 @@ their destination with no overlay hops, as in Dynamo).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,6 +112,18 @@ def build_prefix_assignment(
             group_index += 1
             mass = 0
     return assignment
+
+
+class Route(NamedTuple):
+    """One query segment's tier-1 routing decision, made once by
+    :meth:`ClusterTopology.route` and carried forward as a value."""
+
+    #: vp-prefixes the tolerance traversal reached, in traversal order
+    prefixes: tuple[int, ...]
+    #: distinct groups owning those prefixes, in first-reached order
+    groups: tuple[StorageGroup, ...]
+    #: prefix-tree distance evaluations the traversal made
+    evals: int
 
 
 class ClusterTopology:
@@ -256,22 +268,20 @@ class ClusterTopology:
         group = self.group_for_prefix(prefix)
         return group.place(block_key)
 
-    def groups_for_query(
-        self, codes: np.ndarray, tolerance: float
-    ) -> list[StorageGroup]:
-        """Groups that may hold neighbours of a query segment (tier-1
-        traversal with branching tolerance; section V-B)."""
-        hashes = self.prefix_tree.hash_query(
+    def route(self, codes: np.ndarray, tolerance: float) -> Route:
+        """Tier-1 routing of one query segment (prefix-tree traversal with
+        branching tolerance; section V-B): the groups that may hold its
+        neighbours and what finding them cost."""
+        hashes, evals = self.prefix_tree.hash_query(
             np.asarray(codes, dtype=np.uint8), tolerance
         )
-        seen: set[str] = set()
-        result: list[StorageGroup] = []
+        groups: dict[str, StorageGroup] = {}
         for item in hashes:
             group = self.group_for_prefix(item.prefix)
-            if group.group_id not in seen:
-                seen.add(group.group_id)
-                result.append(group)
-        return result
+            groups.setdefault(group.group_id, group)
+        return Route(
+            tuple(item.prefix for item in hashes), tuple(groups.values()), evals
+        )
 
     # -- statistics -------------------------------------------------------------------
 

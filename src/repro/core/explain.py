@@ -28,9 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.core.query import FUNNEL_STAGES, QueryReport
+from repro.core.query import FUNNEL_STAGES, QueryReport, WindowRoute
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.index import MendelIndex
@@ -62,32 +60,6 @@ class FunnelStage:
             "dropped": self.dropped,
             "retained": round(self.retained, 6),
             "sim_ms": round(self.sim_ms, 6),
-        }
-
-
-@dataclass(frozen=True)
-class WindowRoute:
-    """Tier-1 routing of one subquery window."""
-
-    window: int
-    query_start: int
-    #: distinct vp-prefixes the tolerance traversal reached
-    prefixes: tuple[int, ...]
-    #: distinct groups those prefixes map to, in first-reached order
-    groups: tuple[str, ...]
-
-    @property
-    def replicated(self) -> bool:
-        """True when branching tolerance sent this window to >1 group."""
-        return len(self.groups) > 1
-
-    def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "query_start": self.query_start,
-            "prefixes": list(self.prefixes),
-            "groups": list(self.groups),
-            "replicated": self.replicated,
         }
 
 
@@ -254,44 +226,17 @@ def build_plan(
     params: "QueryParams",
     report: QueryReport,
 ) -> QueryPlan:
-    """Condense a traced *report* plus recomputed routing into a plan.
+    """Condense a traced *report* into a plan.
 
-    Routing (window -> prefixes -> groups) is recomputed here with the same
-    deterministic tier-1 traversal the engine used; fan-out nodes, stage
-    timings, and the entry point are read off the report's span tree.
+    Routing (window -> prefixes -> groups) is the run's own record,
+    ``report.routes``; fan-out nodes, stage timings, and the entry point
+    are read off the report's span tree.
     """
-    tolerance = (
-        params.tolerance
-        if params.tolerance is not None
-        else 0.5 * engine.search_radius(params)
-    )
-    routes: list[WindowRoute] = []
-    subqueries = 0
-    group_order: list[str] = []
-    seen_groups: set[str] = set()
-    for window in engine.windows_for(record, params):
-        codes = np.asarray(window.codes, dtype=np.uint8)
-        prefixes: list[int] = []
-        groups: list[str] = []
-        for item in index.prefix_tree.hash_query(codes, tolerance):
-            if item.prefix not in prefixes:
-                prefixes.append(item.prefix)
-            group_id = index.topology.group_for_prefix(item.prefix).group_id
-            if group_id not in groups:
-                groups.append(group_id)
-        subqueries += len(groups)
-        for group_id in groups:
-            if group_id not in seen_groups:
-                seen_groups.add(group_id)
-                group_order.append(group_id)
-        routes.append(
-            WindowRoute(
-                window=window.index,
-                query_start=window.query_start,
-                prefixes=tuple(prefixes),
-                groups=tuple(groups),
-            )
-        )
+    routes = report.routes
+    # Groups in the order the windows first reached them.
+    group_order = list(dict.fromkeys(
+        group_id for route in routes for group_id in route.groups
+    ))
 
     # Read execution facts off the span tree.
     root = report.root_span
@@ -324,12 +269,12 @@ def build_plan(
         entry_node=entry_node,
         window_length=index.segment_length,
         stride=params.k,
-        tolerance=tolerance,
+        tolerance=engine.tolerance(params),
         replication=index.config.replication,
         routes=routes,
         groups_contacted=group_order,
         nodes_fanned_out=sorted(nodes),
-        subqueries_routed=subqueries,
+        subqueries_routed=sum(len(route.groups) for route in routes),
         funnel=build_funnel(report, stage_ms),
         stage_timings=stage_timings,
         turnaround_ms=report.stats.turnaround * 1e3,

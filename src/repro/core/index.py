@@ -154,9 +154,6 @@ class MendelIndex:
 
     def _disperse(self) -> None:
         """Hash every block to its node and batch-insert per node."""
-        tree_adapter = self.prefix_tree._tree.adapter
-        evals_before = tree_adapter.pair_evaluations
-
         per_node_ids: dict[str, list[int]] = {
             node.node_id: [] for node in self.topology.nodes
         }
@@ -166,8 +163,10 @@ class MendelIndex:
         replication = self.config.replication
         for block in self.store.blocks:
             codes = self.store.codes_of(block.block_id)
-            prefix = self.prefix_tree.hash_one(codes).prefix
-            group = self.topology.group_for_prefix(prefix)
+            hashed = self.prefix_tree.hash_one(codes)
+            # One evaluation per level the single-path walk descended.
+            self.stats.hash_evals += hashed.depth
+            group = self.topology.group_for_prefix(hashed.prefix)
             replicas = group.place_replicas(
                 self.store.block_key(block.block_id), replication
             )
@@ -175,16 +174,13 @@ class MendelIndex:
                 per_node_ids[node.node_id].append(block.block_id)
             self.node_of_block[block.block_id] = replicas[0].node_id
 
-        self.stats.hash_evals = tree_adapter.pair_evaluations - evals_before
-
         makespan = 0.0
         for node_id, block_ids in per_node_ids.items():
             node = nodes_by_id[node_id]
             if block_ids:
-                before = node.tree.adapter.pair_evaluations
-                codes = self.store.codes_matrix(block_ids)
-                node.store_blocks(codes, block_ids)
-                evals = node.tree.adapter.pair_evaluations - before
+                evals = node.store_blocks(
+                    self.store.codes_matrix(block_ids), block_ids
+                )
                 self.stats.insert_evals += evals
                 makespan = max(makespan, node.service_time(evals))
             self.stats.per_node_blocks[node_id] = len(block_ids)

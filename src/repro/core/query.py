@@ -146,6 +146,32 @@ class NodeCost:
     service_seconds: float = 0.0
 
 
+@dataclass(frozen=True)
+class WindowRoute:
+    """Tier-1 routing of one subquery window, as the run decided it."""
+
+    window: int
+    query_start: int
+    #: distinct vp-prefixes the tolerance traversal reached
+    prefixes: tuple[int, ...]
+    #: distinct groups those prefixes map to, in first-reached order
+    groups: tuple[str, ...]
+
+    @property
+    def replicated(self) -> bool:
+        """True when branching tolerance sent this window to >1 group."""
+        return len(self.groups) > 1
+
+    def to_dict(self) -> dict:
+        return {
+            "window": self.window,
+            "query_start": self.query_start,
+            "prefixes": list(self.prefixes),
+            "groups": list(self.groups),
+            "replicated": self.replicated,
+        }
+
+
 @dataclass
 class QueryReport:
     """Result of one query: ranked alignments plus statistics.
@@ -166,6 +192,9 @@ class QueryReport:
     coverage: float = 1.0
     degraded: bool = False
     failed_nodes: list[str] = field(default_factory=list)
+    #: where the run sent each window, in window order (what EXPLAIN reads;
+    #: empty on a report merged from several runs)
+    routes: list[WindowRoute] = field(default_factory=list)
     #: root of the span tree recorded when a :class:`~repro.obs.trace.
     #: TraceContext` was attached to the run (``None`` otherwise); its
     #: sim-clock duration equals ``stats.turnaround``
@@ -291,6 +320,7 @@ class _QueryState:
     trace_ctx: TraceContext | None
     stats: QueryStats = field(default_factory=QueryStats)
     root: "Span | object" = NO_SPAN
+    routes: list[WindowRoute] = field(default_factory=list)
     #: blocks in scope of the routed subqueries / searched by a responder
     total: set[int] = field(default_factory=set)
     covered: set[int] = field(default_factory=set)
@@ -325,8 +355,7 @@ class _BatchRun:
         self.store = index.store
         self.matrix = resolve_matrix(params, index.alphabet)
         self.radius = self.engine.search_radius(params)
-        self.tolerance = (params.tolerance if params.tolerance is not None
-                          else 0.5 * self.radius)
+        self.tolerance = self.engine.tolerance(params)
         nodes = self.topo.nodes
         self.entry = next((n for n in nodes if n.alive), nodes[0])
         # CPU locks are created on demand: the autoscaler can add nodes
@@ -640,25 +669,30 @@ class _BatchRun:
         self._complete(state)
 
     def _route(self, state: _QueryState):
-        """Window the query and hash each window through the vp-prefix
-        tree with branching tolerance; returns ``{group id: (group,
-        windows routed to it)}``."""
+        """Window the query and route each window through the vp-prefix
+        tree with branching tolerance, once: the decision is recorded in
+        ``state.routes`` and its evaluations are charged from the routing
+        call's own count.  Returns ``{group id: (group, windows routed to
+        it)}``."""
         entry, stats = self.entry, state.stats
         span = state.root.child("route", sim_now=self.sim.now,
                                 actor=entry.node_id)
         windows = self.engine.windows_for(state.query, self.params)
         stats.windows = len(windows)
-        adapter = self.engine.index.prefix_tree._tree.adapter
-        hash_before = adapter.pair_evaluations
         routing: dict[str, tuple[StorageGroup, list[_Window]]] = {}
+        hash_evals = 0
         for window in windows:
-            for group in self.topo.groups_for_query(window.codes,
-                                                    self.tolerance):
+            route = self.topo.route(window.codes, self.tolerance)
+            hash_evals += route.evals
+            for group in route.groups:
                 routed = routing.setdefault(group.group_id, (group, []))[1]
                 routed.append(window)
                 stats.subqueries_routed += 1
                 self.m_routed.labels(group=group.group_id).inc()
-        hash_evals = adapter.pair_evaluations - hash_before
+            state.routes.append(WindowRoute(
+                window.index, window.query_start, route.prefixes,
+                tuple(group.group_id for group in route.groups),
+            ))
         self.publish(stats, "route", _SYSTEM_SITE, {},
                      distance_evals=hash_evals)
         yield entry.service_time(hash_evals)
@@ -724,7 +758,7 @@ class _BatchRun:
         return QueryReport(
             query_id=state.query.seq_id, alignments=state.alignments,
             stats=stats, coverage=state.coverage, degraded=state.degraded,
-            failed_nodes=sorted(state.failed),
+            failed_nodes=sorted(state.failed), routes=state.routes,
             root_span=root if isinstance(root, Span) else None,
         )
 
@@ -764,6 +798,13 @@ class QueryEngine:
         else:
             radius = max_mismatches * float(np.asarray(per_residue).max())
         return radius * params.search_radius_scale
+
+    def tolerance(self, params: QueryParams) -> float:
+        """Branching tolerance of the tier-1 traversal: ``params.tolerance``,
+        or by default half the search radius."""
+        if params.tolerance is not None:
+            return params.tolerance
+        return 0.5 * self.search_radius(params)
 
     # -- window construction ----------------------------------------------------
 

@@ -211,10 +211,11 @@ class ReReplicator:
                 report.bytes_streamed += size
             yield transfer
             block_ids = [move.block_id for move in moves]
-            before = node.tree.adapter.pair_evaluations
-            node.store_blocks(self.index.store.codes_matrix(block_ids), block_ids)
+            evals = node.store_blocks(
+                self.index.store.codes_matrix(block_ids), block_ids
+            )
             report.blocks_streamed += len(block_ids)
-            yield node.service_time(node.tree.adapter.pair_evaluations - before)
+            yield node.service_time(evals)
 
         streams = [
             sim.spawn(stream_to(dst_id, moves), name=f"repair:{dst_id}")

@@ -29,7 +29,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.explain import build_funnel
 from repro.core.framework import Mendel
@@ -951,15 +951,7 @@ def _replay(report: QueryReport, query_id: str) -> QueryReport:
     Alignments keep the original query's id (they are frozen and shared);
     only the report envelope is re-labelled.
     """
-    return QueryReport(
-        query_id=query_id,
-        alignments=report.alignments,
-        stats=report.stats,
-        coverage=report.coverage,
-        degraded=report.degraded,
-        failed_nodes=report.failed_nodes,
-        root_span=report.root_span,
-    )
+    return replace(report, query_id=query_id)
 
 
 def _failed(error: Exception) -> Future:

@@ -17,9 +17,10 @@ fan-out prefetches exactly that candidate set before node service starts,
 so cold reads batch into one sequential fetch instead of per-miss seeks.
 
 Summary distances run on a **fresh** :class:`MetricAdapter` — never the
-node tree's — so summary maintenance and prefetch pruning leave the
-simulation's ``pair_evaluations`` counters (and therefore every simulated
-service time) byte-identical to the all-RAM deployment.
+node tree's — so summary maintenance and prefetch pruning stay out of the
+tree adapter's lifetime evaluation count, which an insert's service time
+is bracketed from (searches count their own evaluations); every simulated
+service time is byte-identical to the all-RAM deployment.
 """
 
 from __future__ import annotations

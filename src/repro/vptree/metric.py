@@ -55,6 +55,3 @@ class MetricAdapter:
         return np.array(
             [self.metric(query, row) for row in rows], dtype=np.float64
         )
-
-    def reset_counter(self) -> None:
-        self.pair_evaluations = 0

@@ -164,26 +164,24 @@ class VPPrefixTree:
             depth += 1
         return PrefixHash(prefix=node.prefix, depth=depth)
 
-    def hash_query(self, point: np.ndarray, tolerance: float = 0.0) -> list[PrefixHash]:
-        """Tolerance prefix hash used for query routing.
+    def hash_query(
+        self, point: np.ndarray, tolerance: float = 0.0
+    ) -> tuple[list[PrefixHash], int]:
+        """Tolerance prefix hash used for query routing; returns the hashes
+        in traversal order and the distance evaluations the walk made (one
+        per vertex above the frontier it visited).
 
         Branches into both children whenever ``|d - mu| <= tolerance``, so a
         query near a partition boundary reaches every group that may hold
-        neighbours.  ``tolerance=0`` reduces to :meth:`hash_one`.
+        neighbours.  ``tolerance=0`` reduces to :meth:`hash_one`, whose
+        ``depth`` is its evaluation count.
         """
         if tolerance < 0:
             raise ValueError(f"tolerance must be non-negative, got {tolerance}")
         point = self._check(point)
         results: list[PrefixHash] = []
-        self._branch_visit(self._tree.root, point, tolerance, 0, results)
-        # Deduplicate while preserving traversal order.
-        seen: set[int] = set()
-        unique = []
-        for item in results:
-            if item.prefix not in seen:
-                seen.add(item.prefix)
-                unique.append(item)
-        return unique
+        evals = self._branch_visit(self._tree.root, point, tolerance, 0, results)
+        return results, evals
 
     def _branch_visit(
         self,
@@ -192,17 +190,19 @@ class VPPrefixTree:
         tolerance: float,
         depth: int,
         out: list[PrefixHash],
-    ) -> None:
+    ) -> int:
         if self._at_frontier(node, depth):
             out.append(PrefixHash(prefix=node.prefix, depth=depth))
-            return
+            return 0
         dist = self._tree.adapter.pair(point, self._tree.points[node.vantage_index])
         go_left = dist <= node.mu + tolerance
         go_right = dist > node.mu - tolerance
+        evals = 1
         if go_left:
-            self._branch_visit(node.left, point, tolerance, depth + 1, out)
+            evals += self._branch_visit(node.left, point, tolerance, depth + 1, out)
         if go_right:
-            self._branch_visit(node.right, point, tolerance, depth + 1, out)
+            evals += self._branch_visit(node.right, point, tolerance, depth + 1, out)
+        return evals
 
     # -- prefix enumeration ----------------------------------------------------
 

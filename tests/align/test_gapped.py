@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align.gapped import banded_extend
-from repro.align.smith_waterman import smith_waterman_score
+from repro.align.smith_waterman import smith_waterman, smith_waterman_score
+from repro.seq import random_set
 from repro.seq.alphabet import PROTEIN
 from repro.seq.matrices import BLOSUM62
+from repro.seq.mutate import MutationModel, mutate
 
 M = BLOSUM62.astype(np.float64)
 
@@ -101,3 +103,153 @@ class TestValidation:
         ext = banded_extend(q, q, M, 20, 20, bandwidth=0)
         assert ext.query_end - ext.query_start == ext.subject_end - ext.subject_start
         assert ext.score == float(M[q, q].sum())
+
+
+# -- oracle ------------------------------------------------------------------
+# A cell-by-cell reference of the same banded affine X-drop extension.  It
+# shares no layout with the implementation: cells are keyed by their absolute
+# column (no band offsets, no reused row buffers, no prefix scan) and every
+# value is one scalar ``max``.
+
+
+def reference_extend(query, subject, matrix, bandwidth, gap_open, gap_extend,
+                     x_drop):
+    """One direction from position 0: ``(query_consumed, subject_consumed,
+    score)``.  Row ``i`` holds the columns ``j`` with ``|j - i| <= bandwidth``
+    and ``0 <= j <= m``; column 0 is the pure-gap border."""
+    n, m = len(query), len(subject)
+    gone = float("-inf")
+    best, best_i, best_j = 0.0, 0, 0
+    h_prev = {0: 0.0}
+    for j in range(1, min(m, bandwidth) + 1):
+        h_prev[j] = -gap_open - gap_extend * (j - 1)
+    f_prev = {}
+    for i in range(1, n + 1):
+        h, f = {}, {}
+        e = gone  # best score ending in a gap that consumed subject[j - 1]
+        for j in range(max(0, i - bandwidth), min(m, i + bandwidth) + 1):
+            f[j] = max(h_prev.get(j, gone) - gap_open,
+                       f_prev.get(j, gone) - gap_extend)
+            if j == 0:
+                arrived = f[j]
+                h[j] = -gap_open - gap_extend * (i - 1)
+            else:
+                diagonal = (h_prev.get(j - 1, gone)
+                            + float(matrix[query[i - 1], subject[j - 1]]))
+                arrived = max(diagonal, f[j])
+                h[j] = max(arrived, e)
+            # A gap opens off a cell reached diagonally or vertically.
+            e = max(arrived - gap_open, e - gap_extend)
+        row_best, row_j = gone, 0
+        for j in sorted(h):
+            if h[j] > row_best:
+                row_best, row_j = h[j], j
+        if row_best > best:
+            best, best_i, best_j = row_best, i, row_j
+        if row_best < best - x_drop:
+            break
+        for j in h:
+            if h[j] < best - x_drop:
+                h[j] = gone
+        h_prev, f_prev = h, f
+    return best_i, best_j, best
+
+
+def reference_banded_extend(query, subject, matrix, seed_query, seed_subject,
+                            **kw):
+    fwd_i, fwd_j, fwd = reference_extend(
+        query[seed_query:], subject[seed_subject:], matrix, **kw)
+    bwd_i, bwd_j, bwd = reference_extend(
+        query[:seed_query][::-1], subject[:seed_subject][::-1], matrix, **kw)
+    return (seed_query - bwd_i, seed_query + fwd_i,
+            seed_subject - bwd_j, seed_subject + fwd_j, fwd + bwd)
+
+
+def homolog_pair(seed):
+    """A protein and a mutant of it: substitutions everywhere, and (two
+    pairs in three) a few single-residue insertions and deletions."""
+    rng = np.random.default_rng(seed)
+    record = random_set(count=1, length=int(rng.integers(40, 90)),
+                        alphabet=PROTEIN, rng=seed).records[0]
+    indel_rate = seed % 3 * 0.04
+    model = MutationModel(
+        substitution_rate=float(rng.choice([0.05, 0.15, 0.3])),
+        insertion_rate=indel_rate, deletion_rate=indel_rate,
+    )
+    return record.codes, mutate(record, model, rng=rng).codes
+
+
+def aligned_pairs(result):
+    """``(query position, subject position)`` of every residue pair on a
+    traced-back local alignment."""
+    pairs, qpos, spos = [], result.query_start, result.subject_start
+    for q_char, s_char in zip(result.aligned_query, result.aligned_subject):
+        if q_char != "-" and s_char != "-":
+            pairs.append((qpos, spos))
+        qpos += q_char != "-"
+        spos += s_char != "-"
+    return pairs
+
+
+BANDWIDTHS = (0, 2, 8)
+X_DROPS = (5.0, 25.0, 1e9)
+PAIR_SEEDS = range(30)
+
+
+class TestAgainstCellByCellReference:
+    def test_coordinates_and_score_exact(self):
+        for seed in PAIR_SEEDS:
+            q, s = homolog_pair(seed)
+            seeds = [(0, 0), (q.size - 1, s.size - 1),
+                     (q.size // 2, min(s.size - 1, q.size // 2))]
+            for bandwidth in BANDWIDTHS:
+                for x_drop in X_DROPS:
+                    for seed_q, seed_s in seeds:
+                        ext = banded_extend(q, s, M, seed_q, seed_s,
+                                            bandwidth=bandwidth, x_drop=x_drop)
+                        want = reference_banded_extend(
+                            q, s, M, seed_q, seed_s, bandwidth=bandwidth,
+                            gap_open=11.0, gap_extend=1.0, x_drop=x_drop)
+                        got = (ext.query_start, ext.query_end,
+                               ext.subject_start, ext.subject_end, ext.score)
+                        assert got == want, (seed, bandwidth, x_drop, seed_q)
+
+    def test_other_gap_costs(self):
+        for seed in PAIR_SEEDS[:10]:
+            q, s = homolog_pair(seed)
+            for gap_open, gap_extend in ((5.0, 2.0), (3.0, 3.0)):
+                ext = banded_extend(q, s, M, q.size // 3, q.size // 3,
+                                    bandwidth=4, gap_open=gap_open,
+                                    gap_extend=gap_extend, x_drop=20.0)
+                want = reference_banded_extend(
+                    q, s, M, q.size // 3, q.size // 3, bandwidth=4,
+                    gap_open=gap_open, gap_extend=gap_extend, x_drop=20.0)
+                assert (ext.query_start, ext.query_end, ext.subject_start,
+                        ext.subject_end, ext.score) == want, (seed, gap_open)
+
+
+class TestAgainstSmithWaterman:
+    def test_never_above_and_equal_inside_the_band(self):
+        """A banded extension scores one real alignment through its seed,
+        so never more than the unrestricted local optimum; seeded on that
+        optimum's own path with X-drop out of the way, it must find it
+        whenever the path stays within the band."""
+        inside = {bandwidth: 0 for bandwidth in BANDWIDTHS}
+        for seed in PAIR_SEEDS:
+            q, s = homolog_pair(seed)
+            optimum = smith_waterman(q, s, M)
+            assert optimum.score == smith_waterman_score(q, s, M).score
+            pairs = aligned_pairs(optimum)
+            seed_q, seed_s = pairs[len(pairs) // 2]
+            drift = max(abs((sp - qp) - (seed_s - seed_q)) for qp, sp in pairs)
+            for bandwidth in BANDWIDTHS:
+                for x_drop in X_DROPS:
+                    ext = banded_extend(q, s, M, seed_q, seed_s,
+                                        bandwidth=bandwidth, x_drop=x_drop)
+                    assert ext.score <= optimum.score, (seed, bandwidth, x_drop)
+                    if drift <= bandwidth and x_drop == 1e9:
+                        inside[bandwidth] += 1
+                        assert ext.score == optimum.score, (seed, bandwidth)
+        # The generator must actually exercise both sides of the condition.
+        assert 0 < inside[0] < inside[2] <= inside[8] <= len(PAIR_SEEDS)
+        assert inside[8] > inside[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.node import HP_DL160, SUNFIRE_X4100, NodeProfile, StorageNode
+from repro.obs.metrics import default_registry
 from repro.seq.alphabet import PROTEIN
 from repro.seq.distance import default_distance
 from repro.tier import BlockCache, TierConfig
@@ -25,6 +26,12 @@ def blocks(n, seg=8, seed=0):
     return np.random.default_rng(seed).integers(0, 20, (n, seg)).astype(np.uint8)
 
 
+def evals_counted(group="g00"):
+    """The thread-safe tally of a group's search evaluations."""
+    return default_registry().value(
+        "repro_distance_evaluations_total", group=group)
+
+
 class TestNodeProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -39,9 +46,11 @@ class TestNodeProfile:
 class TestStorage:
     def test_store_and_count(self):
         node = make_node()
-        node.store_blocks(blocks(20), list(range(20)))
+        evals = node.store_blocks(blocks(20), list(range(20)))
         assert node.block_count == 20
         assert node.stats.blocks_stored == 20
+        # the insert reports what it cost the tree's metric
+        assert evals == node.tree.adapter.pair_evaluations > 0
 
     def test_store_shape_mismatch(self):
         node = make_node()
@@ -59,11 +68,12 @@ class TestLocalKnn:
         node = make_node()
         data = blocks(30)
         node.store_blocks(data, list(range(100, 130)))
+        counted = evals_counted()
         [(hits, cost)] = node.local_knn(data[3:4], 2)
         assert hits[0][1] == 103
         assert hits[0][0] == 0.0
         assert cost.seconds > 0
-        assert cost.evals == node.stats.evals_charged > 0
+        assert cost.evals == evals_counted() - counted > 0
         # an all-RAM node pays no cold reads
         assert (cost.io_seeks, cost.io_bytes, cost.io_seconds) == (0, 0, 0.0)
 
@@ -77,11 +87,12 @@ class TestLocalKnn:
     def test_stats_accumulate(self):
         node = make_node()
         node.store_blocks(blocks(30), list(range(30)))
-        node.local_knn(blocks(1, seed=5), 2)
-        node.local_knn(blocks(2, seed=6), 2)
+        counted = evals_counted()
+        searches = node.local_knn(blocks(1, seed=5), 2)
+        searches += node.local_knn(blocks(2, seed=6), 2)
         assert node.stats.queries_served == 3
-        assert node.stats.evals_charged > 0
-        assert node.stats.busy_seconds > 0
+        assert sum(cost.evals for _, cost in searches) == evals_counted() - counted > 0
+        assert all(cost.seconds > 0 for _, cost in searches)
 
     def test_max_radius_passthrough(self):
         node = make_node()

@@ -124,13 +124,17 @@ class TestClusterTopology:
         assert group in topology.groups
 
     def test_groups_for_query_nonempty(self, topology, sample):
-        groups = topology.groups_for_query(sample[10], tolerance=0.0)
-        assert len(groups) >= 1
+        route = topology.route(sample[10], tolerance=0.0)
+        assert len(route.groups) == len(route.prefixes) == 1
+        # A single-path walk evaluates one vertex per level it descends.
+        assert route.evals == topology.prefix_tree.hash_one(sample[10]).depth
 
     def test_groups_for_query_tolerance_grows(self, topology, sample):
-        small = topology.groups_for_query(sample[10], tolerance=0.0)
-        large = topology.groups_for_query(sample[10], tolerance=1e9)
-        assert len(large) >= len(small)
+        small = topology.route(sample[10], tolerance=0.0)
+        large = topology.route(sample[10], tolerance=1e9)
+        assert len(large.groups) >= len(small.groups)
+        assert large.evals > small.evals
+        assert set(large.prefixes) == set(topology.prefix_tree.all_prefixes())
 
     def test_load_fractions_sum_to_one(self, topology, sample):
         for i, row in enumerate(sample[:100]):

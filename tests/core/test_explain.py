@@ -11,9 +11,10 @@ import os
 import pytest
 
 from repro.core import Mendel, MendelConfig, QueryParams
-from repro.core.explain import build_funnel
+from repro.core.explain import build_funnel, build_plan
 from repro.core.query import FUNNEL_STAGES
 from repro.obs.metrics import default_registry
+from repro.obs.trace import TraceContext
 from repro.seq import PROTEIN, random_set
 from repro.seq.mutate import mutate_to_identity
 
@@ -111,6 +112,38 @@ class TestRoutingFacts:
     def test_stage_timings_tile_the_turnaround(self, plan):
         total = sum(ms for _name, ms in plan.stage_timings)
         assert total == pytest.approx(plan.turnaround_ms, rel=1e-6)
+
+
+class TestRoutingIsTheRunsOwn:
+    def test_explain_costs_one_routing_pass(self):
+        """EXPLAIN reads the routes its run recorded: the prefix tree is
+        walked exactly as often as for the plain query."""
+        mendel, probe = _small_deployment()
+        adapter = mendel.index.prefix_tree._tree.adapter
+        before = adapter.pair_evaluations
+        mendel.query(probe, PARAMS)
+        queried = adapter.pair_evaluations - before
+        before = adapter.pair_evaluations
+        mendel.explain(probe, PARAMS)
+        assert adapter.pair_evaluations - before == queried > 0
+
+    def test_plan_survives_a_topology_change(self):
+        """A plan lists the groups its run contacted, not what a fresh
+        hash would answer on whatever the topology has become since."""
+        mendel, probe = _small_deployment()
+        report = mendel.query(probe, PARAMS, trace_ctx=TraceContext())
+        contacted = {
+            span.name.split(":", 1)[1] for span in report.root_span.walk()
+            if span.name.startswith("group:")
+        }
+        change = mendel.split_group(sorted(contacted)[0])
+        plan = build_plan(mendel.index, mendel.engine, probe, PARAMS, report)
+        assert plan.subqueries_routed == report.stats.subqueries_routed
+        assert set(plan.groups_contacted) == contacted
+        assert change.target not in plan.groups_contacted
+        # ... while a fresh run is routed over the new topology.
+        assert change.target in mendel.explain(
+            probe, PARAMS).groups_contacted
 
 
 class TestRegistryReconciliation:

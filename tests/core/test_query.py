@@ -1,5 +1,6 @@
 """Tests for the query pipeline (repro.core.query)."""
 
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,11 +10,18 @@ import pytest
 from repro.core.params import QueryParams
 from repro.core.query import QueryEngine, node_kernel, resolve_matrix
 from repro.obs.metrics import default_registry
+from repro.obs.profile import (
+    CostProfiler,
+    install_cost_profiler,
+    uninstall_cost_profiler,
+)
 from repro.obs.trace import TraceContext
 from repro.seq.alphabet import DNA, PROTEIN
 from repro.seq.matrices import BLOSUM62, PAM250
 from repro.seq.mutate import mutate_to_identity
 from repro.seq.records import SequenceRecord
+
+SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 
 class TestResolveMatrix:
@@ -87,8 +95,8 @@ class TestNodeKernel:
         group = index.topology.groups[0]
         windows = [
             window for window in engine.windows_for(probe, params)
-            if group in index.topology.groups_for_query(window.codes,
-                                                        0.5 * radius)
+            if group in index.topology.route(
+                window.codes, engine.tolerance(params)).groups
         ]
         node = group.nodes[0]
         span = traced.root_span.find(f"node:{node.node_id}")
@@ -116,31 +124,44 @@ class TestNodeKernel:
 
 class TestConcurrentCosts:
     def test_thread_pool_reads_the_sequential_costs(self, mendel, protein_db):
-        """A search's evaluations are what the search returns, not a delta
-        of a counter other threads also advance: overlapping queries on
-        one index are charged exactly what they are charged alone.
-        (Turnaround is not compared: routing still reads a shared counter
-        twice.)"""
+        """Every cost a query reports is a value its own run computed —
+        the search's and the routing walk's evaluation counts come back
+        with their results, never as a delta of a counter other threads
+        also advance — so overlapping queries on one index read exactly
+        the stats, turnaround included, and charge exactly the cost
+        profile they do alone."""
+        records = protein_db.records
         probes = [
-            mutate_to_identity(protein_db.records[i], 0.85, rng=70 + i,
-                               seq_id=f"pooled-{i}")
+            mutate_to_identity(records[(SEED + 5 * i) % len(records)], 0.85,
+                               rng=SEED + 70 + i, seq_id=f"pooled-{i}")
             for i in range(8)
         ]
 
-        def costs(probe):
-            stats = mendel.query(probe, QueryParams()).stats
-            return stats.node_evals, stats.funnel()
+        def profiled(run):
+            profiler = install_cost_profiler(CostProfiler())
+            try:
+                return run(), profiler.charges()
+            finally:
+                uninstall_cost_profiler(profiler)
 
-        sequential = [costs(probe) for probe in probes]
-        assert all(evals > 0 for evals, _ in sequential)
+        def stats(probe):
+            return mendel.query(probe, QueryParams()).stats
+
+        def pooled_run():
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                return list(pool.map(stats, probes, timeout=300))
+
+        sequential, sequential_charges = profiled(
+            lambda: [stats(probe) for probe in probes])
+        assert all(s.node_evals > 0 and s.turnaround > 0 for s in sequential)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
         try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                pooled = list(pool.map(costs, probes, timeout=300))
+            pooled, pooled_charges = profiled(pooled_run)
         finally:
             sys.setswitchinterval(interval)
         assert pooled == sequential
+        assert pooled_charges == sequential_charges
 
 
 class TestEndToEnd:

@@ -35,7 +35,7 @@ class TestRoutingConsistency:
             stored_group = index.node_of_block[block.block_id].split(".")[0]
             routed = [
                 g.group_id
-                for g in index.topology.groups_for_query(codes, tolerance=0.0)
+                for g in index.topology.route(codes, tolerance=0.0).groups
             ]
             assert stored_group in routed
 
@@ -90,6 +90,6 @@ class TestBlockGraph:
 def test_tolerance_zero_routing_is_deterministic(index, seed):
     rng = np.random.default_rng(seed)
     probe = rng.integers(0, 20, index.segment_length).astype(np.uint8)
-    a = [g.group_id for g in index.topology.groups_for_query(probe, 0.0)]
-    b = [g.group_id for g in index.topology.groups_for_query(probe, 0.0)]
+    a = [g.group_id for g in index.topology.route(probe, 0.0).groups]
+    b = [g.group_id for g in index.topology.route(probe, 0.0).groups]
     assert a == b and len(a) == 1

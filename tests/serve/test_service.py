@@ -3,6 +3,7 @@ deadlines, structured failure modes."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import wait
@@ -35,16 +36,32 @@ class TestResults:
         assert alignment_keys(served.report) == alignment_keys(direct)
         assert served.report.query_id == "q0"
 
-    def test_concurrent_submits_all_resolve(self, service, probe_texts,
-                                            serve_params):
-        futures = [
-            service.submit_text(text, serve_params, f"q{i}")
+    def test_concurrent_submits_all_resolve(self, service, mendel,
+                                            probe_texts):
+        """Six cold requests overlapping on the 4-worker pool, an EXPLAIN
+        beside them: each served report carries the figures the same query
+        reads when run directly and alone."""
+        # One params object per request (and none another test in this
+        # module uses, so each is cold): same-params requests coalesce into
+        # one batch, which a single worker answers one query after another.
+        requests = [
+            (text, QueryParams(k=4, n=5, i=0.65, c=0.4, E=10.0 + i), f"q{i}")
             for i, text in enumerate(probe_texts)
         ]
-        done, pending = wait(futures, timeout=60)
+        direct = [mendel.query_text(*request).stats for request in requests]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            explained = service.submit_explain(*requests[0])
+            futures = [service.submit_text(*request) for request in requests]
+            done, pending = wait(futures + [explained], timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
         assert not pending
-        for future in done:
-            assert future.result().report is not None
+        served = [future.result() for future in futures]
+        assert not any(result.cached for result in served)
+        assert [result.report.stats for result in served] == direct
+        assert explained.result().report.stats == direct[0]
 
 
 class TestCaching:

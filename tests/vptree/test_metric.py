@@ -52,10 +52,3 @@ class TestMetricAdapter:
         q = np.array([0, 1], dtype=np.uint8)
         out = adapter.batch(q, np.array([0, 0], dtype=np.uint8))
         assert out.shape == (1,)
-
-    def test_reset(self):
-        adapter = MetricAdapter(hamming)
-        a = np.array([0], dtype=np.uint8)
-        adapter.pair(a, a)
-        adapter.reset_counter()
-        assert adapter.pair_evaluations == 0

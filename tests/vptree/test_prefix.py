@@ -85,25 +85,38 @@ class TestHashOne:
 class TestHashQuery:
     def test_zero_tolerance_matches_hash_one(self, prefix_tree, sample):
         for row in sample[:30]:
-            assert prefix_tree.hash_query(row, 0.0)[0] == prefix_tree.hash_one(row)
-            assert len(prefix_tree.hash_query(row, 0.0)) == 1
+            hashes, evals = prefix_tree.hash_query(row, 0.0)
+            assert hashes == [prefix_tree.hash_one(row)]
+            assert evals == hashes[0].depth
+
+    def test_returned_evals_are_the_evaluations_made(self, prefix_tree, sample):
+        """The walk counts its own distance evaluations: the figure it
+        returns is what the metric adapter's lifetime total advanced by."""
+        adapter = prefix_tree._tree.adapter
+        for row, tol in zip(sample[:40], [0.0, 4.0, 12.0, 30.0, 1e9] * 8):
+            before = adapter.pair_evaluations
+            _, evals = prefix_tree.hash_query(row, tol)
+            assert evals == adapter.pair_evaluations - before > 0
+            before = adapter.pair_evaluations
+            assert (prefix_tree.hash_one(row).depth
+                    == adapter.pair_evaluations - before)
 
     def test_superset_of_single_path(self, prefix_tree, sample):
         for row in sample[:30]:
             single = prefix_tree.hash_one(row).prefix
-            branched = {h.prefix for h in prefix_tree.hash_query(row, 8.0)}
+            branched = {h.prefix for h in prefix_tree.hash_query(row, 8.0)[0]}
             assert single in branched
 
     def test_monotone_in_tolerance(self, prefix_tree, sample):
         row = sample[3]
-        sizes = [
-            len(prefix_tree.hash_query(row, tol)) for tol in (0.0, 4.0, 12.0, 1e9)
-        ]
+        walks = [prefix_tree.hash_query(row, tol) for tol in (0.0, 4.0, 12.0, 1e9)]
+        sizes = [len(hashes) for hashes, _ in walks]
         assert sizes == sorted(sizes)
+        assert [evals for _, evals in walks] == sorted(evals for _, evals in walks)
 
     def test_huge_tolerance_reaches_full_frontier(self, prefix_tree, sample):
         row = sample[5]
-        all_reached = {h.prefix for h in prefix_tree.hash_query(row, 1e9)}
+        all_reached = {h.prefix for h in prefix_tree.hash_query(row, 1e9)[0]}
         assert all_reached == set(prefix_tree.all_prefixes())
 
     def test_negative_tolerance_rejected(self, prefix_tree, sample):
@@ -111,7 +124,7 @@ class TestHashQuery:
             prefix_tree.hash_query(sample[0], -1.0)
 
     def test_no_duplicate_prefixes(self, prefix_tree, sample):
-        out = [h.prefix for h in prefix_tree.hash_query(sample[8], 20.0)]
+        out = [h.prefix for h in prefix_tree.hash_query(sample[8], 20.0)[0]]
         assert len(out) == len(set(out))
 
 
