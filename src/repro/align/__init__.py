@@ -1,7 +1,12 @@
-"""Alignment substrate: ungapped X-drop extension, banded gapped extension,
-full Smith–Waterman, and Karlin–Altschul statistics."""
+"""Alignment substrate: ungapped X-drop extension, banded gapped extension
+(one anchor or a lockstep batch of them), full Smith–Waterman, and
+Karlin–Altschul statistics."""
 
-from repro.align.gapped import GappedExtension, banded_extend
+from repro.align.gapped import (
+    GappedExtension,
+    banded_extend,
+    diagonal_identity,
+)
 from repro.align.global_align import format_pairwise, needleman_wunsch
 from repro.align.result import Alignment, Anchor
 from repro.align.smith_waterman import (
@@ -19,6 +24,7 @@ from repro.align.ungapped import UngappedExtension, extend_ungapped
 __all__ = [
     "GappedExtension",
     "banded_extend",
+    "diagonal_identity",
     "format_pairwise",
     "needleman_wunsch",
     "Alignment",

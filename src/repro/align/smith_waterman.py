@@ -47,7 +47,8 @@ class LocalAlignmentResult:
 def _scan_max_affine(
     values: np.ndarray, extend: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """For each j return ``max_{k<=j}(values[k] - extend*(j-k))``.
+    """For each j return ``max_{k<=j}(values[k] - extend*(j-k))`` along the
+    last axis (every leading index is its own independent scan).
 
     This is the affine-gap prefix scan: computed in O(n log n) with doubling
     shifts, all vectorised.  Pass *out* to reuse a scratch buffer on hot
@@ -58,14 +59,14 @@ def _scan_max_affine(
     else:
         result = out
         np.copyto(result, values)
-    n = result.shape[0]
+    n = result.shape[-1]
     shift = 1
     while shift < n:
         # result[shift:] = max(result[shift:], result[:-shift] - extend*shift).
         # The read slice is the pre-step value only through the subtraction
         # temporary, so this is the standard Jacobi doubling update.
-        np.maximum(result[shift:], result[:-shift] - extend * shift,
-                   out=result[shift:])
+        tail = result[..., shift:]
+        np.maximum(tail, result[..., :-shift] - extend * shift, out=tail)
         shift *= 2
     return result
 

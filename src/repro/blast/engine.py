@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.align.gapped import banded_extend
+from repro.align.gapped import banded_extend, diagonal_identity
 from repro.align.result import Alignment
 from repro.align.stats import KarlinAltschulParams, karlin_altschul
 from repro.align.ungapped import UngappedExtension, batch_extent
@@ -340,14 +340,6 @@ class BlastEngine:
             if evalue > config.evalue_threshold:
                 continue
             spans.append((ext.query_start, ext.query_end))
-            q = query.codes[ext.query_start : ext.query_end]
-            s = subject.codes[ext.subject_start : ext.subject_end]
-            span_len = min(q.shape[0], s.shape[0])
-            identity = (
-                float((q[:span_len] == s[:span_len]).sum()) / span_len
-                if span_len
-                else 0.0
-            )
             raw.append(
                 Alignment(
                     query_id=query.seq_id,
@@ -359,7 +351,7 @@ class BlastEngine:
                     score=ext.score,
                     bit_score=self.ka.bit_score(ext.score),
                     evalue=evalue,
-                    identity=identity,
+                    identity=diagonal_identity(query.codes, subject.codes, ext),
                 )
             )
         raw.sort(key=lambda a: (a.evalue, -a.score))

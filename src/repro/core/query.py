@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.align.gapped import banded_extend
+from repro.align.gapped import banded_extend, diagonal_identity
 from repro.align.result import Alignment, Anchor
 from repro.align.stats import KarlinAltschulParams, karlin_altschul
 from repro.cluster.group import StorageGroup
@@ -1030,140 +1030,144 @@ class QueryEngine:
     ) -> tuple[tuple[list[Alignment], int], float]:
         """Gapped-extend qualifying anchors; score, filter by E, dedupe, rank.
 
+        Each subject bin is worked through in its own sequential order
+        (:meth:`_eligible`), but the bins advance together: a *wave* takes the
+        next anchor to extend of every subject that still has one and extends
+        them all in one :func:`banded_extend` call, at most
+        ``max_gapped_per_subject`` waves a query.
+
         Returns ``((alignments, gapped_count), residue_ops_charged)``.
         """
         ka = self.ka_params(params)
         db_len = max(1, self.index.database.total_residues)
         ops = 0.0
         gapped_count = 0
-        raw: list[Alignment] = []
-        # Process each subject bin best-first: once a gapped extension covers
-        # a region, remaining anchors of the same sequence within l diagonals
-        # whose seed falls inside it are absorbed ("the gapped extension
-        # considers all anchors from the same sequence within l diagonals in
-        # either direction") rather than re-extended.
         by_subject: dict[str, list[Anchor]] = {}
         for anchor in merged:
             by_subject.setdefault(anchor.seq_id, []).append(anchor)
-
+        # One (anchors still to extend, spans already covered, alignments
+        # found) per subject, in the order the alignments are emitted.
+        bins = []
         for seq_id in sorted(by_subject):
-            # Process best raw score first: long, reliable anchors claim the
-            # per-subject budget before short lucky ones (the normalised
-            # score S stays the *trigger*, per the paper, not the order).
-            bin_anchors = sorted(
-                by_subject[seq_id],
-                key=lambda a: (-a.score, a.query_start),
-            )
             covered: list[tuple[int, int, int]] = []  # (q_start, q_end, diagonal)
-            per_subject = 0
-            for anchor in bin_anchors:
-                normalised = anchor.score / max(1, anchor.length)
-                if normalised < params.S:
-                    continue
-                if per_subject >= params.max_gapped_per_subject:
-                    break
-                mid = (anchor.query_start + anchor.query_end) // 2
-                if any(
-                    lo <= mid < hi and abs(anchor.diagonal - diag) <= params.l
-                    for lo, hi, diag in covered
-                ):
-                    continue
-                raw_alignment, cell_ops = self._extend_and_score(
-                    query, anchor, params, matrix, ka, db_len
-                )
+            bins.append(
+                (self._eligible(by_subject[seq_id], params, covered), covered, [])
+            )
+
+        live = bins
+        while live:
+            wave = [
+                (anchor, eligible, covered, found)
+                for eligible, covered, found in live
+                if (anchor := next(eligible, None)) is not None
+            ]
+            scored = self._extend_and_score(
+                query, [anchor for anchor, *_ in wave], params, matrix, ka, db_len
+            )
+            for (anchor, _, covered, found), (alignment, cell_ops) in zip(
+                wave, scored
+            ):
                 ops += cell_ops
                 gapped_count += 1
-                per_subject += 1
-                if raw_alignment is not None:
+                if alignment is not None:
                     covered.append(
-                        (
-                            raw_alignment.query_start,
-                            raw_alignment.query_end,
-                            anchor.diagonal,
-                        )
+                        (alignment.query_start, alignment.query_end, anchor.diagonal)
                     )
-                    raw.append(raw_alignment)
+                    found.append(alignment)
+            live = [state for _, *state in wave]
+        raw = [alignment for _, _, found in bins for alignment in found]
         alignments = self._dedupe_rank(raw)
         return (alignments, gapped_count), ops
+
+    @staticmethod
+    def _eligible(
+        anchors: list[Anchor],
+        params: QueryParams,
+        covered: list[tuple[int, int, int]],
+    ):
+        """One subject's anchors to gapped-extend, in order; the caller
+        appends each extension's span to *covered* before asking for the next.
+
+        Once a gapped extension covers a region, remaining anchors of the
+        same sequence within l diagonals whose seed falls inside it are
+        absorbed ("the gapped extension considers all anchors from the same
+        sequence within l diagonals in either direction") rather than
+        re-extended.
+        """
+        # Process best raw score first: long, reliable anchors claim the
+        # per-subject budget before short lucky ones (the normalised
+        # score S stays the *trigger*, per the paper, not the order).
+        extended = 0
+        for anchor in sorted(anchors, key=lambda a: (-a.score, a.query_start)):
+            normalised = anchor.score / max(1, anchor.length)
+            if normalised < params.S:
+                continue
+            if extended >= params.max_gapped_per_subject:
+                return
+            mid = (anchor.query_start + anchor.query_end) // 2
+            if any(
+                lo <= mid < hi and abs(anchor.diagonal - diag) <= params.l
+                for lo, hi, diag in covered
+            ):
+                continue
+            extended += 1
+            yield anchor
 
     def _extend_and_score(
         self,
         query: SequenceRecord,
-        anchor: Anchor,
+        anchors: list[Anchor],
         params: QueryParams,
         matrix: np.ndarray,
         ka: KarlinAltschulParams,
         db_len: int,
-    ) -> tuple[Alignment | None, float]:
-        """Gapped-extend one anchor and build its alignment (or ``None`` if
-        it fails the E-value filter); returns the residue-op cost too."""
-        ops = 0.0
-        subject = self.index.database[anchor.seq_id]
-        seed_q = (anchor.query_start + anchor.query_end) // 2
-        seed_s = seed_q + anchor.diagonal
-        seed_q = min(max(seed_q, 0), len(query) - 1)
-        seed_s = min(max(seed_s, 0), len(subject) - 1)
+    ) -> list[tuple[Alignment | None, int]]:
+        """Gapped-extend one wave of anchors (one per subject) in a single
+        :func:`banded_extend` call and build each one's alignment (``None``
+        if it fails the E-value filter), paired with its residue-op cost."""
+        if not anchors:
+            return []
+        subjects = [self.index.database[anchor.seq_id].codes for anchor in anchors]
         if params.l > 0:
-            ext = banded_extend(
+            mids = [(anchor.query_start + anchor.query_end) // 2 for anchor in anchors]
+            extents = banded_extend(
                 query.codes,
-                subject.codes,
+                subjects,
                 matrix,
-                seed_query=seed_q,
-                seed_subject=seed_s,
+                seed_query=[min(max(mid, 0), len(query) - 1) for mid in mids],
+                seed_subject=[
+                    min(max(mid + anchor.diagonal, 0), subject.shape[0] - 1)
+                    for mid, anchor, subject in zip(mids, anchors, subjects)
+                ],
                 bandwidth=params.l,
                 gap_open=params.gap_open,
                 gap_extend=params.gap_extend,
                 x_drop=params.x_drop,
             )
-            span = ext.query_end - ext.query_start
-            ops += span * (2 * params.l + 1)
-            q_start, q_end = ext.query_start, ext.query_end
-            s_start, s_end = ext.subject_start, ext.subject_end
-            score = ext.score
+            cells = 2 * params.l + 1
+            costs = [(ext.query_end - ext.query_start) * cells for ext in extents]
         else:
-            q_start, q_end = anchor.query_start, anchor.query_end
-            s_start, s_end = anchor.subject_start, anchor.subject_end
-            score = anchor.score
-            ops += anchor.length
+            # No band: the anchor's own span and score stand as the extension.
+            extents = anchors
+            costs = [anchor.length for anchor in anchors]
 
-        evalue = ka.evalue(score, len(query), db_len)
-        if evalue > params.E:
-            return None, ops
-        identity = self._ungapped_identity(
-            query.codes, subject.codes, q_start, q_end, s_start, s_end
-        )
-        return (
-            Alignment(
+        scored: list[tuple[Alignment | None, int]] = []
+        for anchor, subject, ext, ops in zip(anchors, subjects, extents, costs):
+            evalue = ka.evalue(ext.score, len(query), db_len)
+            alignment = None if evalue > params.E else Alignment(
                 query_id=query.seq_id,
                 subject_id=anchor.seq_id,
-                query_start=q_start,
-                query_end=q_end,
-                subject_start=s_start,
-                subject_end=s_end,
-                score=score,
-                bit_score=ka.bit_score(score),
+                query_start=ext.query_start,
+                query_end=ext.query_end,
+                subject_start=ext.subject_start,
+                subject_end=ext.subject_end,
+                score=ext.score,
+                bit_score=ka.bit_score(ext.score),
                 evalue=evalue,
-                identity=identity,
-            ),
-            ops,
-        )
-
-    @staticmethod
-    def _ungapped_identity(
-        query: np.ndarray,
-        subject: np.ndarray,
-        q_start: int,
-        q_end: int,
-        s_start: int,
-        s_end: int,
-    ) -> float:
-        """Identity estimate along the dominant diagonal of the extension."""
-        span = min(q_end - q_start, s_end - s_start)
-        if span <= 0:
-            return 0.0
-        q = query[q_start : q_start + span]
-        s = subject[s_start : s_start + span]
-        return float((q == s).sum()) / span
+                identity=diagonal_identity(query.codes, subject, ext),
+            )
+            scored.append((alignment, ops))
+        return scored
 
     @staticmethod
     def _dedupe_rank(alignments: list[Alignment]) -> list[Alignment]:

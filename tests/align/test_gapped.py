@@ -1,15 +1,18 @@
 """Tests for the banded gapped extension (repro.align.gapped)."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.align import gapped
 from repro.align.gapped import banded_extend
 from repro.align.smith_waterman import smith_waterman, smith_waterman_score
 from repro.seq import random_set
 from repro.seq.alphabet import PROTEIN
-from repro.seq.matrices import BLOSUM62
+from repro.seq.matrices import BLOSUM62, dna_matrix
 from repro.seq.mutate import MutationModel, mutate
 
 M = BLOSUM62.astype(np.float64)
@@ -253,3 +256,164 @@ class TestAgainstSmithWaterman:
         # The generator must actually exercise both sides of the condition.
         assert 0 < inside[0] < inside[2] <= inside[8] <= len(PAIR_SEEDS)
         assert inside[8] > inside[0]
+
+
+# -- the lockstep batch --------------------------------------------------------
+# ``banded_extend`` with seed sequences extends every lane in one row loop.
+# Each lane must come out exactly as it does alone — whatever else shares the
+# loop, however early its neighbours terminate and get compacted away.
+
+
+def as_tuple(ext):
+    return (ext.query_start, ext.query_end, ext.subject_start,
+            ext.subject_end, ext.score)
+
+
+def mixed_batch(seed):
+    """One query and lanes of very different lengths: its homolog seeded at
+    ``(0, 0)`` (nothing before the seed), at the last residue pair (nothing
+    after it) and mid-sequence; the homolog cut three residues past the seed
+    (a remainder shorter than the band); a one-residue subject; and an
+    unrelated subject, which X-drops within a few rows."""
+    q, s = homolog_pair(seed)
+    mid_q = q.size // 2
+    mid_s = min(s.size - 1, mid_q)
+    stranger = homolog_pair(seed + 1000)[1]
+    subjects = [s, s, s, s[: mid_s + 3], s[:1], stranger]
+    seeds = [(0, 0), (q.size - 1, s.size - 1), (mid_q, mid_s), (mid_q, mid_s),
+             (mid_q, 0), (mid_q, min(stranger.size - 1, mid_q))]
+    return q, subjects, [sq for sq, _ in seeds], [ss for _, ss in seeds]
+
+
+class TestLockstepBatch:
+    def test_batch_equals_one_anchor_equals_reference(self):
+        for seed in PAIR_SEEDS:
+            q, subjects, seed_q, seed_s = mixed_batch(seed)
+            for bandwidth in BANDWIDTHS:
+                for x_drop in X_DROPS:
+                    batch = banded_extend(q, subjects, M, seed_q, seed_s,
+                                          bandwidth=bandwidth, x_drop=x_drop)
+                    assert len(batch) == len(subjects)
+                    for lane, (s, sq, ss) in enumerate(
+                            zip(subjects, seed_q, seed_s)):
+                        where = (seed, bandwidth, x_drop, lane)
+                        alone = banded_extend(q, s, M, sq, ss,
+                                              bandwidth=bandwidth, x_drop=x_drop)
+                        want = reference_banded_extend(
+                            q, s, M, sq, ss, bandwidth=bandwidth,
+                            gap_open=11.0, gap_extend=1.0, x_drop=x_drop)
+                        assert as_tuple(batch[lane]) == want, where
+                        assert batch[lane] == alone, where
+
+    def test_result_is_independent_of_batch_composition(self):
+        """Permuting, duplicating and dropping lanes changes which lanes are
+        compacted away when; no surviving lane may notice.  The draws vary
+        with ``CHAOS_SEED`` (the CI matrix knob)."""
+        rng = np.random.default_rng(int(os.environ.get("CHAOS_SEED", "0")))
+        for seed in PAIR_SEEDS[:12]:
+            q, subjects, seed_q, seed_s = mixed_batch(seed)
+            kw = dict(bandwidth=BANDWIDTHS[seed % 3], x_drop=X_DROPS[seed % 2])
+            whole = banded_extend(q, subjects, M, seed_q, seed_s, **kw)
+            for _ in range(4):
+                # with replacement: some lanes twice, some not at all
+                picks = rng.integers(0, len(subjects),
+                                     int(rng.integers(1, 2 * len(subjects))))
+                got = banded_extend(
+                    q, [subjects[p] for p in picks], M,
+                    [seed_q[p] for p in picks], [seed_s[p] for p in picks], **kw)
+                assert got == [whole[p] for p in picks], (seed, picks)
+            order = rng.permutation(len(subjects))
+            got = banded_extend(
+                q, [subjects[p] for p in order], M, np.array(seed_q)[order],
+                np.array(seed_s)[order], **kw)
+            assert got == [whole[p] for p in order], (seed, order)
+
+    def test_batch_of_one_and_empty_batch(self):
+        q, s = homolog_pair(3)
+        alone = banded_extend(q, s, M, 10, 10)
+        assert banded_extend(q, [s], M, [10], [10]) == [alone]
+        assert banded_extend(q, [], M, [], []) == []
+
+    def test_other_gap_costs(self):
+        """Integer costs against the reference; a non-integer pair, where the
+        reference's running gap sum rounds differently from the scan, only
+        batch against alone."""
+        for seed in PAIR_SEEDS[:10]:
+            q, subjects, seed_q, seed_s = mixed_batch(seed)
+            for gap_open, gap_extend in ((5.0, 2.0), (3.0, 3.0), (5.5, 0.7)):
+                kw = dict(bandwidth=4, gap_open=gap_open,
+                          gap_extend=gap_extend, x_drop=20.0)
+                batch = banded_extend(q, subjects, M, seed_q, seed_s, **kw)
+                for lane, (s, sq, ss) in enumerate(
+                        zip(subjects, seed_q, seed_s)):
+                    assert batch[lane] == banded_extend(q, s, M, sq, ss, **kw)
+                    if gap_extend == int(gap_extend):
+                        assert as_tuple(batch[lane]) == reference_banded_extend(
+                            q, s, M, sq, ss, **kw), (seed, gap_open, lane)
+
+    def test_dna_matrix(self):
+        matrix = dna_matrix().astype(np.float64)
+        rng = np.random.default_rng(5)
+        q = rng.integers(0, 4, 90).astype(np.uint8)
+        subjects, seed_q, seed_s = [], [], []
+        for lane in range(6):
+            s = q.copy()
+            flips = rng.random(s.size) < 0.05 * (lane + 1)
+            s[flips] = rng.integers(0, 4, int(flips.sum()))
+            cut = int(rng.integers(0, 30))
+            subjects.append(np.delete(s, cut)[: s.size - 5 * lane])
+            seed_q.append(40)
+            seed_s.append(39)
+        kw = dict(bandwidth=3, gap_open=5.0, gap_extend=2.0, x_drop=12.0)
+        batch = banded_extend(q, subjects, matrix, seed_q, seed_s, **kw)
+        for lane, s in enumerate(subjects):
+            assert as_tuple(batch[lane]) == reference_banded_extend(
+                q, s, matrix, 40, 39, **kw), lane
+
+    def test_split_batch_is_the_same_batch(self, monkeypatch):
+        """The planes one pass allocates are bounded; a batch past the bound
+        is extended in several passes with the same results."""
+        q, subjects, seed_q, seed_s = mixed_batch(7)
+        whole = banded_extend(q, subjects, M, seed_q, seed_s)
+        passes = []
+        lockstep = gapped._lockstep
+        monkeypatch.setattr(
+            gapped, "_lockstep",
+            lambda lanes, *rest: passes.append(len(lanes)) or lockstep(lanes, *rest))
+        # Room for three lanes a pass: anchors straddle pass boundaries.
+        monkeypatch.setattr(gapped, "_PASS_BYTES", 3 * (2 * q.size + 72 * 17))
+        assert banded_extend(q, subjects, M, seed_q, seed_s) == whole
+        assert passes == [3, 3, 3, 3]
+
+
+class TestBatchValidation:
+    def test_unequal_lengths(self):
+        q, s = homolog_pair(1)
+        with pytest.raises(ValueError, match="2 subjects, 1 seed_query"):
+            banded_extend(q, [s, s], M, [3], [3, 4])
+        with pytest.raises(ValueError, match="1 seed_subject"):
+            banded_extend(q, [s, s], M, [3, 4], [3])
+
+    def test_out_of_bounds_seed_names_the_lane(self):
+        q, s = homolog_pair(1)
+        with pytest.raises(ValueError, match=r"lane 2: seed_query -1 out of"):
+            banded_extend(q, [s, s, s], M, [0, 1, -1], [0, 1, 2])
+        with pytest.raises(ValueError,
+                           match=rf"lane 1: seed_subject {s.size} out of"):
+            banded_extend(q, [s, s, s], M, [0, 1, 2], [0, s.size, 2])
+
+    def test_one_anchor_messages_name_no_lane(self):
+        q, s = homolog_pair(1)
+        with pytest.raises(ValueError, match=r"^seed_query 999 out of bounds$"):
+            banded_extend(q, s, M, 999, 0)
+
+    def test_subject_code_past_the_matrix_is_rejected(self):
+        """The plane's sentinel is the first code the matrix has no column
+        for; a subject carrying it must fail loudly, not end early."""
+        q, s = homolog_pair(1)
+        bad = s.copy()
+        bad[5] = M.shape[1]
+        with pytest.raises(ValueError, match="no column"):
+            banded_extend(q, [s, bad], M, [0, 0], [0, 0])
+        with pytest.raises(ValueError, match="no column"):
+            banded_extend(q, bad, M, 0, 0)

@@ -1,0 +1,195 @@
+"""The wave-scheduled gapped pass == the sequential pass it replaced.
+
+``QueryEngine._gapped_pass`` extends one anchor per subject per *wave*, all
+of a wave's anchors in one ``banded_extend`` call.  The reference below is
+the loop it replaced — subject by subject, anchor by anchor, one one-anchor
+``banded_extend`` call each — and must agree with it exactly: alignments (in
+order), extensions counted, residue ops charged.  Probes are drawn from
+``CHAOS_SEED`` (the CI matrix knob).
+"""
+
+import os
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from repro.align import Alignment, banded_extend, diagonal_identity
+from repro.bench.workloads import FamilySpec
+from repro.core.params import QueryParams
+from repro.core.query import QueryEngine
+from repro.scenario import build_deployment
+from repro.seq.mutate import mutate_to_identity
+
+SEED = int(os.environ.get("CHAOS_SEED", "0"))
+BASE = QueryParams(k=8, n=8, i=0.5, c=0.5)
+
+
+def sequential_gapped_pass(engine, query, merged, params, matrix):
+    """``(((alignments, gapped_count), ops), fired)``: the pass one anchor
+    at a time, and how often each of its rules decided something."""
+    ka = engine.ka_params(params)
+    db_len = max(1, engine.index.database.total_residues)
+    fired = Counter()
+    ops = 0.0
+    gapped_count = 0
+    raw = []
+    by_subject = {}
+    for anchor in merged:
+        by_subject.setdefault(anchor.seq_id, []).append(anchor)
+    for seq_id in sorted(by_subject):
+        subject = engine.index.database[seq_id]
+        covered = []
+        per_subject = 0
+        for anchor in sorted(by_subject[seq_id],
+                             key=lambda a: (-a.score, a.query_start)):
+            if anchor.score / max(1, anchor.length) < params.S:
+                fired["below_S"] += 1
+                continue
+            if per_subject >= params.max_gapped_per_subject:
+                fired["over_budget"] += 1
+                break
+            mid = (anchor.query_start + anchor.query_end) // 2
+            if any(lo <= mid < hi and abs(anchor.diagonal - diag) <= params.l
+                   for lo, hi, diag in covered):
+                fired["absorbed"] += 1
+                continue
+            if params.l > 0:
+                ext = banded_extend(
+                    query.codes, subject.codes, matrix,
+                    seed_query=min(max(mid, 0), len(query) - 1),
+                    seed_subject=min(max(mid + anchor.diagonal, 0),
+                                     len(subject) - 1),
+                    bandwidth=params.l, gap_open=params.gap_open,
+                    gap_extend=params.gap_extend, x_drop=params.x_drop,
+                )
+                ops += (ext.query_end - ext.query_start) * (2 * params.l + 1)
+            else:
+                ext = anchor
+                ops += anchor.length
+            gapped_count += 1
+            per_subject += 1
+            evalue = ka.evalue(ext.score, len(query), db_len)
+            if evalue > params.E:
+                fired["failed_E"] += 1
+                continue
+            covered.append((ext.query_start, ext.query_end, anchor.diagonal))
+            raw.append(Alignment(
+                query_id=query.seq_id, subject_id=seq_id,
+                query_start=ext.query_start, query_end=ext.query_end,
+                subject_start=ext.subject_start, subject_end=ext.subject_end,
+                score=ext.score, bit_score=ka.bit_score(ext.score),
+                evalue=evalue,
+                identity=diagonal_identity(query.codes, subject.codes, ext),
+            ))
+    alignments = QueryEngine._dedupe_rank(raw)
+    return ((alignments, gapped_count), ops), fired
+
+
+@pytest.fixture(scope="module")
+def family():
+    return build_deployment(
+        SEED, FamilySpec(families=6, members_per_family=4, length=120),
+        group_count=2, group_size=2,
+    )
+
+
+@pytest.fixture(scope="module")
+def passes(family):
+    """``(report, query, merged anchors, matrix, the engine's result)`` of
+    one query per identity class: what each run handed its gapped pass.
+    Nothing upstream of the pass reads ``S``, ``l``, ``E`` or the budget, so
+    the same anchors serve every parameter set below."""
+    engine = family.engine
+    records = family.index.database.records
+    seen = []
+    inner = engine._gapped_pass
+
+    def spy(query, merged, params, matrix):
+        result = inner(query, merged, params, matrix)
+        seen.append((query, merged, matrix, result))
+        return result
+
+    engine._gapped_pass = spy
+    try:
+        reports = [
+            family.query(
+                mutate_to_identity(records[(SEED + 7 * n) % len(records)],
+                                   identity, rng=SEED + 40 + n,
+                                   seq_id=f"wave-{identity}"),
+                BASE,
+            )
+            for n, identity in enumerate((0.9, 0.7, 0.5))
+        ]
+    finally:
+        del engine._gapped_pass
+    assert len(seen) == len(reports)
+    return [(report, *capture) for report, capture in zip(reports, seen)]
+
+
+class TestWaveSchedulingIsTheSequentialPass:
+    def test_served_reports(self, family, passes):
+        """The alignments and funnel counts a caller sees are the
+        sequential pass's."""
+        for report, query, merged, matrix, served in passes:
+            want, _ = sequential_gapped_pass(
+                family.engine, query, merged, BASE, matrix)
+            assert served == want
+            (alignments, gapped_count), _ = want
+            assert report.alignments == alignments
+            assert report.stats.gapped_extensions == gapped_count
+            assert report.stats.alignments_reported == len(alignments)
+        assert any(report.alignments for report, *_ in passes)
+
+    @pytest.mark.parametrize("params, rule", [
+        (replace(BASE, max_gapped_per_subject=1), "over_budget"),
+        (replace(BASE, max_gapped_per_subject=2), "over_budget"),
+        (replace(BASE, max_gapped_per_subject=4, S=0.0), "absorbed"),
+        (replace(BASE, S=2.5), "below_S"),
+        # every extension fails E: budget is spent, nothing is covered
+        (replace(BASE, E=1e-300, S=0.0), "failed_E"),
+        (replace(BASE, E=1e-12), "failed_E"),
+        (replace(BASE, l=0), None),
+        (replace(BASE, l=0, S=0.0, max_gapped_per_subject=2), "over_budget"),
+        (replace(BASE, l=2, x_drop=8.0, gap_open=5.5, gap_extend=0.7), None),
+    ])
+    def test_every_rule(self, family, passes, params, rule):
+        fired = Counter()
+        extended = 0
+        for _, query, merged, matrix, _ in passes:
+            want, tally = sequential_gapped_pass(
+                family.engine, query, merged, params, matrix)
+            fired += tally
+            got = family.engine._gapped_pass(query, merged, params, matrix)
+            assert got == want
+            extended += got[0][1]
+        assert extended > 0
+        if rule is not None:
+            assert fired[rule] > 0, fired
+
+    def test_one_banded_call_per_wave(self, family, passes, monkeypatch):
+        """``repro.core.query.banded_extend`` is looked up as a module global
+        (perfbench wraps that name) and called once per wave — at most
+        ``max_gapped_per_subject`` times a query, never with ``l = 0``."""
+        import repro.core.query as query_module
+
+        lanes = []
+        monkeypatch.setattr(
+            query_module, "banded_extend",
+            lambda query, subjects, *args, **kw: (
+                lanes.append(len(subjects))
+                or banded_extend(query, subjects, *args, **kw)),
+        )
+        for budget in (1, 2, 4):
+            params = replace(BASE, max_gapped_per_subject=budget)
+            for _, query, merged, matrix, _ in passes:
+                del lanes[:]
+                (_, gapped_count), _ = family.engine._gapped_pass(
+                    query, merged, params, matrix)
+                assert 1 <= len(lanes) <= budget
+                assert sum(lanes) == gapped_count
+                assert lanes == sorted(lanes, reverse=True)
+        _, query, merged, matrix, _ = passes[0]
+        del lanes[:]
+        family.engine._gapped_pass(query, merged, replace(BASE, l=0), matrix)
+        assert lanes == []

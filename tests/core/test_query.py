@@ -129,7 +129,9 @@ class TestConcurrentCosts:
         with their results, never as a delta of a counter other threads
         also advance — so overlapping queries on one index read exactly
         the stats, turnaround included, and charge exactly the cost
-        profile they do alone."""
+        profile they do alone.  The answers too: the lockstep gapped pass
+        holds no module-level scratch, so threads extending at once report
+        the alignments each would alone."""
         records = protein_db.records
         probes = [
             mutate_to_identity(records[(SEED + 5 * i) % len(records)], 0.85,
@@ -144,16 +146,18 @@ class TestConcurrentCosts:
             finally:
                 uninstall_cost_profiler(profiler)
 
-        def stats(probe):
-            return mendel.query(probe, QueryParams()).stats
+        def answer(probe):
+            report = mendel.query(probe, QueryParams())
+            return report.stats, report.alignments
 
         def pooled_run():
             with ThreadPoolExecutor(max_workers=4) as pool:
-                return list(pool.map(stats, probes, timeout=300))
+                return list(pool.map(answer, probes, timeout=300))
 
         sequential, sequential_charges = profiled(
-            lambda: [stats(probe) for probe in probes])
-        assert all(s.node_evals > 0 and s.turnaround > 0 for s in sequential)
+            lambda: [answer(probe) for probe in probes])
+        assert all(s.node_evals > 0 and s.turnaround > 0 and s.gapped_extensions
+                   and alignments for s, alignments in sequential)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
         try:
