@@ -64,16 +64,21 @@ class NodeStats:
 
 
 class SearchCost(NamedTuple):
-    """What one :meth:`StorageNode.local_knn` cost, returned beside its
-    hits: ``seconds`` is the modelled service time (CPU for ``evals``
-    distance evaluations plus ``io_seconds`` of device time); the ``io_*``
-    fields are the cold tier reads it paid for (zero on a RAM node)."""
+    """What one window of a :meth:`StorageNode.local_knn` call cost: its
+    distance evaluations and the modelled CPU service time for them."""
 
     evals: int
     seconds: float
-    io_seeks: int
-    io_bytes: int
-    io_seconds: float
+
+
+class ReadCost(NamedTuple):
+    """The cold tier reads one :meth:`StorageNode.local_knn` call paid for
+    — pages its distance pass had to take from the device, their compressed
+    bytes, and the modelled device time (all zero on a RAM node)."""
+
+    seeks: int = 0
+    nbytes: int = 0
+    seconds: float = 0.0
 
 
 class StorageNode:
@@ -272,11 +277,12 @@ class StorageNode:
         """Move this node's block codes into its on-disk block file.
 
         The vp-tree *structure* is untouched: vantage rows stay pinned in
-        RAM, leaf buckets read through the shared cache, and every search
-        returns byte-identical results — only service time gains the cold
-        read charges.  The block file then carries the durable digests, so
-        the snapshot + WAL are checkpointed away (the file *is* the
-        durable state until :meth:`unspill` re-journals it)."""
+        RAM, data pages are read through the shared cache once per search
+        call, and every search returns byte-identical results — only
+        service time gains the cold read charges.  The block file then
+        carries the durable digests, so the snapshot + WAL are
+        checkpointed away (the file *is* the durable state until
+        :meth:`unspill` re-journals it)."""
         if self._tier_attach is None:
             raise RuntimeError(
                 f"node {self.node_id!r} has no tier attached; call attach_tier"
@@ -350,44 +356,37 @@ class StorageNode:
         windows: np.ndarray,
         k: int,
         max_radius: float = float("inf"),
-    ) -> list[tuple[list, SearchCost]]:
+    ) -> tuple[list[tuple[list, SearchCost]], ReadCost]:
         """k-NN over the local tree for a ``(W, L)`` batch of query
-        windows; returns one ``(hits, cost)`` per row, in row order.
+        windows — one node-subquery; returns ``(searches, reads)``.
 
-        ``hits`` are ``(distance, block_id)`` pairs; ``cost`` is the
-        :class:`SearchCost` of that window's search — its distance
-        evaluations, the modelled node-local service time and any cold tier
-        reads.  ``max_radius`` bounds the search ball (the query pipeline
-        passes the largest distance its identity filter could accept).
+        ``searches`` holds one ``(hits, cost)`` per row, in row order:
+        ``hits`` are ``(distance, block_id)`` pairs, ``cost`` the
+        :class:`SearchCost` of that window.  ``reads`` is the
+        :class:`ReadCost` of the whole call: a spilled node reads its pages
+        once for all the windows, so cold reads belong to the subquery, not
+        to a window.  ``max_radius`` bounds the search ball (the query
+        pipeline passes the largest distance its identity filter could
+        accept).
         """
-        if self.tiered:
-            # Window by window: the order pages are touched in feeds the
-            # shared cache's state, and each window is charged the cold
-            # reads its own traversal caused (drained right after it).
-            searches = (
-                self.tree.knn(window, k, max_radius=max_radius) + self.tier.drain_io()
-                for window in windows
+        found = self.tree.knn(windows, k, max_radius=max_radius)
+        searches = [
+            (hits, SearchCost(evals, self.service_time(evals)))
+            for hits, evals in found
+        ]
+        reads = ReadCost()
+        if found.cold_reads:
+            # Cold page fetches are charged as device time (seek +
+            # transfer), not scaled by CPU speed.
+            reads = ReadCost(
+                found.cold_reads, found.cold_bytes,
+                self.tier.io_seconds(found.cold_reads, found.cold_bytes),
             )
-        else:
-            searches = (
-                found + (0, 0)
-                for found in self.tree.knn(windows, k, max_radius=max_radius)
-            )
-        out = []
-        for hits, evals, seeks, nbytes in searches:
-            seconds = self.service_time(evals)
-            io_seconds = 0.0
-            if seeks or nbytes:
-                # Cold page fetches are charged as device time (seek +
-                # transfer), not scaled by CPU speed.
-                io_seconds = self.tier.io_seconds(seeks, nbytes)
-                seconds += io_seconds
-            out.append((hits, SearchCost(evals, seconds, seeks, nbytes, io_seconds)))
-        self.stats.queries_served += len(out)
-        self._m_searches.inc(len(out))
-        self._m_evals.inc(sum(cost.evals for _, cost in out))
-        self._m_blocks.inc(sum(len(hits) for hits, _ in out))
-        return out
+        self.stats.queries_served += len(searches)
+        self._m_searches.inc(len(searches))
+        self._m_evals.inc(sum(evals for _, evals in found))
+        self._m_blocks.inc(sum(len(hits) for hits, _ in found))
+        return searches, reads
 
     def service_time(self, evals: int, overhead_evals: int = 50) -> float:
         """Simulated seconds to perform *evals* distance evaluations

@@ -388,9 +388,6 @@ class MendelIndex:
             "cold_read_bytes": sum(
                 occ["cold_read_bytes"] for occ in nodes.values()
             ),
-            "summary_bytes": sum(
-                occ["summary_bytes"] for occ in nodes.values()
-            ),
             "pages": sum(occ["pages"] for occ in nodes.values()),
             "compression_ratio": (raw_bytes / bytes_on_disk)
             if bytes_on_disk

@@ -263,17 +263,17 @@ def node_kernel(
     anchors: list[Anchor] = []
     seen: set[tuple[str, int, int]] = set()
     cost = NodeCost()
-    # One search call for the whole subquery; costs are still summed window
-    # by window, so the float totals do not depend on the batching.
-    searches = node.local_knn(
+    # One search call for the whole subquery; CPU costs are still summed
+    # window by window, so the float totals do not depend on the batching.
+    # Its cold reads are one charge (0.0 on a RAM node: the sum is unmoved).
+    searches, reads = node.local_knn(
         np.stack([window.codes for window in windows]), params.n, max_radius=radius
     )
+    cost.io_seeks, cost.io_bytes, cost.io_seconds = reads
+    cost.service_seconds += reads.seconds
     for window, (hits, search) in zip(windows, searches):
         cost.evals += search.evals
         cost.service_seconds += search.seconds
-        cost.io_seeks += search.io_seeks
-        cost.io_bytes += search.io_bytes
-        cost.io_seconds += search.io_seconds
         cost.candidates += len(hits)
         for _dist, block_id in hits:
             # Verified read: a hit whose durable copy fails its content
@@ -543,15 +543,6 @@ class _BatchRun:
         )
         self._scope_coverage(state, group, gspan)
         fanout = [node for node in group.nodes if node.alive]
-        # Tiered members: prefetch every page whose summary ball can
-        # intersect a subquery's search ball — one batched sequential
-        # fetch per node instead of per-miss seeks — and pin the
-        # candidate set so concurrent queries cannot evict it mid-scan.
-        codes = [w.codes for w in windows]
-        prefetch_pins = [
-            (node, keys) for node in fanout if node.tiered
-            for keys in [node.tier.prefetch(codes, self.radius)] if keys
-        ]
         node_events = [
             sim.spawn(self.guarded_node(state, node, coordinator, windows,
                                         gspan),
@@ -563,9 +554,6 @@ class _BatchRun:
             gspan.finish(sim_now=sim.now)
             return []  # whole group down: no anchors from here
         per_node = yield AllOf(node_events)
-        for node, keys in prefetch_pins:
-            if node.tier is not None:
-                node.tier.release_pins(keys)
         collected = self._collect(state, group, fanout, per_node, gspan)
         aspan = gspan.child("group_aggregate", sim_now=sim.now,
                             actor=group.group_id)

@@ -1,10 +1,9 @@
 """``repro.tier`` — the tiered disk-backed compressed block store.
 
 Spills a node's block codes into an on-disk columnar block file (a
-reference-free redundancy codec over per-page centroids), keeps an in-RAM
-vp-tree over page *summaries* for routing-time pruning and prefetch, and
-serves cold reads through a bounded shared SLRU cache with pin-count
-eviction — all without changing a single simulated search result: tiered
+reference-free redundancy codec over per-page centroids) and serves a
+spilled node's search as one page-ordered pass through a bounded shared
+SLRU cache — all without changing a single simulated search result: tiered
 and all-RAM deployments return byte-identical k-NN answers and identical
 distance-evaluation counters; only service time differs.
 """
@@ -30,12 +29,7 @@ from repro.tier.codec import (
     encode_page,
 )
 from repro.tier.store import NodeTier, TierConfig, TieredPoints
-from repro.tier.summary import (
-    PageSummary,
-    SummaryIndex,
-    page_centroid,
-    summarize_rows,
-)
+from repro.tier.summary import page_centroid, summarize_rows
 
 __all__ = [
     "BlockCache",
@@ -49,8 +43,6 @@ __all__ = [
     "NodeTier",
     "PageMeta",
     "PageRecord",
-    "PageSummary",
-    "SummaryIndex",
     "TIER_FILE",
     "TierCodecError",
     "TierConfig",

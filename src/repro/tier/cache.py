@@ -2,18 +2,29 @@
 
 A segmented LRU (SLRU) over decoded pages, keyed ``(node_id, page_index)``:
 
-* **probation** holds pages seen once — cold reads and prefetches land
-  here, so a one-pass scan cycles through probation and *cannot* evict the
-  re-referenced working set (the admission control the tier promises);
+* **probation** holds pages seen once — cold reads land here, so a one-pass
+  scan cycles through probation and *cannot* evict the re-referenced working
+  set (the admission control the tier promises);
 * **protected** holds pages re-referenced while resident — a probation hit
   promotes the page, a protected hit refreshes its recency.
 
-Eviction walks probation LRU-first, then protected, always skipping pages
-with a nonzero **pin count** — the query fan-out pins its prefetched
-candidate set for the duration of the subquery, so a concurrent query's
-misses cannot evict pages another query is about to read.  When every
-resident page is pinned the cache briefly overshoots its byte budget
-rather than deadlock; the overshoot drains at unpin.
+Eviction walks probation LRU-first, then protected.
+
+**Paper vs ours.**  The paper's nodes hold their blocks in RAM and have no
+cache.  Ours serves a spilled node's search as one page-ordered pass
+(:func:`repro.vptree.search._fill`): every data page is looked up exactly
+once per node-subquery, scored against all of the subquery's windows while
+in hand, and not referenced again until the next subquery.  So a page is
+reused only *across* passes, and nothing needs holding in place *within*
+one: no page is pinned and none is fetched ahead of the pass.  Passes over
+a node loop, which is LRU's worst case, so the pass — not this cache —
+limits what it admits (:meth:`repro.tier.store.NodeTier.pages`): a cache
+that holds the node's pages makes the next pass free, a smaller one keeps
+a slowly turning subset resident instead of churning through all of them.
+
+Gateway worker threads search the same nodes at once, so ``get``, ``put``
+and ``drop_node`` hold one lock and the resident-byte total is kept as a
+running sum.
 
 All counters are labelled ``(node, tier)`` so a node drain purges its
 series via ``MetricsRegistry.purge_labels`` (see the multi-label purge
@@ -22,8 +33,8 @@ semantics in :mod:`repro.obs.metrics`).
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,15 +45,8 @@ from repro.obs.profile import charge as profile_charge
 CACHE_TIER = "block_cache"
 
 
-@dataclass
-class _Entry:
-    rows: np.ndarray
-    nbytes: int
-    pins: int = 0
-
-
 class BlockCache:
-    """Shared byte-budget SLRU page cache with pin-count eviction."""
+    """Shared byte-budget SLRU page cache."""
 
     def __init__(
         self,
@@ -58,8 +62,11 @@ class BlockCache:
             )
         self.capacity_bytes = int(capacity_bytes)
         self.probation_fraction = float(probation_fraction)
-        self._probation: OrderedDict[tuple[str, int], _Entry] = OrderedDict()
-        self._protected: OrderedDict[tuple[str, int], _Entry] = OrderedDict()
+        self._lock = threading.Lock()
+        # (node_id, page_index) -> decoded page, least recently used first
+        self._probation: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
+        self._protected: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
+        self._resident_bytes = 0
         registry = registry or default_registry()
         labelnames = ("node", "tier")
         self._c_hits = registry.counter(
@@ -77,15 +84,10 @@ class BlockCache:
             "Pages evicted from the block cache per node",
             labelnames,
         )
-        self._c_prefetch = registry.counter(
-            "repro_tier_cache_prefetches_total",
-            "Pages admitted by routing-time prefetch per node",
-            labelnames,
-        )
         self._c_bypass = registry.counter(
             "repro_tier_cache_bypass_total",
-            "Page reads that bypassed admission (page larger than budget, "
-            "or every resident page pinned) per node",
+            "Page reads that bypassed admission (page larger than the "
+            "budget) per node",
             labelnames,
         )
 
@@ -93,30 +95,20 @@ class BlockCache:
 
     @property
     def resident_bytes(self) -> int:
-        return sum(e.nbytes for e in self._probation.values()) + sum(
-            e.nbytes for e in self._protected.values()
-        )
+        return self._resident_bytes
 
     @property
     def resident_pages(self) -> int:
         return len(self._probation) + len(self._protected)
 
-    @property
-    def pinned_bytes(self) -> int:
-        return sum(
-            entry.nbytes
-            for segment in (self._probation, self._protected)
-            for entry in segment.values()
-            if entry.pins
-        )
-
     def resident_bytes_for(self, node_id: str) -> int:
-        return sum(
-            entry.nbytes
-            for segment in (self._probation, self._protected)
-            for (owner, _), entry in segment.items()
-            if owner == node_id
-        )
+        with self._lock:
+            return sum(
+                rows.nbytes
+                for segment in (self._probation, self._protected)
+                for (owner, _), rows in segment.items()
+                if owner == node_id
+            )
 
     def contains(self, key: tuple[str, int]) -> bool:
         return key in self._probation or key in self._protected
@@ -134,123 +126,64 @@ class BlockCache:
             "hits": total(self._c_hits),
             "misses": total(self._c_misses),
             "evictions": total(self._c_evictions),
-            "prefetches": total(self._c_prefetch),
             "bypasses": total(self._c_bypass),
         }
 
     # -- the cache protocol ----------------------------------------------------
 
-    def get(self, key: tuple[str, int], count: bool = True) -> np.ndarray | None:
+    def get(self, key: tuple[str, int]) -> np.ndarray | None:
         """The decoded page for *key*, or ``None``.  A probation hit
         promotes to protected; a protected hit refreshes recency."""
-        entry = self._protected.get(key)
-        if entry is not None:
-            self._protected.move_to_end(key)
-            if count:
-                self._c_hits.labels(node=key[0], tier=CACHE_TIER).inc()
-                profile_charge("tier", "tier/cache.py:BlockCache.get",
-                               cache_hits=1)
-            return entry.rows
-        entry = self._probation.pop(key, None)
-        if entry is not None:
-            self._protected[key] = entry
-            if count:
-                self._c_hits.labels(node=key[0], tier=CACHE_TIER).inc()
-                profile_charge("tier", "tier/cache.py:BlockCache.get",
-                               cache_hits=1)
-            return entry.rows
-        if count:
+        with self._lock:
+            rows = self._protected.get(key)
+            if rows is not None:
+                self._protected.move_to_end(key)
+            else:
+                rows = self._probation.pop(key, None)
+                if rows is not None:
+                    self._protected[key] = rows
+        if rows is None:
             self._c_misses.labels(node=key[0], tier=CACHE_TIER).inc()
-            profile_charge("tier", "tier/cache.py:BlockCache.get",
-                           cache_misses=1)
-        return None
+            profile_charge("tier", "tier/cache.py:BlockCache.get", cache_misses=1)
+        else:
+            self._c_hits.labels(node=key[0], tier=CACHE_TIER).inc()
+            profile_charge("tier", "tier/cache.py:BlockCache.get", cache_hits=1)
+        return rows
 
-    def put(
-        self,
-        key: tuple[str, int],
-        rows: np.ndarray,
-        prefetch: bool = False,
-        pin: bool = False,
-    ) -> bool:
+    def put(self, key: tuple[str, int], rows: np.ndarray) -> bool:
         """Admit a decoded page into probation; returns whether it is
         resident afterwards.  Pages larger than the whole budget are never
         admitted (a full-corpus scan cannot claim the cache)."""
         nbytes = int(rows.nbytes)
-        node_id = key[0]
-        if self.contains(key):
-            if pin:
-                self.pin(key)
-            return True
         if nbytes > self.capacity_bytes:
-            self._c_bypass.labels(node=node_id, tier=CACHE_TIER).inc()
+            self._c_bypass.labels(node=key[0], tier=CACHE_TIER).inc()
             return False
-        entry = _Entry(rows=rows, nbytes=nbytes, pins=1 if pin else 0)
-        self._probation[key] = entry
-        evicted = self._shrink_to_budget(protect=key)
-        if not evicted:
-            self._c_bypass.labels(node=node_id, tier=CACHE_TIER).inc()
-            return False
-        if prefetch:
-            self._c_prefetch.labels(node=node_id, tier=CACHE_TIER).inc()
-        return True
-
-    def _shrink_to_budget(self, protect: tuple[str, int]) -> bool:
-        """Evict unpinned pages (probation first) until within budget.
-
-        Returns ``False`` when the budget could only be met by evicting
-        *protect* itself (the page being admitted) — the caller then counts
-        an admission bypass.  Pinned overshoot is tolerated."""
-        while self.resident_bytes > self.capacity_bytes:
-            victim = self._pick_victim(exclude=protect)
-            if victim is None:
-                # Only pinned pages (or just the incoming page) remain.
-                incoming = self._probation.get(protect)
-                if incoming is not None and incoming.pins == 0:
-                    del self._probation[protect]
-                    return False
-                return True  # pinned overshoot: drains at unpin
-            segment, key = victim
-            segment.pop(key)
-            self._c_evictions.labels(node=key[0], tier=CACHE_TIER).inc()
-        return True
-
-    def _pick_victim(
-        self, exclude: tuple[str, int]
-    ) -> tuple[OrderedDict, tuple[str, int]] | None:
-        """LRU-first unpinned victim, preferring probation; protected is
-        only raided once probation is exhausted (scan resistance)."""
-        for segment in (self._probation, self._protected):
-            for key, entry in segment.items():
-                if key == exclude or entry.pins:
-                    continue
-                return segment, key
-        return None
-
-    # -- pinning ---------------------------------------------------------------
-
-    def pin(self, key: tuple[str, int]) -> bool:
-        """Mark *key* unevictable until a matching :meth:`unpin`."""
-        for segment in (self._probation, self._protected):
-            entry = segment.get(key)
-            if entry is not None:
-                entry.pins += 1
+        evicted = []
+        with self._lock:
+            if self.contains(key):  # another thread read it meanwhile
                 return True
-        return False
-
-    def unpin(self, key: tuple[str, int]) -> None:
-        for segment in (self._probation, self._protected):
-            entry = segment.get(key)
-            if entry is not None:
-                entry.pins = max(0, entry.pins - 1)
-                return
+            self._probation[key] = rows
+            self._resident_bytes += nbytes
+            # The incoming page fits the budget on its own, so there is
+            # always an older victim while the total is over it.
+            while self._resident_bytes > self.capacity_bytes:
+                segment = (
+                    self._probation if len(self._probation) > 1 else self._protected
+                )
+                victim, gone = segment.popitem(last=False)
+                self._resident_bytes -= gone.nbytes
+                evicted.append(victim)
+        for victim in evicted:
+            self._c_evictions.labels(node=victim[0], tier=CACHE_TIER).inc()
+        return True
 
     def drop_node(self, node_id: str) -> int:
         """Drop every resident page of *node_id* (process death or tier
         teardown wipes that node's share of shared RAM); returns count."""
         dropped = 0
-        for segment in (self._probation, self._protected):
-            doomed = [key for key in segment if key[0] == node_id]
-            for key in doomed:
-                del segment[key]
-                dropped += 1
+        with self._lock:
+            for segment in (self._probation, self._protected):
+                for key in [key for key in segment if key[0] == node_id]:
+                    self._resident_bytes -= segment.pop(key).nbytes
+                    dropped += 1
         return dropped

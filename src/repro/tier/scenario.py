@@ -17,17 +17,17 @@ workload:
 4. **capacity** — re-spill with large pages and a cache at 0.1% of the
    corpus, measure ``capacity_x``: how many times the current corpus
    would fit in the RAM the tier actually holds resident
-   (``raw / (pinned + summaries + cache budget)``), and require one more
-   equivalent query.  ``capacity_x >= 100`` is the 100x-scale claim;
+   (``raw / (pinned + cache budget)``), and require one more equivalent
+   query.  ``capacity_x >= 100`` is the 100x-scale claim;
 5. **unspill** — fold everything back to RAM and verify equivalence one
    final time (the round trip loses nothing).
 
 The capacity denominator counts what scales with the corpus: permanently
-pinned vantage pages, per-page summaries (centroid/radius/histogram), and
-the cache byte budget.  Per-query scratch (the one-page victim buffer)
-and the row->page maps are excluded — the maps are tree-structure
-overhead present in both deployments, and scratch is bounded per query,
-not per corpus.
+pinned vantage pages and the cache byte budget.  Per-query scratch (the one
+decoded page in hand and the windows x rows distance matrix, which the
+all-RAM search holds too) and the row->page maps are excluded — the maps
+are tree-structure overhead present in both deployments, and scratch is
+bounded per query, not per corpus.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _cache_delta(after: dict, before: dict) -> dict:
     registry is process-global, so raw totals would bleed across runs)."""
     return {
         key: after[key] - before.get(key, 0)
-        for key in ("hits", "misses", "evictions", "prefetches", "bypasses")
+        for key in ("hits", "misses", "evictions", "bypasses")
     }
 
 
@@ -112,8 +112,7 @@ class TierScenarioResult:
             ("warm2 sim ms", f"{report['warm2_sim_turnaround_ms']:.1f}"),
             ("capacity_x", f"{cap['capacity_x']:.1f} "
                            f"(cache {cap['cache_bytes']} B, "
-                           f"pinned {cap['pinned_bytes']} B, "
-                           f"summaries {cap['summary_bytes']} B)"),
+                           f"pinned {cap['pinned_bytes']} B)"),
             ("equivalent", str(report["equivalent"])),
         ]
 
@@ -229,11 +228,7 @@ def run_tier_scenario(
     )
     mendel.spill(cache_bytes=capacity_cache_bytes, config=capacity_config)
     cap_tier = mendel.tier_report()
-    resident_budget = (
-        cap_tier["pinned_bytes"]
-        + cap_tier["summary_bytes"]
-        + capacity_cache_bytes
-    )
+    resident_budget = cap_tier["pinned_bytes"] + capacity_cache_bytes
     capacity_x = raw_bytes / max(resident_budget, 1)
     capacity = _run_sweep(mendel, queries[:1])
 
@@ -268,12 +263,10 @@ def run_tier_scenario(
             "resident_fraction": tier["resident_fraction"],
             "pages": tier["pages"],
             "pinned_bytes": tier["pinned_bytes"],
-            "summary_bytes": tier["summary_bytes"],
         },
         "capacity": {
             "cache_bytes": capacity_cache_bytes,
             "pinned_bytes": cap_tier["pinned_bytes"],
-            "summary_bytes": cap_tier["summary_bytes"],
             "resident_budget": resident_budget,
             "capacity_x": capacity_x,
             "compression_ratio": cap_tier["compression_ratio"],

@@ -1,22 +1,30 @@
-"""The per-node tiered block store: spill, read-through, and recovery.
+"""The per-node tiered block store: spill, the page-ordered read, recovery.
 
 ``NodeTier`` moves a node's block codes from RAM to an on-disk block file
 (:mod:`repro.tier.blockfile`) while leaving the node's vp-tree *structure*
 untouched.  The exactness contract is structural:
 
 * every internal vertex's **vantage row** lands in a permanently pinned
-  page (resident by construction), so internal traversal and pruning never
-  touch cold data;
-* **leaf buckets** are packed into pages in depth-first order (a bucket
-  never straddles a page unless it is larger than one), read through the
-  shared :class:`~repro.tier.cache.BlockCache` on demand;
+  page (resident by construction);
+* **leaf buckets** are packed into data pages in depth-first order (a
+  bucket never straddles a page unless it is larger than one);
 * the tree's ``points`` matrix is replaced by :class:`TieredPoints`, which
-  serves the exact same bytes through the same indexing operations — so
-  the traversal's pruning decisions, its k-NN results and the distance
-  evaluations it is charged are *byte-identical* to what the all-RAM node
-  reports (which gets there by a scan, see :mod:`repro.vptree.search`),
-  and only service time differs (cold page reads are charged as simulated
-  seek + transfer seconds).
+  holds the exact same bytes, so the distances a search computes — and with
+  them its pruning decisions, its k-NN results and the distance evaluations
+  it is charged — are *byte-identical* to the all-RAM node's, and only
+  service time differs.
+
+**The I/O model (paper vs ours).**  The paper's node keeps its blocks in RAM
+and walks its vp-tree.  A spilled node here is searched the way a RAM node
+is (:mod:`repro.vptree.search`): one distance pass over every row per
+node-subquery, fed by :meth:`NodeTier.pages` — each page once, in file
+order, all of the subquery's windows scored against it while it is in hand
+(the walk's visit set is ~all pages at Mendel's radii, and it touched them
+in tree order, many times each).  A page that is not resident costs one
+seek plus its compressed bytes of transfer; the pass counts those reads and
+returns them, and the node charges them once per node-subquery.  Reads are
+not coalesced into sequential runs and no page is skipped — both wait for
+a search that prunes.
 
 Spilling is also a durability checkpoint: the block file carries the same
 per-row CRC32 digests the WAL acknowledges, so after a spill the snapshot
@@ -27,9 +35,10 @@ dispatch, including from a crashed node's disk).
 
 from __future__ import annotations
 
+import threading
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -38,7 +47,7 @@ from repro.tier import blockfile
 from repro.tier.blockfile import BlockFileReader, PageRecord, write_block_file
 from repro.tier.cache import BlockCache
 from repro.tier.codec import METHOD_NAMES, TierCodecError, encode_page
-from repro.tier.summary import PageSummary, SummaryIndex, summarize_rows
+from repro.tier.summary import summarize_rows
 from repro.vptree.metric import MetricAdapter
 from repro.vptree.tree import VPNode
 
@@ -80,15 +89,14 @@ class TierConfig:
 
 
 class TieredPoints:
-    """Drop-in replacement for a vp-tree's ``points`` matrix, backed by the
-    tier's pages.
+    """Stands in for a vp-tree's ``points`` matrix, backed by the tier's
+    pages.
 
-    Supports exactly the access patterns the search and maintenance paths
-    use — ``shape``, ``len``, integer row indexing, and integer-array fancy
-    indexing — returning the same ``uint8`` bytes the RAM matrix held.
-    Cold page fetches accumulate into the owning tier's pending I/O
-    counters, which the node drains into simulated service seconds after
-    each local search."""
+    A search reads it through :meth:`pages` (see
+    :func:`repro.vptree.search._fill`).  ``shape``, ``len`` and row
+    indexing by integer or integer array serve maintenance and tests with
+    the same ``uint8`` bytes the RAM matrix held, straight from the device:
+    no cache traffic, no I/O charge, like :meth:`NodeTier.materialize`."""
 
     dtype = np.dtype(np.uint8)
 
@@ -106,32 +114,22 @@ class TieredPoints:
     def nbytes(self) -> int:
         return self._tier.row_count * self._tier.width
 
+    def pages(self) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+        return self._tier.pages()
+
     def __getitem__(self, key):
         tier = self._tier
-        if isinstance(key, (int, np.integer)):
-            page = int(tier.page_of[key])
-            return tier.fetch_page(page)[int(tier.slot_of[key])]
-        idx = np.asarray(key)
-        if idx.ndim == 0:
-            page = int(tier.page_of[int(idx)])
-            return tier.fetch_page(page)[int(tier.slot_of[int(idx)])]
-        idx = idx.reshape(-1)
-        if idx.size == 0:
-            return np.empty((0, tier.width), dtype=np.uint8)
-        pages = tier.page_of[idx]
-        first = int(pages[0])
-        if (pages == first).all():
-            # Fast path: a whole leaf bucket lives in one page.
-            return tier.fetch_page(first)[tier.slot_of[idx]]
-        out = np.empty((idx.size, tier.width), dtype=np.uint8)
+        rows = np.atleast_1d(np.asarray(key)).reshape(-1)
+        out = np.empty((rows.size, tier.width), dtype=np.uint8)
+        pages = tier.page_of[rows]
         for page in np.unique(pages):
             mask = pages == page
-            out[mask] = tier.fetch_page(int(page))[tier.slot_of[idx[mask]]]
-        return out
+            out[mask] = tier.decoded(int(page))[tier.slot_of[rows[mask]]]
+        return out[0] if np.ndim(key) == 0 else out
 
     def __array__(self, dtype=None, copy=None):
-        # Explicit materialisation (no caller should need this on the hot
-        # path; it exists so accidental coercion stays *correct*).
+        # Explicit materialisation (never on the query path; it exists so
+        # accidental coercion stays *correct*).
         full = self._tier.materialize()
         return full if dtype is None else full.astype(dtype)
 
@@ -145,7 +143,7 @@ def _chunks(values, size: int):
 
 
 class NodeTier:
-    """One node's tier state: block file, pinned pages, summaries, maps."""
+    """One node's tier state: block file, pinned pages, row maps."""
 
     def __init__(
         self, node: "StorageNode", cache: BlockCache, config: TierConfig
@@ -154,28 +152,22 @@ class NodeTier:
         self.node_id = node.node_id
         self.cache = cache
         self.config = config
-        # Summary/codec distances run on a fresh adapter over the same
-        # metric — the node tree's adapter feeds simulated service times
-        # and must stay byte-identical to the all-RAM deployment.
+        # Page-summary distances run on a fresh adapter over the same
+        # metric — an insert's service time is bracketed from the node
+        # tree's adapter count, which a spill must not move.
         self.adapter = MetricAdapter(node.tree.adapter.metric)
         self.active = False
         self.row_count = 0
         self.width = int(node.tree.points.shape[1])
         self.reader: BlockFileReader | None = None
-        self.summary: SummaryIndex | None = None
         self.page_of = np.empty(0, dtype=np.int32)
         self.slot_of = np.empty(0, dtype=np.int32)
         self._page_rows: list[np.ndarray] = []
         self._pinned_arrays: dict[int, np.ndarray] = {}
         self._row_of_block: dict[int, tuple[int, int]] = {}
-        # Victim buffer: the page most recently decoded for this node —
-        # per-query scratch (the page "in hand" while a leaf is scanned),
-        # held outside the shared budget like the query's own buffers.
-        self._last_page: tuple[int, np.ndarray] | None = None
-        self.pending_seeks = 0
-        self.pending_bytes = 0
-        # Lifetime device traffic (never drained — pending_* feed sim-time
-        # charges, these feed the tier-cache dashboard panel).
+        # Lifetime device traffic for the tier-cache dashboard panel (what
+        # a search is charged is returned by its own pass, not read here).
+        self._io_lock = threading.Lock()
         self.total_seeks = 0
         self.total_bytes = 0
         registry = default_registry()
@@ -248,14 +240,12 @@ class NodeTier:
             page_rows.append(np.asarray(chunk, dtype=np.intp))
 
         records: list[PageRecord] = []
-        summaries: list[PageSummary] = []
         for index, rows_idx in enumerate(page_rows):
             rows = points[rows_idx]
             centroid, radius, histogram = summarize_rows(
                 rows, self.adapter, alphabet_size
             )
             method, payload = encode_page(rows, centroid, alphabet_size)
-            pinned = index >= data_pages
             records.append(
                 PageRecord(
                     payload=payload,
@@ -271,19 +261,7 @@ class NodeTier:
                     radius=radius,
                     histogram=[int(h) for h in histogram],
                     raw_bytes=int(rows.nbytes),
-                    pinned=pinned,
-                )
-            )
-            summaries.append(
-                PageSummary(
-                    index=index,
-                    centroid=centroid,
-                    radius=radius,
-                    histogram=histogram,
-                    rows=int(rows.shape[0]),
-                    raw_bytes=int(rows.nbytes),
-                    comp_bytes=len(payload),
-                    pinned=pinned,
+                    pinned=index >= data_pages,
                 )
             )
 
@@ -296,7 +274,6 @@ class NodeTier:
             records,
         )
         self.reader = BlockFileReader(self.node.disk, self.config.file_name)
-        self.summary = SummaryIndex(summaries, self.adapter)
         self.row_count = n
         self.page_of = np.full(n, -1, dtype=np.int32)
         self.slot_of = np.full(n, -1, dtype=np.int32)
@@ -314,8 +291,6 @@ class NodeTier:
             for index, record in enumerate(records)
             for slot, block_id in enumerate(record.block_ids)
         }
-        self.pending_seeks = 0
-        self.pending_bytes = 0
         self.active = True
 
         tree.points = TieredPoints(self)
@@ -325,41 +300,59 @@ class NodeTier:
 
     # -- reads -----------------------------------------------------------------
 
-    def fetch_page(self, index: int) -> np.ndarray:
-        """The decoded page: pinned store, then cache, then a cold device
-        read (accumulated into pending I/O).  A payload that fails to
-        decode yields placeholder rows — search then surfaces no verified
-        hit from them and the scrubber quarantines the real bytes."""
+    def pages(self) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+        """Every page once, in file order, as ``(tree rows, codes, cold
+        bytes)``: the feed of a search's distance pass.  Vantage pages are
+        always resident.  A data page comes from the shared cache or,
+        failing that, from the device — then ``cold bytes`` is the
+        compressed length read (else 0).
+
+        A pass is one lap of a looping scan, LRU's worst case: left to
+        admit every page it reads, a pass longer than the cache would
+        flush it with its own tail, which the next lap wants last.  So a
+        pass offers its cold pages to the cache while there is free room,
+        takes one more slot from the LRU end (which lets the resident set
+        follow the workload), and leaves the rest as it found it.
+
+        A payload that fails to decode yields placeholder rows, still paid
+        for and never cached: the search surfaces no verified hit from them
+        and the scrubber quarantines the real bytes."""
+        cache, admit = self.cache, True
+        for index, rows in enumerate(self._page_rows):
+            codes = self._pinned_arrays.get(index)
+            cold_bytes = 0
+            if codes is None:
+                key = (self.node_id, index)
+                codes = cache.get(key)
+            if codes is None:
+                cold_bytes = self.reader.pages[index].length
+                with self._io_lock:
+                    self.total_seeks += 1
+                    self.total_bytes += cold_bytes
+                try:
+                    codes = self.reader.read_page(index)
+                except TierCodecError:
+                    codes = self._undecodable(index)
+                else:
+                    room = cache.capacity_bytes - cache.resident_bytes
+                    if admit and cache.put(key, codes):
+                        admit = codes.nbytes <= room  # else: its one eviction
+            yield rows, codes, cold_bytes
+
+    def decoded(self, index: int) -> np.ndarray:
+        """Page *index* without touching the cache or the I/O tally
+        (control-plane and maintenance reads)."""
         pinned = self._pinned_arrays.get(index)
         if pinned is not None:
             return pinned
-        if self._last_page is not None and self._last_page[0] == index:
-            return self._last_page[1]
-        key = (self.node_id, index)
-        rows = self.cache.get(key)
-        if rows is not None:
-            self._last_page = (index, rows)
-            return rows
-        meta = self.reader.pages[index]
-        self.pending_seeks += 1
-        self.pending_bytes += meta.length
-        self.total_seeks += 1
-        self.total_bytes += meta.length
         try:
-            rows = self.reader.read_page(index)
+            return self.reader.read_page(index)
         except TierCodecError:
-            self._c_decode_failures.labels(node=self.node_id).inc()
-            return np.zeros((meta.rows, self.width), dtype=np.uint8)
-        self.cache.put(key, rows)
-        self._last_page = (index, rows)
-        return rows
+            return self._undecodable(index)
 
-    def drain_io(self) -> tuple[int, int]:
-        """``(seeks, bytes)`` accumulated since the last drain."""
-        seeks, nbytes = self.pending_seeks, self.pending_bytes
-        self.pending_seeks = 0
-        self.pending_bytes = 0
-        return seeks, nbytes
+    def _undecodable(self, index: int) -> np.ndarray:
+        self._c_decode_failures.labels(node=self.node_id).inc()
+        return np.zeros((self.reader.pages[index].rows, self.width), dtype=np.uint8)
 
     def io_seconds(self, seeks: int, nbytes: int) -> float:
         """Simulated device time for *seeks* cold fetches totalling
@@ -369,59 +362,6 @@ class NodeTier:
             seeks * self.config.seek_seconds
             + nbytes * self.config.read_seconds_per_byte
         )
-
-    def prefetch(
-        self, window_codes: list[np.ndarray], radius: float
-    ) -> list[tuple[str, int]]:
-        """Routing-time prefetch: load every page whose summary ball can
-        intersect a subquery's search ball, in one batched sequential
-        fetch (a single seek), and pin the candidate set for the subquery's
-        lifetime.  Returns the pinned keys for :meth:`release_pins`."""
-        if not self.active or self.summary is None:
-            return []
-        candidates: set[int] = set()
-        for codes in window_codes:
-            candidates.update(self.summary.candidates(codes, radius))
-        pinned_keys: list[tuple[str, int]] = []
-        fetched = 0
-        batch_bytes = 0
-        # Pin at most half the shared budget: the pinned candidate set must
-        # never starve read-through admission for the rest of the query
-        # (concurrent subqueries each need headroom too).
-        pin_budget = self.cache.capacity_bytes // 2
-        for index in sorted(candidates):
-            if self.cache.pinned_bytes >= pin_budget:
-                # Past the pin budget further prefetch admissions would only
-                # evict each other out of probation; leave the remainder to
-                # read-through.
-                break
-            if index in self._pinned_arrays:
-                continue
-            key = (self.node_id, index)
-            rows = self.cache.get(key, count=False)
-            if rows is None:
-                meta = self.reader.pages[index]
-                try:
-                    rows = self.reader.read_page(index)
-                except TierCodecError:
-                    self._c_decode_failures.labels(node=self.node_id).inc()
-                    continue
-                if not self.cache.put(key, rows, prefetch=True):
-                    continue  # budget exhausted: read-through will serve it
-                fetched += 1
-                batch_bytes += meta.length
-            if self.cache.pinned_bytes < pin_budget and self.cache.pin(key):
-                pinned_keys.append(key)
-        if fetched:
-            self.pending_seeks += 1
-            self.pending_bytes += batch_bytes
-            self.total_seeks += 1
-            self.total_bytes += batch_bytes
-        return pinned_keys
-
-    def release_pins(self, keys: list[tuple[str, int]]) -> None:
-        for key in keys:
-            self.cache.unpin(key)
 
     # -- durability dispatch ---------------------------------------------------
 
@@ -453,7 +393,6 @@ class NodeTier:
         self.node.disk.flip_bit(self.config.file_name, offset, bit)
         # Cached copies predate the flip; drop them so reads see the device.
         self.cache.drop_node(self.node_id)
-        self._last_page = None
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -465,16 +404,8 @@ class NodeTier:
         from pinned pages and the device (no cache churn, no simulated I/O
         — spill/unspill are control-plane moves, not query service)."""
         codes = np.empty((self.row_count, self.width), dtype=np.uint8)
-        for index, rows_idx in enumerate(self._page_rows):
-            pinned = self._pinned_arrays.get(index)
-            if pinned is not None:
-                codes[rows_idx] = pinned
-                continue
-            try:
-                codes[rows_idx] = self.reader.read_page(index)
-            except TierCodecError:
-                self._c_decode_failures.labels(node=self.node_id).inc()
-                codes[rows_idx] = 0
+        for index, rows in enumerate(self._page_rows):
+            codes[rows] = self.decoded(index)
         return codes
 
     def file_contents(self) -> tuple[np.ndarray, list[int]]:
@@ -501,14 +432,12 @@ class NodeTier:
         """Process death: the node's share of the cache dies with its RAM;
         the block file stays on disk for manifest reads and recovery."""
         self.cache.drop_node(self.node_id)
-        self._last_page = None
         self.active = False
 
     def discard(self) -> None:
         """Tear the tier down completely (unspill or placement reset):
         cache entries dropped, block file deleted, gauges zeroed."""
         self.cache.drop_node(self.node_id)
-        self._last_page = None
         self.node.disk.delete(self.config.file_name)
         self.active = False
         self._g_disk.labels(node=self.node_id).set(0.0)
@@ -532,17 +461,6 @@ class NodeTier:
     @property
     def resident_bytes(self) -> int:
         return self.pinned_bytes + self.cache.resident_bytes_for(self.node_id)
-
-    @property
-    def summary_bytes(self) -> int:
-        """RAM cost of the always-resident page summaries (centroid bytes,
-        radius, histogram counts)."""
-        if self.summary is None:
-            return 0
-        return sum(
-            s.centroid.nbytes + s.histogram.nbytes + 8
-            for s in self.summary.summaries
-        )
 
     @property
     def compression_ratio(self) -> float:
@@ -569,7 +487,6 @@ class NodeTier:
             "bytes_on_disk": self.bytes_on_disk,
             "raw_bytes": self.raw_bytes,
             "pinned_bytes": self.pinned_bytes,
-            "summary_bytes": self.summary_bytes,
             "resident_bytes": self.resident_bytes,
             "compression_ratio": self.compression_ratio,
             "resident_fraction": self.resident_fraction,

@@ -15,11 +15,10 @@ vectorised batch call.
 **Executed kernel vs modelled cost.**  A k-NN search is charged the
 distance evaluations that traversal makes — one per visited internal vertex
 plus the bucket size of every visited leaf — and that figure is returned
-beside the hits.  Over an in-RAM point matrix the distances themselves come
-from *one* pass of ``adapter.batch`` over ``tree.points`` per query, in
-contiguous row blocks (at the radii Mendel searches with the traversal
-evaluates nearly every row anyway), after which the traversal's outcome is
-reproduced exactly:
+beside the hits.  The distances themselves come from *one* pass of
+``adapter.batch`` over every stored row per batch of queries (at the radii
+Mendel searches with the traversal evaluates nearly every row anyway), after
+which the traversal's outcome is reproduced exactly:
 
 * if fewer than ``k`` rows lie inside ``max_radius`` the k-best heap can
   never fill, so ``tau`` stays at ``max_radius`` for the whole walk, every
@@ -30,9 +29,16 @@ reproduced exactly:
   order vertices are met in, so :func:`_knn_visit` itself is replayed,
   reading distances from the precomputed row instead of calling the metric.
 
-Over paged rows (a spilled node's :class:`~repro.tier.store.TieredPoints`)
-:func:`_knn_visit` fetches distances lazily, vertex by vertex, because the
-order pages are touched in is itself modelled (cache state, cold reads).
+There is one search path; only the feeder of that pass differs by point
+store (:func:`_fill`).  An in-RAM matrix is read query by query in contiguous
+row blocks.  A paged store (a spilled node's
+:class:`~repro.tier.store.TieredPoints`) hands over each of its pages once
+and every query of the batch is scored against a page while it is in hand.
+The paper's node walks its tree and would touch a page per visited bucket;
+ours reads all of a node's pages because the visit set is nearly all of
+them — the reads that had to come from the device are counted by the pass
+and returned with the results (:class:`BatchResult`), never left in a
+shared tally.
 """
 
 from __future__ import annotations
@@ -108,20 +114,31 @@ class _KBest:
         return sorted((-neg, idx) for neg, _, idx in self._heap)
 
 
+class BatchResult(list):
+    """What :func:`knn_search` returns for a ``(W, L)`` batch: one
+    :data:`SearchResult` per query row, plus what filling the distance
+    matrix had to read from the device when the point store is paged (both
+    zero over an in-RAM matrix)."""
+
+    #: pages that were not resident, and their compressed bytes
+    cold_reads = 0
+    cold_bytes = 0
+
+
 def knn_search(
     tree: "VPTree",
     query: np.ndarray,
     k: int,
     max_radius: float = float("inf"),
-) -> "SearchResult | list[SearchResult]":
+) -> "SearchResult | BatchResult":
     """The k nearest elements of *tree* to *query*, with the search's cost.
 
     *query* is one ``(L,)`` code vector or a ``(W, L)`` batch; the result is
-    one ``(hits, evals)`` pair or a list of them in row order (the
-    ``scipy.spatial.KDTree.query`` convention).  ``hits`` are ``(distance,
-    payload)`` pairs ascending by distance; ``evals`` is the number of
-    distance evaluations the section III-C traversal makes for that query,
-    counted by the search itself.
+    one ``(hits, evals)`` pair or a :class:`BatchResult` of them in row
+    order (the ``scipy.spatial.KDTree.query`` convention).  ``hits`` are
+    ``(distance, payload)`` pairs ascending by distance; ``evals`` is the
+    number of distance evaluations the section III-C traversal makes for
+    that query, counted by the search itself.
 
     ``max_radius`` restricts results (and the search) to a ball around the
     query — see :class:`_KBest`.
@@ -129,7 +146,7 @@ def knn_search(
     query = np.asarray(query, dtype=np.uint8)
     queries = query[None, :] if query.ndim == 1 else query
     if tree.root is None:
-        results: list[SearchResult] = [([], 0) for _ in range(queries.shape[0])]
+        results = BatchResult(([], 0) for _ in range(queries.shape[0]))
     else:
         if queries.ndim != 2 or queries.shape[1] != tree.points.shape[1]:
             raise ValueError(
@@ -138,28 +155,13 @@ def knn_search(
             )
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if isinstance(tree.points, np.ndarray):
-            results = _scan_batch(tree, queries, k, float(max_radius))
-        else:
-            results = [
-                _traverse(tree, k, max_radius, *_metric_source(tree, row))
-                for row in queries
-            ]
+        results = _scan_batch(tree, queries, k, float(max_radius))
     return results[0] if query.ndim == 1 else results
 
 
 # -- the traversal ---------------------------------------------------------------
 # It asks its distance source for the query's distance to one row (``int``
 # -> ``float``) or to a bucket of rows (index array -> ``float64`` array).
-
-
-def _metric_source(tree: "VPTree", query: np.ndarray) -> tuple[Callable, Callable]:
-    """Distances evaluated on demand, fetching only the rows asked for."""
-    adapter, points = tree.adapter, tree.points
-    return (
-        lambda row: adapter.pair(query, points[row]),
-        lambda rows: adapter.batch(query, points[rows]),
-    )
 
 
 def _traverse(
@@ -213,7 +215,8 @@ def _knn_visit(
 # -- one distance pass per query ---------------------------------------------------
 
 #: distance cells (queries x rows) held at once by :func:`_scan_batch`; a
-#: longer batch is worked through in slices so memory stays bounded
+#: longer batch is worked through in slices so memory stays bounded (over a
+#: paged store: this matrix plus one decoded page)
 _SCAN_CELLS = 1 << 20
 #: code cells (rows x segment length) handed to one metric call: the batched
 #: metrics make several 8-byte-a-cell temporaries, which past a few hundred
@@ -296,28 +299,54 @@ class FlatTree:
 
 def _scan_batch(
     tree: "VPTree", queries: np.ndarray, k: int, max_radius: float
-) -> list[SearchResult]:
-    """k-NN for every row of *queries* over an in-RAM point matrix, a
-    bounded number of distance cells at a time."""
-    step = max(1, _SCAN_CELLS // tree.points.shape[0])
-    return [
-        result
-        for start in range(0, queries.shape[0], step)
-        for result in _scan_slice(tree, queries[start:start + step], k, max_radius)
-    ]
+) -> BatchResult:
+    """k-NN for every row of *queries*: one distance pass per slice of the
+    batch (so a bounded number of distance cells is held, and a paged store
+    is read once per slice), then :func:`_scan_slice` on its outcome."""
+    rows = tree.points.shape[0]
+    step = max(1, _SCAN_CELLS // rows)
+    results = BatchResult()
+    for start in range(0, queries.shape[0], step):
+        part = queries[start:start + step]
+        dists = np.empty((part.shape[0], rows), dtype=np.float64)
+        reads, nbytes = _fill(dists, part, tree)
+        results.cold_reads += reads
+        results.cold_bytes += nbytes
+        results.extend(_scan_slice(tree, dists, k, max_radius))
+    return results
+
+
+def _fill(dists: np.ndarray, queries: np.ndarray, tree: "VPTree") -> tuple[int, int]:
+    """``dists[w, r] = d(queries[w], row r)`` for every stored row, each row
+    scored once per query; returns the cold ``(reads, bytes)`` of the pass.
+
+    A matrix is walked query by query in contiguous row blocks.  A paged
+    store yields ``(rows, codes, cold_bytes)`` per page from ``pages()`` —
+    the tree rows it holds, their codes, and the bytes read from the device
+    if it was not resident (else 0) — and only that one page is held."""
+    batch, points = tree.adapter.batch, tree.points
+    reads = nbytes = 0
+    if isinstance(points, np.ndarray):
+        block = max(1, _PASS_CELLS // points.shape[1])
+        for row, query in zip(dists, queries):
+            for start in range(0, points.shape[0], block):
+                row[start:start + block] = batch(query, points[start:start + block])
+    else:
+        for rows, codes, cold_bytes in points.pages():
+            for row, query in zip(dists, queries):
+                row[rows] = batch(query, codes)
+            if cold_bytes:
+                reads += 1
+                nbytes += cold_bytes
+    return reads, nbytes
 
 
 def _scan_slice(
-    tree: "VPTree", queries: np.ndarray, k: int, max_radius: float
+    tree: "VPTree", dists: np.ndarray, k: int, max_radius: float
 ) -> list[SearchResult]:
-    """One distance pass per query, then the traversal's exact outcome
-    (see the module docstring for the two cases)."""
-    batch, points = tree.adapter.batch, tree.points
-    dists = np.empty((queries.shape[0], points.shape[0]), dtype=np.float64)
-    block = max(1, _PASS_CELLS // points.shape[1])
-    for row, query in zip(dists, queries):
-        for start in range(0, points.shape[0], block):
-            row[start:start + block] = batch(query, points[start:start + block])
+    """The traversal's exact outcome for each query row of a filled
+    ``(W, N)`` distance matrix (see the module docstring for the two
+    cases)."""
     in_ball = dists <= max_radius
     fills = in_ball.sum(axis=1) >= k
     results: list[SearchResult] = [

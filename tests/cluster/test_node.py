@@ -69,17 +69,17 @@ class TestLocalKnn:
         data = blocks(30)
         node.store_blocks(data, list(range(100, 130)))
         counted = evals_counted()
-        [(hits, cost)] = node.local_knn(data[3:4], 2)
+        [(hits, cost)], reads = node.local_knn(data[3:4], 2)
         assert hits[0][1] == 103
         assert hits[0][0] == 0.0
         assert cost.seconds > 0
         assert cost.evals == evals_counted() - counted > 0
         # an all-RAM node pays no cold reads
-        assert (cost.io_seeks, cost.io_bytes, cost.io_seconds) == (0, 0, 0.0)
+        assert reads == (0, 0, 0.0)
 
     def test_empty_node(self):
         node = make_node()
-        [(hits, cost)] = node.local_knn(blocks(1), 3)
+        [(hits, cost)], _ = node.local_knn(blocks(1), 3)
         assert hits == []
         assert cost.evals == 0
         assert cost.seconds > 0  # still charges request overhead
@@ -88,8 +88,8 @@ class TestLocalKnn:
         node = make_node()
         node.store_blocks(blocks(30), list(range(30)))
         counted = evals_counted()
-        searches = node.local_knn(blocks(1, seed=5), 2)
-        searches += node.local_knn(blocks(2, seed=6), 2)
+        searches = node.local_knn(blocks(1, seed=5), 2)[0]
+        searches += node.local_knn(blocks(2, seed=6), 2)[0]
         assert node.stats.queries_served == 3
         assert sum(cost.evals for _, cost in searches) == evals_counted() - counted > 0
         assert all(cost.seconds > 0 for _, cost in searches)
@@ -98,14 +98,14 @@ class TestLocalKnn:
         node = make_node()
         data = blocks(30)
         node.store_blocks(data, list(range(30)))
-        [(hits, _)] = node.local_knn(data[:1], 10, max_radius=0.0)
+        [(hits, _)], _ = node.local_knn(data[:1], 10, max_radius=0.0)
         assert all(d == 0.0 for d, _ in hits)
 
 
 class TestSearchAcrossMedia:
     def test_ram_spilled_recovered_unspilled_agree(self):
-        """An all-RAM node answers a window batch with one distance pass
-        per window, a spilled one by walking its tree page by page: hits
+        """An all-RAM node fills a window batch's distance matrix from its
+        code matrix, a spilled one from its pages, read once per call: hits
         (order included) and charged evaluations must not tell them apart,
         nor a node rebuilt from its durable state."""
         # Seed 0 is what a restarted node rebuilds its tree with.
@@ -117,7 +117,7 @@ class TestSearchAcrossMedia:
         def answers():
             return [
                 [(hits, cost.evals) for hits, cost in
-                 node.local_knn(windows, k, max_radius=radius)]
+                 node.local_knn(windows, k, max_radius=radius)[0]]
                 for k, radius in ((1, float("inf")), (6, 30.0), (151, 30.0),
                                   (151, 0.0), (6, float("inf")))
             ]
@@ -166,7 +166,7 @@ class TestLifecycle:
         assert node.block_count == 10
         assert node.last_recovery is not None
         assert node.last_recovery["blocks"] == 10
-        [(hits, _)] = node.local_knn(blocks(10)[3:4], 1)
+        [(hits, _)], _ = node.local_knn(blocks(10)[3:4], 1)
         assert hits[0][0] == 0.0
 
     def test_reset_storage_empties_index(self):

@@ -91,7 +91,7 @@ class TestIncrementalInsert:
         codes = index.store.codes_of(new_block.block_id)
         node_id = index.node_of_block[new_block.block_id]
         node = index.node(node_id)
-        [(hits, _)] = node.local_knn(codes[None, :], 1)
+        [(hits, _)], _ = node.local_knn(codes[None, :], 1)
         assert hits[0][0] == 0.0
 
     def test_alphabet_mismatch_rejected(self, small_db):

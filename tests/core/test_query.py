@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.core import Mendel, MendelConfig
 from repro.core.params import QueryParams
 from repro.core.query import QueryEngine, node_kernel, resolve_matrix
 from repro.obs.metrics import default_registry
@@ -20,6 +21,7 @@ from repro.seq.alphabet import DNA, PROTEIN
 from repro.seq.matrices import BLOSUM62, PAM250
 from repro.seq.mutate import mutate_to_identity
 from repro.seq.records import SequenceRecord
+from repro.tier import TierConfig
 
 SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
@@ -166,6 +168,68 @@ class TestConcurrentCosts:
             sys.setswitchinterval(interval)
         assert pooled == sequential
         assert pooled_charges == sequential_charges
+
+
+    def test_spilled_deployment_pays_for_each_read_once(self, protein_db):
+        """On spilled nodes a search's cold reads come back from its own
+        distance pass.  With a warmed cache that fits the corpus there is
+        nothing to read, and the pool reports the sequential stats
+        exactly.  With a 10 % cache the threads evict each other's pages,
+        so who pays for what depends on the interleaving — but answers do
+        not, and every device read is charged to exactly one query."""
+        mendel = Mendel.build(
+            protein_db,
+            MendelConfig(group_count=3, group_size=2, sample_size=256, seed=7),
+        )
+        nodes = mendel.index.topology.nodes
+        raw = sum(np.asarray(node.tree.points).nbytes for node in nodes)
+        records = protein_db.records
+        probes = [
+            mutate_to_identity(records[(SEED + 5 * i) % len(records)], 0.85,
+                               rng=SEED + 70 + i, seq_id=f"pooled-{i}")
+            for i in range(8)
+        ]
+
+        def answer(probe):
+            report = mendel.query(probe, QueryParams(), trace_ctx=TraceContext())
+            reads = [span.attrs for span in report.root_span.walk()
+                     if span.name == "cold_read"]
+            return (report.stats, report.alignments,
+                    sum(read["seeks"] for read in reads),
+                    sum(read["bytes"] for read in reads))
+
+        def pooled_run():
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-4)
+            try:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    return list(pool.map(answer, probes, timeout=300))
+            finally:
+                sys.setswitchinterval(interval)
+
+        def device_reads():
+            return (sum(node.tier.total_seeks for node in nodes),
+                    sum(node.tier.total_bytes for node in nodes))
+
+        expected = [answer(probe)[1] for probe in probes]  # all-RAM
+        config = TierConfig(page_rows=16, alphabet_size=PROTEIN.size)
+        mendel.spill(cache_bytes=2 * raw, config=config)
+        cold = [answer(probe) for probe in probes]  # also warms the cache
+        assert sum(seeks for *_, seeks, _ in cold) == device_reads()[0] > 0
+        sequential = [answer(probe) for probe in probes]
+        assert [seeks for *_, seeks, _ in sequential] == [0] * 8
+        assert pooled_run() == sequential
+        assert [alignments for _, alignments, *_ in sequential] == expected
+
+        mendel.spill(cache_bytes=raw // 10, config=config)
+        before = device_reads()
+        pooled = pooled_run()
+        assert [alignments for _, alignments, *_ in pooled] == expected
+        paid = (sum(seeks for *_, seeks, _ in pooled),
+                sum(nbytes for *_, nbytes in pooled))
+        after = device_reads()
+        assert paid == (after[0] - before[0], after[1] - before[1])
+        assert paid[0] > 0
 
 
 class TestEndToEnd:

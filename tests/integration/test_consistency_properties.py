@@ -50,7 +50,7 @@ class TestRoutingConsistency:
         for block in index.store.blocks[::53]:
             codes = index.store.codes_of(block.block_id)
             node = index.node(index.node_of_block[block.block_id])
-            [(hits, _)] = node.local_knn(codes[None, :], 1)
+            [(hits, _)], _ = node.local_knn(codes[None, :], 1)
             assert hits[0][0] == 0.0
 
 

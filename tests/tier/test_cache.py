@@ -1,4 +1,7 @@
-"""BlockCache: SLRU admission, scan resistance, pinning, accounting."""
+"""BlockCache: SLRU admission, scan resistance, accounting, threads."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -73,37 +76,67 @@ class TestScanResistance:
         assert ("n0", 0) in cache._protected
 
 
-class TestPinning:
-    def test_pinned_page_is_not_evicted(self):
+class TestAdmission:
+    def test_protected_is_raided_only_after_probation(self):
         cache = make_cache(pages=2)
-        cache.put(("n0", 0), page(0), pin=True)
+        cache.put(("n0", 0), page(0))
         cache.put(("n0", 1), page(1))
-        cache.put(("n0", 2), page(2))
-        assert cache.contains(("n0", 0))
-        assert cache.pinned_bytes == PAGE_BYTES
-        cache.unpin(("n0", 0))
-        assert cache.pinned_bytes == 0
-        cache.put(("n0", 3), page(3))
-        assert not cache.contains(("n0", 0))
+        cache.get(("n0", 0))
+        cache.get(("n0", 1))  # both protected, probation empty
+        cache.put(("n0", 2), page(2))  # the incoming page is never its own victim
+        assert cache.contains(("n0", 2))
+        assert not cache.contains(("n0", 0))  # protected LRU went
+        assert cache.resident_bytes == 2 * PAGE_BYTES
 
-    def test_all_pinned_overshoots_then_drains(self):
-        cache = make_cache(pages=1)
-        cache.put(("n0", 0), page(0), pin=True)
-        # The incoming unpinned page cannot claim a pinned-full cache.
-        assert not cache.put(("n0", 1), page(1))
+    def test_zero_budget_bypasses_every_page(self):
+        cache = make_cache(pages=0)
+        assert not cache.put(("n0", 0), page(0))
+        assert cache.get(("n0", 0)) is None
         assert cache.stats()["bypasses"] == 1
-        # A pinned incoming page overshoots rather than deadlocks...
-        assert cache.put(("n0", 2), page(2), pin=True)
-        assert cache.resident_bytes > cache.capacity_bytes
-        # ...and the overshoot drains once pins release.
-        cache.unpin(("n0", 0))
-        cache.put(("n0", 3), page(3))
-        assert cache.resident_bytes <= cache.capacity_bytes
+        assert cache.resident_bytes == 0
 
-    def test_prefetch_counts(self):
+    def test_second_put_of_a_resident_key_changes_nothing(self):
         cache = make_cache(pages=2)
-        cache.put(("n0", 0), page(0), prefetch=True)
-        assert cache.stats()["prefetches"] == 1
+        assert cache.put(("n0", 0), page(0))
+        assert cache.put(("n0", 0), page(9))  # a racing reader's copy
+        np.testing.assert_array_equal(cache.get(("n0", 0)), page(0))
+        assert cache.resident_bytes == PAGE_BYTES
+
+
+class TestThreads:
+    def test_running_total_survives_concurrent_churn(self):
+        """More workers than cores on a shortened switch interval: the
+        running byte total equals a recount, the budget holds, and every
+        lookup was counted as exactly one hit or one miss."""
+        cache = make_cache(pages=5)
+        lookups = 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+
+        def churn(worker):
+            rng = np.random.default_rng(worker)
+            for step in rng.integers(0, 12, lookups).tolist():
+                key = (f"n{step % 3}", step)
+                if cache.get(key) is None:
+                    cache.put(key, page(step))
+                if step == 11:
+                    cache.drop_node("n2")
+
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for future in [pool.submit(churn, w) for w in range(8)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        recount = sum(
+            rows.nbytes
+            for segment in (cache._probation, cache._protected)
+            for rows in segment.values()
+        )
+        assert cache.resident_bytes == recount <= cache.capacity_bytes
+        assert not set(cache._probation) & set(cache._protected)
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == 8 * lookups
 
 
 class TestDropNode:

@@ -10,7 +10,7 @@ from repro.core.query import QueryEngine
 from repro.scenario import answer_signature
 from repro.seq import PROTEIN, random_set
 from repro.seq.mutate import mutate_to_identity
-from repro.tier import TierConfig, TieredPoints
+from repro.tier import NodeTier, TierConfig, TieredPoints
 
 
 def build(seed=5):
@@ -60,7 +60,7 @@ class TestSpillState:
         assert report["compression_ratio"] > 0
         assert 0.0 <= report["resident_fraction"] <= 1.0
         assert report["pages"] > 0
-        assert report["summary_bytes"] > 0
+        assert "summary_bytes" not in report  # summaries stay on disk
         assert report["cache"]["capacity_bytes"] == 1 << 14
 
     def test_ram_only_report_is_zeroed(self):
@@ -99,6 +99,26 @@ class TestEquivalence:
         mendel.spill(cache_bytes=1 << 14, config=TierConfig(page_rows=16))
         mendel.spill(cache_bytes=1 << 10, config=TierConfig(page_rows=64))
         assert signature(mendel.query(query, params)) == warm
+
+
+class TestBoundedMemory:
+    def test_a_cold_search_never_materialises_the_node(self, monkeypatch):
+        """``capacity_x`` counts pinned pages + the cache budget as the
+        tier's RAM: that is honest only while a query reads page by page
+        and never rebuilds a node's code matrix."""
+        db, mendel = build()
+        params = QueryParams(k=6, n=6, i=0.7)
+        queries = probes(db)
+        warm = [signature(mendel.query(q, params)) for q in queries]
+        mendel.spill(cache_bytes=1 << 10, config=TierConfig(page_rows=16))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a query materialised a spilled node")
+
+        monkeypatch.setattr(NodeTier, "materialize", refuse)
+        monkeypatch.setattr(TieredPoints, "__array__", refuse)
+        monkeypatch.setattr(TieredPoints, "__getitem__", refuse)
+        assert [signature(mendel.query(q, params)) for q in queries] == warm
 
 
 class TestDurabilityDispatch:

@@ -1,16 +1,20 @@
 """Oracle tests for vp-tree k-NN, under the chaos-seed matrix.
 
-Three references, none of which shares code with the executed kernel's
-distance pass:
+Four references; only the last shares the executed kernel's distance pass:
 
 * **brute force** — the distances returned are the k smallest of a full
   scan inside the radius;
-* **the walk** — the same tree over a point store that is not an
-  ``ndarray`` (how a spilled node looks), which makes ``knn`` traverse
-  vertex by vertex calling the metric; its evaluation count is checked
-  against the adapter's own call counter, so ``evals`` is what traversal
-  really evaluates;
-* **row by row** — a ``(W, L)`` batch answers exactly as W ``(L,)`` calls.
+* **the walk** — section III-C's traversal itself, vertex by vertex, calling
+  the metric for each vantage row and bucket it meets (``_knn_visit``,
+  through ``_traverse``, over on-demand distances: a test-only helper since
+  every point store is searched by a scan); its evaluation count is checked against the
+  adapter's own call counter, so ``evals`` is what traversal really
+  evaluates;
+* **row by row** — a ``(W, L)`` batch answers exactly as W ``(L,)`` calls;
+* **paged** — the same tree over a point store that is not an ``ndarray``
+  and hands its rows over page by page (how a spilled node looks), with
+  pages that cut across buckets, and at the end of the file a real spilled
+  ``StorageNode``.
 """
 
 import copy
@@ -19,9 +23,12 @@ import os
 import numpy as np
 import pytest
 
+from repro.cluster.node import StorageNode
 from repro.seq.alphabet import PROTEIN
 from repro.seq.distance import HammingDistance, default_distance
+from repro.tier import METHOD_RAW, BlockCache, TierConfig
 from repro.vptree import DynamicVPTree, VPTree
+from repro.vptree.search import _traverse
 
 SEED = int(os.environ.get("CHAOS_SEED", "0"))
 INF = float("inf")
@@ -35,24 +42,53 @@ METRICS = {
 
 
 class PagedRows:
-    """Stands in for ``TieredPoints``: same reads, not an ``ndarray``."""
+    """Stands in for ``TieredPoints``: not an ``ndarray``, read through
+    ``pages()``.  Rows are dealt to pages in a shuffled order, 7 a page, so
+    no page lines up with a bucket; every other page claims to be cold."""
+
+    PAGE_ROWS, COLD_BYTES = 7, 100
 
     def __init__(self, rows: np.ndarray) -> None:
         self._rows = rows
         self.shape = rows.shape
+        order = np.random.default_rng(len(rows)).permutation(len(rows))
+        self._pages = [
+            order[start:start + self.PAGE_ROWS]
+            for start in range(0, len(rows), self.PAGE_ROWS)
+        ]
+        self.cold_pages = len(self._pages[::2])
 
-    def __getitem__(self, key):
-        return self._rows[key]
+    def pages(self):
+        for number, rows in enumerate(self._pages):
+            yield rows, self._rows[rows], 0 if number % 2 else self.COLD_BYTES
 
 
-def walk(tree, query, k, radius):
-    """``knn`` by lazy traversal on a twin of *tree*; also checks that the
-    evals it reports are the metric calls it made."""
+def paged(tree, queries, k, radius):
+    """``knn`` of a batch over a paged twin of *tree*; also checks the cold
+    reads the pass reports (one pass per slice of the batch)."""
     twin = copy.copy(tree)
     twin.points = PagedRows(np.asarray(tree.points))
-    before = twin.adapter.pair_evaluations
-    hits, evals = twin.knn(query, k, max_radius=radius)
-    assert evals == twin.adapter.pair_evaluations - before
+    found = twin.knn(queries, k, max_radius=radius)
+    if len(tree):
+        assert found.cold_reads % twin.points.cold_pages == 0
+        assert found.cold_reads >= twin.points.cold_pages
+        assert found.cold_bytes == found.cold_reads * PagedRows.COLD_BYTES
+    return found
+
+
+def walk(tree, query, k, radius, points=None):
+    """``knn`` by lazy traversal of *tree*, distances evaluated on demand
+    over *points* (default: the tree's own matrix); also checks that the
+    evals it reports are the metric calls it made."""
+    points = np.asarray(tree.points) if points is None else points
+    adapter = tree.adapter
+    before = adapter.pair_evaluations
+    hits, evals = _traverse(
+        tree, k, radius,
+        lambda row: adapter.pair(query, points[row]),
+        lambda rows: adapter.batch(query, points[rows]),
+    )
+    assert evals == adapter.pair_evaluations - before
     return hits, evals
 
 
@@ -99,6 +135,8 @@ def check(tree, metric, queries, radii, ks):
         for radius in radii:
             batch = tree.knn(queries, k, max_radius=radius)
             assert len(batch) == len(queries)
+            assert (batch.cold_reads, batch.cold_bytes) == (0, 0)
+            assert paged(tree, queries, k, radius) == batch
             for query, (hits, evals) in zip(queries, batch):
                 context = f"k={k} radius={radius} query={query.tolist()}"
                 assert tree.knn(query, k, max_radius=radius) == (hits, evals), context
@@ -240,3 +278,102 @@ def test_inserts_widen_the_bounds_above_them():
             missed += [d for d, _ in hits] != want
     assert searches == 2400
     assert missed == 0
+
+
+# -- a real spilled node ----------------------------------------------------------
+
+
+def spilled_node(cache_bytes, rows=1500):
+    """One node shaped like perfbench's D2 — 32-residue blocks in 512-row
+    buckets on 256-row pages, so a bucket spans pages — and its RAM codes."""
+    rng = np.random.default_rng([SEED, 8])
+    node = StorageNode(
+        node_id="g00.n0", group_id="g00",
+        metric_factory=lambda: default_distance(PROTEIN),
+        segment_length=32, bucket_capacity=512, rng_seed=SEED,
+    )
+    codes = family(rng, rows, 20, 32)
+    node.store_blocks(codes, list(range(rows)))
+    ram = np.asarray(node.tree.points).copy()
+    node.attach_tier(
+        BlockCache(cache_bytes), TierConfig(page_rows=256, alphabet_size=20)
+    )
+    node.spill()
+    assert node.tiered
+    assert max(leaf_sizes(node.tree.root)) > 256
+    return node, ram, probes(rng, ram, 20, count=9)
+
+
+def leaf_sizes(vertex):
+    if vertex.is_leaf:
+        return [len(vertex.bucket)]
+    return [size for child in (vertex.left, vertex.right) if child is not None
+            for size in leaf_sizes(child)]
+
+
+def check_spilled(node, points, queries):
+    """Paged scan == all-RAM scan == lazy walk == brute force, hits and
+    evals, where *points* is what the node's pages decode to; returns the
+    cold reads of the calls made."""
+    tree, metric = node.tree, node.tree.adapter.metric
+    twin = copy.copy(tree)
+    twin.points = points
+    seeks = nbytes = 0
+    for k, radius in ((1, INF), (6, 96.0), (6, INF), (len(tree) + 1, 96.0)):
+        searches, reads = node.local_knn(queries, k, max_radius=radius)
+        assert reads.seconds == node.tier.io_seconds(reads.seeks, reads.nbytes)
+        seeks, nbytes = seeks + reads.seeks, nbytes + reads.nbytes
+        scanned = twin.knn(queries, k, max_radius=radius)
+        for query, (hits, cost), in_ram in zip(queries, searches, scanned):
+            assert (hits, cost.evals) == in_ram
+            assert (hits, cost.evals) == walk(tree, query, k, radius, points)
+            assert [d for d, _ in hits] == brute(metric, points, query, k, radius)
+    return seeks, nbytes
+
+
+@pytest.mark.parametrize("cache_pages", [0, 1, 64])
+def test_spilled_node(cache_pages):
+    """No cache at all (every read bypasses admission), a cache of one
+    page, and one that holds the node: the same answers, and each call is
+    charged exactly the device reads it caused."""
+    page_bytes = 256 * 32
+    node, ram, queries = spilled_node(cache_pages * page_bytes)
+    tier, cache = node.tier, node.tier.cache
+    data_pages = len(tier._page_rows) - len(tier._pinned_arrays)
+    assert data_pages >= 5
+    before = tier.total_seeks, tier.total_bytes
+    seeks, nbytes = check_spilled(node, ram, queries)
+    assert (tier.total_seeks - before[0], tier.total_bytes - before[1]) == (seeks, nbytes)
+    # Four passes.  A fitting cache is read into once; a cache of one full
+    # page hands each later pass what the one before it read last.
+    if cache_pages == 1:
+        assert 3 * data_pages < seeks <= 4 * data_pages
+        assert 0 < cache.resident_bytes <= page_bytes
+    else:
+        assert seeks == (4 if cache_pages == 0 else 1) * data_pages
+        assert cache.resident_pages == (0 if cache_pages == 0 else data_pages)
+
+
+def test_spilled_node_with_an_undecodable_page():
+    """A page whose payload no longer decodes is served as placeholder rows
+    (what ``materialize`` reads too): the search runs, is charged for the
+    read every time, and no hit from that page passes the verified read."""
+    node, ram, queries = spilled_node(64 * 256 * 32)
+    tier = node.tier
+    rotten = next(
+        index for index, meta in enumerate(tier.reader.pages)
+        if index not in tier._pinned_arrays and meta.method != METHOD_RAW
+    )
+    lost = set(tier.reader.pages[rotten].block_ids)
+    tier.corrupt_block(tier.reader.pages[rotten].block_ids[0])
+    points = np.asarray(node.tree.points)
+    if points[tier._page_rows[rotten]].any():
+        pytest.skip("the flipped bit left the payload decodable")
+    kept = np.setdiff1d(np.arange(len(ram)), tier._page_rows[rotten])
+    assert np.array_equal(points[kept], ram[kept])
+    check_spilled(node, points, queries)
+    searches, reads = node.local_knn(queries, len(ram) + 1)
+    assert reads.seeks == 1  # the rest is resident; the rotten page never is
+    for hits, _ in searches:
+        assert len(hits) == len(ram)
+        assert {b for _, b in hits if not node.verify_block(b)} == lost
