@@ -1,6 +1,8 @@
 """Candidate scoring and anchor extension (paper section V-B).
 
-For every k-NN candidate block a node computes two filter measures:
+For every k-NN candidate block a node computes two filter measures — the
+paper one candidate at a time, ours for all the candidates of a node-subquery
+in one :func:`evaluate_candidate` call over their stacked codes:
 
 * **percent identity** — ``matches / candidate_length`` (exact residue
   matches, the paper's Hamming-based measure);
@@ -27,10 +29,10 @@ from repro.align.result import Anchor
 
 @dataclass(frozen=True)
 class CandidateScore:
-    """Filter measures for one k-NN candidate."""
+    """Filter measures of one k-NN candidate, or ``(C,)`` arrays of them."""
 
-    identity: float
-    c_score: float
+    identity: float | np.ndarray
+    c_score: float | np.ndarray
 
 
 def match_mask(
@@ -56,21 +58,17 @@ def match_mask(
     return exact | positive
 
 
-def consecutivity_score(mask: np.ndarray) -> float:
-    """Fraction of matching positions that sit in a run of length >= 2.
-
-    Returns 0.0 when there are no matches at all.
-    """
+def consecutivity_score(mask: np.ndarray) -> float | np.ndarray:
+    """Fraction of matching positions that sit in a run of length >= 2
+    (0.0 where nothing matches): a float for one ``(L,)`` mask, a ``(C,)``
+    array for a ``(C, L)`` stack."""
     mask = np.asarray(mask, dtype=bool)
-    total = int(mask.sum())
-    if total == 0:
-        return 0.0
-    left = np.zeros_like(mask)
-    right = np.zeros_like(mask)
-    left[1:] = mask[:-1]
-    right[:-1] = mask[1:]
-    in_run = mask & (left | right)
-    return float(in_run.sum()) / total
+    beside = np.zeros_like(mask)
+    beside[..., 1:] = mask[..., :-1]
+    beside[..., :-1] |= mask[..., 1:]
+    # No match means nothing in a run either: 0 / 1.
+    score = (mask & beside).sum(axis=-1) / np.maximum(mask.sum(axis=-1), 1)
+    return float(score) if mask.ndim == 1 else score
 
 
 def evaluate_candidate(
@@ -78,15 +76,19 @@ def evaluate_candidate(
     candidate: np.ndarray,
     matrix: np.ndarray | None = None,
 ) -> CandidateScore:
-    """Both filter measures for one candidate block."""
+    """Both filter measures for one candidate block against its window
+    (``(L,)`` each) or, row by row, for a ``(C, L)`` stack of candidates
+    against the stack of their windows: the same integer counts divided the
+    same way, so row ``j`` is exactly the one-pair call on row ``j``."""
     query_window = np.asarray(query_window, dtype=np.uint8)
     candidate = np.asarray(candidate, dtype=np.uint8)
-    if candidate.shape[0] == 0:
+    if candidate.shape[-1] == 0:
         raise ValueError("candidate must be non-empty")
-    exact = query_window == candidate
-    identity = float(exact.sum()) / candidate.shape[0]
+    identity = (query_window == candidate).sum(axis=-1) / candidate.shape[-1]
     c_score = consecutivity_score(match_mask(query_window, candidate, matrix))
-    return CandidateScore(identity=identity, c_score=c_score)
+    return CandidateScore(
+        float(identity) if candidate.ndim == 1 else identity, c_score
+    )
 
 
 def _extension_extent(

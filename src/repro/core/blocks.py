@@ -7,11 +7,13 @@ sequence id, start/end positions, and references to the previous/next block
 (used to lengthen anchors during extension).
 
 Blocks do not copy residues: their ``codes`` are views into the owning
-record's code array, held by the :class:`BlockStore`.
+record's code array, held by the :class:`BlockStore` — which also keeps all
+records' codes end to end, so the codes of many blocks are one gather.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -60,6 +62,10 @@ class BlockStore:
         self.blocks: list[InvertedIndexBlock] = []
         self._record_of_block: list[SequenceRecord] = []
         self._range_of_seq: dict[str, tuple[int, int]] = {}
+        #: the codes of every record holding a block, end to end, and where
+        #: in them each block starts
+        self._flat = bytearray()
+        self._flat_start = array("q")
         for record in database:
             self._ingest(record)
 
@@ -88,6 +94,8 @@ class BlockStore:
             )
             self._record_of_block.append(record)
         self._range_of_seq[record.seq_id] = (first_id, first_id + count)
+        self._flat_start.extend(range(len(self._flat), len(self._flat) + count))
+        self._flat += record.codes.tobytes()
 
     # -- access ------------------------------------------------------------
 
@@ -113,14 +121,19 @@ class BlockStore:
         return iter(self.blocks[first:last])
 
     def codes_matrix(self, block_ids: list[int] | np.ndarray) -> np.ndarray:
-        """Stack the codes of many blocks into an ``(n, w)`` matrix."""
+        """Stack the codes of many blocks into an ``(n, w)`` matrix (one
+        gather from the flat code array)."""
         ids = np.asarray(block_ids, dtype=np.intp)
-        out = np.empty((ids.shape[0], self.segment_length), dtype=np.uint8)
-        for row, block_id in enumerate(ids):
-            out[row] = self.codes_of(int(block_id))
-        return out
+        unknown = ids[(ids < 0) | (ids >= len(self.blocks))]
+        if unknown.size:
+            raise KeyError(f"no block with id {unknown[0]}")
+        starts = np.frombuffer(self._flat_start, dtype=np.int64)[ids]
+        return np.frombuffer(self._flat, dtype=np.uint8)[
+            starts[:, None] + np.arange(self.segment_length)
+        ]
 
     def block_key(self, block_id: int) -> bytes:
         """Stable byte key used for tier-2 SHA-1 placement."""
         block = self.block(block_id)
         return f"{block.seq_id}:{block.start}".encode()
+

@@ -17,6 +17,7 @@ so the makespan is the slowest node's service time plus dispersal costs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -120,7 +121,9 @@ class MendelIndex:
         sample_size = min(config.sample_size, len(self.store))
         sample_ids = gen.choice(len(self.store), size=sample_size, replace=False)
         sample = self.store.codes_matrix(sample_ids)
-        self._metric_factory = lambda: default_distance(self.alphabet)
+        # Not a closure over ``self``: that cycle would keep a dropped index,
+        # its store and every node's tree alive until a full collection.
+        self._metric_factory = partial(default_distance, self.alphabet)
         self.prefix_tree = VPPrefixTree(
             sample,
             self._metric_factory(),

@@ -29,6 +29,7 @@ deep inside ``numpy``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -176,7 +177,7 @@ def _rebuild_from_placement(index, database, config, header, placement) -> None:
     sample_size = min(config.sample_size, len(index.store))
     sample_ids = gen.choice(len(index.store), size=sample_size, replace=False)
     sample = index.store.codes_matrix(sample_ids)
-    index._metric_factory = lambda: default_distance(index.alphabet)
+    index._metric_factory = functools.partial(default_distance, index.alphabet)
     index.prefix_tree = VPPrefixTree(
         sample,
         index._metric_factory(),

@@ -253,8 +253,9 @@ def node_kernel(
     params: QueryParams, radius: float, matrix: np.ndarray, store: BlockStore,
 ) -> tuple[list[Anchor], NodeCost]:
     """One node's share of a query (pipeline step 4): local k-NN over its
-    windows, then per window the identity and c-score filters and anchor
-    extension.
+    windows, then the identity and c-score filters on every candidate the
+    searches returned — one :func:`evaluate_candidate` call over their
+    stacked codes — and anchor extension for the survivors.
 
     No simulator, registry, span or :class:`QueryStats` in here: what the
     work cost comes back in the :class:`NodeCost`, each fact counted once.
@@ -266,12 +267,14 @@ def node_kernel(
     # One search call for the whole subquery; CPU costs are still summed
     # window by window, so the float totals do not depend on the batching.
     # Its cold reads are one charge (0.0 on a RAM node: the sum is unmoved).
-    searches, reads = node.local_knn(
-        np.stack([window.codes for window in windows]), params.n, max_radius=radius
-    )
+    codes = np.stack([window.codes for window in windows])
+    searches, reads = node.local_knn(codes, params.n, max_radius=radius)
     cost.io_seeks, cost.io_bytes, cost.io_seconds = reads
     cost.service_seconds += reads.seconds
-    for window, (hits, search) in zip(windows, searches):
+    # Candidates as (position in ``windows``, block), window by window and
+    # nearest first within a window.
+    lanes, block_ids = [], []
+    for lane, (hits, search) in enumerate(searches):
         cost.evals += search.evals
         cost.service_seconds += search.seconds
         cost.candidates += len(hits)
@@ -280,17 +283,19 @@ def node_kernel(
             # digest is skipped — the query's fan-out to the block's other
             # replicas answers from a healthy copy instead of serving
             # rotted bytes.
-            if not node.verify_block(block_id):
-                continue
-            score = evaluate_candidate(
-                window.codes, store.codes_of(block_id), positives
-            )
-            if score.identity < params.i:
-                continue
-            cost.identity_pass += 1
-            if score.c_score < params.c:
-                continue
-            cost.cscore_pass += 1
+            if node.verify_block(block_id):
+                lanes.append(lane)
+                block_ids.append(block_id)
+    if block_ids:
+        score = evaluate_candidate(
+            codes[lanes], store.codes_matrix(block_ids), positives
+        )
+        similar = score.identity >= params.i
+        cost.identity_pass = int(similar.sum())
+        survivors = np.flatnonzero(similar & (score.c_score >= params.c))
+        cost.cscore_pass = int(survivors.size)
+        for at in survivors.tolist():
+            window, block_id = windows[lanes[at]], block_ids[at]
             block = store.block(block_id)
             anchor = extend_anchor(
                 query=query_codes, subject=store.record_of(block_id).codes,

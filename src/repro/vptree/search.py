@@ -9,25 +9,28 @@ for the query ball ``B(q, tau)``:
 3. intersecting the boundary      -> both subtrees visited.
 
 The stored lower/upper bounds (``node.low``/``node.high``) tighten case
-detection beyond the plain ``mu`` test.  Leaf buckets are scored with one
-vectorised batch call.
+detection beyond the plain ``mu`` test.
 
 **Executed kernel vs modelled cost.**  A k-NN search is charged the
 distance evaluations that traversal makes — one per visited internal vertex
 plus the bucket size of every visited leaf — and that figure is returned
-beside the hits.  The distances themselves come from *one* pass of
-``adapter.batch`` over every stored row per batch of queries (at the radii
-Mendel searches with the traversal evaluates nearly every row anyway), after
-which the traversal's outcome is reproduced exactly:
+beside the hits.  The paper's node evaluates a distance as the walk asks for
+it; ours makes *one* pass of ``adapter.batch`` over every stored row per
+batch of queries (at the radii Mendel searches with the traversal evaluates
+nearly every row anyway) and then reproduces the traversal's outcome exactly
+from the ``(W, N)`` matrix, as array work per kind of lane:
 
-* if fewer than ``k`` rows lie inside ``max_radius`` the k-best heap can
-  never fill, so ``tau`` stays at ``max_radius`` for the whole walk, every
-  prune test is a fixed predicate of the query's distance to one vantage
-  row, and the visit set does not depend on visit order — it is computed
-  for all such queries of a batch at once (:meth:`FlatTree.reach`);
-* otherwise ``tau`` shrinks as the heap fills and tie-breaks depend on the
-  order vertices are met in, so :func:`_knn_visit` itself is replayed,
-  reading distances from the precomputed row instead of calling the metric.
+* fewer than ``k`` rows inside ``max_radius`` — the k-best heap can never
+  fill, ``tau`` stays at ``max_radius``, every prune test is a fixed
+  predicate of the query's distance to one vantage row and the visit set
+  does not depend on visit order: all such lanes of a batch get their visit
+  sets from :meth:`FlatTree.reach` and their hits from one ``nonzero`` and
+  one sort (:func:`_scan_slice`);
+* otherwise ``tau`` shrinks as the heap fills and which of several equally
+  distant rows survive depends on the order vertices are met in: one table
+  for all such lanes holds what each leaf bucket could offer, and each lane
+  walks the flattened tree over it (:func:`_replay`).  The recursive walk
+  it reproduces is the test oracle (``tests/vptree/recursive_walk.py``).
 
 There is one search path; only the feeder of that pass differs by point
 store (:func:`_fill`).  An in-RAM matrix is read query by query in contiguous
@@ -44,8 +47,7 @@ shared tally.
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,63 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: ``(distance, payload)`` pairs ascending by distance, and the distance
 #: evaluations the search is charged
 SearchResult = tuple[list[tuple[float, object]], int]
-
-
-class _KBest:
-    """Bounded max-heap of the best (smallest-distance) k candidates.
-
-    ``max_radius`` caps the pruning radius from the start: candidates beyond
-    it are never collected and subtrees beyond it are never visited.  Mendel
-    passes the largest distance its identity filter could ever accept, so
-    bounding is lossless for the query pipeline.
-    """
-
-    def __init__(self, k: int, max_radius: float = float("inf")) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
-        self.max_radius = float(max_radius)
-        self._heap: list[tuple[float, int, int]] = []  # (-dist, tiebreak, index)
-        self._counter = itertools.count()
-
-    @property
-    def tau(self) -> float:
-        """Current pruning radius: the k-th best distance (or the cap)."""
-        if len(self._heap) < self.k:
-            return self.max_radius
-        return min(-self._heap[0][0], self.max_radius)
-
-    def offer(self, dist: float, index: int) -> None:
-        if dist > self.max_radius:
-            return
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, (-dist, next(self._counter), index))
-        elif dist < -self._heap[0][0]:
-            heapq.heapreplace(self._heap, (-dist, next(self._counter), index))
-
-    def offer_batch(self, dists: np.ndarray, indices: np.ndarray) -> None:
-        # Only candidates beating the current tau can matter; pre-filter to
-        # keep heap churn low on big buckets.
-        tau = self.tau
-        if np.isfinite(tau):
-            # <= so boundary candidates still enter while the heap is short.
-            mask = dists <= tau
-            dists, indices = dists[mask], indices[mask]
-        # Ascending order makes the first k offers the only ones that can
-        # land.  If one of them is refused, the heap was already full with a
-        # maximum <= it, and a full heap's maximum never rises.  If all k
-        # land, the heap holds nothing larger than the k-th: a larger older
-        # entry would have been evicted before any of them, and were it
-        # still there the heap would hold k + 1.  Either way every later
-        # candidate is >= the maximum and fails ``offer``'s strict ``<``; a
-        # refused offer draws no tie-break counter, so stopping here leaves
-        # the heap exactly as offering the whole bucket would.
-        order = np.argsort(dists, kind="stable")[: self.k]
-        for pos in order:
-            self.offer(float(dists[pos]), int(indices[pos]))
-
-    def sorted_items(self) -> list[tuple[float, int]]:
-        return sorted((-neg, idx) for neg, _, idx in self._heap)
 
 
 class BatchResult(list):
@@ -141,75 +86,23 @@ def knn_search(
     that query, counted by the search itself.
 
     ``max_radius`` restricts results (and the search) to a ball around the
-    query — see :class:`_KBest`.
+    query.  Mendel passes the largest distance its identity filter could
+    ever accept, so bounding is lossless for the query pipeline.
     """
     query = np.asarray(query, dtype=np.uint8)
     queries = query[None, :] if query.ndim == 1 else query
+    if queries.ndim != 2 or queries.shape[1] != tree.points.shape[1]:
+        raise ValueError(
+            f"query shape {query.shape} does not match indexed "
+            f"segment length {tree.points.shape[1]}"
+        )
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if tree.root is None:
         results = BatchResult(([], 0) for _ in range(queries.shape[0]))
     else:
-        if queries.ndim != 2 or queries.shape[1] != tree.points.shape[1]:
-            raise ValueError(
-                f"query shape {query.shape} does not match indexed "
-                f"segment length {tree.points.shape[1]}"
-            )
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         results = _scan_batch(tree, queries, k, float(max_radius))
     return results[0] if query.ndim == 1 else results
-
-
-# -- the traversal ---------------------------------------------------------------
-# It asks its distance source for the query's distance to one row (``int``
-# -> ``float``) or to a bucket of rows (index array -> ``float64`` array).
-
-
-def _traverse(
-    tree: "VPTree", k: int, max_radius: float,
-    dist_to_row: Callable, dist_to_rows: Callable,
-) -> SearchResult:
-    best = _KBest(k, max_radius=max_radius)
-    evals = _knn_visit(tree.root, best, dist_to_row, dist_to_rows)
-    return [(dist, tree.payloads[idx]) for dist, idx in best.sorted_items()], evals
-
-
-def _knn_visit(
-    node: "VPNode", best: _KBest, dist_to_row: Callable, dist_to_rows: Callable
-) -> int:
-    """Visit the subtree at *node*; returns the distance evaluations made
-    (one per internal vertex, one per bucket row)."""
-    if node.is_leaf:
-        size = node.bucket.shape[0]
-        if size:
-            best.offer_batch(dist_to_rows(node.bucket), node.bucket)
-        return size
-
-    dist = dist_to_row(node.vantage_index)
-    best.offer(dist, node.vantage_index)
-    evals = 1
-
-    # Subtree-level reject via the stored bounds: every element beneath this
-    # vertex lies at distance within [low, high] of its vantage point, so if
-    # the tau-ball around the query cannot reach that annulus, skip it all.
-    if dist - best.tau > node.high or dist + best.tau < node.low:
-        return evals
-
-    # Descend the side the query falls on first so tau shrinks early, then
-    # re-test the far side against the (possibly smaller) tau.  The left
-    # subtree holds distances <= mu, the right holds > mu_right (section
-    # III-C's three cases: both tests pass only when the tau-ball straddles
-    # mu; ``mu_right`` is ``mu`` unless ties at mu sit on both sides).
-    if dist <= node.mu:
-        if node.left is not None and dist - best.tau <= node.mu:
-            evals += _knn_visit(node.left, best, dist_to_row, dist_to_rows)
-        if node.right is not None and dist + best.tau > node.mu_right:
-            evals += _knn_visit(node.right, best, dist_to_row, dist_to_rows)
-    else:
-        if node.right is not None and dist + best.tau > node.mu_right:
-            evals += _knn_visit(node.right, best, dist_to_row, dist_to_rows)
-        if node.left is not None and dist - best.tau <= node.mu:
-            evals += _knn_visit(node.left, best, dist_to_row, dist_to_rows)
-    return evals
 
 
 # -- one distance pass per query ---------------------------------------------------
@@ -226,10 +119,13 @@ _PASS_CELLS = 1 << 15
 
 
 class FlatTree:
-    """A vp-tree's vertices as pre-order arrays (a parent always sits below
-    its children's positions), each carrying the prune tests on the edge
-    from its parent, so the fixed-``tau`` visit sets of many queries come out
-    of a few array operations.  Structure only — no copy of the point matrix."""
+    """A vp-tree's structure laid flat (no copy of the point matrix), as the
+    two kinds of lane read it.  Where ``tau`` never moves: the vertices in
+    pre-order (a parent always sits below its children's positions), each
+    carrying the prune tests on the edge from its parent, so the visit sets
+    of many queries come out of a few array operations (:meth:`reach`).
+    Where it shrinks: a record per internal vertex (``inner``) and the leaf
+    buckets as one padded row matrix, which :func:`_replay` walks."""
 
     def __init__(self, root: "VPNode", rows: int) -> None:
         inf = float("inf")
@@ -239,35 +135,49 @@ class FlatTree:
         levels: list[list[int]] = []
         #: the vertex (vantage or bucket) each point row is stored at
         self.vertex_of_row = np.zeros(rows, dtype=np.intp)
-        # The root's own edge entries are never read (it is always met).
-        stack = [(root, 0, root, False, 0)]
+        #: per internal vertex ``[vantage row, mu, mu_right, low, high, left,
+        #: right]``; a child is a position in this list, ``~slot`` of a leaf
+        #: bucket, or ``None``
+        self.inner: list[list] = []
+        buckets: list[np.ndarray] = []
+        # A record standing above the root receives the reference to it; the
+        # root's own edge entries are never read (it is always met).
+        top = [0, 0.0, 0.0, 0.0, 0.0, None, None]
+        stack = [(root, 0, top, False, 0)]
         while stack:
-            node, above, above_node, right_side, level = stack.pop()
+            node, above, record, right_side, level = stack.pop()
+            via, mu, mu_right, low, high = record[:5]
             vertex = len(parent)
             parent.append(above)
-            via_row.append(max(above_node.vantage_index, 0))
+            via_row.append(via)
             # With d the query's distance to the parent's vantage row, this
             # vertex is met iff d - tau <= high (bounds), d + tau >= low
             # (bounds) and its side's mu test holds: d - tau <= mu on the
             # left, d + tau > mu_right on the right.
-            inner_max.append(
-                above_node.high if right_side else min(above_node.high, above_node.mu)
-            )
-            outer_min.append(above_node.low)
-            outer_above.append(above_node.mu_right if right_side else -inf)
+            inner_max.append(high if right_side else min(high, mu))
+            outer_min.append(low)
+            outer_above.append(mu_right if right_side else -inf)
             if level == len(levels):
                 levels.append([])
             levels[level].append(vertex)
             if node.is_leaf:
+                record[6 if right_side else 5] = ~len(buckets)
+                buckets.append(node.bucket)
                 weight.append(node.bucket.shape[0])
                 self.vertex_of_row[node.bucket] = vertex
                 continue
+            record[6 if right_side else 5] = len(self.inner)
+            mine = [node.vantage_index, node.mu, node.mu_right, node.low,
+                    node.high, None, None]
+            self.inner.append(mine)
             weight.append(1)
             self.vertex_of_row[node.vantage_index] = vertex
             if node.right is not None:
-                stack.append((node.right, vertex, node, True, level + 1))
+                stack.append((node.right, vertex, mine, True, level + 1))
             if node.left is not None:
-                stack.append((node.left, vertex, node, False, level + 1))
+                stack.append((node.left, vertex, mine, False, level + 1))
+        #: the root, named as a child is
+        self.root = top[5]
         self.parent = np.array(parent, dtype=np.intp)
         #: the parent's vantage row and the three thresholds described above
         self.via_row = np.array(via_row, dtype=np.intp)
@@ -278,11 +188,21 @@ class FlatTree:
         self.weight = np.array(weight, dtype=np.int64)
         #: non-root vertices grouped by depth, shallowest first
         self.levels = [np.array(level, dtype=np.intp) for level in levels[1:]]
+        #: vantage rows in ``inner`` order
+        self.vantage_rows = np.array([rec[0] for rec in self.inner], dtype=np.intp)
+        #: leaf buckets in slot order, each in bucket order: ``(leaves,
+        #: widest)`` rows, the short ones padded with -1
+        self.bucket_sizes = [bucket.shape[0] for bucket in buckets]
+        self.bucket_rows = np.full(
+            (len(buckets), max(self.bucket_sizes)), -1, dtype=np.intp
+        )
+        for slot, bucket in enumerate(buckets):
+            self.bucket_rows[slot, :bucket.shape[0]] = bucket
 
     def reach(self, dists: np.ndarray, tau: float) -> np.ndarray:
-        """``(W, V)`` mask of the vertices :func:`_knn_visit` meets for each
-        row of *dists* ``(W, N)`` while ``tau`` never moves: a vertex is met
-        iff its parent is met and the edge tests pass — the traversal's own
+        """``(W, V)`` mask of the vertices the traversal meets for each row
+        of *dists* ``(W, N)`` while ``tau`` never moves: a vertex is met iff
+        its parent is met and the edge tests pass — the traversal's own
         float comparisons, which no longer depend on visit order."""
         to_parent = dists[:, self.via_row]
         inner, outer = to_parent - tau, to_parent + tau
@@ -344,37 +264,110 @@ def _fill(dists: np.ndarray, queries: np.ndarray, tree: "VPTree") -> tuple[int, 
 def _scan_slice(
     tree: "VPTree", dists: np.ndarray, k: int, max_radius: float
 ) -> list[SearchResult]:
-    """The traversal's exact outcome for each query row of a filled
-    ``(W, N)`` distance matrix (see the module docstring for the two
-    cases)."""
+    """The traversal's exact outcome for each query row of a filled ``(W,
+    N)`` distance matrix (the module docstring's two cases)."""
     in_ball = dists <= max_radius
     fills = in_ball.sum(axis=1) >= k
-    results: list[SearchResult] = [
-        # the replay: distances read back from the pass just made
-        _traverse(tree, k, max_radius, row.item, row.take) if full else None
-        for row, full in zip(dists, fills.tolist())
-    ]
+    flat, payloads = tree.flat(), tree.payloads
+    results: list[SearchResult] = [None] * dists.shape[0]
+    shrinking = np.flatnonzero(fills)
+    if shrinking.size:
+        replayed = _replay(tree, dists[shrinking], k, max_radius)
+        for w, found in zip(shrinking.tolist(), replayed):
+            results[w] = found
     bounded = np.flatnonzero(~fills)
     if bounded.size:
-        flat = tree.flat()
         reach = flat.reach(dists[bounded], max_radius)
         evals = (reach @ flat.weight).tolist()
-        for pos, w in enumerate(bounded.tolist()):
-            # Rows the traversal would have offered: inside the ball *and*
-            # stored at a vertex it meets.
-            rows = np.flatnonzero(in_ball[w])
-            rows = rows[reach[pos, flat.vertex_of_row[rows]]]
-            found = dists[w, rows]
-            # ``rows`` ascends, so a stable sort by distance is the
-            # ``(distance, row)`` order ``_KBest.sorted_items`` yields.
-            order = np.argsort(found, kind="stable")
+        # Rows the traversal would have offered: inside the ball *and* stored
+        # at a vertex it meets, lane by lane with rows ascending.  Sorting
+        # them by distance and then by lane (both stable) leaves each lane's
+        # run in ``(distance, row)`` order — the order a heap that never
+        # filled is read out in.
+        lane, row = np.divmod(np.flatnonzero(in_ball[bounded]), dists.shape[1])
+        met = reach[lane, flat.vertex_of_row[row]]
+        lane, row = lane[met], row[met]
+        found = dists[bounded[lane], row]
+        order = np.lexsort((found, lane))
+        ends = np.cumsum(np.bincount(lane, minlength=bounded.size)).tolist()
+        found, row = found[order].tolist(), row[order].tolist()
+        for w, start, end, cost in zip(bounded.tolist(), [0] + ends, ends, evals):
             results[w] = (
-                [
-                    (dist, tree.payloads[row])
-                    for dist, row in zip(found[order].tolist(), rows[order].tolist())
-                ],
-                evals[pos],
+                [(found[at], payloads[row[at]]) for at in range(start, end)], cost
             )
+    return results
+
+
+def _replay(
+    tree: "VPTree", dists: np.ndarray, k: int, max_radius: float
+) -> list[SearchResult]:
+    """The traversal's outcome for each row of *dists* ``(F, N)`` — lanes
+    with at least *k* rows inside the ball, whose ``tau`` shrinks as the
+    k-best heap fills.
+
+    First one table for all lanes: per (lane, leaf) the bucket's *k* smallest
+    distances in ascending order, ties in bucket order — all the walk could
+    ever offer from that bucket, since any ``tau`` it arrives with admits a
+    prefix of them.  Then each lane walks :attr:`FlatTree.inner` with an
+    explicit stack, near child first; the far child's side test is made when
+    it is popped, with the ``tau`` of that moment."""
+    flat, payloads, inf = tree.flat(), tree.payloads, float("inf")
+    # Padding is NaN: it sorts behind every distance and no comparison below
+    # admits it, as none admits a distance outside the ball.
+    scores = dists[:, flat.bucket_rows]
+    scores[:, flat.bucket_rows < 0] = np.nan
+    order = np.argsort(scores, axis=-1, kind="stable")[..., :k]
+    best = np.take_along_axis(scores, order, axis=-1)
+    rows = flat.bucket_rows[np.arange(order.shape[1])[:, None], order]
+    tables = zip(dists[:, flat.vantage_rows].tolist(), best.tolist(), rows.tolist())
+    inner, sizes = flat.inner, flat.bucket_sizes
+    push, replace = heapq.heappush, heapq.heapreplace
+    results = []
+    for to_vantage, lane_best, lane_rows in tables:
+        # (-distance, arrival, row): the maximum is the first to go and,
+        # among equal maxima, the earliest arrival.
+        heap: list[tuple[float, int, int]] = []
+        arrivals = evals = 0
+        tau, full = max_radius, False
+        # (vertex, distance to its parent's vantage row, the parent's side
+        # test: at most ``mu`` for a left child, above ``mu_right`` for a right)
+        stack = [(flat.root, 0.0, inf, -inf)]
+        while stack:
+            ref, dist, upper, lower = stack.pop()
+            if not (dist - tau <= upper and dist + tau > lower):
+                continue
+            if ref < 0:
+                offers = zip(lane_best[~ref], lane_rows[~ref])
+                evals += sizes[~ref]
+            else:
+                row, mu, mu_right, low, high, left, right = inner[ref]
+                dist = to_vantage[ref]
+                offers = ((dist, row),)
+                evals += 1
+            for offered, row in offers:
+                if full:
+                    # Ascending offers: once one is refused so are the rest,
+                    # and a refused offer counts no arrival.
+                    if not offered < tau:
+                        break
+                    replace(heap, (-offered, arrivals, row))
+                elif offered <= max_radius:
+                    push(heap, (-offered, arrivals, row))
+                    full = len(heap) == k
+                else:
+                    break
+                arrivals += 1
+                if full:
+                    tau = -heap[0][0]
+            if ref < 0 or dist - tau > high or dist + tau < low:
+                continue
+            # Last in, first out: the side the query falls on goes in last.
+            far, near = (right, dist, inf, mu_right), (left, dist, mu, -inf)
+            if dist > mu:
+                far, near = near, far
+            stack += [side for side in (far, near) if side[0] is not None]
+        nearest = sorted((-neg, row) for neg, _, row in heap)
+        results.append(([(dist, payloads[row]) for dist, row in nearest], evals))
     return results
 
 

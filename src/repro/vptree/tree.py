@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.util.rng import RandomSource, as_generator
 from repro.vptree.metric import MetricAdapter
+from repro.vptree.search import FlatTree, knn_search, radius_search
 
 
 @dataclass
@@ -165,35 +166,20 @@ class VPTree:
     # -- queries -----------------------------------------------------------
 
     def knn(self, query: np.ndarray, k: int, max_radius: float = float("inf")):
-        """The *k* nearest stored elements to *query*, and what finding
-        them cost.
-
-        *query* is one ``(L,)`` code vector or a ``(W, L)`` batch; returns
-        one ``(hits, evals)`` pair or a list of them in row order.  ``hits``
-        are ``(distance, payload)`` pairs sorted by ascending distance;
-        ``evals`` counts the distance evaluations of the single-traversal
-        search of section III-C: ``tau`` starts at ``max_radius`` (default:
-        unbounded) and shrinks to the current k-th best distance; subtrees
-        are visited only when the ``tau``-ball around the query can
-        intersect them.
-        """
-        from repro.vptree.search import knn_search  # local import: avoids cycle
-
+        """The *k* nearest stored elements to *query* — one ``(L,)`` code
+        vector or a ``(W, L)`` batch — within *max_radius*, and what finding
+        them cost: :func:`~repro.vptree.search.knn_search` on this tree."""
         return knn_search(self, query, k, max_radius=max_radius)
 
     def flat(self):
         """The tree's structure as a :class:`~repro.vptree.search.FlatTree`,
         built on first use (a mutable subclass drops it when it changes)."""
-        from repro.vptree.search import FlatTree
-
         if self._flat is None:
             self._flat = FlatTree(self.root, self.points.shape[0])
         return self._flat
 
     def radius_search(self, query: np.ndarray, radius: float) -> list[tuple[float, object]]:
         """All stored elements within *radius* of *query*."""
-        from repro.vptree.search import radius_search
-
         return radius_search(self, query, radius)
 
     # -- introspection -----------------------------------------------------
@@ -205,9 +191,6 @@ class VPTree:
     @property
     def depth(self) -> int:
         return 0 if self.root is None else self.root.depth()
-
-    def payload_of(self, index: int):
-        return self.payloads[index]
 
     def validate_invariants(self) -> None:
         """Walk the tree checking the vp-tree partition invariants; raises

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.anchors import (
     consecutivity_score,
@@ -77,6 +79,70 @@ class TestEvaluateCandidate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             evaluate_candidate(codes(""), codes(""))
+
+
+@st.composite
+def stacked_pairs(draw, alphabet_size):
+    """``(windows, candidates)``, both ``(C, L)``: random rows, copies, near
+    copies, and rows sharing no residue with their window."""
+    length = draw(st.integers(2, 12))
+    count = draw(st.integers(1, 8))
+    rows = st.lists(st.integers(0, alphabet_size - 1), min_size=length,
+                    max_size=length)
+    windows = np.array(draw(st.lists(rows, min_size=count, max_size=count)),
+                       dtype=np.uint8)
+    candidates = np.array(draw(st.lists(rows, min_size=count, max_size=count)),
+                          dtype=np.uint8)
+    for row, kind in enumerate(draw(st.lists(
+            st.sampled_from(["random", "copy", "near", "disjoint"]),
+            min_size=count, max_size=count))):
+        if kind in ("copy", "near"):
+            candidates[row] = windows[row]
+        if kind == "near":
+            candidates[row, draw(st.integers(0, length - 1))] += 1
+            candidates[row] %= alphabet_size
+        if kind == "disjoint":
+            candidates[row] = (windows[row] + 1) % alphabet_size
+    return windows, candidates
+
+
+class TestEvaluateCandidateStacked:
+    """Row ``j`` of a ``(C, L)`` call is the one-pair call on row ``j``:
+    the same floats, not close ones."""
+
+    @staticmethod
+    def check(windows, candidates, matrix):
+        stacked = evaluate_candidate(windows, candidates, matrix)
+        assert stacked.identity.shape == stacked.c_score.shape == (len(windows),)
+        for row, (window, candidate) in enumerate(zip(windows, candidates)):
+            one = evaluate_candidate(window, candidate, matrix)
+            assert isinstance(one.identity, float) and isinstance(one.c_score, float)
+            assert (stacked.identity[row], stacked.c_score[row]) == (
+                one.identity, one.c_score)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacked_pairs(PROTEIN.size))
+    def test_protein_with_the_positives_matrix(self, pair):
+        self.check(*pair, M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacked_pairs(4))
+    def test_dna_without_a_matrix(self, pair):
+        self.check(*pair, None)
+
+    def test_rows_without_a_match_score_zero(self):
+        windows = np.zeros((3, 2), dtype=np.uint8)
+        candidates = np.array([[1, 1], [0, 1], [0, 0]], dtype=np.uint8)
+        score = evaluate_candidate(windows, candidates)
+        assert score.identity.tolist() == [0.0, 0.5, 1.0]
+        assert score.c_score.tolist() == [0.0, 0.0, 1.0]
+        self.check(windows, candidates, None)
+
+    def test_empty_stack_rejected_only_for_zero_length(self):
+        empty = np.empty((0, 8), dtype=np.uint8)
+        assert evaluate_candidate(empty, empty).identity.shape == (0,)
+        with pytest.raises(ValueError, match="non-empty"):
+            evaluate_candidate(np.empty((3, 0), np.uint8), np.empty((3, 0), np.uint8))
 
 
 class TestExtendAnchor:

@@ -87,6 +87,34 @@ class TestAccess:
         assert matrix.shape == (2, 4)
         assert DNA.decode(matrix[1]) == "GTAC"
 
+    def test_codes_matrix_is_the_stacked_codes_of(self):
+        """One gather, the same rows — also for blocks of records ingested
+        later (the insert path), past several growths of the flat array, in
+        any order and with repeats; short records still add nothing."""
+        rng = np.random.default_rng(5)
+        store = BlockStore(make_db("ACGTACGTAC", "ACG", "GGGCCCAT"), segment_length=4)
+        for number in range(40):
+            text = "".join(rng.choice(list("ACGT"), int(rng.integers(1, 30))))
+            before = len(store)
+            store._ingest(SequenceRecord.from_text(f"late{number}", text, DNA))
+            assert len(store) - before == max(0, len(text) - 3)
+        ids = rng.integers(0, len(store), 200)
+        assert np.array_equal(
+            store.codes_matrix(ids), np.stack([store.codes_of(int(i)) for i in ids])
+        )
+        everything = store.codes_matrix(range(len(store)))
+        assert everything.dtype == np.uint8
+        assert np.array_equal(
+            everything, np.stack([store.codes_of(i) for i in range(len(store))])
+        )
+        assert store.codes_matrix([]).shape == (0, 4)
+
+    def test_codes_matrix_bad_block_id(self):
+        store = BlockStore(make_db("ACGTAC"), segment_length=4)
+        for bad in ([0, 3], [-1, 0], [99]):
+            with pytest.raises(KeyError, match="no block with id"):
+                store.codes_matrix(bad)
+
     def test_block_key_stable_and_unique(self):
         store = BlockStore(make_db("ACGTAC", "GGGCCC"), segment_length=4)
         keys = {store.block_key(b.block_id) for b in store.blocks}

@@ -104,3 +104,40 @@ class TestIncrementalInsert:
         dna = random_set(count=2, length=40, alphabet=DNA, rng=5)
         with pytest.raises(ValueError, match="alphabet mismatch"):
             index.insert_sequences(dna)
+
+
+class TestLifetime:
+    def test_a_dropped_index_is_freed_without_the_cycle_collector(
+        self, small_db, tmp_path
+    ):
+        """Nothing an index owns points back at it (its metric factory used
+        to be a closure over ``self``), so dropping the last reference frees
+        the store, the nodes and their trees at once — a benchmark or
+        service that rebuilds deployments does not hold two of them until a
+        full collection happens to run.  Searched first, so the flattened
+        trees exist; built and loaded from an archive alike."""
+        import gc
+        import weakref
+
+        from repro.core.persist import load_index, save_index
+
+        config = MendelConfig(group_count=2, group_size=2, sample_size=64, seed=11)
+        save_index(MendelIndex(small_db, config), tmp_path / "index.npz")
+
+        def searched_then_dropped(index):
+            node = index.topology.nodes[0]
+            node.local_knn(index.store.codes_matrix([0, 1]), 3, max_radius=20.0)
+            node.local_knn(index.store.codes_matrix([0, 1]), 3)
+            assert node.tree._flat is not None
+            return [weakref.ref(obj) for obj in
+                    (index, index.store, index.topology, node, node.tree)]
+
+        gc.collect()
+        gc.disable()
+        try:
+            for make in (lambda: MendelIndex(small_db, config),
+                         lambda: load_index(tmp_path / "index.npz")):
+                alive = searched_then_dropped(make())
+                assert [ref() for ref in alive] == [None] * 5
+        finally:
+            gc.enable()

@@ -9,7 +9,8 @@ import pytest
 
 from repro.core import Mendel, MendelConfig
 from repro.core.params import QueryParams
-from repro.core.query import QueryEngine, node_kernel, resolve_matrix
+from repro.core.anchors import evaluate_candidate, extend_anchor
+from repro.core.query import NodeCost, QueryEngine, node_kernel, resolve_matrix
 from repro.obs.metrics import default_registry
 from repro.obs.profile import (
     CostProfiler,
@@ -122,6 +123,87 @@ class TestNodeKernel:
                "anchors")}
         assert cost.anchors == len(anchors) > 0
         assert cost.service_seconds > 0 and cost.io_seconds == 0.0
+
+
+    def test_equals_the_filter_run_one_candidate_at_a_time(self, protein_db):
+        """The batched filter against the loop it replaced, on a node where
+        one hit's durable copy is rotten (skipped before scoring) and where
+        neighbouring windows extend to the same anchor (kept once)."""
+        mendel = Mendel.build(
+            protein_db,
+            MendelConfig(group_count=1, group_size=1, sample_size=256, seed=7),
+        )
+        engine, index = mendel.engine, mendel.index
+        [node] = index.topology.nodes
+        target = protein_db.records[(SEED + 2) % len(protein_db.records)]
+        probe = SequenceRecord(
+            seq_id="copy", codes=target.codes[20:80].copy(), alphabet=PROTEIN
+        )
+        params = QueryParams(k=4, n=6, i=0.5, c=0.4)
+        args = (
+            node, probe.codes, engine.windows_for(probe, params), params,
+            engine.search_radius(params),
+            resolve_matrix(params, index.alphabet), index.store,
+        )
+        healthy = node_kernel(*args)
+        assert healthy == one_candidate_at_a_time(*args)
+        _, cost = healthy
+        assert cost.candidates > cost.identity_pass > 0
+        assert cost.cscore_pass > cost.anchors > 0     # duplicates dropped
+
+        first = next(index.store.blocks_of_sequence(target.seq_id)).block_id
+        node.durable.corrupt_block(first + 20, bit=3)  # window 0's exact hit
+        reads = node.stats.corrupt_reads
+        rotten = node_kernel(*args)
+        assert node.stats.corrupt_reads == reads + 1
+        assert rotten == one_candidate_at_a_time(*args)
+        assert rotten[1].candidates == cost.candidates
+        assert rotten[1].identity_pass == cost.identity_pass - 1
+
+
+def one_candidate_at_a_time(node, query_codes, windows, params, radius, matrix, store):
+    """``node_kernel`` as it read while the filter was a call per candidate:
+    the reference its ``(anchors, NodeCost)`` must equal."""
+    positives = matrix if store.database.alphabet.name == "protein" else None
+    anchors, seen, cost = [], set(), NodeCost()
+    searches, reads = node.local_knn(
+        np.stack([window.codes for window in windows]), params.n, max_radius=radius
+    )
+    cost.io_seeks, cost.io_bytes, cost.io_seconds = reads
+    cost.service_seconds += reads.seconds
+    for window, (hits, search) in zip(windows, searches):
+        cost.evals += search.evals
+        cost.service_seconds += search.seconds
+        cost.candidates += len(hits)
+        for _dist, block_id in hits:
+            if not node.verify_block(block_id):
+                continue
+            score = evaluate_candidate(
+                window.codes, store.codes_of(block_id), positives
+            )
+            if score.identity < params.i:
+                continue
+            cost.identity_pass += 1
+            if score.c_score < params.c:
+                continue
+            cost.cscore_pass += 1
+            block = store.block(block_id)
+            anchor = extend_anchor(
+                query=query_codes, subject=store.record_of(block_id).codes,
+                seq_id=block.seq_id, query_start=window.query_start,
+                query_end=window.query_start + block.length,
+                subject_start=block.start, identity_threshold=params.i,
+                matrix=matrix,
+            )
+            key = (anchor.seq_id, anchor.diagonal, anchor.query_start)
+            if key in seen:
+                continue
+            seen.add(key)
+            cost.extension_ops += anchor.length
+            anchors.append(anchor)
+    cost.anchors = len(anchors)
+    cost.service_seconds += node.service_time_ops(cost.extension_ops)
+    return anchors, cost
 
 
 class TestConcurrentCosts:

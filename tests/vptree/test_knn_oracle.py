@@ -4,12 +4,12 @@ Four references; only the last shares the executed kernel's distance pass:
 
 * **brute force** — the distances returned are the k smallest of a full
   scan inside the radius;
-* **the walk** — section III-C's traversal itself, vertex by vertex, calling
-  the metric for each vantage row and bucket it meets (``_knn_visit``,
-  through ``_traverse``, over on-demand distances: a test-only helper since
-  every point store is searched by a scan); its evaluation count is checked against the
-  adapter's own call counter, so ``evals`` is what traversal really
-  evaluates;
+* **the walk** — section III-C's traversal itself, recursive, vertex by
+  vertex, calling the metric for each vantage row and bucket it meets
+  (``tests/vptree/recursive_walk.py``: test-only, since every point store
+  is searched by a scan and the shrinking-tau lanes are replayed over flat
+  arrays); its evaluation count is checked against the adapter's own call
+  counter, so ``evals`` is what traversal really evaluates;
 * **row by row** — a ``(W, L)`` batch answers exactly as W ``(L,)`` calls;
 * **paged** — the same tree over a point store that is not an ``ndarray``
   and hands its rows over page by page (how a spilled node looks), with
@@ -28,7 +28,7 @@ from repro.seq.alphabet import PROTEIN
 from repro.seq.distance import HammingDistance, default_distance
 from repro.tier import METHOD_RAW, BlockCache, TierConfig
 from repro.vptree import DynamicVPTree, VPTree
-from repro.vptree.search import _traverse
+from tests.vptree.recursive_walk import traverse
 
 SEED = int(os.environ.get("CHAOS_SEED", "0"))
 INF = float("inf")
@@ -83,7 +83,7 @@ def walk(tree, query, k, radius, points=None):
     points = np.asarray(tree.points) if points is None else points
     adapter = tree.adapter
     before = adapter.pair_evaluations
-    hits, evals = _traverse(
+    hits, evals = traverse(
         tree, k, radius,
         lambda row: adapter.pair(query, points[row]),
         lambda rows: adapter.batch(query, points[rows]),
@@ -217,6 +217,66 @@ class TestDegenerate:
         tree = VPTree(points, metric, bucket_capacity=4, rng=SEED)
         tree.validate_invariants()
         check(tree, metric, probes(rng, points, 2), radii, (1, 6, 201))
+
+
+    def test_ties_at_the_kth_distance(self, name):
+        """Rows at exactly the k-th distance outnumber the heap's free slots
+        and lie on both sides of nearer rows in walk order: which of them
+        stay is decided by arrival order alone, bucket by bucket."""
+        metric, alphabet, length, _radii = METRICS[name]
+        rng = np.random.default_rng([SEED, 9])
+        query = rng.integers(0, alphabet, length).astype(np.uint8)
+        other = ((query + 1) % alphabet).astype(np.uint8)
+
+        def mutant(places):
+            row = query.copy()
+            row[list(places)] = other[list(places)]
+            return row
+
+        points = np.stack(
+            [query] * 4                                      # 4 nearer rows
+            + [mutant([0, 1])] * 14                          # one 14-way tie
+            + [mutant(range(length))] * 30                   # far filler
+        )
+        points = points[rng.permutation(len(points))]
+        tied = float(metric(query, mutant([0, 1])))
+        assert 0.0 < tied < float(metric(query, mutant(range(length))))
+        for bucket in (1, 4, 64):
+            tree = VPTree(points, metric, bucket_capacity=bucket, rng=SEED)
+            for k in (5, 9, 17):
+                hits, _ = tree.knn(query, k)
+                assert sum(dist == tied for dist, _ in hits) == min(k, 18) - 4
+            check(tree, metric, query[None, :], (tied, INF), (1, 5, 9, 17, 18, 19))
+
+    def test_k_at_and_above_the_bucket_size(self, name):
+        """One bucket cannot fill the heap: ``k`` equal to, and several
+        times, the capacity, on searches whose heap does fill."""
+        metric, alphabet, length, radii = METRICS[name]
+        rng = np.random.default_rng([SEED, 10])
+        points = family(rng, 150, alphabet, length)
+        tree = VPTree(points, metric, bucket_capacity=8, rng=SEED)
+        check(tree, metric, probes(rng, points, alphabet, 6), radii[2:], (8, 9, 40))
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_a_batch_of_both_lane_kinds(name):
+    """One batch in which some queries have ``k`` rows inside the radius
+    (their tau shrinks) and some do not (it never moves): each comes out of
+    its own code path, in its row of the batch."""
+    metric, alphabet, length, (_zero, filter_radius, _wide, _inf) = METRICS[name]
+    rng = np.random.default_rng([SEED, 11, len(name)])
+    points = family(rng, 200, alphabet, length)
+    points[:12] = points[0]                      # a dense spot
+    points[12:24, 0] = (points[0, 0] + 1) % alphabet
+    queries = np.vstack([points[:3], probes(rng, points[24:], alphabet, 9)])
+    k = 6
+    inside = np.array([
+        (metric.batch(query, points) <= filter_radius).sum() for query in queries
+    ])
+    assert (inside >= k).any() and (inside < k).any(), inside
+    for bucket in (4, 32):
+        tree = VPTree(points, metric, bucket_capacity=bucket, rng=SEED)
+        check(tree, metric, queries, (filter_radius,), (k,))
 
 
 @pytest.mark.parametrize("name", sorted(METRICS))

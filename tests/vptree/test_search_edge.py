@@ -1,17 +1,19 @@
-"""Edge-case tests for the vp-tree search internals (repro.vptree.search)."""
+"""Edge-case tests for vp-tree search (repro.vptree.search) and for the
+oracle's k-best heap (tests/vptree/recursive_walk.py)."""
 
 import numpy as np
 import pytest
 
 from repro.seq.alphabet import PROTEIN
 from repro.seq.distance import default_distance
-from repro.vptree.search import _KBest
+from tests.vptree.recursive_walk import KBest
+from repro.vptree import DynamicVPTree
 from repro.vptree.tree import VPTree
 
 
 class TestKBest:
     def test_tau_unbounded_until_full(self):
-        best = _KBest(3)
+        best = KBest(3)
         assert best.tau == float("inf")
         best.offer(5.0, 1)
         best.offer(2.0, 2)
@@ -20,7 +22,7 @@ class TestKBest:
         assert best.tau == 9.0
 
     def test_tau_shrinks(self):
-        best = _KBest(2)
+        best = KBest(2)
         best.offer(9.0, 1)
         best.offer(5.0, 2)
         assert best.tau == 9.0
@@ -28,36 +30,62 @@ class TestKBest:
         assert best.tau == 5.0
 
     def test_max_radius_caps_tau_and_entries(self):
-        best = _KBest(5, max_radius=3.0)
+        best = KBest(5, max_radius=3.0)
         assert best.tau == 3.0
         best.offer(10.0, 1)  # rejected
         best.offer(2.0, 2)
         assert best.sorted_items() == [(2.0, 2)]
 
     def test_boundary_distance_accepted(self):
-        best = _KBest(2, max_radius=3.0)
+        best = KBest(2, max_radius=3.0)
         best.offer(3.0, 1)
         assert best.sorted_items() == [(3.0, 1)]
 
     def test_offer_batch_matches_sequential(self):
         rng = np.random.default_rng(3)
         dists = rng.random(50) * 10
-        a = _KBest(7)
-        b = _KBest(7)
+        a = KBest(7)
+        b = KBest(7)
         for i, d in enumerate(dists):
             a.offer(float(d), i)
         b.offer_batch(dists, np.arange(50))
         assert a.sorted_items() == b.sorted_items()
 
     def test_ties_keep_first_seen(self):
-        best = _KBest(1)
+        best = KBest(1)
         best.offer(2.0, 10)
         best.offer(2.0, 11)  # not strictly better: ignored
         assert best.sorted_items() == [(2.0, 10)]
 
     def test_invalid_k(self):
         with pytest.raises(ValueError, match="k must be"):
-            _KBest(0)
+            KBest(0)
+
+
+class TestEmptyTree:
+    """An empty tree has nothing to find, but a bad call is still a bad
+    call: arguments are validated before the shortcut."""
+
+    @pytest.fixture(params=["static", "dynamic"])
+    def tree(self, request):
+        metric = default_distance(PROTEIN)
+        if request.param == "static":
+            return VPTree(np.empty((0, 8), dtype=np.uint8), metric)
+        return DynamicVPTree(metric, 8)
+
+    def test_valid_calls_find_nothing(self, tree):
+        assert tree.knn(np.zeros(8, dtype=np.uint8), 1) == ([], 0)
+        assert tree.knn(np.zeros((2, 8), dtype=np.uint8), 3) == [([], 0)] * 2
+
+    def test_k_below_one_rejected(self, tree):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            tree.knn(np.zeros(8, dtype=np.uint8), 0)
+
+    def test_wrong_segment_length_rejected(self, tree):
+        with pytest.raises(ValueError, match="segment length 8"):
+            tree.knn(np.zeros(7, dtype=np.uint8), 3)
+        with pytest.raises(ValueError, match="segment length 8"):
+            tree.knn(np.zeros((2, 9), dtype=np.uint8), 3)
 
 
 class TestSearchDeterminism:
