@@ -1,35 +1,26 @@
-"""Command-line interface.
+"""Command-line interface; ``python -m repro <command> --help`` lists a
+command's flags.
 
 ::
 
     python -m repro index refs.fasta --alphabet protein --out deploy.npz
     python -m repro info deploy.npz
     python -m repro query deploy.npz queries.fasta --top 5
+    python -m repro explain deploy.npz queries.fasta
+    python -m repro trace deploy.npz queries.fasta --out trace.json
     python -m repro bench fig6a
     python -m repro serve deploy.npz --port 7766
-    python -m repro chaos --replication 2 --seed 0
     python -m repro call query --seq MKV... --port 7766
-    python -m repro trace deploy.npz queries.fasta --out trace.json
-    python -m repro explain deploy.npz queries.fasta
+    python -m repro chaos --replication 2 --seed 0
     python -m repro watch --once --format json
 
-``index`` builds a deployment and saves it; ``query`` loads one and
-searches every sequence of a FASTA query set; ``info`` summarises a saved
-deployment; ``bench`` reruns one of the paper's figures and prints its
-table; ``serve`` exposes a saved deployment through the TCP query gateway
-(:mod:`repro.serve`); ``chaos`` runs the scripted kill/recover
-fault-injection scenario (:mod:`repro.faults`) and prints recall and
-coverage under failure; ``call`` speaks the gateway's JSON-lines protocol
-(QUERY / EXPLAIN / STATS / HEALTH / METRICS / ALERTS) from the command
-line; ``watch`` is the health dashboard — either a headless chaos-scenario
-run (rolling SLIs, SLO burn-rate alerts with correlated causes, the event
-tail; ``--once --format json`` is the CI mode) or, with ``--gateway``, a
-live poll of a running server's ALERTS op;
-``trace`` profiles queries with the observability layer (:mod:`repro.obs`),
-printing each query's span tree and optionally writing a Chrome trace-event
-JSON loadable in Perfetto or ``chrome://tracing``; ``explain`` prints each
-query's structured plan — tier-1 routing, fan-out, and the per-stage
-candidate attrition funnel (:mod:`repro.core.explain`).
+The search commands (``query``, ``explain``, ``trace``, ``analyze``) share
+one prelude, :func:`_open_search`: load the archive, read the query FASTA,
+take the paper's Table I parameters, and reject a record the command cannot
+run as a usage error (exit 2).  The scenario commands (``chaos``, ``watch``,
+``autoscale``, ``recover``, ``scrub``, ``tier``) build their own seeded
+deployment and run through one table, :data:`_SCENARIOS`; ``call`` speaks
+the gateway's JSON-lines protocol through another, :data:`_CALLS`.
 """
 
 from __future__ import annotations
@@ -38,7 +29,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from repro.bench import figures as _figures
@@ -52,6 +43,7 @@ from repro.obs.dashboard import render_frame
 from repro.scale.scenario import run_diurnal_scenario, run_flash_crowd_scenario
 from repro.scenario import SWEEP_PARAMS, Outcome, sweep_queries
 from repro.seq.fasta import read_fasta
+from repro.seq.records import SequenceSet
 from repro.store.scenario import run_durability_scenario, run_scrub_scenario
 from repro.tier.scenario import run_tier_scenario
 
@@ -64,6 +56,93 @@ _FIGURES = {
 }
 
 
+#: ``--alphabet`` choices
+_ALPHABETS = ("dna", "protein")
+
+
+class _UsageError(Exception):
+    """Input a command cannot run; :func:`main` prints ``error: <message>``
+    and exits 2, the usage-error code."""
+
+
+# -- flag groups ------------------------------------------------------------
+# Flags several commands share are declared once, in a parent parser built
+# fresh per command: argparse hands a parent's actions to the child, so a
+# shared parent would let one command's ``set_defaults`` move another's.
+
+
+def _archive_group() -> argparse.ArgumentParser:
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("archive", help="saved .npz deployment")
+    return group
+
+
+def _search_group() -> argparse.ArgumentParser:
+    """The archive, the query FASTA and the paper's Table I query
+    parameters (§V-B): what :func:`_open_search` reads."""
+    group = argparse.ArgumentParser(add_help=False,
+                                    parents=[_archive_group()])
+    group.add_argument("fasta", help="query FASTA file")
+    group.add_argument("--alphabet", choices=_ALPHABETS, default=None,
+                       help="query alphabet (default: index's)")
+    group.add_argument("--k", type=int, default=4)
+    group.add_argument("--n", type=int, default=8)
+    group.add_argument("--identity", type=float, default=0.5, dest="i")
+    group.add_argument("--c-score", type=float, default=0.5, dest="c")
+    group.add_argument("--matrix", default="BLOSUM62", dest="M")
+    group.add_argument("--evalue", type=float, default=10.0, dest="E")
+    return group
+
+
+def _seeded_group() -> argparse.ArgumentParser:
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--seed", type=int, default=None,
+                       help="run seed (default: $CHAOS_SEED or 0)")
+    return group
+
+
+def _output_group(*flags: str) -> argparse.ArgumentParser:
+    """Those of ``--format``, ``--event-log``, ``--bench-out`` and
+    ``--log`` that *flags* names."""
+    group = argparse.ArgumentParser(add_help=False)
+    if "--format" in flags:
+        group.add_argument("--format", choices=("text", "json"),
+                           default="text")
+    if "--event-log" in flags:
+        group.add_argument("--event-log", default=None,
+                           help="write the run's event log JSON here")
+    if "--bench-out" in flags:
+        group.add_argument("--bench-out", default=None,
+                           help="write a BENCH-schema summary JSON here")
+    if "--log" in flags:
+        group.add_argument("--log", action="store_true",
+                           help="print the chaos timeline")
+    return group
+
+
+def _shape_group() -> argparse.ArgumentParser:
+    """The cluster a scenario command builds; a command moves a default
+    with ``set_defaults``."""
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--replication", type=int, default=2,
+                       help="copies per block (1 makes a kill visible)")
+    group.add_argument("--groups", type=int, default=3)
+    group.add_argument("--group-size", type=int, default=3)
+    group.add_argument("--probes", type=int, default=6,
+                       help="probe queries in the run")
+    return group
+
+
+def _gateway_group(client: bool = True) -> argparse.ArgumentParser:
+    """A gateway's address, and for a client its socket timeout."""
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--host", default="127.0.0.1")
+    group.add_argument("--port", type=int, default=7766)
+    if client:
+        group.add_argument("--timeout", type=float, default=30.0)
+    return group
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -73,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     index = sub.add_parser("index", help="build and save a deployment")
     index.add_argument("fasta", help="reference FASTA file")
-    index.add_argument("--alphabet", choices=("dna", "protein"),
-                       default="protein")
+    index.add_argument("--alphabet", choices=_ALPHABETS, default="protein")
     index.add_argument("--out", required=True, help="output archive (.npz)")
     index.add_argument("--nodes", type=int, default=10,
                        help="node budget for auto-configuration")
@@ -86,61 +164,43 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--segment-length", type=int, default=None)
     index.add_argument("--seed", type=int, default=42)
 
-    info = sub.add_parser("info", help="summarise a saved deployment")
-    info.add_argument("archive", help="saved .npz deployment")
+    info = sub.add_parser("info", help="summarise a saved deployment",
+                          parents=[_archive_group()])
     info.add_argument("--balance", action="store_true",
                       help="append the two-tier balance audit (Fig. 5)")
 
-    query = sub.add_parser("query", help="search a saved deployment")
-    query.add_argument("archive", help="saved .npz deployment")
-    query.add_argument("fasta", help="query FASTA file")
-    query.add_argument("--alphabet", choices=("dna", "protein"),
-                       default=None, help="query alphabet (default: index's)")
+    query = sub.add_parser("query", help="search a saved deployment",
+                           parents=[_search_group()])
     query.add_argument("--top", type=int, default=5,
                        help="alignments to print per query")
-    query.add_argument("--k", type=int, default=4)
-    query.add_argument("--n", type=int, default=8)
-    query.add_argument("--identity", type=float, default=0.5, dest="i")
-    query.add_argument("--c-score", type=float, default=0.5, dest="c")
-    query.add_argument("--matrix", default="BLOSUM62", dest="M")
-    query.add_argument("--evalue", type=float, default=10.0, dest="E")
 
     bench = sub.add_parser(
-        "bench", help="rerun one of the paper's figures, the perf suite, "
-                      "or diff two BENCH files"
-    )
+        "bench", help="rerun a paper figure or the perf suite, or diff two "
+                      "BENCH files")
     bench.add_argument("figure", nargs="?", default=None,
                        choices=sorted(_FIGURES) + ["all", "diff"])
     bench.add_argument("files", nargs="*", default=[],
-                       help="with 'diff': the two BENCH_<n>.json files "
-                            "(baseline, current)")
+                       help="with 'diff': baseline and current BENCH_<n>.json")
     bench.add_argument("--out", default=None,
-                       help="with 'all': write the markdown report here; "
-                            "with 'diff': the ATTRIBUTION.md path "
-                            "(default: ATTRIBUTION.md)")
+                       help="with 'all': the markdown report; with 'diff': "
+                            "the attribution (default: ATTRIBUTION.md)")
     bench.add_argument("--regress", action="store_true",
-                       help="run the canonical perf suite, write BENCH_<n>.json, "
-                            "and diff against the previous run")
+                       help="run the perf suite, write BENCH_<n>.json, and "
+                            "diff against the previous run")
     bench.add_argument("--bench-dir", default=".",
-                       help="directory holding BENCH_<n>.json files "
-                            "(default: current directory)")
+                       help="directory of BENCH_<n>.json files (default: .)")
     bench.add_argument("--seed", type=int, default=23,
                        help="with --regress: workload seed")
     bench.add_argument("--profile", action="store_true",
-                       help="with --regress: capture a deterministic cost "
-                            "profile as PROFILE_<n>.json next to the "
-                            "BENCH file")
+                       help="with --regress: also write PROFILE_<n>.json")
     bench.add_argument("--profile-a", default=None,
-                       help="with 'diff': baseline PROFILE json "
-                            "(default: PROFILE_<n>.json next to file A)")
+                       help="with 'diff': baseline PROFILE (default: by A)")
     bench.add_argument("--profile-b", default=None,
-                       help="with 'diff': current PROFILE json "
-                            "(default: PROFILE_<n>.json next to file B)")
+                       help="with 'diff': current PROFILE (default: by B)")
 
-    serve = sub.add_parser("serve", help="serve a saved deployment over TCP")
-    serve.add_argument("archive", help="saved .npz deployment")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7766)
+    serve = sub.add_parser(
+        "serve", help="serve a saved deployment over TCP",
+        parents=[_archive_group(), _gateway_group(client=False)])
     serve.add_argument("--workers", type=int, default=4,
                        help="query execution threads")
     serve.add_argument("--max-pending", type=int, default=64,
@@ -160,287 +220,157 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-tracing", action="store_true",
                        help="disable per-request span recording")
     serve.add_argument("--autoscale", action="store_true",
-                       help="attach the elastic autoscaler (lazily ticked "
-                            "from HEALTH/ALERTS/STATS/SCALE reads)")
+                       help="attach the elastic autoscaler")
 
     chaos = sub.add_parser(
-        "chaos",
-        help="run the scripted kill/recover fault-injection scenario",
-    )
-    chaos.add_argument("--replication", type=int, default=2,
-                       help="block copies per group (1 shows degradation)")
-    chaos.add_argument("--groups", type=int, default=3)
-    chaos.add_argument("--group-size", type=int, default=3)
+        "chaos", help="run the scripted kill/recover fault-injection scenario",
+        parents=[_shape_group(), _seeded_group(), _output_group("--log")])
     chaos.add_argument("--sequences", type=int, default=18,
                        help="synthetic reference sequences")
-    chaos.add_argument("--probes", type=int, default=6,
-                       help="queries spread across the failure window")
-    chaos.add_argument("--seed", type=int, default=None,
-                       help="seed for database, schedule, and link drops "
-                            "(default: $CHAOS_SEED or 0)")
     chaos.add_argument("--subquery-deadline", type=float, default=None,
                        help="per-subquery deadline in simulated seconds")
-    chaos.add_argument("--log", action="store_true",
-                       help="print the chaos timeline")
 
     explain = sub.add_parser(
-        "explain",
-        help="EXPLAIN queries: routing, fan-out, and the attrition funnel",
-    )
-    explain.add_argument("archive", help="saved .npz deployment")
-    explain.add_argument("fasta", help="query FASTA file")
-    explain.add_argument("--alphabet", choices=("dna", "protein"),
-                         default=None, help="query alphabet (default: index's)")
+        "explain", help="EXPLAIN queries: routing, fan-out, attrition funnel",
+        parents=[_search_group()])
     explain.add_argument("--json", action="store_true", dest="as_json",
                          help="print structured plans as JSON instead")
-    explain.add_argument("--k", type=int, default=4)
-    explain.add_argument("--n", type=int, default=8)
-    explain.add_argument("--identity", type=float, default=0.5, dest="i")
-    explain.add_argument("--c-score", type=float, default=0.5, dest="c")
-    explain.add_argument("--matrix", default="BLOSUM62", dest="M")
-    explain.add_argument("--evalue", type=float, default=10.0, dest="E")
 
-    call = sub.add_parser("call", help="call a running gateway")
-    call.add_argument("op",
-                      choices=("query", "explain", "stats", "health",
-                               "metrics", "alerts", "scale", "scrub",
-                               "recover", "analyze", "profile"))
-    call.add_argument("--host", default="127.0.0.1")
-    call.add_argument("--port", type=int, default=7766)
+    call = sub.add_parser("call", help="call a running gateway",
+                          parents=[_gateway_group()])
+    call.add_argument("op", choices=tuple(_CALLS))
     call.add_argument("--seq", default=None,
                       help="query residues (op=query)")
     call.add_argument("--fasta", default=None,
                       help="query every record of this FASTA file (op=query)")
-    call.add_argument("--alphabet", choices=("dna", "protein"),
-                      default="protein", help="alphabet for --fasta parsing")
+    call.add_argument("--alphabet", choices=_ALPHABETS, default="protein",
+                      help="alphabet for --fasta parsing")
     call.add_argument("--deadline", type=float, default=None,
                       help="per-request deadline in seconds")
     call.add_argument("--top", type=int, default=5,
                       help="alignments to return per query")
-    call.add_argument("--timeout", type=float, default=30.0)
     call.add_argument("--retries", type=int, default=3)
     call.add_argument("--node", default=None,
                       help="node to restart (op=recover; default: all dead)")
     call.add_argument("--no-heal", action="store_true",
                       help="detect without healing (op=scrub)")
     call.add_argument("--action", choices=("start", "snapshot", "stop"),
-                      default="snapshot",
-                      help="profiler lifecycle action (op=profile)")
+                      default="snapshot", help="op=profile: lifecycle action")
     call.add_argument("--hz", type=float, default=None,
-                      help="sampling rate on profiler start (op=profile)")
+                      help="op=profile: sampling rate on start")
 
     watch = sub.add_parser(
         "watch",
         help="health dashboard: rolling SLIs, burn-rate alerts, event tail",
-    )
+        parents=[_gateway_group(), _shape_group(), _seeded_group(),
+                 _output_group("--format", "--event-log")])
+    watch.set_defaults(replication=1)
     watch.add_argument("--gateway", action="store_true",
                        help="poll a running gateway's ALERTS op instead of "
                             "running the headless chaos scenario")
-    watch.add_argument("--host", default="127.0.0.1")
-    watch.add_argument("--port", type=int, default=7766)
-    watch.add_argument("--timeout", type=float, default=30.0)
     watch.add_argument("--once", action="store_true",
                        help="render one frame and exit (CI mode)")
     watch.add_argument("--interval", type=float, default=2.0,
                        help="refresh period in seconds (live mode)")
-    watch.add_argument("--format", choices=("text", "json"), default="text")
-    watch.add_argument("--replication", type=int, default=1,
-                       help="scenario mode: copies per block (1 makes a "
-                            "kill visible to the SLOs)")
-    watch.add_argument("--groups", type=int, default=3)
-    watch.add_argument("--group-size", type=int, default=3)
-    watch.add_argument("--probes", type=int, default=6)
-    watch.add_argument("--seed", type=int, default=None,
-                       help="scenario seed (default: $CHAOS_SEED or 0)")
     watch.add_argument("--subquery-deadline", type=float, default=None)
-    watch.add_argument("--event-log", default=None,
-                       help="write the run's event log JSON here (artifact)")
     watch.add_argument("--assert-cycle", default=None, metavar="SLO",
-                       help="exit nonzero unless SLO fired and then "
-                            "resolved during the run (CI smoke assertion)")
+                       help="exit 1 unless SLO fired and then resolved")
 
     autoscale = sub.add_parser(
-        "autoscale",
-        help="drive the elastic control loop through a traffic scenario",
-    )
+        "autoscale", help="drive the elastic control loop through traffic",
+        parents=[_seeded_group(),
+                 _output_group("--format", "--event-log", "--bench-out")])
     autoscale.add_argument("--scenario", choices=("flash", "diurnal"),
                            default="flash",
-                           help="flash: calm/burst/tail overload; diurnal: "
-                                "two sinusoidal day/night cycles")
-    autoscale.add_argument("--seed", type=int, default=None,
-                           help="scenario seed (default: $CHAOS_SEED or 0)")
+                           help="calm/burst/tail, or two day/night cycles")
     autoscale.add_argument("--no-controller", action="store_true",
-                           help="run the same traffic without the scaler "
-                                "(the ablation baseline)")
-    autoscale.add_argument("--format", choices=("text", "json"),
-                           default="text")
-    autoscale.add_argument("--event-log", default=None,
-                           help="write the run's event log JSON here "
-                                "(artifact)")
-    autoscale.add_argument("--bench-out", default=None,
-                           help="write a BENCH-schema summary JSON here "
-                                "(artifact)")
+                           help="the same traffic without the scaler")
     autoscale.add_argument("--assert-loop", action="store_true",
-                           help="exit nonzero unless an alert fired, the "
-                                "scaler acted, and the alert resolved "
-                                "(CI smoke assertion)")
+                           help="exit 1 unless an alert fired, the scaler "
+                                "acted, and the alert resolved")
 
     recover = sub.add_parser(
-        "recover",
-        help="crash-recovery experiment: crash nodes mid-batch, restart "
-             "from snapshot+WAL, prove answers byte-identical to an "
-             "uncrashed control",
-    )
-    recover.add_argument("--replication", type=int, default=2)
-    recover.add_argument("--groups", type=int, default=3)
-    recover.add_argument("--group-size", type=int, default=3)
+        "recover", help="crash nodes mid-batch, restart from snapshot+WAL, "
+                        "compare answers with an uncrashed control",
+        parents=[_shape_group(), _seeded_group(),
+                 _output_group("--format", "--event-log", "--log")])
     recover.add_argument("--sequences", type=int, default=18,
                          help="synthetic reference sequences")
-    recover.add_argument("--probes", type=int, default=6)
-    recover.add_argument("--seed", type=int, default=None,
-                         help="scenario seed (default: $CHAOS_SEED or 0)")
-    recover.add_argument("--format", choices=("text", "json"),
-                         default="text")
-    recover.add_argument("--event-log", default=None,
-                         help="write the run's event log JSON here "
-                              "(artifact)")
-    recover.add_argument("--log", action="store_true",
-                         help="print the chaos timeline")
     recover.add_argument("--assert-identical", action="store_true",
-                         help="exit nonzero unless the recovered cluster "
-                              "answered byte-identically to the control "
-                              "(CI smoke assertion)")
+                         help="exit 1 unless the answers are byte-identical")
 
     scrub = sub.add_parser(
-        "scrub",
-        help="anti-entropy experiment: inject silent bit rot, scrub it "
-             "out, prove no query served rotted bytes",
-    )
-    scrub.add_argument("--replication", type=int, default=2)
-    scrub.add_argument("--groups", type=int, default=2)
-    scrub.add_argument("--group-size", type=int, default=3)
+        "scrub", help="inject silent bit rot, scrub it out, prove no query "
+                      "served rotted bytes",
+        parents=[_shape_group(), _seeded_group(),
+                 _output_group("--format", "--event-log", "--log")])
+    scrub.set_defaults(groups=2)
     scrub.add_argument("--sequences", type=int, default=12,
                        help="synthetic reference sequences")
-    scrub.add_argument("--probes", type=int, default=6)
     scrub.add_argument("--flips", type=int, default=2,
                        help="bit flips injected into durable blocks")
-    scrub.add_argument("--seed", type=int, default=None,
-                       help="scenario seed (default: $CHAOS_SEED or 0)")
-    scrub.add_argument("--format", choices=("text", "json"), default="text")
-    scrub.add_argument("--event-log", default=None,
-                       help="write the run's event log JSON here (artifact)")
-    scrub.add_argument("--log", action="store_true",
-                       help="print the chaos timeline")
     scrub.add_argument("--assert-resolved", action="store_true",
-                       help="exit nonzero unless every flip was detected, "
-                            "healed, and verified clean with zero wrong "
-                            "answers (CI smoke assertion)")
+                       help="exit 1 unless every flip was healed and no "
+                            "answer was wrong")
 
     tier = sub.add_parser(
-        "tier",
-        help="tiered-storage experiment: spill to compressed block files, "
-             "prove cold answers byte-identical to all-RAM, measure "
-             "capacity headroom",
-    )
+        "tier", help="spill to compressed block files, compare cold answers "
+                     "with all-RAM, measure capacity headroom",
+        parents=[_seeded_group(), _output_group("--format", "--bench-out")])
     tier.add_argument("--families", type=int, default=30,
                       help="synthetic reference families")
     tier.add_argument("--members", type=int, default=5,
                       help="members per family")
     tier.add_argument("--cache-fraction", type=float, default=0.10,
-                      help="cold-phase RAM cache budget as a fraction of "
-                           "the raw corpus bytes")
-    tier.add_argument("--seed", type=int, default=None,
-                      help="scenario seed (default: $CHAOS_SEED or 0)")
-    tier.add_argument("--format", choices=("text", "json"), default="text")
-    tier.add_argument("--bench-out", default=None,
-                      help="write a BENCH-schema summary JSON here "
-                           "(artifact)")
+                      help="cold-phase RAM cache as a fraction of the corpus")
     tier.add_argument("--assert-equivalent", action="store_true",
-                      help="exit nonzero unless every tiered phase answered "
-                           "byte-identically to the all-RAM baseline "
-                           "(CI smoke assertion)")
+                      help="exit 1 unless every tiered phase answered "
+                           "byte-identically to all-RAM")
 
     trace = sub.add_parser(
-        "trace",
-        help="profile queries: span trees plus a Chrome trace JSON",
-    )
-    trace.add_argument("archive", help="saved .npz deployment")
-    trace.add_argument("fasta", help="query FASTA file")
-    trace.add_argument("--alphabet", choices=("dna", "protein"),
-                       default=None, help="query alphabet (default: index's)")
+        "trace", help="profile queries: span trees plus a Chrome trace JSON",
+        parents=[_search_group()])
     trace.add_argument("--out", default=None,
                        help="write Chrome trace-event JSON here")
-    trace.add_argument("--k", type=int, default=4)
-    trace.add_argument("--n", type=int, default=8)
-    trace.add_argument("--identity", type=float, default=0.5, dest="i")
-    trace.add_argument("--c-score", type=float, default=0.5, dest="c")
-    trace.add_argument("--matrix", default="BLOSUM62", dest="M")
-    trace.add_argument("--evalue", type=float, default=10.0, dest="E")
     trace.add_argument("--metrics", action="store_true",
                        help="also print the Prometheus metrics exposition")
 
     analyze = sub.add_parser(
-        "analyze",
-        help="trace analytics: cluster queries into span-shape families "
-             "and profile the critical path",
-    )
-    analyze.add_argument("archive", help="saved .npz deployment")
-    analyze.add_argument("fasta", help="query FASTA file")
-    analyze.add_argument("--alphabet", choices=("dna", "protein"),
-                         default=None,
-                         help="query alphabet (default: index's)")
+        "analyze", help="cluster queries into span-shape families and "
+                        "profile the critical path",
+        parents=[_search_group()])
     analyze.add_argument("--json", action="store_true", dest="as_json",
-                         help="print the family/critical-path summary as "
-                              "JSON instead")
-    analyze.add_argument("--k", type=int, default=4)
-    analyze.add_argument("--n", type=int, default=8)
-    analyze.add_argument("--identity", type=float, default=0.5, dest="i")
-    analyze.add_argument("--c-score", type=float, default=0.5, dest="c")
-    analyze.add_argument("--matrix", default="BLOSUM62", dest="M")
-    analyze.add_argument("--evalue", type=float, default=10.0, dest="E")
+                         help="print the summary as JSON instead")
 
     explore = sub.add_parser(
-        "explore",
-        help="sweep a scenario grid (traffic x workload x chaos x "
-             "storage) and write a ranked REPORT.md explaining each slow "
-             "cell by its trace families",
-    )
+        "explore", help="sweep a scenario grid and write a ranked REPORT.md "
+                        "explaining each slow cell by its trace families",
+        parents=[_seeded_group(), _output_group("--format")])
     explore.add_argument("--grid", choices=("small", "medium", "full"),
                          default="small")
-    explore.add_argument("--seed", type=int, default=None,
-                         help="grid seed (default: $CHAOS_SEED or 0)")
     explore.add_argument("--queries", type=int, default=6,
                          help="queries per cell")
     explore.add_argument("--out", default=None,
-                         help="directory for REPORT.md plus the per-cell "
-                              "BENCH-schema JSON artifacts")
-    explore.add_argument("--format", choices=("text", "json"),
-                         default="text")
+                         help="directory for REPORT.md and per-cell JSON")
     explore.add_argument("--assert-families", action="store_true",
-                         help="exit nonzero unless every cell named at "
-                              "least one slow-query family with exemplar "
-                              "trace ids (CI smoke assertion)")
+                         help="exit 1 unless every cell names a slow-query "
+                              "family with exemplar trace ids")
 
     profile = sub.add_parser(
-        "profile",
-        help="seeded profiling capture: sampled wall-clock stacks tagged "
-             "with span stages plus the deterministic cost profile",
-    )
-    profile.add_argument("--seed", type=int, default=None,
-                         help="workload seed (default: $CHAOS_SEED or 0)")
+        "profile", help="seeded capture: sampled stacks tagged with span "
+                        "stages plus the deterministic cost profile",
+        parents=[_seeded_group()])
     profile.add_argument("--hz", type=float, default=67.0,
                          help="sampling rate for the wall-clock profiler")
     profile.add_argument("--queries", type=int, default=2,
                          help="queries per sweep length")
     profile.add_argument("--out", default=None,
-                         help="directory for PROFILE.json (deterministic "
-                              "cost side), profile.folded, and "
-                              "profile.speedscope.json")
+                         help="directory for PROFILE.json, profile.folded "
+                              "and profile.speedscope.json")
     profile.add_argument("--top", type=int, default=10,
                          help="rows in the printed hotspot tables")
     profile.add_argument("--json", action="store_true", dest="as_json",
                          help="print the full profile snapshot as JSON")
-
     return parser
 
 
@@ -456,11 +386,7 @@ def _cmd_index(args: argparse.Namespace, out) -> int:
         overrides["segment_length"] = args.segment_length
     if args.replication != 1:
         overrides["replication"] = args.replication
-    if overrides:
-        import dataclasses
-
-        config = dataclasses.replace(config, **overrides)
-    mendel = Mendel.build(database, config)
+    mendel = Mendel.build(database, replace(config, **overrides))
     save_index(mendel.index, args.out)
     print(
         f"indexed {mendel.block_count} blocks from {len(database)} sequences "
@@ -474,55 +400,73 @@ def _cmd_index(args: argparse.Namespace, out) -> int:
 def _cmd_info(args: argparse.Namespace, out) -> int:
     index = load_index(args.archive)
     config = index.config
-    print(f"alphabet:        {index.alphabet.name}", file=out)
-    print(f"sequences:       {len(index.database)}", file=out)
-    print(f"residues:        {index.database.total_residues}", file=out)
-    print(f"blocks:          {len(index.store)}", file=out)
-    print(
+    fractions = sorted(index.load_fractions().values())
+    tier = index.tier_report()
+    lines = [
+        f"alphabet:        {index.alphabet.name}",
+        f"sequences:       {len(index.database)}",
+        f"residues:        {index.database.total_residues}",
+        f"blocks:          {len(index.store)}",
         f"cluster:         {config.group_count} groups x {config.group_size} "
         f"nodes (replication {config.replication})",
-        file=out,
-    )
-    print(f"segment length:  {config.segment_length}", file=out)
-    fractions = sorted(index.load_fractions().values())
-    print(
+        f"segment length:  {config.segment_length}",
         f"load per node:   min {100 * fractions[0]:.2f}% / "
         f"max {100 * fractions[-1]:.2f}%",
-        file=out,
-    )
-    tier = index.tier_report()
-    print(f"bytes on disk:   {tier['bytes_on_disk']}", file=out)
-    print(f"compression:     {tier['compression_ratio']:.3f}x", file=out)
-    print(
+        f"bytes on disk:   {tier['bytes_on_disk']}",
+        f"compression:     {tier['compression_ratio']:.3f}x",
         f"resident:        {100 * tier['resident_fraction']:.2f}%",
-        file=out,
-    )
-    if getattr(args, "balance", False):
+    ]
+    if args.balance:
         from repro.cluster.balance import audit
 
-        print(file=out)
-        print(audit(index).render(), file=out)
+        lines += ["", audit(index).render()]
+    print("\n".join(lines), file=out)
     return 0
 
 
-def _cmd_query(args: argparse.Namespace, out) -> int:
+def _open_search(
+    args: argparse.Namespace,
+) -> tuple[Mendel, SequenceSet, QueryParams]:
+    """The search commands' prelude: the archive's deployment, the query
+    FASTA read under ``--alphabet`` (default: the index's), and the Table I
+    parameters.  Every record must be one the command can run, else
+    :class:`_UsageError` names the first that is not."""
     index = load_index(args.archive)
-    alphabet = args.alphabet or index.alphabet.name
-    queries = read_fasta(args.fasta, alphabet)
-    engine = QueryEngine(index)
+    indexed = index.alphabet.name
+    alphabet = args.alphabet or indexed
+    try:
+        records = read_fasta(args.fasta, alphabet)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"{args.fasta}: {exc}") from None
+    # Only `query` runs DNA against a protein index: as six translated frames.
+    translated = (args.command, alphabet, indexed) == ("query", "dna",
+                                                       "protein")
+    for record in records:
+        if alphabet != indexed and not translated:
+            hint = (" (only `repro query` translates DNA)"
+                    if alphabet == "dna" else "")
+            raise _UsageError(f"{record.seq_id}: a {alphabet} query against "
+                              f"a {indexed} index{hint}")
+        residues = len(record) // 3 if translated else len(record)
+        if residues < index.segment_length:
+            raise _UsageError(
+                f"{record.seq_id}: {residues} residues"
+                f"{' once translated' if translated else ''}, fewer than "
+                f"the segment length {index.segment_length}")
     params = QueryParams(k=args.k, n=args.n, i=args.i, c=args.c,
                          M=args.M, E=args.E)
-    mendel = Mendel(index=index, engine=engine)
-    for record in queries:
-        if alphabet == "dna" and index.alphabet.name == "protein":
+    return Mendel(index=index, engine=QueryEngine(index)), records, params
+
+
+def _cmd_query(args: argparse.Namespace, out) -> int:
+    mendel, records, params = _open_search(args)
+    for record in records:
+        if record.alphabet.name != mendel.index.alphabet.name:
             report = mendel.query_translated(record, params)
         else:
-            report = engine.run(record, params)
-        print(
-            f"# {record.seq_id}: {len(report.alignments)} alignments, "
-            f"turnaround {report.stats.turnaround * 1e3:.1f} ms",
-            file=out,
-        )
+            report = mendel.query(record, params)
+        print(f"# {record.seq_id}: {len(report.alignments)} alignments, "
+              f"turnaround {report.stats.turnaround * 1e3:.1f} ms", file=out)
         for alignment in report.alignments[: args.top]:
             print(alignment.brief(), file=out)
     return 0
@@ -563,7 +507,6 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
 
 def _cmd_bench_regress(args: argparse.Namespace, out) -> int:
     from repro.bench import regress
-
     from repro.obs.profile import (
         CostProfiler,
         install_cost_profiler,
@@ -571,7 +514,7 @@ def _cmd_bench_regress(args: argparse.Namespace, out) -> int:
     )
 
     cost = None
-    if getattr(args, "profile", False):
+    if args.profile:
         cost = install_cost_profiler(CostProfiler())
     baseline = regress.latest_run(args.bench_dir)
     try:
@@ -620,11 +563,9 @@ def _cmd_bench_diff(args: argparse.Namespace, out) -> int:
         print(f"bench diff: {exc}", file=sys.stderr)
         return 2
     profile_a = attribution.load_profile(
-        args.profile_a or attribution.profile_path_for(path_a)
-    )
+        args.profile_a or attribution.profile_path_for(path_a))
     profile_b = attribution.load_profile(
-        args.profile_b or attribution.profile_path_for(path_b)
-    )
+        args.profile_b or attribution.profile_path_for(path_b))
     result = attribution.diff(
         bench_a, bench_b,
         profile_a=profile_a, profile_b=profile_b,
@@ -655,7 +596,7 @@ def _cmd_profile(args: argparse.Namespace, out) -> int:
     finally:
         snap = profiler.stop()
     if args.as_json:
-        print(json.dumps(snap, indent=2, sort_keys=True), file=out)
+        _print_json(snap, out)
     else:
         sampling = snap["sampling"]
         print(
@@ -665,27 +606,25 @@ def _cmd_profile(args: argparse.Namespace, out) -> int:
             f"{100 * sampling['overhead']:.2f}%",
             file=out,
         )
-        rows = [
-            {"stage": row["stage"], "samples": row["samples"],
-             "share": f"{100 * row['share']:.1f}%"}
-            for row in sampling["stages"][: args.top]
-        ]
-        if rows:
-            print(format_table(rows, title="sampled stage shares"), file=out)
-        rows = [
-            {"function": row["function"], "self": row["self_samples"],
-             "share": f"{100 * row['share']:.1f}%"}
-            for row in sampling["top_functions"][: args.top]
-        ]
-        if rows:
-            print(format_table(rows, title="top functions (self samples)"),
-                  file=out)
-        totals = snap["cost"]["totals"]
-        rows = [{"counter": name, "total": value}
-                for name, value in sorted(totals.items())]
-        if rows:
-            print(format_table(rows, title="deterministic cost totals"),
-                  file=out)
+        tables = {
+            "sampled stage shares": [
+                {"stage": row["stage"], "samples": row["samples"],
+                 "share": f"{100 * row['share']:.1f}%"}
+                for row in sampling["stages"][: args.top]
+            ],
+            "top functions (self samples)": [
+                {"function": row["function"], "self": row["self_samples"],
+                 "share": f"{100 * row['share']:.1f}%"}
+                for row in sampling["top_functions"][: args.top]
+            ],
+            "deterministic cost totals": [
+                {"counter": name, "total": value}
+                for name, value in sorted(snap["cost"]["totals"].items())
+            ],
+        }
+        for title, rows in tables.items():
+            if rows:
+                print(format_table(rows, title=title), file=out)
     if args.out:
         paths = write_profile_artifacts(args.out, profiler)
         for kind in sorted(paths):
@@ -737,18 +676,12 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace, out) -> int:
-    index = load_index(args.archive)
-    alphabet = args.alphabet or index.alphabet.name
-    queries = read_fasta(args.fasta, alphabet)
-    mendel = Mendel(index=index, engine=QueryEngine(index))
-    params = QueryParams(k=args.k, n=args.n, i=args.i, c=args.c,
-                         M=args.M, E=args.E)
+    mendel, records, params = _open_search(args)
     ok = True
-    for record in queries:
+    for record in records:
         plan = mendel.explain(record, params)
         if args.as_json:
-            print(json.dumps(plan.to_dict(), indent=2, sort_keys=True),
-                  file=out)
+            _print_json(plan.to_dict(), out)
         else:
             print(plan.render(), file=out)
             print(file=out)
@@ -760,77 +693,64 @@ def _cmd_explain(args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _query_replies(client, args: argparse.Namespace):
+    """op=query: one request for ``--seq``, or one per ``--fasta`` record."""
+    if args.seq is not None:
+        requests = [("query", args.seq)]
+    else:
+        requests = [(record.seq_id, record.text)
+                    for record in read_fasta(args.fasta, args.alphabet)]
+    for query_id, seq in requests:
+        yield client.query(seq, query_id=query_id, deadline=args.deadline,
+                           top=args.top)
+
+
+#: ``repro call`` ops -> the replies their client calls return
+_CALLS: dict[str, Callable] = {
+    "query": _query_replies,
+    "explain": lambda client, a: [client.explain(a.seq)],
+    "stats": lambda client, a: [client.stats()],
+    "health": lambda client, a: [client.health()],
+    "metrics": lambda client, a: [client.metrics()],
+    "alerts": lambda client, a: [client.alerts()],
+    "scale": lambda client, a: [client.scale()],
+    "scrub": lambda client, a: [client.scrub(heal=not a.no_heal)],
+    "recover": lambda client, a: [client.recover(node=a.node)],
+    "analyze": lambda client, a: [client.analyze()],
+    "profile": lambda client, a: [client.profile(action=a.action, hz=a.hz)],
+}
+#: the ops whose successful reply prints as text: op -> (field, line end);
+#: every other reply, and a failed one, prints as JSON
+_TEXT_REPLIES = {"explain": ("rendered", "\n"), "metrics": ("metrics", "")}
+
+
 def _cmd_call(args: argparse.Namespace, out) -> int:
     from repro.serve.client import ServeClient
     from repro.serve.errors import ServeError
 
-    client = ServeClient(
-        args.host, args.port, timeout=args.timeout, retries=args.retries
-    )
+    if args.op == "query" and (args.seq is None) == (args.fasta is None):
+        print("op=query needs exactly one of --seq / --fasta", file=sys.stderr)
+        return 2
+    if args.op == "explain" and args.seq is None:
+        print("op=explain needs --seq", file=sys.stderr)
+        return 2
+    client = ServeClient(args.host, args.port, timeout=args.timeout,
+                         retries=args.retries)
+    ok = True
     try:
-        if args.op == "query":
-            if (args.seq is None) == (args.fasta is None):
-                print("op=query needs exactly one of --seq / --fasta",
-                      file=sys.stderr)
-                return 2
-            if args.seq is not None:
-                requests = [("query", args.seq)]
+        for reply in _CALLS[args.op](client, args):
+            if args.op in _TEXT_REPLIES and reply.get("ok"):
+                field, end = _TEXT_REPLIES[args.op]
+                print(reply.get(field, ""), file=out, end=end)
             else:
-                requests = [
-                    (record.seq_id, record.text)
-                    for record in read_fasta(args.fasta, args.alphabet)
-                ]
-            ok = True
-            for query_id, seq in requests:
-                response = client.query(
-                    seq,
-                    query_id=query_id,
-                    deadline=args.deadline,
-                    top=args.top,
-                )
-                print(json.dumps(response, indent=2, sort_keys=True), file=out)
-                ok = ok and bool(response.get("ok"))
-            return 0 if ok else 1
-        if args.op == "explain":
-            if args.seq is None:
-                print("op=explain needs --seq", file=sys.stderr)
-                return 2
-            response = client.explain(args.seq)
-            if response.get("ok"):
-                print(response.get("rendered", ""), file=out)
-                return 0
-            print(json.dumps(response, indent=2, sort_keys=True), file=out)
-            return 1
-        if args.op == "metrics":
-            response = client.metrics()
-            if response.get("ok"):
-                print(response.get("metrics", ""), file=out, end="")
-                return 0
-            print(json.dumps(response, indent=2, sort_keys=True), file=out)
-            return 1
-        if args.op == "alerts":
-            response = client.alerts()
-        elif args.op == "analyze":
-            response = client.analyze()
-        elif args.op == "scale":
-            response = client.scale()
-        elif args.op == "profile":
-            response = client.profile(action=args.action, hz=args.hz)
-        elif args.op == "scrub":
-            response = client.scrub(heal=not args.no_heal)
-        elif args.op == "recover":
-            response = client.recover(node=args.node)
-        elif args.op == "stats":
-            response = client.stats()
-        else:
-            response = client.health()
-        print(json.dumps(response, indent=2, sort_keys=True), file=out)
-        return 0 if response.get("ok") else 1
+                _print_json(reply, out)
+            ok = ok and bool(reply.get("ok"))
     except ServeError as exc:
         print(json.dumps({"ok": False, **exc.to_dict()}, indent=2), file=out)
         return 1
     finally:
         client.close()
+    return 0 if ok else 1
 
 
 def _watch_gateway(args: argparse.Namespace, out) -> int:
@@ -844,13 +764,12 @@ def _watch_gateway(args: argparse.Namespace, out) -> int:
         while True:
             response = client.alerts()
             if not response.get("ok"):
-                print(json.dumps(response, indent=2, sort_keys=True),
-                      file=out)
+                _print_json(response, out)
                 return 1
             frame = {k: v for k, v in response.items()
                      if k not in ("id", "ok")}
             if args.format == "json":
-                print(json.dumps(frame, indent=2, sort_keys=True), file=out)
+                _print_json(frame, out)
             else:
                 print(render_frame(frame), file=out)
             if args.once:
@@ -921,23 +840,24 @@ class _Scenario:
     assert_flag: str | None = None
 
 
+def _shape(a: argparse.Namespace) -> dict:
+    """The cluster-shape flags (and the seed) as scenario keywords."""
+    return {"replication": a.replication, "group_count": a.groups,
+            "group_size": a.group_size, "probe_count": a.probes,
+            "seed": a.seed}
+
+
 _SCENARIOS = {
     "chaos": _Scenario(
         run=lambda a: run_kill_recover_scenario(
-            replication=a.replication, group_count=a.groups,
-            group_size=a.group_size, database_size=a.sequences,
-            probe_count=a.probes, seed=a.seed,
-            subquery_deadline=a.subquery_deadline,
-        ),
+            **_shape(a), database_size=a.sequences,
+            subquery_deadline=a.subquery_deadline),
         text=_chaos_text,
     ),
     # Headless watch: the same experiment, seen through its health monitor.
     "watch": _Scenario(
         run=lambda a: run_kill_recover_scenario(
-            replication=a.replication, group_count=a.groups,
-            group_size=a.group_size, probe_count=a.probes, seed=a.seed,
-            subquery_deadline=a.subquery_deadline,
-        ),
+            **_shape(a), subquery_deadline=a.subquery_deadline),
         text=lambda result: render_frame(result.frame()),
         assert_flag="assert_cycle",
     ),
@@ -951,19 +871,13 @@ _SCENARIOS = {
     ),
     "recover": _Scenario(
         run=lambda a: run_durability_scenario(
-            replication=a.replication, group_count=a.groups,
-            group_size=a.group_size, database_size=a.sequences,
-            probe_count=a.probes, seed=a.seed,
-        ),
+            **_shape(a), database_size=a.sequences),
         text=_summary_table("crash, recover from snapshot+WAL, compare"),
         assert_flag="assert_identical",
     ),
     "scrub": _Scenario(
         run=lambda a: run_scrub_scenario(
-            replication=a.replication, group_count=a.groups,
-            group_size=a.group_size, database_size=a.sequences,
-            probe_count=a.probes, flip_count=a.flips, seed=a.seed,
-        ),
+            **_shape(a), database_size=a.sequences, flip_count=a.flips),
         text=_summary_table("inject bit rot, scrub, heal, verify"),
         assert_flag="assert_resolved",
     ),
@@ -983,6 +897,10 @@ def _write_json(path: str, payload) -> None:
         json.dump(payload, handle, indent=2, sort_keys=True)
 
 
+def _print_json(payload, out) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+
+
 def _run_scenario(args: argparse.Namespace, out, entry: _Scenario) -> int:
     """Every scenario command: run, write the artifacts asked for, print
     the frame or the text view, then hold the outcome to its checks.
@@ -995,7 +913,7 @@ def _run_scenario(args: argparse.Namespace, out, entry: _Scenario) -> int:
             f"repro-{args.command}", args.seed, outcome.bench_metrics()
         ))
     if getattr(args, "format", "text") == "json":
-        print(json.dumps(outcome.frame(), indent=2, sort_keys=True), file=out)
+        _print_json(outcome.frame(), out)
     else:
         print(entry.text(outcome), file=out)
     if getattr(args, "log", False):
@@ -1020,16 +938,10 @@ def _cmd_trace(args: argparse.Namespace, out) -> int:
     from repro.obs.metrics import default_registry
     from repro.obs.trace import TraceContext
 
-    index = load_index(args.archive)
-    alphabet = args.alphabet or index.alphabet.name
-    queries = read_fasta(args.fasta, alphabet)
-    mendel = Mendel(index=index, engine=QueryEngine(index))
-    params = QueryParams(k=args.k, n=args.n, i=args.i, c=args.c,
-                         M=args.M, E=args.E)
+    mendel, records, params = _open_search(args)
     roots = []
-    for record in queries:
-        ctx = TraceContext()
-        report = mendel.query(record, params, trace_ctx=ctx)
+    for record in records:
+        report = mendel.query(record, params, trace_ctx=TraceContext())
         root = report.root_span
         roots.append(root)
         stage_ms = sum(s.sim_duration for s in root.children) * 1e3
@@ -1043,11 +955,8 @@ def _cmd_trace(args: argparse.Namespace, out) -> int:
         print(root.format_tree(), file=out)
     if args.out:
         count = write_chrome_trace(args.out, roots)
-        print(
-            f"wrote {count} trace events for {len(roots)} queries to "
-            f"{args.out}",
-            file=out,
-        )
+        print(f"wrote {count} trace events for {len(roots)} queries to "
+              f"{args.out}", file=out)
     if args.metrics:
         print(prometheus_text(default_registry()), file=out, end="")
     return 0
@@ -1063,14 +972,9 @@ def _cmd_analyze(args: argparse.Namespace, out) -> int:
     )
     from repro.obs.trace import TraceContext
 
-    index = load_index(args.archive)
-    alphabet = args.alphabet or index.alphabet.name
-    queries = read_fasta(args.fasta, alphabet)
-    mendel = Mendel(index=index, engine=QueryEngine(index))
-    params = QueryParams(k=args.k, n=args.n, i=args.i, c=args.c,
-                         M=args.M, E=args.E)
+    mendel, records, params = _open_search(args)
     entries, roots, tiling_ok = [], [], True
-    for number, record in enumerate(queries):
+    for number, record in enumerate(records):
         ctx = TraceContext(trace_id=f"analyze-q{number:03d}")
         report = mendel.query(record, params, trace_ctx=ctx)
         root = report.root_span
@@ -1079,33 +983,27 @@ def _cmd_analyze(args: argparse.Namespace, out) -> int:
         steps = critical_path_table([root])
         self_total = math.fsum(row["self_ms"] for row in steps)
         turnaround_ms = report.stats.turnaround * 1e3
-        if not math.isclose(self_total, turnaround_ms, rel_tol=1e-9,
-                            abs_tol=1e-9):
-            tiling_ok = False
-        entries.append(
-            {
-                "query_id": report.query_id,
-                "trace_id": report.trace_id,
-                "turnaround_ms": round(turnaround_ms, 3),
-                "coverage": report.coverage,
-                "degraded": report.degraded,
-                "fingerprint": fingerprint.to_dict(),
-                "family": fingerprint.family,
-                "critical_path": steps,
-            }
-        )
+        tiling_ok = tiling_ok and math.isclose(
+            self_total, turnaround_ms, rel_tol=1e-9, abs_tol=1e-9)
+        entries.append({
+            "query_id": report.query_id,
+            "trace_id": report.trace_id,
+            "turnaround_ms": round(turnaround_ms, 3),
+            "coverage": report.coverage,
+            "degraded": report.degraded,
+            "fingerprint": fingerprint.to_dict(),
+            "family": fingerprint.family,
+            "critical_path": steps,
+        })
     families = cluster_slow_queries(entries)
     critical = critical_path_table(roots)
     if args.as_json:
-        print(json.dumps(
-            {
-                "queries": len(entries),
-                "families": families,
-                "critical_path": critical,
-                "critical_path_tiles_turnaround": tiling_ok,
-            },
-            indent=2, sort_keys=True,
-        ), file=out)
+        _print_json({
+            "queries": len(entries),
+            "families": families,
+            "critical_path": critical,
+            "critical_path_tiles_turnaround": tiling_ok,
+        }, out)
         return 0 if tiling_ok else 1
     print(f"# {len(entries)} queries, {len(families)} trace families "
           f"(critical-path self-times "
@@ -1140,81 +1038,77 @@ def _cmd_explore(args: argparse.Namespace, out) -> int:
         paths = result.write(args.out)
         print(f"wrote {len(paths)} artifacts to {args.out}", file=out)
     if args.format == "json":
-        print(json.dumps(
-            {
-                "grid": result.grid,
-                "seed": result.seed,
-                "cells": [
-                    {
-                        "cell": cell.name,
-                        "mean_turnaround_ms": round(
-                            cell.mean_turnaround_ms, 3
-                        ),
-                        "max_turnaround_ms": cell.max_turnaround_ms,
-                        "slow_queries": len(cell.slow_entries),
-                        "degraded": cell.degraded_count,
-                        "families": cell.families,
-                        "critical_path": cell.critical_path,
-                    }
-                    for cell in result.ranked()
-                ],
-            },
-            indent=2, sort_keys=True,
-        ), file=out)
+        _print_json({
+            "grid": result.grid,
+            "seed": result.seed,
+            "cells": [
+                {
+                    "cell": cell.name,
+                    "mean_turnaround_ms": round(cell.mean_turnaround_ms, 3),
+                    "max_turnaround_ms": cell.max_turnaround_ms,
+                    "slow_queries": len(cell.slow_entries),
+                    "degraded": cell.degraded_count,
+                    "families": cell.families,
+                    "critical_path": cell.critical_path,
+                }
+                for cell in result.ranked()
+            ],
+        }, out)
     else:
         print(result.to_markdown(), file=out, end="")
     if args.assert_families:
-        bad = [
-            cell.name for cell in result.cells
-            if not cell.families
-            or not cell.families[0]["exemplar_trace_ids"]
-        ]
+        bad = [cell.name for cell in result.cells if not cell.families
+               or not cell.families[0]["exemplar_trace_ids"]]
         if bad:
-            print(
-                "ASSERT FAIL: cells without a named slow-query family: "
-                + ", ".join(bad),
-                file=sys.stderr,
-            )
+            print("ASSERT FAIL: cells without a named slow-query family: "
+                  + ", ".join(bad), file=sys.stderr)
             return 1
-        print(
-            f"ASSERT OK: all {len(result.cells)} cells named slow-query "
-            f"families with exemplar trace ids",
-            file=out,
-        )
+        print(f"ASSERT OK: all {len(result.cells)} cells named slow-query "
+              f"families with exemplar trace ids", file=out)
     return 0
+
+
+_COMMANDS = {
+    "index": _cmd_index,
+    "info": _cmd_info,
+    "query": _cmd_query,
+    "bench": _cmd_bench,
+    "serve": _cmd_serve,
+    "call": _cmd_call,
+    "trace": _cmd_trace,
+    "explain": _cmd_explain,
+    "analyze": _cmd_analyze,
+    "explore": _cmd_explore,
+    "profile": _cmd_profile,
+}
+
+
+def _chaos_seed() -> int:
+    """A seeded command's seed when ``--seed`` is not given: $CHAOS_SEED,
+    else 0."""
+    raw = os.environ.get("CHAOS_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise _UsageError(
+            f"CHAOS_SEED must be an integer, got {raw!r}") from None
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", 0) is None:
-        # The seeded commands: --seed wins, else $CHAOS_SEED, else 0.
-        raw = os.environ.get("CHAOS_SEED", "0")
-        try:
-            args.seed = int(raw)
-        except ValueError:
-            print(f"error: CHAOS_SEED must be an integer, got {raw!r}",
-                  file=sys.stderr)
-            return 2
-    handlers = {
-        "index": _cmd_index,
-        "info": _cmd_info,
-        "query": _cmd_query,
-        "bench": _cmd_bench,
-        "serve": _cmd_serve,
-        "call": _cmd_call,
-        "trace": _cmd_trace,
-        "explain": _cmd_explain,
-        "analyze": _cmd_analyze,
-        "explore": _cmd_explore,
-        "profile": _cmd_profile,
-    }
-    if args.command == "watch" and args.gateway:
-        return _watch_gateway(args, out)
-    if args.command in _SCENARIOS:
-        return _run_scenario(args, out, _SCENARIOS[args.command])
-    return handlers[args.command](args, out)
+    try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _chaos_seed()
+        if args.command == "watch" and args.gateway:
+            return _watch_gateway(args, out)
+        if args.command in _SCENARIOS:
+            return _run_scenario(args, out, _SCENARIOS[args.command])
+        return _COMMANDS[args.command](args, out)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

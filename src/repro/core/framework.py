@@ -24,14 +24,13 @@ from typing import TYPE_CHECKING
 
 from repro.core.index import IndexStats, MendelIndex
 from repro.core.params import MendelConfig, QueryParams
-from repro.core.query import QueryEngine, QueryReport, QueryStats
+from repro.core.query import BatchReports, QueryEngine, QueryReport, QueryStats
 from repro.seq.records import SequenceRecord, SequenceSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.balance import BalanceAuditor, BalanceReport
     from repro.core.explain import QueryPlan
     from repro.faults.schedule import FaultSchedule
-    from repro.obs.events import EventLog
     from repro.obs.health import HealthMonitor
     from repro.obs.trace import TraceContext
     from repro.serve.service import QueryService
@@ -115,21 +114,20 @@ class Mendel:
         subquery_deadline: float | None = None,
         trace_contexts: "list[TraceContext] | None" = None,
         monitor: "HealthMonitor | None" = None,
-        event_log: "EventLog | None" = None,
-    ) -> list[QueryReport]:
+    ) -> BatchReports:
         """Evaluate *records* concurrently on one clock while *faults*
         plays out — the chaos-experiment entry point.
 
         Queries arrive ``arrival_interval`` apart so the batch spans the
         scripted failures; reports carry ``coverage`` / ``degraded`` /
         ``failed_nodes``.  The run mutates the live cluster (crashes,
-        repair streams); inspect ``engine.last_chaos`` for the timeline and
-        call :meth:`repair` / :meth:`recover_node` to restore a clean state.
+        repair streams); the returned batch's ``chaos`` holds the timeline,
+        and :meth:`repair` / :meth:`recover_node` restore a clean state.
 
         A :class:`~repro.obs.health.HealthMonitor` is attached to the run
-        (auto-created and horizon-scaled unless *monitor* is given):
-        afterwards ``engine.last_monitor`` holds the SLI windows, the SLO
-        alert transitions, and the correlated event log —
+        (auto-created and horizon-scaled unless *monitor* is given): the
+        batch's ``monitor`` holds the SLI windows, the SLO alert
+        transitions, and the correlated event log —
         :meth:`health_report` packages it all.
         """
         return self.engine.run_batch(
@@ -140,7 +138,6 @@ class Mendel:
             subquery_deadline=subquery_deadline,
             trace_contexts=trace_contexts,
             monitor=monitor,
-            event_log=event_log,
         )
 
     def query_translated(
@@ -205,17 +202,6 @@ class Mendel:
         report = self.query(record, params, trace_ctx=TraceContext())
         return build_plan(self.index, self.engine, record, params, report)
 
-    def explain_text(
-        self,
-        text: str,
-        params: QueryParams | None = None,
-        query_id: str = "query",
-    ) -> "QueryPlan":
-        """Convenience: encode *text* under the database alphabet and
-        :meth:`explain` it."""
-        record = SequenceRecord.from_text(query_id, text, self.index.alphabet)
-        return self.explain(record, params)
-
     def balance(self) -> "BalanceReport":
         """Audit block distribution over both placement tiers (Fig. 5):
         per-node / per-group primary counts with CV and Gini, and tier-1
@@ -259,20 +245,6 @@ class Mendel:
         """Merge an underloaded group into another and retire it; returns
         the settled :class:`~repro.core.index.TopologyChange`."""
         return self.index.merge_groups(source_id, target_id)
-
-    def autoscaler(self, monitor=None, **kwargs) -> "AutoScaler":
-        """An :class:`~repro.scale.controller.AutoScaler` watching this
-        deployment.  *monitor* defaults to the engine's most recent
-        health monitor, or a fresh sim-clock one when none exists;
-        keyword arguments pass through to the controller."""
-        from repro.obs.health import HealthMonitor
-        from repro.scale.controller import AutoScaler
-
-        if monitor is None:
-            monitor = getattr(self.engine, "last_monitor", None)
-        if monitor is None:
-            monitor = HealthMonitor()
-        return AutoScaler(index=self.index, monitor=monitor, **kwargs)
 
     # -- failure handling ------------------------------------------------------
 
@@ -347,18 +319,18 @@ class Mendel:
             "replication": self.index.config.replication,
         }
 
-    def health_report(self) -> dict:
-        """Continuous-health snapshot of the most recent monitored run:
-        the cluster liveness view (:meth:`cluster_health`) plus — when a
-        :class:`~repro.obs.health.HealthMonitor` rode the last
-        :meth:`query_under_faults` batch — its SLI windows, alert states,
-        alert transitions (with correlated causes and trace ids), and the
-        event tail.  The programmatic face of ``repro watch``."""
+    def health_report(self, batch: BatchReports) -> dict:
+        """Continuous-health snapshot of *batch* (what
+        :meth:`query_under_faults` returned): the cluster liveness view
+        (:meth:`cluster_health`) plus — when a
+        :class:`~repro.obs.health.HealthMonitor` rode the batch — its SLI
+        windows, alert states, alert transitions (with correlated causes
+        and trace ids), and the event tail.  The programmatic face of
+        ``repro watch``."""
         out = {"cluster": self.cluster_health()}
-        monitor = getattr(self.engine, "last_monitor", None)
-        if monitor is not None:
-            out.update(monitor.snapshot())
-            out["firing"] = monitor.alerts_firing()
+        if batch.monitor is not None:
+            out.update(batch.monitor.snapshot())
+            out["firing"] = batch.monitor.alerts_firing()
         return out
 
     @property

@@ -49,7 +49,6 @@ from repro.core.anchors import evaluate_candidate, extend_anchor
 from repro.core.blocks import BlockStore
 from repro.core.index import MendelIndex
 from repro.core.params import QueryParams
-from repro.obs.events import EventLog
 from repro.obs.health import HealthMonitor
 from repro.obs.metrics import default_registry
 from repro.obs.profile import charge as profile_charge
@@ -62,6 +61,7 @@ from repro.sim.network import Network
 from repro.sim.resource import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.chaos import ChaosController
     from repro.faults.schedule import FaultSchedule
 
 
@@ -221,6 +221,18 @@ class QueryReport:
         return [a for a in self.alignments if a.subject_id == subject_id]
 
 
+class BatchReports(list):
+    """What :meth:`QueryEngine.run_batch` returns: one :class:`QueryReport`
+    per query in input order, plus what rode the run on its clock — kept
+    with the result, never on the shared engine."""
+
+    #: the fault-schedule player (its ``log`` and ``summary()``); ``None``
+    #: for a fault-free run
+    chaos: "ChaosController | None" = None
+    #: the health monitor that watched the run; ``None`` when none did
+    monitor: HealthMonitor | None = None
+
+
 def resolve_matrix(params: QueryParams, alphabet: Alphabet) -> np.ndarray:
     """The scoring matrix for this query, defaulting sensibly per alphabet.
 
@@ -352,10 +364,10 @@ class _BatchRun:
     net: Network
     subquery_deadline: float | None
     monitor: HealthMonitor | None
-    elog: EventLog | None
 
     def __post_init__(self) -> None:
         index, params = self.engine.index, self.params
+        self.elog = self.monitor.events if self.monitor is not None else None
         self.topo = index.topology
         self.store = index.store
         self.matrix = resolve_matrix(params, index.alphabet)
@@ -826,8 +838,6 @@ class QueryEngine:
         faults: "FaultSchedule | None" = None,
         subquery_deadline: float | None = None,
         trace_ctx: TraceContext | None = None,
-        monitor: HealthMonitor | None = None,
-        event_log: EventLog | None = None,
     ) -> QueryReport:
         """Evaluate *query*; returns ranked alignments and statistics.
 
@@ -839,7 +849,6 @@ class QueryEngine:
             [query], params, faults=faults,
             subquery_deadline=subquery_deadline,
             trace_contexts=[trace_ctx] if trace_ctx is not None else None,
-            monitor=monitor, event_log=event_log,
         )[0]
 
     def run_batch(
@@ -851,12 +860,12 @@ class QueryEngine:
         subquery_deadline: float | None = None,
         trace_contexts: "list[TraceContext] | None" = None,
         monitor: HealthMonitor | None = None,
-        event_log: EventLog | None = None,
         arrival_times: "list[float] | None" = None,
         autoscaler=None,
-    ) -> list[QueryReport]:
+    ) -> BatchReports:
         """Evaluate *queries* concurrently on one simulated cluster; returns
-        one report per query, in input order.
+        one report per query, in input order, as :class:`BatchReports`
+        (which also carries the run's ``chaos`` and ``monitor``).
 
         Query ``i`` arrives at simulated time ``i * arrival_interval`` (0 =
         all at once), or at ``arrival_times[i]`` when that explicit
@@ -876,7 +885,7 @@ class QueryEngine:
         that misses it (straggler, drop) is hedged with one retry, after
         which the node counts as failed and the report degrades
         (``coverage`` / ``degraded`` / ``failed_nodes`` say how complete
-        each answer is).
+        each answer is); ``reports.chaos`` holds the run's timeline.
 
         *trace_contexts* (one :class:`~repro.obs.trace.TraceContext` per
         query) records each query's span tree as ``report.root_span``: its
@@ -889,10 +898,9 @@ class QueryEngine:
         coverage / turnaround SLIs, a tick process evaluates the SLO engine
         across the run, and its event log collects the query / fault /
         repair / alert stream.  With *faults* set and no monitor given, one
-        is auto-created scaled to the schedule's horizon and exposed as
-        ``engine.last_monitor``; without faults monitoring is strictly
-        opt-in, so the plain read path pays no event overhead.
-        *event_log* routes event emission without a full monitor.
+        is auto-created scaled to the schedule's horizon; either way it is
+        ``reports.monitor``.  Without faults monitoring is strictly opt-in,
+        so the plain read path pays no event overhead.
 
         *autoscaler* spawns an :class:`~repro.scale.controller.AutoScaler`
         tick process on the same clock and horizon as the monitor, closing
@@ -908,12 +916,13 @@ class QueryEngine:
         )
         sim = Simulation()
         net = Network(sim=sim, rng=faults.seed if faults is not None else None)
-        monitor, elog = self._attach_health(
-            sim, net, faults, monitor, event_log, autoscaler,
+        reports = BatchReports()
+        reports.monitor, reports.chaos = self._attach_health(
+            sim, net, faults, monitor, autoscaler,
             arrival_interval, max(arrivals, default=0.0),
         )
         batch = _BatchRun(self, params, sim, net, subquery_deadline,
-                          monitor, elog)
+                          reports.monitor)
         contexts = trace_contexts or [None] * len(queries)
         batch.states = [
             _QueryState(i, query, arrivals[i], contexts[i])
@@ -928,7 +937,8 @@ class QueryEngine:
         sim.run()
         if not all(event.fired for event in done_events):
             raise RuntimeError("query simulation did not complete")
-        return [batch.report(state) for state in batch.states]
+        reports.extend(batch.report(state) for state in batch.states)
+        return reports
 
     def _check_batch(
         self, queries: list[SequenceRecord], arrival_interval: float,
@@ -971,36 +981,30 @@ class QueryEngine:
 
     def _attach_health(
         self, sim: Simulation, net: Network, faults: "FaultSchedule | None",
-        monitor: HealthMonitor | None, event_log: EventLog | None,
-        autoscaler, arrival_interval: float, last_arrival: float,
-    ) -> tuple[HealthMonitor | None, EventLog | None]:
+        monitor: HealthMonitor | None, autoscaler, arrival_interval: float,
+        last_arrival: float,
+    ) -> tuple[HealthMonitor | None, "ChaosController | None"]:
         """Put the chaos controller, health monitor and autoscaler on the
         run's clock (see :meth:`run_batch` for who gets a monitor); returns
-        the monitor and event log the run feeds."""
-        self.last_chaos = None
+        the monitor and the chaos controller."""
         if monitor is None and autoscaler is not None:
             monitor = autoscaler.monitor
         if monitor is None and faults is not None:
             monitor = HealthMonitor.for_chaos_run(
-                faults.effective_horizon,
-                arrival_interval=arrival_interval,
-                event_log=event_log,
+                faults.effective_horizon, arrival_interval=arrival_interval,
             )
-        self.last_monitor = monitor
-        elog = event_log if event_log is not None else (
-            monitor.events if monitor is not None else None
-        )
+        chaos = None
         if faults is not None:
             from repro.faults.chaos import ChaosController
 
-            self.last_chaos = ChaosController(
-                sim, net, self.index, faults, event_log=elog,
-                recorder=monitor.recorder if monitor is not None else None,
+            chaos = ChaosController(
+                sim, net, self.index, faults,
+                event_log=monitor.events, recorder=monitor.recorder,
             )
-            self.last_chaos.install()
+            chaos.install()
         if monitor is not None:
-            if self.last_chaos is not None:
-                monitor.backlog_fn = self.last_chaos.pending_repairs
+            if chaos is not None:
+                monitor.backlog_fn = chaos.pending_repairs
             horizon = faults.effective_horizon if faults is not None else 0.0
             stop_at = (
                 max(horizon, last_arrival)
@@ -1010,7 +1014,7 @@ class QueryEngine:
             if autoscaler is not None:
                 sim.spawn(autoscaler.tick_proc(sim, stop_at),
                           name="autoscaler")
-        return monitor, elog
+        return monitor, chaos
 
     # -- the final gapped pass -------------------------------------------------------
 

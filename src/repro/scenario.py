@@ -13,9 +13,8 @@ once here:
    returned with the ids they were planted from (what recall is scored on);
    :func:`sweep_queries` for the family-corpus read sweep.
 3. **drive** — :func:`drive`: one traced, monitored batch on one sim clock,
-   optionally under a fault schedule or an autoscaler.  The only scenario
-   code that reads the engine's last-run state (``engine.last_chaos``; the
-   monitor is always passed in, so ``engine.last_monitor`` is never read).
+   optionally under a fault schedule or an autoscaler; what rode the run
+   (its chaos controller) comes back on the batch's reports.
 4. **signature** — :func:`answer_signature`: everything an answer asserts,
    floats by ``repr``, for exact comparison between deployments.
 5. **outcome** — the :class:`Outcome` contract: what a scenario's result
@@ -121,7 +120,7 @@ def probe_recall(reports: list[QueryReport], expected: list[str]) -> float:
 
 @dataclass
 class Run:
-    """One driven batch and what it left behind on the engine."""
+    """One driven batch and what rode it."""
 
     #: per-query reports, in arrival order
     reports: list[QueryReport]
@@ -178,7 +177,7 @@ def drive(
         monitor=monitor,
         autoscaler=autoscaler,
     )
-    chaos = mendel.engine.last_chaos
+    chaos = reports.chaos
     return Run(
         reports=reports,
         monitor=monitor,

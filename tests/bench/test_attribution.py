@@ -150,6 +150,7 @@ class TestDiffAndRendering:
         )
         assert text1 == text2
         assert text1.startswith("# Bench delta attribution")
+        assert "| rank |" in text1
         assert "| 1 | w.distance_evals " in text1
         assert "## Cost-share movement" in text1
         assert "core/query.py:node_proc" in text1

@@ -82,3 +82,44 @@ class TestInsert:
         report = m.query(probe, QueryParams(k=4, n=4, i=0.7))
         assert report.alignments
         assert report.alignments[0].subject_id == "late-000000"
+
+
+class TestRunState:
+    """What rode a run (its chaos controller and health monitor) is returned
+    with the run's reports; the engine keeps no last-run state, so a later
+    query cannot change what an earlier batch reports."""
+
+    def test_a_later_query_leaves_the_batch_report_alone(self):
+        from repro.faults.schedule import FaultEvent, FaultSchedule
+
+        db = random_set(count=12, length=90, alphabet=PROTEIN, rng=61,
+                        id_prefix="rs")
+        m = Mendel.build(db, MendelConfig(group_count=2, group_size=2,
+                                          replication=2, sample_size=64,
+                                          seed=5))
+        victim = m.index.topology.groups[0].nodes[0].node_id
+        schedule = FaultSchedule(events=[FaultEvent.crash(1e-5, victim)],
+                                 seed=0)
+        probes = [mutate_to_identity(db.records[i], 0.9, rng=i,
+                                     seq_id=f"rp{i}") for i in range(2)]
+        params = QueryParams(k=4, n=4, i=0.7)
+        batch = m.query_under_faults(probes, schedule, params,
+                                     arrival_interval=0.01)
+        assert len(batch) == 2 and batch[0].query_id == "rp0"
+        assert batch.monitor is not None and batch.chaos is not None
+        assert batch.chaos.log, "the crash is on the batch's timeline"
+        before = m.health_report(batch)
+        assert {"cluster", "firing"} <= set(before)
+
+        m.query(probes[0], params)
+
+        assert m.health_report(batch) == before
+        assert not hasattr(m.engine, "last_monitor")
+        assert not hasattr(m.engine, "last_chaos")
+
+    def test_a_plain_batch_carries_nothing(self, mendel, protein_db):
+        probe = mutate_to_identity(protein_db.records[0], 0.9, rng=3,
+                                   seq_id="plain")
+        batch = mendel.engine.run_batch([probe], QueryParams(k=4, n=4))
+        assert batch.chaos is None and batch.monitor is None
+        assert set(mendel.health_report(batch)) == {"cluster"}

@@ -164,6 +164,12 @@ class TestSamplingProfiler:
         snap = sampler.snapshot()
         assert snap["samples"] > 0
         assert snap["overhead"] < 0.05
+        # collapsed stacks: stage-tagged frames, then an integer count
+        lines = sampler.folded().splitlines()
+        assert lines and all(
+            line.startswith("stage:") and line.rsplit(" ", 1)[1].isdigit()
+            for line in lines
+        )
         # stacks were tagged with real pipeline stages, not just "idle"
         stages = {row["stage"] for row in snap["stages"]}
         assert stages & {"node", "gapped", "route", "query", "fanout"}
@@ -218,10 +224,13 @@ class TestCombinedProfiler:
     def test_write_profile_artifacts(self, tmp_path):
         profiler = Profiler(hz=50)
         profiler.cost.charge("node", "s", distance_evals=1)
+        with profiler.sampler._lock:
+            profiler.sampler._stacks[("node", ("a (f.py:1)",))] = 2
         paths = profmod.write_profile_artifacts(str(tmp_path), profiler)
         cost = json.loads((tmp_path / "PROFILE.json").read_text())
         assert cost["counters"]["node"]["s"]["distance_evals"] == 1
-        assert (tmp_path / "profile.folded").exists()
+        folded = (tmp_path / "profile.folded").read_text()
+        assert folded == "stage:node;a (f.py:1) 2\n"
         speed = json.loads((tmp_path / "profile.speedscope.json").read_text())
         assert speed["profiles"][0]["type"] == "sampled"
         assert set(paths) == {"cost", "folded", "speedscope"}
