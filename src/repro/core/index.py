@@ -342,9 +342,7 @@ class MendelIndex:
             config = dataclasses.replace(config, cache_bytes=int(cache_bytes))
         if self.tiered:
             self.unspill_tier()
-        cache = BlockCache(
-            config.cache_bytes, probation_fraction=config.probation_fraction
-        )
+        cache = BlockCache(config.cache_bytes)
         for node in self.topology.nodes:
             node.attach_tier(cache, config)
             if node.alive:

@@ -46,7 +46,9 @@ def read_fasta(
     alphabet: Alphabet | str,
 ) -> SequenceSet:
     """Parse FASTA from a path, string-path, or open handle into a
-    :class:`~repro.seq.records.SequenceSet` under *alphabet*."""
+    :class:`~repro.seq.records.SequenceSet` under *alphabet*.  A residue
+    outside *alphabet* raises ``ValueError`` naming the record:
+    ``"<seq_id>: invalid protein letter 'J' at position 5"``."""
     if isinstance(alphabet, str):
         alphabet = alphabet_for(alphabet)
     if isinstance(source, (str, Path)):
@@ -56,14 +58,16 @@ def read_fasta(
     result = SequenceSet(alphabet=alphabet)
     for header, text in _iter_fasta_chunks(source):
         seq_id, _, description = header.partition(" ")
-        result.add(
-            SequenceRecord.from_text(
+        try:
+            record = SequenceRecord.from_text(
                 seq_id=seq_id,
                 text=text,
                 alphabet=alphabet,
                 description=description,
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{seq_id}: {exc}") from None
+        result.add(record)
     return result
 
 

@@ -13,8 +13,9 @@ Eviction walks probation LRU-first, then protected.
 **Paper vs ours.**  The paper's nodes hold their blocks in RAM and have no
 cache.  Ours serves a spilled node's search as one page-ordered pass
 (:func:`repro.vptree.search._fill`): every data page is looked up exactly
-once per node-subquery, scored against all of the subquery's windows while
-in hand, and not referenced again until the next subquery.  So a page is
+once per node-subquery, in file order, scored with the pages beside it
+against all of the subquery's windows, and not referenced again until the
+next subquery.  So a page is
 reused only *across* passes, and nothing needs holding in place *within*
 one: no page is pinned and none is fetched ahead of the pass.  Passes over
 a node loop, which is LRU's worst case, so the pass — not this cache —
@@ -49,19 +50,11 @@ class BlockCache:
     """Shared byte-budget SLRU page cache."""
 
     def __init__(
-        self,
-        capacity_bytes: int,
-        registry: MetricsRegistry | None = None,
-        probation_fraction: float = 0.5,
+        self, capacity_bytes: int, registry: MetricsRegistry | None = None
     ) -> None:
         if capacity_bytes < 0:
             raise ValueError(f"capacity_bytes must be >= 0, got {capacity_bytes}")
-        if not 0.0 < probation_fraction <= 1.0:
-            raise ValueError(
-                f"probation_fraction must be in (0, 1], got {probation_fraction}"
-            )
         self.capacity_bytes = int(capacity_bytes)
-        self.probation_fraction = float(probation_fraction)
         self._lock = threading.Lock()
         # (node_id, page_index) -> decoded page, least recently used first
         self._probation: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()

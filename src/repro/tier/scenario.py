@@ -24,8 +24,8 @@ workload:
 
 The capacity denominator counts what scales with the corpus: permanently
 pinned vantage pages and the cache byte budget.  Per-query scratch (the one
-decoded page in hand and the windows x rows distance matrix, which the
-all-RAM search holds too) and the row->page maps are excluded — the maps
+block of decoded pages being scored and the windows x rows distance matrix,
+which the all-RAM search holds too) and the row->page maps are excluded — the maps
 are tree-structure overhead present in both deployments, and scratch is
 bounded per query, not per corpus.
 """

@@ -18,7 +18,8 @@ untouched.  The exactness contract is structural:
 and walks its vp-tree.  A spilled node here is searched the way a RAM node
 is (:mod:`repro.vptree.search`): one distance pass over every row per
 node-subquery, fed by :meth:`NodeTier.pages` — each page once, in file
-order, all of the subquery's windows scored against it while it is in hand
+order, consecutive pages joined into blocks and all of the subquery's
+windows scored against a block through the loop that scores a RAM node
 (the walk's visit set is ~all pages at Mendel's radii, and it touched them
 in tree order, many times each).  A page that is not resident costs one
 seek plus its compressed bytes of transfer; the pass counts those reads and
@@ -73,8 +74,6 @@ class TierConfig:
     read_seconds_per_byte: float = 2e-8
     #: durable file name on each node's disk
     file_name: str = blockfile.TIER_FILE
-    #: probation share of the cache budget (SLRU admission control)
-    probation_fraction: float = 0.5
     #: residue alphabet size (enables the 2-bit packed codec when <= 4);
     #: 0 derives it from the spilled data
     alphabet_size: int = 0

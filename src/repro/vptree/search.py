@@ -32,16 +32,18 @@ from the ``(W, N)`` matrix, as array work per kind of lane:
   walks the flattened tree over it (:func:`_replay`).  The recursive walk
   it reproduces is the test oracle (``tests/vptree/recursive_walk.py``).
 
-There is one search path; only the feeder of that pass differs by point
-store (:func:`_fill`).  An in-RAM matrix is read query by query in contiguous
-row blocks.  A paged store (a spilled node's
-:class:`~repro.tier.store.TieredPoints`) hands over each of its pages once
-and every query of the batch is scored against a page while it is in hand.
-The paper's node walks its tree and would touch a page per visited bucket;
-ours reads all of a node's pages because the visit set is nearly all of
-them — the reads that had to come from the device are counted by the pass
-and returned with the results (:class:`BatchResult`), never left in a
-shared tally.
+There is one search path and one scoring loop (:func:`_fill`): every query
+of the batch is scored against a block of about ``_PASS_CELLS`` code
+cells, then the next block.  Only how the blocks are made differs by point
+store (:func:`_blocks`): an in-RAM matrix is cut into contiguous row
+slices; a paged store (a spilled node's
+:class:`~repro.tier.store.TieredPoints`) hands over each of its pages once,
+in order, and consecutive pages are joined into a block.  The paper's node
+walks its tree and would touch a page per visited bucket; ours reads all of
+a node's pages because the visit set is nearly all of them — the reads
+that had to come from the device are counted page by page as the pages
+arrive and returned with the results (:class:`BatchResult`), never left in
+a shared tally.
 """
 
 from __future__ import annotations
@@ -108,13 +110,14 @@ def knn_search(
 # -- one distance pass per query ---------------------------------------------------
 
 #: distance cells (queries x rows) held at once by :func:`_scan_batch`; a
-#: longer batch is worked through in slices so memory stays bounded (over a
-#: paged store: this matrix plus one decoded page)
+#: longer batch is worked through in slices so memory stays bounded (this
+#: matrix plus one block of codes, :func:`_blocks`)
 _SCAN_CELLS = 1 << 20
-#: code cells (rows x segment length) handed to one metric call: the batched
-#: metrics make several 8-byte-a-cell temporaries, which past a few hundred
-#: KB fall out of cache and cost ~3x per pair (7,900 rows x 32 residues in
-#: one call: 369 ns a pair; in 1,024-row blocks: 129 ns)
+#: code cells (rows x segment length) in one block, so in one metric call;
+#: ``MatrixDistance.batch`` makes 10 bytes a cell of temporaries.  On a
+#: 2-core x86 box a spilled-node sweep (perfbench ``storage_lifecycle``)
+#: read the same ``query_p50_ms`` at 2^15 and 2^16 cells and about twice
+#: it at 2^17 (32-residue rows: 1,024 / 2,048 / 4,096 to a block)
 _PASS_CELLS = 1 << 15
 
 
@@ -238,27 +241,46 @@ def _scan_batch(
 
 def _fill(dists: np.ndarray, queries: np.ndarray, tree: "VPTree") -> tuple[int, int]:
     """``dists[w, r] = d(queries[w], row r)`` for every stored row, each row
-    scored once per query; returns the cold ``(reads, bytes)`` of the pass.
-
-    A matrix is walked query by query in contiguous row blocks.  A paged
-    store yields ``(rows, codes, cold_bytes)`` per page from ``pages()`` —
-    the tree rows it holds, their codes, and the bytes read from the device
-    if it was not resident (else 0) — and only that one page is held."""
-    batch, points = tree.adapter.batch, tree.points
+    scored once per query, block by block (:func:`_blocks`); returns the
+    cold ``(reads, bytes)`` of the pass."""
+    batch = tree.adapter.batch
     reads = nbytes = 0
-    if isinstance(points, np.ndarray):
-        block = max(1, _PASS_CELLS // points.shape[1])
+    for rows, codes, block_reads, block_bytes in _blocks(tree.points):
         for row, query in zip(dists, queries):
-            for start in range(0, points.shape[0], block):
-                row[start:start + block] = batch(query, points[start:start + block])
-    else:
-        for rows, codes, cold_bytes in points.pages():
-            for row, query in zip(dists, queries):
-                row[rows] = batch(query, codes)
-            if cold_bytes:
-                reads += 1
-                nbytes += cold_bytes
+            row[rows] = batch(query, codes)
+        reads += block_reads
+        nbytes += block_bytes
     return reads, nbytes
+
+
+def _blocks(points):
+    """The point store as ``(tree rows, codes, cold reads, cold bytes)``
+    blocks of about ``_PASS_CELLS`` code cells, the only part of it held
+    at once.
+
+    A matrix is cut into contiguous row slices.  A paged store yields
+    ``(rows, codes, cold_bytes)`` per page from ``pages()`` — the tree rows
+    it holds, their codes, and the bytes read from the device if it was not
+    resident (else 0) — and its pages, each taken once and in order, are
+    joined until they make a block."""
+    block = max(1, _PASS_CELLS // points.shape[1])
+    if isinstance(points, np.ndarray):
+        for start in range(0, points.shape[0], block):
+            yield slice(start, start + block), points[start:start + block], 0, 0
+        return
+    rows, codes, reads, nbytes, held = [], [], 0, 0, 0
+    for page_rows, page_codes, cold_bytes in points.pages():
+        rows.append(page_rows)
+        codes.append(page_codes)
+        held += len(page_rows)
+        if cold_bytes:
+            reads += 1
+            nbytes += cold_bytes
+        if held >= block:
+            yield np.concatenate(rows), np.concatenate(codes), reads, nbytes
+            rows, codes, reads, nbytes, held = [], [], 0, 0, 0
+    if rows:
+        yield np.concatenate(rows), np.concatenate(codes), reads, nbytes
 
 
 def _scan_slice(

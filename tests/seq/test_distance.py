@@ -1,8 +1,10 @@
 """Tests for repro.seq.distance."""
 
+import os
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.seq.alphabet import DNA, PROTEIN, Alphabet
@@ -17,6 +19,7 @@ from repro.seq.distance import (
 from repro.seq.matrices import BLOSUM62, mendel_distance_matrix
 
 codes = st.lists(st.integers(0, 19), min_size=1, max_size=30)
+SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 
 def arr(values) -> np.ndarray:
@@ -108,6 +111,51 @@ class TestMatrixDistance:
     def test_non_square_matrix_rejected(self):
         with pytest.raises(ValueError, match="square"):
             MatrixDistance(np.zeros((2, 3)))
+
+    def test_more_letters_than_a_code_names_rejected(self):
+        with pytest.raises(ValueError, match="257 letters"):
+            MatrixDistance(np.zeros((257, 257)))
+
+    @pytest.mark.parametrize("entry", [0.5, 1e-9, np.nan, np.inf])
+    def test_non_integral_matrix_rejected(self, entry):
+        """The batched sum is exact only over integers (see the oracle)."""
+        matrix = mendel_distance_matrix(BLOSUM62)
+        matrix[3, 5] = matrix[5, 3] = entry
+        with pytest.raises(ValueError, match="integer-valued"):
+            MatrixDistance(matrix)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.one_of(st.integers(2, 40), st.just(256)),
+        length=st.integers(2, 64),
+        rows=st.integers(0, 5000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(size=256, length=64, rows=5000, seed=0)
+    @example(size=2, length=2, rows=0, seed=1)
+    def test_batch_oracle(self, size, length, rows, seed):
+        """``batch`` against a Python-int sum and against ``__call__``, bit
+        for bit, on random integer metrics (letters as points under L1).
+        256 letters is the widest table, where the uint16 index reaches
+        65,535; the extreme codes are always present."""
+        rng = np.random.default_rng([SEED, seed])
+        places = rng.integers(0, int(rng.integers(1, 1000)), (size, 3))
+        matrix = np.abs(places[:, None, :] - places[None, :, :]).sum(axis=-1)
+        dist = MatrixDistance(matrix)
+        query = rng.integers(0, size, length).astype(np.uint8)
+        batch = rng.integers(0, size, (rows, length)).astype(np.uint8)
+        query[0] = batch[:, -1] = size - 1
+        table = matrix.tolist()
+        want = np.array(
+            [sum(table[a][b] for a, b in zip(query.tolist(), row))
+             for row in batch.tolist()],
+            dtype=np.float64,
+        )
+        got = dist.batch(query, batch)
+        assert got.dtype == np.float64 and got.shape == (rows,)
+        assert got.tobytes() == want.tobytes()
+        pairs = np.array([dist(query, row) for row in batch], dtype=np.float64)
+        assert got.tobytes() == pairs.tobytes()
 
     @given(codes, codes)
     def test_symmetry(self, a, b):

@@ -45,6 +45,18 @@ class TestParse:
         with pytest.raises(ValueError, match="invalid dna letter"):
             parse_fasta_text(">x\nACGU\n", "dna")
 
+    def test_invalid_residue_names_the_record(self, tmp_path):
+        """The position counts residues of the record, across its wrapped
+        lines; the error names the record, not a line of the file."""
+        text = ">ok\nMKV\n>second with a description\nMKVLA\nJW\n"
+        want = "^second: invalid protein letter 'J' at position 5$"
+        with pytest.raises(ValueError, match=want):
+            parse_fasta_text(text, "protein")
+        path = tmp_path / "bad.fasta"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=want):
+            read_fasta(path, "protein")
+
     def test_empty_input(self):
         assert len(parse_fasta_text("", "dna")) == 0
 

@@ -681,11 +681,18 @@ class TestSearchInputErrors:
         )
         assert "7 residues once translated" in err
 
-    @pytest.mark.parametrize("text", ["MKVLAWGMKV\n>late\nMKVLAWG\n",
-                                      ">bad\nMKV!LAWGMKV\n"])
+    #: unparsable FASTA text -> what the error says after the file name
+    UNPARSABLE = {
+        "MKVLAWGMKV\n>late\nMKVLAWG\n":
+            "sequence data before any FASTA header at line 1",
+        ">bad\nMKV!LAWGMKV\n": "bad: invalid protein letter '!' at position 3",
+    }
+
+    @pytest.mark.parametrize("text", list(UNPARSABLE))
     def test_unparsable_fasta_names_the_file(self, archives, capsys, text):
         base, protein, _ = archives
         broken = base / "broken.fasta"
         broken.write_text(text)
-        self.rejects(capsys, ["explain", str(protein), str(broken)],
-                     str(broken))
+        err = self.rejects(capsys, ["explain", str(protein), str(broken)],
+                           str(broken))
+        assert err == f"error: {broken}: {self.UNPARSABLE[text]}\n"

@@ -13,8 +13,9 @@ Four references; only the last shares the executed kernel's distance pass:
 * **row by row** — a ``(W, L)`` batch answers exactly as W ``(L,)`` calls;
 * **paged** — the same tree over a point store that is not an ``ndarray``
   and hands its rows over page by page (how a spilled node looks), with
-  pages that cut across buckets, and at the end of the file a real spilled
-  ``StorageNode``.
+  pages that cut across buckets and straddle the distance pass's blocks,
+  and at the end of the file a real spilled ``StorageNode``, also against
+  a pass that scores one page at a time.
 """
 
 import copy
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.node import StorageNode
+from repro.obs.metrics import MetricsRegistry
 from repro.seq.alphabet import PROTEIN
 from repro.seq.distance import HammingDistance, default_distance
 from repro.tier import METHOD_RAW, BlockCache, TierConfig
@@ -43,36 +45,42 @@ METRICS = {
 
 class PagedRows:
     """Stands in for ``TieredPoints``: not an ``ndarray``, read through
-    ``pages()``.  Rows are dealt to pages in a shuffled order, 7 a page, so
-    no page lines up with a bucket; every other page claims to be cold."""
+    ``pages()``.  Rows are dealt to pages in a shuffled order, *page_rows* a
+    page, so no page lines up with a bucket; every other page claims to be
+    cold, each for bytes of its own.  It tallies, page by page, the laps
+    made over it and the cold reads it handed over."""
 
-    PAGE_ROWS, COLD_BYTES = 7, 100
-
-    def __init__(self, rows: np.ndarray) -> None:
+    def __init__(self, rows: np.ndarray, page_rows: int = 7) -> None:
         self._rows = rows
         self.shape = rows.shape
         order = np.random.default_rng(len(rows)).permutation(len(rows))
         self._pages = [
-            order[start:start + self.PAGE_ROWS]
-            for start in range(0, len(rows), self.PAGE_ROWS)
+            order[start:start + page_rows]
+            for start in range(0, len(rows), page_rows)
         ]
         self.cold_pages = len(self._pages[::2])
+        self.laps = self.reads = self.nbytes = 0
 
     def pages(self):
+        self.laps += 1
         for number, rows in enumerate(self._pages):
-            yield rows, self._rows[rows], 0 if number % 2 else self.COLD_BYTES
+            cold_bytes = 0 if number % 2 else 100 + number
+            self.reads += cold_bytes > 0
+            self.nbytes += cold_bytes
+            yield rows, self._rows[rows], cold_bytes
 
 
-def paged(tree, queries, k, radius):
-    """``knn`` of a batch over a paged twin of *tree*; also checks the cold
-    reads the pass reports (one pass per slice of the batch)."""
+def paged(tree, queries, k, radius, page_rows=7):
+    """``knn`` of a batch over a paged twin of *tree*; also checks that the
+    cold reads the search reports are the sum of those its pages carried,
+    every page once per pass (one pass per slice of the batch)."""
     twin = copy.copy(tree)
-    twin.points = PagedRows(np.asarray(tree.points))
+    twin.points = store = PagedRows(np.asarray(tree.points), page_rows)
     found = twin.knn(queries, k, max_radius=radius)
+    assert (found.cold_reads, found.cold_bytes) == (store.reads, store.nbytes)
+    assert store.reads == store.laps * store.cold_pages
     if len(tree):
-        assert found.cold_reads % twin.points.cold_pages == 0
-        assert found.cold_reads >= twin.points.cold_pages
-        assert found.cold_bytes == found.cold_reads * PagedRows.COLD_BYTES
+        assert store.laps >= 1
     return found
 
 
@@ -123,7 +131,7 @@ def probes(rng, points, alphabet, count=12):
     return out
 
 
-def check(tree, metric, queries, radii, ks):
+def check(tree, metric, queries, radii, ks, page_rows=7):
     points = np.asarray(tree.points)
     for radius in radii:
         if radius < INF:  # the radius search shares the prune tests
@@ -136,7 +144,7 @@ def check(tree, metric, queries, radii, ks):
             batch = tree.knn(queries, k, max_radius=radius)
             assert len(batch) == len(queries)
             assert (batch.cold_reads, batch.cold_bytes) == (0, 0)
-            assert paged(tree, queries, k, radius) == batch
+            assert paged(tree, queries, k, radius, page_rows) == batch
             for query, (hits, evals) in zip(queries, batch):
                 context = f"k={k} radius={radius} query={query.tolist()}"
                 assert tree.knn(query, k, max_radius=radius) == (hits, evals), context
@@ -174,6 +182,29 @@ def test_blocked_passes_change_nothing(name, monkeypatch):
     points = family(rng, 230, alphabet, length)
     tree = VPTree(points, metric, bucket_capacity=8, rng=SEED)
     check(tree, metric, probes(rng, points, alphabet), radii, (1, 6, 231))
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+@pytest.mark.parametrize(
+    "page", ["1", "7", "block-1", "block", "block+1", "more than N"]
+)
+def test_pages_that_straddle_a_block(name, page, monkeypatch):
+    """A paged store's pages are joined until they make a block of
+    ``_PASS_CELLS`` cells: with pages of one row, of 7, one row short of a
+    block, a block, one row over, and one page holding every row, answers,
+    costs and cold reads are those of the RAM scan."""
+    from repro.vptree import search
+
+    monkeypatch.setattr(search, "_PASS_CELLS", 400)
+    metric, alphabet, length, radii = METRICS[name]
+    block = 400 // length
+    rng = np.random.default_rng([SEED, 12, len(name)])
+    points = family(rng, 230, alphabet, length)
+    page_rows = {"1": 1, "7": 7, "block-1": block - 1, "block": block,
+                 "block+1": block + 1, "more than N": len(points) + 1}[page]
+    tree = VPTree(points, metric, bucket_capacity=8, rng=SEED)
+    check(tree, metric, probes(rng, points, alphabet, 6), radii, (1, 6, 231),
+          page_rows)
 
 
 @pytest.mark.parametrize("name", sorted(METRICS))
@@ -343,9 +374,10 @@ def test_inserts_widen_the_bounds_above_them():
 # -- a real spilled node ----------------------------------------------------------
 
 
-def spilled_node(cache_bytes, rows=1500):
+def spilled_node(cache_bytes, rows=1500, page_rows=256):
     """One node shaped like perfbench's D2 — 32-residue blocks in 512-row
-    buckets on 256-row pages, so a bucket spans pages — and its RAM codes."""
+    buckets on 256-row pages, so a bucket spans pages — and its RAM codes.
+    Its cache counts into a registry of its own."""
     rng = np.random.default_rng([SEED, 8])
     node = StorageNode(
         node_id="g00.n0", group_id="g00",
@@ -356,11 +388,12 @@ def spilled_node(cache_bytes, rows=1500):
     node.store_blocks(codes, list(range(rows)))
     ram = np.asarray(node.tree.points).copy()
     node.attach_tier(
-        BlockCache(cache_bytes), TierConfig(page_rows=256, alphabet_size=20)
+        BlockCache(cache_bytes, MetricsRegistry()),
+        TierConfig(page_rows=page_rows, alphabet_size=20),
     )
     node.spill()
     assert node.tiered
-    assert max(leaf_sizes(node.tree.root)) > 256
+    assert max(leaf_sizes(node.tree.root)) > page_rows
     return node, ram, probes(rng, ram, 20, count=9)
 
 
@@ -437,3 +470,41 @@ def test_spilled_node_with_an_undecodable_page():
     for hits, _ in searches:
         assert len(hits) == len(ram)
         assert {b for _, b in hits if not node.verify_block(b)} == lost
+
+
+def fill_page_at_a_time(dists, queries, tree):
+    """The reference feeder: every query scored against each page as it
+    arrives, no page joined to another."""
+    reads = nbytes = 0
+    for rows, codes, cold_bytes in tree.points.pages():
+        for row, query in zip(dists, queries):
+            row[rows] = tree.adapter.batch(query, codes)
+        reads += cold_bytes > 0
+        nbytes += cold_bytes
+    return reads, nbytes
+
+
+def test_blocks_take_pages_as_a_page_at_a_time_pass_does(monkeypatch):
+    """A spilled node of 50 data pages of at most 64 rows, several to a
+    block, behind a cache of 10% of its bytes, swept with window batches of
+    several sizes, k and radii: joining pages into blocks takes and admits
+    them in the order a page-at-a-time pass does, so the answers, each
+    call's reads, the cache's counters and the device totals are equal."""
+    from repro.vptree import search
+
+    rows = 3000
+    assert 2 * 64 < search._PASS_CELLS // 32 < rows
+    outcomes = []
+    for fill in (search._fill, fill_page_at_a_time):
+        monkeypatch.setattr(search, "_fill", fill)
+        node, _ram, queries = spilled_node(rows * 32 // 10, rows, page_rows=64)
+        calls = [
+            node.local_knn(queries[start:stop], k, max_radius=radius)
+            for start, stop in ((0, 1), (1, 9), (0, 9), (4, 6))
+            for k, radius in ((1, INF), (6, 96.0), (rows + 1, 96.0))
+        ]
+        tier = node.tier
+        outcomes.append((calls, tier.cache.stats(), tier.total_seeks, tier.total_bytes))
+    assert outcomes[0] == outcomes[1]
+    stats = outcomes[0][1]
+    assert stats["hits"] and stats["misses"] and stats["evictions"], stats
