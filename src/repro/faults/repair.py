@@ -224,7 +224,7 @@ class ReReplicator:
         if streams:
             yield AllOf(streams)
         self._apply_drops(group, plan, report)
-        self._update_bookkeeping(group)
+        self._refresh_primaries(group)
         report.simulated_seconds = sim.now - started
         return report
 
@@ -246,33 +246,27 @@ class ReReplicator:
             node.store_blocks(self.index.store.codes_matrix(block_ids), block_ids)
             report.blocks_streamed += len(block_ids)
         self._apply_drops(group, plan, report)
-        self._update_bookkeeping(group)
+        self._refresh_primaries(group)
         return report
 
     def _apply_drops(
         self, group: StorageGroup, plan: RepairPlan, report: RepairReport
     ) -> None:
-        """Remove over-replicated copies by rebuilding the affected trees
-        from the kept blocks (the dynamic vp-tree has no tombstones; the
-        rebuild stands in for background compaction and is not charged)."""
+        """Remove over-replicated copies by rebuilding the affected nodes
+        without them (not charged: it stands in for background compaction)."""
         per_node: dict[str, set[int]] = {}
         for block_id, node_id in plan.drops:
             per_node.setdefault(node_id, set()).add(block_id)
         for node_id in sorted(per_node):
-            node = group.node(node_id)
-            keep = sorted(set(node.block_ids) - per_node[node_id])
-            node.reset_storage()
-            if keep:
-                node.store_blocks(self.index.store.codes_matrix(keep), keep)
+            group.node(node_id).drop_blocks(
+                per_node[node_id], self.index.store.codes_matrix
+            )
             report.blocks_dropped += len(per_node[node_id])
             report.nodes_rebuilt += 1
 
-    def _update_bookkeeping(self, group: StorageGroup) -> None:
-        """Refresh the index's primary map and per-node counters after the
-        group's holdings changed."""
-        stats = self.index.stats.per_node_blocks
-        for node in group.nodes:
-            stats[node.node_id] = node.block_count
+    def _refresh_primaries(self, group: StorageGroup) -> None:
+        """Refresh the index's primary map after the group's holdings
+        changed."""
         replication = self.index.config.replication
         for block_id in self.group_blocks(group):
             key = self.index.store.block_key(block_id)

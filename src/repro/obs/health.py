@@ -11,11 +11,6 @@ service-level indicator (SLI) is.  This module provides:
 * :class:`SLIRecorder` — named SLIs, each folded into several window
   widths at once (the classic 1s/10s/60s triple by default; chaos runs
   auto-scale the widths to the scripted failure horizon);
-* :class:`RegistryFold` — samples :class:`~repro.obs.metrics.
-  MetricsRegistry` counter/gauge families at each tick and folds the
-  deltas into rate SLIs, so the existing hot-path instrumentation
-  (queries, sheds, hedged retries, chaos events, balance gauges) becomes
-  windowed without double bookkeeping;
 * :class:`HealthMonitor` — the composition: one recorder, one
   :class:`~repro.obs.slo.SLOEngine`, one
   :class:`~repro.obs.events.EventLog`, ticked either by a simulated
@@ -31,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.obs.events import EventLog, default_event_log
@@ -41,7 +36,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Sample,
     _format_value,
-    default_registry,
 )
 from repro.obs.slo import SLO, SLOEngine, default_slos
 from repro.obs.timer import format_duration
@@ -261,52 +255,6 @@ class SLIRecorder:
         return out
 
 
-#: Default registry streams folded into rate SLIs each tick:
-#: ``(sli_name, family_name, mode)`` with mode ``"delta"`` (counter
-#: increments since the previous tick) or ``"level"`` (current gauge value).
-DEFAULT_FOLDS: tuple[tuple[str, str, str], ...] = (
-    ("rate:queries", "repro_queries_total", "delta"),
-    ("rate:admission_sheds", "repro_admission_rejections_total", "delta"),
-    ("rate:hedged_retries", "repro_hedged_retries_total", "delta"),
-    ("rate:node_failures", "repro_node_failures_total", "delta"),
-    ("rate:chaos_events", "repro_chaos_events_total", "delta"),
-    ("rate:alignments", "repro_query_funnel_total", "delta"),
-    ("level:balance_node_cv", "repro_balance_node_cv", "level"),
-    ("level:balance_group_cv", "repro_balance_group_cv", "level"),
-)
-
-
-class RegistryFold:
-    """Samples metric families at each tick and records windowed deltas.
-
-    Counters become per-tick increment SLIs (a windowed rate once divided
-    by the tick interval); gauges are recorded at their current level.
-    Families that do not exist yet sample as 0 and start counting when
-    they appear — folding never creates families.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        folds: Iterable[tuple[str, str, str]] = DEFAULT_FOLDS,
-    ) -> None:
-        self.registry = registry
-        self.folds = tuple(folds)
-        self._last: dict[str, float] = {}
-
-    def tick(self, recorder: SLIRecorder, now: float) -> None:
-        for sli_name, family, mode in self.folds:
-            total = self.registry.family_total(family)
-            if mode == "delta":
-                previous = self._last.get(family)
-                self._last[family] = total
-                if previous is None:
-                    continue  # first tick: no interval to attribute to
-                recorder.observe(sli_name, now, max(0.0, total - previous))
-            else:
-                recorder.observe(sli_name, now, total)
-
-
 @dataclass
 class HealthMonitor:
     """Continuous health: SLIs + SLO burn-rate alerting + event tail.
@@ -360,7 +308,6 @@ class HealthMonitor:
             else default_slos(widths, latency_threshold=self.latency_threshold)
         )
         self.slo_engine = SLOEngine(self.recorder, slos, self.events)
-        self.fold: RegistryFold | None = None
         self.backlog_fn: Callable[[], int] | None = None
         self.history: deque[dict] = deque(maxlen=self.history_size)
         self.last_now: float = 0.0
@@ -438,24 +385,12 @@ class HealthMonitor:
 
     # -- ticking ---------------------------------------------------------------
 
-    def attach_registry_fold(
-        self,
-        registry: MetricsRegistry | None = None,
-        folds: Iterable[tuple[str, str, str]] = DEFAULT_FOLDS,
-    ) -> None:
-        """Fold *registry* streams into rate SLIs at every tick."""
-        self.fold = RegistryFold(
-            registry if registry is not None else default_registry(), folds
-        )
-
     def tick(self, now: float) -> list:
-        """One evaluation step at *now*: fold registry deltas, sample the
-        repair backlog, evaluate every SLO, and append a dashboard frame.
+        """One evaluation step at *now*: sample the repair backlog,
+        evaluate every SLO, and append a dashboard frame.
         Returns the alert transitions this tick produced."""
         with self._lock:
             self.last_now = max(self.last_now, now)
-            if self.fold is not None:
-                self.fold.tick(self.recorder, now)
             if self.backlog_fn is not None:
                 backlog = float(self.backlog_fn())
                 self.recorder.observe("repair_backlog", now, backlog,

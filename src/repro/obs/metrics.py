@@ -133,19 +133,6 @@ class _Family:
         with self._lock:
             return self._children.pop(key, None) is not None
 
-    def purge_label(self, label: str, value: str) -> int:
-        """Drop every child whose *label* equals *value*; returns the count
-        removed (0 when the family does not carry that label at all)."""
-        if label not in self.labelnames:
-            return 0
-        position = self.labelnames.index(label)
-        value = str(value)
-        with self._lock:
-            doomed = [key for key in self._children if key[position] == value]
-            for key in doomed:
-                del self._children[key]
-        return len(doomed)
-
     def purge_matching(self, labelvalues: dict[str, str]) -> int:
         """Drop every child matching **all** of the *labelvalues* pairs this
         family carries; returns the count removed.

@@ -255,15 +255,13 @@ class IntegrityScrubber:
                     finding.block_id
                 )
         for node_id in sorted(per_node):
-            node = group.node(node_id)
             corrupt = per_node[node_id]
-            keep = [b for b in node.block_ids if b not in corrupt]
             # Rebuild without the rotted copies: RAM and the durable
             # manifest both forget them, so the next repair plan streams
             # the block back from a replica that still verifies.
-            node.reset_storage()
-            if keep:
-                node.store_blocks(self.index.store.codes_matrix(keep), keep)
+            group.node(node_id).drop_blocks(
+                corrupt, self.index.store.codes_matrix
+            )
             self.report.quarantined += len(corrupt)
         if per_node and self.heal is not None:
             self.report.heals_requested += 1

@@ -9,6 +9,37 @@ from repro.seq.generate import random_set
 from repro.seq.records import SequenceSet
 
 
+def assert_holdings(index, settled=True):
+    """Every block sits on ``group.place_replicas(key, replication)`` of the
+    group its vp-prefix hash routes to — exactly those nodes once settled,
+    at least those while a topology change still retains old copies — its
+    primary is the first of them, and ``stats.per_node_blocks`` reads what
+    the nodes hold."""
+    holders: dict[int, set[str]] = {}
+    for node in index.topology.nodes:
+        assert len(set(node.block_ids)) == len(node.block_ids), node.node_id
+        for block_id in node.block_ids:
+            holders.setdefault(block_id, set()).add(node.node_id)
+    assert sorted(holders) == [block.block_id for block in index.store.blocks]
+    for block in index.store.blocks:
+        codes = index.store.codes_of(block.block_id)
+        group = index.topology.group_for_prefix(
+            index.prefix_tree.hash_one(codes).prefix
+        )
+        replicas = group.place_replicas(
+            index.store.block_key(block.block_id), index.config.replication
+        )
+        assert index.node_of_block[block.block_id] == replicas[0].node_id
+        wanted = {node.node_id for node in replicas}
+        if settled:
+            assert holders[block.block_id] == wanted, block.block_id
+        else:
+            assert holders[block.block_id] >= wanted, block.block_id
+    assert index.stats.per_node_blocks == {
+        node.node_id: len(node.block_ids) for node in index.topology.nodes
+    }
+
+
 @pytest.fixture(scope="module")
 def small_db():
     return random_set(count=12, length=80, alphabet=PROTEIN, rng=31, id_prefix="x")
@@ -37,8 +68,8 @@ class TestConstruction:
         assert per_node_total == len(index.store)
 
     def test_node_trees_hold_their_blocks(self, index):
+        assert_holdings(index)
         for node in index.topology.nodes:
-            assert node.block_count == index.stats.per_node_blocks[node.node_id]
             assert len(node.tree) == node.block_count
 
     def test_placement_respects_two_tiers(self, index):
@@ -86,6 +117,7 @@ class TestIncrementalInsert:
         index.insert_sequences(extra)
         assert len(index.store) > before
         assert index.stats.block_count == len(index.store)
+        assert_holdings(index)
         # New blocks must be searchable.
         new_block = next(index.store.blocks_of_sequence("new-000000"))
         codes = index.store.codes_of(new_block.block_id)

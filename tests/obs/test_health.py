@@ -8,7 +8,6 @@ from repro.obs.events import EventLog
 from repro.obs.export import prometheus_text
 from repro.obs.health import (
     HealthMonitor,
-    RegistryFold,
     RollingWindow,
     SLIRecorder,
 )
@@ -88,39 +87,6 @@ class TestSLIRecorder:
         recorder.observe("availability", 2.0, 0.0, good=False, trace_id="b1")
         recorder.observe("availability", 3.0, 0.0, good=False, trace_id="b2")
         assert list(recorder.sli("availability").bad_trace_ids) == ["b1", "b2"]
-
-
-class TestRegistryFold:
-    def test_counter_deltas_and_gauge_levels(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c_total", "a counter")
-        gauge = registry.gauge("g_now", "a gauge")
-        recorder = SLIRecorder(windows=(100.0,))
-        fold = RegistryFold(registry, folds=(
-            ("rate:c", "c_total", "delta"),
-            ("level:g", "g_now", "level"),
-        ))
-
-        counter.inc(5)
-        gauge.set(7.0)
-        fold.tick(recorder, 1.0)  # first tick primes the delta baseline
-        counter.inc(3)
-        fold.tick(recorder, 2.0)
-
-        rate = recorder.sli("rate:c").window(100.0).stats(2.0)
-        assert rate.count == 1  # first tick produced no delta sample
-        assert rate.max == 3.0
-        level = recorder.sli("level:g").window(100.0).stats(2.0)
-        assert level.count == 2
-        assert level.max == 7.0
-
-    def test_missing_family_never_created(self):
-        registry = MetricsRegistry()
-        recorder = SLIRecorder(windows=(100.0,))
-        fold = RegistryFold(registry, folds=(("rate:x", "nope_total", "delta"),))
-        fold.tick(recorder, 1.0)
-        fold.tick(recorder, 2.0)
-        assert all(s.name != "nope_total" for s in registry.collect())
 
 
 class TestHealthMonitor:

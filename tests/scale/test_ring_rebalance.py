@@ -16,6 +16,7 @@ from repro.core import Mendel, MendelConfig, QueryParams
 from repro.seq.alphabet import PROTEIN
 from repro.seq.generate import random_set
 from repro.seq.mutate import mutate_to_identity
+from tests.core.test_index import assert_holdings
 
 
 def build_ring(group_size: int, seed: int = 51):
@@ -74,6 +75,7 @@ class TestRebalanceEquivalence:
             grown.add_node(gid)
         fresh, _ = build_ring(group_size=3)
 
+        assert_holdings(grown.index)
         assert grown.index.node_of_block == fresh.index.node_of_block
         assert {
             n.node_id: sorted(n.block_ids) for n in grown.index.topology.nodes

@@ -9,6 +9,7 @@ from repro.obs.metrics import default_registry
 from repro.seq.alphabet import PROTEIN
 from repro.seq.generate import random_set
 from repro.seq.mutate import mutate_to_identity
+from tests.core.test_index import assert_holdings
 
 
 def build(group_count=2, group_size=2, replication=1, seed=47, count=12):
@@ -57,8 +58,10 @@ class TestExpandGroup:
                 assert held_before[node.node_id] <= set(node.block_ids)
         new = group.node(change.target)
         assert new.block_count > 0
+        assert_holdings(index, settled=False)
         change.settle()
         assert change.settled
+        assert_holdings(index)
         # After settle the canonical layout holds: no node keeps blocks the
         # placement hash no longer assigns to it.
         total = sum(n.block_count for n in group.nodes)
@@ -91,6 +94,7 @@ class TestRemoveNode:
         assert node.block_count == 0  # storage released
         assert all_blocks(index) == before
         assert replication_holds(index)
+        assert_holdings(index)
         assert probe_answer(mendel, db) == expected
 
     def test_refuses_to_violate_replication(self):
@@ -125,8 +129,10 @@ class TestSplitGroup:
         assert change.kind == "group_split"
         assert len(index.topology.groups) == groups_before + 1
         assert change.moved_blocks > 0
+        assert_holdings(index, settled=False)
         assert probe_answer(mendel, db) == expected  # dual ownership
         change.settle()
+        assert_holdings(index)
         assert probe_answer(mendel, db) == expected
         # The mass actually moved off the source after settle.
         source = index.topology.group("g00")
@@ -155,6 +161,7 @@ class TestSplitGroup:
         assert change.refined is not None
         left, right = change.refined
         assert left != right
+        assert_holdings(index)
         # Both children are routable and every block is findable.
         for bid, node_id in index.node_of_block.items():
             group = index.topology.group(node_id.split(".", 1)[0])
@@ -182,9 +189,11 @@ class TestMergeGroups:
         assert "g01" not in {g.group_id for g in index.topology.groups}
         # Source nodes keep their retained copies until settle.
         assert any(n.block_count > 0 for n in source_nodes)
+        assert_holdings(index)  # the source left the topology
         assert probe_answer(mendel, db) == expected
         change.settle()
         assert all(n.block_count == 0 for n in source_nodes)
+        assert_holdings(index)
         assert all_blocks(index) == blocks_before
         assert probe_answer(mendel, db) == expected
 
