@@ -127,6 +127,27 @@ class TestSync:
                 primary = mendel.index.node_of_block[block_id]
                 assert group.node(primary).alive or primary == victim.node_id
 
+    def test_node_that_gains_and_drops_rebuilds_in_build_order(self):
+        """A node streamed a block it lost and stripped of one it should
+        not hold, in the same sync, ends with a build's contents in a
+        build's (ascending) order — the order that fixes its tree."""
+        mendel = build()
+        store = mendel.index.store
+        group = mendel.index.topology.groups[0]
+        node = group.nodes[0]
+        canonical = list(node.block_ids)
+        own = min(canonical)  # streamed back last, so it would sit last
+        extra = next(
+            bid for bid in ReReplicator(mendel.index).group_blocks(group)
+            if bid not in canonical
+        )
+        node.drop_blocks([own], store.codes_matrix)
+        node.store_blocks(store.codes_matrix([extra]), [extra])
+
+        report = ReReplicator(mendel.index).sync_group(group)
+        assert report.blocks_streamed >= 1 and report.blocks_dropped >= 1
+        assert node.block_ids == canonical == sorted(canonical)
+
     def test_simulated_repair_matches_immediate_plan(self):
         charged = build()
         immediate = build()
