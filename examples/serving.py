@@ -82,8 +82,7 @@ def main() -> None:
           f"{mendel.node_count} simulated nodes")
 
     # -- phases 1+2: a comfortably provisioned gateway -----------------------
-    service = mendel.service(max_workers=4, max_pending=64,
-                             batch_window=0.002, max_batch=8)
+    service = mendel.service(max_workers=4, max_pending=64)
     with BackgroundServer(service) as server:
         print(f"gateway listening on {server.host}:{server.port}\n")
 
@@ -103,15 +102,12 @@ def main() -> None:
         stats = ServeClient(server.host, server.port).stats()["stats"]
         print(f"\n  gateway stats: cache hit-rate "
               f"{stats['cache']['hit_rate']:.0%}, "
-              f"{stats['batcher']['batches']} batches "
-              f"(largest {stats['batcher']['largest_batch']}), "
               f"p50 {stats['latency']['p50_ms']:.1f} ms / "
               f"p99 {stats['latency']['p99_ms']:.1f} ms\n")
     service.close()
 
     # -- phase 3: a starved gateway under a burst ----------------------------
-    tiny = mendel.service(max_workers=1, max_pending=4, batch_window=0.0,
-                          max_batch=1, cache_capacity=0)
+    tiny = mendel.service(max_workers=1, max_pending=4, cache_capacity=0)
     with BackgroundServer(tiny) as server:
         burst_texts = [record.text[:64] for record in database.records[16:]]
         start = time.perf_counter()
@@ -125,8 +121,7 @@ def main() -> None:
     tiny.close()
 
     # -- phase 4: node failure mid-run — shed vs degraded accounting ---------
-    faulty = mendel.service(max_workers=2, max_pending=32, batch_window=0.0,
-                            max_batch=1, cache_capacity=0)
+    faulty = mendel.service(max_workers=2, max_pending=32, cache_capacity=0)
     with BackgroundServer(faulty) as server:
         probe_texts = [record.text[:64] for record in database.records[:8]]
         with ServeClient(server.host, server.port, timeout=120) as client:

@@ -15,7 +15,7 @@ Public API highlights:
 * :mod:`repro.bench` — workload generators and the per-figure experiment
   harness.
 * :mod:`repro.serve` — the concurrent query-serving gateway (thread-pool
-  service with admission control, result cache, micro-batching, and an
+  service with admission control, deadlines, a result cache, and an
   asyncio TCP JSON-lines front end).
 * :mod:`repro.faults` — the chaos layer: scripted fault injection
   (crashes, stragglers, lossy links, partitions), heartbeat failure

@@ -45,14 +45,13 @@ from repro.bench.workloads import (
     generate_family_database,
     generate_read_queries,
 )
-from repro.core.explain import build_funnel
 from repro.core.framework import Mendel
 from repro.core.params import MendelConfig, QueryParams
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.obs.analyze import (
     cluster_slow_queries,
     critical_path_table,
-    trace_fingerprint,
+    query_entry,
 )
 from repro.obs.trace import TraceContext
 from repro.seq.alphabet import DNA
@@ -330,24 +329,7 @@ def run_cell(cell: Cell, seed: int = 0, query_count: int = 8) -> CellResult:
         arrival_times=arrivals,
     )
 
-    entries = []
-    for report in reports:
-        root = report.root_span
-        fingerprint = trace_fingerprint(root)
-        entries.append(
-            {
-                "query_id": report.query_id,
-                "trace_id": report.trace_id,
-                "turnaround_ms": round(report.stats.turnaround * 1e3, 3),
-                "coverage": report.coverage,
-                "degraded": report.degraded,
-                "funnel": [s.to_dict() for s in build_funnel(report)],
-                "fingerprint": fingerprint.to_dict(),
-                "family": fingerprint.family,
-                "critical_path": critical_path_table([root]),
-            }
-        )
-
+    entries = [query_entry(report) for report in reports]
     turnarounds = [e["turnaround_ms"] for e in entries]
     threshold = 1.5 * _median(turnarounds)
     slow = [e for e in entries if e["turnaround_ms"] > threshold]

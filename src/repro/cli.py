@@ -205,10 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="query execution threads")
     serve.add_argument("--max-pending", type=int, default=64,
                        help="admission bound before load shedding")
-    serve.add_argument("--batch-window", type=float, default=0.002,
-                       help="micro-batch coalescing window (seconds)")
-    serve.add_argument("--max-batch", type=int, default=8,
-                       help="micro-batch size cap")
     serve.add_argument("--cache-size", type=int, default=1024,
                        help="result-cache capacity (0 disables caching)")
     serve.add_argument("--cache-ttl", type=float, default=None,
@@ -642,8 +638,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     service = mendel.service(
         max_workers=args.workers,
         max_pending=args.max_pending,
-        batch_window=args.batch_window,
-        max_batch=args.max_batch,
         cache_capacity=args.cache_size,
         cache_ttl=args.cache_ttl,
         tracing=not args.no_tracing,

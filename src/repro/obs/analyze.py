@@ -10,6 +10,9 @@ record *what happened*; this module turns those records into *answers*:
   the degraded / hedged / cold-read / failed annotations.  Two queries
   with the same fingerprint took the same *kind* of path through the
   cluster, whatever their residues were.
+* :func:`query_entry` is the one per-query record the slow-query log and
+  ``repro explore`` keep (ids, turnaround, coverage, funnel, fingerprint,
+  critical path);
 * :func:`cluster_slow_queries` groups slow-log entries by fingerprint
   signature into named **families** with exemplar trace ids — the unit
   the paper's Fig. 6 slow tail decomposes into.
@@ -28,9 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
+from repro.obs.profile import stage_of
 from repro.obs.trace import Span
+
+if TYPE_CHECKING:
+    from repro.core.query import QueryReport
 
 #: slack when deciding whether a child's interval abuts the running chain —
 #: sim stamps are exact rationals of float arithmetic, but summed charges
@@ -159,11 +166,6 @@ def trace_fingerprint(root: Span) -> TraceFingerprint:
 # -- critical path ---------------------------------------------------------------
 
 
-def stage_of(name: str) -> str:
-    """Normalize a span name to its stage label (``node:n3`` → ``node``)."""
-    return name.split(":", 1)[0]
-
-
 def _chain(span: Span) -> list[Span]:
     """The children of *span* on its critical path, in execution order.
 
@@ -273,6 +275,37 @@ def _finish_table(rows: dict[str, dict]) -> list[dict]:
 
 
 # -- slow-query clustering -------------------------------------------------------
+
+
+def query_entry(report: "QueryReport") -> dict:
+    """One answered query as the slow-query log and ``repro explore`` keep it.
+
+    Ids, sim turnaround, coverage, the reconciled EXPLAIN attrition funnel,
+    the trace fingerprint and family, and the query's own critical-path
+    table — all JSON-shaped, so families stay joinable to query plans
+    without re-running anything.
+    """
+    from repro.core.explain import build_funnel  # core imports obs
+
+    root = report.root_span
+    fingerprint = trace_fingerprint(root) if root is not None else None
+    return {
+        "query_id": report.query_id,
+        "trace_id": report.trace_id,
+        "turnaround_ms": round(report.stats.turnaround * 1e3, 3),
+        "coverage": report.coverage,
+        "degraded": report.degraded,
+        "funnel": [stage.to_dict() for stage in build_funnel(report)],
+        "fingerprint": (
+            fingerprint.to_dict() if fingerprint is not None else None
+        ),
+        "family": (
+            fingerprint.family if fingerprint is not None else "untraced"
+        ),
+        "critical_path": (
+            critical_path_table([root]) if root is not None else []
+        ),
+    }
 
 
 def cluster_slow_queries(

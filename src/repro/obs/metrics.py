@@ -279,7 +279,7 @@ class HistogramChild:
     The cumulative buckets / sum / count are what Prometheus scrapes; the
     bounded reservoir gives exact percentiles over the last *reservoir*
     observations, and ``max`` tracks the whole stream — together covering
-    everything the old ``LatencyTracker`` reported.
+    everything the gateway's STATS latency block reports.
     """
 
     __slots__ = ("_lock", "bounds", "_bucket_counts", "count", "sum", "max",

@@ -3,14 +3,13 @@
 The layers, bottom-up:
 
 * :mod:`~repro.serve.cache` — LRU + TTL result cache with canonical keys;
-* :mod:`~repro.serve.batcher` — micro-batching of near-simultaneous
-  same-params requests into one ``query_many`` cluster pass;
-* :mod:`~repro.serve.service` — the thread-pool :class:`QueryService` with
-  bounded admission (load shedding) and per-request deadlines;
+* :mod:`~repro.serve.service` — the thread-pool :class:`QueryService`:
+  bounded admission (load shedding), per-request deadlines, and one
+  engine call per admitted request on a pool worker;
 * :mod:`~repro.serve.server` / :mod:`~repro.serve.client` — an asyncio TCP
   JSON-lines front end and a retrying blocking client;
-* :mod:`~repro.serve.stats` — wall-clock latency/queue/cache accounting
-  surfaced through the STATS op.
+* :mod:`~repro.serve.stats` — wall-clock request counters and latency
+  percentiles surfaced through the STATS op.
 
 Quick start::
 
@@ -22,7 +21,6 @@ Quick start::
             print(client.query("MKV...", deadline=2.0))
 """
 
-from repro.serve.batcher import BatcherStats, MicroBatcher
 from repro.serve.cache import MISS, CacheStats, ResultCache
 from repro.serve.client import ServeClient
 from repro.serve.errors import (
@@ -37,19 +35,16 @@ from repro.serve.errors import (
 )
 from repro.serve.server import BackgroundServer, QueryServer
 from repro.serve.service import QueryService, ServeResult
-from repro.serve.stats import LatencyTracker, ServiceStats
+from repro.serve.stats import ServiceStats
 
 __all__ = [
     "BackgroundServer",
-    "BatcherStats",
     "CacheStats",
     "ClientTimeout",
     "DeadlineExceeded",
     "DegradedResult",
     "InvalidRequest",
-    "LatencyTracker",
     "MISS",
-    "MicroBatcher",
     "Overloaded",
     "QueryServer",
     "QueryService",

@@ -13,6 +13,9 @@ Requests::
     {"op": "alerts"}
     {"op": "scale"}
     {"op": "profile", "action": "start", "hz": 67}
+    {"op": "analyze"}
+    {"op": "scrub", "heal": true}
+    {"op": "recover", "node": "n003"}
 
 Responses::
 
@@ -42,8 +45,15 @@ start) and returns the profile frame under ``"profile"`` — sampled stage
 shares, top functions, self-measured overhead, and the deterministic
 cost profile.
 
+``{"op": "analyze"}`` clusters the slow-query log into trace families and
+merges their critical paths.  ``{"op": "scrub"}`` runs one anti-entropy
+pass over every replica copy (``heal`` streams confirmed-corrupt copies
+back from verified replicas; default true), and ``{"op": "recover"}``
+restarts a crashed node from durable state (``node`` names it; without it,
+every dead node).
+
 ``{"op": "explain"}`` runs the query once with tracing attached (bypassing
-cache and batching) and returns the structured
+the cache) and returns the structured
 :class:`~repro.core.explain.QueryPlan` under ``"plan"`` — routing, fan-out,
 and the per-stage attrition funnel — plus its rendered form under
 ``"rendered"``.
@@ -55,7 +65,9 @@ response instead of a best-effort result.
 
 ``params`` accepts any :class:`~repro.core.params.QueryParams` field by
 name (Table I knobs plus the documented extensions); unknown names are an
-``invalid_request`` error rather than silently ignored.
+``invalid_request`` error rather than silently ignored.  No field of any
+op takes a JSON boolean where it expects a number: ``"deadline": true`` is
+an ``invalid_request``, not a one-second deadline.
 """
 
 from __future__ import annotations
@@ -103,6 +115,15 @@ def params_from_dict(raw: dict | None) -> QueryParams:
     unknown = sorted(set(raw) - _PARAM_FIELDS)
     if unknown:
         raise InvalidRequest(f"unknown query params: {', '.join(unknown)}")
+    # No QueryParams field is a flag; Python would read ``true`` as 1.
+    flags = sorted(
+        name for name, value in raw.items() if isinstance(value, bool)
+    )
+    if flags:
+        raise InvalidRequest(
+            f"bad query params: {flags[0]} must not be a boolean, "
+            f"got {raw[flags[0]]!r}"
+        )
     try:
         return QueryParams(**raw)
     except (TypeError, ValueError) as exc:
@@ -128,7 +149,7 @@ def report_to_dict(report: QueryReport, top: int | None = None) -> dict:
     """The wire form of one query report (optionally truncated to *top*)."""
     alignments = report.alignments
     if top is not None:
-        alignments = alignments[: max(0, int(top))]
+        alignments = alignments[:top]
     return {
         "query_id": report.query_id,
         "alignment_count": len(report.alignments),

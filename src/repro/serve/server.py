@@ -14,6 +14,7 @@ the bound address once the socket is listening.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 
 from repro.serve.errors import DeadlineExceeded, InvalidRequest, ServeError
@@ -158,11 +159,14 @@ class QueryServer:
         if not isinstance(seq, str) or not seq:
             raise InvalidRequest("query needs a non-empty string 'seq'")
         params = params_from_dict(message.get("params"))
-        deadline = message.get("deadline")
-        if deadline is not None and (
-            not isinstance(deadline, (int, float)) or deadline <= 0
+        deadline = _positive_number(message, "deadline")
+        top = message.get("top")
+        if top is not None and (
+            isinstance(top, bool) or not isinstance(top, int) or top < 0
         ):
-            raise InvalidRequest(f"deadline must be a positive number, got {deadline!r}")
+            raise InvalidRequest(
+                f"top must be a non-negative integer, got {top!r}"
+            )
         allow_partial = message.get("allow_partial", True)
         if not isinstance(allow_partial, bool):
             raise InvalidRequest(
@@ -193,7 +197,7 @@ class QueryServer:
             "ok": True,
             "cached": result.cached,
             "trace_id": result.trace_id,
-            **report_to_dict(result.report, top=message.get("top")),
+            **report_to_dict(result.report, top=top),
         }
         if want_trace and result.report.root_span is not None:
             response["trace"] = result.report.root_span.to_dict()
@@ -203,11 +207,7 @@ class QueryServer:
         action = message.get("action", "snapshot")
         if not isinstance(action, str):
             raise InvalidRequest(f"action must be a string, got {action!r}")
-        hz = message.get("hz")
-        if hz is not None and (
-            not isinstance(hz, (int, float)) or hz <= 0
-        ):
-            raise InvalidRequest(f"hz must be a positive number, got {hz!r}")
+        hz = _positive_number(message, "hz")
         snap = self.service.profile(action=action, hz=hz)
         return {"id": request_id, "ok": True, "profile": snap}
 
@@ -251,6 +251,21 @@ class QueryServer:
             "plan": plan.to_dict(),
             "rendered": plan.render(),
         }
+
+
+def _positive_number(message: dict, name: str) -> float | None:
+    """The value of *name* in *message*: absent or null, else a positive
+    finite JSON number (a JSON boolean is not a number)."""
+    value = message.get(name)
+    if value is not None and (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 < value < math.inf
+    ):
+        raise InvalidRequest(
+            f"{name} must be a positive number, got {value!r}"
+        )
+    return value
 
 
 class BackgroundServer:

@@ -1,10 +1,10 @@
-"""The concurrent query service: admission control, cache, micro-batching.
+"""The concurrent query service: admission control, deadlines, cache.
 
 :class:`QueryService` fronts one built :class:`~repro.core.framework.Mendel`
 deployment with the serving behaviours a library facade lacks:
 
-* a **thread pool** executes queries concurrently (batches dispatched to
-  workers, so distinct parameter groups overlap);
+* a **thread pool** takes each admitted request straight to a worker as
+  one ``mendel.query_many([record])`` call; engine calls take turns;
 * a **bounded admission queue** caps in-flight work — submissions past the
   bound fast-fail with a structured :class:`~repro.serve.errors.Overloaded`
   error instead of growing an unbounded backlog (load shedding);
@@ -13,9 +13,7 @@ deployment with the serving behaviours a library facade lacks:
   :class:`~repro.serve.errors.DeadlineExceeded`;
 * a **result cache** (LRU + TTL) short-circuits repeated searches, and is
   invalidated whenever the index version changes (cache coherence with
-  ``insert`` / ``add_node``);
-* a **micro-batcher** coalesces near-simultaneous same-params requests into
-  one ``query_many`` pass over the simulated cluster.
+  ``insert`` / ``add_node``).
 
 The service measures *wall-clock* latency (what a caller experiences on
 this process); each report still carries the paper's *simulated* cluster
@@ -29,17 +27,15 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from repro.core.explain import build_funnel
 from repro.core.framework import Mendel
 from repro.core.params import QueryParams
 from repro.core.query import QueryReport
 from repro.obs.analyze import (
     cluster_slow_queries,
-    critical_path_table,
     merge_critical_tables,
-    trace_fingerprint,
+    query_entry,
 )
 from repro.obs.events import EventLog
 from repro.obs.export import prometheus_text
@@ -48,7 +44,6 @@ from repro.obs.metrics import FamilySnapshot, MetricsRegistry, Sample, default_r
 from repro.obs.profile import Profiler
 from repro.obs.trace import TraceContext
 from repro.seq.records import SequenceRecord
-from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import MISS, ResultCache
 from repro.serve.errors import (
     DeadlineExceeded,
@@ -69,7 +64,7 @@ class ServeResult:
     #: wall-clock seconds from submission to completion (0 for cache hits)
     latency: float = 0.0
     #: trace id of the span tree recorded for this request (None when
-    #: tracing is off or a custom runner handled the batch)
+    #: tracing is off)
     trace_id: str | None = None
 
 
@@ -92,27 +87,20 @@ class QueryService:
     mendel:
         The built deployment to serve.
     max_workers:
-        Thread-pool width for batch execution.
+        Thread-pool width.  Engine calls take turns whatever the width (a
+        query is interpreter-bound); a wider pool runs EXPLAIN beside a
+        query.
     max_pending:
-        Admission bound: maximum requests in flight (queued in the batcher
+        Admission bound: maximum requests in flight (waiting for a worker
         plus executing).  Submissions beyond it are shed.
-    batch_window / max_batch:
-        Micro-batching knobs (see :class:`~repro.serve.batcher.MicroBatcher`).
     cache_capacity / cache_ttl:
         Result-cache shape; ``cache_capacity=0`` disables caching.
     default_deadline:
         Deadline (seconds) applied when a request does not carry one;
         ``None`` means no implicit deadline.
-    runner:
-        Override for the batch execution callable
-        (``runner(records, params) -> list[QueryReport]``); defaults to
-        ``mendel.query_many``.  A test seam, and the hook for serving
-        alternative backends.  Custom runners keep the two-argument
-        signature and are never traced.
     tracing:
         Record a span tree per executed request (``result.trace_id``; the
-        tree rides on ``report.root_span``).  Only applies to the default
-        runner.
+        tree rides on ``report.root_span``).
     slow_query_threshold / slow_log_size:
         Requests whose wall-clock latency exceeds the threshold (seconds)
         are kept — span-tree summary included — in a bounded log surfaced
@@ -137,12 +125,9 @@ class QueryService:
         *,
         max_workers: int = 4,
         max_pending: int = 64,
-        batch_window: float = 0.002,
-        max_batch: int = 8,
         cache_capacity: int = 1024,
         cache_ttl: float | None = None,
         default_deadline: float | None = None,
-        runner=None,
         clock=time.monotonic,
         tracing: bool = True,
         slow_query_threshold: float | None = None,
@@ -167,8 +152,6 @@ class QueryService:
             if cache_capacity
             else None
         )
-        self._traced_runner = runner is None
-        self._runner = runner or mendel.query_many
         self._slow_log: deque[dict] = deque(maxlen=max(1, slow_log_size))
         self._m_slow = self.registry.counter(
             "repro_slow_queries_total",
@@ -179,14 +162,11 @@ class QueryService:
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
-        self._batcher = MicroBatcher(
-            self._execute_batch,
-            window=batch_window,
-            max_batch=max_batch,
-            executor=self._pool,
-            clock=clock,
-        )
         self._lock = threading.Lock()
+        # Engine calls take turns.  A query is interpreter-bound: two at
+        # once on two workers finish no sooner than one after the other,
+        # and cost more CPU between them.
+        self._engine = threading.Lock()
         self._inflight = 0
         self._seen_version = mendel.index_version
         self._closed = False
@@ -344,11 +324,11 @@ class QueryService:
             allow_partial=allow_partial,
         )
         try:
-            future = self._batcher.submit(params.cache_key(), request)
-        except ServiceClosed as exc:
+            future = self._pool.submit(self._execute, request)
+        except RuntimeError:  # a racing close() already shut the pool down
             with self._lock:
                 self._inflight -= 1
-            return _failed(exc)
+            return _failed(ServiceClosed("service is closed"))
         future.add_done_callback(self._on_done)
         return future
 
@@ -399,10 +379,9 @@ class QueryService:
         """EXPLAIN *record*: run it once traced and return the structured
         :class:`~repro.core.explain.QueryPlan`.
 
-        Deliberately bypasses the cache and the micro-batcher — the plan
-        must reflect a real, solo cluster execution, not a replayed or
-        coalesced one.  Raises :class:`InvalidRequest` /
-        :class:`ServiceClosed` like :meth:`submit`.
+        Deliberately bypasses the cache — the plan must reflect a real
+        cluster execution, not a replayed one.  Raises
+        :class:`InvalidRequest` / :class:`ServiceClosed` like :meth:`submit`.
         """
         if self._closed:
             raise ServiceClosed("service is closed")
@@ -434,100 +413,64 @@ class QueryService:
 
     # -- execution -------------------------------------------------------------
 
-    def _execute_batch(self, key: str, requests: list[_Request]) -> list:
-        """Run one coalesced batch; one result (or exception) per request."""
-        now = self._clock()
-        out: list = [None] * len(requests)
-        live: list[tuple[int, _Request]] = []
-        for i, request in enumerate(requests):
+    def _execute(self, request: _Request) -> ServeResult:
+        """Run one admitted request on a pool worker as one engine call."""
+        with self._engine:
+            now = self._clock()
             if request.deadline_at is not None and now > request.deadline_at:
                 self.stats.inc("timeouts")
                 waited = now - request.submitted_at
-                out[i] = DeadlineExceeded(
+                raise DeadlineExceeded(
                     f"deadline expired after {waited * 1e3:.1f} ms in queue"
                 )
-            else:
-                live.append((i, request))
-        if not live:
-            return out
-        records = [request.record for _, request in live]
-        params = live[0][1].params
-        try:
-            if self._traced_runner and self.tracing:
-                contexts = [TraceContext() for _ in live]
-                reports = self._runner(records, params, trace_contexts=contexts)
-            else:
-                reports = self._runner(records, params)
-        except Exception as exc:  # backend failure: fail each live request
-            self.stats.inc("errors", by=len(live))
-            for i, _request in live:
-                out[i] = exc
-            return out
+            contexts = [TraceContext()] if self.tracing else None
+            try:
+                (report,) = self.mendel.query_many(
+                    [request.record], request.params, trace_contexts=contexts
+                )
+            except Exception:  # backend failure: fail this request only
+                self.stats.inc("errors")
+                raise
         done = self._clock()
-        for (i, request), report in zip(live, reports):
-            if report.degraded:
-                # A degraded answer reflects transient cluster state, not the
-                # search — never cache it, or the failure outlives the repair.
-                self.stats.inc("degraded")
-                if not request.allow_partial:
-                    self.stats.inc("partial_rejected")
-                    out[i] = DegradedResult(
-                        f"only {report.coverage:.1%} of the index was "
-                        f"searchable ({len(report.failed_nodes)} node(s) "
-                        "failed) and the request required a complete answer",
-                        coverage=report.coverage,
-                        failed_nodes=report.failed_nodes,
-                    )
-                    continue
-            elif self.cache is not None:
-                self.cache.put(request.cache_key, report)
-            latency = done - request.submitted_at
-            self.stats.record_latency(latency)
-            self.monitor.observe_request(
-                done, latency, degraded=report.degraded,
-                trace_id=report.trace_id,
-            )
-            if (
-                self.slow_query_threshold is not None
-                and latency > self.slow_query_threshold
-            ):
-                self._note_slow(request, report, latency)
-            out[i] = ServeResult(
-                report=report, cached=False, latency=latency,
-                trace_id=report.trace_id,
-            )
-        return out
+        if report.degraded:
+            # A degraded answer reflects transient cluster state, not the
+            # search — never cache it, or the failure outlives the repair.
+            self.stats.inc("degraded")
+            if not request.allow_partial:
+                self.stats.inc("partial_rejected")
+                raise DegradedResult(
+                    f"only {report.coverage:.1%} of the index was "
+                    f"searchable ({len(report.failed_nodes)} node(s) "
+                    "failed) and the request required a complete answer",
+                    coverage=report.coverage,
+                    failed_nodes=report.failed_nodes,
+                )
+        elif self.cache is not None:
+            self.cache.put(request.cache_key, report)
+        latency = done - request.submitted_at
+        self.stats.record_latency(latency)
+        self.monitor.observe_request(
+            done, latency, degraded=report.degraded, trace_id=report.trace_id,
+        )
+        if (
+            self.slow_query_threshold is not None
+            and latency > self.slow_query_threshold
+        ):
+            self._note_slow(report, latency)
+        return ServeResult(
+            report=report, cached=False, latency=latency,
+            trace_id=report.trace_id,
+        )
 
-    def _note_slow(
-        self, request: _Request, report: QueryReport, latency: float
-    ) -> None:
-        """Keep a span-tree summary of a threshold-exceeding request.
-
-        Beyond the rendered tree, each entry carries the reconciled EXPLAIN
-        attrition funnel, the trace fingerprint, and its own critical-path
-        table — all JSON-shaped, so families stay joinable to query plans
-        from a STATS/ANALYZE payload without re-running anything.
-        """
+    def _note_slow(self, report: QueryReport, latency: float) -> None:
+        """Keep a threshold-exceeding request in the slow log: its
+        :func:`~repro.obs.analyze.query_entry` plus the wall-clock latency
+        and the rendered span tree; and emit it as an event."""
         root = report.root_span
-        fingerprint = trace_fingerprint(root) if root is not None else None
         entry = {
-            "query_id": request.record.seq_id,
-            "trace_id": report.trace_id,
+            **query_entry(report),
             "latency_ms": round(latency * 1e3, 3),
-            "turnaround_ms": round(report.stats.turnaround * 1e3, 3),
-            "coverage": report.coverage,
-            "degraded": report.degraded,
             "spans": root.format_tree() if root is not None else None,
-            "funnel": [stage.to_dict() for stage in build_funnel(report)],
-            "fingerprint": (
-                fingerprint.to_dict() if fingerprint is not None else None
-            ),
-            "family": (
-                fingerprint.family if fingerprint is not None else "untraced"
-            ),
-            "critical_path": (
-                critical_path_table([root]) if root is not None else []
-            ),
         }
         with self._lock:
             self._slow_log.append(entry)
@@ -538,10 +481,10 @@ class QueryService:
         self.monitor.events.emit(
             "slow_query",
             self.stats.service,
-            f"{request.record.seq_id} took {latency * 1e3:.1f} ms",
+            f"{report.query_id} took {latency * 1e3:.1f} ms",
             trace_id=report.trace_id,
-            latency_ms=round(latency * 1e3, 3),
-            turnaround_ms=round(report.stats.turnaround * 1e3, 3),
+            latency_ms=entry["latency_ms"],
+            turnaround_ms=entry["turnaround_ms"],
             degraded=report.degraded,
         )
 
@@ -587,7 +530,6 @@ class QueryService:
         out["max_pending"] = self.max_pending
         out["index_version"] = self.mendel.index_version
         out["cache"] = self.cache.snapshot() if self.cache is not None else None
-        out["batcher"] = self._batcher.stats.snapshot()
         out["slow_query_threshold"] = self.slow_query_threshold
         with self._lock:
             out["slow_queries"] = list(self._slow_log)
@@ -925,7 +867,7 @@ class QueryService:
         }
 
     def close(self) -> None:
-        """Stop admitting work, flush pending batches, release the pool."""
+        """Stop admitting work, finish admitted requests, release the pool."""
         if self._closed:
             return
         self._closed = True
@@ -935,7 +877,6 @@ class QueryService:
         self.registry.unregister_callback(self._collect_cb)
         self._balance.uninstall()
         self.monitor.uninstall()
-        self._batcher.close()
         self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "QueryService":

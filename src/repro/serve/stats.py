@@ -1,16 +1,15 @@
 """Service-level accounting: request counters and latency percentiles.
 
-Everything here measures *wall-clock service behaviour* (queueing, batching,
-cache hits), which is distinct from the *simulated* turnaround carried
+Everything here measures *wall-clock service behaviour* (queueing, shedding,
+latency), which is distinct from the *simulated* turnaround carried
 inside each :class:`~repro.core.query.QueryReport` — see DESIGN.md for how
 the clocks layer.
 
-Since the observability subsystem landed, both classes are thin views over
-:mod:`repro.obs.metrics` primitives in a shared registry: the gateway's
-request counters are children of ``repro_serve_requests_total{service,event}``
-and its latencies a child of
-``repro_serve_request_latency_seconds{service}``, so the METRICS scrape and
-the STATS snapshot read the *same* numbers.  Each service instance gets its
+:class:`ServiceStats` is a thin view over :mod:`repro.obs.metrics`
+primitives in a shared registry: the gateway's request counters are
+children of ``repro_serve_requests_total{service,event}`` and its latencies
+a child of ``repro_serve_request_latency_seconds{service}``, so the METRICS
+scrape and the STATS snapshot read the *same* numbers.  Each service instance gets its
 own ``service`` label (``svc0``, ``svc1``, ...) so several gateways in one
 process stay distinguishable while sharing the one registry.
 """
@@ -41,69 +40,6 @@ EVENTS = (
 def next_service_label() -> str:
     """A process-unique ``service`` label value (``svc0``, ``svc1``, ...)."""
     return f"svc{next(_service_ids)}"
-
-
-class LatencyTracker:
-    """Latency summary backed by one obs histogram child.
-
-    Exact count / mean / max over the whole stream; percentiles over the
-    last *reservoir* samples (recent-window percentiles are what you watch
-    on a serving dashboard anyway).  The same observations feed the
-    Prometheus buckets of ``repro_serve_request_latency_seconds``.
-
-    *reservoir* applies when this tracker creates the histogram family; a
-    family that already exists in *registry* keeps its original reservoir.
-    """
-
-    def __init__(
-        self,
-        reservoir: int = 1024,
-        registry: MetricsRegistry | None = None,
-        service: str | None = None,
-    ) -> None:
-        if reservoir < 1:
-            raise ValueError(f"reservoir must be >= 1, got {reservoir}")
-        registry = registry if registry is not None else default_registry()
-        self.service = service if service is not None else next_service_label()
-        self._hist = registry.histogram(
-            "repro_serve_request_latency_seconds",
-            "Wall-clock request latency observed at the serving gateway",
-            ("service",),
-            reservoir=reservoir,
-        ).labels(service=self.service)
-
-    def record(self, seconds: float) -> None:
-        self._hist.observe(seconds)
-
-    @property
-    def count(self) -> int:
-        return int(self._hist.count)
-
-    @property
-    def total(self) -> float:
-        return self._hist.sum
-
-    @property
-    def max(self) -> float:
-        return self._hist.max
-
-    @property
-    def mean(self) -> float:
-        return self._hist.mean
-
-    def percentile(self, p: float) -> float:
-        """The *p*-th percentile (0..100) of the recent window; 0 if empty."""
-        return self._hist.percentile(p)
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "mean_ms": round(self.mean * 1e3, 3),
-            "p50_ms": round(self.percentile(50) * 1e3, 3),
-            "p90_ms": round(self.percentile(90) * 1e3, 3),
-            "p99_ms": round(self.percentile(99) * 1e3, 3),
-            "max_ms": round(self.max * 1e3, 3),
-        }
 
 
 class ServiceStats:
@@ -139,7 +75,14 @@ class ServiceStats:
             "Requests shed by gateway admission control",
             ("service",),
         ).labels(service=self.service)
-        self.latency = LatencyTracker(registry=self.registry, service=self.service)
+        # Exact count / mean / max over the whole stream; percentiles over
+        # the last 1,024 samples (the recent window a dashboard watches).
+        self._latency = self.registry.histogram(
+            "repro_serve_request_latency_seconds",
+            "Wall-clock request latency observed at the serving gateway",
+            ("service",),
+            reservoir=1024,
+        ).labels(service=self.service)
 
     def __getattr__(self, name: str):
         events = self.__dict__.get("_events")
@@ -149,18 +92,26 @@ class ServiceStats:
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
 
-    def inc(self, name: str, by: int = 1) -> None:
-        self._events[name].inc(by)
+    def inc(self, name: str) -> None:
+        self._events[name].inc()
         if name == "shed":
-            self._rejections.inc(by)
+            self._rejections.inc()
 
     def record_latency(self, seconds: float) -> None:
         self._events["completed"].inc()
-        self.latency.record(seconds)
+        self._latency.observe(seconds)
 
     def snapshot(self) -> dict:
         out = {"uptime_s": round(self._clock() - self.started_at, 3)}
         for name in EVENTS:
             out[name] = int(self._events[name].value)
-        out["latency"] = self.latency.snapshot()
+        latency = self._latency
+        out["latency"] = {
+            "count": int(latency.count),
+            "mean_ms": round(latency.mean * 1e3, 3),
+            "p50_ms": round(latency.percentile(50) * 1e3, 3),
+            "p90_ms": round(latency.percentile(90) * 1e3, 3),
+            "p99_ms": round(latency.percentile(99) * 1e3, 3),
+            "max_ms": round(latency.max * 1e3, 3),
+        }
         return out

@@ -13,7 +13,7 @@ from repro.serve.server import BackgroundServer
 def slow_logging_service(mendel):
     """A service whose slow-query threshold catches every request."""
     svc = mendel.service(
-        max_workers=2, batch_window=0.0, cache_capacity=8,
+        max_workers=2, cache_capacity=8,
         slow_query_threshold=0.0, slow_log_size=4,
     )
     yield svc
@@ -38,25 +38,11 @@ class TestServiceTracing:
         assert second.trace_id == first.trace_id
 
     def test_tracing_can_be_disabled(self, mendel, probe_texts, serve_params):
-        with mendel.service(max_workers=2, batch_window=0.0,
-                            cache_capacity=0, tracing=False) as svc:
+        with mendel.service(max_workers=2, cache_capacity=0,
+                            tracing=False) as svc:
             result = svc.query_text(probe_texts[0], serve_params)
             assert result.trace_id is None
             assert result.report.root_span is None
-
-    def test_custom_runner_stays_untraced(self, mendel, probe_texts,
-                                          serve_params):
-        calls = []
-
-        def runner(records, params):
-            calls.append(len(records))
-            return [mendel.query(record, params) for record in records]
-
-        with mendel.service(max_workers=2, batch_window=0.0,
-                            cache_capacity=0, runner=runner) as svc:
-            result = svc.query_text(probe_texts[0], serve_params)
-            assert calls, "custom runner was not used"
-            assert result.trace_id is None
 
 
 class TestSlowQueryLog:
@@ -88,8 +74,7 @@ class TestSlowQueryLog:
 
     def test_no_threshold_means_no_log(self, mendel, probe_texts,
                                        serve_params):
-        with mendel.service(max_workers=2, batch_window=0.0,
-                            cache_capacity=0) as svc:
+        with mendel.service(max_workers=2, cache_capacity=0) as svc:
             svc.query_text(probe_texts[0], serve_params)
             assert svc.snapshot()["slow_queries"] == []
 
@@ -140,7 +125,7 @@ class TestMetricsEndpoint:
         for key in ("uptime_s", "received", "completed", "shed", "timeouts",
                     "invalid", "errors", "degraded", "partial_rejected",
                     "latency", "queue_depth", "max_pending", "index_version",
-                    "cache", "batcher"):
+                    "cache"):
             assert key in snapshot
         for key in ("count", "mean_ms", "p50_ms", "p90_ms", "p99_ms",
                     "max_ms"):

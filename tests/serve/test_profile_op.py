@@ -20,7 +20,7 @@ from repro.serve.server import BackgroundServer
 
 @pytest.fixture()
 def profiled_service(mendel):
-    svc = mendel.service(max_workers=2, batch_window=0.0, cache_capacity=0)
+    svc = mendel.service(max_workers=2, cache_capacity=0)
     yield svc
     svc.close()
 
@@ -70,8 +70,7 @@ class TestProfileVerbLocal:
             profiled_service.profile(action="resume")
 
     def test_close_stops_a_running_profiler(self, mendel):
-        svc = mendel.service(max_workers=1, batch_window=0.0,
-                             cache_capacity=0)
+        svc = mendel.service(max_workers=1, cache_capacity=0)
         svc.profile(action="start")
         sampler = svc._profiler.sampler
         svc.close()

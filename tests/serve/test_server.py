@@ -16,7 +16,7 @@ import pytest
 
 from repro import QueryParams
 from repro.serve.client import ServeClient
-from repro.serve.errors import Unavailable
+from repro.serve.errors import InvalidRequest, Unavailable
 from repro.serve.server import BackgroundServer
 
 
@@ -103,8 +103,9 @@ class TestEndToEnd:
             assert health["ok"] and health["status"] == "ok"
             stats = client.stats()
             assert stats["ok"]
-            assert {"received", "completed", "latency", "cache",
-                    "batcher"} <= set(stats["stats"])
+            assert {"received", "completed", "latency",
+                    "cache"} <= set(stats["stats"])
+            assert "batcher" not in stats["stats"]
 
     def test_cached_repeat_same_connection(self, server, probe_texts,
                                            serve_params):
@@ -130,15 +131,9 @@ class TestEndToEnd:
 
 
 class TestStructuredErrors:
-    def test_timeout_is_structured(self, mendel, probe_texts, serve_params):
-        release = threading.Event()
-
-        def stuck_runner(records, params):
-            release.wait(timeout=30)
-            return mendel.query_many(records, params)
-
-        service = mendel.service(max_workers=1, batch_window=0.0,
-                                 cache_capacity=0, runner=stuck_runner)
+    def test_timeout_is_structured(self, mendel, held_engine, probe_texts,
+                                   serve_params):
+        service = mendel.service(max_workers=1, cache_capacity=0)
         try:
             with BackgroundServer(service) as server:
                 with ServeClient(server.host, server.port, timeout=30) as c:
@@ -150,19 +145,13 @@ class TestStructuredErrors:
             assert response["error"] == "deadline_exceeded"
             assert response["id"] == "late"
         finally:
-            release.set()
+            held_engine.set()
             service.close()
 
-    def test_shed_is_structured(self, mendel, probe_texts, serve_params):
-        release = threading.Event()
-
-        def slow_runner(records, params):
-            release.wait(timeout=30)
-            return mendel.query_many(records, params)
-
-        service = mendel.service(max_workers=1, max_pending=1, max_batch=1,
-                                 batch_window=0.0, cache_capacity=0,
-                                 runner=slow_runner)
+    def test_shed_is_structured(self, mendel, held_engine, probe_texts,
+                                serve_params):
+        service = mendel.service(max_workers=1, max_pending=1,
+                                 cache_capacity=0)
         try:
             with BackgroundServer(service) as server:
                 hold = ServeClient(server.host, server.port, timeout=120)
@@ -188,13 +177,13 @@ class TestStructuredErrors:
                                    query_id="shed")
                 assert shed["ok"] is False
                 assert shed["error"] == "overloaded"
-                release.set()
+                held_engine.set()
                 t.join(timeout=60)
                 assert blocker and blocker[0]["ok"]
                 hold.close()
                 burst.close()
         finally:
-            release.set()
+            held_engine.set()
             service.close()
 
     def test_invalid_requests_are_structured(self, server):
@@ -209,6 +198,52 @@ class TestStructuredErrors:
             assert "bogus_knob" in bad_params["message"]
             bad_residues = client.query("!!!!!!!!!!")
             assert bad_residues["error"] == "invalid_request"
+
+    def test_bad_fields_fail_before_the_query_runs(self, mendel, monkeypatch,
+                                                   probe_texts):
+        """A bad ``top`` or a JSON boolean where a number belongs answers
+        ``invalid_request`` without running, caching or profiling."""
+        calls = []
+        query_many = mendel.query_many
+
+        def counted(records, params=None, trace_contexts=None):
+            calls.append(records[0].seq_id)
+            return query_many(records, params, trace_contexts=trace_contexts)
+
+        monkeypatch.setattr(mendel, "query_many", counted)
+        seq = probe_texts[0]
+        cases = [
+            ({"op": "query", "seq": seq, "top": "abc"},
+             "top must be a non-negative integer, got 'abc'"),
+            ({"op": "query", "seq": seq, "top": True},
+             "top must be a non-negative integer, got True"),
+            ({"op": "query", "seq": seq, "top": -1},
+             "top must be a non-negative integer, got -1"),
+            ({"op": "query", "seq": seq, "deadline": True},
+             "deadline must be a positive number, got True"),
+            ({"op": "query", "seq": seq, "params": {"k": True}},
+             "bad query params: k must not be a boolean, got True"),
+            ({"op": "profile", "action": "start", "hz": True},
+             "hz must be a positive number, got True"),
+        ]
+        service = mendel.service(max_workers=1)
+        try:
+            with BackgroundServer(service) as server:
+                with ServeClient(server.host, server.port, timeout=30) as c:
+                    for frame, message in cases:
+                        reply = c.request({"id": "bad", **frame})
+                        assert reply["ok"] is False, reply
+                        assert reply["error"] == "invalid_request"
+                        assert reply["message"] == message
+                        assert reply["id"] == "bad"
+                    assert c.query(seq, top=0)["alignments"] == []
+            assert calls == ["query"]
+            assert service.cache.snapshot()["size"] == 1
+            assert service.snapshot()["invalid"] == 0
+            with pytest.raises(InvalidRequest, match="no profiler"):
+                service.profile("snapshot")
+        finally:
+            service.close()
 
     def test_junk_line_is_structured(self, server):
         with socket.create_connection((server.host, server.port),

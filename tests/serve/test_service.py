@@ -38,16 +38,18 @@ class TestResults:
 
     def test_concurrent_submits_all_resolve(self, service, mendel,
                                             probe_texts):
-        """Six cold requests overlapping on the 4-worker pool, an EXPLAIN
+        """Twelve cold requests overlapping on the 4-worker pool, an EXPLAIN
         beside them: each served report carries the figures the same query
         reads when run directly and alone."""
-        # One params object per request (and none another test in this
-        # module uses, so each is cold): same-params requests coalesce into
-        # one batch, which a single worker answers one query after another.
+        # Six with one params object each, six sharing one: every request
+        # is its own engine call on whichever worker is free, same params
+        # or not.  No other test in this module uses these params, so each
+        # request is cold.
+        shared = QueryParams(k=4, n=5, i=0.65, c=0.4, E=9.0)
         requests = [
             (text, QueryParams(k=4, n=5, i=0.65, c=0.4, E=10.0 + i), f"q{i}")
             for i, text in enumerate(probe_texts)
-        ]
+        ] + [(text, shared, f"s{i}") for i, text in enumerate(probe_texts)]
         direct = [mendel.query_text(*request).stats for request in requests]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
@@ -62,6 +64,36 @@ class TestResults:
         assert not any(result.cached for result in served)
         assert [result.report.stats for result in served] == direct
         assert explained.result().report.stats == direct[0]
+
+    def test_engine_calls_take_turns(self, mendel, monkeypatch, probe_texts,
+                                     serve_params):
+        """Four workers, six requests: never two engine calls at once."""
+        guard = threading.Lock()
+        running = [0]
+        peak = [0]
+        query_many = mendel.query_many
+
+        def tracked(records, params=None, trace_contexts=None):
+            with guard:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            try:
+                time.sleep(0.01)
+                return query_many(records, params,
+                                  trace_contexts=trace_contexts)
+            finally:
+                with guard:
+                    running[0] -= 1
+
+        monkeypatch.setattr(mendel, "query_many", tracked)
+        with mendel.service(max_workers=4, cache_capacity=0) as service:
+            futures = [
+                service.submit_text(text, serve_params, f"t{i}")
+                for i, text in enumerate(probe_texts)
+            ]
+            for future in futures:
+                assert future.result(timeout=60).report is not None
+        assert peak[0] == 1
 
 
 class TestCaching:
@@ -86,7 +118,7 @@ class TestCaching:
         )
         extra = random_set(count=2, length=120, alphabet=PROTEIN, rng=6,
                            id_prefix="new")
-        with mendel.service(max_workers=2, batch_window=0.0) as service:
+        with mendel.service(max_workers=2) as service:
             text = db.records[0].text[:50]
             service.query_text(text)
             assert service.query_text(text).cached
@@ -99,24 +131,16 @@ class TestCaching:
             assert service.cache.stats.invalidations == 1
 
     def test_cache_disabled(self, mendel, probe_texts, serve_params):
-        with mendel.service(max_workers=1, cache_capacity=0,
-                            batch_window=0.0) as service:
+        with mendel.service(max_workers=1, cache_capacity=0) as service:
             service.query_text(probe_texts[0], serve_params)
             assert not service.query_text(probe_texts[0], serve_params).cached
 
 
 class TestAdmission:
-    def test_load_shedding_when_queue_full(self, mendel, probe_texts,
-                                           serve_params):
-        release = threading.Event()
-
-        def slow_runner(records, params):
-            release.wait(timeout=30)
-            return mendel.query_many(records, params)
-
+    def test_load_shedding_when_queue_full(self, mendel, held_engine,
+                                           probe_texts, serve_params):
         with mendel.service(
-            max_workers=1, max_pending=2, batch_window=0.0, max_batch=1,
-            cache_capacity=0, runner=slow_runner,
+            max_workers=1, max_pending=2, cache_capacity=0,
         ) as service:
             admitted = [
                 service.submit_text(probe_texts[i], serve_params, f"a{i}")
@@ -126,7 +150,7 @@ class TestAdmission:
             with pytest.raises(Overloaded, match="admission queue full"):
                 shed.result(timeout=5)
             assert service.stats.shed == 1
-            release.set()
+            held_engine.set()
             for future in admitted:
                 assert future.result(timeout=60).report is not None
             assert service.stats.completed == 2
@@ -142,31 +166,29 @@ class TestAdmission:
 
 class TestDeadlines:
     def test_expired_in_queue_returns_structured_timeout(self, mendel,
+                                                         held_engine,
                                                          probe_texts,
                                                          serve_params):
-        # Window far longer than the deadline: the request always expires
-        # before the batch executes.
-        with mendel.service(max_workers=1, batch_window=0.2,
-                            cache_capacity=0) as service:
+        # One worker, held by the first request: the second waits in the
+        # pool's queue past its deadline and expires before it executes.
+        with mendel.service(max_workers=1, cache_capacity=0) as service:
+            first = service.submit_text(probe_texts[0], serve_params)
             future = service.submit_text(
-                probe_texts[0], serve_params, deadline=0.01
+                probe_texts[1], serve_params, deadline=0.01
             )
+            time.sleep(0.05)
+            held_engine.set()
             with pytest.raises(DeadlineExceeded, match="deadline expired"):
                 future.result(timeout=10)
+            assert first.result(timeout=60).report is not None
             assert service.stats.timeouts == 1
 
-    def test_sync_wait_timeout(self, mendel, probe_texts, serve_params):
-        release = threading.Event()
-
-        def stuck_runner(records, params):
-            release.wait(timeout=30)
-            return mendel.query_many(records, params)
-
-        with mendel.service(max_workers=1, batch_window=0.0,
-                            cache_capacity=0, runner=stuck_runner) as service:
+    def test_sync_wait_timeout(self, mendel, held_engine, probe_texts,
+                               serve_params):
+        with mendel.service(max_workers=1, cache_capacity=0) as service:
             with pytest.raises(DeadlineExceeded):
                 service.query_text(probe_texts[0], serve_params, deadline=0.05)
-            release.set()
+            held_engine.set()
 
 
 class TestValidation:
@@ -181,13 +203,13 @@ class TestValidation:
         with pytest.raises(InvalidRequest, match="shorter than"):
             future.result(timeout=5)
 
-    def test_runner_failure_is_contained(self, mendel, probe_texts,
-                                         serve_params):
-        def broken_runner(records, params):
+    def test_runner_failure_is_contained(self, mendel, monkeypatch,
+                                         probe_texts, serve_params):
+        def broken(records, params=None, trace_contexts=None):
             raise RuntimeError("cluster on fire")
 
-        with mendel.service(max_workers=1, batch_window=0.0,
-                            cache_capacity=0, runner=broken_runner) as service:
+        monkeypatch.setattr(mendel, "query_many", broken)
+        with mendel.service(max_workers=1, cache_capacity=0) as service:
             future = service.submit_text(probe_texts[0], serve_params)
             with pytest.raises(RuntimeError, match="cluster on fire"):
                 future.result(timeout=10)
@@ -204,6 +226,17 @@ class TestLifecycleAndStats:
         with pytest.raises(ServiceClosed):
             future.result(timeout=5)
 
+    def test_submit_racing_close_releases_its_slot(self, mendel, probe_texts,
+                                                   serve_params):
+        service = mendel.service(max_workers=1, cache_capacity=0)
+        # close() has shut the pool down but not yet flagged the service.
+        service._pool.shutdown()
+        future = service.submit_text(probe_texts[0], serve_params)
+        with pytest.raises(ServiceClosed):
+            future.result(timeout=5)
+        assert service.queue_depth == 0
+        service.close()
+
     def test_snapshot_shape(self, service, probe_texts, serve_params):
         service.query_text(probe_texts[4], serve_params)
         snap = service.snapshot()
@@ -211,7 +244,7 @@ class TestLifecycleAndStats:
         assert snap["completed"] >= 1
         assert snap["max_pending"] == 64
         assert "hit_rate" in snap["cache"]
-        assert "batches" in snap["batcher"]
+        assert "batcher" not in snap
         assert snap["latency"]["count"] >= 1
         assert snap["latency"]["p50_ms"] >= 0
 

@@ -237,11 +237,9 @@ FLAGS = {
     "serve": {
         "archive": ((), None, None, None, None, True),
         "autoscale": (("--autoscale",), False, None, None, 0, False),
-        "batch_window": (("--batch-window",), 0.002, None, float, None, False),
         "cache_size": (("--cache-size",), 1024, None, int, None, False),
         "cache_ttl": (("--cache-ttl",), None, None, float, None, False),
         "host": (("--host",), "127.0.0.1", None, None, None, False),
-        "max_batch": (("--max-batch",), 8, None, int, None, False),
         "max_pending": (("--max-pending",), 64, None, int, None, False),
         "no_tracing": (("--no-tracing",), False, None, None, 0, False),
         "port": (("--port",), 7766, None, int, None, False),
@@ -434,7 +432,7 @@ class TestServeAndCall:
     def gateway(self, mendel):
         from repro.serve.server import BackgroundServer
 
-        service = mendel.service(max_workers=2, batch_window=0.0)
+        service = mendel.service(max_workers=2)
         with BackgroundServer(service) as server:
             yield server
         service.close()

@@ -70,7 +70,7 @@ class TestWatchGateway:
     def gateway(self, mendel):
         from repro.serve.server import BackgroundServer
 
-        service = mendel.service(max_workers=2, batch_window=0.0)
+        service = mendel.service(max_workers=2)
         with BackgroundServer(service) as server:
             yield server
         service.close()
