@@ -4,15 +4,16 @@ Run with::
 
     python examples/serving.py
 
-Starts an in-process gateway (asyncio TCP server over a thread-pool
-:class:`~repro.serve.service.QueryService`) in front of a small Mendel
-deployment, then drives three workloads:
+Starts an in-process gateway (asyncio TCP server over a
+:class:`~repro.serve.service.QueryService`, whose one engine worker runs
+every query) in front of a small Mendel deployment, then drives four
+workloads:
 
 1. **cold sweep** — every client asks distinct questions (pure misses);
 2. **cache-hot repeat** — clients hammer a small shared hot set, so most
    requests short-circuit in the result cache;
-3. **overload burst** — a second, deliberately tiny service (one worker,
-   admission bound 4) is hit by a wide burst; excess requests are *shed*
+3. **overload burst** — a second, deliberately tiny service (admission
+   bound 4) is hit by a wide burst; excess requests are *shed*
    with structured ``overloaded`` errors instead of queueing unboundedly;
 4. **node failure mid-run** — a storage node is killed while the gateway
    keeps serving: queries come back *degraded* (``coverage < 1``) rather
@@ -82,7 +83,7 @@ def main() -> None:
           f"{mendel.node_count} simulated nodes")
 
     # -- phases 1+2: a comfortably provisioned gateway -----------------------
-    service = mendel.service(max_workers=4, max_pending=64)
+    service = mendel.service(max_pending=64)
     with BackgroundServer(service) as server:
         print(f"gateway listening on {server.host}:{server.port}\n")
 
@@ -99,7 +100,7 @@ def main() -> None:
                                          for j in range(4)])
         summarise("cache-hot", hot, time.perf_counter() - start)
 
-        stats = ServeClient(server.host, server.port).stats()["stats"]
+        stats = ServeClient(server.host, server.port).call("stats")["stats"]
         print(f"\n  gateway stats: cache hit-rate "
               f"{stats['cache']['hit_rate']:.0%}, "
               f"p50 {stats['latency']['p50_ms']:.1f} ms / "
@@ -107,7 +108,7 @@ def main() -> None:
     service.close()
 
     # -- phase 3: a starved gateway under a burst ----------------------------
-    tiny = mendel.service(max_workers=1, max_pending=4, cache_capacity=0)
+    tiny = mendel.service(max_pending=4, cache_capacity=0)
     with BackgroundServer(tiny) as server:
         burst_texts = [record.text[:64] for record in database.records[16:]]
         start = time.perf_counter()
@@ -116,19 +117,19 @@ def main() -> None:
         summarise("overload", burst, time.perf_counter() - start)
         shed = tiny.snapshot()["shed"]
         print(f"\n  starved gateway shed {shed} of {len(burst)} requests "
-              f"(admission bound 4, one worker) — structured errors, no "
+              f"(admission bound 4) — structured errors, no "
               f"queue collapse")
     tiny.close()
 
     # -- phase 4: node failure mid-run — shed vs degraded accounting ---------
-    faulty = mendel.service(max_workers=2, max_pending=32, cache_capacity=0)
+    faulty = mendel.service(max_pending=32, cache_capacity=0)
     with BackgroundServer(faulty) as server:
         probe_texts = [record.text[:64] for record in database.records[:8]]
         with ServeClient(server.host, server.port, timeout=120) as client:
             victim = mendel.index.topology.groups[0].nodes[0]
             mendel.fail_node(victim.node_id)
             print(f"\n  killed {victim.node_id} mid-run; gateway health: "
-                  f"{client.health()['status']}")
+                  f"{client.call('health')['status']}")
 
             served_degraded = rejected = complete = 0
             start = time.perf_counter()
@@ -160,7 +161,7 @@ def main() -> None:
             mendel.recover_node(victim.node_id)
             after = client.query(probe_texts[1], params=PARAMS, query_id="post")
             print(f"  recovered {victim.node_id}; health: "
-                  f"{client.health()['status']}, "
+                  f"{client.call('health')['status']}, "
                   f"coverage {after['coverage']:.2f}")
             assert served_degraded + rejected > 0, (
                 "expected degraded answers while a node was down"

@@ -8,11 +8,10 @@ must be translated in all six reading frames and each frame searched.
 This example synthesises a protein reference, back-translates one protein
 into a DNA "gene", flips it onto the reverse strand, queries with
 ``Mendel.query_translated``, prints the traced distributed dataflow for one
-frame, and renders the final alignment BLAST-style.
+frame, and lists the local alignments the search returned.
 """
 
 from repro import Mendel, MendelConfig, QueryParams
-from repro.align import format_pairwise, needleman_wunsch
 from repro.obs.trace import TraceContext
 from repro.seq import (
     DNA,
@@ -23,7 +22,6 @@ from repro.seq import (
     reverse_complement,
 )
 from repro.seq.generate import random_protein
-from repro.seq.matrices import BLOSUM62
 from repro.util.rng import as_generator
 
 
@@ -79,15 +77,10 @@ def main() -> None:
     print("distributed dataflow of the winning frame:")
     print(traced.root_span.format_tree())
 
-    # Render the alignment BLAST-style (global alignment of the spans).
-    q_span = winning.codes[best.query_start : best.query_end]
-    s_span = target.codes[best.subject_start : best.subject_end]
-    rendered = needleman_wunsch(
-        q_span, s_span, BLOSUM62.astype(float),
-        alphabet_letters=PROTEIN.letters,
-    )
-    print(f"\nalignment (identity {rendered.identity:.0%}):")
-    print(format_pairwise(rendered, query_label=frame, subject_label="Sbjct"))
+    # The local alignments the search returned, across all six frames.
+    print(f"\n{len(report.alignments)} local alignments:")
+    for alignment in report.alignments[:5]:
+        print(f"  {alignment.brief()}")
     print("\nOK")
 
 

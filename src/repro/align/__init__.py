@@ -7,7 +7,6 @@ from repro.align.gapped import (
     banded_extend,
     diagonal_identity,
 )
-from repro.align.global_align import format_pairwise, needleman_wunsch
 from repro.align.result import Alignment, Anchor
 from repro.align.smith_waterman import (
     LocalAlignmentResult,
@@ -25,8 +24,6 @@ __all__ = [
     "GappedExtension",
     "banded_extend",
     "diagonal_identity",
-    "format_pairwise",
-    "needleman_wunsch",
     "Alignment",
     "Anchor",
     "LocalAlignmentResult",

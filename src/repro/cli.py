@@ -19,8 +19,8 @@ one prelude, :func:`_open_search`: load the archive, read the query FASTA,
 take the paper's Table I parameters, and reject a record the command cannot
 run as a usage error (exit 2).  The scenario commands (``chaos``, ``watch``,
 ``autoscale``, ``recover``, ``scrub``, ``tier``) build their own seeded
-deployment and run through one table, :data:`_SCENARIOS`; ``call`` speaks
-the gateway's JSON-lines protocol through another, :data:`_CALLS`.
+deployment and run through one table, :data:`_SCENARIOS`; ``call`` builds
+its frames from the gateway's op table, :data:`repro.serve.protocol.OPS`.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.scale.scenario import run_diurnal_scenario, run_flash_crowd_scenario
 from repro.scenario import SWEEP_PARAMS, Outcome, sweep_queries
 from repro.seq.fasta import read_fasta
 from repro.seq.records import SequenceSet
+from repro.serve.protocol import OPS
 from repro.store.scenario import run_durability_scenario, run_scrub_scenario
 from repro.tier.scenario import run_tier_scenario
 
@@ -201,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="serve a saved deployment over TCP",
         parents=[_archive_group(), _gateway_group(client=False)])
-    serve.add_argument("--workers", type=int, default=4,
-                       help="query execution threads")
     serve.add_argument("--max-pending", type=int, default=64,
                        help="admission bound before load shedding")
     serve.add_argument("--cache-size", type=int, default=1024,
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     call = sub.add_parser("call", help="call a running gateway",
                           parents=[_gateway_group()])
-    call.add_argument("op", choices=tuple(_CALLS))
+    call.add_argument("op", choices=tuple(OPS))
     call.add_argument("--seq", default=None,
                       help="query residues (op=query)")
     call.add_argument("--fasta", default=None,
@@ -636,7 +635,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     index = load_index(args.archive)
     mendel = Mendel(index=index, engine=QueryEngine(index))
     service = mendel.service(
-        max_workers=args.workers,
         max_pending=args.max_pending,
         cache_capacity=args.cache_size,
         cache_ttl=args.cache_ttl,
@@ -653,7 +651,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         print(
             f"serving {len(index.database)} sequences "
             f"({len(index.store)} blocks) on {server.host}:{server.port} "
-            f"[workers={args.workers} max_pending={args.max_pending} "
+            f"[max_pending={args.max_pending} "
             f"cache={args.cache_size}]",
             file=out,
             flush=True,
@@ -687,32 +685,23 @@ def _cmd_explain(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _query_replies(client, args: argparse.Namespace):
-    """op=query: one request for ``--seq``, or one per ``--fasta`` record."""
-    if args.seq is not None:
-        requests = [("query", args.seq)]
+def _call_frames(args: argparse.Namespace):
+    """The frames ``repro call`` sends: the op's fields from the flags of
+    the same name, unset ones left out.  An op with a ``seq`` field sends
+    one frame for ``--seq`` (its id the op's name) or one per ``--fasta``
+    record (its id the record's)."""
+    flags = {**vars(args), "heal": not args.no_heal}
+    fields = {name: flags[name] for name in OPS[args.op]
+              if flags.get(name) is not None}
+    if "seq" not in OPS[args.op]:
+        yield fields
+    elif args.seq is not None:
+        yield {"id": args.op, **fields}
     else:
-        requests = [(record.seq_id, record.text)
-                    for record in read_fasta(args.fasta, args.alphabet)]
-    for query_id, seq in requests:
-        yield client.query(seq, query_id=query_id, deadline=args.deadline,
-                           top=args.top)
+        for record in read_fasta(args.fasta, args.alphabet):
+            yield {"id": record.seq_id, **fields, "seq": record.text}
 
 
-#: ``repro call`` ops -> the replies their client calls return
-_CALLS: dict[str, Callable] = {
-    "query": _query_replies,
-    "explain": lambda client, a: [client.explain(a.seq)],
-    "stats": lambda client, a: [client.stats()],
-    "health": lambda client, a: [client.health()],
-    "metrics": lambda client, a: [client.metrics()],
-    "alerts": lambda client, a: [client.alerts()],
-    "scale": lambda client, a: [client.scale()],
-    "scrub": lambda client, a: [client.scrub(heal=not a.no_heal)],
-    "recover": lambda client, a: [client.recover(node=a.node)],
-    "analyze": lambda client, a: [client.analyze()],
-    "profile": lambda client, a: [client.profile(action=a.action, hz=a.hz)],
-}
 #: the ops whose successful reply prints as text: op -> (field, line end);
 #: every other reply, and a failed one, prints as JSON
 _TEXT_REPLIES = {"explain": ("rendered", "\n"), "metrics": ("metrics", "")}
@@ -722,17 +711,16 @@ def _cmd_call(args: argparse.Namespace, out) -> int:
     from repro.serve.client import ServeClient
     from repro.serve.errors import ServeError
 
-    if args.op == "query" and (args.seq is None) == (args.fasta is None):
-        print("op=query needs exactly one of --seq / --fasta", file=sys.stderr)
-        return 2
-    if args.op == "explain" and args.seq is None:
-        print("op=explain needs --seq", file=sys.stderr)
+    if "seq" in OPS[args.op] and (args.seq is None) == (args.fasta is None):
+        print(f"op={args.op} needs exactly one of --seq / --fasta",
+              file=sys.stderr)
         return 2
     client = ServeClient(args.host, args.port, timeout=args.timeout,
                          retries=args.retries)
     ok = True
     try:
-        for reply in _CALLS[args.op](client, args):
+        for frame in _call_frames(args):
+            reply = client.call(args.op, **frame)
             if args.op in _TEXT_REPLIES and reply.get("ok"):
                 field, end = _TEXT_REPLIES[args.op]
                 print(reply.get(field, ""), file=out, end=end)
@@ -756,7 +744,7 @@ def _watch_gateway(args: argparse.Namespace, out) -> int:
     client = ServeClient(args.host, args.port, timeout=args.timeout)
     try:
         while True:
-            response = client.alerts()
+            response = client.call("alerts")
             if not response.get("ok"):
                 _print_json(response, out)
                 return 1
@@ -962,7 +950,7 @@ def _cmd_analyze(args: argparse.Namespace, out) -> int:
     from repro.obs.analyze import (
         cluster_slow_queries,
         critical_path_table,
-        trace_fingerprint,
+        query_entry,
     )
     from repro.obs.trace import TraceContext
 
@@ -971,24 +959,13 @@ def _cmd_analyze(args: argparse.Namespace, out) -> int:
     for number, record in enumerate(records):
         ctx = TraceContext(trace_id=f"analyze-q{number:03d}")
         report = mendel.query(record, params, trace_ctx=ctx)
-        root = report.root_span
-        roots.append(root)
-        fingerprint = trace_fingerprint(root)
-        steps = critical_path_table([root])
-        self_total = math.fsum(row["self_ms"] for row in steps)
-        turnaround_ms = report.stats.turnaround * 1e3
+        roots.append(report.root_span)
+        entry = query_entry(report)
+        self_total = math.fsum(row["self_ms"] for row in entry["critical_path"])
         tiling_ok = tiling_ok and math.isclose(
-            self_total, turnaround_ms, rel_tol=1e-9, abs_tol=1e-9)
-        entries.append({
-            "query_id": report.query_id,
-            "trace_id": report.trace_id,
-            "turnaround_ms": round(turnaround_ms, 3),
-            "coverage": report.coverage,
-            "degraded": report.degraded,
-            "fingerprint": fingerprint.to_dict(),
-            "family": fingerprint.family,
-            "critical_path": steps,
-        })
+            self_total, report.stats.turnaround * 1e3,
+            rel_tol=1e-9, abs_tol=1e-9)
+        entries.append(entry)
     families = cluster_slow_queries(entries)
     critical = critical_path_table(roots)
     if args.as_json:

@@ -3,11 +3,15 @@
 The layers, bottom-up:
 
 * :mod:`~repro.serve.cache` — LRU + TTL result cache with canonical keys;
-* :mod:`~repro.serve.service` — the thread-pool :class:`QueryService`:
-  bounded admission (load shedding), per-request deadlines, and one
-  engine call per admitted request on a pool worker;
+* :mod:`~repro.serve.service` — :class:`QueryService`: bounded admission
+  (load shedding), per-request deadlines, and one engine worker that runs
+  every index-touching call (QUERY, EXPLAIN, SCRUB, RECOVER) one at a time
+  in arrival order;
+* :mod:`~repro.serve.protocol` — the wire format and :data:`OPS`, the one
+  declaration of each op's fields that every request is checked against;
 * :mod:`~repro.serve.server` / :mod:`~repro.serve.client` — an asyncio TCP
-  JSON-lines front end and a retrying blocking client;
+  JSON-lines front end and a retrying blocking client
+  (``client.query(...)``, ``client.call(op, **fields)``);
 * :mod:`~repro.serve.stats` — wall-clock request counters and latency
   percentiles surfaced through the STATS op.
 
@@ -15,10 +19,11 @@ Quick start::
 
     from repro.serve import QueryService, BackgroundServer, ServeClient
 
-    service = mendel.service(max_workers=4, max_pending=64)
+    service = mendel.service(max_pending=64)
     with BackgroundServer(service) as server:
         with ServeClient(server.host, server.port) as client:
             print(client.query("MKV...", deadline=2.0))
+            print(client.call("health")["status"])
 """
 
 from repro.serve.cache import MISS, CacheStats, ResultCache

@@ -161,69 +161,12 @@ class ServeClient:
             message["trace"] = True
         return self.request(message)
 
-    def explain(
-        self,
-        seq: str,
-        params: QueryParams | dict | None = None,
-        query_id: str = "explain",
-    ) -> dict:
-        """EXPLAIN op; ``response["plan"]`` is the structured query plan and
-        ``response["rendered"]`` its human-readable funnel rendering."""
-        if isinstance(params, QueryParams):
-            params = dataclasses.asdict(params)
-        message: dict = {"op": "explain", "id": query_id, "seq": seq}
-        if params:
-            message["params"] = params
-        return self.request(message)
-
-    def stats(self) -> dict:
-        return self.request({"op": "stats"})
-
-    def health(self) -> dict:
-        return self.request({"op": "health"})
-
-    def metrics(self) -> dict:
-        """METRICS op; ``response["metrics"]`` is Prometheus text."""
-        return self.request({"op": "metrics"})
-
-    def alerts(self) -> dict:
-        """ALERTS op; the gateway monitor's full frame — SLI windows,
-        alert states with correlated causes, transitions, event tail."""
-        return self.request({"op": "alerts"})
-
-    def analyze(self) -> dict:
-        """ANALYZE op; trace analytics over the gateway's slow-query log —
-        span-shape families with exemplar trace ids plus the merged
-        critical-path table."""
-        return self.request({"op": "analyze"})
-
-    def scrub(self, heal: bool = True) -> dict:
-        """SCRUB op; one anti-entropy pass over every replica copy.
-        ``heal=False`` audits (detects) without quarantining heals."""
-        return self.request({"op": "scrub", "heal": heal})
-
-    def recover(self, node: str | None = None) -> dict:
-        """RECOVER op; restart *node* (or every dead node when ``None``)
-        from durable state and return the per-node replay reports."""
-        message: dict = {"op": "recover"}
-        if node is not None:
-            message["node"] = node
-        return self.request(message)
-
-    def profile(self, action: str = "snapshot", hz: float | None = None) -> dict:
-        """PROFILE op; start/snapshot/stop the gateway's continuous
-        profiler.  ``response["profile"]`` carries the sampling aggregate
-        (stage shares, top functions, self-measured overhead) and the
-        deterministic cost profile."""
-        message: dict = {"op": "profile", "action": action}
-        if hz is not None:
-            message["hz"] = hz
-        return self.request(message)
-
-    def scale(self) -> dict:
-        """SCALE op; the gateway autoscaler's status frame (or
-        ``enabled: false``).  Reading it ticks the lazy control loop."""
-        return self.request({"op": "scale"})
+    def call(self, op: str, **fields) -> dict:
+        """Any op of :data:`~repro.serve.protocol.OPS`: one request frame
+        ``{"op": op, **fields}``, sent as given; returns the raw response
+        dict (check ``ok``).  ``client.call("scrub", heal=False)``,
+        ``client.call("explain", id="x1", seq="MKV...")``."""
+        return self.request({"op": op, **fields})
 
     def __enter__(self) -> "ServeClient":
         self.connect()

@@ -12,10 +12,15 @@ Requests::
     {"op": "metrics"}
     {"op": "alerts"}
     {"op": "scale"}
-    {"op": "profile", "action": "start", "hz": 67}
-    {"op": "analyze"}
     {"op": "scrub", "heal": true}
     {"op": "recover", "node": "n003"}
+    {"op": "analyze"}
+    {"op": "profile", "action": "start", "hz": 67}
+
+Each op's fields are declared once, in :data:`OPS`: their defaults, their
+checks and the order they are checked in.  :func:`parse_request` is the
+only request validator; ``repro call`` builds its frames from the same
+table.
 
 Responses::
 
@@ -74,6 +79,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from typing import Callable
 
 from repro.align.result import Alignment
 from repro.core.params import QueryParams
@@ -104,8 +111,13 @@ def decode_line(line: bytes) -> dict:
     return message
 
 
-def params_from_dict(raw: dict | None) -> QueryParams:
-    """Build :class:`QueryParams` from wire knobs, validating strictly."""
+# -- request fields --------------------------------------------------------------
+# A check takes a field's name and wire value and returns what the op's
+# handler receives, or raises the field's ``invalid_request``.
+
+
+def _params(_name: str, raw: dict | None) -> QueryParams:
+    """:class:`QueryParams` from wire knobs, validated strictly."""
     if raw is None:
         return QueryParams()
     if not isinstance(raw, dict):
@@ -128,6 +140,89 @@ def params_from_dict(raw: dict | None) -> QueryParams:
         return QueryParams(**raw)
     except (TypeError, ValueError) as exc:
         raise InvalidRequest(f"bad query params: {exc}") from None
+
+
+def _sequence(op: str) -> Callable:
+    def check(_name: str, value):
+        if not isinstance(value, str) or not value:
+            raise InvalidRequest(f"{op} needs a non-empty string 'seq'")
+        return value
+
+    return check
+
+
+def _must_be(expected: str, ok: Callable[[object], bool]) -> Callable:
+    """The check that passes what *ok* accepts and otherwise answers
+    ``"<field> must be <expected>, got <value>"``."""
+
+    def check(name: str, value):
+        if not ok(value):
+            raise InvalidRequest(f"{name} must be {expected}, got {value!r}")
+        return value
+
+    return check
+
+
+def _number(value) -> bool:
+    # A JSON boolean is not a number, though Python reads ``true`` as 1.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_BOOLEAN = _must_be("a boolean", lambda value: isinstance(value, bool))
+_STRING = _must_be("a string", lambda value: isinstance(value, str))
+_STRING_OR_NULL = _must_be(
+    "a string", lambda value: value is None or isinstance(value, str)
+)
+_POSITIVE_OR_NULL = _must_be(
+    "a positive number",
+    lambda value: value is None or (_number(value) and 0 < value < math.inf),
+)
+_COUNT_OR_NULL = _must_be(
+    "a non-negative integer",
+    lambda value: value is None
+    or (_number(value) and isinstance(value, int) and value >= 0),
+)
+
+#: op -> its fields in the order they are checked: name -> (default, check).
+#: A field the request leaves out is checked at its default; the first
+#: check that fails is the request's ``invalid_request`` reply.
+OPS: dict[str, dict[str, tuple[object, Callable]]] = {
+    "query": {
+        "seq": (None, _sequence("query")),
+        "params": (None, _params),
+        "deadline": (None, _POSITIVE_OR_NULL),
+        "top": (None, _COUNT_OR_NULL),
+        "allow_partial": (True, _BOOLEAN),
+        "trace": (False, _BOOLEAN),
+    },
+    "explain": {"seq": (None, _sequence("explain")), "params": (None, _params)},
+    "stats": {},
+    "health": {},
+    "metrics": {},
+    "alerts": {},
+    "scale": {},
+    "scrub": {"heal": (True, _BOOLEAN)},
+    "recover": {"node": (None, _STRING_OR_NULL)},
+    "analyze": {},
+    "profile": {"action": ("snapshot", _STRING), "hz": (None, _POSITIVE_OR_NULL)},
+}
+
+
+def parse_request(message: dict) -> tuple[str, dict]:
+    """The op a decoded request names and its checked fields, defaults
+    filled in; raises :class:`InvalidRequest` for an unknown op or for the
+    first field, in :data:`OPS` order, that fails its check."""
+    op = message.get("op")
+    fields = OPS.get(op) if isinstance(op, str) else None
+    if fields is None:
+        raise InvalidRequest(f"unknown op {op!r}")
+    return op, {
+        name: check(name, message.get(name, default))
+        for name, (default, check) in fields.items()
+    }
+
+
+# -- responses -------------------------------------------------------------------
 
 
 def alignment_to_dict(alignment: Alignment) -> dict:

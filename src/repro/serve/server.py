@@ -1,10 +1,13 @@
 """Asyncio TCP front end: JSON-lines requests bridged into the service.
 
 :class:`QueryServer` accepts connections on an event loop and keeps every
-connection handler non-blocking: QUERY work is submitted to the
-:class:`~repro.serve.service.QueryService` thread pool and awaited through
-``asyncio.wrap_future``, so slow searches never stall other connections —
-the event loop only shuttles lines and futures.
+connection handler non-blocking.  Each line is checked against the op table
+by :func:`~repro.serve.protocol.parse_request` and handed to its op's
+handler.  QUERY, EXPLAIN, SCRUB and RECOVER touch the index: they run on the
+:class:`~repro.serve.service.QueryService`'s one engine worker, one at a
+time in arrival order, and are awaited through ``asyncio.wrap_future``, so
+slow searches never stall other connections.  The read verbs (STATS,
+HEALTH, METRICS, ALERTS, SCALE, ANALYZE, PROFILE) answer on the event loop.
 
 For synchronous callers (tests, examples, the CLI client side) ,
 :class:`BackgroundServer` runs the whole loop on a daemon thread and exposes
@@ -14,7 +17,7 @@ the bound address once the socket is listening.
 from __future__ import annotations
 
 import asyncio
-import math
+import inspect
 import threading
 
 from repro.serve.errors import DeadlineExceeded, InvalidRequest, ServeError
@@ -22,7 +25,7 @@ from repro.serve.protocol import (
     MAX_LINE_BYTES,
     decode_line,
     encode,
-    params_from_dict,
+    parse_request,
     report_to_dict,
 )
 from repro.serve.service import QueryService
@@ -46,6 +49,26 @@ class QueryServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
+        #: op -> handler(request_id, **checked fields) -> the reply body, or
+        #: an awaitable of it for the ops that run on the engine worker
+        self._handlers = {
+            "query": self._query,
+            "explain": self._explain,
+            "stats": lambda _id: {"stats": service.snapshot()},
+            "health": lambda _id: service.health(),
+            "metrics": lambda _id: {
+                "content_type": "text/plain; version=0.0.4",
+                "metrics": service.metrics_text(),
+            },
+            "alerts": lambda _id: service.alerts(),
+            "scale": lambda _id: service.scale_status(),
+            "scrub": lambda _id, heal: self._on_engine(service.scrub, heal=heal),
+            "recover": self._recover,
+            "analyze": lambda _id: service.analyze(),
+            "profile": lambda _id, action, hz: {
+                "profile": service.profile(action=action, hz=hz)
+            },
+        }
 
     async def start(self) -> None:
         """Bind and start accepting; ``self.port`` is the real bound port."""
@@ -112,38 +135,11 @@ class QueryServer:
         try:
             message = decode_line(line)
             request_id = message.get("id")
-            op = message.get("op")
-            if op == "query":
-                return await self._op_query(message, request_id)
-            if op == "explain":
-                return await self._op_explain(message, request_id)
-            if op == "stats":
-                return {"id": request_id, "ok": True, "stats": self.service.snapshot()}
-            if op == "health":
-                return {"id": request_id, "ok": True, **self.service.health()}
-            if op == "alerts":
-                return {"id": request_id, "ok": True, **self.service.alerts()}
-            if op == "analyze":
-                return {"id": request_id, "ok": True, **self.service.analyze()}
-            if op == "scale":
-                return {
-                    "id": request_id, "ok": True,
-                    **self.service.scale_status(),
-                }
-            if op == "profile":
-                return self._op_profile(message, request_id)
-            if op == "scrub":
-                return await self._op_scrub(message, request_id)
-            if op == "recover":
-                return await self._op_recover(message, request_id)
-            if op == "metrics":
-                return {
-                    "id": request_id,
-                    "ok": True,
-                    "content_type": "text/plain; version=0.0.4",
-                    "metrics": self.service.metrics_text(),
-                }
-            raise InvalidRequest(f"unknown op {op!r}")
+            op, fields = parse_request(message)
+            body = self._handlers[op](request_id, **fields)
+            if inspect.isawaitable(body):
+                body = await body
+            return {"id": request_id, "ok": True, **body}
         except ServeError as exc:
             return {"id": request_id, "ok": False, **exc.to_dict()}
         except Exception as exc:  # never crash a connection on a bad request
@@ -154,29 +150,13 @@ class QueryServer:
                 "message": f"{type(exc).__name__}: {exc}",
             }
 
-    async def _op_query(self, message: dict, request_id) -> dict:
-        seq = message.get("seq")
-        if not isinstance(seq, str) or not seq:
-            raise InvalidRequest("query needs a non-empty string 'seq'")
-        params = params_from_dict(message.get("params"))
-        deadline = _positive_number(message, "deadline")
-        top = message.get("top")
-        if top is not None and (
-            isinstance(top, bool) or not isinstance(top, int) or top < 0
-        ):
-            raise InvalidRequest(
-                f"top must be a non-negative integer, got {top!r}"
-            )
-        allow_partial = message.get("allow_partial", True)
-        if not isinstance(allow_partial, bool):
-            raise InvalidRequest(
-                f"allow_partial must be a boolean, got {allow_partial!r}"
-            )
-        want_trace = message.get("trace", False)
-        if not isinstance(want_trace, bool):
-            raise InvalidRequest(
-                f"trace must be a boolean, got {want_trace!r}"
-            )
+    # -- ops that run on the engine worker -------------------------------------
+
+    def _on_engine(self, verb, **kwargs) -> asyncio.Future:
+        return asyncio.wrap_future(self.service.on_engine(verb, **kwargs))
+
+    async def _query(self, request_id, seq, params, deadline, top,
+                     allow_partial, trace) -> dict:
         future = self.service.submit_text(
             seq,
             params,
@@ -192,80 +172,29 @@ class QueryServer:
             raise DeadlineExceeded(
                 f"no result within the {deadline}s deadline"
             ) from None
-        response = {
-            "id": request_id,
-            "ok": True,
+        body = {
             "cached": result.cached,
             "trace_id": result.trace_id,
             **report_to_dict(result.report, top=top),
         }
-        if want_trace and result.report.root_span is not None:
-            response["trace"] = result.report.root_span.to_dict()
-        return response
+        if trace and result.report.root_span is not None:
+            body["trace"] = result.report.root_span.to_dict()
+        return body
 
-    def _op_profile(self, message: dict, request_id) -> dict:
-        action = message.get("action", "snapshot")
-        if not isinstance(action, str):
-            raise InvalidRequest(f"action must be a string, got {action!r}")
-        hz = _positive_number(message, "hz")
-        snap = self.service.profile(action=action, hz=hz)
-        return {"id": request_id, "ok": True, "profile": snap}
-
-    async def _op_scrub(self, message: dict, request_id) -> dict:
-        heal = message.get("heal", True)
-        if not isinstance(heal, bool):
-            raise InvalidRequest(f"heal must be a boolean, got {heal!r}")
-        # Scrub walks every replica copy — run it off the event loop so
-        # concurrent queries keep flowing while digests are verified.
-        report = await asyncio.get_running_loop().run_in_executor(
-            None, lambda: self.service.scrub(heal=heal)
-        )
-        return {"id": request_id, "ok": True, **report}
-
-    async def _op_recover(self, message: dict, request_id) -> dict:
-        node = message.get("node")
-        if node is not None and not isinstance(node, str):
-            raise InvalidRequest(f"node must be a string, got {node!r}")
-        try:
-            outcome = await asyncio.get_running_loop().run_in_executor(
-                None, lambda: self.service.recover(node_id=node)
-            )
-        except KeyError as exc:
-            raise InvalidRequest(f"unknown node {node!r}") from exc
-        return {"id": request_id, "ok": True, **outcome}
-
-    async def _op_explain(self, message: dict, request_id) -> dict:
-        seq = message.get("seq")
-        if not isinstance(seq, str) or not seq:
-            raise InvalidRequest("explain needs a non-empty string 'seq'")
-        params = params_from_dict(message.get("params"))
+    async def _explain(self, request_id, seq, params) -> dict:
         future = self.service.submit_explain(
             seq,
             params,
             query_id=str(request_id) if request_id is not None else "explain",
         )
         plan = await asyncio.wrap_future(future)
-        return {
-            "id": request_id,
-            "ok": True,
-            "plan": plan.to_dict(),
-            "rendered": plan.render(),
-        }
+        return {"plan": plan.to_dict(), "rendered": plan.render()}
 
-
-def _positive_number(message: dict, name: str) -> float | None:
-    """The value of *name* in *message*: absent or null, else a positive
-    finite JSON number (a JSON boolean is not a number)."""
-    value = message.get(name)
-    if value is not None and (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not 0 < value < math.inf
-    ):
-        raise InvalidRequest(
-            f"{name} must be a positive number, got {value!r}"
-        )
-    return value
+    async def _recover(self, _request_id, node) -> dict:
+        try:
+            return await self._on_engine(self.service.recover, node_id=node)
+        except KeyError as exc:
+            raise InvalidRequest(f"unknown node {node!r}") from exc
 
 
 class BackgroundServer:

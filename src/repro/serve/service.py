@@ -3,8 +3,10 @@
 :class:`QueryService` fronts one built :class:`~repro.core.framework.Mendel`
 deployment with the serving behaviours a library facade lacks:
 
-* a **thread pool** takes each admitted request straight to a worker as
-  one ``mendel.query_many([record])`` call; engine calls take turns;
+* one **engine worker** thread runs everything that touches the index —
+  each admitted request as one ``mendel.query_many([record])`` call,
+  EXPLAIN, and the gateway's SCRUB and RECOVER — one call at a time, in
+  arrival order;
 * a **bounded admission queue** caps in-flight work — submissions past the
   bound fast-fail with a structured :class:`~repro.serve.errors.Overloaded`
   error instead of growing an unbounded backlog (load shedding);
@@ -86,13 +88,9 @@ class QueryService:
     ----------
     mendel:
         The built deployment to serve.
-    max_workers:
-        Thread-pool width.  Engine calls take turns whatever the width (a
-        query is interpreter-bound); a wider pool runs EXPLAIN beside a
-        query.
     max_pending:
-        Admission bound: maximum requests in flight (waiting for a worker
-        plus executing).  Submissions beyond it are shed.
+        Admission bound: maximum requests in flight (waiting for the engine
+        worker plus executing).  Submissions beyond it are shed.
     cache_capacity / cache_ttl:
         Result-cache shape; ``cache_capacity=0`` disables caching.
     default_deadline:
@@ -123,7 +121,6 @@ class QueryService:
         self,
         mendel: Mendel,
         *,
-        max_workers: int = 4,
         max_pending: int = 64,
         cache_capacity: int = 1024,
         cache_ttl: float | None = None,
@@ -136,8 +133,6 @@ class QueryService:
         monitor: HealthMonitor | None = None,
         event_log: EventLog | None = None,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.mendel = mendel
@@ -159,14 +154,15 @@ class QueryService:
             ("service",),
         ).labels(service=self.stats.service)
         self._clock = clock
+        # One engine worker: index-touching calls run one at a time, in the
+        # order they were submitted.  A query is interpreter-bound, so two
+        # at once finish no sooner than one after the other and cost more
+        # CPU between them; SCRUB and RECOVER rebuild nodes a running query
+        # reads.
         self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-serve"
+            max_workers=1, thread_name_prefix="repro-serve"
         )
         self._lock = threading.Lock()
-        # Engine calls take turns.  A query is interpreter-bound: two at
-        # once on two workers finish no sooner than one after the other,
-        # and cost more CPU between them.
-        self._engine = threading.Lock()
         self._inflight = 0
         self._seen_version = mendel.index_version
         self._closed = False
@@ -323,12 +319,7 @@ class QueryService:
             submitted_at=now,
             allow_partial=allow_partial,
         )
-        try:
-            future = self._pool.submit(self._execute, request)
-        except RuntimeError:  # a racing close() already shut the pool down
-            with self._lock:
-                self._inflight -= 1
-            return _failed(ServiceClosed("service is closed"))
+        future = self.on_engine(self._execute, request)
         future.add_done_callback(self._on_done)
         return future
 
@@ -375,62 +366,57 @@ class QueryService:
 
     # -- explain ---------------------------------------------------------------
 
-    def explain(self, record: SequenceRecord, params: QueryParams | None = None):
-        """EXPLAIN *record*: run it once traced and return the structured
-        :class:`~repro.core.explain.QueryPlan`.
-
-        Deliberately bypasses the cache — the plan must reflect a real
-        cluster execution, not a replayed one.  Raises
-        :class:`InvalidRequest` / :class:`ServiceClosed` like :meth:`submit`.
-        """
-        if self._closed:
-            raise ServiceClosed("service is closed")
-        problem = self._validate(record)
-        if problem is not None:
-            raise problem
-        return self.mendel.explain(record, params)
-
     def submit_explain(
         self,
         text: str,
         params: QueryParams | None = None,
         query_id: str = "explain",
     ) -> Future:
-        """Encode *text* and EXPLAIN it on the worker pool (async form the
-        TCP gateway awaits); resolves to a :class:`QueryPlan`."""
+        """Encode *text* and EXPLAIN it on the engine worker: run it once
+        traced, bypassing the cache (the plan must reflect a real cluster
+        execution, not a replayed one); resolves to a
+        :class:`~repro.core.explain.QueryPlan`."""
         try:
             record = SequenceRecord.from_text(
                 query_id, text, self.mendel.index.alphabet
             )
         except (ValueError, KeyError) as exc:
             return _failed(InvalidRequest(str(exc)))
-        if self._closed:
-            return _failed(ServiceClosed("service is closed"))
         problem = self._validate(record)
         if problem is not None:
             return _failed(problem)
-        return self._pool.submit(self.mendel.explain, record, params)
+        return self.on_engine(self.mendel.explain, record, params)
 
     # -- execution -------------------------------------------------------------
 
+    def on_engine(self, verb, /, *args, **kwargs) -> Future:
+        """Queue ``verb(*args, **kwargs)`` on the engine worker, behind every
+        call already queued there; the future carries its result or error.
+        The gateway runs SCRUB and RECOVER this way."""
+        if self._closed:
+            return _failed(ServiceClosed("service is closed"))
+        try:
+            return self._pool.submit(verb, *args, **kwargs)
+        except RuntimeError:  # a racing close() already shut the pool down
+            return _failed(ServiceClosed("service is closed"))
+
     def _execute(self, request: _Request) -> ServeResult:
-        """Run one admitted request on a pool worker as one engine call."""
-        with self._engine:
-            now = self._clock()
-            if request.deadline_at is not None and now > request.deadline_at:
-                self.stats.inc("timeouts")
-                waited = now - request.submitted_at
-                raise DeadlineExceeded(
-                    f"deadline expired after {waited * 1e3:.1f} ms in queue"
-                )
-            contexts = [TraceContext()] if self.tracing else None
-            try:
-                (report,) = self.mendel.query_many(
-                    [request.record], request.params, trace_contexts=contexts
-                )
-            except Exception:  # backend failure: fail this request only
-                self.stats.inc("errors")
-                raise
+        """Run one admitted request on the engine worker as one engine call."""
+        now = self._clock()
+        if request.deadline_at is not None and now > request.deadline_at:
+            self.stats.inc("timeouts")
+            waited = now - request.submitted_at
+            raise DeadlineExceeded(
+                f"deadline expired after {waited * 1e3:.1f} ms in queue"
+            )
+        contexts = [TraceContext()] if self.tracing else None
+        try:
+            (report,) = self.mendel.query_many(
+                [request.record], request.params, trace_contexts=contexts
+            )
+        except Exception:  # backend failure: fail this request only
+            self.stats.inc("errors")
+            raise
         done = self._clock()
         if report.degraded:
             # A degraded answer reflects transient cluster state, not the
@@ -783,10 +769,6 @@ class QueryService:
             ),
         }
 
-    def durability(self) -> dict:
-        """Per-node durable-state status (the HEALTH verb's detail view)."""
-        return self.mendel.durability()
-
     def alerts(self) -> dict:
         """The ALERTS verb: the monitor's full frame — SLI windows, alert
         states with correlated causes, recent transitions, event tail.
@@ -867,7 +849,8 @@ class QueryService:
         }
 
     def close(self) -> None:
-        """Stop admitting work, finish admitted requests, release the pool."""
+        """Stop admitting work, finish admitted requests, release the
+        engine worker."""
         if self._closed:
             return
         self._closed = True

@@ -163,7 +163,7 @@ class TestMetricsSurface:
 
 class TestServeSurfaces:
     def test_health_and_snapshot_carry_balance(self, deployment):
-        service = deployment.service(max_workers=1)
+        service = deployment.service()
         try:
             health = service.health()
             assert health["balance"]["total_blocks"] > 0

@@ -12,7 +12,7 @@ from repro import QueryParams
 @pytest.fixture(scope="module")
 def service(mendel):
     """A read-only :class:`QueryService` over the session deployment."""
-    svc = mendel.service(max_workers=4, max_pending=64)
+    svc = mendel.service(max_pending=64)
     yield svc
     svc.close()
 

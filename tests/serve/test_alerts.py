@@ -15,7 +15,7 @@ def alerting_service(mendel):
     """A service whose turnaround SLO catches every request (threshold 0)
     and whose event log is private to the test."""
     svc = mendel.service(
-        max_workers=2, cache_capacity=0,
+        cache_capacity=0,
         slow_query_threshold=0.0, slow_log_size=8,
         event_log=EventLog(),
     )
@@ -55,7 +55,7 @@ class TestGatewayMonitor:
 
     def test_healthy_service_stays_ok(self, mendel, probe_texts,
                                       serve_params):
-        with mendel.service(max_workers=2, cache_capacity=0,
+        with mendel.service(cache_capacity=0,
                             event_log=EventLog()) as svc:
             svc.query_text(probe_texts[0], serve_params)
             assert svc.alerts()["firing"] == []
@@ -116,11 +116,11 @@ class TestAlertsOverTheWire:
                 reply = client.query(probe_texts[0],
                                      dict(serve_params.__dict__))
                 assert reply["ok"]
-                alerts = client.alerts()
+                alerts = client.call("alerts")
                 assert alerts["ok"]
                 assert "turnaround" in alerts["firing"]
                 assert "slis" in alerts and "transitions" in alerts
-                health = client.health()
+                health = client.call("health")
                 assert health["status"] == "alerting"
             finally:
                 client.close()

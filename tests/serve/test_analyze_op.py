@@ -21,7 +21,7 @@ from repro.serve.server import BackgroundServer
 def analyzed_service(mendel, probe_texts, serve_params):
     """A service that slow-logs everything, pre-loaded with queries."""
     svc = mendel.service(
-        max_workers=2, cache_capacity=0,
+        cache_capacity=0,
         slow_query_threshold=0.0, slow_log_size=16,
     )
     for i, text in enumerate(probe_texts[:4]):
@@ -59,7 +59,7 @@ class TestSlowLogAnalytics:
         assert total_steps >= 4  # one root step per logged query
 
     def test_empty_log_analyzes_cleanly(self, mendel):
-        with mendel.service(max_workers=1, cache_capacity=0) as svc:
+        with mendel.service(cache_capacity=0) as svc:
             summary = svc.analyze()
             assert summary["slow_queries"] == 0
             assert summary["families"] == []
@@ -77,7 +77,7 @@ class TestAnalyzeVerb:
         with BackgroundServer(analyzed_service) as server:
             client = ServeClient("127.0.0.1", server.port)
             try:
-                response = client.analyze()
+                response = client.call("analyze")
             finally:
                 client.close()
         assert response["ok"]

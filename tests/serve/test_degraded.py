@@ -46,7 +46,7 @@ class TestDegradedService:
     def test_partial_result_served_and_flagged(self, fragile):
         mendel, db = fragile
         text = db.records[0].text[:60]
-        with mendel.service(max_workers=2) as service:
+        with mendel.service() as service:
             victims = kill_one_per_group(mendel)
             try:
                 result = service.query_text(text, PARAMS, "deg0")
@@ -61,7 +61,7 @@ class TestDegradedService:
     def test_degraded_results_never_cached(self, fragile):
         mendel, db = fragile
         text = db.records[1].text[:60]
-        with mendel.service(max_workers=2, cache_capacity=32) as service:
+        with mendel.service(cache_capacity=32) as service:
             victims = kill_one_per_group(mendel)
             try:
                 first = service.query_text(text, PARAMS, "nc0")
@@ -80,7 +80,7 @@ class TestDegradedService:
     def test_allow_partial_false_rejects(self, fragile):
         mendel, db = fragile
         text = db.records[2].text[:60]
-        with mendel.service(max_workers=2) as service:
+        with mendel.service() as service:
             victims = kill_one_per_group(mendel)
             try:
                 with pytest.raises(DegradedResult) as excinfo:
@@ -98,7 +98,7 @@ class TestDegradedService:
 
     def test_health_reflects_cluster_state(self, fragile):
         mendel, _ = fragile
-        with mendel.service(max_workers=2) as service:
+        with mendel.service() as service:
             assert service.health()["status"] == "ok"
             victims = kill_one_per_group(mendel)
             try:
@@ -122,7 +122,7 @@ class TestDegradedWire:
         mendel, db = fragile
         text = db.records[3].text[:60]
         params = {"k": PARAMS.k, "n": PARAMS.n, "i": PARAMS.i, "c": PARAMS.c}
-        with mendel.service(max_workers=2) as service:
+        with mendel.service() as service:
             with BackgroundServer(service) as server:
                 victims = kill_one_per_group(mendel)
                 try:
@@ -150,7 +150,7 @@ class TestDegradedWire:
                         assert bad["ok"] is False
                         assert bad["error"] == "invalid_request"
 
-                        health = client.health()
+                        health = client.call("health")
                         assert health["ok"] is True
                         assert health["status"] == "degraded"
                 finally:

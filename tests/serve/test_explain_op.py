@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.query import FUNNEL_STAGES
@@ -19,8 +21,8 @@ class TestExplainOp:
     def test_explain_returns_plan_and_rendering(self, server, probe_texts,
                                                 serve_params):
         with ServeClient(server.host, server.port, timeout=120) as client:
-            response = client.explain(probe_texts[0], params=serve_params,
-                                      query_id="xp1")
+            response = client.call("explain", id="xp1", seq=probe_texts[0],
+                                   params=asdict(serve_params))
         assert response["ok"]
         assert response["id"] == "xp1"
         plan = response["plan"]
@@ -41,7 +43,8 @@ class TestExplainOp:
                                                  "n": serve_params.n,
                                                  "i": serve_params.i,
                                                  "c": serve_params.c})
-            response = client.explain(probe_texts[1], params=serve_params)
+            response = client.call("explain", seq=probe_texts[1],
+                                   params=asdict(serve_params))
         # An explain response is a fresh traced run, never a cache replay.
         assert response["ok"]
         assert "cached" not in response
@@ -52,8 +55,9 @@ class TestExplainOp:
         from repro.seq import SequenceRecord
 
         with ServeClient(server.host, server.port, timeout=120) as client:
-            served = client.explain(probe_texts[2], params=serve_params,
-                                    query_id="direct-check")
+            served = client.call("explain", id="direct-check",
+                                 seq=probe_texts[2],
+                                 params=asdict(serve_params))
         record = SequenceRecord.from_text(
             "direct-check", probe_texts[2], mendel.index.alphabet
         )
@@ -78,6 +82,6 @@ class TestExplainOp:
 
     def test_explain_bad_residues_is_invalid(self, server):
         with ServeClient(server.host, server.port) as client:
-            response = client.explain("!!!!!!!!!!", query_id="junk")
+            response = client.call("explain", id="junk", seq="!!!!!!!!!!")
         assert response["ok"] is False
         assert response["error"] == "invalid_request"

@@ -5,7 +5,8 @@ object, an unknown op, a wrong-typed value for any field of any op — answers
 ``invalid_request``, and the same connection then answers a HEALTH frame.
 A line longer than ``MAX_LINE_BYTES`` answers ``invalid_request`` before the
 server closes the connection.  Hypothesis draws the frames, seeded from
-``CHAOS_SEED`` (the CI matrix knob).
+``CHAOS_SEED`` (the CI matrix knob).  One fixed frame per rejection pins
+its ``message`` byte for byte (:data:`MESSAGES`).
 """
 
 from __future__ import annotations
@@ -59,6 +60,111 @@ FIELDS = {
 REQUIRED = {
     "query": {"seq": "MKVAWLAMKVAWLA"},
     "explain": {"seq": "MKVAWLAMKVAWLA"},
+}
+
+#: one value of each JSON kind, for the pinned rejection messages
+SAMPLES = {
+    "null": None, "bool": True, "int": 7, "float": 0.5, "str": "x",
+    "array": [1, 2], "object": {"k": 1},
+}
+
+#: the rejections beyond a wrong-typed field, keyed like the field cases
+OTHER_FRAMES = {
+    ("query", "seq", "missing"): {"op": "query"},
+    ("explain", "seq", "missing"): {"op": "explain"},
+    ("explode", None, "op"): {"op": "explode"},
+    ("query", "params", "unknown key"): {
+        "op": "query", **REQUIRED["query"], "params": {"bogus": 1, "k": 4},
+    },
+    ("query", "params", "boolean"): {
+        "op": "query", **REQUIRED["query"], "params": {"n": True},
+    },
+}
+
+#: (op, field, kind) -> the invalid_request message, byte for byte
+MESSAGES = {
+    ("explain", "params", "array"): "params must be a JSON object, got list",
+    ("explain", "params", "bool"): "params must be a JSON object, got bool",
+    ("explain", "params", "float"): "params must be a JSON object, got float",
+    ("explain", "params", "int"): "params must be a JSON object, got int",
+    ("explain", "params", "str"): "params must be a JSON object, got str",
+    ("explain", "seq", "array"): "explain needs a non-empty string 'seq'",
+    ("explain", "seq", "bool"): "explain needs a non-empty string 'seq'",
+    ("explain", "seq", "float"): "explain needs a non-empty string 'seq'",
+    ("explain", "seq", "int"): "explain needs a non-empty string 'seq'",
+    ("explain", "seq", "missing"): "explain needs a non-empty string 'seq'",
+    ("explain", "seq", "null"): "explain needs a non-empty string 'seq'",
+    ("explain", "seq", "object"): "explain needs a non-empty string 'seq'",
+    ("explode", None, "op"): "unknown op 'explode'",
+    ("profile", "action", "array"): "action must be a string, got [1, 2]",
+    ("profile", "action", "bool"): "action must be a string, got True",
+    ("profile", "action", "float"): "action must be a string, got 0.5",
+    ("profile", "action", "int"): "action must be a string, got 7",
+    ("profile", "action", "null"): "action must be a string, got None",
+    ("profile", "action", "object"): "action must be a string, got {'k': 1}",
+    ("profile", "hz", "array"): "hz must be a positive number, got [1, 2]",
+    ("profile", "hz", "bool"): "hz must be a positive number, got True",
+    ("profile", "hz", "object"): "hz must be a positive number, got {'k': 1}",
+    ("profile", "hz", "str"): "hz must be a positive number, got 'x'",
+    ("query", "allow_partial", "array"):
+        "allow_partial must be a boolean, got [1, 2]",
+    ("query", "allow_partial", "float"):
+        "allow_partial must be a boolean, got 0.5",
+    ("query", "allow_partial", "int"):
+        "allow_partial must be a boolean, got 7",
+    ("query", "allow_partial", "null"):
+        "allow_partial must be a boolean, got None",
+    ("query", "allow_partial", "object"):
+        "allow_partial must be a boolean, got {'k': 1}",
+    ("query", "allow_partial", "str"):
+        "allow_partial must be a boolean, got 'x'",
+    ("query", "deadline", "array"):
+        "deadline must be a positive number, got [1, 2]",
+    ("query", "deadline", "bool"):
+        "deadline must be a positive number, got True",
+    ("query", "deadline", "object"):
+        "deadline must be a positive number, got {'k': 1}",
+    ("query", "deadline", "str"):
+        "deadline must be a positive number, got 'x'",
+    ("query", "params", "array"): "params must be a JSON object, got list",
+    ("query", "params", "bool"): "params must be a JSON object, got bool",
+    ("query", "params", "boolean"):
+        "bad query params: n must not be a boolean, got True",
+    ("query", "params", "float"): "params must be a JSON object, got float",
+    ("query", "params", "int"): "params must be a JSON object, got int",
+    ("query", "params", "str"): "params must be a JSON object, got str",
+    ("query", "params", "unknown key"): "unknown query params: bogus",
+    ("query", "seq", "array"): "query needs a non-empty string 'seq'",
+    ("query", "seq", "bool"): "query needs a non-empty string 'seq'",
+    ("query", "seq", "float"): "query needs a non-empty string 'seq'",
+    ("query", "seq", "int"): "query needs a non-empty string 'seq'",
+    ("query", "seq", "missing"): "query needs a non-empty string 'seq'",
+    ("query", "seq", "null"): "query needs a non-empty string 'seq'",
+    ("query", "seq", "object"): "query needs a non-empty string 'seq'",
+    ("query", "top", "array"):
+        "top must be a non-negative integer, got [1, 2]",
+    ("query", "top", "bool"): "top must be a non-negative integer, got True",
+    ("query", "top", "float"): "top must be a non-negative integer, got 0.5",
+    ("query", "top", "object"):
+        "top must be a non-negative integer, got {'k': 1}",
+    ("query", "top", "str"): "top must be a non-negative integer, got 'x'",
+    ("query", "trace", "array"): "trace must be a boolean, got [1, 2]",
+    ("query", "trace", "float"): "trace must be a boolean, got 0.5",
+    ("query", "trace", "int"): "trace must be a boolean, got 7",
+    ("query", "trace", "null"): "trace must be a boolean, got None",
+    ("query", "trace", "object"): "trace must be a boolean, got {'k': 1}",
+    ("query", "trace", "str"): "trace must be a boolean, got 'x'",
+    ("recover", "node", "array"): "node must be a string, got [1, 2]",
+    ("recover", "node", "bool"): "node must be a string, got True",
+    ("recover", "node", "float"): "node must be a string, got 0.5",
+    ("recover", "node", "int"): "node must be a string, got 7",
+    ("recover", "node", "object"): "node must be a string, got {'k': 1}",
+    ("scrub", "heal", "array"): "heal must be a boolean, got [1, 2]",
+    ("scrub", "heal", "float"): "heal must be a boolean, got 0.5",
+    ("scrub", "heal", "int"): "heal must be a boolean, got 7",
+    ("scrub", "heal", "null"): "heal must be a boolean, got None",
+    ("scrub", "heal", "object"): "heal must be a boolean, got {'k': 1}",
+    ("scrub", "heal", "str"): "heal must be a boolean, got 'x'",
 }
 
 HEALTH = b'{"op":"health","id":"after"}'
@@ -134,6 +240,23 @@ class TestMalformedFrames:
                     assert_rejected_then_healthy(
                         server, json.dumps(frame).encode()
                     )
+
+    def test_rejection_messages_are_pinned(self, server):
+        """Each rejection's ``message`` equals its pinned text, byte for byte."""
+        frames = {
+            (op, name, kind): {
+                "op": op, **REQUIRED.get(op, {}), name: SAMPLES[kind],
+            }
+            for op, fields in FIELDS.items()
+            for name, accepted in fields.items()
+            for kind in set(KINDS) - accepted
+        }
+        frames.update(OTHER_FRAMES)
+        got = {
+            key: exchange(server, json.dumps(frame).encode())[0]["message"]
+            for key, frame in frames.items()
+        }
+        assert got == MESSAGES
 
     @seed(SEED)
     @settings(max_examples=4, deadline=None)

@@ -13,7 +13,7 @@ from repro.serve.server import BackgroundServer
 def slow_logging_service(mendel):
     """A service whose slow-query threshold catches every request."""
     svc = mendel.service(
-        max_workers=2, cache_capacity=8,
+        cache_capacity=8,
         slow_query_threshold=0.0, slow_log_size=4,
     )
     yield svc
@@ -38,7 +38,7 @@ class TestServiceTracing:
         assert second.trace_id == first.trace_id
 
     def test_tracing_can_be_disabled(self, mendel, probe_texts, serve_params):
-        with mendel.service(max_workers=2, cache_capacity=0,
+        with mendel.service(cache_capacity=0,
                             tracing=False) as svc:
             result = svc.query_text(probe_texts[0], serve_params)
             assert result.trace_id is None
@@ -74,7 +74,7 @@ class TestSlowQueryLog:
 
     def test_no_threshold_means_no_log(self, mendel, probe_texts,
                                        serve_params):
-        with mendel.service(max_workers=2, cache_capacity=0) as svc:
+        with mendel.service(cache_capacity=0) as svc:
             svc.query_text(probe_texts[0], serve_params)
             assert svc.snapshot()["slow_queries"] == []
 
@@ -110,7 +110,7 @@ class TestMetricsEndpoint:
                 assert query["trace_id"]
                 assert query["trace"]["name"] == "query:wired"
                 assert query["trace"]["children"], "span tree came back empty"
-                response = client.metrics()
+                response = client.call("metrics")
         assert response["ok"]
         assert response["content_type"].startswith("text/plain")
         assert "repro_queries_total" in response["metrics"]

@@ -20,7 +20,7 @@ from repro.serve.server import BackgroundServer
 
 @pytest.fixture()
 def profiled_service(mendel):
-    svc = mendel.service(max_workers=2, cache_capacity=0)
+    svc = mendel.service(cache_capacity=0)
     yield svc
     svc.close()
 
@@ -70,7 +70,7 @@ class TestProfileVerbLocal:
             profiled_service.profile(action="resume")
 
     def test_close_stops_a_running_profiler(self, mendel):
-        svc = mendel.service(max_workers=1, cache_capacity=0)
+        svc = mendel.service(cache_capacity=0)
         svc.profile(action="start")
         sampler = svc._profiler.sampler
         svc.close()
@@ -137,14 +137,14 @@ class TestProfileVerbOverTheWire:
         with BackgroundServer(svc) as server:
             client = ServeClient("127.0.0.1", server.port)
             try:
-                started = client.profile(action="start", hz=150)
+                started = client.call("profile", action="start", hz=150)
                 assert started["ok"]
                 assert started["profile"]["running"]
                 svc.query_text(probe_texts[2], serve_params, query_id="pw0")
-                snap = client.profile()
+                snap = client.call("profile")
                 assert snap["ok"]
                 assert snap["profile"]["sampling"]["hz"] == 150
-                stopped = client.profile(action="stop")
+                stopped = client.call("profile", action="stop")
                 assert stopped["ok"]
                 assert stopped["profile"]["running"] is False
             finally:
@@ -162,7 +162,7 @@ class TestProfileVerbOverTheWire:
                 )
                 assert bad_hz["ok"] is False
                 assert bad_hz["error"] == "invalid_request"
-                no_run = client.profile(action="stop")
+                no_run = client.call("profile", action="stop")
                 assert no_run["ok"] is False
                 assert no_run["error"] == "invalid_request"
             finally:

@@ -13,7 +13,7 @@ from repro.serve.server import BackgroundServer
 @pytest.fixture()
 def scaled_service(mendel):
     svc = mendel.service(
-        max_workers=2, cache_capacity=0,
+        cache_capacity=0,
         event_log=EventLog(),
     )
     svc.enable_autoscaler(
@@ -25,7 +25,7 @@ def scaled_service(mendel):
 
 class TestScaleStatus:
     def test_disabled_by_default(self, mendel):
-        with mendel.service(max_workers=2, event_log=EventLog()) as svc:
+        with mendel.service(event_log=EventLog()) as svc:
             assert svc.scale_status() == {"enabled": False}
 
     def test_enable_is_idempotent(self, scaled_service):
@@ -53,7 +53,7 @@ class TestScaleWire:
         with BackgroundServer(scaled_service) as server:
             client = ServeClient(server.host, server.port)
             try:
-                response = client.scale()
+                response = client.call("scale")
                 assert response["ok"]
                 assert response["enabled"]
                 assert response["ticks"] >= 1
@@ -61,11 +61,11 @@ class TestScaleWire:
                 client.close()
 
     def test_scale_op_when_disabled(self, mendel):
-        with mendel.service(max_workers=2, event_log=EventLog()) as svc:
+        with mendel.service(event_log=EventLog()) as svc:
             with BackgroundServer(svc) as server:
                 client = ServeClient(server.host, server.port)
                 try:
-                    response = client.scale()
+                    response = client.call("scale")
                     assert response["ok"]
                     assert response["enabled"] is False
                 finally:

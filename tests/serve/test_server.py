@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -92,16 +93,16 @@ class TestEndToEnd:
 
         # 24 requests over 6 distinct searches: repeats must hit the cache.
         assert sum(r["cached"] for r in flat) > 0
-        stats = ServeClient(server.host, server.port).stats()
+        stats = ServeClient(server.host, server.port).call("stats")
         assert stats["ok"]
         assert stats["stats"]["cache"]["hit_rate"] > 0
         assert stats["stats"]["cache"]["hits"] > 0
 
     def test_stats_and_health_ops(self, server):
         with ServeClient(server.host, server.port) as client:
-            health = client.health()
+            health = client.call("health")
             assert health["ok"] and health["status"] == "ok"
-            stats = client.stats()
+            stats = client.call("stats")
             assert stats["ok"]
             assert {"received", "completed", "latency",
                     "cache"} <= set(stats["stats"])
@@ -133,7 +134,7 @@ class TestEndToEnd:
 class TestStructuredErrors:
     def test_timeout_is_structured(self, mendel, held_engine, probe_texts,
                                    serve_params):
-        service = mendel.service(max_workers=1, cache_capacity=0)
+        service = mendel.service(cache_capacity=0)
         try:
             with BackgroundServer(service) as server:
                 with ServeClient(server.host, server.port, timeout=30) as c:
@@ -150,7 +151,7 @@ class TestStructuredErrors:
 
     def test_shed_is_structured(self, mendel, held_engine, probe_texts,
                                 serve_params):
-        service = mendel.service(max_workers=1, max_pending=1,
+        service = mendel.service(max_pending=1,
                                  cache_capacity=0)
         try:
             with BackgroundServer(service) as server:
@@ -226,7 +227,7 @@ class TestStructuredErrors:
             ({"op": "profile", "action": "start", "hz": True},
              "hz must be a positive number, got True"),
         ]
-        service = mendel.service(max_workers=1)
+        service = mendel.service()
         try:
             with BackgroundServer(service) as server:
                 with ServeClient(server.host, server.port, timeout=30) as c:
@@ -257,6 +258,78 @@ class TestStructuredErrors:
         response = json.loads(data.split(b"\n", 1)[0])
         assert response["ok"] is False
         assert response["error"] == "invalid_request"
+
+
+class TestEngineWorker:
+    def test_scrub_and_recover_wait_for_a_running_query(
+        self, mendel, held_engine, monkeypatch, probe_texts, serve_params
+    ):
+        """SCRUB and RECOVER rebuild nodes a running query reads: sent while
+        a query holds the engine, neither starts before that query returns,
+        and they run in the order they arrived."""
+        from repro.core.index import MendelIndex
+        from repro.obs.events import EventLog
+        from repro.store.scrub import IntegrityScrubber
+
+        returned = threading.Event()
+        held = mendel.query_many
+
+        def tracked(records, params=None, trace_contexts=None):
+            try:
+                return held(records, params, trace_contexts=trace_contexts)
+            finally:
+                returned.set()
+
+        started: list[tuple[str, bool]] = []
+
+        def scrub_all(scrubber, now=None):
+            started.append(("scrub", returned.is_set()))
+            return []
+
+        def recover_node(index, node_id):
+            started.append(("recover", returned.is_set()))
+            return index.node(node_id)
+
+        monkeypatch.setattr(mendel, "query_many", tracked)
+        monkeypatch.setattr(IntegrityScrubber, "scrub_all", scrub_all)
+        monkeypatch.setattr(MendelIndex, "recover_node", recover_node)
+        node_id = mendel.index.topology.nodes[0].node_id
+        frames = {
+            "query": lambda c: c.query(probe_texts[0],
+                                       params=wire_params(serve_params)),
+            "scrub": lambda c: c.call("scrub"),
+            "recover": lambda c: c.call("recover", node=node_id),
+        }
+        replies: dict[str, dict] = {}
+
+        def send(op: str) -> None:
+            with ServeClient(server.host, server.port, timeout=60) as client:
+                replies[op] = frames[op](client)
+
+        service = mendel.service(cache_capacity=0, event_log=EventLog())
+        try:
+            with BackgroundServer(service) as server:
+                threads = {op: threading.Thread(target=send, args=(op,))
+                           for op in frames}
+                threads["query"].start()
+                for _ in range(200):
+                    if service.queue_depth:
+                        break
+                    time.sleep(0.01)
+                threads["scrub"].start()
+                time.sleep(0.1)
+                threads["recover"].start()
+                time.sleep(0.3)
+                assert started == [], "an index verb ran beside the query"
+                held_engine.set()
+                for thread in threads.values():
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+        finally:
+            held_engine.set()
+            service.close()
+        assert all(reply["ok"] for reply in replies.values()), replies
+        assert started == [("scrub", True), ("recover", True)]
 
 
 class TestClientRetry:
@@ -292,7 +365,7 @@ class TestClientRetry:
                              backoff=0.01, sleep=sleep_then_start)
         try:
             client.connect()
-            assert client.health()["ok"]
+            assert client.call("health")["ok"]
         finally:
             client.close()
             if "server" in started:

@@ -38,12 +38,11 @@ class TestResults:
 
     def test_concurrent_submits_all_resolve(self, service, mendel,
                                             probe_texts):
-        """Twelve cold requests overlapping on the 4-worker pool, an EXPLAIN
-        beside them: each served report carries the figures the same query
-        reads when run directly and alone."""
+        """Twelve cold requests queued together, an EXPLAIN ahead of them:
+        each served report carries the figures the same query reads when
+        run directly and alone."""
         # Six with one params object each, six sharing one: every request
-        # is its own engine call on whichever worker is free, same params
-        # or not.  No other test in this module uses these params, so each
+        # is its own engine call, same params or not.  No other test in this module uses these params, so each
         # request is cold.
         shared = QueryParams(k=4, n=5, i=0.65, c=0.4, E=9.0)
         requests = [
@@ -67,7 +66,7 @@ class TestResults:
 
     def test_engine_calls_take_turns(self, mendel, monkeypatch, probe_texts,
                                      serve_params):
-        """Four workers, six requests: never two engine calls at once."""
+        """Six requests submitted together: never two engine calls at once."""
         guard = threading.Lock()
         running = [0]
         peak = [0]
@@ -86,7 +85,7 @@ class TestResults:
                     running[0] -= 1
 
         monkeypatch.setattr(mendel, "query_many", tracked)
-        with mendel.service(max_workers=4, cache_capacity=0) as service:
+        with mendel.service(cache_capacity=0) as service:
             futures = [
                 service.submit_text(text, serve_params, f"t{i}")
                 for i, text in enumerate(probe_texts)
@@ -118,7 +117,7 @@ class TestCaching:
         )
         extra = random_set(count=2, length=120, alphabet=PROTEIN, rng=6,
                            id_prefix="new")
-        with mendel.service(max_workers=2) as service:
+        with mendel.service() as service:
             text = db.records[0].text[:50]
             service.query_text(text)
             assert service.query_text(text).cached
@@ -131,7 +130,7 @@ class TestCaching:
             assert service.cache.stats.invalidations == 1
 
     def test_cache_disabled(self, mendel, probe_texts, serve_params):
-        with mendel.service(max_workers=1, cache_capacity=0) as service:
+        with mendel.service(cache_capacity=0) as service:
             service.query_text(probe_texts[0], serve_params)
             assert not service.query_text(probe_texts[0], serve_params).cached
 
@@ -140,7 +139,7 @@ class TestAdmission:
     def test_load_shedding_when_queue_full(self, mendel, held_engine,
                                            probe_texts, serve_params):
         with mendel.service(
-            max_workers=1, max_pending=2, cache_capacity=0,
+            max_pending=2, cache_capacity=0,
         ) as service:
             admitted = [
                 service.submit_text(probe_texts[i], serve_params, f"a{i}")
@@ -171,7 +170,7 @@ class TestDeadlines:
                                                          serve_params):
         # One worker, held by the first request: the second waits in the
         # pool's queue past its deadline and expires before it executes.
-        with mendel.service(max_workers=1, cache_capacity=0) as service:
+        with mendel.service(cache_capacity=0) as service:
             first = service.submit_text(probe_texts[0], serve_params)
             future = service.submit_text(
                 probe_texts[1], serve_params, deadline=0.01
@@ -185,7 +184,7 @@ class TestDeadlines:
 
     def test_sync_wait_timeout(self, mendel, held_engine, probe_texts,
                                serve_params):
-        with mendel.service(max_workers=1, cache_capacity=0) as service:
+        with mendel.service(cache_capacity=0) as service:
             with pytest.raises(DeadlineExceeded):
                 service.query_text(probe_texts[0], serve_params, deadline=0.05)
             held_engine.set()
@@ -209,7 +208,7 @@ class TestValidation:
             raise RuntimeError("cluster on fire")
 
         monkeypatch.setattr(mendel, "query_many", broken)
-        with mendel.service(max_workers=1, cache_capacity=0) as service:
+        with mendel.service(cache_capacity=0) as service:
             future = service.submit_text(probe_texts[0], serve_params)
             with pytest.raises(RuntimeError, match="cluster on fire"):
                 future.result(timeout=10)
@@ -220,7 +219,7 @@ class TestValidation:
 
 class TestLifecycleAndStats:
     def test_closed_service_rejects(self, mendel, probe_texts):
-        service = mendel.service(max_workers=1)
+        service = mendel.service()
         service.close()
         future = service.submit_text(probe_texts[0])
         with pytest.raises(ServiceClosed):
@@ -228,7 +227,7 @@ class TestLifecycleAndStats:
 
     def test_submit_racing_close_releases_its_slot(self, mendel, probe_texts,
                                                    serve_params):
-        service = mendel.service(max_workers=1, cache_capacity=0)
+        service = mendel.service(cache_capacity=0)
         # close() has shut the pool down but not yet flagged the service.
         service._pool.shutdown()
         future = service.submit_text(probe_texts[0], serve_params)

@@ -252,7 +252,6 @@ FLAGS = {
             None,
             False,
         ),
-        "workers": (("--workers",), 4, None, int, None, False),
     },
     "tier": {
         "assert_equivalent": (
@@ -432,7 +431,7 @@ class TestServeAndCall:
     def gateway(self, mendel):
         from repro.serve.server import BackgroundServer
 
-        service = mendel.service(max_workers=2)
+        service = mendel.service()
         with BackgroundServer(service) as server:
             yield server
         service.close()

@@ -70,7 +70,7 @@ class TestWatchGateway:
     def gateway(self, mendel):
         from repro.serve.server import BackgroundServer
 
-        service = mendel.service(max_workers=2)
+        service = mendel.service()
         with BackgroundServer(service) as server:
             yield server
         service.close()
