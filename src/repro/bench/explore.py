@@ -417,9 +417,6 @@ class ExploreResult:
             key=lambda c: (-c.mean_turnaround_ms, c.name),
         )
 
-    def total_families(self) -> int:
-        return sum(len(c.families) for c in self.cells)
-
     def to_markdown(self) -> str:
         """REPORT.md: the ranked cell table, then one section per cell
         naming its slow-query families and critical-path breakdown.

@@ -214,9 +214,9 @@ def audit(index: "MendelIndex") -> BalanceReport:
     """One fresh (uncached) audit of *index*.
 
     Per-node counts come from primary placements (``index.node_of_block``);
-    tier-1 route mass re-hashes every stored block through the shared
-    prefix tree — O(blocks) metric evaluations, which is why callers should
-    prefer :class:`BalanceAuditor` and its version-keyed cache.
+    tier-1 route mass re-hashes every stored block in one batched descent
+    of the shared prefix tree — still O(blocks) metric evaluations, so
+    callers should prefer :class:`BalanceAuditor` and its version cache.
     """
     per_node = {node.node_id: 0 for node in index.topology.nodes}
     per_group = {group.group_id: 0 for group in index.topology.groups}
@@ -226,10 +226,10 @@ def audit(index: "MendelIndex") -> BalanceReport:
         per_group[group_id] = per_group.get(group_id, 0) + 1
 
     per_prefix: dict[int, int] = {}
-    for block in index.store.blocks:
-        prefix = index.prefix_tree.hash_one(
-            index.store.codes_of(block.block_id)
-        ).prefix
+    prefixes, _ = index.prefix_tree.hash_many(
+        index.store.codes_matrix(range(len(index.store)))
+    )
+    for prefix in prefixes.tolist():
         per_prefix[prefix] = per_prefix.get(prefix, 0) + 1
 
     intra: dict[str, float] = {}

@@ -165,6 +165,3 @@ class StorageGroup:
                 return node
         self._m_failovers.inc()
         return self.nodes[0]  # all dead: routing still needs an address
-
-    def alive_nodes(self) -> list[StorageNode]:
-        return [node for node in self.nodes if node.alive]

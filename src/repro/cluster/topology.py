@@ -88,8 +88,8 @@ def build_prefix_assignment(
         return {p: group_ids[i % len(group_ids)] for i, p in enumerate(frontier)}
 
     counts = {prefix: 0 for prefix in frontier}
-    for row in np.asarray(sample, dtype=np.uint8):
-        counts[prefix_tree.hash_one(row).prefix] += 1
+    for prefix in prefix_tree.hash_many(sample)[0].tolist():
+        counts[prefix] += 1
     total = max(1, sum(counts.values()))
     target = total / len(group_ids)
 

@@ -192,21 +192,22 @@ class MendelIndex:
                 raise ValueError(
                     "saved cluster shape does not match rebuilt topology"
                 )
-            group_of = [node.group_id for node in nodes]
+            group_of = [nodes[number].group_id for number in primaries]
+        else:
+            prefixes, depths = self.prefix_tree.hash_many(
+                self.store.codes_matrix(range(len(self.store)))
+            )
+            # One evaluation per level each block's single-path walk descended.
+            self.stats.hash_evals += int(depths.sum())
+            group_of = [
+                self.topology.group_for_prefix(prefix).group_id
+                for prefix in prefixes.tolist()
+            ]
         per_group: dict[str, list[int]] = {
             group.group_id: [] for group in self.topology.groups
         }
-        for block in self.store.blocks:
-            if placement is None:
-                hashed = self.prefix_tree.hash_one(
-                    self.store.codes_of(block.block_id)
-                )
-                # One evaluation per level the single-path walk descended.
-                self.stats.hash_evals += hashed.depth
-                group_id = self.topology.group_for_prefix(hashed.prefix).group_id
-            else:
-                group_id = group_of[primaries[block.block_id]]
-            per_group[group_id].append(block.block_id)
+        for block_id, group_id in enumerate(group_of):
+            per_group[group_id].append(block_id)
 
         makespan = 0.0
         for group in self.topology.groups:
@@ -614,10 +615,10 @@ class MendelIndex:
             {bid for member in group.nodes for bid in member.known_block_ids}
         )
         per_prefix: dict[int, list[int]] = {p: [] for p in owned}
-        for block_id in group_blocks:
-            prefix = self.prefix_tree.hash_one(
-                self.store.codes_of(block_id)
-            ).prefix
+        prefixes, _ = self.prefix_tree.hash_many(
+            self.store.codes_matrix(group_blocks)
+        )
+        for block_id, prefix in zip(group_blocks, prefixes.tolist()):
             per_prefix.setdefault(prefix, []).append(block_id)
 
         # Contiguous cut of the frontier run closest to half the mass.
@@ -733,12 +734,12 @@ class MendelIndex:
             self.store._ingest(record)
 
         per_group: dict[str, list[int]] = {}
-        for block in self.store.blocks[start_block:]:
-            prefix = self.prefix_tree.hash_one(
-                self.store.codes_of(block.block_id)
-            ).prefix
+        prefixes, _ = self.prefix_tree.hash_many(
+            self.store.codes_matrix(range(start_block, len(self.store)))
+        )
+        for block_id, prefix in enumerate(prefixes.tolist(), start_block):
             group = self.topology.group_for_prefix(prefix)
-            per_group.setdefault(group.group_id, []).append(block.block_id)
+            per_group.setdefault(group.group_id, []).append(block_id)
         for group in self.topology.groups:
             self._place(group, per_group.get(group.group_id, ()))
         self.stats.block_count = len(self.store)

@@ -4,8 +4,7 @@ Everything that measures *wall-clock* time — the benchmark harness's
 :class:`Stopwatch`, the serving layer's latency accounting, and the span
 timer of :mod:`repro.obs.trace` — reads the same monotonic clock defined
 here (:data:`wall_clock`), so measurements from different layers are
-directly comparable.  ``repro.util.timing`` re-exports this module so
-existing imports keep working.
+directly comparable.
 """
 
 from __future__ import annotations

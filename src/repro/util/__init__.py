@@ -1,7 +1,6 @@
-"""Shared utilities: seeded RNG helpers, timing, and argument validation."""
+"""Shared utilities: seeded RNG helpers and argument validation."""
 
 from repro.util.rng import RandomSource, as_generator, spawn_children
-from repro.util.timing import Stopwatch, format_duration
 from repro.util.validation import (
     check_fraction,
     check_in_range,
@@ -14,8 +13,6 @@ __all__ = [
     "RandomSource",
     "as_generator",
     "spawn_children",
-    "Stopwatch",
-    "format_duration",
     "check_fraction",
     "check_in_range",
     "check_non_negative",

@@ -15,8 +15,8 @@ half the tree's depth (a trade-off ablated in
 
 Two traversal modes exist:
 
-* :meth:`VPPrefixTree.hash_one` — single-path descent used when *indexing*
-  (``d <= mu`` goes left, else right);
+* :meth:`VPPrefixTree.hash_many` — batched single-path descent used when
+  *indexing* (``d <= mu`` goes left, else right; ``hash_one`` is one row);
 * :meth:`VPPrefixTree.hash_query` — tolerance descent used when *querying*:
   when the query lies within ``tolerance`` of a vertex boundary the walk
   branches into both children and the subquery is replicated to every
@@ -102,10 +102,6 @@ class VPPrefixTree:
     def tree_depth(self) -> int:
         return self._tree.depth
 
-    @property
-    def refined_prefixes(self) -> frozenset[int]:
-        return frozenset(self._refined)
-
     def refine(self, prefix: int) -> tuple[int, int]:
         """Descend the frontier one level deeper at *prefix*.
 
@@ -154,15 +150,37 @@ class VPPrefixTree:
     # -- hashing ------------------------------------------------------------
 
     def hash_one(self, point: np.ndarray) -> PrefixHash:
-        """Single-path prefix hash used for data dispersion."""
-        point = self._check(point)
-        node = self._tree.root
-        depth = 0
-        while not self._at_frontier(node, depth):
-            dist = self._tree.adapter.pair(point, self._tree.points[node.vantage_index])
-            node = node.left if dist <= node.mu else node.right
-            depth += 1
-        return PrefixHash(prefix=node.prefix, depth=depth)
+        """Single-path prefix hash of one element (a batch of one)."""
+        prefixes, depths = self.hash_many(self._check(point)[None, :])
+        return PrefixHash(prefix=int(prefixes[0]), depth=int(depths[0]))
+
+    def hash_many(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Single-path prefix hash of every row of an ``(n, L)`` batch, used
+        for data dispersion (``d <= mu`` goes left, else right): the
+        ``int64`` arrays ``(prefixes, depths)``.
+
+        One descent serves the whole batch: every vertex above the frontier
+        that some rows reach scores them in one batched distance call, so a
+        row's ``depth`` is the evaluations made for it.
+        """
+        rows = self._check(rows, ndim=2)
+        prefixes, depths = np.empty((2, rows.shape[0]), dtype=np.int64)
+        stack = [(self._tree.root, 0, np.arange(rows.shape[0]))]
+        while stack:
+            node, depth, idx = stack.pop()
+            if not idx.size:
+                continue
+            if self._at_frontier(node, depth):
+                prefixes[idx] = node.prefix
+                depths[idx] = depth
+                continue
+            dist = self._tree.adapter.batch(
+                self._tree.points[node.vantage_index], rows[idx]
+            )
+            left = dist <= node.mu
+            stack.append((node.left, depth + 1, idx[left]))
+            stack.append((node.right, depth + 1, idx[~left]))
+        return prefixes, depths
 
     def hash_query(
         self, point: np.ndarray, tolerance: float = 0.0
@@ -223,11 +241,11 @@ class VPPrefixTree:
         self._enumerate(node.left, depth + 1, out)
         self._enumerate(node.right, depth + 1, out)
 
-    def _check(self, point: np.ndarray) -> np.ndarray:
-        point = np.asarray(point, dtype=np.uint8)
-        if point.shape != (self.segment_length,):
+    def _check(self, points: np.ndarray, ndim: int = 1) -> np.ndarray:
+        points = np.asarray(points, dtype=np.uint8)
+        if points.ndim != ndim or points.shape[-1] != self.segment_length:
             raise ValueError(
-                f"point shape {point.shape} does not match segment length "
+                f"point shape {points.shape} does not match segment length "
                 f"{self.segment_length}"
             )
-        return point
+        return points

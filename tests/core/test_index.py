@@ -40,6 +40,22 @@ def assert_holdings(index, settled=True):
     }
 
 
+def assert_two_tiers(index, block_ids):
+    """Each block's primary is the node the two tiers pick for that block
+    alone: the group by the recursive, pair-based reference walk
+    (``hash_query`` at tolerance 0), the node by ``place_block``."""
+    for block_id in block_ids:
+        codes = index.store.codes_of(block_id)
+        [hashed], _ = index.prefix_tree.hash_query(codes, 0.0)
+        expected = index.topology.place_block(
+            codes, index.store.block_key(block_id)
+        )
+        assert expected.group_id == (
+            index.topology.group_for_prefix(hashed.prefix).group_id
+        )
+        assert index.node_of_block[block_id] == expected.node_id, block_id
+
+
 @pytest.fixture(scope="module")
 def small_db():
     return random_set(count=12, length=80, alphabet=PROTEIN, rng=31, id_prefix="x")
@@ -74,12 +90,7 @@ class TestConstruction:
 
     def test_placement_respects_two_tiers(self, index):
         # Each block must live on the node the topology assigns it to.
-        for block in index.store.blocks[:200]:
-            codes = index.store.codes_of(block.block_id)
-            expected = index.topology.place_block(
-                codes, index.store.block_key(block.block_id)
-            )
-            assert index.node_of_block[block.block_id] == expected.node_id
+        assert_two_tiers(index, range(len(index.store)))
 
     def test_stats_populated(self, index):
         assert index.stats.hash_evals > 0
@@ -118,6 +129,7 @@ class TestIncrementalInsert:
         assert len(index.store) > before
         assert index.stats.block_count == len(index.store)
         assert_holdings(index)
+        assert_two_tiers(index, range(before, len(index.store)))
         # New blocks must be searchable.
         new_block = next(index.store.blocks_of_sequence("new-000000"))
         codes = index.store.codes_of(new_block.block_id)

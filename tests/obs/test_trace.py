@@ -155,11 +155,3 @@ class TestStopwatch:
         assert hist.count == 2
         assert hist.sum == watch.elapsed
         assert len(watch.laps) == 2
-
-    def test_timing_shim_reexports(self):
-        from repro.obs import timer
-        from repro.util import timing
-
-        assert timing.Stopwatch is timer.Stopwatch
-        assert timing.format_duration is timer.format_duration
-        assert timing.wall_clock is timer.wall_clock

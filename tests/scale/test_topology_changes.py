@@ -9,7 +9,7 @@ from repro.obs.metrics import default_registry
 from repro.seq.alphabet import PROTEIN
 from repro.seq.generate import random_set
 from repro.seq.mutate import mutate_to_identity
-from tests.core.test_index import assert_holdings
+from tests.core.test_index import assert_holdings, assert_two_tiers
 
 
 def build(group_count=2, group_size=2, replication=1, seed=47, count=12):
@@ -25,6 +25,14 @@ def build(group_count=2, group_size=2, replication=1, seed=47, count=12):
 
 def all_blocks(index):
     return {b for n in index.topology.nodes for b in n.block_ids}
+
+
+def moved_by(index, change):
+    """The blocks a settled split put on its new group."""
+    group = index.topology.group(change.target)
+    moved = sorted({bid for node in group.nodes for bid in node.block_ids})
+    assert len(moved) == change.moved_blocks > 0
+    return moved
 
 
 def replication_holds(index):
@@ -133,6 +141,7 @@ class TestSplitGroup:
         assert probe_answer(mendel, db) == expected  # dual ownership
         change.settle()
         assert_holdings(index)
+        assert_two_tiers(index, moved_by(index, change))
         assert probe_answer(mendel, db) == expected
         # The mass actually moved off the source after settle.
         source = index.topology.group("g00")
@@ -162,6 +171,7 @@ class TestSplitGroup:
         left, right = change.refined
         assert left != right
         assert_holdings(index)
+        assert_two_tiers(index, moved_by(index, change))
         # Both children are routable and every block is findable.
         for bid, node_id in index.node_of_block.items():
             group = index.topology.group(node_id.split(".", 1)[0])

@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.obs.timer import Stopwatch, format_duration
 from repro.util.rng import as_generator, spawn_children
-from repro.util.timing import Stopwatch, format_duration
 from repro.util.validation import (
     check_fraction,
     check_in_range,

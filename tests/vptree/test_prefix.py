@@ -1,13 +1,17 @@
 """Tests for the vp-prefix tree LSH (repro.vptree.prefix)."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.seq.alphabet import PROTEIN
+from repro.seq.alphabet import DNA, PROTEIN
 from repro.seq.distance import default_distance
 from repro.seq.mutate import mutate_to_identity
 from repro.seq.records import SequenceRecord
 from repro.vptree.prefix import VPPrefixTree
+
+SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +84,80 @@ class TestHashOne:
             if prefix_tree.hash_one(far).prefix == h0:
                 random_same += 1
         assert same > random_same
+
+
+class TestHashMany:
+    """The batched single-path descent against the recursive, pair-based
+    ``hash_query(row, 0.0)`` walk, its independent reference, on rows drawn
+    with ``CHAOS_SEED`` (the CI matrix knob)."""
+
+    @pytest.fixture(params=[PROTEIN, DNA], ids=["protein-matrix", "dna-hamming"])
+    def drawn(self, request):
+        """A fresh tree (tests refine it) over a drawn sample, and drawn
+        rows: sample rows and random rows, in random order.  DNA's four
+        letters put many rows exactly on a vertex's ``mu``."""
+        alphabet = request.param
+        rng = np.random.default_rng(SEED)
+        sample = rng.integers(0, alphabet.canonical_size, (300, 10)).astype(
+            np.uint8
+        )
+        tree = VPPrefixTree(
+            sample,
+            default_distance(alphabet),
+            depth_threshold=3,
+            rng=int(rng.integers(0, 2**31 - 1)),
+        )
+        rows = np.concatenate([
+            sample[rng.choice(len(sample), 120, replace=False)],
+            rng.integers(0, alphabet.canonical_size, (40, 10)).astype(np.uint8),
+        ])
+        return tree, rows[rng.permutation(len(rows))]
+
+    @staticmethod
+    def assert_matches_reference(tree, rows):
+        adapter = tree._tree.adapter
+        before = adapter.pair_evaluations
+        prefixes, depths = tree.hash_many(rows)
+        assert adapter.pair_evaluations - before == depths.sum()
+        assert prefixes.dtype == depths.dtype == np.int64
+        assert prefixes.shape == depths.shape == (len(rows),)
+        for row, prefix, depth in zip(rows, prefixes, depths):
+            [reference], evals = tree.hash_query(row, 0.0)
+            assert (prefix, depth) == (reference.prefix, reference.depth)
+            assert evals == depth
+
+    def test_equals_the_recursive_walk(self, drawn):
+        tree, rows = drawn
+        self.assert_matches_reference(tree, rows)
+
+    def test_equals_the_recursive_walk_after_refine(self, drawn):
+        tree, rows = drawn
+        prefixes, _ = tree.hash_many(rows)
+        refined = 0
+        for prefix in sorted(set(prefixes.tolist())):
+            if not tree._frontier_node(prefix).is_leaf:
+                tree.refine(prefix)
+                refined += 1
+        assert refined
+        after, depths = tree.hash_many(rows)
+        assert (depths > tree.depth_threshold).any()
+        assert set(after.tolist()) <= set(tree.all_prefixes())
+        self.assert_matches_reference(tree, rows)
+
+    def test_single_row_and_empty_batches(self, drawn):
+        tree, rows = drawn
+        for row in rows[:10]:
+            self.assert_matches_reference(tree, row[None, :])
+            prefixes, depths = tree.hash_many(row[None, :])
+            hashed = tree.hash_one(row)
+            assert (hashed.prefix, hashed.depth) == (prefixes[0], depths[0])
+        self.assert_matches_reference(tree, rows[:0])
+
+    def test_wrong_shape_rejected(self, drawn):
+        tree, rows = drawn
+        for bad in (rows[0], rows[:, :-1], rows[:, :, None], rows[None, :, :]):
+            with pytest.raises(ValueError, match="segment length"):
+                tree.hash_many(bad)
 
 
 class TestHashQuery:
