@@ -268,7 +268,8 @@ class Mendel:
     def scrub(self, heal: bool = True):
         """One anti-entropy pass over every replica copy: digest-verify,
         quarantine what rotted, and (by default) heal it back from verified
-        replicas.  Returns the :class:`~repro.store.scrub.ScrubReport`."""
+        replicas.  Bumps :attr:`index_version` only when a copy was
+        quarantined.  Returns the :class:`~repro.store.scrub.ScrubReport`."""
         return self.index.scrub(heal=heal)
 
     def flush_durable(self) -> int:

@@ -314,11 +314,15 @@ class MendelIndex:
 
     # -- durability and integrity -----------------------------------------------
 
-    def scrub(self, heal: bool = True, event_log=None):
+    def scrub(self, heal: bool = True, event_log=None, recorder=None,
+              registry=None, now: float | None = None):
         """One full anti-entropy pass: digest-verify every replica copy,
         quarantine confirmed-corrupt ones and (with ``heal=True``) stream
         them back from verified replicas immediately.  Returns the
-        :class:`~repro.store.scrub.ScrubReport`."""
+        :class:`~repro.store.scrub.ScrubReport`; the sinks (stamped *now*)
+        are :class:`~repro.store.scrub.IntegrityScrubber`'s.  Bumps
+        :attr:`version` only when a copy was quarantined, so a clean pass
+        keeps result caches warm."""
         from repro.faults.repair import ReReplicator
         from repro.store.scrub import IntegrityScrubber
 
@@ -326,12 +330,13 @@ class MendelIndex:
         scrubber = IntegrityScrubber(
             self,
             event_log=event_log,
-            heal=(lambda group, findings: repairer.sync_group(group))
-            if heal
-            else None,
+            recorder=recorder,
+            registry=registry,
+            heal=(lambda group, _: repairer.sync_group(group)) if heal else None,
         )
-        scrubber.scrub_all()
-        self.version += 1
+        scrubber.scrub_all(now=now)
+        if scrubber.report.quarantined:
+            self.version += 1
         return scrubber.report
 
     def flush_durable(self) -> int:

@@ -12,16 +12,18 @@ topology action per tick:
   stretch, never below the deployment's configured shape and never
   violating the replication factor (the index refuses).
 
-Splits and merges run in two phases for in-flight query correctness:
-the routing update and block *copy* happen at action time, but the old
-copies are dropped only on the **next** tick (``TopologyChange.settle``)
-— a dual-ownership window during which queries routed under either
-table version still find every block.
+In a simulation, splits and merges run in two phases for in-flight query
+correctness: the routing update and block *copy* happen at action time,
+but the old copies are dropped only on a later tick
+(``TopologyChange.settle``) — a dual-ownership window during which queries
+routed under either table version still find every block.
 
 Clocking mirrors the health monitor: chaos/scenario runs spawn
-:meth:`AutoScaler.tick_proc` on the simulation, the serving gateway
-calls :meth:`AutoScaler.maybe_tick` lazily from its read paths.  All
-decisions are pure functions of the observed frame, so a run is
+:meth:`AutoScaler.tick_proc` on the simulation.  The serving gateway runs
+:meth:`AutoScaler.maybe_tick` on its one engine worker — queued by its
+STATS/HEALTH/ALERTS reads, run by its SCALE verb — so every tick lands
+between two queries, and a wall-clock change settles inside its action.
+All decisions are pure functions of the observed frame, so a run is
 byte-deterministic under a fixed ``CHAOS_SEED``.
 """
 
@@ -81,7 +83,8 @@ class AutoScaler:
         Topology-change event destination; defaults to the monitor's.
     wall:
         ``True`` on the gateway: events carry wall time, and two-phase
-        changes settle immediately (no simulation tick to defer to).
+        changes settle inside the action — the gateway ticks on its engine
+        worker, between queries, so no query is in flight to protect.
     settle_ticks:
         Minimum ticks a two-phase change keeps its dual-ownership window
         open (sim mode only).  When the engine wires
@@ -226,8 +229,8 @@ class AutoScaler:
         self.flush(sim.now)
 
     def maybe_tick(self, now: float) -> bool:
-        """Lazy gateway clocking: tick if an interval elapsed since the
-        last one.  Returns whether a tick ran."""
+        """Lazy gateway clocking (on the engine worker): tick if an
+        interval elapsed since the last one.  Returns whether a tick ran."""
         if self._last_tick is not None and now - self._last_tick < self.interval:
             return False
         self.tick(now)
@@ -287,11 +290,7 @@ class AutoScaler:
         action = decision.action
         if action == ACTION_ADD_NODE:
             change = index.expand_group(decision.group, settle=self.wall)
-            if not self.wall:
-                self._pending.append(
-                    _PendingSettle(change, ticks_left=self.settle_ticks,
-                                   created_at=now)
-                )
+            self._defer_settle(change, now)
             self._emit(
                 "node_added", now, change.target, decision.reason,
                 group=decision.group, moved=change.moved_blocks,
@@ -307,11 +306,7 @@ class AutoScaler:
             )
         elif action == ACTION_SPLIT_GROUP:
             change = index.split_group(decision.group, settle=self.wall)
-            if not self.wall:
-                self._pending.append(
-                    _PendingSettle(change, ticks_left=self.settle_ticks,
-                                   created_at=now)
-                )
+            self._defer_settle(change, now)
             self._emit(
                 "group_split", now, decision.group, decision.reason,
                 target=change.target, moved=change.moved_blocks,
@@ -325,12 +320,7 @@ class AutoScaler:
             change = index.merge_groups(
                 decision.group, decision.target, settle=self.wall
             )
-            if not self.wall:
-                self._pending.append(
-                    _PendingSettle(change, drained_nodes=source_nodes,
-                                   ticks_left=self.settle_ticks,
-                                   created_at=now)
-                )
+            self._defer_settle(change, now, source_nodes)
             self._emit(
                 "group_merged", now, decision.target, decision.reason,
                 source=decision.group, moved=change.moved_blocks,
@@ -346,6 +336,15 @@ class AutoScaler:
         self.actions.append(
             {"at": now, "cause": cause, **decision.to_dict()}
         )
+
+    def _defer_settle(self, change: TopologyChange, now: float,
+                      drained_nodes: tuple[str, ...] = ()) -> None:
+        """Sim mode: keep *change*'s dual-ownership window open until a
+        later tick (wall mode settled it inside the action)."""
+        if not self.wall:
+            self._pending.append(_PendingSettle(
+                change, drained_nodes, self.settle_ticks, created_at=now
+            ))
 
     def _emit(
         self, kind: str, now: float, actor: str, message: str, **fields

@@ -3,13 +3,15 @@
 :class:`QueryServer` accepts connections on an event loop and keeps every
 connection handler non-blocking.  Each line is checked against the op table
 by :func:`~repro.serve.protocol.parse_request` and handed to its op's
-handler.  QUERY, EXPLAIN, SCRUB and RECOVER touch the index: they run on the
-:class:`~repro.serve.service.QueryService`'s one engine worker, one at a
-time in arrival order, and are awaited through ``asyncio.wrap_future``, so
-slow searches never stall other connections.  The read verbs (STATS,
-HEALTH, METRICS, ALERTS, SCALE, ANALYZE, PROFILE) answer on the event loop.
+handler.  QUERY, EXPLAIN, SCRUB, RECOVER and SCALE touch the index: they
+run on the :class:`~repro.serve.service.QueryService`'s one engine worker,
+one at a time in arrival order, and are awaited through
+``asyncio.wrap_future``, so slow searches never stall other connections.
+The read verbs (STATS, HEALTH, METRICS, ALERTS, ANALYZE, PROFILE) answer on
+the event loop; STATS, HEALTH and ALERTS also queue a due autoscaler tick
+on the engine worker, and do not wait for it.
 
-For synchronous callers (tests, examples, the CLI client side) ,
+For synchronous callers (tests, examples, the CLI client side),
 :class:`BackgroundServer` runs the whole loop on a daemon thread and exposes
 the bound address once the socket is listening.
 """
@@ -61,9 +63,9 @@ class QueryServer:
                 "metrics": service.metrics_text(),
             },
             "alerts": lambda _id: service.alerts(),
-            "scale": lambda _id: service.scale_status(),
             "scrub": lambda _id, heal: self._on_engine(service.scrub, heal=heal),
             "recover": self._recover,
+            "scale": lambda _id: self._on_engine(service.scale_status),
             "analyze": lambda _id: service.analyze(),
             "profile": lambda _id, action, hz: {
                 "profile": service.profile(action=action, hz=hz)

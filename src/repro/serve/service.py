@@ -5,8 +5,8 @@ deployment with the serving behaviours a library facade lacks:
 
 * one **engine worker** thread runs everything that touches the index —
   each admitted request as one ``mendel.query_many([record])`` call,
-  EXPLAIN, and the gateway's SCRUB and RECOVER — one call at a time, in
-  arrival order;
+  EXPLAIN, the gateway's SCRUB, RECOVER and SCALE, and every autoscaler
+  tick — one call at a time, in arrival order;
 * a **bounded admission queue** caps in-flight work — submissions past the
   bound fast-fail with a structured :class:`~repro.serve.errors.Overloaded`
   error instead of growing an unbounded backlog (load shedding);
@@ -29,6 +29,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from repro.core.framework import Mendel
@@ -110,8 +111,8 @@ class QueryService:
         The wall-clock :class:`~repro.obs.health.HealthMonitor` backing the
         HEALTH/ALERTS verbs; auto-created (1s/10s/60s windows, latency SLO
         at the slow-query threshold when one is set) unless given.  Ticked
-        lazily whenever health/alerts/stats are read, so an idle gateway
-        spends nothing on it.
+        lazily whenever health/alerts/stats/scale are read, so an idle
+        gateway spends nothing on it.
     event_log:
         Event log the service emits into (slow queries, alerts); defaults
         to the process-global log shared with the cluster.
@@ -157,8 +158,8 @@ class QueryService:
         # One engine worker: index-touching calls run one at a time, in the
         # order they were submitted.  A query is interpreter-bound, so two
         # at once finish no sooner than one after the other and cost more
-        # CPU between them; SCRUB and RECOVER rebuild nodes a running query
-        # reads.
+        # CPU between them; SCRUB, RECOVER and autoscaler ticks rebuild
+        # nodes a running query reads.
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
         )
@@ -199,11 +200,12 @@ class QueryService:
         gateway.
 
         The scaler shares the service's wall-clock monitor, registry, and
-        event log, reads the admission queue for pressure, and is ticked
-        lazily from the same read paths that tick the monitor
-        (:meth:`snapshot` / :meth:`health` / :meth:`alerts` /
-        :meth:`scale_status`) — no extra thread.  Keyword arguments pass
-        through to the controller."""
+        event log, and reads the admission queue for pressure.  It has no
+        thread of its own: :meth:`snapshot`, :meth:`health` and
+        :meth:`alerts` queue a due tick on the engine worker without
+        waiting for it, and the gateway's SCALE runs :meth:`scale_status`
+        there, so every tick lands between two queries.  Keyword arguments
+        pass through to the controller."""
         from repro.scale.controller import AutoScaler
 
         if self.scaler is None:
@@ -219,17 +221,31 @@ class QueryService:
             )
         return self.scaler
 
-    def _maybe_scale(self, now: float) -> None:
-        if self.scaler is not None:
-            self.scaler.maybe_tick(now)
+    @contextmanager
+    def _ticked(self):
+        """Tick the monitor at now (yielded); once the reply body is built,
+        queue a due autoscaler tick on the engine worker, unawaited."""
+        now = self._clock()
+        self.monitor.tick(now)
+        yield now
+        if self.scaler is not None and not self._closed:
+            self.on_engine(self.scaler.maybe_tick, now).add_done_callback(
+                self._on_tick_done
+            )
+
+    def _on_tick_done(self, future: Future) -> None:
+        if future.exception() is not None:
+            self.monitor.events.emit("scale_failed", self.stats.service,
+                                     f"tick failed: {future.exception()!r}")
 
     def scale_status(self) -> dict:
-        """The SCALE verb: autoscaler state, or ``enabled: False``."""
+        """The SCALE verb, run on the engine worker by the gateway: a due
+        autoscaler tick, then its state; or ``enabled: False``."""
         if self.scaler is None:
             return {"enabled": False}
         now = self._clock()
         self.monitor.tick(now)
-        self._maybe_scale(now)
+        self.scaler.maybe_tick(now)
         return {"enabled": True, **self.scaler.status()}
 
     # -- submission ------------------------------------------------------------
@@ -243,14 +259,11 @@ class QueryService:
         allow_partial: bool = True,
     ) -> Future:
         """Encode *text* under the index alphabet and submit it."""
-        try:
-            record = SequenceRecord.from_text(
-                query_id, text, self.mendel.index.alphabet
-            )
-        except (ValueError, KeyError) as exc:
+        record = self._encode(text, query_id)
+        if isinstance(record, InvalidRequest):
             self.stats.inc("received")
             self.stats.inc("invalid")
-            return _failed(InvalidRequest(str(exc)))
+            return _failed(record)
         return self.submit(
             record, params, deadline=deadline, allow_partial=allow_partial
         )
@@ -331,17 +344,10 @@ class QueryService:
         allow_partial: bool = True,
     ) -> ServeResult:
         """Synchronous submit-and-wait; raises structured errors directly."""
-        deadline = deadline if deadline is not None else self.default_deadline
-        future = self.submit(
-            record, params, deadline=deadline, allow_partial=allow_partial
+        return self._wait(
+            self.submit, record, params,
+            deadline=deadline, allow_partial=allow_partial,
         )
-        try:
-            return future.result(timeout=deadline)
-        except FutureTimeoutError:
-            self.stats.inc("timeouts")
-            raise DeadlineExceeded(
-                f"no result within the {deadline}s deadline"
-            ) from None
 
     def query_text(
         self,
@@ -351,11 +357,16 @@ class QueryService:
         deadline: float | None = None,
         allow_partial: bool = True,
     ) -> ServeResult:
-        deadline = deadline if deadline is not None else self.default_deadline
-        future = self.submit_text(
-            text, params, query_id=query_id, deadline=deadline,
-            allow_partial=allow_partial,
+        """:meth:`query` for a residue string (see :meth:`submit_text`)."""
+        return self._wait(
+            self.submit_text, text, params, query_id=query_id,
+            deadline=deadline, allow_partial=allow_partial,
         )
+
+    def _wait(self, submit, *args, deadline: float | None, **kwargs):
+        """Submit with the deadline (or the default) and wait that long."""
+        deadline = deadline if deadline is not None else self.default_deadline
+        future = submit(*args, deadline=deadline, **kwargs)
         try:
             return future.result(timeout=deadline)
         except FutureTimeoutError:
@@ -376,13 +387,11 @@ class QueryService:
         traced, bypassing the cache (the plan must reflect a real cluster
         execution, not a replayed one); resolves to a
         :class:`~repro.core.explain.QueryPlan`."""
-        try:
-            record = SequenceRecord.from_text(
-                query_id, text, self.mendel.index.alphabet
-            )
-        except (ValueError, KeyError) as exc:
-            return _failed(InvalidRequest(str(exc)))
-        problem = self._validate(record)
+        record = self._encode(text, query_id)
+        problem = (
+            record if isinstance(record, InvalidRequest)
+            else self._validate(record)
+        )
         if problem is not None:
             return _failed(problem)
         return self.on_engine(self.mendel.explain, record, params)
@@ -392,7 +401,8 @@ class QueryService:
     def on_engine(self, verb, /, *args, **kwargs) -> Future:
         """Queue ``verb(*args, **kwargs)`` on the engine worker, behind every
         call already queued there; the future carries its result or error.
-        The gateway runs SCRUB and RECOVER this way."""
+        The gateway runs SCRUB, RECOVER, SCALE and autoscaler ticks this
+        way."""
         if self._closed:
             return _failed(ServiceClosed("service is closed"))
         try:
@@ -480,6 +490,14 @@ class QueryService:
         with self._lock:
             self._inflight -= 1
 
+    def _encode(self, text, query_id) -> SequenceRecord | InvalidRequest:
+        try:
+            return SequenceRecord.from_text(
+                query_id, text, self.mendel.index.alphabet
+            )
+        except (ValueError, KeyError) as exc:
+            return InvalidRequest(str(exc))
+
     def _validate(self, record: SequenceRecord) -> InvalidRequest | None:
         index = self.mendel.index
         if record.alphabet.name != index.alphabet.name:
@@ -520,10 +538,8 @@ class QueryService:
         with self._lock:
             out["slow_queries"] = list(self._slow_log)
         out["balance"] = self._balance.report().summary()
-        now = self._clock()
-        self.monitor.tick(now)
-        self._maybe_scale(now)
-        out["alerts_firing"] = self.monitor.alerts_firing()
+        with self._ticked():
+            out["alerts_firing"] = self.monitor.alerts_firing()
         return out
 
     def metrics_text(self) -> str:
@@ -535,111 +551,59 @@ class QueryService:
     def _derived_families(self) -> list[FamilySnapshot]:
         """Collect-time samples for values other components already track."""
         labels = (("service", self.stats.service),)
-        snaps = [
-            FamilySnapshot(
-                name="repro_serve_queue_depth",
-                kind="gauge",
-                help="Requests currently in flight at the gateway",
-                samples=[Sample("repro_serve_queue_depth", labels,
-                                float(self.queue_depth))],
-            )
-        ]
+
+        def family(name, kind, help_, values) -> FamilySnapshot:
+            """One family from ``(extra labels, value)`` pairs."""
+            return FamilySnapshot(name, kind, help_, [
+                Sample(name, labels + extra, float(value))
+                for extra, value in values
+            ])
+
+        snaps = [family("repro_serve_queue_depth", "gauge",
+                        "Requests currently in flight at the gateway",
+                        [((), self.queue_depth)])]
         if self.cache is not None:
             cache = self.cache.stats
-            snaps.append(
-                FamilySnapshot(
-                    name="repro_cache_hits_total",
-                    kind="counter",
-                    help="Result-cache hits at the serving gateway",
-                    samples=[Sample("repro_cache_hits_total", labels,
-                                    float(cache.hits))],
-                )
-            )
-            snaps.append(
-                FamilySnapshot(
-                    name="repro_cache_misses_total",
-                    kind="counter",
-                    help="Result-cache misses at the serving gateway",
-                    samples=[Sample("repro_cache_misses_total", labels,
-                                    float(cache.misses))],
-                )
-            )
+            snaps.append(family("repro_cache_hits_total", "counter",
+                                "Result-cache hits at the serving gateway",
+                                [((), cache.hits)]))
+            snaps.append(family("repro_cache_misses_total", "counter",
+                                "Result-cache misses at the serving gateway",
+                                [((), cache.misses)]))
         profiler = self._profiler
         if profiler is not None:
             sampling = profiler.sampler
-            snaps.append(
-                FamilySnapshot(
-                    name="repro_profile_samples_total",
-                    kind="counter",
-                    help="Stacks captured by the continuous profiler",
-                    samples=[Sample("repro_profile_samples_total", labels,
-                                    float(sampling.snapshot()["samples"]))],
-                )
-            )
-            snaps.append(
-                FamilySnapshot(
-                    name="repro_profile_overhead_ratio",
-                    kind="gauge",
-                    help=(
-                        "Fraction of wall time the sampling profiler "
-                        "spends on itself"
-                    ),
-                    samples=[Sample("repro_profile_overhead_ratio", labels,
-                                    float(sampling.overhead))],
-                )
-            )
-            share_samples = [
-                Sample("repro_profile_stage_share",
-                       labels + (("stage", row["stage"]),),
-                       float(row["share"]))
-                for row in sampling.stage_shares()
-            ]
-            if share_samples:
-                snaps.append(
-                    FamilySnapshot(
-                        name="repro_profile_stage_share",
-                        kind="gauge",
-                        help=(
-                            "Share of sampled wall-clock stacks per "
-                            "pipeline stage"
-                        ),
-                        samples=share_samples,
-                    )
-                )
+            snaps.append(family("repro_profile_samples_total", "counter",
+                                "Stacks captured by the continuous profiler",
+                                [((), sampling.snapshot()["samples"])]))
+            snaps.append(family(
+                "repro_profile_overhead_ratio", "gauge",
+                "Fraction of wall time the sampling profiler spends on itself",
+                [((), sampling.overhead)],
+            ))
+            shares = [((("stage", row["stage"]),), row["share"])
+                      for row in sampling.stage_shares()]
+            if shares:
+                snaps.append(family(
+                    "repro_profile_stage_share", "gauge",
+                    "Share of sampled wall-clock stacks per pipeline stage",
+                    shares,
+                ))
         with self._lock:
             entries = list(self._slow_log)
         if entries:
-            count_samples = []
-            turnaround_samples = []
-            for family in cluster_slow_queries(entries):
-                family_labels = labels + (("family", family["family"]),)
-                count_samples.append(
-                    Sample("repro_slowfamily_queries", family_labels,
-                           float(family["count"]))
-                )
-                turnaround_samples.append(
-                    Sample("repro_slowfamily_turnaround_ms", family_labels,
-                           float(family["mean_turnaround_ms"]))
-                )
-            snaps.append(
-                FamilySnapshot(
-                    name="repro_slowfamily_queries",
-                    kind="gauge",
-                    help=(
-                        "Slow-log entries per trace family "
-                        "(span-shape cluster)"
-                    ),
-                    samples=count_samples,
-                )
-            )
-            snaps.append(
-                FamilySnapshot(
-                    name="repro_slowfamily_turnaround_ms",
-                    kind="gauge",
-                    help="Mean sim-clock turnaround per slow trace family",
-                    samples=turnaround_samples,
-                )
-            )
+            families = cluster_slow_queries(entries)
+            snaps.append(family(
+                "repro_slowfamily_queries", "gauge",
+                "Slow-log entries per trace family (span-shape cluster)",
+                [((("family", f["family"]),), f["count"]) for f in families],
+            ))
+            snaps.append(family(
+                "repro_slowfamily_turnaround_ms", "gauge",
+                "Mean sim-clock turnaround per slow trace family",
+                [((("family", f["family"]),), f["mean_turnaround_ms"])
+                 for f in families],
+            ))
         return snaps
 
     def health(self) -> dict:
@@ -655,32 +619,31 @@ class QueryService:
             status = "degraded"
         else:
             status = "ok"
-        now = self._clock()
-        self.monitor.tick(now)
-        self._maybe_scale(now)
-        firing = self.monitor.alerts_firing()
-        if status == "ok" and firing:
-            status = "alerting"
-        durability = self.mendel.durability()
-        return {
-            "status": status,
-            "queue_depth": self.queue_depth,
-            "max_pending": self.max_pending,
-            "index_version": self.mendel.index_version,
-            "cluster": cluster,
-            "balance": self._balance.report().summary(),
-            "alerts_firing": firing,
-            "alerts": self.monitor.slo_engine.states_dict(),
-            # The durable substrate, rolled up: RAM can be rebuilt, these
-            # can't — a degraded WAL or full device is pre-outage signal.
-            "durability": {
-                "durable_blocks": durability["durable_blocks"],
-                "wal_records": durability["wal_records"],
-                "degraded_nodes": durability["degraded_nodes"],
-            },
-            # Tier occupancy rollup: zeroes while the deployment is all-RAM.
-            "storage": self._storage_health(),
-        }
+        with self._ticked():
+            firing = self.monitor.alerts_firing()
+            if status == "ok" and firing:
+                status = "alerting"
+            durability = self.mendel.durability()
+            body = {
+                "status": status,
+                "queue_depth": self.queue_depth,
+                "max_pending": self.max_pending,
+                "index_version": self.mendel.index_version,
+                "cluster": cluster,
+                "balance": self._balance.report().summary(),
+                "alerts_firing": firing,
+                "alerts": self.monitor.slo_engine.states_dict(),
+                # The durable substrate, rolled up: RAM can be rebuilt, these
+                # can't — a degraded WAL or full device is pre-outage signal.
+                "durability": {
+                    "durable_blocks": durability["durable_blocks"],
+                    "wal_records": durability["wal_records"],
+                    "degraded_nodes": durability["degraded_nodes"],
+                },
+                # Tier occupancy rollup: zeroes while the deployment is all-RAM.
+                "storage": self._storage_health(),
+            }
+        return body
 
     def _storage_health(self) -> dict:
         tier = self.mendel.index.tier_report()
@@ -703,39 +666,24 @@ class QueryService:
     # -- durability and integrity ----------------------------------------------
 
     def scrub(self, heal: bool = True) -> dict:
-        """The SCRUB verb: one wall-clock anti-entropy pass over every
-        replica copy.
+        """The SCRUB verb: :meth:`MendelIndex.scrub
+        <repro.core.index.MendelIndex.scrub>` at the wall clock's now.
 
-        Digest-verifies each copy, quarantines confirmed-corrupt ones, and
-        (with ``heal=True``) streams them back from verified replicas
-        immediately.  Observations feed the gateway monitor's ``integrity``
-        SLI and the shared event log, so a scrub that finds rot also fires
-        the integrity alert with a correlated cause.
+        Its observations feed the gateway monitor's ``integrity`` SLI and
+        event log, and this service's registry, so a scrub that finds rot
+        also fires the integrity alert with a correlated cause.
         """
         if self._closed:
             raise ServiceClosed("service is closed")
-        from repro.faults.repair import ReReplicator
-        from repro.store.scrub import IntegrityScrubber
-
-        now = self._clock()
-        repairer = ReReplicator(self.mendel.index)
-        scrubber = IntegrityScrubber(
-            self.mendel.index,
+        report = self.mendel.index.scrub(
+            heal=heal,
             event_log=self.monitor.events,
             recorder=self.monitor.recorder,
             registry=self.registry,
-            heal=(
-                (lambda group, findings: repairer.sync_group(group))
-                if heal
-                else None
-            ),
+            now=self._clock(),
         )
-        scrubber.scrub_all(now=now)
-        if scrubber.report.quarantined:
-            # Holdings changed: queries must not replay pre-scrub answers.
-            self.mendel.index.version += 1
         self.monitor.tick(self._clock())
-        return {"healed": heal, **scrubber.report.to_dict()}
+        return {"healed": heal, **report.to_dict()}
 
     def recover(self, node_id: str | None = None) -> dict:
         """The RECOVER verb: restart crashed node(s) from durable state.
@@ -775,14 +723,12 @@ class QueryService:
 
         The frame also carries the tier-storage rollup so ``repro watch
         --gateway`` can render its tier-cache panel from one poll."""
-        now = self._clock()
-        self.monitor.tick(now)
-        self._maybe_scale(now)
-        out = self.monitor.snapshot(now)
-        out["firing"] = self.monitor.alerts_firing()
-        out["storage"] = self._storage_health()
-        if self._profiler is not None:
-            out["profile"] = self._profiler.snapshot()
+        with self._ticked() as now:
+            out = self.monitor.snapshot(now)
+            out["firing"] = self.monitor.alerts_firing()
+            out["storage"] = self._storage_health()
+            if self._profiler is not None:
+                out["profile"] = self._profiler.snapshot()
         return out
 
     def profile(self, action: str = "snapshot", hz: float | None = None) -> dict:

@@ -30,7 +30,6 @@ from repro.core.query import QueryReport
 from repro.faults.scenario import crash_first_nodes, twin_deployments
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.scenario import PARAMS, Run, answer_signature, drive, probe_recall
-from repro.store.scrub import IntegrityScrubber
 
 #: simulated time of the crash (``repro recover``) / the bit flips
 #: (``repro scrub``)
@@ -293,13 +292,13 @@ def run_scrub_scenario(
     control_reports = control.engine.run_batch(probes, PARAMS)
 
     # Post-run audit: a detect-only scrub pass must come back clean.
-    audit = IntegrityScrubber(mendel.index, heal=None)
+    audit = mendel.index.scrub(heal=False)
     return ScrubScenarioResult(
         **vars(run),
         flips=flips,
         control_reports=control_reports,
         wrong_answers=_differing(probes, run.reports, control_reports),
-        unhealed=len(audit.scrub_all()),
+        unhealed=len(audit.findings),
         recall=probe_recall(run.reports, expected),
         control_recall=probe_recall(control_reports, expected),
     )

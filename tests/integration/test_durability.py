@@ -110,3 +110,40 @@ class TestServeVerbs:
         assert durability["durable_blocks"] > 0
         assert durability["wal_records"] >= 0
         assert durability["degraded_nodes"] == []
+
+
+class TestLibraryScrub:
+    """``mendel.scrub()`` runs the same pass as the gateway's SCRUB."""
+
+    @pytest.fixture()
+    def mendel(self):
+        from repro.core import Mendel, MendelConfig
+        from repro.seq.alphabet import PROTEIN
+        from repro.seq.generate import random_set
+
+        db = random_set(count=10, length=80, alphabet=PROTEIN, rng=3)
+        return Mendel.build(
+            db, MendelConfig(group_count=2, group_size=2, replication=2,
+                             sample_size=128, seed=1),
+        )
+
+    def test_clean_scrub_keeps_the_index_version(self, mendel):
+        version = mendel.index_version
+        report = mendel.scrub()
+        assert report.replicas_checked > 0
+        assert (report.mismatches, report.quarantined) == (0, 0)
+        assert mendel.index_version == version
+
+    def test_flipped_bit_is_quarantined_healed_and_bumps_the_version(
+        self, mendel
+    ):
+        node = mendel.index.topology.nodes[0]
+        node.durable.corrupt_block(node.durable.manifest_ids()[0], bit=5)
+        version = mendel.index_version
+        report = mendel.scrub()
+        assert (report.mismatches, report.quarantined,
+                report.heals_requested) == (1, 1, 1)
+        assert mendel.index_version > version
+        healed = mendel.scrub()
+        assert healed.mismatches == 0
+        assert mendel.index_version == version + 1

@@ -45,7 +45,23 @@ class TestScaleStatus:
         scaled_service.health()
         scaled_service.alerts()
         scaled_service.snapshot()
+        # The reads queue their ticks on the engine worker: drain it first.
+        scaled_service.on_engine(lambda: None).result(timeout=30)
         assert len(scaled_service.scaler.decisions) >= 1
+
+    def test_a_failing_queued_tick_emits_an_event(self, mendel):
+        class Broken(ScalerPolicy):
+            def decide(self, signals):
+                raise RuntimeError("policy broke")
+
+        events = EventLog()
+        with mendel.service(cache_capacity=0, event_log=events) as svc:
+            svc.enable_autoscaler(policy=Broken())
+            assert svc.health()["status"] == "ok"
+            svc.on_engine(lambda: None).result(timeout=30)
+        failed = [e for e in events.events() if e.kind == "scale_failed"]
+        assert len(failed) == 1
+        assert "policy broke" in failed[0].message
 
 
 class TestScaleWire:

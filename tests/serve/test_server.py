@@ -261,6 +261,17 @@ class TestStructuredErrors:
 
 
 class TestEngineWorker:
+    @pytest.fixture()
+    def mendel(self, protein_db):
+        """A deployment of the tests' own: an autoscaler tick really splits
+        it."""
+        from repro.core import Mendel, MendelConfig
+
+        return Mendel.build(
+            protein_db,
+            MendelConfig(group_count=3, group_size=2, sample_size=256, seed=7),
+        )
+
     def test_scrub_and_recover_wait_for_a_running_query(
         self, mendel, held_engine, monkeypatch, probe_texts, serve_params
     ):
@@ -330,6 +341,75 @@ class TestEngineWorker:
             service.close()
         assert all(reply["ok"] for reply in replies.values()), replies
         assert started == [("scrub", True), ("recover", True)]
+
+    def test_ticking_reads_wait_for_a_running_query(
+        self, mendel, held_engine, monkeypatch, probe_texts, serve_params
+    ):
+        """HEALTH, ALERTS and STATS tick the autoscaler, and a tick may split
+        a group a running query reads.  Sent while a query holds the engine,
+        each read answers at once, and the split it is primed for starts
+        only after the query returns."""
+        from repro.core.index import MendelIndex
+        from repro.obs.events import EventLog
+        from repro.scale import ScalerPolicy
+        from repro.scale.policy import ACTION_SPLIT_GROUP, ScaleDecision
+
+        class SplitNow(ScalerPolicy):
+            def decide(self, signals):
+                return ScaleDecision(ACTION_SPLIT_GROUP, group="g00",
+                                     reason="primed")
+
+        returned = threading.Event()
+        held = mendel.query_many
+
+        def tracked(records, params=None, trace_contexts=None):
+            try:
+                return held(records, params, trace_contexts=trace_contexts)
+            finally:
+                returned.set()
+
+        started: list[bool] = []
+        split_group = MendelIndex.split_group
+
+        def tracked_split(index, group_id, settle=True):
+            started.append(returned.is_set())
+            return split_group(index, group_id, settle=settle)
+
+        monkeypatch.setattr(mendel, "query_many", tracked)
+        monkeypatch.setattr(MendelIndex, "split_group", tracked_split)
+        replies: dict[str, dict] = {}
+
+        def send_query() -> None:
+            with ServeClient(server.host, server.port, timeout=60) as client:
+                replies["query"] = client.query(
+                    probe_texts[0], params=wire_params(serve_params)
+                )
+
+        service = mendel.service(cache_capacity=0, event_log=EventLog())
+        service.enable_autoscaler(policy=SplitNow(cooldown_ticks=0))
+        try:
+            with BackgroundServer(service) as server:
+                query = threading.Thread(target=send_query)
+                query.start()
+                for _ in range(200):
+                    if service.queue_depth:
+                        break
+                    time.sleep(0.01)
+                # A read that waited for the engine would time out here.
+                with ServeClient(server.host, server.port, timeout=10) as c:
+                    for op in ("health", "alerts", "stats"):
+                        replies[op] = c.call(op)
+                assert started == [], "a tick split a group beside the query"
+                held_engine.set()
+                query.join(timeout=60)
+                assert not query.is_alive()
+                service.on_engine(lambda: None).result(timeout=60)
+        finally:
+            held_engine.set()
+            service.close()
+        assert all(reply["ok"] for reply in replies.values()), replies
+        assert started and all(started)
+        assert len(mendel.index.topology.groups) > 3
 
 
 class TestClientRetry:
