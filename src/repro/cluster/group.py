@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from repro.cluster.hashring import FlatHash, HashRing
 from repro.cluster.node import StorageNode
-from repro.obs.metrics import default_registry
 
 
 @dataclass
@@ -49,17 +48,6 @@ class StorageGroup:
                 )
         self._flat = self._make_placer(ids)
         self._by_id = {node.node_id: node for node in self.nodes}
-        registry = default_registry()
-        self._m_elections = registry.counter(
-            "repro_coordinator_elections_total",
-            "Query-coordinator selections performed by storage groups",
-            ("group",),
-        ).labels(group=self.group_id)
-        self._m_failovers = registry.counter(
-            "repro_coordinator_failovers_total",
-            "Coordinator selections that skipped a dead first-choice node",
-            ("group",),
-        ).labels(group=self.group_id)
 
     def _make_placer(self, ids: tuple[str, ...]) -> FlatHash | HashRing:
         return HashRing(ids) if self.use_ring else FlatHash(ids)
@@ -157,11 +145,7 @@ class StorageGroup:
         *alive* node deterministically so simulations replay identically and
         coordination survives node failures.
         """
-        self._m_elections.inc()
-        for position, node in enumerate(self.nodes):
+        for node in self.nodes:
             if node.alive:
-                if position:
-                    self._m_failovers.inc()
                 return node
-        self._m_failovers.inc()
         return self.nodes[0]  # all dead: routing still needs an address

@@ -150,41 +150,11 @@ class StorageNode:
         #: ``(cache, config)`` once the deployment attached tiering; kept
         #: across unspill/reset so maintenance flows can re-spill
         self._tier_attach: tuple[BlockCache, TierConfig] | None = None
-        # Observability: children resolved once so the per-search cost is a
-        # lock-and-add, not a registry lookup.
-        registry = default_registry()
-        self._registry = registry
-        # Node-labelled durability series are resolved through the family
-        # (not cached children): a crash wipe purges them via
-        # ``purge_labels`` and the next touch must re-create the series.
-        self._g_durable = registry.gauge(
-            "repro_node_durable_blocks",
-            "Blocks durably recorded in each node's snapshot + WAL",
-            ("node",),
-        )
-        self._c_wal = registry.counter(
-            "repro_node_wal_records_total",
-            "Acknowledged WAL records (inserts and drops) per node",
-            ("node",),
-        )
-        self._c_unacked = registry.counter(
-            "repro_node_wal_unacked_total",
-            "Durable appends that failed acknowledgement per node",
-            ("node",),
-        )
-        self._m_evals = registry.counter(
+        # Resolved once so the per-search cost is a lock-and-add, not a
+        # registry lookup.
+        self._m_evals = default_registry().counter(
             "repro_distance_evaluations_total",
             "Logical segment-distance evaluations performed by local vp-trees",
-            ("group",),
-        ).labels(group=group_id)
-        self._m_blocks = registry.counter(
-            "repro_blocks_scanned_total",
-            "Candidate index blocks returned by local k-NN searches",
-            ("group",),
-        ).labels(group=group_id)
-        self._m_searches = registry.counter(
-            "repro_node_searches_total",
-            "Local k-NN searches served by storage nodes",
             ("group",),
         ).labels(group=group_id)
 
@@ -241,18 +211,9 @@ class StorageNode:
         """Append one WAL insert per block (row of *codes*).  An append the
         device refused leaves the node serving from RAM with
         :attr:`durability_degraded` set."""
-        acked = 0
         for block_id, row in zip(block_ids, codes):
-            if self.durable.append_insert(block_id, row):
-                acked += 1
-            else:
+            if not self.durable.append_insert(block_id, row):
                 self.durability_degraded = True
-                self._c_unacked.labels(node=self.node_id).inc()
-        if acked:
-            self._c_wal.labels(node=self.node_id).inc(acked)
-        self._g_durable.labels(node=self.node_id).set(
-            float(self.durable.block_count)
-        )
 
     def verify_block(self, block_id: int) -> bool:
         """Verified read gate: does this node's durable copy of *block_id*
@@ -309,7 +270,6 @@ class StorageNode:
         self.tier = tier
         self.durable.reset()
         self.durability_degraded = False
-        self._g_durable.labels(node=self.node_id).set(float(len(self.block_ids)))
 
     def unspill(self) -> None:
         """Fold the tier back into RAM: rebuild the codes matrix from the
@@ -384,9 +344,7 @@ class StorageNode:
                 self.tier.io_seconds(found.cold_reads, found.cold_bytes),
             )
         self.stats.queries_served += len(searches)
-        self._m_searches.inc(len(searches))
         self._m_evals.inc(sum(evals for _, evals in found))
-        self._m_blocks.inc(sum(len(hits) for hits, _ in found))
         return searches, reads
 
     def service_time(self, evals: int, overhead_evals: int = 50) -> float:
@@ -415,7 +373,6 @@ class StorageNode:
         self._wipe_ram()
         self.durable.reset()
         self.durability_degraded = False
-        self._g_durable.labels(node=self.node_id).set(0.0)
 
     def _wipe_ram(self) -> None:
         """Fresh empty vp-tree; durable state untouched."""
@@ -430,9 +387,8 @@ class StorageNode:
 
     def fail(self) -> None:
         """Crash-stop the node: the process (and with it every in-RAM
-        structure) is gone; only :attr:`disk` survives.  The node's
-        labelled metric series are purged — a restarted process starts
-        its gauges from what durable state says, not from stale RAM."""
+        structure) is gone; only :attr:`disk` survives, and
+        :meth:`recover` rebuilds the node from it."""
         self.alive = False
         self.suspected = False
         if self.tier is not None:
@@ -441,7 +397,6 @@ class StorageNode:
             # as a handle to it, exactly like ``self.durable``.
             self.tier.detach()
         self._wipe_ram()
-        self._registry.purge_labels(node=self.node_id)
 
     def recover(self) -> None:
         """Restart a crashed node strictly from its durable state.
@@ -487,10 +442,6 @@ class StorageNode:
         self.last_recovery["tier_blocks"] = tier_restored
         self.stats.recoveries += 1
         self.stats.blocks_recovered += len(rep.block_ids) + tier_restored
-        if not self.tiered:
-            self._g_durable.labels(node=self.node_id).set(
-                float(self.durable.block_count)
-            )
 
     def flush_durable(self) -> bool:
         """Checkpoint the WAL into the snapshot (drain/decommission path);

@@ -389,13 +389,6 @@ class _BatchRun:
         self.m_routed = counter(
             "repro_subqueries_routed_total",
             "Window subqueries routed to storage groups", ("group",))
-        self.m_retries = counter(
-            "repro_hedged_retries_total",
-            "Subqueries hedged with a retry after a drop/timeout", ("group",))
-        self.m_failures = counter(
-            "repro_node_failures_total",
-            "Subqueries that terminally failed (no anchors contributed)",
-            ("group", "reason"))
         m_funnel = counter(
             "repro_query_funnel_total",
             "Candidates surviving each stage of the query attrition funnel",
@@ -534,12 +527,9 @@ class _BatchRun:
             span.annotate(failed=result.reason)
             span.finish(sim_now=sim.now)
             if attempts >= 1 or not node.alive:
-                self.m_failures.labels(group=node.group_id,
-                                       reason=result.reason).inc()
                 return result
             attempts += 1
             state.stats.hedged_retries += 1
-            self.m_retries.labels(group=node.group_id).inc()
 
     def group(self, state: _QueryState, group: StorageGroup,
               windows: list[_Window], parent_span):

@@ -28,7 +28,6 @@ from repro.faults.detector import FailureDetector
 from repro.faults.repair import RepairReport, ReReplicator
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.obs.events import EventLog
-from repro.obs.metrics import default_registry
 from repro.sim.engine import SimEvent, Simulation
 from repro.sim.network import Network
 from repro.store.scrub import IntegrityScrubber, ScrubFinding
@@ -89,22 +88,6 @@ class ChaosController:
             )
         self._repair_tail: dict[str, SimEvent] = {}
         self._nodes = {node.node_id: node for node in index.topology.nodes}
-        registry = default_registry()
-        self._m_events = registry.counter(
-            "repro_chaos_events_total",
-            "Chaos timeline entries by kind (injections, detections, repairs)",
-            ("kind",),
-        )
-        self._m_repair_blocks = registry.counter(
-            "repro_repair_blocks_streamed_total",
-            "Index blocks streamed by re-replication repairs",
-            ("group",),
-        )
-        self._m_repair_bytes = registry.counter(
-            "repro_repair_bytes_streamed_total",
-            "Payload bytes streamed by re-replication repairs",
-            ("group",),
-        )
 
     # -- wiring ----------------------------------------------------------------
 
@@ -290,14 +273,6 @@ class ChaosController:
                 yield previous
             report = yield from self.repairer.repair_proc(group, self.sim, self.net)
             self.repairs = self.repairs.merge(report)
-            if report.blocks_streamed:
-                self._m_repair_blocks.labels(group=group.group_id).inc(
-                    report.blocks_streamed
-                )
-            if report.bytes_streamed:
-                self._m_repair_bytes.labels(group=group.group_id).inc(
-                    report.bytes_streamed
-                )
             self._note(
                 "repair",
                 f"{group.group_id}: {reason} — {report.blocks_streamed} streamed, "
@@ -313,7 +288,6 @@ class ChaosController:
 
     def _note(self, kind: str, detail: str, actor: str = "chaos") -> None:
         self.log.append(ChaosLogEntry(time=self.sim.now, kind=kind, detail=detail))
-        self._m_events.labels(kind=kind).inc()
         if self.events is not None:
             self.events.emit(kind, actor, detail, sim_time=self.sim.now)
 

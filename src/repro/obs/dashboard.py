@@ -62,8 +62,9 @@ def _fmt_bytes(count: float) -> str:
 
 def render_tier_cache(storage: dict, width: int = 96) -> list[str]:
     """The tier-cache panel: page-cache hit rate, pinned pages, cold-read
-    device traffic (the ``repro_tier_cache_*`` / tier occupancy rollup the
-    gateway ships in its ALERTS frame)."""
+    device traffic (the ``storage`` rollup of ``tier_report()`` — the block
+    cache's own counts and each node's occupancy — that the gateway ships
+    in its ALERTS frame)."""
     lines = [_rule("tier cache", width)]
     if not storage.get("tiered"):
         lines.append("(deployment is all-RAM; nothing spilled)")

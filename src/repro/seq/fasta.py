@@ -47,8 +47,10 @@ def read_fasta(
 ) -> SequenceSet:
     """Parse FASTA from a path, string-path, or open handle into a
     :class:`~repro.seq.records.SequenceSet` under *alphabet*.  A residue
-    outside *alphabet* raises ``ValueError`` naming the record:
-    ``"<seq_id>: invalid protein letter 'J' at position 5"``."""
+    outside *alphabet* or a header with no sequence under it raises
+    ``ValueError`` naming the record:
+    ``"<seq_id>: invalid protein letter 'J' at position 5"``,
+    ``"<seq_id>: empty record"``."""
     if isinstance(alphabet, str):
         alphabet = alphabet_for(alphabet)
     if isinstance(source, (str, Path)):
@@ -58,6 +60,8 @@ def read_fasta(
     result = SequenceSet(alphabet=alphabet)
     for header, text in _iter_fasta_chunks(source):
         seq_id, _, description = header.partition(" ")
+        if not text:
+            raise ValueError(f"{seq_id}: empty record")
         try:
             record = SequenceRecord.from_text(
                 seq_id=seq_id,

@@ -581,14 +581,6 @@ class QueryService:
                 "Fraction of wall time the sampling profiler spends on itself",
                 [((), sampling.overhead)],
             ))
-            shares = [((("stage", row["stage"]),), row["share"])
-                      for row in sampling.stage_shares()]
-            if shares:
-                snaps.append(family(
-                    "repro_profile_stage_share", "gauge",
-                    "Share of sampled wall-clock stacks per pipeline stage",
-                    shares,
-                ))
         with self._lock:
             entries = list(self._slow_log)
         if entries:

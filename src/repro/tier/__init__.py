@@ -17,7 +17,7 @@ from repro.tier.blockfile import (
     manifest_ids,
     write_block_file,
 )
-from repro.tier.cache import CACHE_TIER, BlockCache
+from repro.tier.cache import BlockCache
 from repro.tier.codec import (
     METHOD_DELTA,
     METHOD_NAMES,
@@ -34,7 +34,6 @@ from repro.tier.summary import page_centroid, summarize_rows
 __all__ = [
     "BlockCache",
     "BlockFileReader",
-    "CACHE_TIER",
     "METHOD_DELTA",
     "METHOD_NAMES",
     "METHOD_PACKED",

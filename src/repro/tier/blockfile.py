@@ -67,7 +67,8 @@ _HEAD = struct.Struct("<4sHIIII")
 
 
 class TierFileError(Exception):
-    """The block file failed an integrity check (magic, version, CRC)."""
+    """The block file failed an integrity check (magic, version, CRC) or
+    its segment table failed to parse."""
 
 
 @dataclass
@@ -207,21 +208,44 @@ class BlockFileReader:
         table_bytes = disk.read_span(name, _HEAD.size, table_len)
         if len(table_bytes) != table_len or zlib.crc32(table_bytes) != table_crc:
             raise TierFileError(f"{name!r} segment table failed its checksum")
+        # A table can pass its CRC and still be malformed (not an object,
+        # a missing key, a wrong-typed value): every way it fails to parse
+        # is a TierFileError, so manifest_ids() can claim nothing for it.
         try:
             table = json.loads(zlib.decompress(table_bytes).decode())
-        except (zlib.error, ValueError) as exc:
+            self.node_id = str(table["node"])
+            self.width = int(table["width"])
+            self.alphabet_size = int(table["alphabet_size"])
+            self.row_count = int(table["row_count"])
+            rowmeta_crc = int(table["rowmeta_crc"])
+            digests_crc = int(table["digests_crc"])
+            self.pages = [
+                PageMeta(
+                    index=i,
+                    offset=int(entry["offset"]),
+                    length=int(entry["length"]),
+                    method=int(entry["method"]),
+                    rows=int(entry["rows"]),
+                    block_ids=[],
+                    tree_rows=[],
+                    digests=[],
+                    centroid=np.array(entry["centroid"], dtype=np.uint8),
+                    radius=float(entry["radius"]),
+                    histogram=np.array(entry["histogram"], dtype=np.int64),
+                    raw_bytes=int(entry["raw_bytes"]),
+                    pinned=bool(entry["pinned"]),
+                )
+                for i, entry in enumerate(table["pages"])
+            ]
+        except (zlib.error, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TierFileError(
                 f"{name!r} segment table failed to parse: {exc}"
             ) from exc
-        self.node_id = str(table["node"])
-        self.width = int(table["width"])
-        self.alphabet_size = int(table["alphabet_size"])
-        self.row_count = int(table["row_count"])
 
         rowmeta_raw = disk.read_span(name, _HEAD.size + table_len, rowmeta_len)
         if (
             len(rowmeta_raw) != rowmeta_len
-            or zlib.crc32(rowmeta_raw) != int(table["rowmeta_crc"])
+            or zlib.crc32(rowmeta_raw) != rowmeta_crc
         ):
             raise TierFileError(f"{name!r} row-meta section failed its checksum")
         try:
@@ -243,7 +267,7 @@ class BlockFileReader:
         )
         if (
             len(digest_raw) != digests_len
-            or zlib.crc32(digest_raw) != int(table["digests_crc"])
+            or zlib.crc32(digest_raw) != digests_crc
         ):
             raise TierFileError(f"{name!r} digest section failed its checksum")
         digests = np.frombuffer(digest_raw, dtype=np.uint32)
@@ -254,28 +278,13 @@ class BlockFileReader:
             )
 
         self._payload_base = _HEAD.size + table_len + rowmeta_len + digests_len
-        self.pages: list[PageMeta] = []
         cursor = 0
-        for i, entry in enumerate(table["pages"]):
-            rows = int(entry["rows"])
-            self.pages.append(
-                PageMeta(
-                    index=i,
-                    offset=int(entry["offset"]),
-                    length=int(entry["length"]),
-                    method=int(entry["method"]),
-                    rows=rows,
-                    block_ids=[int(b) for b in block_ids[cursor : cursor + rows]],
-                    tree_rows=[int(r) for r in tree_rows[cursor : cursor + rows]],
-                    digests=[int(d) for d in digests[cursor : cursor + rows]],
-                    centroid=np.array(entry["centroid"], dtype=np.uint8),
-                    radius=float(entry["radius"]),
-                    histogram=np.array(entry["histogram"], dtype=np.int64),
-                    raw_bytes=int(entry["raw_bytes"]),
-                    pinned=bool(entry["pinned"]),
-                )
-            )
-            cursor += rows
+        for meta in self.pages:
+            stop = cursor + meta.rows
+            meta.block_ids = [int(b) for b in block_ids[cursor:stop]]
+            meta.tree_rows = [int(r) for r in tree_rows[cursor:stop]]
+            meta.digests = [int(d) for d in digests[cursor:stop]]
+            cursor = stop
         if cursor != n:
             raise TierFileError(
                 f"{name!r} pages cover {cursor} rows, table says {n}"

@@ -24,12 +24,9 @@ that holds the node's pages makes the next pass free, a smaller one keeps
 a slowly turning subset resident instead of churning through all of them.
 
 Gateway worker threads search the same nodes at once, so ``get``, ``put``
-and ``drop_node`` hold one lock and the resident-byte total is kept as a
-running sum.
-
-All counters are labelled ``(node, tier)`` so a node drain purges its
-series via ``MetricsRegistry.purge_labels`` (see the multi-label purge
-semantics in :mod:`repro.obs.metrics`).
+and ``drop_node`` hold one lock, and the resident-byte total and the
+hit / miss / eviction / bypass counts are running sums kept under it.  The
+counts belong to this cache: a fresh cache starts them at zero.
 """
 
 from __future__ import annotations
@@ -39,19 +36,13 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.profile import charge as profile_charge
-
-#: the ``tier`` label value for block-cache series
-CACHE_TIER = "block_cache"
 
 
 class BlockCache:
     """Shared byte-budget SLRU page cache."""
 
-    def __init__(
-        self, capacity_bytes: int, registry: MetricsRegistry | None = None
-    ) -> None:
+    def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes < 0:
             raise ValueError(f"capacity_bytes must be >= 0, got {capacity_bytes}")
         self.capacity_bytes = int(capacity_bytes)
@@ -60,29 +51,10 @@ class BlockCache:
         self._probation: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
         self._protected: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
         self._resident_bytes = 0
-        registry = registry or default_registry()
-        labelnames = ("node", "tier")
-        self._c_hits = registry.counter(
-            "repro_tier_cache_hits_total",
-            "Block-cache page hits per node",
-            labelnames,
-        )
-        self._c_misses = registry.counter(
-            "repro_tier_cache_misses_total",
-            "Block-cache page misses (cold reads) per node",
-            labelnames,
-        )
-        self._c_evictions = registry.counter(
-            "repro_tier_cache_evictions_total",
-            "Pages evicted from the block cache per node",
-            labelnames,
-        )
-        self._c_bypass = registry.counter(
-            "repro_tier_cache_bypass_total",
-            "Page reads that bypassed admission (page larger than the "
-            "budget) per node",
-            labelnames,
-        )
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._bypasses = 0
 
     # -- introspection ---------------------------------------------------------
 
@@ -107,20 +79,16 @@ class BlockCache:
         return key in self._probation or key in self._protected
 
     def stats(self) -> dict:
-        def total(family) -> float:
-            return sum(
-                child.value for _labels, child in family._items()
-            )
-
-        return {
-            "capacity_bytes": self.capacity_bytes,
-            "resident_bytes": self.resident_bytes,
-            "resident_pages": self.resident_pages,
-            "hits": total(self._c_hits),
-            "misses": total(self._c_misses),
-            "evictions": total(self._c_evictions),
-            "bypasses": total(self._c_bypass),
-        }
+        with self._lock:
+            return {
+                "capacity_bytes": self.capacity_bytes,
+                "resident_bytes": self._resident_bytes,
+                "resident_pages": self.resident_pages,
+                "hits": self._hits,
+                "misses": self._misses,
+                "evictions": self._evictions,
+                "bypasses": self._bypasses,
+            }
 
     # -- the cache protocol ----------------------------------------------------
 
@@ -135,11 +103,13 @@ class BlockCache:
                 rows = self._probation.pop(key, None)
                 if rows is not None:
                     self._protected[key] = rows
+            if rows is None:
+                self._misses += 1
+            else:
+                self._hits += 1
         if rows is None:
-            self._c_misses.labels(node=key[0], tier=CACHE_TIER).inc()
             profile_charge("tier", "tier/cache.py:BlockCache.get", cache_misses=1)
         else:
-            self._c_hits.labels(node=key[0], tier=CACHE_TIER).inc()
             profile_charge("tier", "tier/cache.py:BlockCache.get", cache_hits=1)
         return rows
 
@@ -148,11 +118,10 @@ class BlockCache:
         resident afterwards.  Pages larger than the whole budget are never
         admitted (a full-corpus scan cannot claim the cache)."""
         nbytes = int(rows.nbytes)
-        if nbytes > self.capacity_bytes:
-            self._c_bypass.labels(node=key[0], tier=CACHE_TIER).inc()
-            return False
-        evicted = []
         with self._lock:
+            if nbytes > self.capacity_bytes:
+                self._bypasses += 1
+                return False
             if self.contains(key):  # another thread read it meanwhile
                 return True
             self._probation[key] = rows
@@ -163,11 +132,9 @@ class BlockCache:
                 segment = (
                     self._probation if len(self._probation) > 1 else self._protected
                 )
-                victim, gone = segment.popitem(last=False)
+                _, gone = segment.popitem(last=False)
                 self._resident_bytes -= gone.nbytes
-                evicted.append(victim)
-        for victim in evicted:
-            self._c_evictions.labels(node=victim[0], tier=CACHE_TIER).inc()
+                self._evictions += 1
         return True
 
     def drop_node(self, node_id: str) -> int:

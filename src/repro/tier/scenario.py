@@ -67,15 +67,6 @@ def _run_sweep(mendel: Mendel, queries: list) -> dict:
     }
 
 
-def _cache_delta(after: dict, before: dict) -> dict:
-    """Counter movement between two ``BlockCache.stats()`` snapshots (the
-    registry is process-global, so raw totals would bleed across runs)."""
-    return {
-        key: after[key] - before.get(key, 0)
-        for key in ("hits", "misses", "evictions", "bypasses")
-    }
-
-
 def _mean(values: list[float]) -> float:
     return sum(values) / len(values)
 
@@ -211,9 +202,11 @@ def run_tier_scenario(
     )
     cold_cache_bytes = max(1, int(cache_fraction * raw_bytes))
     cache = mendel.spill(cache_bytes=cold_cache_bytes, config=cold_config)
-    stats_before = cache.stats()
     cold = _run_sweep(mendel, queries)
-    cold["cache"] = _cache_delta(cache.stats(), stats_before)
+    counts = cache.stats()
+    cold["cache"] = {
+        key: counts[key] for key in ("hits", "misses", "evictions", "bypasses")
+    }
     tier = mendel.tier_report()
 
     # -- phase 3: warm2 (cache residency re-check, one query) ------------------

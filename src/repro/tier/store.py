@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.obs.metrics import default_registry
 from repro.tier import blockfile
 from repro.tier.blockfile import BlockFileReader, PageRecord, write_block_file
 from repro.tier.cache import BlockCache
@@ -169,29 +168,6 @@ class NodeTier:
         self._io_lock = threading.Lock()
         self.total_seeks = 0
         self.total_bytes = 0
-        registry = default_registry()
-        self._g_disk = registry.gauge(
-            "repro_tier_bytes_on_disk",
-            "Compressed block-file bytes on each node's disk",
-            ("node",),
-        )
-        self._g_ratio = registry.gauge(
-            "repro_tier_compression_ratio",
-            "Raw block bytes over on-disk bytes per node (0 = not tiered)",
-            ("node",),
-        )
-        self._g_resident = registry.gauge(
-            "repro_tier_resident_fraction",
-            "Fraction of a node's raw block bytes resident in RAM "
-            "(pinned vantage pages + cached pages)",
-            ("node",),
-        )
-        self._c_decode_failures = registry.counter(
-            "repro_tier_decode_failures_total",
-            "Page payloads that failed to decode on read (bit rot caught "
-            "by the codec before digest verification)",
-            ("node",),
-        )
 
     # -- spill -----------------------------------------------------------------
 
@@ -295,7 +271,6 @@ class NodeTier:
         tree.points = TieredPoints(self)
         if hasattr(tree, "_storage"):
             del tree._storage
-        self._update_gauges()
 
     # -- reads -----------------------------------------------------------------
 
@@ -350,7 +325,6 @@ class NodeTier:
             return self._undecodable(index)
 
     def _undecodable(self, index: int) -> np.ndarray:
-        self._c_decode_failures.labels(node=self.node_id).inc()
         return np.zeros((self.reader.pages[index].rows, self.width), dtype=np.uint8)
 
     def io_seconds(self, seeks: int, nbytes: int) -> float:
@@ -416,7 +390,6 @@ class NodeTier:
             try:
                 rows = reader.read_page(index)
             except TierCodecError:
-                self._c_decode_failures.labels(node=self.node_id).inc()
                 rows = np.zeros((meta.rows, reader.width), dtype=np.uint8)
             for slot, block_id in enumerate(meta.block_ids):
                 by_block[block_id] = rows[slot]
@@ -435,13 +408,10 @@ class NodeTier:
 
     def discard(self) -> None:
         """Tear the tier down completely (unspill or placement reset):
-        cache entries dropped, block file deleted, gauges zeroed."""
+        cache entries dropped, block file deleted."""
         self.cache.drop_node(self.node_id)
         self.node.disk.delete(self.config.file_name)
         self.active = False
-        self._g_disk.labels(node=self.node_id).set(0.0)
-        self._g_ratio.labels(node=self.node_id).set(0.0)
-        self._g_resident.labels(node=self.node_id).set(0.0)
 
     # -- reporting -------------------------------------------------------------
 
@@ -472,13 +442,13 @@ class NodeTier:
         return self.resident_bytes / raw if raw else 0.0
 
     def occupancy(self) -> dict:
-        """Tier occupancy report for one node (also refreshes gauges)."""
+        """Tier occupancy report for one node."""
         methods: dict[str, int] = {}
         if self.reader is not None:
             for meta in self.reader.pages:
                 name = METHOD_NAMES.get(meta.method, str(meta.method))
                 methods[name] = methods.get(name, 0) + 1
-        report = {
+        return {
             "active": self.active,
             "pages": len(self._page_rows),
             "pinned_pages": len(self._pinned_arrays),
@@ -493,10 +463,3 @@ class NodeTier:
             "cold_read_bytes": self.total_bytes,
             "codec_pages": methods,
         }
-        self._update_gauges()
-        return report
-
-    def _update_gauges(self) -> None:
-        self._g_disk.labels(node=self.node_id).set(float(self.bytes_on_disk))
-        self._g_ratio.labels(node=self.node_id).set(self.compression_ratio)
-        self._g_resident.labels(node=self.node_id).set(self.resident_fraction)

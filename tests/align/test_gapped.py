@@ -285,6 +285,7 @@ def mixed_batch(seed):
     return q, subjects, [sq for sq, _ in seeds], [ss for _, ss in seeds]
 
 
+@pytest.mark.chaos
 class TestLockstepBatch:
     def test_batch_equals_one_anchor_equals_reference(self):
         for seed in PAIR_SEEDS:

@@ -21,6 +21,8 @@ from repro.core.query import QueryEngine
 from repro.scenario import build_deployment
 from repro.seq.mutate import mutate_to_identity
 
+pytestmark = pytest.mark.chaos
+
 SEED = int(os.environ.get("CHAOS_SEED", "0"))
 BASE = QueryParams(k=8, n=8, i=0.5, c=0.5)
 

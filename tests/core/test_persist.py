@@ -87,6 +87,7 @@ class TestRoundtrip:
         assert loaded.stats.per_node_blocks == index.stats.per_node_blocks
 
 
+@pytest.mark.chaos
 class TestReloadsWhereSaved:
     """A reloaded deployment holds every block where the saved one did, for
     flat and ring placement, one copy or two, on ``CHAOS_SEED``-drawn

@@ -86,6 +86,7 @@ class TestSearchRadius:
         assert half == pytest.approx(full / 2)
 
 
+@pytest.mark.chaos
 class TestNodeKernel:
     def test_pure_and_equal_to_the_traced_run(self, mendel, planted_probe):
         """Called directly — no Simulation — the kernel returns what the
@@ -206,6 +207,7 @@ def one_candidate_at_a_time(node, query_codes, windows, params, radius, matrix, 
     return anchors, cost
 
 
+@pytest.mark.chaos
 class TestConcurrentCosts:
     def test_thread_pool_reads_the_sequential_costs(self, mendel, protein_db):
         """Every cost a query reports is a value its own run computed —

@@ -10,6 +10,8 @@ from repro.seq.distance import default_distance
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
 
+pytestmark = pytest.mark.chaos
+
 
 def make_group(n=3, group_id="g00"):
     nodes = [

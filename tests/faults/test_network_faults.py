@@ -5,6 +5,8 @@ import pytest
 from repro.sim.engine import Simulation
 from repro.sim.network import LinkFault, Network
 
+pytestmark = pytest.mark.chaos
+
 
 @pytest.fixture()
 def net():

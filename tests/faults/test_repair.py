@@ -9,6 +9,8 @@ from repro.seq.generate import random_set
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
 
+pytestmark = pytest.mark.chaos
+
 
 def build(replication=2, seed=21):
     db = random_set(count=12, length=90, alphabet=PROTEIN, rng=77,

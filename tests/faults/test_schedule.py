@@ -4,6 +4,8 @@ import pytest
 
 from repro.faults.schedule import FaultEvent, FaultSchedule, kill_and_recover
 
+pytestmark = pytest.mark.chaos
+
 
 class TestFaultEvent:
     def test_constructors_set_kind(self):

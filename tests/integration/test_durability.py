@@ -112,6 +112,7 @@ class TestServeVerbs:
         assert durability["degraded_nodes"] == []
 
 
+@pytest.mark.chaos
 class TestLibraryScrub:
     """``mendel.scrub()`` runs the same pass as the gateway's SCRUB."""
 

@@ -17,6 +17,8 @@ from repro.seq.generate import random_set
 from repro.seq.mutate import mutate_to_identity
 from repro.serve.protocol import report_to_dict
 
+pytestmark = pytest.mark.chaos
+
 
 @pytest.fixture()
 def replicated():

@@ -124,6 +124,7 @@ class TestMatrixDistance:
         with pytest.raises(ValueError, match="integer-valued"):
             MatrixDistance(matrix)
 
+    @pytest.mark.chaos
     @settings(max_examples=40, deadline=None)
     @given(
         size=st.one_of(st.integers(2, 40), st.just(256)),

@@ -57,6 +57,12 @@ class TestParse:
         with pytest.raises(ValueError, match=want):
             read_fasta(path, "protein")
 
+    def test_empty_record_names_the_record(self):
+        with pytest.raises(ValueError, match="^a: empty record$"):
+            parse_fasta_text(">a\n>b\nMKV\n", "protein")
+        with pytest.raises(ValueError, match="^last: empty record$"):
+            parse_fasta_text(">first\nMKV\n\n>last\n\n", "protein")
+
     def test_empty_input(self):
         assert len(parse_fasta_text("", "dna")) == 0
 

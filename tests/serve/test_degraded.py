@@ -14,6 +14,8 @@ from repro.serve.client import ServeClient
 from repro.serve.errors import DegradedResult
 from repro.serve.server import BackgroundServer
 
+pytestmark = pytest.mark.chaos
+
 
 @pytest.fixture(scope="module")
 def fragile():

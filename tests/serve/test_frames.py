@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from repro.serve.protocol import MAX_LINE_BYTES
 from repro.serve.server import BackgroundServer
 
+pytestmark = pytest.mark.chaos
+
 SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 VERBS = (

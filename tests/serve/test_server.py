@@ -260,6 +260,7 @@ class TestStructuredErrors:
         assert response["error"] == "invalid_request"
 
 
+@pytest.mark.chaos
 class TestEngineWorker:
     @pytest.fixture()
     def mendel(self, protein_db):

@@ -36,6 +36,7 @@ class TestResults:
         assert alignment_keys(served.report) == alignment_keys(direct)
         assert served.report.query_id == "q0"
 
+    @pytest.mark.chaos
     def test_concurrent_submits_all_resolve(self, service, mendel,
                                             probe_texts):
         """Twelve cold requests queued together, an EXPLAIN ahead of them:

@@ -50,6 +50,8 @@ from repro.serve.protocol import encode
 from repro.serve.server import BackgroundServer
 from repro.serve.service import QueryService
 
+pytestmark = pytest.mark.chaos
+
 SESSIONS = Path(__file__).parent / "sessions"
 REGENERATE = os.environ.get("REPRO_REGEN_SESSIONS") == "1"
 

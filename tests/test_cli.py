@@ -683,6 +683,7 @@ class TestSearchInputErrors:
         "MKVLAWGMKV\n>late\nMKVLAWG\n":
             "sequence data before any FASTA header at line 1",
         ">bad\nMKV!LAWGMKV\n": "bad: invalid protein letter '!' at position 3",
+        ">a\n>b\nMKVLAWGMKV\n": "a: empty record",
     }
 
     @pytest.mark.parametrize("text", list(UNPARSABLE))

@@ -1,5 +1,6 @@
 """MTBF block-file format: round trip, manifest recovery, rot detection."""
 
+import json
 import zlib
 
 import numpy as np
@@ -153,4 +154,47 @@ class TestDamage:
         disk = NodeDisk()
         assert manifest_ids(disk) == []
         disk.write_atomic(TIER_FILE, b"ROT" * 30)
+        assert manifest_ids(disk) == []
+
+
+def rewrite_table(disk, edit):
+    """Replace the segment table with ``edit(table)`` under a valid CRC, so
+    the reader gets past the checksum and must parse what it finds."""
+    data = disk.read(TIER_FILE)
+    magic, version, _crc, table_len, rowmeta_len, digests_len = _HEAD.unpack(
+        data[: _HEAD.size]
+    )
+    table = json.loads(zlib.decompress(data[_HEAD.size : _HEAD.size + table_len]))
+    table_bytes = zlib.compress(json.dumps(edit(table)).encode())
+    head = _HEAD.pack(magic, version, zlib.crc32(table_bytes), len(table_bytes),
+                      rowmeta_len, digests_len)
+    disk.write_atomic(
+        TIER_FILE, head + table_bytes + data[_HEAD.size + table_len :]
+    )
+
+
+def drop_width(table):
+    del table["width"]
+    return table
+
+
+class TestMalformedTable:
+    """A table that passes its CRC but is not the table the writer wrote
+    raises TierFileError, and the manifest read claims nothing for it."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda table: [table],
+            drop_width,
+            lambda table: {**table, "width": "x"},
+        ],
+        ids=["not-an-object", "missing-width", "wrong-typed-width"],
+    )
+    def test_raises_the_typed_error(self, edit):
+        disk = NodeDisk()
+        write(disk, make_pages(np.random.default_rng(41)))
+        rewrite_table(disk, edit)
+        with pytest.raises(TierFileError, match="segment table failed to parse"):
+            BlockFileReader(disk)
         assert manifest_ids(disk) == []

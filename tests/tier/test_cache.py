@@ -5,7 +5,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry
 from repro.tier.cache import BlockCache
 
 
@@ -17,11 +16,7 @@ PAGE_BYTES = page().nbytes  # 32
 
 
 def make_cache(pages=2, **kwargs):
-    return BlockCache(
-        capacity_bytes=pages * PAGE_BYTES,
-        registry=MetricsRegistry(),
-        **kwargs,
-    )
+    return BlockCache(capacity_bytes=pages * PAGE_BYTES, **kwargs)
 
 
 class TestBasics:
@@ -148,3 +143,23 @@ class TestDropNode:
         assert cache.drop_node("n0") == 2
         assert not cache.contains(("n0", 0))
         assert cache.contains(("n1", 0))
+
+
+class TestCountsBelongToTheCache:
+    def test_a_fresh_spill_starts_its_counts_at_zero(self):
+        from repro.core import QueryParams
+        from repro.scenario import build_deployment, planted_probes
+
+        mendel = build_deployment(3, (40, 200), group_count=2, group_size=2)
+        first = mendel.spill(cache_bytes=4000)
+        probes, _expected = planted_probes(mendel, 2, rng=3)
+        for probe in probes:
+            mendel.query(probe, QueryParams())
+        moved = first.stats()
+        assert moved["misses"] > 0 and moved["evictions"] > 0
+        second = mendel.spill(cache_bytes=4000)
+        assert second is not first
+        stats = second.stats()
+        assert (stats["hits"], stats["misses"], stats["evictions"]) == (0, 0, 0)
+        # The first cache's counts are its own too: the re-spill left them.
+        assert first.stats()["misses"] == moved["misses"]

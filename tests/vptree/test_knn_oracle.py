@@ -25,12 +25,13 @@ import numpy as np
 import pytest
 
 from repro.cluster.node import StorageNode
-from repro.obs.metrics import MetricsRegistry
 from repro.seq.alphabet import PROTEIN
 from repro.seq.distance import HammingDistance, default_distance
 from repro.tier import METHOD_RAW, BlockCache, TierConfig
 from repro.vptree import DynamicVPTree, VPTree
 from tests.vptree.recursive_walk import traverse
+
+pytestmark = pytest.mark.chaos
 
 SEED = int(os.environ.get("CHAOS_SEED", "0"))
 INF = float("inf")
@@ -376,8 +377,7 @@ def test_inserts_widen_the_bounds_above_them():
 
 def spilled_node(cache_bytes, rows=1500, page_rows=256):
     """One node shaped like perfbench's D2 — 32-residue blocks in 512-row
-    buckets on 256-row pages, so a bucket spans pages — and its RAM codes.
-    Its cache counts into a registry of its own."""
+    buckets on 256-row pages, so a bucket spans pages — and its RAM codes."""
     rng = np.random.default_rng([SEED, 8])
     node = StorageNode(
         node_id="g00.n0", group_id="g00",
@@ -388,7 +388,7 @@ def spilled_node(cache_bytes, rows=1500, page_rows=256):
     node.store_blocks(codes, list(range(rows)))
     ram = np.asarray(node.tree.points).copy()
     node.attach_tier(
-        BlockCache(cache_bytes, MetricsRegistry()),
+        BlockCache(cache_bytes),
         TierConfig(page_rows=page_rows, alphabet_size=20),
     )
     node.spill()

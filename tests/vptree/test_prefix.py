@@ -86,6 +86,7 @@ class TestHashOne:
         assert same > random_same
 
 
+@pytest.mark.chaos
 class TestHashMany:
     """The batched single-path descent against the recursive, pair-based
     ``hash_query(row, 0.0)`` walk, its independent reference, on rows drawn
