@@ -59,6 +59,13 @@ _SNAP_ENTRY = struct.Struct("<qII")     # block_id, digest, codes length
 
 _OP_INSERT = 1
 _OP_DROP = 2
+#: the header each op's payload starts with
+_OP_HEAD = {_OP_INSERT: _INSERT_HEAD.size, _OP_DROP: _DROP_HEAD.size}
+
+
+def _well_formed(payload: bytes) -> bool:
+    """Whether *payload* holds an op byte and, for a known op, its header."""
+    return bool(payload) and len(payload) >= _OP_HEAD.get(payload[0], 1)
 
 
 @dataclass(frozen=True)
@@ -395,9 +402,11 @@ class DurableNodeState:
             payload = raw[cursor: cursor + length]
             cursor += length
             crc_ok = zlib.crc32(payload) == payload_crc
-            if not crc_ok and cursor >= len(raw):
-                # CRC failure on the final record: a torn write whose
-                # prefix happened to frame-parse.  Truncate it away.
+            if not (crc_ok and _well_formed(payload)) and cursor >= len(raw):
+                # A final record that fails its CRC, or passes it with no
+                # room for its op's header (zero-filled bytes frame as
+                # length 0, crc 0 and ``crc32(b"") == 0``): a torn write
+                # whose prefix happened to frame-parse.  Truncate it away.
                 self._truncate_tail(record_start)
                 return
             if not crc_ok:
@@ -408,7 +417,7 @@ class DurableNodeState:
             self._apply_record(payload, record_start)
 
     def _apply_record(self, payload: bytes, record_start: int) -> None:
-        op = payload[0]
+        op = payload[0] if payload else None
         if op == _OP_INSERT and len(payload) >= _INSERT_HEAD.size:
             _op, block_id, digest, length = _INSERT_HEAD.unpack_from(payload, 0)
             self._extents.pop(block_id, None)

@@ -18,19 +18,34 @@ beside the hits.  The paper's node evaluates a distance as the walk asks for
 it; ours makes *one* pass of ``adapter.batch`` over every stored row per
 batch of queries (at the radii Mendel searches with the traversal evaluates
 nearly every row anyway) and then reproduces the traversal's outcome exactly
-from the ``(W, N)`` matrix, as array work per kind of lane:
+from the ``(W, N)`` matrix, per kind of lane (:func:`_scan_slice`).  Call
+the rows inside ``max_radius`` stored at a vertex the walk meets with ``tau``
+fixed at ``max_radius`` (:meth:`FlatTree.reach`) the lane's *candidates*:
 
-* fewer than ``k`` rows inside ``max_radius`` — the k-best heap can never
-  fill, ``tau`` stays at ``max_radius``, every prune test is a fixed
-  predicate of the query's distance to one vantage row and the visit set
-  does not depend on visit order: all such lanes of a batch get their visit
-  sets from :meth:`FlatTree.reach` and their hits from one ``nonzero`` and
-  one sort (:func:`_scan_slice`);
-* otherwise ``tau`` shrinks as the heap fills and which of several equally
-  distant rows survive depends on the order vertices are met in: one table
-  for all such lanes holds what each leaf bucket could offer, and each lane
-  walks the flattened tree over it (:func:`_replay`).  The recursive walk
-  it reproduces is the test oracle (``tests/vptree/recursive_walk.py``).
+* fewer than ``k`` candidates — the k-best heap can never fill, ``tau``
+  stays at ``max_radius``, every prune test is a fixed predicate of the
+  query's distance to one vantage row and the visit set does not depend on
+  visit order: it is ``reach(max_radius)``, and the hits are every
+  candidate;
+* the heap fills, but ``tau`` cannot change the visit set — with ``tau*``
+  the k-th smallest candidate distance, ``tau`` only shrinks and never
+  falls below ``tau*`` (the heap holds k candidates), and every prune test
+  is monotone in ``tau``, so ``reach(tau*) ⊆ visited ⊆ reach(max_radius)``;
+  where the two ends are equal the visit set is known.  The hits are the
+  *c* candidates below ``tau*`` and ``k - c`` of the ties at ``tau*``: the
+  walk meets candidates in arrival order (near-first pre-order rank of the
+  vertex, then ``(distance, bucket position)``), a tie enters the heap iff
+  fewer than ``k`` earlier candidates are at most ``tau*``, and each later
+  row below ``tau*`` evicts the earliest tie held, so the last ``k - c``
+  admitted ties stay (:func:`_admitted`);
+* otherwise ``tau`` prunes, and which of several equally distant rows
+  survive depends on the order vertices are met in: one table for all such
+  lanes holds what each leaf bucket could offer, and each lane walks the
+  flattened tree over it (:func:`_replay`).
+
+The first two kinds are array work over all their lanes at once, and at the
+radii Mendel searches with they are nearly every lane.  The recursive walk
+all three reproduce is the test oracle (``tests/vptree/recursive_walk.py``).
 
 There is one search path and one scoring loop (:func:`_fill`): every query
 of the batch is scored against a block of about ``_PASS_CELLS`` code
@@ -123,21 +138,24 @@ _PASS_CELLS = 1 << 15
 
 class FlatTree:
     """A vp-tree's structure laid flat (no copy of the point matrix), as the
-    two kinds of lane read it.  Where ``tau`` never moves: the vertices in
-    pre-order (a parent always sits below its children's positions), each
+    three kinds of lane read it.  Where the visit set is known: the vertices
+    in pre-order (a parent always sits below its children's positions), each
     carrying the prune tests on the edge from its parent, so the visit sets
-    of many queries come out of a few array operations (:meth:`reach`).
-    Where it shrinks: a record per internal vertex (``inner``) and the leaf
-    buckets as one padded row matrix, which :func:`_replay` walks."""
+    of many queries come out of a few array operations (:meth:`reach`), and
+    the order the walk meets them in (:meth:`arrival`).  Where ``tau``
+    prunes: a record per internal vertex (``inner``) and the leaf buckets as
+    one padded row matrix, which :func:`_replay` walks."""
 
     def __init__(self, root: "VPNode", rows: int) -> None:
         inf = float("inf")
-        parent, via_row, inner_max, outer_min, outer_above, weight = (
-            [] for _ in range(6)
+        parent, via_row, inner_max, outer_min, outer_above, weight, right, mus = (
+            [] for _ in range(8)
         )
         levels: list[list[int]] = []
         #: the vertex (vantage or bucket) each point row is stored at
         self.vertex_of_row = np.zeros(rows, dtype=np.intp)
+        #: each row's position in its leaf bucket (0 for a vantage row)
+        self.bucket_pos = np.zeros(rows, dtype=np.intp)
         #: per internal vertex ``[vantage row, mu, mu_right, low, high, left,
         #: right]``; a child is a position in this list, ``~slot`` of a leaf
         #: bucket, or ``None``
@@ -160,6 +178,8 @@ class FlatTree:
             inner_max.append(high if right_side else min(high, mu))
             outer_min.append(low)
             outer_above.append(mu_right if right_side else -inf)
+            right.append(right_side)
+            mus.append(mu)
             if level == len(levels):
                 levels.append([])
             levels[level].append(vertex)
@@ -168,6 +188,7 @@ class FlatTree:
                 buckets.append(node.bucket)
                 weight.append(node.bucket.shape[0])
                 self.vertex_of_row[node.bucket] = vertex
+                self.bucket_pos[node.bucket] = np.arange(node.bucket.shape[0])
                 continue
             record[6 if right_side else 5] = len(self.inner)
             mine = [node.vantage_index, node.mu, node.mu_right, node.low,
@@ -182,6 +203,21 @@ class FlatTree:
         #: the root, named as a child is
         self.root = top[5]
         self.parent = np.array(parent, dtype=np.intp)
+        # Pre-order numbers a parent before its children, so one pass from
+        # the last vertex back sums every subtree's size.
+        size = np.ones(len(parent), dtype=np.intp)
+        for vertex in range(len(parent) - 1, 0, -1):
+            size[parent[vertex]] += size[vertex]
+        #: vertices in the subtree of the vertex's sibling (0 if it has
+        #: none): how far the walk's arrival order moves the vertex when
+        #: its sibling is the near side and goes first
+        self.sibling_size = size[self.parent] - 1 - size
+        self.sibling_size[0] = 0
+        #: whether a vertex is its parent's right child
+        self.right_side = np.array(right, dtype=bool)
+        #: the parent's ``mu``: its near child is the left one iff the
+        #: query's distance to its vantage row is at most this
+        self.parent_mu = np.array(mus, dtype=np.float64)
         #: the parent's vantage row and the three thresholds described above
         self.via_row = np.array(via_row, dtype=np.intp)
         self.inner_max = np.array(inner_max, dtype=np.float64)
@@ -202,12 +238,13 @@ class FlatTree:
         for slot, bucket in enumerate(buckets):
             self.bucket_rows[slot, :bucket.shape[0]] = bucket
 
-    def reach(self, dists: np.ndarray, tau: float) -> np.ndarray:
-        """``(W, V)`` mask of the vertices the traversal meets for each row
-        of *dists* ``(W, N)`` while ``tau`` never moves: a vertex is met iff
-        its parent is met and the edge tests pass — the traversal's own
-        float comparisons, which no longer depend on visit order."""
+    def passes(self, dists: np.ndarray, tau) -> np.ndarray:
+        """``(W, V)`` mask of the vertices whose edge tests pass for each row
+        of *dists* ``(W, N)`` at ``tau`` — one radius, or one a row — with
+        the parent taken as met: the traversal's own float comparisons,
+        each monotone in ``tau``."""
         to_parent = dists[:, self.via_row]
+        tau = np.asarray(tau, dtype=np.float64).reshape(-1, 1)
         inner, outer = to_parent - tau, to_parent + tau
         mask = (
             (inner <= self.inner_max)
@@ -215,9 +252,30 @@ class FlatTree:
             & (outer > self.outer_above)
         )
         mask[:, 0] = True
+        return mask
+
+    def reach(self, dists: np.ndarray, tau) -> np.ndarray:
+        """``(W, V)`` mask of the vertices the traversal meets for each row
+        of *dists* while ``tau`` never moves: a vertex is met iff its parent
+        is met and its edge tests pass (:meth:`passes`), which no longer
+        depends on visit order."""
+        mask = self.passes(dists, tau)
         for level in self.levels:
             mask[:, level] &= mask[:, self.parent[level]]
         return mask
+
+    def arrival(self, dists: np.ndarray) -> np.ndarray:
+        """``(W, V)`` rank of each vertex in the order the walk meets the
+        vertices it visits, for each row of *dists*: pre-order with each
+        vertex's near child first, the near child being the left one iff
+        the query's distance to the vertex's vantage row is at most
+        ``mu``.  A vertex comes one place after its parent, and behind the
+        whole of its sibling's subtree when that is the near side."""
+        far = (dists[:, self.via_row] > self.parent_mu) != self.right_side
+        rank = 1 + far * self.sibling_size
+        for level in self.levels:
+            rank[:, level] += rank[:, self.parent[level]]
+        return rank
 
 
 def _scan_batch(
@@ -287,45 +345,114 @@ def _scan_slice(
     tree: "VPTree", dists: np.ndarray, k: int, max_radius: float
 ) -> list[SearchResult]:
     """The traversal's exact outcome for each query row of a filled ``(W,
-    N)`` distance matrix (the module docstring's two cases)."""
-    in_ball = dists <= max_radius
-    fills = in_ball.sum(axis=1) >= k
+    N)`` distance matrix (the module docstring's three kinds of lane)."""
     flat, payloads = tree.flat(), tree.payloads
-    results: list[SearchResult] = [None] * dists.shape[0]
-    shrinking = np.flatnonzero(fills)
-    if shrinking.size:
-        replayed = _replay(tree, dists[shrinking], k, max_radius)
-        for w, found in zip(shrinking.tolist(), replayed):
-            results[w] = found
-    bounded = np.flatnonzero(~fills)
-    if bounded.size:
-        reach = flat.reach(dists[bounded], max_radius)
-        evals = (reach @ flat.weight).tolist()
-        # Rows the traversal would have offered: inside the ball *and* stored
-        # at a vertex it meets, lane by lane with rows ascending.  Sorting
-        # them by distance and then by lane (both stable) leaves each lane's
-        # run in ``(distance, row)`` order — the order a heap that never
-        # filled is read out in.
-        lane, row = np.divmod(np.flatnonzero(in_ball[bounded]), dists.shape[1])
-        met = reach[lane, flat.vertex_of_row[row]]
-        lane, row = lane[met], row[met]
-        found = dists[bounded[lane], row]
-        order = np.lexsort((found, lane))
-        ends = np.cumsum(np.bincount(lane, minlength=bounded.size)).tolist()
-        found, row = found[order].tolist(), row[order].tolist()
-        for w, start, end, cost in zip(bounded.tolist(), [0] + ends, ends, evals):
-            results[w] = (
-                [(found[at], payloads[row[at]]) for at in range(start, end)], cost
-            )
+    width = dists.shape[0]
+    in_ball = dists <= max_radius
+    met = flat.reach(dists, max_radius)
+    fills = np.flatnonzero(np.count_nonzero(in_ball, axis=1) >= k)
+    pruned = fills[:0]
+    if fills.size:
+        # What the walk can offer: rows inside the ball stored at a vertex
+        # it may meet.  Its tau never falls below the k-th smallest of them
+        # (and stays at the radius where there are fewer than k: then the
+        # k-th smallest row stored at a met vertex is outside the ball).
+        offered = dists[fills]
+        np.copyto(offered, np.inf,
+                  where=~met[fills].take(flat.vertex_of_row, axis=1))
+        tau = np.full(width, max_radius)
+        tau[fills] = np.minimum(
+            np.partition(offered, k - 1, axis=1)[:, k - 1], max_radius
+        )
+        # reach(tau*) = met iff every met vertex passes its tests at tau*
+        holds = flat.passes(dists[fills], tau[fills]) | ~met[fills]
+        pruned = fills[~holds.all(axis=1)]
+        in_ball &= dists <= tau[:, None]
+        in_ball[pruned] = False
+    # The rows each lane ends with, lane by lane with rows ascending.
+    lane, row = np.divmod(np.flatnonzero(in_ball), dists.shape[1])
+    kept = met[lane, flat.vertex_of_row[row]]
+    lane, row = lane[kept], row[kept]
+    found = dists[lane, row]
+    if fills.size:
+        kept = _admitted(flat, dists, lane, row, found, tau, k)
+        lane, row, found = lane[kept], row[kept], found[kept]
+    results = list(zip(_hits(lane, row, found, width, payloads),
+                       (met @ flat.weight).tolist()))
+    if pruned.size:
+        for w, outcome in zip(pruned.tolist(),
+                              _replay(tree, dists[pruned], k, max_radius)):
+            results[w] = outcome
     return results
+
+
+def _admitted(
+    flat: FlatTree, dists: np.ndarray, lane: np.ndarray, row: np.ndarray,
+    found: np.ndarray, tau: np.ndarray, k: int,
+) -> np.ndarray:
+    """Which of the candidates ``(lane, row)`` at distance *found* — every
+    one at most its lane's ``tau`` — the walk's heap ends with: all of
+    them, except on a lane with more than *k*, where ties at ``tau`` must
+    go.
+
+    The walk meets candidates in arrival order: the vertex's near-first
+    pre-order rank, then ``(distance, bucket position)`` inside a bucket.
+    Every row below ``tau`` stays.  A tie at ``tau`` enters the heap iff
+    fewer than *k* earlier candidates are at most ``tau`` (only then does
+    the heap still hold something farther), and each row below ``tau``
+    arriving after the k-th candidate evicts the earliest tie still held:
+    the heap ends with the last admitted ties."""
+    kept = np.ones(lane.shape[0], dtype=bool)
+    crowded = np.bincount(lane, minlength=dists.shape[0]) > k
+    (at,) = np.nonzero(crowded[lane])
+    if not at.size:
+        return kept
+    lanes = np.flatnonzero(crowded)
+    rank = flat.arrival(dists[lanes])
+    sub = np.searchsorted(lanes, lane[at])
+    order = np.lexsort((
+        flat.bucket_pos[row[at]], found[at],
+        rank[sub, flat.vertex_of_row[row[at]]], sub,
+    ))
+    at, sub = at[order], sub[order]
+    counts = np.bincount(sub, minlength=lanes.size)
+    starts = np.cumsum(counts) - counts
+    position = np.arange(at.size) - starts[sub]
+    tie = found[at] == tau[lanes[sub]]
+    admitted = np.bincount(sub[tie & (position < k)], minlength=lanes.size)
+    late = np.bincount(sub[~tie & (position >= k)], minlength=lanes.size)
+    # ties met earlier on the same lane
+    earlier = np.cumsum(tie) - tie
+    earlier -= earlier[starts[sub]]
+    kept[at] = ~tie | ((earlier >= late[sub]) & (earlier < admitted[sub]))
+    return kept
+
+
+def _hits(
+    lane: np.ndarray, row: np.ndarray, found: np.ndarray, width: int,
+    payloads: list,
+) -> list[list[tuple[float, object]]]:
+    """The rows ``(lane, row)`` at distance *found* — lane by lane, rows
+    ascending — as one list of ``(distance, payload)`` pairs for each of
+    *width* lanes, in ``(distance, row)`` order: the order the walk's heap
+    is read out in.  Sorting by distance and then by lane (both stable)
+    leaves each lane's run in that order."""
+    order = np.lexsort((found, lane))
+    ends = np.cumsum(np.bincount(lane, minlength=width)).tolist()
+    found = found[order].tolist()
+    named = [payloads[at] for at in row[order].tolist()]
+    return [
+        list(zip(found[start:end], named[start:end]))
+        for start, end in zip([0] + ends, ends)
+    ]
 
 
 def _replay(
     tree: "VPTree", dists: np.ndarray, k: int, max_radius: float
 ) -> list[SearchResult]:
     """The traversal's outcome for each row of *dists* ``(F, N)`` — lanes
-    with at least *k* rows inside the ball, whose ``tau`` shrinks as the
-    k-best heap fills.
+    whose ``tau`` shrinks as the k-best heap fills and prunes what the walk
+    would otherwise visit.
 
     First one table for all lanes: per (lane, leaf) the bucket's *k* smallest
     distances in ascending order, ties in bucket order — all the walk could

@@ -8,6 +8,7 @@ The two invariants every test here circles back to:
   ``True``, no replay brings the block back.
 """
 
+import struct
 import zlib
 
 import numpy as np
@@ -126,6 +127,34 @@ class TestCrashDuringWalAppend:
         state = durable.replay()
         assert state.block_ids == [0, 2]
         assert all(durable.verify(b) for b in (0, 2))
+
+
+    @pytest.mark.parametrize("payload", [b"", b"\x01"], ids=["empty", "short"])
+    def test_header_less_tail_is_a_torn_record(self, payload):
+        # A zero-filled tail frames as length 0, crc 0, and crc32(b"") == 0,
+        # so the empty record passes its CRC; it, or an insert cut short of
+        # its header, is a torn write, not a record to apply.
+        durable = fresh()
+        assert durable.append_insert(1, codes_for(1))
+        frame = struct.pack("<II", len(payload), zlib.crc32(payload))
+        durable.disk.append(WAL_FILE, frame + payload)
+        recovered = DurableNodeState(durable.disk, "n0")
+        assert recovered.manifest_ids() == [1]
+        assert recovered.status()["torn_records"] == 1
+        assert recovered.replay().block_ids == [1]
+        assert recovered.append_insert(2, codes_for(2))
+        assert DurableNodeState(durable.disk, "n0").manifest_ids() == [1, 2]
+
+    def test_empty_record_mid_log_is_a_crc_error(self):
+        durable = fresh()
+        assert durable.append_insert(1, codes_for(1))
+        later = fresh()
+        assert later.append_insert(2, codes_for(2))
+        durable.disk.append(WAL_FILE, bytes(8) + later.disk.read(WAL_FILE))
+        state = DurableNodeState(durable.disk, "n0").replay()
+        assert state.block_ids == [1, 2]
+        assert (state.torn_records, state.crc_errors) == (0, 1)
+        assert durable.verify(1) and durable.verify(2)
 
 
 class TestCrashDuringSnapshot:

@@ -7,9 +7,10 @@ Four references; only the last shares the executed kernel's distance pass:
 * **the walk** — section III-C's traversal itself, recursive, vertex by
   vertex, calling the metric for each vantage row and bucket it meets
   (``tests/vptree/recursive_walk.py``: test-only, since every point store
-  is searched by a scan and the shrinking-tau lanes are replayed over flat
-  arrays); its evaluation count is checked against the adapter's own call
-  counter, so ``evals`` is what traversal really evaluates;
+  is searched by a scan whose lanes are answered from flat arrays, in
+  closed form or, where tau prunes, by a replay); its evaluation count is
+  checked against the adapter's own call counter, so ``evals`` is what
+  traversal really evaluates;
 * **row by row** — a ``(W, L)`` batch answers exactly as W ``(L,)`` calls;
 * **paged** — the same tree over a point store that is not an ``ndarray``
   and hands its rows over page by page (how a spilled node looks), with
@@ -23,6 +24,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.cluster.node import StorageNode
 from repro.seq.alphabet import PROTEIN
@@ -311,6 +314,138 @@ def test_a_batch_of_both_lane_kinds(name):
         check(tree, metric, queries, (filter_radius,), (k,))
 
 
+def plant_ties(rng, metric, points, query, k, count):
+    """*points* with *count* of the rows farther than the query's k-th
+    nearest overwritten by copies of a row at exactly that distance, so
+    more than the heap's free slots tie at its final ``tau``; returns the
+    points and that distance."""
+    dists = metric.batch(query, points)
+    kth = float(np.sort(dists)[k - 1])
+    farther = np.flatnonzero(dists > kth)
+    points = points.copy()
+    targets = rng.choice(farther, size=min(count, farther.size), replace=False)
+    points[targets] = points[rng.choice(np.flatnonzero(dists == kth))]
+    return points, kth
+
+
+@seed(SEED)
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(METRICS)),
+    draw=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 160),
+    bucket=st.sampled_from([1, 2, 5, 16]),
+    k=st.integers(1, 12),
+    ties=st.integers(1, 12),
+    wide=st.booleans(),
+    shuffled=st.booleans(),
+)
+def test_ties_at_the_final_tau(name, draw, n, bucket, k, ties, wide, shuffled):
+    """Random ``family()`` trees with extra rows planted at exactly the
+    k-th distance of a query: more rows tie at the heap's final ``tau``
+    than it has room for, spread over buckets and vantage rows.  Hits, the
+    order of tied hits and ``evals`` are the recursive walk's, lane by lane,
+    whichever kind of lane each query turns out to be — also when every
+    leaf bucket holds its rows out of row order (a tie's arrival inside a
+    bucket follows the bucket, not the row number)."""
+    metric, alphabet, length, (_zero, filter_radius, _wide, _inf) = METRICS[name]
+    rng = np.random.default_rng(draw)
+    points = family(rng, n, alphabet, length)
+    query = points[rng.integers(0, n)].copy()
+    query[rng.integers(0, length)] = rng.integers(0, alphabet)
+    k = min(k, n)
+    points, kth = plant_ties(rng, metric, points, query, k, ties)
+    radius = INF if wide or kth > filter_radius else filter_radius
+    tree = VPTree(points, metric, bucket_capacity=bucket, rng=draw)
+    if shuffled:
+        for leaf in leaves(tree.root):
+            rng.shuffle(leaf.bucket)
+    queries = np.vstack([query, probes(rng, points, alphabet, 3)])
+    for lane, (hits, evals) in zip(queries, tree.knn(queries, k, max_radius=radius)):
+        assert (hits, evals) == walk(tree, lane, k, radius)
+
+
+def test_a_batch_of_all_three_lane_kinds(monkeypatch):
+    """One batch holding each kind of lane: strangers with fewer than
+    ``k`` rows in the ball, a query whose ``k``-th candidate sits at exactly the
+    radius among more ties than the heap holds (its heap fills, but ``tau``
+    cannot fall below the radius, so nothing is pruned), and copies of a
+    row stored many times (``tau`` falls to 0 and prunes the walk).  Only
+    the last are handed to the replay, and every lane answers as the walk
+    does."""
+    from repro.vptree import search
+
+    metric, alphabet, length, _radii = METRICS["hamming"]
+    rng = np.random.default_rng([SEED, 13])
+    radius, k = 3.0, 6
+    near = rng.integers(0, alphabet, length).astype(np.uint8)
+    far = ((near + 2) % alphabet).astype(np.uint8)
+
+    def moved(row, places):
+        row = row.copy()
+        row[places] = (row[places] + 1) % alphabet
+        return row
+
+    points = np.vstack(
+        [moved(near, [i]) for i in range(3)]                       # d = 1
+        + [moved(near, rng.choice(length, 3, replace=False))
+           for _ in range(10)]                                     # d = 3
+        + [far] * 8
+        + [rng.integers(0, alphabet, (150, length)).astype(np.uint8)]
+    )
+    points = points[rng.permutation(len(points))]
+    strangers = rng.integers(0, alphabet, (5, length)).astype(np.uint8)
+    queries = np.vstack([near, far, far, strangers])
+    dists = np.stack([metric.batch(query, points) for query in queries])
+    inside = (dists <= radius).sum(axis=1)
+    assert (inside[:3] >= k).all() and (inside[3:] < k).all(), inside
+    assert (dists[0] < radius).sum() < k < (dists[0] <= radius).sum()
+    handed = []
+    replay = search._replay
+
+    def counting(tree, lanes, *args):
+        handed.extend(lanes.tolist())
+        return replay(tree, lanes, *args)
+
+    monkeypatch.setattr(search, "_replay", counting)
+    for bucket in (1, 4, 16):
+        handed.clear()
+        tree = VPTree(points, metric, bucket_capacity=bucket, rng=SEED)
+        batch = tree.knn(queries, k, max_radius=radius)
+        assert sorted(map(tuple, handed)) == sorted(map(tuple, dists[1:3].tolist()))
+        for query, found in zip(queries, batch):
+            assert found == walk(tree, query, k, radius)
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_inserts_rebuild_the_arrival_arrays(name):
+    """``DynamicVPTree`` drops its flattened tree on every insert, the
+    arrays the closed-form lanes read (subtree sizes, sides, the parent's
+    ``mu``, each row's bucket position) included: after each insert the
+    next search sees arrays equal to a fresh flattening of the new tree,
+    and every lane answers as the walk does."""
+    from repro.vptree.search import FlatTree
+
+    metric, alphabet, length, _radii = METRICS[name]
+    rng = np.random.default_rng([SEED, 14, len(name)])
+    points = family(rng, 120, alphabet, length)
+    tree = DynamicVPTree(metric, length, bucket_capacity=4, rng=SEED)
+    tree.insert_batch(points[:80])
+    for row in points[80:]:
+        before = tree.flat()
+        tree.insert(row)
+        queries = np.vstack([row, row, points[rng.integers(0, 80, 2)]])
+        for query, found in zip(queries, tree.knn(queries, 3, max_radius=INF)):
+            assert found == walk(tree, query, 3, INF)
+        flat = tree.flat()
+        assert flat is not before
+        fresh = FlatTree(tree.root, len(tree))
+        for array in ("sibling_size", "right_side", "parent_mu", "bucket_pos",
+                      "vertex_of_row", "via_row"):
+            assert np.array_equal(getattr(flat, array), getattr(fresh, array)), array
+        assert flat.bucket_pos.shape == (len(tree),)
+
+
 @pytest.mark.parametrize("name", sorted(METRICS))
 def test_every_dynamic_mutation_kind(name):
     """Searches interleaved with inserts: each kind of structural change —
@@ -393,15 +528,15 @@ def spilled_node(cache_bytes, rows=1500, page_rows=256):
     )
     node.spill()
     assert node.tiered
-    assert max(leaf_sizes(node.tree.root)) > page_rows
+    assert max(len(leaf.bucket) for leaf in leaves(node.tree.root)) > page_rows
     return node, ram, probes(rng, ram, 20, count=9)
 
 
-def leaf_sizes(vertex):
+def leaves(vertex):
     if vertex.is_leaf:
-        return [len(vertex.bucket)]
-    return [size for child in (vertex.left, vertex.right) if child is not None
-            for size in leaf_sizes(child)]
+        return [vertex]
+    return [leaf for child in (vertex.left, vertex.right) if child is not None
+            for leaf in leaves(child)]
 
 
 def check_spilled(node, points, queries):
