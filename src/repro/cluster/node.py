@@ -215,18 +215,25 @@ class StorageNode:
             if not self.durable.append_insert(block_id, row):
                 self.durability_degraded = True
 
+    def verify_blocks(self, block_ids: Sequence[int]) -> list[bool]:
+        """Verified read gate, one flag per id: does this node's durable
+        copy of the block still match its acknowledged content digest?
+        ``True`` when no durable record exists (nothing to distrust — e.g.
+        a block indexed during a degraded-durability window).  Every
+        ``False`` counts one corrupt read.  On a tiered node the block file
+        holds the acknowledged digests and the read hits the device: each
+        page the ids fall in is decoded once per call, fresh."""
+        if self.tier is not None and self.tier.has_file():
+            found = self.tier.verify_many(block_ids)
+        else:
+            found = self.durable.verify_many(block_ids)
+        verified = [ok is not False for ok in found]
+        self.stats.corrupt_reads += verified.count(False)
+        return verified
+
     def verify_block(self, block_id: int) -> bool:
-        """Verified read gate: does this node's durable copy of *block_id*
-        still match its acknowledged content digest?  ``True`` when no
-        durable record exists (nothing to distrust — e.g. a block indexed
-        during a degraded-durability window).  On a tiered node the block
-        file holds the acknowledged digests and the read hits the device."""
-        if self.durable_digest(block_id) is None:
-            return True
-        if self.durable_verify(block_id):
-            return True
-        self.stats.corrupt_reads += 1
-        return False
+        """:meth:`verify_blocks` for one block."""
+        return self.verify_blocks([block_id])[0]
 
     # -- tiered storage --------------------------------------------------------
 

@@ -15,16 +15,23 @@ Survivors become anchors and are lengthened residue-by-residue through the
 blocks' neighbour references — "starting with the segment previous to the
 match, the sequence is incrementally extended until the extension
 deteriorates the score of a match below the threshold".  The incremental
-walk is vectorised with cumulative sums (no per-residue Python loop).
+walk is vectorised with cumulative sums: all the survivors of a
+node-subquery in one :func:`extend_anchor` call, their walks laid end to end
+(no per-residue or per-anchor Python loop).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.align.result import Anchor
+#: Residues one pass of :func:`extend_anchor` walks at most (a larger batch
+#: runs as several passes; an anchor is never split).  A constant, like the
+#: gapped kernel's pass bound: the many survivors of a long query cannot
+#: move peak RSS.
+_PASS_RESIDUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,96 +98,140 @@ def evaluate_candidate(
     )
 
 
-def _extension_extent(
-    matches: np.ndarray, base_matches: int, base_length: int, threshold: float
-) -> int:
-    """How many residues of *matches* (scanned outward) the anchor absorbs
-    before running identity first drops below *threshold*.
+class Extension(NamedTuple):
+    """What one :func:`extend_anchor` call returns: ``(A,)`` arrays, one
+    entry per anchor in call order.  Subject positions are in the
+    coordinates of the ``subject`` array the call was given."""
 
-    ``matches`` is the outward boolean match array; the running identity
-    after absorbing ``t`` residues is
-    ``(base_matches + cumsum[t]) / (base_length + t)``.
-    """
-    if matches.size == 0:
-        return 0
-    cums = np.cumsum(matches, dtype=np.int64)
-    lengths = base_length + np.arange(1, matches.size + 1)
-    identity = (base_matches + cums) / lengths
-    below = identity < threshold
-    if below.any():
-        return int(np.argmax(below))  # stop at first violation
-    return int(matches.size)
+    query_start: np.ndarray
+    query_end: np.ndarray
+    subject_start: np.ndarray
+    score: np.ndarray
+
+
+def _walk(query, subject, query_from, subject_from, step, room, base_matches,
+          base_length, threshold):
+    """One outward walk for every anchor at once: from ``query_from`` /
+    ``subject_from`` in direction *step* (+1 right, -1 left), how many of
+    its ``room`` residues each anchor absorbs before its running identity
+    ``(base_matches + matches so far) / (base_length + residues so far)``
+    first drops below *threshold*, and how many of those matched.
+
+    The walks are laid end to end (anchor ``a``'s residue ``t`` at
+    ``offset[a] + t``), so the work is the residues walked, not anchors
+    times the longest walk."""
+    kept = room.copy()
+    kept_matches = np.zeros_like(room)
+    total = int(room.sum())
+    if total == 0:
+        return kept, kept_matches
+    offset = np.cumsum(room) - room
+    lane = np.repeat(np.arange(room.size), room)
+    t = np.arange(total) - offset[lane]
+    matches = np.cumsum(
+        query[query_from[lane] + step * t] == subject[subject_from[lane] + step * t],
+        dtype=np.int64,
+    )
+    # running matches within each anchor's own walk
+    matches -= np.where(offset > 0, matches[offset - 1], 0)[lane]
+    below = (base_matches[lane] + matches) / (base_length[lane] + t + 1) < threshold
+    violation = np.flatnonzero(below)
+    first = violation[np.diff(lane[violation], prepend=-1) != 0]
+    kept[lane[first]] = t[first]  # stop at each anchor's first violation
+    absorbed = np.flatnonzero(kept)
+    kept_matches[absorbed] = matches[offset[absorbed] + kept[absorbed] - 1]
+    return kept, kept_matches
 
 
 def extend_anchor(
     query: np.ndarray,
     subject: np.ndarray,
-    seq_id: str,
-    query_start: int,
-    query_end: int,
-    subject_start: int,
+    query_start,
+    subject_start,
+    subject_bounds,
+    width: int,
     identity_threshold: float,
     matrix: np.ndarray,
-) -> Anchor:
-    """Extend the matched window in both directions along its diagonal.
+) -> Extension:
+    """Extend matched windows in both directions along their diagonals.
+
+    Every anchor of a node-subquery in one call (the paper's walk is per
+    candidate; the arithmetic per anchor is the same, so each result is
+    exactly what that anchor's own walk gives).
 
     Parameters
     ----------
-    query, subject:
-        Full code arrays of the query and the subject reference sequence.
-    query_start, query_end, subject_start:
-        The matched window (the candidate block's span on the subject).
+    query:
+        Full code array of the query.
+    subject:
+        Codes of the subjects, end to end.
+    query_start, subject_start:
+        ``(A,)`` starts of the matched windows (the candidate blocks' spans),
+        ``width`` residues each.
+    subject_bounds:
+        ``(lo, hi)`` arrays: anchor ``a``'s subject is
+        ``subject[lo[a]:hi[a]]`` and its walk stays inside it.
     identity_threshold:
         The paper's ``i`` parameter: extension stops once running identity
-        first falls below it.
+        first falls below it — rightward first, then leftward from where the
+        right side stopped.
     matrix:
-        Scoring matrix used to score the final anchor span.
-
-    Returns the extended :class:`~repro.align.result.Anchor`.
+        Scoring matrix used to score the final anchor spans (integer
+        matrices sum exactly).
     """
     query = np.asarray(query, dtype=np.uint8)
     subject = np.asarray(subject, dtype=np.uint8)
-    window = query_end - query_start
-    subject_end = subject_start + window
-    if window <= 0:
+    q_start = np.atleast_1d(np.asarray(query_start, dtype=np.int64))
+    s_start = np.atleast_1d(np.asarray(subject_start, dtype=np.int64))
+    lo, hi = (np.atleast_1d(np.asarray(b, dtype=np.int64)) for b in subject_bounds)
+    if width <= 0:
         raise ValueError("anchor window must be non-empty")
-    if query_end > query.shape[0] or subject_end > subject.shape[0]:
+    q_end, s_end = q_start + width, s_start + width
+    if ((q_start < 0) | (q_end > query.shape[0]) | (s_start < lo)
+            | (s_end > hi)).any():
         raise ValueError("anchor window out of bounds")
 
-    base = query[query_start:query_end] == subject[subject_start:subject_end]
-    base_matches = int(base.sum())
+    right_room = np.minimum(query.shape[0] - q_end, hi - s_end)
+    left_room = np.minimum(q_start, s_start - lo)
+    # A pass starts where the residues walked before an anchor cross a
+    # multiple of the pass size.
+    size = right_room + left_room + width
+    crossed = np.diff((np.cumsum(size) - size) // _PASS_RESIDUES)
+    edges = [0, *(np.flatnonzero(crossed) + 1).tolist(), size.size]
+    passes = [
+        _extend(query, subject, q_start[a:b], s_start[a:b], right_room[a:b],
+                left_room[a:b], width, identity_threshold, matrix)
+        for a, b in zip(edges, edges[1:])
+    ]
+    return Extension(*(np.concatenate(column) for column in zip(*passes)))
 
-    # Rightward residues (outward order).
-    right_len = min(query.shape[0] - query_end, subject.shape[0] - subject_end)
-    right = (
-        query[query_end : query_end + right_len]
-        == subject[subject_end : subject_end + right_len]
-    )
-    # Leftward residues (outward order = reversed slices).
-    left_len = min(query_start, subject_start)
-    left = (
-        query[query_start - left_len : query_start][::-1]
-        == subject[subject_start - left_len : subject_start][::-1]
-    )
 
-    right_keep = _extension_extent(right, base_matches, window, identity_threshold)
-    matches_after_right = base_matches + int(right[:right_keep].sum())
-    left_keep = _extension_extent(
-        left, matches_after_right, window + right_keep, identity_threshold
+def _extend(query, subject, q_start, s_start, right_room, left_room, width,
+            threshold, matrix):
+    """One pass of :func:`extend_anchor`: ``(query start, query end,
+    subject start, score)`` arrays of the extended anchors."""
+    offsets = np.arange(width)
+    base = (query[q_start[:, None] + offsets]
+            == subject[s_start[:, None] + offsets]).sum(axis=1)
+    q_end, s_end = q_start + width, s_start + width
+    right, right_matches = _walk(
+        query, subject, q_end, s_end, 1, right_room,
+        base, np.full_like(base, width), threshold,
     )
+    left, _ = _walk(
+        query, subject, q_start - 1, s_start - 1, -1, left_room,
+        base + right_matches, width + right, threshold,
+    )
+    q_start, s_start, q_end = q_start - left, s_start - left, q_end + right
 
-    new_q_start = query_start - left_keep
-    new_q_end = query_end + right_keep
-    new_s_start = subject_start - left_keep
-    new_s_end = subject_end + right_keep
-    span_q = query[new_q_start:new_q_end]
-    span_s = subject[new_s_start:new_s_end]
-    score = float(np.asarray(matrix)[span_q, span_s].sum())
-    return Anchor(
-        seq_id=seq_id,
-        query_start=new_q_start,
-        query_end=new_q_end,
-        subject_start=new_s_start,
-        subject_end=new_s_end,
-        score=score,
+    span = q_end - q_start
+    if not span.size:
+        return q_start, q_end, s_start, np.zeros(0, dtype=np.int64)
+    first = np.cumsum(span) - span
+    step = np.arange(int(span.sum())) - np.repeat(first, span)
+    values = np.asarray(matrix)[query[np.repeat(q_start, span) + step],
+                                subject[np.repeat(s_start, span) + step]]
+    values = values.astype(
+        np.int64 if np.issubdtype(values.dtype, np.integer) else np.float64
     )
+    return q_start, q_end, s_start, np.add.reduceat(values, first)

@@ -62,10 +62,12 @@ class BlockStore:
         self.blocks: list[InvertedIndexBlock] = []
         self._record_of_block: list[SequenceRecord] = []
         self._range_of_seq: dict[str, tuple[int, int]] = {}
-        #: the codes of every record holding a block, end to end, and where
-        #: in them each block starts
+        #: the codes of every record holding a block, end to end; where in
+        #: them each block starts, and where its record begins and ends
         self._flat = bytearray()
         self._flat_start = array("q")
+        self._flat_record = array("q")
+        self._flat_record_end = array("q")
         for record in database:
             self._ingest(record)
 
@@ -94,7 +96,10 @@ class BlockStore:
             )
             self._record_of_block.append(record)
         self._range_of_seq[record.seq_id] = (first_id, first_id + count)
-        self._flat_start.extend(range(len(self._flat), len(self._flat) + count))
+        lo = len(self._flat)
+        self._flat_start.extend(range(lo, lo + count))
+        self._flat_record.extend(array("q", [lo]) * count)
+        self._flat_record_end.extend(array("q", [lo + length]) * count)
         self._flat += record.codes.tobytes()
 
     # -- access ------------------------------------------------------------
@@ -120,17 +125,33 @@ class BlockStore:
         first, last = self._range_of_seq[seq_id]
         return iter(self.blocks[first:last])
 
-    def codes_matrix(self, block_ids: list[int] | np.ndarray) -> np.ndarray:
-        """Stack the codes of many blocks into an ``(n, w)`` matrix (one
-        gather from the flat code array)."""
+    def _ids(self, block_ids: list[int] | np.ndarray) -> np.ndarray:
         ids = np.asarray(block_ids, dtype=np.intp)
         unknown = ids[(ids < 0) | (ids >= len(self.blocks))]
         if unknown.size:
             raise KeyError(f"no block with id {unknown[0]}")
-        starts = np.frombuffer(self._flat_start, dtype=np.int64)[ids]
-        return np.frombuffer(self._flat, dtype=np.uint8)[
-            starts[:, None] + np.arange(self.segment_length)
-        ]
+        return ids
+
+    def codes_matrix(self, block_ids: list[int] | np.ndarray) -> np.ndarray:
+        """Stack the codes of many blocks into an ``(n, w)`` matrix (one
+        gather from the flat code array)."""
+        starts = np.frombuffer(self._flat_start, dtype=np.int64)[self._ids(block_ids)]
+        return self.flat_codes()[starts[:, None] + np.arange(self.segment_length)]
+
+    def flat_codes(self) -> np.ndarray:
+        """Every block-holding record's codes, end to end (a read-only view)."""
+        return np.frombuffer(self._flat, dtype=np.uint8)
+
+    def flat_spans(
+        self, block_ids: list[int] | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where blocks sit in :meth:`flat_codes`: each block's start, and
+        where its record begins and ends, as three ``(n,)`` arrays."""
+        ids = self._ids(block_ids)
+        return tuple(
+            np.frombuffer(column, dtype=np.int64)[ids]
+            for column in (self._flat_start, self._flat_record, self._flat_record_end)
+        )
 
     def block_key(self, block_id: int) -> bytes:
         """Stable byte key used for tier-2 SHA-1 placement."""

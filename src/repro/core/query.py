@@ -265,16 +265,16 @@ def node_kernel(
     params: QueryParams, radius: float, matrix: np.ndarray, store: BlockStore,
 ) -> tuple[list[Anchor], NodeCost]:
     """One node's share of a query (pipeline step 4): local k-NN over its
-    windows, then the identity and c-score filters on every candidate the
-    searches returned — one :func:`evaluate_candidate` call over their
-    stacked codes — and anchor extension for the survivors.
+    windows, one verified read of every candidate the searches returned,
+    the identity and c-score filters on the verified ones — one
+    :func:`evaluate_candidate` call over their stacked codes — and one
+    :func:`extend_anchor` call lengthening every survivor.
 
     No simulator, registry, span or :class:`QueryStats` in here: what the
     work cost comes back in the :class:`NodeCost`, each fact counted once.
     """
     positives = matrix if store.database.alphabet.name == "protein" else None
     anchors: list[Anchor] = []
-    seen: set[tuple[str, int, int]] = set()
     cost = NodeCost()
     # One search call for the whole subquery; CPU costs are still summed
     # window by window, so the float totals do not depend on the batching.
@@ -290,14 +290,14 @@ def node_kernel(
         cost.evals += search.evals
         cost.service_seconds += search.seconds
         cost.candidates += len(hits)
-        for _dist, block_id in hits:
-            # Verified read: a hit whose durable copy fails its content
-            # digest is skipped — the query's fan-out to the block's other
-            # replicas answers from a healthy copy instead of serving
-            # rotted bytes.
-            if node.verify_block(block_id):
-                lanes.append(lane)
-                block_ids.append(block_id)
+        lanes += [lane] * len(hits)
+        block_ids += [block_id for _dist, block_id in hits]
+    # Verified read: a hit whose durable copy fails its content digest is
+    # skipped — the query's fan-out to the block's other replicas answers
+    # from a healthy copy instead of serving rotted bytes.
+    verified = node.verify_blocks(block_ids)
+    lanes = [lane for lane, ok in zip(lanes, verified) if ok]
+    block_ids = [block_id for block_id, ok in zip(block_ids, verified) if ok]
     if block_ids:
         score = evaluate_candidate(
             codes[lanes], store.codes_matrix(block_ids), positives
@@ -306,25 +306,98 @@ def node_kernel(
         cost.identity_pass = int(similar.sum())
         survivors = np.flatnonzero(similar & (score.c_score >= params.c))
         cost.cscore_pass = int(survivors.size)
-        for at in survivors.tolist():
-            window, block_id = windows[lanes[at]], block_ids[at]
-            block = store.block(block_id)
-            anchor = extend_anchor(
-                query=query_codes, subject=store.record_of(block_id).codes,
-                seq_id=block.seq_id, query_start=window.query_start,
-                query_end=window.query_start + block.length,
-                subject_start=block.start, identity_threshold=params.i,
+        if survivors.size:
+            ids = np.asarray(block_ids)[survivors]
+            starts, record_lo, record_hi = store.flat_spans(ids)
+            found = extend_anchor(
+                query_codes, store.flat_codes(),
+                query_start=[windows[lanes[at]].query_start for at in survivors],
+                subject_start=starts, subject_bounds=(record_lo, record_hi),
+                width=store.segment_length, identity_threshold=params.i,
                 matrix=matrix,
             )
-            key = (anchor.seq_id, anchor.diagonal, anchor.query_start)
-            if key in seen:
-                continue
-            seen.add(key)
-            cost.extension_ops += anchor.length
-            anchors.append(anchor)
+            # Neighbouring windows often extend to the same anchor: keep the
+            # first, in survivor order.
+            seen: set[tuple[int, int, int]] = set()
+            for block_id, lo, q_start, q_end, s_start, anchor_score in zip(
+                ids.tolist(), record_lo.tolist(), *(column.tolist() for column in found)
+            ):
+                key = (lo, s_start - lo - q_start, q_start)
+                if key in seen:
+                    continue
+                seen.add(key)
+                cost.extension_ops += q_end - q_start
+                anchors.append(Anchor(
+                    seq_id=store.block(block_id).seq_id, query_start=q_start,
+                    query_end=q_end, subject_start=s_start - lo,
+                    subject_end=s_start - lo + q_end - q_start,
+                    score=float(anchor_score),
+                ))
     cost.anchors = len(anchors)
     cost.service_seconds += node.service_time_ops(cost.extension_ops)
     return anchors, cost
+
+
+class _SubjectQueue:
+    """One subject's anchors to gapped-extend, in order, handed out a run at
+    a time, and the alignments their extensions found.
+
+    The order processes best raw score first: long, reliable anchors claim
+    the per-subject budget (``max_gapped_per_subject``) before short lucky
+    ones, and anchors whose normalised score is below ``S`` never qualify
+    (the normalised score stays the paper's *trigger*, not the order).
+
+    Once a gapped extension covers a region, remaining anchors of the same
+    sequence within ``l`` diagonals whose seed falls inside it are absorbed
+    ("the gapped extension considers all anchors from the same sequence
+    within l diagonals in either direction") rather than re-extended.  Only
+    an anchor within ``l`` diagonals of an extended one can be absorbed by
+    it, so a run stops before the first anchor within ``l`` diagonals of an
+    earlier anchor of the same run: every anchor of a run is one the
+    one-at-a-time walk extends too, whatever the run's extensions find."""
+
+    def __init__(self, anchors: list[Anchor], params: QueryParams) -> None:
+        self.queue = [
+            anchor
+            for anchor in sorted(anchors, key=lambda a: (-a.score, a.query_start))
+            if anchor.score / max(1, anchor.length) >= params.S
+        ]
+        self.band = params.l
+        self.cursor = 0
+        self.budget = params.max_gapped_per_subject
+        #: (query start, query end, anchor diagonal) of each alignment found
+        self.covered: list[tuple[int, int, int]] = []
+        self.found: list[Alignment] = []
+
+    @property
+    def open(self) -> bool:
+        return self.budget > 0 and self.cursor < len(self.queue)
+
+    def next_run(self) -> list[Anchor]:
+        """The next anchors to extend together; absorbed anchors are passed."""
+        band = self.band
+        run: list[Anchor] = []
+        while len(run) < self.budget and self.cursor < len(self.queue):
+            anchor = self.queue[self.cursor]
+            diagonal = anchor.diagonal
+            mid = (anchor.query_start + anchor.query_end) // 2
+            if not any(lo <= mid < hi and abs(diagonal - diag) <= band
+                       for lo, hi, diag in self.covered):
+                if any(abs(diagonal - other.diagonal) <= band for other in run):
+                    break  # its fate waits on this run's extensions
+                run.append(anchor)
+            self.cursor += 1
+        self.budget -= len(run)
+        return run
+
+    def extended(self, anchor: Anchor, alignment: Alignment | None) -> None:
+        """Record one extension of this subject's last run (``None``: it
+        failed the E-value filter, covers nothing and reports nothing)."""
+        if alignment is not None:
+            self.covered.append(
+                (alignment.query_start, alignment.query_end, anchor.diagonal)
+            )
+            self.found.append(alignment)
 
 
 @dataclass
@@ -1017,11 +1090,10 @@ class QueryEngine:
     ) -> tuple[tuple[list[Alignment], int], float]:
         """Gapped-extend qualifying anchors; score, filter by E, dedupe, rank.
 
-        Each subject bin is worked through in its own sequential order
-        (:meth:`_eligible`), but the bins advance together: a *wave* takes the
-        next anchor to extend of every subject that still has one and extends
-        them all in one :func:`banded_extend` call, at most
-        ``max_gapped_per_subject`` waves a query.
+        Each subject's anchors are worked through in its own sequential
+        order (:class:`_SubjectQueue`), but the subjects advance together: a
+        *round* takes every subject's next run of anchors that cannot absorb
+        one another and extends them all in one :func:`banded_extend` call.
 
         Returns ``((alignments, gapped_count), residue_ops_charged)``.
         """
@@ -1032,73 +1104,23 @@ class QueryEngine:
         by_subject: dict[str, list[Anchor]] = {}
         for anchor in merged:
             by_subject.setdefault(anchor.seq_id, []).append(anchor)
-        # One (anchors still to extend, spans already covered, alignments
-        # found) per subject, in the order the alignments are emitted.
-        bins = []
-        for seq_id in sorted(by_subject):
-            covered: list[tuple[int, int, int]] = []  # (q_start, q_end, diagonal)
-            bins.append(
-                (self._eligible(by_subject[seq_id], params, covered), covered, [])
-            )
-
-        live = bins
+        # In the order the alignments are emitted.
+        queues = [_SubjectQueue(by_subject[seq_id], params)
+                  for seq_id in sorted(by_subject)]
+        live = queues
         while live:
-            wave = [
-                (anchor, eligible, covered, found)
-                for eligible, covered, found in live
-                if (anchor := next(eligible, None)) is not None
-            ]
+            lanes = [(queue, anchor) for queue in live for anchor in queue.next_run()]
             scored = self._extend_and_score(
-                query, [anchor for anchor, *_ in wave], params, matrix, ka, db_len
+                query, [anchor for _, anchor in lanes], params, matrix, ka, db_len
             )
-            for (anchor, _, covered, found), (alignment, cell_ops) in zip(
-                wave, scored
-            ):
+            for (queue, anchor), (alignment, cell_ops) in zip(lanes, scored):
                 ops += cell_ops
                 gapped_count += 1
-                if alignment is not None:
-                    covered.append(
-                        (alignment.query_start, alignment.query_end, anchor.diagonal)
-                    )
-                    found.append(alignment)
-            live = [state for _, *state in wave]
-        raw = [alignment for _, _, found in bins for alignment in found]
+                queue.extended(anchor, alignment)
+            live = [queue for queue in live if queue.open]
+        raw = [alignment for queue in queues for alignment in queue.found]
         alignments = self._dedupe_rank(raw)
         return (alignments, gapped_count), ops
-
-    @staticmethod
-    def _eligible(
-        anchors: list[Anchor],
-        params: QueryParams,
-        covered: list[tuple[int, int, int]],
-    ):
-        """One subject's anchors to gapped-extend, in order; the caller
-        appends each extension's span to *covered* before asking for the next.
-
-        Once a gapped extension covers a region, remaining anchors of the
-        same sequence within l diagonals whose seed falls inside it are
-        absorbed ("the gapped extension considers all anchors from the same
-        sequence within l diagonals in either direction") rather than
-        re-extended.
-        """
-        # Process best raw score first: long, reliable anchors claim the
-        # per-subject budget before short lucky ones (the normalised
-        # score S stays the *trigger*, per the paper, not the order).
-        extended = 0
-        for anchor in sorted(anchors, key=lambda a: (-a.score, a.query_start)):
-            normalised = anchor.score / max(1, anchor.length)
-            if normalised < params.S:
-                continue
-            if extended >= params.max_gapped_per_subject:
-                return
-            mid = (anchor.query_start + anchor.query_end) // 2
-            if any(
-                lo <= mid < hi and abs(anchor.diagonal - diag) <= params.l
-                for lo, hi, diag in covered
-            ):
-                continue
-            extended += 1
-            yield anchor
 
     def _extend_and_score(
         self,
@@ -1109,7 +1131,7 @@ class QueryEngine:
         ka: KarlinAltschulParams,
         db_len: int,
     ) -> list[tuple[Alignment | None, int]]:
-        """Gapped-extend one wave of anchors (one per subject) in a single
+        """Gapped-extend one round of anchors in a single
         :func:`banded_extend` call and build each one's alignment (``None``
         if it fails the E-value filter), paired with its residue-op cost."""
         if not anchors:

@@ -283,12 +283,19 @@ class DurableNodeState:
 
     def verify(self, block_id: int) -> bool:
         """Does the stored payload still match its acknowledged digest?"""
+        return self.verify_many([block_id])[0] is True
+
+    def verify_many(self, block_ids) -> list[bool | None]:
+        """Per id, whether its stored payload still matches its
+        acknowledged digest, or ``None`` when it has no durable record."""
         self._materialize()
-        extent = self._extents.get(block_id)
-        if extent is None:
-            return False
-        raw = self.disk.read_span(extent.file, extent.offset, extent.length)
-        return zlib.crc32(raw) == extent.digest
+        extents, read = self._extents, self.disk.read_span
+        return [
+            None if extent is None
+            else zlib.crc32(read(extent.file, extent.offset, extent.length))
+            == extent.digest
+            for extent in map(extents.get, block_ids)
+        ]
 
     def corrupt_block(self, block_id: int, bit: int = 0) -> None:
         """Fault injection: silently flip one bit of the block's on-device

@@ -183,7 +183,7 @@ class BlockFileReader:
 
     Parsing validates magic, version, and each metadata section's CRC
     before trusting a byte of it; page payloads are *not* verified at open
-    — each decode is checked lazily (and :meth:`verify_row` re-reads the
+    — each decode is checked lazily (and :meth:`verify_rows` re-reads the
     payload from the device, so a scrub observes the current on-disk bytes
     rather than any cached copy)."""
 
@@ -241,6 +241,19 @@ class BlockFileReader:
             raise TierFileError(
                 f"{name!r} segment table failed to parse: {exc}"
             ) from exc
+        # Well-typed but inconsistent framing: every page decodes against
+        # a centroid one row wide, under an alphabet a byte can hold.
+        if not 1 <= self.alphabet_size <= 256:
+            raise TierFileError(
+                f"{name!r} segment table holds alphabet size "
+                f"{self.alphabet_size}, outside 1..256"
+            )
+        for meta in self.pages:
+            if meta.centroid.shape != (self.width,):
+                raise TierFileError(
+                    f"{name!r} page {meta.index} centroid holds "
+                    f"{meta.centroid.size} codes for width {self.width}"
+                )
 
         rowmeta_raw = disk.read_span(name, _HEAD.size + table_len, rowmeta_len)
         if (
@@ -316,15 +329,17 @@ class BlockFileReader:
             self.alphabet_size,
         )
 
-    def verify_row(self, index: int, slot: int) -> bool:
-        """Digest-verify one row against the table's acknowledged CRC,
-        reading the payload fresh from the device (scrub semantics)."""
+    def verify_rows(self, index: int, slots: list[int]) -> list[bool]:
+        """Digest-verify rows of page *index* against the table's
+        acknowledged CRCs, reading the payload fresh from the device once
+        (scrub semantics); a page that fails to decode fails every row."""
         meta = self.pages[index]
         try:
             rows = self.read_page(index)
         except TierCodecError:
-            return False
-        return zlib.crc32(rows[slot].tobytes()) == meta.digests[slot]
+            return [False] * len(slots)
+        return [zlib.crc32(rows[slot].tobytes()) == meta.digests[slot]
+                for slot in slots]
 
     @property
     def bytes_on_disk(self) -> int:

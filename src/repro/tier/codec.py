@@ -130,8 +130,17 @@ def decode_page(
     alphabet_size: int,
 ) -> np.ndarray:
     """Inverse of :func:`encode_page`; returns the ``(n_rows, width)``
-    ``uint8`` matrix.  Raises :class:`TierCodecError` on any damage."""
+    ``uint8`` matrix.  Raises :class:`TierCodecError` on any damage,
+    including framing the payload cannot be decoded under: a centroid that
+    is not ``width`` codes long, or an alphabet size outside 1..256."""
     expected = n_rows * width
+    centroid = np.asarray(centroid)
+    if centroid.shape != (width,):
+        raise TierCodecError(
+            f"centroid of shape {centroid.shape} for a page {width} wide"
+        )
+    if not 1 <= alphabet_size <= 256:
+        raise TierCodecError(f"alphabet size {alphabet_size} outside 1..256")
     try:
         if method == METHOD_RAW:
             flat = np.frombuffer(payload, dtype=np.uint8)

@@ -352,10 +352,26 @@ class NodeTier:
 
     def verify(self, block_id: int) -> bool:
         """Digest-verify one block against the device's *current* bytes."""
-        location = self._row_of_block.get(block_id)
-        if location is None or self.reader is None:
-            return True
-        return self.reader.verify_row(*location)
+        return self.verify_many([block_id])[0] is not False
+
+    def verify_many(self, block_ids) -> list[bool | None]:
+        """Per id, whether its row still matches its acknowledged digest in
+        the device's *current* bytes (``None`` when the file holds no such
+        row).  Each page the ids fall in is read and decoded once."""
+        found: list[bool | None] = [None] * len(block_ids)
+        if self.reader is None:
+            return found
+        slots_of: dict[int, list[tuple[int, int]]] = {}
+        for at, block_id in enumerate(block_ids):
+            location = self._row_of_block.get(block_id)
+            if location is not None:
+                page, slot = location
+                slots_of.setdefault(page, []).append((at, slot))
+        for page, wanted in slots_of.items():
+            rows = self.reader.verify_rows(page, [slot for _, slot in wanted])
+            for (at, _), ok in zip(wanted, rows):
+                found[at] = ok
+        return found
 
     def corrupt_block(self, block_id: int, bit: int = 0) -> None:
         """Bit-rot injection for tests/chaos: flip one bit inside the page

@@ -196,3 +196,24 @@ class TestServiceTime:
         assert node.service_time_ops(8) == pytest.approx(
             node.service_time(1, overhead_evals=0)
         )
+
+
+class TestVerifyBlocks:
+    def test_ram_node_batch_is_the_one_block_gate(self):
+        """``verify_blocks(ids)`` is ``[verify_block(b) for b in ids]``, in
+        flags and in ``corrupt_reads``: a rotten copy fails each time it is
+        asked for, an id with no durable record passes."""
+        node = make_node()
+        node.store_blocks(blocks(12), list(range(12)))
+        node.durable.corrupt_block(4, bit=5)
+        node.durable.corrupt_block(9, bit=17)
+        ids = [0, 4, 9, 4, 11, 404, 3, 9]
+        assert node.durable_digest(404) is None
+        before = node.stats.corrupt_reads
+        one_by_one = [node.verify_block(b) for b in ids]
+        middle = node.stats.corrupt_reads
+        assert node.verify_blocks(ids) == one_by_one == [
+            True, False, False, False, True, True, True, False]
+        assert node.stats.corrupt_reads - middle == middle - before == 4
+        assert node.verify_blocks([]) == []
+

@@ -1,7 +1,8 @@
-"""The wave-scheduled gapped pass == the sequential pass it replaced.
+"""The round-scheduled gapped pass == the sequential pass it replaced.
 
-``QueryEngine._gapped_pass`` extends one anchor per subject per *wave*, all
-of a wave's anchors in one ``banded_extend`` call.  The reference below is
+``QueryEngine._gapped_pass`` extends, per *round*, every subject's next run
+of anchors that cannot absorb one another, all of a round's anchors in one
+``banded_extend`` call.  The reference below is
 the loop it replaced — subject by subject, anchor by anchor, one one-anchor
 ``banded_extend`` call each — and must agree with it exactly: alignments (in
 order), extensions counted, residue ops charged.  Probes are drawn from
@@ -14,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.align import Alignment, banded_extend, diagonal_identity
+from repro.align import Alignment, Anchor, banded_extend, diagonal_identity
 from repro.bench.workloads import FamilySpec
 from repro.core.params import QueryParams
 from repro.core.query import QueryEngine
@@ -169,29 +170,106 @@ class TestWaveSchedulingIsTheSequentialPass:
         if rule is not None:
             assert fired[rule] > 0, fired
 
-    def test_one_banded_call_per_wave(self, family, passes, monkeypatch):
+    def test_one_banded_call_per_round(self, family, passes, monkeypatch):
         """``repro.core.query.banded_extend`` is looked up as a module global
-        (perfbench wraps that name) and called once per wave — at most
-        ``max_gapped_per_subject`` times a query, never with ``l = 0``."""
+        (perfbench wraps that name) and called once per *round*, never with
+        ``l = 0``.  A round extends nothing the sequential pass does not
+        (its lanes add up to ``gapped_count``), and a query takes no more
+        rounds than it took waves — one anchor per subject a call, as many
+        calls as the busiest subject has extensions — and fewer somewhere."""
         import repro.core.query as query_module
+        import tests.core.test_gapped_pass as this_module
 
-        lanes = []
+        lanes, extended, extend = [], Counter(), banded_extend
         monkeypatch.setattr(
             query_module, "banded_extend",
             lambda query, subjects, *args, **kw: (
                 lanes.append(len(subjects))
-                or banded_extend(query, subjects, *args, **kw)),
+                or extend(query, subjects, *args, **kw)),
         )
+        # the sequential pass's calls, one per extension, by subject
+        monkeypatch.setattr(
+            this_module, "banded_extend",
+            lambda query, subject, *args, **kw: (
+                extended.update([id(subject)])
+                or extend(query, subject, *args, **kw)),
+        )
+        fewer = 0
         for budget in (1, 2, 4):
             params = replace(BASE, max_gapped_per_subject=budget)
             for _, query, merged, matrix, _ in passes:
                 del lanes[:]
+                extended.clear()
                 (_, gapped_count), _ = family.engine._gapped_pass(
                     query, merged, params, matrix)
-                assert 1 <= len(lanes) <= budget
-                assert sum(lanes) == gapped_count
-                assert lanes == sorted(lanes, reverse=True)
+                sequential_gapped_pass(family.engine, query, merged, params, matrix)
+                waves = max(extended.values())
+                assert sum(extended.values()) == sum(lanes) == gapped_count
+                assert 1 <= len(lanes) <= waves <= budget
+                fewer += len(lanes) < waves
+        assert fewer > 0
         _, query, merged, matrix, _ = passes[0]
         del lanes[:]
         family.engine._gapped_pass(query, merged, replace(BASE, l=0), matrix)
         assert lanes == []
+
+    @pytest.mark.parametrize("offsets, first_round, rounds", [
+        # the second anchor waits on the first; the third joins it
+        ((0, BASE.l, 4 * BASE.l), 1, 2),
+        ((0, -BASE.l, 4 * BASE.l), 1, 2),
+        # nothing can absorb anything: one round
+        ((0, BASE.l + 1, 4 * BASE.l), 3, 1),
+        ((0, 4 * BASE.l), 2, 1),
+    ])
+    def test_dependency_round(self, family, passes, monkeypatch, offsets,
+                              first_round, rounds):
+        """Anchors of one subject within ``l`` diagonals of each other go to
+        separate rounds — whether the later one is extended depends on the
+        earlier one's alignment — and still give the sequential pass's
+        answer."""
+        got, want, fired, lanes = self.run_anchors(
+            family, passes, monkeypatch, offsets)
+        assert got == want
+        assert lanes[0] == first_round and len(lanes) == rounds
+        assert sum(lanes) == got[0][1] == len(offsets) - fired["absorbed"]
+
+    def test_dependency_round_absorbs(self, family, passes, monkeypatch):
+        """The case a speculative lane would get wrong: a second anchor on
+        the best one's diagonal is absorbed by its alignment, so it is never
+        extended, and the third (far off the diagonal) waits a round."""
+        got, want, fired, lanes = self.run_anchors(
+            family, passes, monkeypatch, (0, 0, 4 * BASE.l))
+        assert got == want
+        assert fired["absorbed"] == 1 and got[0][1] == 2
+        assert lanes == [1, 1]
+
+    @staticmethod
+    def run_anchors(family, passes, monkeypatch, offsets):
+        """Both passes over copies of the first probe's best anchor, moved
+        *offsets* diagonals and ranked in that order; returns ``(rounds'
+        result, sequential result, sequential rule counts, lanes per
+        banded_extend call)``."""
+        import repro.core.query as query_module
+
+        lanes, extend = [], banded_extend
+        monkeypatch.setattr(
+            query_module, "banded_extend",
+            lambda query, subjects, *args, **kw: (
+                lanes.append(len(subjects))
+                or extend(query, subjects, *args, **kw)),
+        )
+        _, query, merged, matrix, _ = passes[0]
+        best = max(merged, key=lambda a: (a.score, a.seq_id))
+        anchors = [
+            Anchor(seq_id=best.seq_id, query_start=best.query_start,
+                   query_end=best.query_end,
+                   subject_start=best.subject_start + offset,
+                   subject_end=best.subject_end + offset,
+                   score=best.score - rank)
+            for rank, offset in enumerate(offsets)
+        ]
+        params = replace(BASE, S=0.0)
+        got = family.engine._gapped_pass(query, anchors, params, matrix)
+        want, fired = sequential_gapped_pass(
+            family.engine, query, anchors, params, matrix)
+        return got, want, fired, lanes

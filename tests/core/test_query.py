@@ -2,6 +2,7 @@
 
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from repro.core import Mendel, MendelConfig
 from repro.core.params import QueryParams
-from repro.core.anchors import evaluate_candidate, extend_anchor
+from repro.core.anchors import evaluate_candidate
 from repro.core.query import NodeCost, QueryEngine, node_kernel, resolve_matrix
 from repro.obs.metrics import default_registry
 from repro.obs.profile import (
@@ -23,6 +24,9 @@ from repro.seq.matrices import BLOSUM62, PAM250
 from repro.seq.mutate import mutate_to_identity
 from repro.seq.records import SequenceRecord
 from repro.tier import TierConfig
+from repro.tier.blockfile import BlockFileReader
+from repro.tier.codec import METHOD_RAW
+from tests.core.anchor_walk import extend_one
 
 SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
@@ -162,9 +166,83 @@ class TestNodeKernel:
         assert rotten[1].identity_pass == cost.identity_pass - 1
 
 
+    def test_spilled_node_decodes_each_page_once(self, protein_db, monkeypatch):
+        """A spilled node's verified read decodes each page its hits fall in
+        once per node-subquery, fresh from the device: a page rotted under
+        a warm cache (the distance pass still sees the good rows) fails
+        every hit on it, each counted as one corrupt read, and the answer is
+        the per-candidate reference's."""
+        mendel = Mendel.build(
+            protein_db,
+            MendelConfig(group_count=1, group_size=1, sample_size=256, seed=7),
+        )
+        engine, index = mendel.engine, mendel.index
+        [node] = index.topology.nodes
+        raw = np.asarray(node.tree.points).nbytes
+        mendel.spill(cache_bytes=2 * raw,
+                     config=TierConfig(page_rows=64, alphabet_size=PROTEIN.size))
+        target = protein_db.records[(SEED + 2) % len(protein_db.records)]
+        probe = SequenceRecord(
+            seq_id="copy", codes=target.codes[20:80].copy(), alphabet=PROTEIN
+        )
+        params = QueryParams(k=4, n=6, i=0.5, c=0.4)
+        windows = engine.windows_for(probe, params)
+        args = (
+            node, probe.codes, windows, params, engine.search_radius(params),
+            resolve_matrix(params, index.alphabet), index.store,
+        )
+        healthy = node_kernel(*args)  # also warms the cache
+        searches, reads = node.local_knn(
+            np.stack([window.codes for window in windows]), params.n,
+            max_radius=args[4])
+        assert reads.seeks == 0
+        tier = node.tier
+        hits = [(window, block_id) for window, (found, _) in zip(windows, searches)
+                for _, block_id in found]
+        hit_pages = [tier._row_of_block[block_id][0] for _, block_id in hits]
+        # the page with the most hits, of those where one passes identity
+        similar = {
+            tier._row_of_block[block_id][0] for window, block_id in hits
+            if (window.codes == index.store.codes_of(block_id)).mean() >= params.i
+        }
+        rotten_hits, page = max((count, page) for page, count
+                                in Counter(hit_pages).items() if page in similar)
+        assert rotten_hits >= 2
+
+        reader, meta = tier.reader, tier.reader.pages[page]
+        start = reader._payload_base + meta.offset
+        if meta.method == METHOD_RAW:  # rot every row on the page
+            for slot in range(meta.rows):
+                node.disk.flip_bit(tier.config.file_name,
+                                   start + slot * tier.width, 2)
+        else:  # a zlib stream with a bad header decodes to nothing
+            node.disk.flip_bit(tier.config.file_name, start, 0)
+        decoded, read_page = [], BlockFileReader.read_page
+        monkeypatch.setattr(
+            BlockFileReader, "read_page",
+            lambda self, index: decoded.append(index) or read_page(self, index))
+        verdicts, verify_blocks = [], node.verify_blocks
+        monkeypatch.setattr(
+            node, "verify_blocks",
+            lambda ids: verdicts.append((ids, verify_blocks(ids))) or verdicts[-1][1])
+
+        before = node.stats.corrupt_reads
+        rotten = node_kernel(*args)
+        assert node.stats.corrupt_reads == before + rotten_hits
+        assert sorted(decoded) == sorted(set(hit_pages))
+        [(ids, flags)] = verdicts
+        assert [tier._row_of_block[b][0] == page for b in ids] == [
+            not ok for ok in flags]
+        monkeypatch.undo()
+        assert rotten == one_candidate_at_a_time(*args)
+        assert rotten[1].candidates == healthy[1].candidates
+        assert rotten[1].identity_pass < healthy[1].identity_pass
+
+
 def one_candidate_at_a_time(node, query_codes, windows, params, radius, matrix, store):
-    """``node_kernel`` as it read while the filter was a call per candidate:
-    the reference its ``(anchors, NodeCost)`` must equal."""
+    """``node_kernel`` as it read while the verified read, the filter and
+    the extension were a call per candidate: the reference its
+    ``(anchors, NodeCost)`` must equal."""
     positives = matrix if store.database.alphabet.name == "protein" else None
     anchors, seen, cost = [], set(), NodeCost()
     searches, reads = node.local_knn(
@@ -189,7 +267,7 @@ def one_candidate_at_a_time(node, query_codes, windows, params, radius, matrix, 
                 continue
             cost.cscore_pass += 1
             block = store.block(block_id)
-            anchor = extend_anchor(
+            anchor = extend_one(
                 query=query_codes, subject=store.record_of(block_id).codes,
                 seq_id=block.seq_id, query_start=window.query_start,
                 query_end=window.query_start + block.length,

@@ -16,7 +16,7 @@ from repro.tier.blockfile import (
     manifest_ids,
     write_block_file,
 )
-from repro.tier.codec import encode_page
+from repro.tier.codec import METHOD_DELTA, encode_page
 
 WIDTH = 16
 ALPHABET = 25
@@ -106,8 +106,9 @@ class TestRoundTrip:
         write(disk, pages)
         reader = BlockFileReader(disk)
         for i, (rows, _) in enumerate(pages):
-            for slot in range(rows.shape[0]):
-                assert reader.verify_row(i, slot)
+            slots = list(range(rows.shape[0]))
+            assert reader.verify_rows(i, slots) == [True] * len(slots)
+            assert reader.verify_rows(i, [slots[-1], 0, slots[-1]]) == [True] * 3
 
 
 class TestDamage:
@@ -124,11 +125,9 @@ class TestDamage:
         # A fresh read observes the rot: either the codec refuses or the
         # decoded row's digest no longer matches the acknowledged CRC.
         fresh = BlockFileReader(disk)
-        assert not all(
-            fresh.verify_row(1, slot) for slot in range(meta.rows)
-        )
+        assert not all(fresh.verify_rows(1, list(range(meta.rows))))
         # Other pages are untouched.
-        assert all(fresh.verify_row(0, slot) for slot in range(meta.rows))
+        assert all(fresh.verify_rows(0, list(range(meta.rows))))
 
     def test_bad_magic_raises(self):
         disk = NodeDisk()
@@ -198,3 +197,53 @@ class TestMalformedTable:
         with pytest.raises(TierFileError, match="segment table failed to parse"):
             BlockFileReader(disk)
         assert manifest_ids(disk) == []
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda table: {**table, "alphabet_size": 0}, "outside 1..256"),
+            (lambda table: {**table, "alphabet_size": 257}, "outside 1..256"),
+            (lambda table: {**table, "pages": [
+                {**page, "centroid": page["centroid"][:-1]}
+                for page in table["pages"]]}, "centroid holds 15 codes"),
+            (lambda table: {**table, "pages": [
+                {**page, "centroid": page["centroid"] + [0]}
+                for page in table["pages"]]}, "centroid holds 17 codes"),
+        ],
+        ids=["alphabet-0", "alphabet-257", "short-centroid", "long-centroid"],
+    )
+    def test_framing_no_page_decodes_under_raises(self, edit, message):
+        """Well-typed but inconsistent framing is refused at open: a page
+        decodes against a centroid one row wide, under an alphabet a byte
+        holds.  Read later, a delta page with a short centroid raised a
+        bare numpy ``ValueError`` that the verified read did not catch."""
+        disk = NodeDisk()
+        write(disk, make_pages(np.random.default_rng(43)))
+        rewrite_table(disk, edit)
+        with pytest.raises(TierFileError, match=message):
+            BlockFileReader(disk)
+        assert manifest_ids(disk) == []
+
+    def test_delta_page_with_short_centroid_is_refused(self):
+        """The case that escaped: rows near their centroid encode as
+        ``delta+zlib``, whose decode broadcasts against the centroid."""
+        rows = np.tile(np.arange(WIDTH, dtype=np.uint8) % ALPHABET, (8, 1))
+        rows[np.arange(8), np.arange(8)] = 24
+        centroid = rows[-1].copy()
+        method, payload = encode_page(rows, centroid, ALPHABET)
+        assert method == METHOD_DELTA
+        disk = NodeDisk()
+        write(disk, [(rows, PageRecord(
+            payload=payload, method=method, rows=8,
+            block_ids=list(range(8)), tree_rows=list(range(8)),
+            digests=[int(zlib.crc32(row.tobytes())) for row in rows],
+            centroid=[int(c) for c in centroid], radius=1.0,
+            histogram=[1] * ALPHABET, raw_bytes=int(rows.nbytes),
+        ))])
+        assert all(BlockFileReader(disk).verify_rows(0, list(range(8))))
+        rewrite_table(disk, lambda table: {**table, "pages": [
+            {**table["pages"][0], "centroid": table["pages"][0]["centroid"][:3]}
+        ]})
+        with pytest.raises(TierFileError, match="centroid holds 3 codes"):
+            BlockFileReader(disk)
+

@@ -1,5 +1,7 @@
 """The reference-free page codec: losslessness, method selection, damage."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,30 @@ class TestDamage:
         centroid = rows[0].copy()
         with pytest.raises(TierCodecError):
             decode_page(METHOD_RAW, rows.tobytes()[:-1], 2, 8, centroid, 256)
+
+    @pytest.mark.parametrize(
+        "method, payload",
+        # well-formed streams for a 4 x 8 page: 32 delta bytes, or 32
+        # 2-bit residues packed into 8
+        [(METHOD_DELTA, zlib.compress(bytes(32))),
+         (METHOD_PACKED, zlib.compress(bytes(8)))],
+        ids=["delta", "packed"],
+    )
+    @pytest.mark.parametrize(
+        "centroid_width, alphabet_size",
+        [(7, 4), (9, 4), (0, 4), (8, 0), (8, -1), (8, 257)],
+        ids=["short-centroid", "long-centroid", "no-centroid",
+             "alphabet-0", "alphabet-negative", "alphabet-257"],
+    )
+    def test_framing_it_cannot_decode_under_raises(
+        self, method, payload, centroid_width, alphabet_size
+    ):
+        """A centroid that is not one row wide, or an alphabet no byte
+        holds, is damage too: the typed error, not a numpy broadcast
+        ``ValueError`` or silently wrong residues."""
+        assert decode_page(
+            method, payload, 4, 8, np.zeros(8, dtype=np.uint8), 4
+        ).shape == (4, 8)
+        with pytest.raises(TierCodecError):
+            decode_page(method, payload, 4, 8,
+                        np.zeros(centroid_width, dtype=np.uint8), alphabet_size)
