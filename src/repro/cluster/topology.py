@@ -15,6 +15,12 @@ group-level skew — the behaviour evaluated in Fig. 5.
 
 Every node knows the full table (zero-hop routing: requests go straight to
 their destination with no overlay hops, as in Dynamo).
+
+Query routing reads a second table derived from the first: the shallowest
+prefix-tree vertices under which one group owns every frontier prefix
+(:meth:`~repro.vptree.prefix.VPPrefixTree.owner_cut`).  The tolerance walk
+ends at such a vertex unevaluated, since the group is already decided; the
+groups a walk reaches, and their order, are the full walk's.
 """
 
 from __future__ import annotations
@@ -118,7 +124,9 @@ class Route(NamedTuple):
     """One query segment's tier-1 routing decision, made once by
     :meth:`ClusterTopology.route` and carried forward as a value."""
 
-    #: vp-prefixes the tolerance traversal reached, in traversal order
+    #: prefix-tree vertices where the tolerance traversal stopped, in
+    #: traversal order: frontier prefixes, or ancestors whose frontier
+    #: prefixes one group owns (each covers the frontier prefixes below it)
     prefixes: tuple[int, ...]
     #: distinct groups owning those prefixes, in first-reached order
     groups: tuple[StorageGroup, ...]
@@ -174,6 +182,21 @@ class ClusterTopology:
             prefix_tree, sample, [group.group_id for group in self.groups]
         )
         self._sorted_prefixes = sorted(self.prefix_assignment)
+        self._index_routes()
+
+    def _index_routes(self) -> None:
+        """Rebuild the routing cut: each vertex where a query walk stops,
+        mapped to the one group owning its frontier prefixes.  Called by
+        every routing-table mutator; :meth:`route` also rebuilds it when a
+        :meth:`~repro.vptree.prefix.VPPrefixTree.refine` outside this class
+        has moved the frontier."""
+        cut = self.prefix_tree.owner_cut(
+            lambda prefix: self.group_for_prefix(prefix).group_id
+        )
+        self._route_cut = {
+            prefix: self._groups_by_id[group_id] for prefix, group_id in cut.items()
+        }
+        self._route_version = self.prefix_tree.frontier_version
 
     # -- lookup ------------------------------------------------------------------
 
@@ -219,6 +242,7 @@ class ClusterTopology:
             raise ValueError(f"duplicate group id {group.group_id!r}")
         self.groups.append(group)
         self._groups_by_id[group.group_id] = group
+        self._index_routes()
 
     def remove_group(self, group_id: str) -> StorageGroup:
         """Drop a group from the topology.  Its prefixes must have been
@@ -236,6 +260,7 @@ class ClusterTopology:
             raise ValueError("cannot remove the last group")
         self.groups.remove(group)
         del self._groups_by_id[group_id]
+        self._index_routes()
         return group
 
     def reassign_prefixes(self, prefixes: Sequence[int], group_id: str) -> None:
@@ -247,6 +272,7 @@ class ClusterTopology:
         for prefix in prefixes:
             self.prefix_assignment[prefix] = group_id
         self._sorted_prefixes = sorted(self.prefix_assignment)
+        self._index_routes()
 
     def retire_prefix(self, prefix: int, replacements: Sequence[int],
                       group_id: str) -> None:
@@ -259,6 +285,7 @@ class ClusterTopology:
         for child in replacements:
             self.prefix_assignment[child] = group_id
         self._sorted_prefixes = sorted(self.prefix_assignment)
+        self._index_routes()
 
     # -- placement -----------------------------------------------------------------
 
@@ -271,13 +298,18 @@ class ClusterTopology:
     def route(self, codes: np.ndarray, tolerance: float) -> Route:
         """Tier-1 routing of one query segment (prefix-tree traversal with
         branching tolerance; section V-B): the groups that may hold its
-        neighbours and what finding them cost."""
+        neighbours and what finding them cost.  The walk stops where the
+        routing cut decides the group, so it evaluates no vertex whose
+        subtree one group owns."""
+        if self._route_version != self.prefix_tree.frontier_version:
+            self._index_routes()
+        cut = self._route_cut
         hashes, evals = self.prefix_tree.hash_query(
-            np.asarray(codes, dtype=np.uint8), tolerance
+            np.asarray(codes, dtype=np.uint8), tolerance, cut
         )
         groups: dict[str, StorageGroup] = {}
         for item in hashes:
-            group = self.group_for_prefix(item.prefix)
+            group = cut[item.prefix]
             groups.setdefault(group.group_id, group)
         return Route(
             tuple(item.prefix for item in hashes), tuple(groups.values()), evals

@@ -7,7 +7,9 @@ attrition arguments (Figures 6a-6d all hinge on *where candidates die*):
 
 * **routing** — the subquery windows, the tier-1 vp-prefix routes each
   window takes (including tolerance-induced replication branches), and the
-  groups/nodes the query fanned out to;
+  groups/nodes the query fanned out to.  A route's prefixes are the
+  prefix-tree vertices where its walk stopped: a frontier prefix, or an
+  ancestor whose frontier prefixes one group owns;
 * **funnel** — the per-stage candidate attrition (k-NN candidates ->
   percent-identity filter -> c-score filter -> extension -> merged anchors
   -> gapped extensions -> reported alignments), with counts from

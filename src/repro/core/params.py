@@ -26,7 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.seq.matrices import named_matrix
-from repro.util.validation import check_fraction, check_non_negative
+from repro.util.validation import (
+    check_fraction,
+    check_non_negative,
+    check_positive,
+)
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,8 @@ class QueryParams:
         if self.tolerance is not None:
             check_non_negative("tolerance", self.tolerance)
         check_non_negative("x_drop", self.x_drop)
+        check_positive("gap_open", self.gap_open)
+        check_positive("gap_extend", self.gap_extend)
         if self.gap_open < self.gap_extend:
             raise ValueError(
                 f"gap_open ({self.gap_open}) must be >= gap_extend "

@@ -152,7 +152,8 @@ class WindowRoute:
 
     window: int
     query_start: int
-    #: distinct vp-prefixes the tolerance traversal reached
+    #: prefix-tree vertices where the tolerance traversal stopped: frontier
+    #: prefixes, or ancestors whose frontier prefixes one group owns
     prefixes: tuple[int, ...]
     #: distinct groups those prefixes map to, in first-reached order
     groups: tuple[str, ...]
@@ -753,14 +754,14 @@ class _BatchRun:
             route = self.topo.route(window.codes, self.tolerance)
             hash_evals += route.evals
             for group in route.groups:
-                routed = routing.setdefault(group.group_id, (group, []))[1]
-                routed.append(window)
-                stats.subqueries_routed += 1
-                self.m_routed.labels(group=group.group_id).inc()
+                routing.setdefault(group.group_id, (group, []))[1].append(window)
             state.routes.append(WindowRoute(
                 window.index, window.query_start, route.prefixes,
                 tuple(group.group_id for group in route.groups),
             ))
+        for group_id, (_, routed) in routing.items():
+            stats.subqueries_routed += len(routed)
+            self.m_routed.labels(group=group_id).inc(len(routed))
         self.publish(stats, "route", _SYSTEM_SITE, {},
                      distance_evals=hash_evals)
         yield entry.service_time(hash_evals)

@@ -21,7 +21,10 @@ Two traversal modes exist:
   when the query lies within ``tolerance`` of a vertex boundary the walk
   branches into both children and the subquery is replicated to every
   resulting group (section V-B: "multiple groups can be selected from the
-  vp-hash tree if the path branches").
+  vp-hash tree if the path branches").  The walk also ends, unevaluated, at
+  any vertex of a caller's *stop* set: the router passes the vertices
+  :meth:`VPPrefixTree.owner_cut` finds, under which every frontier prefix
+  belongs to one group, so reaching the vertex already decides the group.
 
 The tree itself is built once over a *sample* of the dataset (it is a shared
 cluster-wide hash function, not a per-node index) and is immutable
@@ -31,12 +34,16 @@ afterwards, so every node computes identical hashes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Container, Hashable
 
 import numpy as np
 
 from repro.util.rng import RandomSource
 from repro.vptree.tree import VPNode, VPTree
+
+
+#: :meth:`VPPrefixTree.owner_cut`'s mark for a subtree with several owners
+_MIXED = object()
 
 
 @dataclass(frozen=True)
@@ -97,6 +104,9 @@ class VPPrefixTree:
         #: the paper's fixed-threshold behaviour unless a group split
         #: deliberately sharpens one region.
         self._refined: set[int] = set()
+        #: Bumped by every :meth:`refine`: a table derived from the frontier
+        #: (:meth:`owner_cut`) is current while it carries this value.
+        self.frontier_version = 0
 
     @property
     def tree_depth(self) -> int:
@@ -125,6 +135,7 @@ class VPPrefixTree:
                 f"prefix {prefix} is a leaf bucket and cannot be refined"
             )
         self._refined.add(prefix)
+        self.frontier_version += 1
         return (node.left.prefix, node.right.prefix)
 
     def _frontier_node(self, prefix: int) -> VPNode | None:
@@ -183,7 +194,10 @@ class VPPrefixTree:
         return prefixes, depths
 
     def hash_query(
-        self, point: np.ndarray, tolerance: float = 0.0
+        self,
+        point: np.ndarray,
+        tolerance: float = 0.0,
+        stop: Container[int] = frozenset(),
     ) -> tuple[list[PrefixHash], int]:
         """Tolerance prefix hash used for query routing; returns the hashes
         in traversal order and the distance evaluations the walk made (one
@@ -191,14 +205,19 @@ class VPPrefixTree:
 
         Branches into both children whenever ``|d - mu| <= tolerance``, so a
         query near a partition boundary reaches every group that may hold
-        neighbours.  ``tolerance=0`` reduces to :meth:`hash_one`, whose
-        ``depth`` is its evaluation count.
+        neighbours.  The walk ends without an evaluation at a frontier
+        vertex or at a vertex whose prefix is in *stop*; that vertex's
+        prefix is the hash.  With the default empty *stop* every hash is a
+        frontier prefix, and ``tolerance=0`` reduces to :meth:`hash_one`,
+        whose ``depth`` is its evaluation count.
         """
-        if tolerance < 0:
+        if not tolerance >= 0:
             raise ValueError(f"tolerance must be non-negative, got {tolerance}")
         point = self._check(point)
         results: list[PrefixHash] = []
-        evals = self._branch_visit(self._tree.root, point, tolerance, 0, results)
+        evals = self._branch_visit(
+            self._tree.root, point, tolerance, stop, 0, results
+        )
         return results, evals
 
     def _branch_visit(
@@ -206,10 +225,11 @@ class VPPrefixTree:
         node: VPNode,
         point: np.ndarray,
         tolerance: float,
+        stop: Container[int],
         depth: int,
         out: list[PrefixHash],
     ) -> int:
-        if self._at_frontier(node, depth):
+        if node.prefix in stop or self._at_frontier(node, depth):
             out.append(PrefixHash(prefix=node.prefix, depth=depth))
             return 0
         dist = self._tree.adapter.pair(point, self._tree.points[node.vantage_index])
@@ -217,9 +237,13 @@ class VPPrefixTree:
         go_right = dist > node.mu - tolerance
         evals = 1
         if go_left:
-            evals += self._branch_visit(node.left, point, tolerance, depth + 1, out)
+            evals += self._branch_visit(
+                node.left, point, tolerance, stop, depth + 1, out
+            )
         if go_right:
-            evals += self._branch_visit(node.right, point, tolerance, depth + 1, out)
+            evals += self._branch_visit(
+                node.right, point, tolerance, stop, depth + 1, out
+            )
         return evals
 
     # -- prefix enumeration ----------------------------------------------------
@@ -240,6 +264,35 @@ class VPPrefixTree:
             return
         self._enumerate(node.left, depth + 1, out)
         self._enumerate(node.right, depth + 1, out)
+
+    def owner_cut(self, owner: Callable[[int], Hashable]) -> dict[int, Hashable]:
+        """The shallowest vertices whose frontier prefixes all have one
+        *owner*, each mapped to that owner.
+
+        Every root-to-frontier path meets exactly one of them (a frontier
+        prefix is its own single-owner vertex), so the result is a cut of
+        the tree that covers the frontier.  Passed to :meth:`hash_query` as
+        *stop*, it ends each walk where the owner is decided.  A tolerance
+        walk that enters a vertex reaches at least one frontier prefix below
+        it (``d <= mu + t`` or ``d > mu - t`` holds for every ``t >= 0``),
+        so stopping there reaches the same owners in the same first-reached
+        order as the full walk.  Recompute it when :attr:`frontier_version`
+        or the owners change.
+        """
+        return self._cut(self._tree.root, 0, owner)[1]
+
+    def _cut(
+        self, node: VPNode, depth: int, owner: Callable[[int], Hashable]
+    ) -> tuple[object, dict[int, Hashable]]:
+        """``(single owner or _MIXED, cut)`` of the subtree at *node*."""
+        if self._at_frontier(node, depth):
+            found = owner(node.prefix)
+            return found, {node.prefix: found}
+        left, left_cut = self._cut(node.left, depth + 1, owner)
+        right, right_cut = self._cut(node.right, depth + 1, owner)
+        if left is not _MIXED and left == right:
+            return left, {node.prefix: left}
+        return _MIXED, {**left_cut, **right_cut}
 
     def _check(self, points: np.ndarray, ndim: int = 1) -> np.ndarray:
         points = np.asarray(points, dtype=np.uint8)

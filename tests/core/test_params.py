@@ -61,6 +61,19 @@ class TestQueryParamsTableI:
         with pytest.raises(ValueError, match="search_radius_scale"):
             QueryParams(search_radius_scale=0.0)
 
+    @pytest.mark.parametrize("gap_open, gap_extend, name", [
+        (float("nan"), 1.0, "gap_open"),
+        (11.0, float("nan"), "gap_extend"),
+        (0.0, 0.0, "gap_open"),
+        (-1.0, -2.0, "gap_open"),
+        (11.0, 0.0, "gap_extend"),
+    ])
+    def test_gap_costs_positive(self, gap_open, gap_extend, name):
+        # Each passes the gap_open >= gap_extend rule (NaN compares false),
+        # so only a positivity check rejects it before the gapped pass.
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            QueryParams(gap_open=gap_open, gap_extend=gap_extend)
+
     def test_frozen(self):
         params = QueryParams()
         with pytest.raises(AttributeError):

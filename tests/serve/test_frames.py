@@ -81,6 +81,13 @@ OTHER_FRAMES = {
     ("query", "params", "boolean"): {
         "op": "query", **REQUIRED["query"], "params": {"n": True},
     },
+    ("query", "params", "zero gap costs"): {
+        "op": "query", **REQUIRED["query"],
+        "params": {"gap_open": 0, "gap_extend": 0},
+    },
+    ("query", "params", "NaN gap cost"): {
+        "op": "query", **REQUIRED["query"], "params": {"gap_open": float("nan")},
+    },
 }
 
 #: (op, field, kind) -> the invalid_request message, byte for byte
@@ -136,6 +143,10 @@ MESSAGES = {
     ("query", "params", "int"): "params must be a JSON object, got int",
     ("query", "params", "str"): "params must be a JSON object, got str",
     ("query", "params", "unknown key"): "unknown query params: bogus",
+    ("query", "params", "zero gap costs"):
+        "bad query params: gap_open must be positive, got 0",
+    ("query", "params", "NaN gap cost"):
+        "bad query params: gap_open must be positive, got nan",
     ("query", "seq", "array"): "query needs a non-empty string 'seq'",
     ("query", "seq", "bool"): "query needs a non-empty string 'seq'",
     ("query", "seq", "float"): "query needs a non-empty string 'seq'",
@@ -259,6 +270,14 @@ class TestMalformedFrames:
             for key, frame in frames.items()
         }
         assert got == MESSAGES
+
+    @pytest.mark.parametrize("case", ["zero gap costs", "NaN gap cost"])
+    def test_bad_gap_costs_rejected_before_the_engine(self, server, case):
+        """Gap costs the gapped pass cannot use fail ``QueryParams``, so
+        the frame answers ``invalid_request`` instead of running the query
+        up to ``banded_extend`` and answering ``internal``."""
+        frame = OTHER_FRAMES[("query", "params", case)]
+        assert_rejected_then_healthy(server, json.dumps(frame).encode())
 
     @seed(SEED)
     @settings(max_examples=4, deadline=None)

@@ -202,6 +202,11 @@ class TestHashQuery:
         with pytest.raises(ValueError, match="tolerance"):
             prefix_tree.hash_query(sample[0], -1.0)
 
+    def test_nan_tolerance_rejected(self, prefix_tree, sample):
+        # Both branch tests are false at NaN: the walk would reach no prefix.
+        with pytest.raises(ValueError, match="tolerance"):
+            prefix_tree.hash_query(sample[0], float("nan"))
+
     def test_no_duplicate_prefixes(self, prefix_tree, sample):
         out = [h.prefix for h in prefix_tree.hash_query(sample[8], 20.0)[0]]
         assert len(out) == len(set(out))
