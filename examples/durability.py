@@ -19,7 +19,9 @@ Walks the two proof obligations of the ``repro.store`` durability layer:
   quarantines the rotted ones, and heals them back from a verified
   replica through the ordinary re-replication path.  Meanwhile verified
   reads route queries around the rot, so no answer is ever served from
-  corrupt bytes.
+  corrupt bytes.  The same loop then runs on a spilled deployment, whose
+  nodes keep their blocks in compressed block files: the flip lands in a
+  page of the file, and the scrubber finds and heals it there.
 
 Everything derives from one seed, so both experiments replay
 byte-identically — the contract the ``scrub-smoke`` CI job asserts across
@@ -28,7 +30,17 @@ a seed matrix.
 
 from __future__ import annotations
 
-from repro.store.scenario import run_durability_scenario, run_scrub_scenario
+from collections import Counter
+
+from repro.faults.scenario import twin_deployments
+from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.scenario import PARAMS, answer_signature, drive
+from repro.store.scenario import (
+    FLIP_AT,
+    SCRUB_INTERVAL,
+    run_durability_scenario,
+    run_scrub_scenario,
+)
 
 SEED = 0
 
@@ -73,8 +85,45 @@ def main() -> None:
     replay = run_scrub_scenario(seed=SEED)
     assert replay.flips == rot.flips
     assert replay.event_chain() == rot.event_chain()
+
+    # 3. The same rot on spilled nodes: the block file is the durable copy.
+    spilled_rot()
     print("OK: crashes recovered byte-identically; rot detected, healed, "
-          "and never served")
+          "and never served, in RAM and in block files")
+
+
+def spilled_rot() -> None:
+    control, mendel, probes, _ = twin_deployments(
+        SEED, 12, 6, replication=2, group_count=2, group_size=3
+    )
+    control.spill(cache_bytes=1 << 14)
+    mendel.spill(cache_bytes=1 << 14)
+    node = mendel.index.topology.groups[0].nodes[0]
+    block = node.durable.manifest_ids()[0]
+    horizon = FLIP_AT + SCRUB_INTERVAL * 12
+    schedule = FaultSchedule(
+        events=(FaultEvent.bit_flip(FLIP_AT, node.node_id, block=block, bit=3),),
+        seed=SEED,
+        scrub_interval=SCRUB_INTERVAL,
+        horizon=horizon,
+    )
+    run = drive(mendel, probes, "spilled-scrub", SEED, faults=schedule,
+                arrival_interval=horizon / (len(probes) + 1))
+    logged = Counter(event.kind for event in run.monitor.events.events())
+    print("--- inject bit rot into a block file, scrub, heal ---")
+    for line in run.chaos_log:
+        if "bit_flip" in line:
+            print(f"  {line.strip()}")
+    print(f"  {'corruptions detected':>22}: {logged['corruption_detected']}")
+    print(f"  {'heals':>22}: {logged['scrub_heal']}")
+    print()
+    assert f"durable block {block} flipped" in "".join(run.chaos_log)
+    assert logged["corruption_detected"] > 0 and logged["scrub_heal"] > 0
+    assert node.tiered and node.verify_blocks([block]) == [True]
+    expected = control.engine.run_batch(probes, PARAMS)
+    assert [answer_signature(r) for r in run.reports] == [
+        answer_signature(r) for r in expected
+    ], "rot in a block file leaked into answers"
 
 
 if __name__ == "__main__":

@@ -84,6 +84,13 @@ class ReadCost(NamedTuple):
 class StorageNode:
     """One simulated storage node.
 
+    Its acknowledged bytes live in one durable medium, :attr:`durable`:
+    the snapshot + WAL (:class:`~repro.store.durable.DurableNodeState`)
+    while the node is all-RAM, its block file
+    (:class:`~repro.tier.store.NodeTier`) while it is spilled and after it
+    crashes spilled.  Only :meth:`spill`, :meth:`unspill`, :meth:`recover`
+    and :meth:`reset_storage` switch it; every reader asks ``durable``.
+
     Parameters
     ----------
     node_id:
@@ -133,19 +140,22 @@ class StorageNode:
         )
         #: block ids stored locally, in insertion order
         self.block_ids: list[int] = []
-        #: the node's local block device and its crash-consistent durable
-        #: state (snapshot + WAL); survives :meth:`fail`, which only kills
-        #: the in-RAM index
+        #: the node's local block device and the durable medium on it that
+        #: holds its acknowledged blocks — snapshot + WAL, or the block file
+        #: while spilled; survives :meth:`fail`, which only kills the in-RAM
+        #: index
         self.disk = NodeDisk()
-        self.durable = DurableNodeState(self.disk, node_id)
+        self.durable: DurableNodeState | NodeTier = DurableNodeState(
+            self.disk, node_id
+        )
         #: set when a durable append went unacknowledged (torn write, full
         #: disk): the node serves from RAM but its WAL is behind
         self.durability_degraded = False
         #: replay report of the last :meth:`recover`, for introspection
         self.last_recovery: dict | None = None
-        #: tier state when this node's blocks are spilled to disk (``None``
-        #: while all-RAM); survives :meth:`fail` as a handle to the block
-        #: file on :attr:`disk`, exactly like :attr:`durable`
+        #: the tier serving this node's block codes while it is spilled and
+        #: alive (``None`` while all-RAM or crashed; a crashed spilled
+        #: node's block file is still :attr:`durable`)
         self.tier: NodeTier | None = None
         #: ``(cache, config)`` once the deployment attached tiering; kept
         #: across unspill/reset so maintenance flows can re-spill
@@ -211,6 +221,8 @@ class StorageNode:
         """Append one WAL insert per block (row of *codes*).  An append the
         device refused leaves the node serving from RAM with
         :attr:`durability_degraded` set."""
+        if not block_ids:
+            return
         for block_id, row in zip(block_ids, codes):
             if not self.durable.append_insert(block_id, row):
                 self.durability_degraded = True
@@ -220,27 +232,19 @@ class StorageNode:
         copy of the block still match its acknowledged content digest?
         ``True`` when no durable record exists (nothing to distrust — e.g.
         a block indexed during a degraded-durability window).  Every
-        ``False`` counts one corrupt read.  On a tiered node the block file
-        holds the acknowledged digests and the read hits the device: each
-        page the ids fall in is decoded once per call, fresh."""
-        if self.tier is not None and self.tier.has_file():
-            found = self.tier.verify_many(block_ids)
-        else:
-            found = self.durable.verify_many(block_ids)
-        verified = [ok is not False for ok in found]
+        ``False`` counts one corrupt read.  On a spilled node the read hits
+        the block file: each page the ids fall in is decoded once per call,
+        fresh."""
+        verified = [ok is not False for ok in self.durable.verify_many(block_ids)]
         self.stats.corrupt_reads += verified.count(False)
         return verified
-
-    def verify_block(self, block_id: int) -> bool:
-        """:meth:`verify_blocks` for one block."""
-        return self.verify_blocks([block_id])[0]
 
     # -- tiered storage --------------------------------------------------------
 
     @property
     def tiered(self) -> bool:
         """Whether this node currently serves block codes from its tier."""
-        return self.tier is not None and self.tier.active
+        return self.tier is not None
 
     def attach_tier(self, cache: BlockCache, config: TierConfig) -> None:
         """Adopt the deployment's shared block cache and tier policy.
@@ -260,9 +264,9 @@ class StorageNode:
         RAM, data pages are read through the shared cache once per search
         call, and every search returns byte-identical results — only
         service time gains the cold read charges.  The block file then
-        carries the durable digests, so the snapshot + WAL are
-        checkpointed away (the file *is* the durable state until
-        :meth:`unspill` re-journals it)."""
+        carries the durable digests, so the snapshot + WAL are deleted and
+        the file becomes :attr:`durable` until :meth:`unspill` re-journals
+        it."""
         if self._tier_attach is None:
             raise RuntimeError(
                 f"node {self.node_id!r} has no tier attached; call attach_tier"
@@ -271,51 +275,41 @@ class StorageNode:
             return
         cache, config = self._tier_attach
         tier = NodeTier(self, cache, config)
-        tier.spill()
-        if not tier.active:  # empty node: nothing to spill
+        if not tier.spill():  # empty node: nothing to spill
             return
-        self.tier = tier
         self.durable.reset()
+        self.tier = self.durable = tier
         self.durability_degraded = False
 
     def unspill(self) -> None:
-        """Fold the tier back into RAM: rebuild the codes matrix from the
-        block file, re-journal it to the WAL (insertion order), and delete
-        the file.  A no-op on all-RAM nodes."""
-        tier = self.tier
-        if tier is None or not tier.active:
+        """Fold the block file back: rebuild the codes matrix from it,
+        delete it, and re-journal the rows to a fresh WAL (insertion
+        order).  A crashed node has no RAM to fold into, so its file's
+        rows go to the WAL alone (a write that reaches a crashed spilled
+        node lands beside them).  A no-op while the WAL is the medium."""
+        if not isinstance(self.durable, NodeTier):
             return
-        codes = tier.materialize()
-        self.tree._storage = codes
-        self.tree.points = codes
+        if self.tier is not None:
+            block_ids, codes = self.block_ids, self.tier.materialize()
+            self.tree._storage = self.tree.points = codes
+        else:
+            rep = self.durable.replay()
+            block_ids, codes = rep.block_ids, rep.codes
+        self._empty_wal()
+        self._journal(block_ids, codes)
+
+    def _empty_wal(self) -> None:
+        """Make an empty snapshot + WAL the durable medium, deleting the
+        block file (and stopping the tier) if the node had one."""
+        if isinstance(self.durable, NodeTier):
+            self.durable.discard()
+            self.durable = DurableNodeState(self.disk, self.node_id)
         self.tier = None
-        tier.discard()
         self.durable.reset()
-        self._journal(self.block_ids, codes)
 
     def tier_occupancy(self) -> dict | None:
         """Tier occupancy report, or ``None`` while all-RAM."""
         return self.tier.occupancy() if self.tiered else None
-
-    # -- durable-state dispatch ------------------------------------------------
-    # A spilled node's durable state lives in its block file; otherwise the
-    # snapshot + WAL answer.  The scrubber and repair planner go through
-    # these so they audit whichever medium currently holds the bytes.
-
-    def durable_manifest_ids(self) -> list[int]:
-        if self.tier is not None and self.tier.has_file():
-            return self.tier.manifest_ids()
-        return self.durable.manifest_ids()
-
-    def durable_digest(self, block_id: int) -> int | None:
-        if self.tier is not None and self.tier.has_file():
-            return self.tier.digest(block_id)
-        return self.durable.digest(block_id)
-
-    def durable_verify(self, block_id: int) -> bool:
-        if self.tier is not None and self.tier.has_file():
-            return self.tier.verify(block_id)
-        return self.durable.verify(block_id)
 
     # -- local search with time accounting ------------------------------------
 
@@ -374,11 +368,8 @@ class StorageNode:
         """Drop all locally indexed blocks — RAM index *and* durable state
         (used when the group reshuffles placement after membership changes;
         the caller re-stores the canonical set, re-journalling it)."""
-        if self.tier is not None:
-            tier, self.tier = self.tier, None
-            tier.discard()
+        self._empty_wal()
         self._wipe_ram()
-        self.durable.reset()
         self.durability_degraded = False
 
     def _wipe_ram(self) -> None:
@@ -399,19 +390,21 @@ class StorageNode:
         self.alive = False
         self.suspected = False
         if self.tier is not None:
-            # The process's share of the shared cache dies with its RAM,
-            # but the block file stays on disk — the tier object survives
-            # as a handle to it, exactly like ``self.durable``.
-            self.tier.detach()
+            # The process's share of the shared cache dies with its RAM; the
+            # block file stays on disk, still :attr:`durable`.
+            self.tier.cache.drop_node(self.node_id)
+            self.tier = None
         self._wipe_ram()
 
     def recover(self) -> None:
         """Restart a crashed node strictly from its durable state.
 
         RAM was wiped by :meth:`fail`; the local index is rebuilt by
-        replaying the snapshot + WAL (torn tails truncated, the last
-        replay's report kept in :attr:`last_recovery`).  The replayed
-        placement may be *stale*: if re-replication moved this node's
+        replaying :attr:`durable` (torn WAL tails truncated, the last
+        replay's report kept in :attr:`last_recovery`).  A node that
+        crashed spilled replays its block file and journals the rows to a
+        fresh WAL; while a tier is attached the node spills again.  The
+        replayed placement may be *stale*: if re-replication moved this node's
         blocks to successors while it was down, rejoining with the old
         placement leaves blocks over-replicated (and misses blocks indexed
         during the outage).  Callers that manage placement should prefer
@@ -423,36 +416,22 @@ class StorageNode:
         self.restore_speed()
         rep = self.durable.replay()
         self._wipe_ram()
-        if rep.codes is not None and len(rep.block_ids):
+        if rep.block_ids:
             self.tree.insert_batch(rep.codes, payloads=rep.block_ids)
             self.block_ids = list(rep.block_ids)
-        tier_restored = 0
-        if self.tier is not None and self.tier.has_file():
-            # The node crashed while spilled: its block file *is* the
-            # durable state.  Parse it fresh from the device, fold the
-            # rows into RAM + WAL, then (optionally) re-spill.
-            codes, tier_ids = self.tier.file_contents()
-            known = set(self.block_ids)
-            keep = [i for i, b in enumerate(tier_ids) if b not in known]
-            if keep:
-                self.tree.insert_batch(
-                    codes[keep], payloads=[tier_ids[i] for i in keep]
-                )
-                self.block_ids.extend(tier_ids[i] for i in keep)
-                self._journal([tier_ids[i] for i in keep], codes[keep])
-                tier_restored = len(keep)
-            tier, self.tier = self.tier, None
-            tier.discard()
-            if self._tier_attach is not None:
-                self.spill()
+        if isinstance(self.durable, NodeTier):
+            self._empty_wal()
+            self._journal(rep.block_ids, rep.codes)
+        if self._tier_attach is not None:
+            self.spill()
         self.last_recovery = rep.to_dict()
-        self.last_recovery["tier_blocks"] = tier_restored
         self.stats.recoveries += 1
-        self.stats.blocks_recovered += len(rep.block_ids) + tier_restored
+        self.stats.blocks_recovered += len(rep.block_ids)
 
     def flush_durable(self) -> bool:
-        """Checkpoint the WAL into the snapshot (drain/decommission path);
-        returns ``False`` when the device refused the write."""
+        """Checkpoint :attr:`durable` (drain/decommission path): the WAL
+        folds into the snapshot, a block file has nothing to fold.
+        Returns ``False`` when the device refused the write."""
         return self.durable.checkpoint()
 
     def slow_down(self, multiplier: float) -> None:
@@ -475,7 +454,7 @@ class StorageNode:
         process answers nothing, but its disk still says what it held)."""
         if self.alive:
             return self.block_ids
-        return self.durable_manifest_ids()
+        return self.durable.manifest_ids()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

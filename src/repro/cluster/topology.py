@@ -245,12 +245,15 @@ class ClusterTopology:
         self._index_routes()
 
     def remove_group(self, group_id: str) -> StorageGroup:
-        """Drop a group from the topology.  Its prefixes must have been
-        reassigned first (a prefix without an owner would break routing)."""
+        """Drop a group from the topology.  Its prefixes — those
+        :meth:`prefixes_of` lists — must have been reassigned first (a
+        prefix without an owner would break routing).  An entry the frontier
+        has moved past (a prefix refined on the tree alone) owns nothing and
+        leaves with the group."""
         group = self._groups_by_id.get(group_id)
         if group is None:
             raise KeyError(f"no group {group_id!r}")
-        owned = [p for p, g in self.prefix_assignment.items() if g == group_id]
+        owned = self.prefixes_of(group_id)
         if owned:
             raise ValueError(
                 f"group {group_id!r} still owns prefixes {sorted(owned)}; "
@@ -258,6 +261,9 @@ class ClusterTopology:
             )
         if len(self.groups) == 1:
             raise ValueError("cannot remove the last group")
+        for prefix in [p for p, g in self.prefix_assignment.items() if g == group_id]:
+            del self.prefix_assignment[prefix]
+        self._sorted_prefixes = sorted(self.prefix_assignment)
         self.groups.remove(group)
         del self._groups_by_id[group_id]
         self._index_routes()

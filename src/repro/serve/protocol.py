@@ -55,7 +55,8 @@ merges their critical paths.  ``{"op": "scrub"}`` runs one anti-entropy
 pass over every replica copy (``heal`` streams confirmed-corrupt copies
 back from verified replicas; default true), and ``{"op": "recover"}``
 restarts a crashed node from durable state (``node`` names it; without it,
-every dead node).
+every dead node); each node's replay report counts the rows it read from a
+spilled node's block file as ``tier_blocks``.
 
 ``{"op": "explain"}`` runs the query once with tracing attached (bypassing
 the cache) and returns the structured

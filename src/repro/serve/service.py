@@ -681,9 +681,12 @@ class QueryService:
         """The RECOVER verb: restart crashed node(s) from durable state.
 
         With ``node_id`` recovers that node; without, every dead node.
-        Each recovery replays the node's snapshot + WAL and reconciles its
-        group back to canonical placement.  Returns the per-node replay
-        reports (blocks replayed, torn records, CRC errors).
+        Each recovery replays the node's durable medium — its snapshot +
+        WAL, or the block file of a node that crashed spilled — and
+        reconciles its group back to canonical placement.  Returns the
+        per-node replay reports (blocks replayed, torn records, CRC errors;
+        ``tier_blocks`` counts the rows read from a block file, so it
+        equals ``blocks`` for a spilled node and is 0 otherwise).
         """
         if self._closed:
             raise ServiceClosed("service is closed")

@@ -30,6 +30,9 @@ Acknowledgement contract: :meth:`append_insert` / :meth:`append_drop`
 return ``True`` only once the record is fully on the device.  A torn or
 refused write returns ``False`` and the caller must treat the operation as
 not durable (the cluster layer re-replicates from peers after restart).
+
+A spilled node's block file (:class:`~repro.tier.store.NodeTier`) is the
+other durable medium and answers the same read calls.
 """
 
 from __future__ import annotations
@@ -80,7 +83,9 @@ class _Extent:
 
 @dataclass
 class RecoveredState:
-    """What a replay reconstructed, plus what it had to repair or flag."""
+    """What a replay reconstructed, plus what it had to repair or flag.
+    A block file's replay counts its rows in ``tier_blocks`` (= ``blocks``);
+    a medium failing its whole-file check replays empty, ``snapshot_corrupt``."""
 
     block_ids: list[int] = field(default_factory=list)
     codes: np.ndarray | None = None
@@ -89,6 +94,7 @@ class RecoveredState:
     torn_records: int = 0
     crc_errors: int = 0
     snapshot_corrupt: bool = False
+    tier_blocks: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -98,6 +104,7 @@ class RecoveredState:
             "torn_records": self.torn_records,
             "crc_errors": self.crc_errors,
             "snapshot_corrupt": self.snapshot_corrupt,
+            "tier_blocks": self.tier_blocks,
         }
 
 
@@ -217,8 +224,6 @@ class DurableNodeState:
         self._wal_records = 0
         return True
 
-    flush = checkpoint
-
     def reset(self) -> None:
         """Release all durable state (drains, rebuilds, test isolation)."""
         self.disk.delete(SNAPSHOT_FILE)
@@ -281,10 +286,6 @@ class DurableNodeState:
         extent = self._extents.get(block_id)
         return None if extent is None else extent.digest
 
-    def verify(self, block_id: int) -> bool:
-        """Does the stored payload still match its acknowledged digest?"""
-        return self.verify_many([block_id])[0] is True
-
     def verify_many(self, block_ids) -> list[bool | None]:
         """Per id, whether its stored payload still matches its
         acknowledged digest, or ``None`` when it has no durable record."""
@@ -311,11 +312,6 @@ class DurableNodeState:
         )
         # The extent map itself is unchanged — only device bytes rotted.
         self._cache_gen = self.disk.generation
-
-    @property
-    def block_count(self) -> int:
-        self._materialize()
-        return len(self._extents)
 
     @property
     def wal_records(self) -> int:

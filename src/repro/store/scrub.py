@@ -2,8 +2,9 @@
 
 The scrubber walks storage groups on a background cadence and, for every
 block a group holds, compares the **content digests** of its replica copies
-(recorded at write-acknowledgement time by
-:class:`~repro.store.durable.DurableNodeState`):
+(recorded at write-acknowledgement time and kept by each node's durable
+medium, ``node.durable`` — the snapshot + WAL, or a spilled node's block
+file):
 
 * a replica whose stored payload no longer matches its own digest fails
   *self-verification* — classic silent bit rot;
@@ -150,9 +151,12 @@ class IntegrityScrubber:
         quarantine confirmed-corrupt copies and request their heal."""
         alive = [n for n in group.nodes if n.alive and self.is_alive(n)]
         block_holders: dict[int, list[StorageNode]] = {}
+        verified: dict[tuple[str, int], bool] = {}
         for node in alive:
-            for block_id in node.durable_manifest_ids():
+            manifest = node.durable.manifest_ids()
+            for block_id, ok in zip(manifest, node.durable.verify_many(manifest)):
                 block_holders.setdefault(block_id, []).append(node)
+                verified[node.node_id, block_id] = ok is not False
 
         findings: list[ScrubFinding] = []
         checked = 0
@@ -163,8 +167,8 @@ class IntegrityScrubber:
             digests: dict[str, int | None] = {}
             for node in holders:
                 checked += 1
-                self_ok[node.node_id] = node.durable_verify(block_id)
-                digests[node.node_id] = node.durable_digest(block_id)
+                self_ok[node.node_id] = verified[node.node_id, block_id]
+                digests[node.node_id] = node.durable.digest(block_id)
             for node in holders:
                 if not self_ok[node.node_id]:
                     findings.append(ScrubFinding(

@@ -29,21 +29,26 @@ a search that prunes.
 
 Spilling is also a durability checkpoint: the block file carries the same
 per-row CRC32 digests the WAL acknowledges, so after a spill the snapshot
-and WAL are reset and the block file *is* the node's durable state (the
-scrubber and repair planner read it through the node's ``durable_*``
-dispatch, including from a crashed node's disk).
+and WAL are deleted and the ``NodeTier`` becomes the node's
+``durable`` medium.  It answers the calls
+:class:`~repro.store.durable.DurableNodeState` answers — manifest, digest,
+batch verify, bit-rot injection, replay, checkpoint, status — so the
+scrubber, the repair planner and crash recovery read a spilled node, live
+or crashed, without knowing which medium holds its bytes.
 """
 
 from __future__ import annotations
 
 import threading
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from repro.tier import blockfile
+from repro.store.durable import RecoveredState
 from repro.tier.blockfile import BlockFileReader, PageRecord, write_block_file
 from repro.tier.cache import BlockCache
 from repro.tier.codec import METHOD_NAMES, TierCodecError, encode_page
@@ -141,7 +146,9 @@ def _chunks(values, size: int):
 
 
 class NodeTier:
-    """One node's tier state: block file, pinned pages, row maps."""
+    """One node's tier state: block file, pinned pages, row maps.  It
+    serves searches while it is ``node.tier``, and is ``node.durable``
+    from a successful :meth:`spill` until :meth:`discard`, crashes included."""
 
     def __init__(
         self, node: "StorageNode", cache: BlockCache, config: TierConfig
@@ -154,7 +161,6 @@ class NodeTier:
         # metric — an insert's service time is bracketed from the node
         # tree's adapter count, which a spill must not move.
         self.adapter = MetricAdapter(node.tree.adapter.metric)
-        self.active = False
         self.row_count = 0
         self.width = int(node.tree.points.shape[1])
         self.reader: BlockFileReader | None = None
@@ -171,12 +177,13 @@ class NodeTier:
 
     # -- spill -----------------------------------------------------------------
 
-    def spill(self) -> None:
+    def spill(self) -> bool:
         """Move the node's block codes to disk, leaving the tree structure
-        (and all simulated-search behaviour) untouched."""
+        (and all simulated-search behaviour) untouched; ``False`` when the
+        node holds nothing to spill."""
         tree = self.node.tree
         if tree.root is None or tree.points.shape[0] == 0:
-            return
+            return False
         points = np.ascontiguousarray(tree.points, dtype=np.uint8)
         n, width = points.shape
         self.width = width
@@ -266,11 +273,11 @@ class NodeTier:
             for index, record in enumerate(records)
             for slot, block_id in enumerate(record.block_ids)
         }
-        self.active = True
 
         tree.points = TieredPoints(self)
         if hasattr(tree, "_storage"):
             del tree._storage
+        return True
 
     # -- reads -----------------------------------------------------------------
 
@@ -336,7 +343,7 @@ class NodeTier:
             + nbytes * self.config.read_seconds_per_byte
         )
 
-    # -- durability dispatch ---------------------------------------------------
+    # -- the durable medium ----------------------------------------------------
 
     def manifest_ids(self) -> list[int]:
         """Insertion-ordered block manifest, read from the on-disk table
@@ -345,22 +352,16 @@ class NodeTier:
 
     def digest(self, block_id: int) -> int | None:
         location = self._row_of_block.get(block_id)
-        if location is None or self.reader is None:
+        if location is None:
             return None
         page, slot = location
         return self.reader.pages[page].digests[slot]
-
-    def verify(self, block_id: int) -> bool:
-        """Digest-verify one block against the device's *current* bytes."""
-        return self.verify_many([block_id])[0] is not False
 
     def verify_many(self, block_ids) -> list[bool | None]:
         """Per id, whether its row still matches its acknowledged digest in
         the device's *current* bytes (``None`` when the file holds no such
         row).  Each page the ids fall in is read and decoded once."""
         found: list[bool | None] = [None] * len(block_ids)
-        if self.reader is None:
-            return found
         slots_of: dict[int, list[tuple[int, int]]] = {}
         for at, block_id in enumerate(block_ids):
             location = self._row_of_block.get(block_id)
@@ -375,7 +376,8 @@ class NodeTier:
 
     def corrupt_block(self, block_id: int, bit: int = 0) -> None:
         """Bit-rot injection for tests/chaos: flip one bit inside the page
-        payload holding *block_id* (mirrors ``DurableNodeState.corrupt_block``)."""
+        payload holding *block_id* (mirrors ``DurableNodeState.corrupt_block``;
+        :class:`KeyError` when the file holds no such block)."""
         page, _slot = self._row_of_block[block_id]
         meta = self.reader.pages[page]
         offset = self.reader._payload_base + meta.offset + meta.length // 2
@@ -383,10 +385,48 @@ class NodeTier:
         # Cached copies predate the flip; drop them so reads see the device.
         self.cache.drop_node(self.node_id)
 
-    # -- lifecycle -------------------------------------------------------------
+    def replay(self) -> RecoveredState:
+        """The block set in insertion order, parsed fresh from the device
+        (RAM row maps not trusted); an undecodable page replays as zero
+        rows.  A file failing its metadata checks replays like a snapshot
+        failing its CRC: empty, ``snapshot_corrupt`` set."""
+        try:
+            reader = BlockFileReader(self.node.disk, self.config.file_name)
+        except (blockfile.TierFileError, FileNotFoundError):
+            return RecoveredState(snapshot_corrupt=True)
+        by_block: dict[int, np.ndarray] = {}
+        for index, meta in enumerate(reader.pages):
+            try:
+                rows = reader.read_page(index)
+            except TierCodecError:
+                rows = np.zeros((meta.rows, reader.width), dtype=np.uint8)
+            for slot, block_id in enumerate(meta.block_ids):
+                by_block[block_id] = rows[slot]
+        block_ids = list(reader.manifest)
+        codes = (
+            np.stack([by_block[b] for b in block_ids])
+            if block_ids
+            else np.empty((0, reader.width), dtype=np.uint8)
+        )
+        return RecoveredState(
+            block_ids=block_ids, codes=codes, tier_blocks=len(block_ids)
+        )
 
-    def has_file(self) -> bool:
-        return self.node.disk.exists(self.config.file_name)
+    def checkpoint(self) -> bool:
+        """Nothing to fold: every row is in the file since :meth:`spill`."""
+        return True
+
+    def status(self) -> dict:
+        """``DurableNodeState.status``'s frame: no WAL, no snapshot."""
+        disk = self.node.disk
+        return dict(
+            blocks=len(self.manifest_ids()), wal_records=0, snapshot_blocks=0,
+            unacked_writes=0, torn_records=0, crc_errors=0,
+            snapshot_corrupt=False, disk_bytes=disk.used_bytes,
+            disk_full=disk.full,
+        )
+
+    # -- lifecycle -------------------------------------------------------------
 
     def materialize(self) -> np.ndarray:
         """The full ``(n, width)`` codes matrix in tree-row order, read
@@ -397,85 +437,35 @@ class NodeTier:
             codes[rows] = self.decoded(index)
         return codes
 
-    def file_contents(self) -> tuple[np.ndarray, list[int]]:
-        """``(codes, block_ids)`` in insertion order, parsed fresh from the
-        device — the crash-recovery read path (RAM row maps not trusted)."""
-        reader = BlockFileReader(self.node.disk, self.config.file_name)
-        by_block: dict[int, np.ndarray] = {}
-        for index, meta in enumerate(reader.pages):
-            try:
-                rows = reader.read_page(index)
-            except TierCodecError:
-                rows = np.zeros((meta.rows, reader.width), dtype=np.uint8)
-            for slot, block_id in enumerate(meta.block_ids):
-                by_block[block_id] = rows[slot]
-        codes = (
-            np.stack([by_block[b] for b in reader.manifest])
-            if reader.manifest
-            else np.empty((0, reader.width), dtype=np.uint8)
-        )
-        return codes, list(reader.manifest)
-
-    def detach(self) -> None:
-        """Process death: the node's share of the cache dies with its RAM;
-        the block file stays on disk for manifest reads and recovery."""
-        self.cache.drop_node(self.node_id)
-        self.active = False
-
     def discard(self) -> None:
-        """Tear the tier down completely (unspill or placement reset):
-        cache entries dropped, block file deleted."""
+        """Tear the tier down completely (unspill, placement reset,
+        recovery): cache entries dropped, block file deleted."""
         self.cache.drop_node(self.node_id)
         self.node.disk.delete(self.config.file_name)
-        self.active = False
 
     # -- reporting -------------------------------------------------------------
 
-    @property
-    def bytes_on_disk(self) -> int:
-        return self.node.disk.size(self.config.file_name)
-
-    @property
-    def raw_bytes(self) -> int:
-        return 0 if self.reader is None else self.reader.raw_bytes
-
-    @property
-    def pinned_bytes(self) -> int:
-        return sum(arr.nbytes for arr in self._pinned_arrays.values())
-
-    @property
-    def resident_bytes(self) -> int:
-        return self.pinned_bytes + self.cache.resident_bytes_for(self.node_id)
-
-    @property
-    def compression_ratio(self) -> float:
-        disk = self.bytes_on_disk
-        return self.raw_bytes / disk if disk else 0.0
-
-    @property
-    def resident_fraction(self) -> float:
-        raw = self.raw_bytes
-        return self.resident_bytes / raw if raw else 0.0
-
     def occupancy(self) -> dict:
         """Tier occupancy report for one node."""
-        methods: dict[str, int] = {}
-        if self.reader is not None:
-            for meta in self.reader.pages:
-                name = METHOD_NAMES.get(meta.method, str(meta.method))
-                methods[name] = methods.get(name, 0) + 1
+        on_disk = self.node.disk.size(self.config.file_name)
+        raw = self.reader.raw_bytes
+        pinned = sum(arr.nbytes for arr in self._pinned_arrays.values())
+        resident = pinned + self.cache.resident_bytes_for(self.node_id)
         return {
-            "active": self.active,
+            "active": self.node.tier is self,
             "pages": len(self._page_rows),
             "pinned_pages": len(self._pinned_arrays),
             "rows": self.row_count,
-            "bytes_on_disk": self.bytes_on_disk,
-            "raw_bytes": self.raw_bytes,
-            "pinned_bytes": self.pinned_bytes,
-            "resident_bytes": self.resident_bytes,
-            "compression_ratio": self.compression_ratio,
-            "resident_fraction": self.resident_fraction,
+            "bytes_on_disk": on_disk,
+            "raw_bytes": raw,
+            "pinned_bytes": pinned,
+            "resident_bytes": resident,
+            "compression_ratio": raw / on_disk if on_disk else 0.0,
+            "resident_fraction": resident / raw if raw else 0.0,
             "cold_read_seeks": self.total_seeks,
             "cold_read_bytes": self.total_bytes,
-            "codec_pages": methods,
+            "codec_pages": dict(Counter(
+                METHOD_NAMES.get(meta.method, str(meta.method))
+                for meta in self.reader.pages
+            )),
         }

@@ -200,7 +200,7 @@ class TestServiceTime:
 
 class TestVerifyBlocks:
     def test_ram_node_batch_is_the_one_block_gate(self):
-        """``verify_blocks(ids)`` is ``[verify_block(b) for b in ids]``, in
+        """``verify_blocks(ids)`` is ``verify_blocks([b])`` for each ``b``, in
         flags and in ``corrupt_reads``: a rotten copy fails each time it is
         asked for, an id with no durable record passes."""
         node = make_node()
@@ -208,9 +208,9 @@ class TestVerifyBlocks:
         node.durable.corrupt_block(4, bit=5)
         node.durable.corrupt_block(9, bit=17)
         ids = [0, 4, 9, 4, 11, 404, 3, 9]
-        assert node.durable_digest(404) is None
+        assert node.durable.digest(404) is None
         before = node.stats.corrupt_reads
-        one_by_one = [node.verify_block(b) for b in ids]
+        one_by_one = [node.verify_blocks([b])[0] for b in ids]
         middle = node.stats.corrupt_reads
         assert node.verify_blocks(ids) == one_by_one == [
             True, False, False, False, True, True, True, False]

@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.cluster.group import StorageGroup
@@ -155,6 +155,10 @@ MUTATIONS = {
 
 @seed(SEED)
 @settings(max_examples=25, deadline=None)
+# A tree-only refine leaves the refined prefix in the assignment table but
+# off the frontier; removing its group must still succeed.
+@example(alphabet="dna", groups=1, rng=0, small=0.0,
+         steps=[("split", 0), ("refine_tree_only", 8), ("merge", 1)])
 @given(
     alphabet=st.sampled_from(sorted(ALPHABETS)),
     groups=st.integers(1, 6),

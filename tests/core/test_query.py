@@ -255,7 +255,7 @@ def one_candidate_at_a_time(node, query_codes, windows, params, radius, matrix, 
         cost.service_seconds += search.seconds
         cost.candidates += len(hits)
         for _dist, block_id in hits:
-            if not node.verify_block(block_id):
+            if not node.verify_blocks([block_id])[0]:
                 continue
             score = evaluate_candidate(
                 window.codes, store.codes_of(block_id), positives

@@ -86,11 +86,11 @@ class TestCheckpoint:
         durable = fresh()
         durable.append_insert(3, codes_for(3))
         durable.corrupt_block(3, bit=12)
-        assert not durable.verify(3)
+        assert durable.verify_many([3]) == [False]
         # The checkpoint copies the rotted payload byte-for-byte with its
         # ORIGINAL digest: corruption stays detectable after the fold.
         assert durable.checkpoint()
-        assert not durable.verify(3)
+        assert durable.verify_many([3]) == [False]
 
     def test_append_after_checkpoint_stays_coherent(self):
         # Regression guard: the extent cache must be rebuilt before the
@@ -100,7 +100,7 @@ class TestCheckpoint:
         for block_id in range(13):
             assert durable.append_insert(block_id, codes_for(block_id))
             for seen in range(block_id + 1):
-                assert durable.verify(seen), (block_id, seen)
+                assert durable.verify_many([seen]) == [True], (block_id, seen)
         assert durable.replay().block_ids == list(range(13))
 
 
@@ -115,7 +115,7 @@ class TestCrashDuringWalAppend:
         # The acked block survives; the torn record is truncated away.
         assert state.block_ids == [0]
         assert state.torn_records == 1
-        assert durable.verify(0)
+        assert durable.verify_many([0]) == [True]
 
     def test_appends_after_torn_tail_land_cleanly(self):
         durable = fresh()
@@ -126,7 +126,7 @@ class TestCrashDuringWalAppend:
         assert durable.append_insert(2, codes_for(2))
         state = durable.replay()
         assert state.block_ids == [0, 2]
-        assert all(durable.verify(b) for b in (0, 2))
+        assert durable.verify_many([0, 2]) == [True, True]
 
 
     @pytest.mark.parametrize("payload", [b"", b"\x01"], ids=["empty", "short"])
@@ -154,7 +154,7 @@ class TestCrashDuringWalAppend:
         state = DurableNodeState(durable.disk, "n0").replay()
         assert state.block_ids == [1, 2]
         assert (state.torn_records, state.crc_errors) == (0, 1)
-        assert durable.verify(1) and durable.verify(2)
+        assert durable.verify_many([1, 2]) == [True, True]
 
 
 class TestCrashDuringSnapshot:
@@ -208,8 +208,8 @@ class TestBitRot:
         state = durable.replay()
         assert state.block_ids == [0, 1, 2]
         assert state.torn_records == 0
-        assert not durable.verify(0)
-        assert durable.verify(1) and durable.verify(2)
+        assert durable.verify_many([0]) == [False]
+        assert durable.verify_many([1, 2]) == [True, True]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

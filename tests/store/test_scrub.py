@@ -90,7 +90,7 @@ class TestDigestMismatch:
         assert scrubber.report.heals_requested == 1
         # The heal streamed verified bytes back from a replica…
         assert block_id in node.block_ids
-        assert node.durable.verify(block_id)
+        assert node.durable.verify_many([block_id])[0]
         expected = index.store.codes_matrix([block_id])[0]
         payload = node.durable.payload(block_id)
         assert np.array_equal(np.frombuffer(payload, dtype=np.uint8),
@@ -148,8 +148,8 @@ class TestVerifiedReads:
         node = mendel.index.topology.groups[0].nodes[0]
         block_id = node.durable.manifest_ids()[0]
         node.durable.corrupt_block(block_id, bit=6)
-        assert not node.verify_block(block_id)
+        assert not node.verify_blocks([block_id])[0]
         assert node.stats.corrupt_reads == 1
         # Blocks without durable damage still verify.
         other = node.durable.manifest_ids()[1]
-        assert node.verify_block(other)
+        assert node.verify_blocks([other])[0]

@@ -45,9 +45,9 @@ class TestTieredRot:
         index = mendel.index
         node = index.topology.groups[0].nodes[0]
         assert node.tiered
-        block_id = node.durable_manifest_ids()[0]
+        block_id = node.durable.manifest_ids()[0]
         node.tier.corrupt_block(block_id)
-        assert not node.durable_verify(block_id)
+        assert not node.durable.verify_many([block_id])[0]
 
         repairer = ReReplicator(index)
         scrubber = IntegrityScrubber(
@@ -65,20 +65,20 @@ class TestTieredRot:
         # The heal streamed verified bytes back AND the node re-spilled
         # (the repaired copy lives in a fresh block file, not RAM).
         assert node.tiered
-        assert block_id in node.durable_manifest_ids()
-        assert node.durable_verify(block_id)
+        assert block_id in node.durable.manifest_ids()
+        assert node.durable.verify_many([block_id])[0]
         assert IntegrityScrubber(index).scrub_all() == []
 
     def test_dead_tiered_nodes_are_not_read(self):
         mendel = build()
         node = mendel.index.topology.groups[0].nodes[0]
-        held = len(node.durable_manifest_ids())
+        held = len(node.durable.manifest_ids())
         assert held > 0
         node.alive = False
         scrubber = IntegrityScrubber(mendel.index)
         scrubber.scrub_all()
         alive_copies = sum(
-            len(n.durable_manifest_ids())
+            len(n.durable.manifest_ids())
             for g in mendel.index.topology.groups
             for n in g.nodes if n.alive
         )

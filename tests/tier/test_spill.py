@@ -10,6 +10,7 @@ from repro.core.query import QueryEngine
 from repro.scenario import answer_signature
 from repro.seq import PROTEIN, random_set
 from repro.seq.mutate import mutate_to_identity
+from repro.store.durable import SNAPSHOT_FILE, WAL_FILE
 from repro.tier import NodeTier, TierConfig, TieredPoints
 
 
@@ -127,12 +128,13 @@ class TestDurabilityDispatch:
         node = mendel.index.topology.nodes[0]
         ram_manifest = node.durable.manifest_ids()
         mendel.spill(cache_bytes=1 << 14, config=TierConfig(page_rows=16))
-        assert node.durable_manifest_ids() == ram_manifest
-        # The WAL was reset: the block file IS the durable state now.
-        assert node.durable.manifest_ids() == []
+        assert node.durable.manifest_ids() == ram_manifest
+        # The snapshot + WAL are gone: the block file IS the durable state.
+        assert not node.disk.exists(SNAPSHOT_FILE)
+        assert not node.disk.exists(WAL_FILE)
         for block_id in ram_manifest[:3]:
-            assert node.durable_verify(block_id)
-            assert node.durable_digest(block_id) is not None
+            assert node.durable.verify_many([block_id])[0]
+            assert node.durable.digest(block_id) is not None
 
     def test_unspill_rejournals_the_wal(self):
         _db, mendel = build()
@@ -141,7 +143,7 @@ class TestDurabilityDispatch:
         mendel.spill(cache_bytes=1 << 14, config=TierConfig(page_rows=16))
         mendel.unspill()
         assert node.durable.manifest_ids() == ram_manifest
-        assert all(node.durable.verify(b) for b in ram_manifest[:3])
+        assert node.durable.verify_many(ram_manifest[:3]) == [True] * 3
 
 
 class TestAutoRespill:
@@ -149,19 +151,19 @@ class TestAutoRespill:
         _db, mendel = build()
         mendel.spill(cache_bytes=1 << 14, config=TierConfig(page_rows=16))
         node = mendel.index.topology.nodes[0]
-        held = node.durable_manifest_ids()
+        held = node.durable.manifest_ids()
         donor = next(
             n for n in mendel.index.topology.nodes
             if n.group_id == node.group_id and n.node_id != node.node_id
         )
         new_block = next(
-            b for b in donor.durable_manifest_ids() if b not in held
+            b for b in donor.durable.manifest_ids() if b not in held
         )
         codes = mendel.index.store.codes_matrix([new_block])
         node.store_blocks(codes, [new_block])
         # The write folded in and the node spilled itself back out.
         assert node.tiered
-        assert new_block in node.durable_manifest_ids()
+        assert new_block in node.durable.manifest_ids()
 
 
 class TestPersistPath:

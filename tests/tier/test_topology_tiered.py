@@ -29,23 +29,23 @@ class TestCrashRecovery:
     def test_fail_keeps_the_block_file_as_a_disk_handle(self):
         _db, mendel, _probe = build()
         node = mendel.index.topology.groups[0].nodes[0]
-        manifest = node.durable_manifest_ids()
+        manifest = node.durable.manifest_ids()
         mendel.fail_node(node.node_id)
         assert not node.alive
         assert not node.tiered  # detached: no cache, no reads
         # The dead node's manifest is still auditable from its disk alone.
-        assert node.durable_manifest_ids() == manifest
+        assert node.durable.manifest_ids() == manifest
 
     def test_recover_restores_blocks_and_respills(self):
         _db, mendel, probe = build()
         expected = signature(mendel.query(probe, PARAMS))
         node = mendel.index.topology.groups[0].nodes[0]
-        manifest = set(node.durable_manifest_ids())
+        manifest = set(node.durable.manifest_ids())
         mendel.fail_node(node.node_id)
         mendel.recover_node(node.node_id)
         assert node.alive
         assert node.tiered  # auto-respilled after the WAL+file replay
-        assert manifest <= set(node.durable_manifest_ids())
+        assert manifest <= set(node.durable.manifest_ids())
         assert node.last_recovery["tier_blocks"] > 0
         assert signature(mendel.query(probe, PARAMS)) == expected
 
@@ -69,7 +69,7 @@ class TestElasticMutation:
         group_id = mendel.index.topology.groups[0].group_id
         node = mendel.add_node(group_id)
         assert node.tiered  # grown under a spilled deployment: spilled too
-        assert node.durable_manifest_ids()
+        assert node.durable.manifest_ids()
         assert signature(mendel.query(probe, PARAMS)) == expected
 
     def test_remove_node_drains_cache_and_metric_series(self):

@@ -604,7 +604,7 @@ def test_spilled_node_with_an_undecodable_page():
     assert reads.seeks == 1  # the rest is resident; the rotten page never is
     for hits, _ in searches:
         assert len(hits) == len(ram)
-        assert {b for _, b in hits if not node.verify_block(b)} == lost
+        assert {b for _, b in hits if not node.verify_blocks([b])[0]} == lost
 
 
 def fill_page_at_a_time(dists, queries, tree):
