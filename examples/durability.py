@@ -21,7 +21,10 @@ Walks the two proof obligations of the ``repro.store`` durability layer:
   reads route queries around the rot, so no answer is ever served from
   corrupt bytes.  The same loop then runs on a spilled deployment, whose
   nodes keep their blocks in compressed block files: the flip lands in a
-  page of the file, and the scrubber finds and heals it there.
+  page of the file, and the scrubber finds and heals it there.  Last, a
+  spilled node's page rots while the node is down: recovery drops the
+  rows that fail their digest instead of replaying them, and
+  re-replication restores them from a healthy replica.
 
 Everything derives from one seed, so both experiments replay
 byte-identically — the contract the ``scrub-smoke`` CI job asserts across
@@ -88,6 +91,8 @@ def main() -> None:
 
     # 3. The same rot on spilled nodes: the block file is the durable copy.
     spilled_rot()
+    # 4. Rot in the block file of a spilled node that is down.
+    spilled_crash_rot()
     print("OK: crashes recovered byte-identically; rot detected, healed, "
           "and never served, in RAM and in block files")
 
@@ -124,6 +129,32 @@ def spilled_rot() -> None:
     assert [answer_signature(r) for r in run.reports] == [
         answer_signature(r) for r in expected
     ], "rot in a block file leaked into answers"
+
+
+def spilled_crash_rot() -> None:
+    control, mendel, probes, _ = twin_deployments(
+        SEED, 12, 6, replication=2, group_count=2, group_size=3
+    )
+    control.spill(cache_bytes=1 << 14)
+    mendel.spill(cache_bytes=1 << 14)
+    node = mendel.index.topology.groups[0].nodes[0]
+    mendel.fail_node(node.node_id)
+    node.durable.corrupt_block(node.durable.manifest_ids()[0], 3)
+    mendel.recover_node(node.node_id)
+    report = node.last_recovery
+    audit = mendel.index.scrub(heal=False)
+    print("--- rot a crashed spilled node's block file, recover ---")
+    print(f"  {'blocks replayed':>22}: {report['blocks']}")
+    print(f"  {'rows failing digest':>22}: {report['crc_errors']}")
+    print(f"  {'scrub mismatches':>22}: {audit.mismatches}")
+    print()
+    assert report["crc_errors"] > 0, report
+    assert audit.mismatches == 0, "a rotted row was replayed as a replica"
+    served = mendel.engine.run_batch(probes, PARAMS)
+    expected = control.engine.run_batch(probes, PARAMS)
+    assert [answer_signature(r) for r in served] == [
+        answer_signature(r) for r in expected
+    ], "rot replayed from a block file leaked into answers"
 
 
 if __name__ == "__main__":

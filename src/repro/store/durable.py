@@ -84,8 +84,11 @@ class _Extent:
 @dataclass
 class RecoveredState:
     """What a replay reconstructed, plus what it had to repair or flag.
-    A block file's replay counts its rows in ``tier_blocks`` (= ``blocks``);
-    a medium failing its whole-file check replays empty, ``snapshot_corrupt``."""
+    A block file's replay counts the rows it kept in ``tier_blocks``
+    (= ``blocks``) and, in ``crc_errors``, the rows it dropped because
+    their page failed to decode or their CRC32 missed the acknowledged
+    digest; a medium failing its whole-file check replays empty,
+    ``snapshot_corrupt``."""
 
     block_ids: list[int] = field(default_factory=list)
     codes: np.ndarray | None = None

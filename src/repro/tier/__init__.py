@@ -6,6 +6,11 @@ spilled node's search as one page-ordered pass through a bounded shared
 SLRU cache — all without changing a single simulated search result: tiered
 and all-RAM deployments return byte-identical k-NN answers and identical
 distance-evaluation counters; only service time differs.
+
+The block file (``MTBF`` v2) holds only what its readers read: per page
+its payload, codec method, row count and centroid, plus each row's tree
+row, block id and CRC32 digest.  Replay keeps a row only when its digest
+verifies.
 """
 
 from repro.tier.blockfile import (
@@ -27,9 +32,9 @@ from repro.tier.codec import (
     TierCodecError,
     decode_page,
     encode_page,
+    page_centroid,
 )
 from repro.tier.store import NodeTier, TierConfig, TieredPoints
-from repro.tier.summary import page_centroid, summarize_rows
 
 __all__ = [
     "BlockCache",
@@ -51,6 +56,5 @@ __all__ = [
     "encode_page",
     "manifest_ids",
     "page_centroid",
-    "summarize_rows",
     "write_block_file",
 ]

@@ -7,17 +7,16 @@ a fixed magic + version header, a CRC32 over the segment table, and
 per-row CRC32 digests so silent bit rot is caught by the same
 verified-read discipline the WAL uses.
 
-Layout::
+Layout (version 2)::
 
     +--------------------------------------------------+
     | header: magic "MTBF", version, table crc/length, |  _HEAD
     |         row-meta length, digest length           |
     +--------------------------------------------------+
     | segment table (zlib-compressed JSON)             |
-    |   node id, row width, alphabet size, row count   |
+    |   row width, alphabet size, row count            |
     |   per page: payload offset/length, codec method, |
-    |     row count, centroid, radius, histogram,      |
-    |     raw bytes, pinned flag                       |
+    |     row count, centroid                          |
     |   row-meta and digest section CRC32s             |
     +--------------------------------------------------+
     | row meta (zlib): u32 tree rows ++ u64 block ids, |
@@ -28,19 +27,23 @@ Layout::
     | page payloads, concatenated                      |
     +--------------------------------------------------+
 
-The table is columnar metadata over row-major page payloads: routing-time
-state (centroids, radii, histograms) parses without touching a single
-payload byte, so opening a file — or auditing a *dead* node's manifest —
-never reads page data.  Per-row bookkeeping (tree row, block id, digest)
-lives in packed binary sections rather than the JSON table: at the
-segment widths this index runs (8–32 residues per row), JSON-encoded
-per-row integers would cost more than the rows themselves and sink the
-compression ratio the tier exists to deliver.  Payload offsets are
-relative to the end of the digest section, and every page read is an
-independent ``read_span`` (one simulated seek), never a whole-file load.
+Every field has a reader: the codec decodes a page against its centroid,
+recovery rebuilds the manifest from the tree rows and block ids, and
+verified reads, scrubs and replay check rows against the digests.  The
+metadata sections parse without touching a payload byte, so opening a
+file — or auditing a *dead* node's manifest — never reads page data.
+Per-row bookkeeping (tree row, block id, digest) lives in packed binary
+sections rather than the JSON table: at the segment widths this index
+runs (8–32 residues per row), JSON-encoded per-row integers would cost
+more than the rows themselves and sink the compression ratio the tier
+exists to deliver.  Payload offsets are relative to the end of the digest
+section, and every page read is an independent ``read_span`` (one
+simulated seek), never a whole-file load.
 
-Writes go through :meth:`NodeDisk.write_atomic`: a crash mid-spill leaves
-the previous file (or no file) intact, mirroring the snapshot contract.
+Block files live only on a node's in-memory disk and are never archived,
+so the reader accepts exactly :data:`FORMAT_VERSION`.  Writes go through
+:meth:`NodeDisk.write_atomic`: a crash mid-spill leaves the previous file
+(or no file) intact, mirroring the snapshot contract.
 """
 
 from __future__ import annotations
@@ -56,9 +59,9 @@ from repro.store.disk import NodeDisk
 from repro.tier.codec import TierCodecError, decode_page
 
 MAGIC = b"MTBF"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-#: default durable file name on the node's disk
+#: the block file's name on the node's disk
 TIER_FILE = "tier"
 
 # magic, version, table crc32, table length, row-meta (compressed) length,
@@ -73,7 +76,7 @@ class TierFileError(Exception):
 
 @dataclass
 class PageRecord:
-    """One page as written: compressed payload plus its summary metadata.
+    """One page as written: compressed payload plus its row bookkeeping.
 
     ``digests`` are CRC32s of each row's raw codes — the same
     ``zlib.crc32(codes.tobytes())`` formula
@@ -91,10 +94,6 @@ class PageRecord:
     tree_rows: list[int]
     digests: list[int]
     centroid: list[int]
-    radius: float
-    histogram: list[int]
-    raw_bytes: int
-    pinned: bool = False
     offset: int = field(default=0)  # assigned at write time
 
     def to_table_entry(self) -> dict:
@@ -104,23 +103,14 @@ class PageRecord:
             "method": self.method,
             "rows": self.rows,
             "centroid": self.centroid,
-            "radius": self.radius,
-            "histogram": self.histogram,
-            "raw_bytes": self.raw_bytes,
-            "pinned": self.pinned,
         }
 
 
 def write_block_file(
-    disk: NodeDisk,
-    name: str,
-    node_id: str,
-    width: int,
-    alphabet_size: int,
-    pages: list[PageRecord],
+    disk: NodeDisk, width: int, alphabet_size: int, pages: list[PageRecord]
 ) -> int:
-    """Serialise *pages* to *name* on *disk* atomically; returns the file
-    size in bytes."""
+    """Serialise *pages* to :data:`TIER_FILE` on *disk* atomically;
+    returns the file size in bytes."""
     offset = 0
     for page in pages:
         page.offset = offset
@@ -136,7 +126,6 @@ def write_block_file(
     ).tobytes()
     rowmeta = zlib.compress(tree_rows.tobytes() + block_ids.tobytes(), 6)
     table = {
-        "node": node_id,
         "width": int(width),
         "alphabet_size": int(alphabet_size),
         "row_count": int(tree_rows.size),
@@ -155,7 +144,7 @@ def write_block_file(
     )
     payload = b"".join(page.payload for page in pages)
     data = head + table_bytes + rowmeta + digest_bytes + payload
-    disk.write_atomic(name, data)
+    disk.write_atomic(TIER_FILE, data)
     return len(data)
 
 
@@ -172,10 +161,6 @@ class PageMeta:
     tree_rows: list[int]
     digests: list[int]
     centroid: np.ndarray
-    radius: float
-    histogram: np.ndarray
-    raw_bytes: int
-    pinned: bool
 
 
 class BlockFileReader:
@@ -187,33 +172,31 @@ class BlockFileReader:
     payload from the device, so a scrub observes the current on-disk bytes
     rather than any cached copy)."""
 
-    def __init__(self, disk: NodeDisk, name: str = TIER_FILE) -> None:
+    def __init__(self, disk: NodeDisk) -> None:
         self.disk = disk
-        self.name = name
-        head_raw = disk.read_span(name, 0, _HEAD.size)
+        head_raw = disk.read_span(TIER_FILE, 0, _HEAD.size)
         if len(head_raw) < _HEAD.size:
             raise TierFileError(
-                f"{name!r} is {len(head_raw)} bytes — shorter than the header"
+                f"{TIER_FILE!r} is {len(head_raw)} bytes — shorter than the header"
             )
         magic, version, table_crc, table_len, rowmeta_len, digests_len = (
             _HEAD.unpack(head_raw)
         )
         if magic != MAGIC:
-            raise TierFileError(f"{name!r} is not a tier block file ({magic!r})")
-        if version > FORMAT_VERSION:
+            raise TierFileError(f"{TIER_FILE!r} is not a tier block file ({magic!r})")
+        if version != FORMAT_VERSION:
             raise TierFileError(
-                f"{name!r} uses block-file version {version}; this build "
-                f"reads up to {FORMAT_VERSION}"
+                f"{TIER_FILE!r} uses block-file version {version}; this build "
+                f"reads {FORMAT_VERSION}"
             )
-        table_bytes = disk.read_span(name, _HEAD.size, table_len)
+        table_bytes = disk.read_span(TIER_FILE, _HEAD.size, table_len)
         if len(table_bytes) != table_len or zlib.crc32(table_bytes) != table_crc:
-            raise TierFileError(f"{name!r} segment table failed its checksum")
+            raise TierFileError(f"{TIER_FILE!r} segment table failed its checksum")
         # A table can pass its CRC and still be malformed (not an object,
         # a missing key, a wrong-typed value): every way it fails to parse
         # is a TierFileError, so manifest_ids() can claim nothing for it.
         try:
             table = json.loads(zlib.decompress(table_bytes).decode())
-            self.node_id = str(table["node"])
             self.width = int(table["width"])
             self.alphabet_size = int(table["alphabet_size"])
             self.row_count = int(table["row_count"])
@@ -230,63 +213,59 @@ class BlockFileReader:
                     tree_rows=[],
                     digests=[],
                     centroid=np.array(entry["centroid"], dtype=np.uint8),
-                    radius=float(entry["radius"]),
-                    histogram=np.array(entry["histogram"], dtype=np.int64),
-                    raw_bytes=int(entry["raw_bytes"]),
-                    pinned=bool(entry["pinned"]),
                 )
                 for i, entry in enumerate(table["pages"])
             ]
         except (zlib.error, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TierFileError(
-                f"{name!r} segment table failed to parse: {exc}"
+                f"{TIER_FILE!r} segment table failed to parse: {exc}"
             ) from exc
         # Well-typed but inconsistent framing: every page decodes against
         # a centroid one row wide, under an alphabet a byte can hold.
         if not 1 <= self.alphabet_size <= 256:
             raise TierFileError(
-                f"{name!r} segment table holds alphabet size "
+                f"{TIER_FILE!r} segment table holds alphabet size "
                 f"{self.alphabet_size}, outside 1..256"
             )
         for meta in self.pages:
             if meta.centroid.shape != (self.width,):
                 raise TierFileError(
-                    f"{name!r} page {meta.index} centroid holds "
+                    f"{TIER_FILE!r} page {meta.index} centroid holds "
                     f"{meta.centroid.size} codes for width {self.width}"
                 )
 
-        rowmeta_raw = disk.read_span(name, _HEAD.size + table_len, rowmeta_len)
+        rowmeta_raw = disk.read_span(TIER_FILE, _HEAD.size + table_len, rowmeta_len)
         if (
             len(rowmeta_raw) != rowmeta_len
             or zlib.crc32(rowmeta_raw) != rowmeta_crc
         ):
-            raise TierFileError(f"{name!r} row-meta section failed its checksum")
+            raise TierFileError(f"{TIER_FILE!r} row-meta section failed its checksum")
         try:
             rowmeta = zlib.decompress(rowmeta_raw)
         except zlib.error as exc:
             raise TierFileError(
-                f"{name!r} row-meta section failed to decompress: {exc}"
+                f"{TIER_FILE!r} row-meta section failed to decompress: {exc}"
             ) from exc
         n = self.row_count
         if len(rowmeta) != 4 * n + 8 * n:
             raise TierFileError(
-                f"{name!r} row-meta section holds {len(rowmeta)} bytes "
+                f"{TIER_FILE!r} row-meta section holds {len(rowmeta)} bytes "
                 f"for {n} rows"
             )
         tree_rows = np.frombuffer(rowmeta[: 4 * n], dtype=np.uint32)
         block_ids = np.frombuffer(rowmeta[4 * n :], dtype=np.uint64)
         digest_raw = disk.read_span(
-            name, _HEAD.size + table_len + rowmeta_len, digests_len
+            TIER_FILE, _HEAD.size + table_len + rowmeta_len, digests_len
         )
         if (
             len(digest_raw) != digests_len
             or zlib.crc32(digest_raw) != digests_crc
         ):
-            raise TierFileError(f"{name!r} digest section failed its checksum")
+            raise TierFileError(f"{TIER_FILE!r} digest section failed its checksum")
         digests = np.frombuffer(digest_raw, dtype=np.uint32)
         if digests.size != n:
             raise TierFileError(
-                f"{name!r} digest section holds {digests.size} digests "
+                f"{TIER_FILE!r} digest section holds {digests.size} digests "
                 f"for {n} rows"
             )
 
@@ -300,7 +279,7 @@ class BlockFileReader:
             cursor = stop
         if cursor != n:
             raise TierFileError(
-                f"{name!r} pages cover {cursor} rows, table says {n}"
+                f"{TIER_FILE!r} pages cover {cursor} rows, table says {n}"
             )
         # Tree row order is insertion order, so the durable manifest is the
         # block ids sorted by their tree row.
@@ -313,7 +292,7 @@ class BlockFileReader:
         """The page's compressed payload, fresh from the device."""
         meta = self.pages[index]
         return self.disk.read_span(
-            self.name, self._payload_base + meta.offset, meta.length
+            TIER_FILE, self._payload_base + meta.offset, meta.length
         )
 
     def read_page(self, index: int) -> np.ndarray:
@@ -343,23 +322,23 @@ class BlockFileReader:
 
     @property
     def bytes_on_disk(self) -> int:
-        return self.disk.size(self.name)
+        return self.disk.size(TIER_FILE)
 
     @property
     def raw_bytes(self) -> int:
-        return sum(meta.raw_bytes for meta in self.pages)
+        return self.row_count * self.width
 
 
-def manifest_ids(disk: NodeDisk, name: str = TIER_FILE) -> list[int]:
+def manifest_ids(disk: NodeDisk) -> list[int]:
     """The insertion-ordered block manifest, read from metadata alone.
 
     Used for repair planning against *dead* nodes: the process is gone but
     its disk still records what it held.  Returns ``[]`` when the file is
     missing or fails its integrity checks (an unreadable manifest claims
     nothing, and the scrubber treats those blocks like lost replicas)."""
-    if not disk.exists(name):
+    if not disk.exists(TIER_FILE):
         return []
     try:
-        return BlockFileReader(disk, name).manifest
+        return BlockFileReader(disk).manifest
     except (TierFileError, FileNotFoundError):
         return []

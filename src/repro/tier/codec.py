@@ -88,6 +88,18 @@ def _unpack_2bit(data: bytes, count: int) -> np.ndarray:
     return flat[:count]
 
 
+def page_centroid(rows: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """Per-column modal residue of a page, the reference the delta methods
+    encode against (ties break toward the smaller code, which keeps the
+    centroid deterministic)."""
+    width = rows.shape[1]
+    centroid = np.empty(width, dtype=np.uint8)
+    size = max(int(alphabet_size), int(rows.max(initial=0)) + 1)
+    for col in range(width):
+        centroid[col] = np.bincount(rows[:, col], minlength=size).argmax()
+    return centroid
+
+
 def encode_page(
     rows: np.ndarray, centroid: np.ndarray, alphabet_size: int
 ) -> tuple[int, bytes]:

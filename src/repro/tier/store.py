@@ -34,7 +34,9 @@ and WAL are deleted and the ``NodeTier`` becomes the node's
 :class:`~repro.store.durable.DurableNodeState` answers — manifest, digest,
 batch verify, bit-rot injection, replay, checkpoint, status — so the
 scrubber, the repair planner and crash recovery read a spilled node, live
-or crashed, without knowing which medium holds its bytes.
+or crashed, without knowing which medium holds its bytes.  Replay returns
+only rows that match their acknowledged digest, so a page that rotted
+while its node was down is restored from a replica, never zero-filled.
 """
 
 from __future__ import annotations
@@ -49,11 +51,19 @@ import numpy as np
 
 from repro.tier import blockfile
 from repro.store.durable import RecoveredState
-from repro.tier.blockfile import BlockFileReader, PageRecord, write_block_file
+from repro.tier.blockfile import (
+    TIER_FILE,
+    BlockFileReader,
+    PageRecord,
+    write_block_file,
+)
 from repro.tier.cache import BlockCache
-from repro.tier.codec import METHOD_NAMES, TierCodecError, encode_page
-from repro.tier.summary import summarize_rows
-from repro.vptree.metric import MetricAdapter
+from repro.tier.codec import (
+    METHOD_NAMES,
+    TierCodecError,
+    encode_page,
+    page_centroid,
+)
 from repro.vptree.tree import VPNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,8 +86,6 @@ class TierConfig:
     #: simulated seconds per compressed byte read (sequential transfer
     #: plus decompression; ~50 MB/s effective)
     read_seconds_per_byte: float = 2e-8
-    #: durable file name on each node's disk
-    file_name: str = blockfile.TIER_FILE
     #: residue alphabet size (enables the 2-bit packed codec when <= 4);
     #: 0 derives it from the spilled data
     alphabet_size: int = 0
@@ -95,11 +103,11 @@ class TieredPoints:
     """Stands in for a vp-tree's ``points`` matrix, backed by the tier's
     pages.
 
-    A search reads it through :meth:`pages` (see
-    :func:`repro.vptree.search._fill`).  ``shape``, ``len`` and row
-    indexing by integer or integer array serve maintenance and tests with
-    the same ``uint8`` bytes the RAM matrix held, straight from the device:
-    no cache traffic, no I/O charge, like :meth:`NodeTier.materialize`."""
+    A search reads it through ``shape`` and :meth:`pages` (see
+    :func:`repro.vptree.search._fill`); nothing indexes its rows, since
+    every writer folds the node back to RAM first.  Coercing it with
+    ``np.asarray`` materialises the same ``uint8`` bytes the RAM matrix
+    held, straight from the device (:meth:`NodeTier.materialize`)."""
 
     dtype = np.dtype(np.uint8)
 
@@ -120,16 +128,6 @@ class TieredPoints:
     def pages(self) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
         return self._tier.pages()
 
-    def __getitem__(self, key):
-        tier = self._tier
-        rows = np.atleast_1d(np.asarray(key)).reshape(-1)
-        out = np.empty((rows.size, tier.width), dtype=np.uint8)
-        pages = tier.page_of[rows]
-        for page in np.unique(pages):
-            mask = pages == page
-            out[mask] = tier.decoded(int(page))[tier.slot_of[rows[mask]]]
-        return out[0] if np.ndim(key) == 0 else out
-
     def __array__(self, dtype=None, copy=None):
         # Explicit materialisation (never on the query path; it exists so
         # accidental coercion stays *correct*).
@@ -146,9 +144,10 @@ def _chunks(values, size: int):
 
 
 class NodeTier:
-    """One node's tier state: block file, pinned pages, row maps.  It
-    serves searches while it is ``node.tier``, and is ``node.durable``
-    from a successful :meth:`spill` until :meth:`discard`, crashes included."""
+    """One node's tier state: block file, pinned vantage pages, and the
+    page and slot of each block's row.  It serves searches while it is
+    ``node.tier``, and is ``node.durable`` from a successful :meth:`spill`
+    until :meth:`discard`, crashes included."""
 
     def __init__(
         self, node: "StorageNode", cache: BlockCache, config: TierConfig
@@ -157,15 +156,9 @@ class NodeTier:
         self.node_id = node.node_id
         self.cache = cache
         self.config = config
-        # Page-summary distances run on a fresh adapter over the same
-        # metric — an insert's service time is bracketed from the node
-        # tree's adapter count, which a spill must not move.
-        self.adapter = MetricAdapter(node.tree.adapter.metric)
         self.row_count = 0
         self.width = int(node.tree.points.shape[1])
         self.reader: BlockFileReader | None = None
-        self.page_of = np.empty(0, dtype=np.int32)
-        self.slot_of = np.empty(0, dtype=np.int32)
         self._page_rows: list[np.ndarray] = []
         self._pinned_arrays: dict[int, np.ndarray] = {}
         self._row_of_block: dict[int, tuple[int, int]] = {}
@@ -222,11 +215,9 @@ class NodeTier:
             page_rows.append(np.asarray(chunk, dtype=np.intp))
 
         records: list[PageRecord] = []
-        for index, rows_idx in enumerate(page_rows):
+        for rows_idx in page_rows:
             rows = points[rows_idx]
-            centroid, radius, histogram = summarize_rows(
-                rows, self.adapter, alphabet_size
-            )
+            centroid = page_centroid(rows, alphabet_size)
             method, payload = encode_page(rows, centroid, alphabet_size)
             records.append(
                 PageRecord(
@@ -240,28 +231,12 @@ class NodeTier:
                         for i in range(rows.shape[0])
                     ],
                     centroid=[int(c) for c in centroid],
-                    radius=radius,
-                    histogram=[int(h) for h in histogram],
-                    raw_bytes=int(rows.nbytes),
-                    pinned=index >= data_pages,
                 )
             )
 
-        write_block_file(
-            self.node.disk,
-            self.config.file_name,
-            self.node_id,
-            width,
-            alphabet_size,
-            records,
-        )
-        self.reader = BlockFileReader(self.node.disk, self.config.file_name)
+        write_block_file(self.node.disk, width, alphabet_size, records)
+        self.reader = BlockFileReader(self.node.disk)
         self.row_count = n
-        self.page_of = np.full(n, -1, dtype=np.int32)
-        self.slot_of = np.full(n, -1, dtype=np.int32)
-        for index, rows_idx in enumerate(page_rows):
-            self.page_of[rows_idx] = index
-            self.slot_of[rows_idx] = np.arange(len(rows_idx), dtype=np.int32)
         self._page_rows = page_rows
         self._pinned_arrays = {
             index: points[rows_idx].copy()
@@ -321,8 +296,8 @@ class NodeTier:
             yield rows, codes, cold_bytes
 
     def decoded(self, index: int) -> np.ndarray:
-        """Page *index* without touching the cache or the I/O tally
-        (control-plane and maintenance reads)."""
+        """Page *index* without touching the cache or the I/O tally (the
+        control-plane read behind :meth:`materialize`)."""
         pinned = self._pinned_arrays.get(index)
         if pinned is not None:
             return pinned
@@ -348,7 +323,7 @@ class NodeTier:
     def manifest_ids(self) -> list[int]:
         """Insertion-ordered block manifest, read from the on-disk table
         (answers even for a crashed process — the disk survives)."""
-        return blockfile.manifest_ids(self.node.disk, self.config.file_name)
+        return blockfile.manifest_ids(self.node.disk)
 
     def digest(self, block_id: int) -> int | None:
         location = self._row_of_block.get(block_id)
@@ -381,17 +356,20 @@ class NodeTier:
         page, _slot = self._row_of_block[block_id]
         meta = self.reader.pages[page]
         offset = self.reader._payload_base + meta.offset + meta.length // 2
-        self.node.disk.flip_bit(self.config.file_name, offset, bit)
+        self.node.disk.flip_bit(TIER_FILE, offset, bit)
         # Cached copies predate the flip; drop them so reads see the device.
         self.cache.drop_node(self.node_id)
 
     def replay(self) -> RecoveredState:
-        """The block set in insertion order, parsed fresh from the device
-        (RAM row maps not trusted); an undecodable page replays as zero
-        rows.  A file failing its metadata checks replays like a snapshot
-        failing its CRC: empty, ``snapshot_corrupt`` set."""
+        """The verified block set in insertion order, parsed fresh from the
+        device (RAM row maps not trusted).  A row is kept only when its
+        page decodes and its CRC32 equals the acknowledged digest, the way
+        a WAL replay drops a record failing its CRC; the rows dropped are
+        counted in ``crc_errors``, and re-replication restores them from a
+        healthy replica.  A file failing its metadata checks replays like
+        a snapshot failing its CRC: empty, ``snapshot_corrupt`` set."""
         try:
-            reader = BlockFileReader(self.node.disk, self.config.file_name)
+            reader = BlockFileReader(self.node.disk)
         except (blockfile.TierFileError, FileNotFoundError):
             return RecoveredState(snapshot_corrupt=True)
         by_block: dict[int, np.ndarray] = {}
@@ -399,17 +377,19 @@ class NodeTier:
             try:
                 rows = reader.read_page(index)
             except TierCodecError:
-                rows = np.zeros((meta.rows, reader.width), dtype=np.uint8)
-            for slot, block_id in enumerate(meta.block_ids):
-                by_block[block_id] = rows[slot]
-        block_ids = list(reader.manifest)
+                continue
+            for row, block_id, digest in zip(rows, meta.block_ids, meta.digests):
+                if zlib.crc32(row.tobytes()) == digest:
+                    by_block[block_id] = row
+        block_ids = [b for b in reader.manifest if b in by_block]
         codes = (
             np.stack([by_block[b] for b in block_ids])
             if block_ids
             else np.empty((0, reader.width), dtype=np.uint8)
         )
         return RecoveredState(
-            block_ids=block_ids, codes=codes, tier_blocks=len(block_ids)
+            block_ids=block_ids, codes=codes, tier_blocks=len(block_ids),
+            crc_errors=reader.row_count - len(block_ids),
         )
 
     def checkpoint(self) -> bool:
@@ -441,13 +421,13 @@ class NodeTier:
         """Tear the tier down completely (unspill, placement reset,
         recovery): cache entries dropped, block file deleted."""
         self.cache.drop_node(self.node_id)
-        self.node.disk.delete(self.config.file_name)
+        self.node.disk.delete(TIER_FILE)
 
     # -- reporting -------------------------------------------------------------
 
     def occupancy(self) -> dict:
         """Tier occupancy report for one node."""
-        on_disk = self.node.disk.size(self.config.file_name)
+        on_disk = self.node.disk.size(TIER_FILE)
         raw = self.reader.raw_bytes
         pinned = sum(arr.nbytes for arr in self._pinned_arrays.values())
         resident = pinned + self.cache.resident_bytes_for(self.node_id)

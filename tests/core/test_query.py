@@ -24,7 +24,7 @@ from repro.seq.matrices import BLOSUM62, PAM250
 from repro.seq.mutate import mutate_to_identity
 from repro.seq.records import SequenceRecord
 from repro.tier import TierConfig
-from repro.tier.blockfile import BlockFileReader
+from repro.tier.blockfile import TIER_FILE, BlockFileReader
 from repro.tier.codec import METHOD_RAW
 from tests.core.anchor_walk import extend_one
 
@@ -213,10 +213,9 @@ class TestNodeKernel:
         start = reader._payload_base + meta.offset
         if meta.method == METHOD_RAW:  # rot every row on the page
             for slot in range(meta.rows):
-                node.disk.flip_bit(tier.config.file_name,
-                                   start + slot * tier.width, 2)
+                node.disk.flip_bit(TIER_FILE, start + slot * tier.width, 2)
         else:  # a zlib stream with a bad header decodes to nothing
-            node.disk.flip_bit(tier.config.file_name, start, 0)
+            node.disk.flip_bit(TIER_FILE, start, 0)
         decoded, read_page = [], BlockFileReader.read_page
         monkeypatch.setattr(
             BlockFileReader, "read_page",

@@ -45,9 +45,6 @@ def make_pages(rng, n_pages=3, rows_per=8):
                     tree_rows=[int(r) for r in page_tree_rows],
                     digests=[int(zlib.crc32(row.tobytes())) for row in rows],
                     centroid=[int(c) for c in centroid],
-                    radius=1.5,
-                    histogram=[1] * ALPHABET,
-                    raw_bytes=int(rows.nbytes),
                 ),
             )
         )
@@ -56,9 +53,7 @@ def make_pages(rng, n_pages=3, rows_per=8):
 
 
 def write(disk, pages):
-    return write_block_file(
-        disk, TIER_FILE, "g0.n0", WIDTH, ALPHABET, [p for _, p in pages]
-    )
+    return write_block_file(disk, WIDTH, ALPHABET, [p for _, p in pages])
 
 
 class TestRoundTrip:
@@ -68,22 +63,33 @@ class TestRoundTrip:
         pages = make_pages(rng)
         size = write(disk, pages)
         reader = BlockFileReader(disk)
-        assert reader.node_id == "g0.n0"
         assert reader.width == WIDTH
         assert reader.alphabet_size == ALPHABET
         assert reader.row_count == sum(p.rows for _, p in pages)
         assert reader.bytes_on_disk == size == disk.size(TIER_FILE)
-        assert reader.raw_bytes == sum(p.raw_bytes for _, p in pages)
+        assert reader.raw_bytes == sum(rows.nbytes for rows, _ in pages)
         for i, (rows, record) in enumerate(pages):
             meta = reader.pages[i]
             assert meta.block_ids == record.block_ids
             assert meta.tree_rows == record.tree_rows
             assert meta.digests == record.digests
-            assert meta.radius == record.radius
             np.testing.assert_array_equal(
                 meta.centroid, np.array(record.centroid, dtype=np.uint8)
             )
             np.testing.assert_array_equal(reader.read_page(i), rows)
+
+    def test_page_entries_hold_only_what_a_reader_reads(self):
+        """A page entry is its payload's place, codec method, row count and
+        the centroid the codec decodes against; nothing else is written."""
+        disk = NodeDisk()
+        write(disk, make_pages(np.random.default_rng(19)))
+        data = disk.read(TIER_FILE)
+        table_len = _HEAD.unpack(data[: _HEAD.size])[3]
+        table = json.loads(
+            zlib.decompress(data[_HEAD.size : _HEAD.size + table_len])
+        )
+        keys = {"offset", "length", "method", "rows", "centroid"}
+        assert [set(entry) for entry in table["pages"]] == [keys] * 3
 
     def test_manifest_is_insertion_order(self):
         rng = np.random.default_rng(23)
@@ -237,8 +243,7 @@ class TestMalformedTable:
             payload=payload, method=method, rows=8,
             block_ids=list(range(8)), tree_rows=list(range(8)),
             digests=[int(zlib.crc32(row.tobytes())) for row in rows],
-            centroid=[int(c) for c in centroid], radius=1.0,
-            histogram=[1] * ALPHABET, raw_bytes=int(rows.nbytes),
+            centroid=[int(c) for c in centroid],
         ))])
         assert all(BlockFileReader(disk).verify_rows(0, list(range(8))))
         rewrite_table(disk, lambda table: {**table, "pages": [

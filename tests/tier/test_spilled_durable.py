@@ -146,6 +146,34 @@ class TestCrashWhileSpilled:
             signatures(twin.engine.run_batch(probes, PARAMS))
         )
 
+    def test_a_page_rotted_while_down_is_dropped_and_restored(self):
+        """Replay keeps only rows matching their acknowledged digest: the
+        rotted page's rows are counted as CRC errors, not replayed, and
+        re-replication restores them from a healthy replica, so no
+        divergent copy survives for the scrubber to find."""
+        twin = deployment()
+        mendel = spilled()
+        node, _ = victim(mendel)
+        manifest = node.durable.manifest_ids()
+        mendel.fail_node(node.node_id)
+        node.durable.corrupt_block(manifest[SEED % len(manifest)],
+                                   bit=3 + SEED % 5)
+        mendel.recover_node(node.node_id)
+        report = node.last_recovery
+        assert report["crc_errors"] > 0
+        assert report["blocks"] + report["crc_errors"] == len(manifest)
+        assert mendel.index.scrub(heal=False).mismatches == 0
+        holders = Counter(
+            block for member in mendel.index.topology.nodes
+            for block in member.block_ids
+        )
+        assert len(holders) == mendel.block_count
+        assert set(holders.values()) == {REPLICATION}
+        probes, _ = planted_probes(mendel, 4, SEED + 10, spread=True)
+        assert signatures(mendel.engine.run_batch(probes, PARAMS)) == (
+            signatures(twin.engine.run_batch(probes, PARAMS))
+        )
+
     def test_rotted_block_table_recovers_from_peers(self):
         twin = deployment()
         mendel = spilled()
