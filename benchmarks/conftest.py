@@ -3,7 +3,10 @@
 Each benchmark regenerates one table/figure of the paper at laptop scale,
 prints the same rows/series the paper reports, and asserts the *shape*
 claims (who wins, by roughly what factor, where behaviour changes) rather
-than the testbed's absolute numbers.  Run with::
+than the testbed's absolute numbers.  A figure's shape checks are declared
+once, in :data:`repro.bench.figures.FIGURES` (``repro bench <fig>`` reads
+the same table); its ``test_fig*.py`` asserts each through ``test_shape``,
+parametrized over the check names.  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 

@@ -8,16 +8,17 @@ the assertion scales the bound); (c) group-level clustering is visible
 (nodes of one group hold similar shares because tier-2 is flat).
 """
 
-import numpy as np
 import pytest
 
-from repro.bench.figures import run_fig5_load_balance
+from repro.bench.figures import FIGURES
 from repro.bench.harness import format_table
+
+FIGURE = FIGURES["fig5"]
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_fig5_load_balance()
+    return FIGURE.run()
 
 
 def test_fig5_series(benchmark, result):
@@ -32,58 +33,9 @@ def test_fig5_series(benchmark, result):
     assert len(result.rows) == 50
 
 
-def test_flat_hash_balances_tightly(result, check):
+@pytest.mark.parametrize("name", FIGURE.checks)
+def test_shape(result, check, name):
     def body():
-        assert result.meta["flat_spread_pct"] < 1.0
-
-    check(body)
-
-
-def test_mendel_spread_bounded(result, check):
-    def body():
-        # Paper: "the difference between single nodes never exceeds 1% of the
-        # total data volume" — reproduced exactly: with a depth-8 prefix
-        # frontier the two-tier spread stays under 1%.
-        assert result.meta["mendel_spread_pct"] < 1.0
-
-    check(body)
-
-
-def test_mendel_less_uniform_than_flat(result, check):
-    def body():
-        # The documented trade-off: similarity grouping costs some balance.
-        assert result.meta["mendel_spread_pct"] >= result.meta["flat_spread_pct"]
-
-    check(body)
-
-
-def test_intra_group_balance_near_flat(result, check):
-    def body():
-        """Within a group, tier-2 is plain SHA-1 — so intra-group spread must be
-        comparable to the flat baseline (the paper's 'load balancing within
-        groups will be near optimal')."""
-        by_group: dict[str, list[float]] = {}
-        for row in result.rows:
-            group = row["node"].split(".")[0]
-            by_group.setdefault(group, []).append(row["mendel_pct"])
-        for group, shares in by_group.items():
-            if sum(shares) == 0:
-                continue
-            relative_spread = (max(shares) - min(shares)) / max(shares)
-            assert relative_spread < 0.35, f"group {group} skewed: {shares}"
-
-    check(body)
-
-
-def test_group_clustering_visible(result, check):
-    def body():
-        """The paper notes the group structure is evident in the plot: variance
-        of group means exceeds the mean within-group variance."""
-        by_group: dict[str, list[float]] = {}
-        for row in result.rows:
-            by_group.setdefault(row["node"].split(".")[0], []).append(row["mendel_pct"])
-        group_means = [np.mean(v) for v in by_group.values()]
-        within = [np.var(v) for v in by_group.values()]
-        assert np.var(group_means) > np.mean(within)
+        assert FIGURE.checks[name](result), FIGURE.summary(result)
 
     check(body)

@@ -8,13 +8,15 @@ Shape assertions: Mendel wins at every length, and its absolute slope
 
 import pytest
 
-from repro.bench.figures import run_fig6a_query_length
+from repro.bench.figures import FIGURES
 from repro.bench.harness import format_table
+
+FIGURE = FIGURES["fig6a"]
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_fig6a_query_length()
+    return FIGURE.run()
 
 
 def test_fig6a_series(benchmark, result):
@@ -27,33 +29,9 @@ def test_fig6a_series(benchmark, result):
     ]
 
 
-def test_mendel_wins_at_every_length(result, check):
+@pytest.mark.parametrize("name", FIGURE.checks)
+def test_shape(result, check, name):
     def body():
-        for row in result.rows:
-            assert row["mendel_ms"] < row["blast_ms"], row
-
-    check(body)
-
-
-def test_mendel_slope_flat_relative_to_blast(result, check):
-    def body():
-        lengths = result.series("query_length")
-        mendel = result.series("mendel_ms")
-        blast = result.series("blast_ms")
-        mendel_slope = (mendel[-1] - mendel[0]) / (lengths[-1] - lengths[0])
-        blast_slope = (blast[-1] - blast[0]) / (lengths[-1] - lengths[0])
-        # On the same axes as BLAST, Mendel's curve reads as near-flat: its
-        # ms-per-residue slope is under a fifth of BLAST's.
-        assert mendel_slope < 0.2 * blast_slope
-
-    check(body)
-
-
-def test_speed_advantage_factor(result, check):
-    def body():
-        # The paper's plots show Mendel several-fold faster; require >= 3x on
-        # average at this scale.
-        ratios = [r["blast_ms"] / r["mendel_ms"] for r in result.rows]
-        assert sum(ratios) / len(ratios) > 3.0
+        assert FIGURE.checks[name](result), FIGURE.summary(result)
 
     check(body)

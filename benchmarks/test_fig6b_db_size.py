@@ -10,13 +10,15 @@ memory capacity; the crossover leaves Mendel far ahead at the largest size.
 
 import pytest
 
-from repro.bench.figures import run_fig6b_db_size
-from repro.bench.harness import format_table, growth_ratio
+from repro.bench.figures import FIGURES
+from repro.bench.harness import format_table
+
+FIGURE = FIGURES["fig6b"]
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_fig6b_db_size()
+    return FIGURE.run()
 
 
 def test_fig6b_series(benchmark, result):
@@ -27,31 +29,9 @@ def test_fig6b_series(benchmark, result):
     assert sizes == sorted(sizes)
 
 
-def test_mendel_nearly_constant(result, check):
+@pytest.mark.parametrize("name", FIGURE.checks)
+def test_shape(result, check, name):
     def body():
-        ratio = growth_ratio(result.series("db_residues"), result.series("mendel_ms"))
-        # 1.0 would be linear growth; "nearly constant" means a small fraction.
-        assert ratio < 0.25
-
-    check(body)
-
-
-def test_blast_hits_the_memory_wall(result, check):
-    def body():
-        blast = result.series("blast_ms")
-        sizes = result.series("db_residues")
-        # Once past memory capacity, BLAST degrades super-linearly.
-        ratio = growth_ratio(sizes, blast)
-        assert ratio > 2.0
-        # And the largest database is dramatically slower than the smallest.
-        assert blast[-1] / blast[0] > 20.0
-
-    check(body)
-
-
-def test_mendel_wins_decisively_at_scale(result, check):
-    def body():
-        last = result.rows[-1]
-        assert last["blast_ms"] / last["mendel_ms"] > 50.0
+        assert FIGURE.checks[name](result), FIGURE.summary(result)
 
     check(body)

@@ -8,13 +8,15 @@ node count and the 5 -> 50 node speedup is substantial.
 
 import pytest
 
-from repro.bench.figures import run_fig6c_scalability
-from repro.bench.harness import format_table, speedup
+from repro.bench.figures import FIGURES
+from repro.bench.harness import format_table
+
+FIGURE = FIGURES["fig6c"]
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_fig6c_scalability()
+    return FIGURE.run()
 
 
 def test_fig6c_series(benchmark, result):
@@ -24,20 +26,9 @@ def test_fig6c_series(benchmark, result):
     assert [r["nodes"] for r in result.rows] == [5, 10, 20, 50]
 
 
-def test_monotone_decrease(result, check):
+@pytest.mark.parametrize("name", FIGURE.checks)
+def test_shape(result, check, name):
     def body():
-        times = result.series("mendel_ms")
-        assert all(b < a for a, b in zip(times, times[1:]))
-
-    check(body)
-
-
-def test_substantial_speedup(result, check):
-    def body():
-        # The partitioned search space plus added parallelism should deliver at
-        # least ~5x from 5 to 50 nodes (the paper's figure shows a steep drop;
-        # mpiBLAST-style superlinear effects are possible because tier-1 also
-        # shrinks each node's searched fraction).
-        assert speedup(result.series("mendel_ms")) > 5.0
+        assert FIGURE.checks[name](result), FIGURE.summary(result)
 
     check(body)

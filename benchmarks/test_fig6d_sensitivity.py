@@ -12,13 +12,15 @@ least BLAST's.
 
 import pytest
 
-from repro.bench.figures import run_fig6d_sensitivity
+from repro.bench.figures import FIGURES
 from repro.bench.harness import format_table
+
+FIGURE = FIGURES["fig6d"]
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_fig6d_sensitivity()
+    return FIGURE.run()
 
 
 def test_fig6d_series(benchmark, result):
@@ -30,30 +32,9 @@ def test_fig6d_series(benchmark, result):
     ]
 
 
-def test_both_perfect_at_high_identity(result, check):
+@pytest.mark.parametrize("name", FIGURE.checks)
+def test_shape(result, check, name):
     def body():
-        top = result.rows[0]
-        assert top["mendel_found_pct"] == 100.0
-        assert top["blast_found_pct"] == 100.0
-
-    check(body)
-
-
-def test_recall_decays_with_identity(result, check):
-    def body():
-        mendel = result.series("mendel_found_pct")
-        # Weak monotonicity: the low-identity tail cannot beat the high end.
-        assert min(mendel[:3]) >= max(mendel[-2:])
-
-    check(body)
-
-
-def test_mendel_at_least_as_sensitive_as_blast(result, check):
-    def body():
-        mendel = result.series("mendel_found_pct")
-        blast = result.series("blast_found_pct")
-        assert sum(mendel) >= sum(blast)
-        # And in the paper's highlighted low-similarity region specifically.
-        assert sum(mendel[-4:]) >= sum(blast[-4:])
+        assert FIGURE.checks[name](result), FIGURE.summary(result)
 
     check(body)

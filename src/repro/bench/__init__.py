@@ -1,16 +1,16 @@
-"""Benchmark harness: workload generators, per-figure experiment runners,
+"""Benchmark harness: workload generators, per-figure experiment runners
+(declared with their shape checks in :data:`repro.bench.figures.FIGURES`),
 and result-table formatting."""
 
 from repro.bench.figures import (
     ExperimentResult,
-    shape_failures,
     run_fig5_load_balance,
     run_fig6a_query_length,
     run_fig6b_db_size,
     run_fig6c_scalability,
     run_fig6d_sensitivity,
 )
-from repro.bench.harness import format_table, growth_ratio, series_summary, speedup
+from repro.bench.harness import format_table, growth_ratio, speedup
 from repro.bench.workloads import (
     FamilySpec,
     generate_family_database,
@@ -20,7 +20,6 @@ from repro.bench.workloads import (
 
 __all__ = [
     "ExperimentResult",
-    "shape_failures",
     "run_fig5_load_balance",
     "run_fig6a_query_length",
     "run_fig6b_db_size",
@@ -28,7 +27,6 @@ __all__ = [
     "run_fig6d_sensitivity",
     "format_table",
     "growth_ratio",
-    "series_summary",
     "speedup",
     "FamilySpec",
     "generate_family_database",

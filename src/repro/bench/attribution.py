@@ -29,7 +29,6 @@ from pathlib import Path
 from repro.bench.regress import Metric
 from repro.obs.profile import CostProfiler
 
-PROFILE_SCHEMA_VERSION = 1
 PROFILE_SUITE = "repro-profile"
 
 _BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
@@ -60,9 +59,9 @@ def profile_path_for(bench_path: str | Path) -> Path:
 
 def profile_report(cost: CostProfiler, seed: int) -> dict:
     """The PROFILE file payload for one captured run (sim side only, so
-    the bytes are a pure function of the seed)."""
+    the bytes are a pure function of the seed); its ``schema_version`` is
+    the cost profile's own."""
     return {
-        "schema_version": PROFILE_SCHEMA_VERSION,
         "suite": PROFILE_SUITE,
         "seed": seed,
         **cost.to_dict(),

@@ -3,13 +3,13 @@
 The benchmarks print the same rows/series the paper's figures report;
 :func:`format_table` renders them as aligned ASCII so the output of
 ``pytest benchmarks/ --benchmark-only`` is directly comparable to the
-figures, and :func:`series_summary` condenses a series into the shape
-measures (slope ratios, crossovers) the assertions check.
+figures, and :func:`growth_ratio` / :func:`speedup` are the shape measures
+the figures' checks read.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 
 def format_table(
@@ -68,13 +68,3 @@ def speedup(ys: Sequence[float]) -> float:
         raise ValueError("last value must be positive")
     return ys[0] / ys[-1]
 
-
-def series_summary(
-    rows: Iterable[Mapping[str, Any]], x_key: str, y_keys: Sequence[str]
-) -> dict[str, float]:
-    """Growth ratios for each series in *rows* keyed by series name."""
-    rows = list(rows)
-    xs = [float(r[x_key]) for r in rows]
-    return {
-        y: growth_ratio(xs, [float(r[y]) for r in rows]) for y in y_keys
-    }

@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from repro.bench import figures as _figures
+from repro.bench.figures import FIGURES
 from repro.bench.harness import format_table
 from repro.bench.regress import bench_report, suite_deployment
 from repro.core import Mendel, QueryParams, load_index, save_index
@@ -47,15 +47,6 @@ from repro.seq.records import SequenceSet
 from repro.serve.protocol import OPS
 from repro.store.scenario import run_durability_scenario, run_scrub_scenario
 from repro.tier.scenario import run_tier_scenario
-
-_FIGURES = {
-    "fig5": _figures.run_fig5_load_balance,
-    "fig6a": _figures.run_fig6a_query_length,
-    "fig6b": _figures.run_fig6b_db_size,
-    "fig6c": _figures.run_fig6c_scalability,
-    "fig6d": _figures.run_fig6d_sensitivity,
-}
-
 
 #: ``--alphabet`` choices
 _ALPHABETS = ("dna", "protein")
@@ -179,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="rerun a paper figure or the perf suite, or diff two "
                       "BENCH files")
     bench.add_argument("figure", nargs="?", default=None,
-                       choices=sorted(_FIGURES) + ["all", "diff"])
+                       choices=sorted(FIGURES) + ["all", "diff"])
     bench.add_argument("files", nargs="*", default=[],
                        help="with 'diff': baseline and current BENCH_<n>.json")
     bench.add_argument("--out", default=None,
@@ -487,14 +478,14 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
         else:
             print(text, file=out)
         return 0
-    result = _FIGURES[args.figure]()
+    result = FIGURES[args.figure].run()
     print(format_table(result.rows, title=result.name), file=out)
     if result.meta:
         print(f"meta: {result.meta}", file=out)
-    failures = _figures.shape_failures(result)
-    if failures:
-        for failure in failures:
-            print(f"SHAPE FAIL [{result.name}]: {failure}", file=sys.stderr)
+    failed = [name for name, ok in result.checks().items() if not ok]
+    if failed:
+        print(f"SHAPE FAIL [{result.name}]: " + "; ".join(failed),
+              file=sys.stderr)
         return 1
     print(f"shape OK: {result.name} reproduces the paper's claims", file=out)
     return 0

@@ -51,7 +51,7 @@ from repro.core.index import MendelIndex
 from repro.core.params import QueryParams
 from repro.obs.health import HealthMonitor
 from repro.obs.metrics import default_registry
-from repro.obs.profile import charge as profile_charge
+from repro.obs.profile import FUNNEL_COUNTERS, charge as profile_charge
 from repro.obs.trace import NO_SPAN, Span, TraceContext
 from repro.seq.alphabet import Alphabet
 from repro.seq.matrices import dna_matrix, named_matrix
@@ -112,15 +112,10 @@ class QueryStats:
 
 #: The attrition funnel (paper pipeline III-E / V-B), in order: each stage
 #: name paired with the :class:`QueryStats` field holding its count.
-FUNNEL_STAGES: tuple[tuple[str, str], ...] = (
-    ("knn_candidates", "candidate_hits"),
-    ("identity_pass", "identity_pass"),
-    ("cscore_pass", "cscore_pass"),
-    ("anchors_extended", "anchors_extended"),
-    ("anchors_merged", "anchors_merged"),
-    ("gapped_extensions", "gapped_extensions"),
-    ("alignments", "alignments_reported"),
-)
+FUNNEL_STAGES: tuple[tuple[str, str], ...] = tuple(zip(FUNNEL_COUNTERS, (
+    "candidate_hits", "identity_pass", "cscore_pass", "anchors_extended",
+    "anchors_merged", "gapped_extensions", "alignments_reported",
+), strict=True))
 _FUNNEL_FIELD = dict(FUNNEL_STAGES)
 
 #: Cost-profile site names: those of the closures the :class:`_BatchRun`

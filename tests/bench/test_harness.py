@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import format_table, growth_ratio, series_summary, speedup
+from repro.bench.harness import format_table, growth_ratio, speedup
 
 
 class TestFormatTable:
@@ -56,13 +56,3 @@ class TestSpeedup:
         with pytest.raises(ValueError):
             speedup([1, 0])
 
-
-class TestSeriesSummary:
-    def test_multiple_series(self):
-        rows = [
-            {"x": 1, "f": 10, "g": 1},
-            {"x": 10, "f": 10, "g": 10},
-        ]
-        summary = series_summary(rows, "x", ["f", "g"])
-        assert summary["f"] == pytest.approx(0.1)
-        assert summary["g"] == pytest.approx(1.0)

@@ -4,8 +4,8 @@ import io
 
 import pytest
 
-from repro.bench.figures import ExperimentResult
-from repro.bench.report import _shape_summary, generate_report
+from repro.bench.figures import FIGURES, ExperimentResult, Figure
+from repro.bench.report import generate_report
 
 
 class TestShapeSummary:
@@ -15,7 +15,7 @@ class TestShapeSummary:
             rows=[],
             meta={"flat_spread_pct": 0.3, "mendel_spread_pct": 2.5, "nodes": 50},
         )
-        text = _shape_summary(result)
+        text = FIGURES["fig5"].summary(result)
         assert "0.30%" in text and "2.50%" in text
 
     def test_fig6a(self):
@@ -26,7 +26,7 @@ class TestShapeSummary:
                 {"query_length": 1000, "mendel_ms": 15.0, "blast_ms": 200.0},
             ],
         )
-        text = _shape_summary(result)
+        text = FIGURES["fig6a"].summary(result)
         assert "speedup" in text
 
     def test_fig6c(self):
@@ -34,10 +34,11 @@ class TestShapeSummary:
             name="fig6c-scalability",
             rows=[{"nodes": 5, "mendel_ms": 100.0}, {"nodes": 10, "mendel_ms": 25.0}],
         )
-        assert "4.0x" in _shape_summary(result)
+        assert "4.0x" in FIGURES["fig6c"].summary(result)
 
     def test_unknown_name(self):
-        assert _shape_summary(ExperimentResult(name="other", rows=[])) == ""
+        # A result no figure declares carries no claims to check.
+        assert ExperimentResult(name="other", rows=[]).checks() == {}
 
 
 class TestGenerateReport:
@@ -56,11 +57,10 @@ class TestGenerateReport:
 
             return run
 
-        monkeypatch.setattr(
-            report_module,
-            "_EXPERIMENTS",
-            [("Stub fig", "stub claim", stub_runner("stub"))],
-        )
+        monkeypatch.setattr(report_module, "FIGURES", {
+            "stub": Figure("Stub fig", "stub claim", stub_runner("stub"), {},
+                           lambda result: "stub shape"),
+        })
         buffer = io.StringIO()
         text = generate_report(out=buffer, max_rows=1)
         assert text == buffer.getvalue()
@@ -68,6 +68,7 @@ class TestGenerateReport:
         assert "Stub fig" in text
         assert "stub claim" in text
         assert "(1 more rows)" in text
+        assert "*Measured shape:* stub shape" in text
 
 
 class TestShapeSummaryMore:
@@ -79,7 +80,7 @@ class TestShapeSummaryMore:
                 {"db_residues": 1000, "mendel_ms": 11.0, "blast_ms": 500.0},
             ],
         )
-        text = _shape_summary(result)
+        text = FIGURES["fig6b"].summary(result)
         assert "growth ratios" in text
 
     def test_fig6d(self):
@@ -90,5 +91,5 @@ class TestShapeSummaryMore:
                  "blast_found_pct": 75.0},
             ],
         )
-        text = _shape_summary(result)
+        text = FIGURES["fig6d"].summary(result)
         assert "mendel 100" in text and "blast 75" in text

@@ -1,15 +1,31 @@
 """CLI tests for the bench subcommand and translated query routing."""
 
 import io
+from dataclasses import replace
 
 import pytest
 
 import repro.cli as cli
-from repro.bench.figures import ExperimentResult
+from repro.bench.figures import FIGURES, ExperimentResult, Figure
 from repro.seq import DNA, PROTEIN, SequenceRecord, SequenceSet, format_fasta
 from repro.seq.generate import random_protein
 from repro.seq.translate import STANDARD_CODE
 from repro.util.rng import as_generator
+from tests.test_cli import flag_spec
+
+
+def stub_figure(monkeypatch, key, runner):
+    """Make ``repro bench <key>`` run *runner* instead of the real figure."""
+    monkeypatch.setitem(FIGURES, key, replace(FIGURES[key], run=runner))
+
+
+def stub_report(monkeypatch, runner):
+    """Make ``repro bench all`` render one stub figure."""
+    import repro.bench.report as report_module
+
+    monkeypatch.setattr(report_module, "FIGURES", {
+        "stub": Figure("Stub", "claim", runner, {}, lambda result: ""),
+    })
 
 
 class TestBenchCommand:
@@ -22,7 +38,7 @@ class TestBenchCommand:
                 meta={"note": "stubbed"},
             )
 
-        monkeypatch.setitem(cli._FIGURES, "fig5", runner)
+        stub_figure(monkeypatch, "fig5", runner)
         return runner
 
     def test_bench_single_figure(self, stubbed):
@@ -33,14 +49,10 @@ class TestBenchCommand:
         assert "stubbed" in text
 
     def test_bench_all_writes_report(self, monkeypatch, tmp_path):
-        import repro.bench.report as report_module
-
         def stub():
             return ExperimentResult(name="stub", rows=[{"a": 1}])
 
-        monkeypatch.setattr(
-            report_module, "_EXPERIMENTS", [("Stub", "claim", stub)]
-        )
+        stub_report(monkeypatch, stub)
         out = io.StringIO()
         target = tmp_path / "report.md"
         assert cli.main(["bench", "all", "--out", str(target)], out=out) == 0
@@ -48,14 +60,10 @@ class TestBenchCommand:
         assert "Stub" in target.read_text()
 
     def test_bench_all_to_stdout(self, monkeypatch):
-        import repro.bench.report as report_module
-
         def stub():
             return ExperimentResult(name="stub", rows=[{"a": 1}])
 
-        monkeypatch.setattr(
-            report_module, "_EXPERIMENTS", [("Stub", "claim", stub)]
-        )
+        stub_report(monkeypatch, stub)
         out = io.StringIO()
         assert cli.main(["bench", "all"], out=out) == 0
         assert "Stub" in out.getvalue()
@@ -71,7 +79,7 @@ class TestBenchCommand:
                 ],
             )
 
-        monkeypatch.setitem(cli._FIGURES, "fig6a", runner)
+        stub_figure(monkeypatch, "fig6a", runner)
         out = io.StringIO()
         assert cli.main(["bench", "fig6a"], out=out) == 0
         assert "shape OK" in out.getvalue()
@@ -88,10 +96,33 @@ class TestBenchCommand:
                 ],
             )
 
-        monkeypatch.setitem(cli._FIGURES, "fig6a", runner)
+        stub_figure(monkeypatch, "fig6a", runner)
         out = io.StringIO()
         assert cli.main(["bench", "fig6a"], out=out) == 1
-        assert "SHAPE FAIL" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "SHAPE FAIL" in err
+        assert "mendel_wins_at_every_length" in err
+
+    def test_bench_fig6c_needs_the_benchmark_speedup(self, monkeypatch,
+                                                     capsys):
+        # Strictly decreasing, but only 3x from first to last: the
+        # benchmarks' > 5x claim fails, and so must the CLI.
+        def runner():
+            return ExperimentResult(
+                name="fig6c-scalability",
+                rows=[{"nodes": n, "mendel_ms": ms}
+                      for n, ms in ((5, 300.0), (10, 200.0), (50, 100.0))],
+            )
+
+        stub_figure(monkeypatch, "fig6c", runner)
+        assert cli.main(["bench", "fig6c"], out=io.StringIO()) == 1
+        err = capsys.readouterr().err
+        assert "SHAPE FAIL [fig6c-scalability]: substantial_speedup" in err
+        assert "monotone_decrease" not in err
+
+    def test_figure_choices_are_the_table(self):
+        choices = flag_spec(cli.build_parser())["bench"]["figure"][2]
+        assert set(choices) - {"all", "diff"} == set(FIGURES)
 
     def test_bench_without_figure_or_regress_errors(self, capsys):
         assert cli.main(["bench"], out=io.StringIO()) == 2
