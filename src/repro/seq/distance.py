@@ -10,9 +10,14 @@ Mendel's vp-trees require a *metric* on fixed-length sequence segments
   match are both distance 0 while mismatches keep their scoring-matrix
   penalty amplitude.
 
-All kernels are vectorised over ``uint8`` code arrays and support both
-one-vs-one and one-vs-many (batched) evaluation; the batched forms are what
-the vp-tree hot path uses.
+All kernels are vectorised over ``uint8`` code arrays and support
+one-vs-one, one-vs-many and many-vs-many evaluation: ``batch`` takes one
+query ``(L,)`` or a stack of them ``(W, L)``.  The stacked form is what the
+vp-tree scan runs, one call per block of stored rows: it walks the ``L``
+positions once, adding each position's scores for every ``(row, query)``
+pair at once (for a matrix, from a per-position *query profile*).  Build and
+placement keep the one-query form, which is faster for a single query.
+Codes at or above a matrix's size raise ``IndexError`` in every form.
 """
 
 from __future__ import annotations
@@ -28,29 +33,56 @@ from repro.seq.matrices import BLOSUM62, mendel_distance_matrix
 def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
-    if a.ndim != 1:
-        raise ValueError(f"first sequence must be 1-D, got shape {a.shape}")
-    if b.shape[-1] != a.shape[0]:
+    if a.ndim not in (1, 2):
         raise ValueError(
-            f"length mismatch: {a.shape[0]} vs {b.shape[-1]} "
+            f"first sequence must be 1-D or a (W, L) stack, got shape {a.shape}"
+        )
+    if b.shape[-1] != a.shape[-1]:
+        raise ValueError(
+            f"length mismatch: {a.shape[-1]} vs {b.shape[-1]} "
             "(Mendel distances are defined over equal-length segments)"
         )
     return a, b
 
 
+def _stacked(
+    queries: np.ndarray, rows: np.ndarray, profile_cells: int, add
+) -> np.ndarray:
+    """``(W, n)`` scores of a ``(W, L)`` stack against ``(n, L)`` rows:
+    ``add(scores, part)`` adds, position by position, the ``(n, w)`` scores
+    of the windows *part* into *scores*.  Where each window's tables take
+    *profile_cells* cells the stack goes in sub-stacks, so neither a
+    sub-stack's tables nor one position's scores outgrow the result."""
+    out = np.zeros((rows.shape[0], queries.shape[0]))
+    if not out.size:
+        return out.T
+    step = max(1, out.size // profile_cells) if profile_cells else len(queries)
+    for start in range(0, len(queries), step):
+        add(out[:, start:start + step], queries[start:start + step])
+    return out.T
+
+
 def hamming(a: np.ndarray, b: np.ndarray) -> float:
     """Hamming distance between two equal-length code arrays."""
     a, b = _check_pair(a, b)
-    if b.ndim != 1:
+    if a.ndim != 1 or b.ndim != 1:
         raise ValueError("use hamming_batch for one-vs-many evaluation")
     return float(np.count_nonzero(a != b))
 
 
 def hamming_batch(query: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Hamming distance from *query* ``(L,)`` to every row of *batch* ``(n, L)``."""
+    """Hamming distance from *query* ``(L,)`` to every row of *batch* ``(n,
+    L)``; from a ``(W, L)`` stack, a ``(W, n)`` matrix."""
     query, batch = _check_pair(query, batch)
     if batch.ndim == 1:
         batch = batch[None, :]
+    if query.ndim == 2:
+
+        def add(scores, part):
+            for p in range(part.shape[1]):
+                scores += batch[:, p, None] != part[:, p]
+
+        return _stacked(query, batch, 0, add)
     return np.count_nonzero(batch != query[None, :], axis=1).astype(np.float64)
 
 
@@ -80,7 +112,7 @@ class MatrixDistance:
     integer, as every :func:`~repro.seq.matrices.mendel_distance_matrix`
     entry is: a sum of integers held in ``float64`` is exact in any order,
     so :meth:`batch` may add a row up however is fastest and still equal
-    ``__call__`` bit for bit.
+    ``__call__`` bit for bit, in either form.
     """
 
     matrix: np.ndarray
@@ -104,18 +136,33 @@ class MatrixDistance:
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> float:
         a, b = _check_pair(a, b)
-        if b.ndim != 1:
+        if a.ndim != 1 or b.ndim != 1:
             raise ValueError("use .batch for one-vs-many evaluation")
-        # Flat gather: M[a, b] == flat[a * size + b]; a single take beats
-        # fancy 2-D indexing on the hot path.
-        idx = a.astype(np.intp) * self._size + b.astype(np.intp)
-        return float(self._flat[idx].sum())
+        # 2-D indexing checks both codes against the matrix's size.
+        return float(self.matrix[a, b].sum())
 
     def batch(self, query: np.ndarray, batch: np.ndarray) -> np.ndarray:
-        """Distances from *query* ``(L,)`` to every row of *batch* ``(n, L)``."""
+        """Distances from *query* ``(L,)`` to every row of *batch* ``(n, L)``;
+        from a ``(W, L)`` stack of queries, a ``(W, n)`` matrix."""
         query, batch = _check_pair(query, batch)
         if batch.ndim == 1:
             batch = batch[None, :]
+        if query.ndim == 2:
+            # The query profile, profile[a, p, w] = M[window w's code at p, a]:
+            # a row's scores at p are the profile's row at its code there, one
+            # ``take`` (which checks the code) for every window at once.
+            def add(scores, part):
+                profile = self.matrix.T[:, part.T]
+                for p in range(part.shape[1]):
+                    scores += profile[:, p].take(batch[:, p], axis=0)
+
+            return _stacked(query, batch, query.shape[1] * self._size, add)
+        # A row code at or above the size would alias into the next matrix
+        # row of the flat index; a query code's index is past the end.
+        if batch.max(initial=0) >= self._size:
+            raise IndexError(
+                f"code {batch.max()} is out of bounds for a {self._size}-letter matrix"
+            )
         # One narrow index, one take, one row sum: ``einsum`` adds a short
         # row faster than ``add.reduce`` (and calls no BLAS, which would
         # start threads); the entries are integers, so the order is free.

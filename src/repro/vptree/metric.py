@@ -1,7 +1,8 @@
 """Metric adapter used by every vp-tree variant.
 
 A metric can be supplied either as a plain callable ``f(a, b) -> float`` or
-as an object exposing a vectorised ``batch(query, rows) -> ndarray`` (as
+as an object exposing a vectorised ``batch(query, rows) -> ndarray`` that
+also takes a ``(W, L)`` stack of queries (as
 :class:`repro.seq.distance.MatrixDistance` does).  :class:`MetricAdapter`
 normalises both into one interface and counts evaluations, which the
 benchmarks use to compare search-space pruning between systems.
@@ -17,7 +18,8 @@ import numpy as np
 
 @runtime_checkable
 class BatchedMetric(Protocol):
-    """Structural type for metrics with a vectorised one-vs-many form."""
+    """Structural type for metrics with a vectorised one-vs-many form
+    (``(L,)`` query -> ``(n,)``, ``(W, L)`` stack -> ``(W, n)``)."""
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> float: ...
 
@@ -29,7 +31,8 @@ class MetricAdapter:
     """Wrap *metric* with a uniform pair/batch interface and call counting.
 
     ``pair_evaluations`` counts logical distance evaluations (a batch of n
-    rows counts as n), giving a machine-independent work measure.
+    rows counts as n, a stack of W queries against them as W x n), giving a
+    machine-independent work measure.
     """
 
     metric: Callable[[np.ndarray, np.ndarray], float]
@@ -46,12 +49,15 @@ class MetricAdapter:
         return float(self.metric(a, b))
 
     def batch(self, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows)
+        query, rows = np.asarray(query), np.asarray(rows)
         if rows.ndim == 1:
             rows = rows[None, :]
-        self.pair_evaluations += rows.shape[0]
+        width = query.shape[0] if query.ndim == 2 else 1
+        self.pair_evaluations += width * rows.shape[0]
         if self._batch_fn is not None:
             return np.asarray(self._batch_fn(query, rows), dtype=np.float64)
-        return np.array(
-            [self.metric(query, row) for row in rows], dtype=np.float64
-        )
+        scores = np.array(
+            [[self.metric(each, row) for row in rows] for each in np.atleast_2d(query)],
+            dtype=np.float64,
+        ).reshape(width, rows.shape[0])
+        return scores if query.ndim == 2 else scores[0]

@@ -47,10 +47,11 @@ The first two kinds are array work over all their lanes at once, and at the
 radii Mendel searches with they are nearly every lane.  The recursive walk
 all three reproduce is the test oracle (``tests/vptree/recursive_walk.py``).
 
-There is one search path and one scoring loop (:func:`_fill`): every query
-of the batch is scored against a block of about ``_PASS_CELLS`` code
-cells, then the next block.  Only how the blocks are made differs by point
-store (:func:`_blocks`): an in-RAM matrix is cut into contiguous row
+There is one search path and one scoring loop (:func:`_fill`): one stacked
+metric call scores every query of the batch against a block of stored rows
+(at most ``_PASS_CELLS`` code cells and half as many distances), then the
+next block.  Only how the blocks are made differs by point store
+(:func:`_blocks`): an in-RAM matrix is cut into even contiguous row
 slices; a paged store (a spilled node's
 :class:`~repro.tier.store.TieredPoints`) hands over each of its pages once,
 in order, and consecutive pages are joined into a block.  The paper's node
@@ -128,11 +129,15 @@ def knn_search(
 #: longer batch is worked through in slices so memory stays bounded (this
 #: matrix plus one block of codes, :func:`_blocks`)
 _SCAN_CELLS = 1 << 20
-#: code cells (rows x segment length) in one block, so in one metric call;
-#: ``MatrixDistance.batch`` makes 10 bytes a cell of temporaries.  On a
-#: 2-core x86 box a spilled-node sweep (perfbench ``storage_lifecycle``)
-#: read the same ``query_p50_ms`` at 2^15 and 2^16 cells and about twice
-#: it at 2^17 (32-residue rows: 1,024 / 2,048 / 4,096 to a block)
+#: cells in one block, so in one stacked metric call: at most this many
+#: code cells (rows x segment length) and half as many distances (rows x
+#: queries).  Beside its result, ``MatrixDistance.batch`` holds one
+#: position's scores and a query profile no larger than it: 24 bytes a
+#: distance, ~384 KiB a block.  On a 2-core x86 box, with the
+#: one-call-a-query kernel, a spilled-node sweep (perfbench
+#: ``storage_lifecycle``, whose blocks the code cells bound) read the same
+#: ``query_p50_ms`` at 2^15 and 2^16 cells and about twice it at 2^17
+#: (32-residue rows: 1,024 / 2,048 / 4,096 to a block)
 _PASS_CELLS = 1 << 15
 
 
@@ -298,33 +303,34 @@ def _scan_batch(
 
 
 def _fill(dists: np.ndarray, queries: np.ndarray, tree: "VPTree") -> tuple[int, int]:
-    """``dists[w, r] = d(queries[w], row r)`` for every stored row, each row
-    scored once per query, block by block (:func:`_blocks`); returns the
-    cold ``(reads, bytes)`` of the pass."""
+    """``dists[w, r] = d(queries[w], row r)`` for every stored row: one
+    stacked metric call per block (:func:`_blocks`) scores every query
+    against it; returns the cold ``(reads, bytes)`` of the pass."""
     batch = tree.adapter.batch
     reads = nbytes = 0
-    for rows, codes, block_reads, block_bytes in _blocks(tree.points):
-        for row, query in zip(dists, queries):
-            row[rows] = batch(query, codes)
+    for rows, codes, block_reads, block_bytes in _blocks(tree.points, len(queries)):
+        dists[:, rows] = batch(queries, codes)
         reads += block_reads
         nbytes += block_bytes
     return reads, nbytes
 
 
-def _blocks(points):
+def _blocks(points, width: int):
     """The point store as ``(tree rows, codes, cold reads, cold bytes)``
-    blocks of about ``_PASS_CELLS`` code cells, the only part of it held
-    at once.
+    blocks of about ``_PASS_CELLS`` code cells and half as many distances
+    to *width* queries, the only part of it held at once.
 
-    A matrix is cut into contiguous row slices.  A paged store yields
+    A matrix is cut into row slices of even size.  A paged store yields
     ``(rows, codes, cold_bytes)`` per page from ``pages()`` — the tree rows
     it holds, their codes, and the bytes read from the device if it was not
     resident (else 0) — and its pages, each taken once and in order, are
     joined until they make a block."""
-    block = max(1, _PASS_CELLS // points.shape[1])
+    block = max(1, _PASS_CELLS // max(points.shape[1], 2 * width))
     if isinstance(points, np.ndarray):
-        for start in range(0, points.shape[0], block):
-            yield slice(start, start + block), points[start:start + block], 0, 0
+        count = -(-points.shape[0] // block)
+        ends = [points.shape[0] * part // count for part in range(count + 1)]
+        for start, stop in zip(ends, ends[1:]):
+            yield slice(start, stop), points[start:stop], 0, 0
         return
     rows, codes, reads, nbytes, held = [], [], 0, 0, 0
     for page_rows, page_codes, cold_bytes in points.pages():

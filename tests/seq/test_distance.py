@@ -71,6 +71,14 @@ class TestHammingBatch:
         assert out.tolist() == [1.0]
 
 
+    def test_stack_matches_one_query_calls(self, rng):
+        queries = rng.integers(0, 4, (5, 10)).astype(np.uint8)
+        batch = rng.integers(0, 4, (20, 10)).astype(np.uint8)
+        got = hamming_batch(queries, batch)
+        assert got.shape == (5, 20)
+        assert got.tolist() == [hamming_batch(q, batch).tolist() for q in queries]
+
+
 class TestPercentIdentity:
     def test_full(self):
         assert percent_identity(arr([1, 2]), arr([1, 2])) == 1.0
@@ -158,6 +166,36 @@ class TestMatrixDistance:
         pairs = np.array([dist(query, row) for row in batch], dtype=np.float64)
         assert got.tobytes() == pairs.tobytes()
 
+    def test_code_outside_the_matrix_raises_one_query(self, dist):
+        """Code 30 of a 24-letter matrix used to alias into ``M[1, 6]``
+        through the flat index."""
+        with pytest.raises(IndexError, match="out of bounds"):
+            dist.batch(arr([0, 0]), arr([[30, 0]]))
+        with pytest.raises(IndexError, match="out of bounds"):
+            dist.batch(arr([30, 0]), arr([[0, 0]]))
+
+    def test_code_outside_the_matrix_raises_stacked(self, dist):
+        with pytest.raises(IndexError, match="out of bounds"):
+            dist.batch(arr([[0, 0], [1, 1]]), arr([[0, 0], [30, 0]]))
+        with pytest.raises(IndexError, match="out of bounds"):
+            dist.batch(arr([[0, 0], [0, 30]]), arr([[0, 0]]))
+
+    def test_code_outside_the_matrix_raises_pair(self, dist):
+        with pytest.raises(IndexError, match="out of bounds"):
+            dist(arr([0, 0]), arr([30, 0]))
+        with pytest.raises(IndexError, match="out of bounds"):
+            dist(arr([0, 24]), arr([0, 0]))
+
+    def test_stack_needs_equal_lengths(self, dist):
+        with pytest.raises(ValueError, match="length mismatch"):
+            dist.batch(arr([[0, 1, 2]]), arr([[0, 1]]))
+        with pytest.raises(ValueError, match="stack"):
+            dist.batch(np.zeros((2, 2, 2), dtype=np.uint8), arr([[0, 1]]))
+
+    def test_scalar_refuses_a_stack(self, dist):
+        with pytest.raises(ValueError, match="batch"):
+            dist(np.zeros((2, 2), dtype=np.uint8), arr([0, 1]))
+
     @given(codes, codes)
     def test_symmetry(self, a, b):
         dist = MatrixDistance(mendel_distance_matrix(BLOSUM62))
@@ -171,6 +209,58 @@ class TestMatrixDistance:
         n = min(len(a), len(b), len(c))
         x, y, z = arr(a[:n]), arr(b[:n]), arr(c[:n])
         assert dist(x, z) <= dist(x, y) + dist(y, z) + 1e-9
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("kind", ["matrix", "hamming"])
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.one_of(st.integers(2, 40), st.just(256)),
+    width=st.integers(1, 40),
+    length=st.one_of(
+        st.sampled_from([1, 32]), st.integers(0, 31).map(lambda x: 2 * x + 1)
+    ),
+    rows=st.one_of(st.integers(0, 2), st.integers(0, 300)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=256, width=40, length=32, rows=300, seed=0)
+@example(size=256, width=33, length=8, rows=1, seed=2)
+@example(size=2, width=1, length=1, rows=0, seed=1)
+def test_stacked_oracle(kind, size, width, length, rows, seed):
+    """A ``(W, L)`` stack against ``(n, L)`` rows, byte for byte: equal to a
+    Python-int sum, to the stack of W one-query ``batch`` results and to the
+    ``W x n`` one-pair calls.  Random integer metrics (letters as points
+    under L1) up to 256 letters, codes 0 and ``size - 1`` always present;
+    few rows against a wide table make the matrix kernel split the stack."""
+    rng = np.random.default_rng([SEED, seed])
+    if kind == "matrix":
+        places = rng.integers(0, int(rng.integers(1, 1000)), (size, 3))
+        matrix = np.abs(places[:, None, :] - places[None, :, :]).sum(axis=-1)
+        dist = MatrixDistance(matrix)
+        table = matrix.tolist()
+    else:
+        dist = HammingDistance()
+        table = [[int(a != b) for b in range(size)] for a in range(size)]
+    queries = rng.integers(0, size, (width, length)).astype(np.uint8)
+    batch = rng.integers(0, size, (rows, length)).astype(np.uint8)
+    queries[0] = size - 1
+    queries[-1, :1] = 0
+    batch[::2, -1:] = size - 1
+    batch[1::2, :1] = 0
+    want = np.array(
+        [[sum(table[a][b] for a, b in zip(query, row)) for row in batch.tolist()]
+         for query in queries.tolist()],
+        dtype=np.float64,
+    ).reshape(width, rows)
+    got = dist.batch(queries, batch)
+    assert got.dtype == np.float64 and got.shape == (width, rows)
+    assert got.tobytes() == want.tobytes()
+    one = np.array([dist.batch(query, batch) for query in queries]).reshape(width, rows)
+    assert got.tobytes() == one.tobytes()
+    pairs = np.array(
+        [[dist(query, row) for row in batch] for query in queries], dtype=np.float64
+    ).reshape(width, rows)
+    assert got.tobytes() == pairs.tobytes()
 
 
 class TestDefaultDistance:

@@ -607,6 +607,80 @@ def test_spilled_node_with_an_undecodable_page():
         assert {b for _, b in hits if not node.verify_blocks([b])[0]} == lost
 
 
+def fill_window_at_a_time(dists, queries, tree):
+    """The RAM reference feeder: each window scored against every stored
+    row by its own one-query call."""
+    for row, query in zip(dists, queries):
+        row[:] = tree.adapter.batch(query, tree.points)
+    return 0, 0
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+@pytest.mark.parametrize("pass_cells", [400, None])
+def test_one_stacked_call_a_block_scores_as_a_call_a_window_does(
+    name, pass_cells, monkeypatch
+):
+    """An all-RAM tree searched with batches of 1 to 40 windows, k and
+    radii, its rows cut into blocks (several with the budget shrunk): one
+    stacked call a block gives the hits and evals of one call a window, and
+    the adapter counts the same distance evaluations."""
+    from repro.vptree import search
+
+    if pass_cells is not None:
+        monkeypatch.setattr(search, "_PASS_CELLS", pass_cells)
+    metric, alphabet, length, radii = METRICS[name]
+    rng = np.random.default_rng([SEED, 13, len(name)])
+    points = family(rng, 600, alphabet, length)
+    queries = probes(rng, points, alphabet, 40)
+    outcomes = []
+    for fill in (search._fill, fill_window_at_a_time):
+        monkeypatch.setattr(search, "_fill", fill)
+        tree = VPTree(points, metric, bucket_capacity=8, rng=SEED)
+        before = tree.adapter.pair_evaluations
+        found = [
+            tree.knn(queries[start:stop], k, max_radius=radius)
+            for start, stop in ((0, 1), (1, 14), (0, 40))
+            for k in (1, 6, 601)
+            for radius in radii
+        ]
+        outcomes.append((found, tree.adapter.pair_evaluations - before))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == 3 * len(radii) * (1 + 13 + 40) * len(points)
+
+
+@pytest.mark.parametrize("letters,length", [(20, 8), (256, 8), (256, 32)])
+def test_a_wide_stack_holds_bounded_memory(letters, length):
+    """2,000 windows against a 60-row node fill their ``(W, N)`` matrix
+    holding, beside it, one block's stacked result, one position's scores
+    and a query profile, each at most ``_PASS_CELLS / 2`` distances (8
+    bytes): 12 x ``_PASS_CELLS`` bytes, plus the index copies ``take``
+    makes.  A 256-letter profile of 32 positions is 64 KiB a window, so
+    the stack is scored in sub-stacks."""
+    import tracemalloc
+
+    from repro.seq.distance import MatrixDistance
+    from repro.vptree import search
+
+    rng = np.random.default_rng([SEED, 14, letters])
+    places = rng.integers(0, 1000, (letters, 3))
+    metric = MatrixDistance(np.abs(places[:, None] - places[None]).sum(axis=-1))
+    points = rng.integers(0, letters, (60, length)).astype(np.uint8)
+    queries = rng.integers(0, letters, (2000, length)).astype(np.uint8)
+    queries[0] = points[:, -1] = letters - 1
+    tree = VPTree(points, metric, bucket_capacity=8, rng=SEED)
+    dists = np.empty((len(queries), len(points)))
+    tracemalloc.start()
+    try:
+        search._fill(dists, queries, tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * search._PASS_CELLS + 16 * 1024, peak
+    assert dists.tobytes() == np.array(
+        [metric.batch(query, points) for query in queries]
+    ).tobytes()
+
+
 def fill_page_at_a_time(dists, queries, tree):
     """The reference feeder: every query scored against each page as it
     arrives, no page joined to another."""

@@ -52,3 +52,29 @@ class TestMetricAdapter:
         q = np.array([0, 1], dtype=np.uint8)
         out = adapter.batch(q, np.array([0, 0], dtype=np.uint8))
         assert out.shape == (1,)
+
+    def test_stack_counts_every_pair(self):
+        metric = MatrixDistance(mendel_distance_matrix(BLOSUM62))
+        adapter = MetricAdapter(metric)
+        queries = np.array([[0, 1, 2], [3, 4, 5], [0, 0, 0]], dtype=np.uint8)
+        rows = np.array([[0, 1, 2], [3, 4, 5]], dtype=np.uint8)
+        out = adapter.batch(queries, rows)
+        assert out.shape == (3, 2)
+        assert adapter.pair_evaluations == 6
+        assert out.tolist() == [metric.batch(q, rows).tolist() for q in queries]
+
+    def test_stack_falls_back_to_pair_loop(self):
+        calls = {"n": 0}
+
+        def plain(a, b):
+            calls["n"] += 1
+            return float(np.count_nonzero(a != b))
+
+        adapter = MetricAdapter(plain)
+        queries = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        rows = np.array([[0, 1], [1, 1], [0, 0]], dtype=np.uint8)
+        out = adapter.batch(queries, rows)
+        assert out.tolist() == [[0.0, 1.0, 1.0], [1.0, 0.0, 2.0]]
+        assert calls["n"] == adapter.pair_evaluations == 6
+        assert adapter.batch(queries, rows[:0]).shape == (2, 0)
+        assert adapter.batch(queries[:0], rows).shape == (0, 3)
