@@ -7,7 +7,7 @@ blocks hashed to it, plus a simple service-time model calibrated by a
 lower speed factor and work takes proportionally longer in simulated time.
 
 The time model charges per *logical distance evaluation* performed by the
-node's vp-tree (counted by the search itself, :mod:`repro.vptree.search`),
+node's search (counted by the search itself, :mod:`repro.vptree.search`),
 so simulated service times track the real algorithmic work done rather than
 a fixed constant — this is what lets the evaluation figures reproduce shape
 without a physical testbed.
@@ -15,6 +15,7 @@ without a physical testbed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -27,6 +28,7 @@ from repro.tier.cache import BlockCache
 from repro.tier.store import NodeTier, TierConfig
 from repro.util.validation import check_positive
 from repro.vptree.dynamic import DynamicVPTree
+from repro.vptree.search import part_search
 
 
 @dataclass
@@ -69,6 +71,25 @@ class SearchCost(NamedTuple):
 
     evals: int
     seconds: float
+
+
+class Searches(list):
+    """One ``(hits, SearchCost)`` per window of a :meth:`StorageNode.local_knn`
+    call, which search served it (``"parts"``/``"vptree"``) and the seconds
+    it paid once for all windows: packing part keys (0.0 on the vp-tree)."""
+
+    path = "vptree"
+    seconds = 0.0
+
+
+def parts_selective(width: int, mismatches: int, letters: int) -> bool:
+    """Whether *width*-residue windows over *letters* letters are served
+    from their ``m + 1`` pigeonhole part keys: a random row equals a window
+    on one at odds of at most 1 in 256 (the crossover with the vp-tree,
+    measured between 7.0 and 10.6 bits whatever the node's size; DESIGN.md)
+    and m > 0 (a radius-0 vp-tree walk is already an exact lookup)."""
+    bits = width // (mismatches + 1) * math.log2(letters) - math.log2(mismatches + 1)
+    return mismatches > 0 and bits >= 8
 
 
 class ReadCost(NamedTuple):
@@ -318,8 +339,10 @@ class StorageNode:
         windows: np.ndarray,
         k: int,
         max_radius: float = float("inf"),
-    ) -> tuple[list[tuple[list, SearchCost]], ReadCost]:
-        """k-NN over the local tree for a ``(W, L)`` batch of query
+        mismatches: int | None = None,
+        letters: int | None = None,
+    ) -> tuple[Searches, ReadCost]:
+        """k-NN over the local rows for a ``(W, L)`` batch of query
         windows — one node-subquery; returns ``(searches, reads)``.
 
         ``searches`` holds one ``(hits, cost)`` per row, in row order:
@@ -330,12 +353,30 @@ class StorageNode:
         to a window.  ``max_radius`` bounds the search ball (the query
         pipeline passes the largest distance its identity filter could
         accept).
+
+        Given the identity filter's bound (at most *mismatches*
+        mismatches, codes over *letters* letters) where
+        :func:`parts_selective` holds, :func:`~repro.vptree.search.part_search`
+        serves the call instead of the vp-tree: the *k* nearest in the ball
+        among the rows equal to the window on one of ``mismatches + 1``
+        parts, as every filter passer is.  A window is charged an evaluation
+        a row scored and ``mismatches + 1`` word comparisons a row; the
+        call, ``L`` residue operations a row to pack the keys.
         """
-        found = self.tree.knn(windows, k, max_radius=max_radius)
-        searches = [
-            (hits, SearchCost(evals, self.service_time(evals)))
+        searches, compare, rows = Searches(), 0.0, len(self.tree)
+        if mismatches is not None and parts_selective(
+            self.tree.segment_length, mismatches, letters
+        ):
+            found = part_search(self.tree, windows, k, max_radius, mismatches + 1)
+            searches.path = "parts"
+            searches.seconds = self.service_time_ops(self.tree.segment_length * rows)
+            compare = self.service_time_ops((mismatches + 1) * rows)
+        else:
+            found = self.tree.knn(windows, k, max_radius=max_radius)
+        searches.extend(
+            (hits, SearchCost(evals, self.service_time(evals) + compare))
             for hits, evals in found
-        ]
+        )
         reads = ReadCost()
         if found.cold_reads:
             # Cold page fetches are charged as device time (seek +

@@ -98,6 +98,13 @@ def evaluate_candidate(
     )
 
 
+def max_mismatches(width: int, identity: float) -> int:
+    """The largest ``x`` with ``(width - x) / width >= identity`` (<= 1), the
+    filter's own comparison: the most mismatches a passer can have (``int((1
+    - identity) * width)`` is 0 at w 10, i 0.9, where 9 matches of 10 pass)."""
+    return next(x for x in range(width, -1, -1) if (width - x) / width >= identity)
+
+
 class Extension(NamedTuple):
     """What one :func:`extend_anchor` call returns: ``(A,)`` arrays, one
     entry per anchor in call order.  Subject positions are in the

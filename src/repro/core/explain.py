@@ -16,7 +16,9 @@ attrition arguments (Figures 6a-6d all hinge on *where candidates die*):
   :meth:`~repro.core.query.QueryStats.funnel` and sim-clock timings from
   the span tree;
 * **stage timings** — the pipeline stages (receive, route, fanout, gapped,
-  reply) that tile the simulated turnaround.
+  reply) that tile the simulated turnaround;
+* **node searches** — which search served each node: its part keys
+  (``parts``) or its vp-tree (``vptree``), so a regression names its path.
 
 The same plan is what the serving gateway's ``EXPLAIN`` verb returns
 (:meth:`QueryPlan.to_dict`) and what ``repro explain`` renders
@@ -89,6 +91,8 @@ class QueryPlan:
     coverage: float = 1.0
     degraded: bool = False
     failed_nodes: list[str] = field(default_factory=list)
+    #: node id -> the search that served it, ``"parts"`` or ``"vptree"``
+    node_searches: dict[str, str] = field(default_factory=dict)
     #: the underlying traced report (alignments, stats, root span)
     report: QueryReport | None = None
 
@@ -132,6 +136,7 @@ class QueryPlan:
             "subqueries_routed": self.subqueries_routed,
             "groups_contacted": list(self.groups_contacted),
             "nodes_fanned_out": list(self.nodes_fanned_out),
+            "node_searches": dict(self.node_searches),
             "routes": [route.to_dict() for route in self.routes],
             "funnel": [item.to_dict() for item in self.funnel],
             "stage_timings": [
@@ -178,6 +183,8 @@ class QueryPlan:
             f"{self.tolerance:.3g})",
             f"  fan-out         : {len(self.nodes_fanned_out)} node(s), "
             f"replication {self.replication}",
+            "  node searches   : " + (" ".join(
+                f"{node}={how}" for node, how in self.node_searches.items()) or "-"),
         ]
         if self.degraded or self.failed_nodes:
             lines.append(
@@ -244,6 +251,7 @@ def build_plan(
     root = report.root_span
     entry_node: str | None = None
     nodes: list[str] = []
+    searches: dict[str, str] = {}
     stage_timings: list[tuple[str, float]] = []
     fanout_ms = gapped_ms = 0.0
     if root is not None:
@@ -259,6 +267,8 @@ def build_plan(
                 node_id = span.name.split(":", 1)[1]
                 if node_id not in nodes:
                     nodes.append(node_id)
+                if "search" in span.attrs:
+                    searches[node_id] = span.attrs["search"]
 
     stage_ms = {stage: fanout_ms for stage, _field in FUNNEL_STAGES}
     stage_ms["gapped_extensions"] = gapped_ms
@@ -283,5 +293,6 @@ def build_plan(
         coverage=report.coverage,
         degraded=report.degraded,
         failed_nodes=list(report.failed_nodes),
+        node_searches=dict(sorted(searches.items())),
         report=report,
     )

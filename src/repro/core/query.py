@@ -45,7 +45,7 @@ from repro.cluster.messages import (
 )
 from repro.cluster.node import StorageNode
 from repro.core.aggregate import merge_anchors
-from repro.core.anchors import evaluate_candidate, extend_anchor
+from repro.core.anchors import evaluate_candidate, extend_anchor, max_mismatches
 from repro.core.blocks import BlockStore
 from repro.core.index import MendelIndex
 from repro.core.params import QueryParams
@@ -139,6 +139,8 @@ class NodeCost:
     io_bytes: int = 0
     io_seconds: float = 0.0
     service_seconds: float = 0.0
+    #: which search served the node: ``"parts"`` or ``"vptree"``
+    search: str = "vptree"
 
 
 @dataclass(frozen=True)
@@ -276,9 +278,13 @@ def node_kernel(
     # window by window, so the float totals do not depend on the batching.
     # Its cold reads are one charge (0.0 on a RAM node: the sum is unmoved).
     codes = np.stack([window.codes for window in windows])
-    searches, reads = node.local_knn(codes, params.n, max_radius=radius)
+    searches, reads = node.local_knn(
+        codes, params.n, radius, max_mismatches(store.segment_length, params.i),
+        store.database.alphabet.canonical_size)
+    cost.search = searches.path
     cost.io_seeks, cost.io_bytes, cost.io_seconds = reads
     cost.service_seconds += reads.seconds
+    cost.service_seconds += searches.seconds
     # Candidates as (position in ``windows``, block), window by window and
     # nearest first within a window.
     lanes, block_ids = [], []
@@ -509,7 +515,7 @@ class _BatchRun:
         )
         span.annotate(evals=cost.evals, candidates=cost.candidates,
                       identity_pass=cost.identity_pass,
-                      cscore_pass=cost.cscore_pass)
+                      cscore_pass=cost.cscore_pass, search=cost.search)
 
     # -- processes ---------------------------------------------------------------
 
@@ -847,20 +853,19 @@ class QueryEngine:
     def search_radius(self, params: QueryParams) -> float:
         """Largest local-tree distance the identity filter could accept.
 
-        With at most ``floor((1 - i) * w)`` mismatching positions in a
+        With at most ``max_mismatches(w, i)`` mismatching positions in a
         window of length ``w``, the segment distance cannot exceed
         ``mismatches * max_per_residue_distance`` — so bounding the NNS at
         that radius is lossless.  ``search_radius_scale`` < 1 tightens it
         into an approximate (faster) search.
         """
-        w = self.index.segment_length
-        max_mismatches = int((1.0 - params.i) * w)
+        mismatches = max_mismatches(self.index.segment_length, params.i)
         metric = self.index.topology.nodes[0].tree.adapter.metric
         per_residue = getattr(metric, "matrix", None)
         if per_residue is None:
-            radius = float(max_mismatches)  # Hamming: distance == mismatches
+            radius = float(mismatches)  # Hamming: distance == mismatches
         else:
-            radius = max_mismatches * float(np.asarray(per_residue).max())
+            radius = mismatches * float(np.asarray(per_residue).max())
         return radius * params.search_radius_scale
 
     def tolerance(self, params: QueryParams) -> float:

@@ -113,6 +113,17 @@ class TestRoutingFacts:
         total = sum(ms for _name, ms in plan.stage_timings)
         assert total == pytest.approx(plan.turnaround_ms, rel=1e-6)
 
+    def test_each_node_names_its_search(self, plan, mendel, planted_probe):
+        """At i = 0.6 a window's pigeonhole parts are 2 residues, too short
+        to tell these nodes' rows apart: every node ran its vp-tree.  At
+        i = 0.8 they are two parts of 4 and every node used part keys."""
+        assert set(plan.node_searches) == set(plan.nodes_fanned_out)
+        assert set(plan.node_searches.values()) == {"vptree"}
+        strict = mendel.explain(planted_probe[0], QueryParams(k=4, n=6, i=0.8))
+        assert set(strict.node_searches.values()) == {"parts"}
+        assert f"{strict.nodes_fanned_out[0]}=parts" in strict.render()
+        assert strict.to_dict()["node_searches"] == strict.node_searches
+
 
 class TestRoutingIsTheRunsOwn:
     def test_explain_costs_one_routing_pass(self):
