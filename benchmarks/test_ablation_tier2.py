@@ -30,10 +30,10 @@ def comparison():
     store = index.store
 
     # Collect the blocks of the busiest group (where skew matters most).
-    per_group: dict[str, list[int]] = {}
-    for block_id, node_id in index.node_of_block.items():
-        per_group.setdefault(node_id.split(".")[0], []).append(block_id)
-    group_id, block_ids = max(per_group.items(), key=lambda kv: len(kv[1]))
+    group_id, placed = max(
+        index.blocks_of_group.items(), key=lambda kv: len(kv[1])
+    )
+    block_ids = sorted(placed)
     node_ids = [f"{group_id}.n{i}" for i in range(4)]
 
     # (a) flat SHA-1 within the group (what Mendel ships).

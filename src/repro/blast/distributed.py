@@ -94,10 +94,6 @@ class DistributedBlast:
         ]
         self.db_residues = database.total_residues
 
-    @property
-    def worker_count(self) -> int:
-        return len(self.engines)
-
     def search(self, query: SequenceRecord) -> DistributedBlastReport:
         """Scatter the query, search every segment, gather and merge.
 

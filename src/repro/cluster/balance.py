@@ -213,17 +213,20 @@ class BalanceReport:
 def audit(index: "MendelIndex") -> BalanceReport:
     """One fresh (uncached) audit of *index*.
 
-    Per-node counts come from primary placements (``index.node_of_block``);
-    tier-1 route mass re-hashes every stored block in one batched descent
-    of the shared prefix tree — still O(blocks) metric evaluations, so
-    callers should prefer :class:`BalanceAuditor` and its version cache.
+    Per-node counts come from primary placements (``index.node_of_block``)
+    and per-group counts from the placement record
+    (``index.blocks_of_group``); tier-1 route mass re-hashes every stored
+    block in one batched descent of the shared prefix tree — still
+    O(blocks) metric evaluations, so callers should prefer
+    :class:`BalanceAuditor` and its version cache.
     """
     per_node = {node.node_id: 0 for node in index.topology.nodes}
-    per_group = {group.group_id: 0 for group in index.topology.groups}
     for node_id in index.node_of_block.values():
         per_node[node_id] = per_node.get(node_id, 0) + 1
-        group_id = node_id.split(".")[0]
-        per_group[group_id] = per_group.get(group_id, 0) + 1
+    per_group = {
+        group.group_id: len(index.blocks_of_group[group.group_id])
+        for group in index.topology.groups
+    }
 
     per_prefix: dict[int, int] = {}
     prefixes, _ = index.prefix_tree.hash_many(

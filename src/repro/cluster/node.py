@@ -490,9 +490,11 @@ class StorageNode:
 
     @property
     def known_block_ids(self) -> list[int]:
-        """Placement records for repair planning: live RAM contents while
-        the node is up; the durable manifest once it has crashed (a dead
-        process answers nothing, but its disk still says what it held)."""
+        """The blocks this node holds: live RAM contents while it is up;
+        the durable manifest once it has crashed (a dead process answers
+        nothing, but its disk still says what it held).  Which blocks are
+        placed on its group is the index's record
+        (``MendelIndex.blocks_of_group``), not the union of these."""
         if self.alive:
             return self.block_ids
         return self.durable.manifest_ids()

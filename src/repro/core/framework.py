@@ -227,7 +227,8 @@ class Mendel:
     def add_node(self, group_id: str):
         """Elastically grow *group_id* by one node (data redistributes
         within the group only); returns the new node."""
-        return self.index.add_node(group_id)
+        change = self.index.expand_group(group_id)
+        return self.index.topology.group(group_id).node(change.target)
 
     def remove_node(self, node_id: str):
         """Safely drain and remove one node (refused if the group would

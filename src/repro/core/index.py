@@ -170,7 +170,13 @@ class MendelIndex:
         self.stats = IndexStats(self.topology, block_count=len(self.store))
 
         # Steps 2+3: dispersion and local indexing (batched per node).
+        # The placement record: each block's primary, and the blocks placed
+        # on each group.  ``_place`` is its one writer; what a group's nodes
+        # happen to hold is theirs, not the record.  A group's set is
+        # replaced, never changed in place, so a reader may keep one as a
+        # snapshot (a query's coverage scope) without copying it.
         self.node_of_block: dict[int, str] = {}
+        self.blocks_of_group: dict[str, frozenset[int]] = {}
         self._disperse(placement)
 
     # -- construction internals ------------------------------------------------
@@ -231,8 +237,9 @@ class MendelIndex:
         held: dict[str, set[int]] | None = None,
     ) -> list[tuple[StorageNode, int, int]]:
         """Store *block_ids* on their replicas within *group* and record each
-        block's primary — the one placement step every build, insert and
-        topology change goes through.
+        block's primary and group — the one placement step every build,
+        load, insert and topology change goes through.  A block placed on
+        another group before leaves that group's set.
 
         A member receives its new blocks in one ``store_blocks`` call, in
         *block_ids* order; a holder that *held* says already has a block is
@@ -240,6 +247,13 @@ class MendelIndex:
         member that received blocks, in group order.
         """
         held = held or {}
+        record = self.blocks_of_group
+        for group_id, placed in list(record.items()):
+            if group_id != group.group_id and not placed.isdisjoint(block_ids):
+                record[group_id] = placed.difference(block_ids)
+        record[group.group_id] = record.get(
+            group.group_id, frozenset()
+        ).union(block_ids)
         per_node: dict[str, list[int]] = {node.node_id: [] for node in group.nodes}
         for block_id in block_ids:
             replicas = group.place_replicas(
@@ -491,19 +505,27 @@ class MendelIndex:
             node.attach_tier(self.tier_cache, self.tier_config)
         return node
 
-    def _replace_group(
-        self, group: StorageGroup, block_ids: list[int] | None = None
-    ) -> None:
-        """Re-place *block_ids* (default: the group's current union) over the
-        group's current membership — the canonical layout every mutation
-        converges to."""
-        if block_ids is None:
-            block_ids = sorted(
-                {bid for member in group.nodes for bid in member.known_block_ids}
-            )
+    def _replace_group(self, group: StorageGroup) -> None:
+        """Re-place the blocks placed on *group* over its current membership
+        — the canonical layout every mutation converges to."""
         for member in group.nodes:
             member.reset_storage()
-        self._place(group, block_ids)
+        self._place(group, sorted(self.blocks_of_group[group.group_id]))
+        self.version += 1
+
+    def refresh_primaries(
+        self, group: StorageGroup, is_alive: Callable[[StorageNode], bool]
+    ) -> None:
+        """Point each block placed on *group* at its first replica that
+        *is_alive* accepts (after repair changed the group's holdings); a
+        block with no such replica keeps its primary."""
+        replication = self.config.replication
+        for block_id in self.blocks_of_group[group.group_id]:
+            holders = group.place_replicas_alive(
+                self.store.block_key(block_id), replication, is_alive
+            )
+            if holders:
+                self.node_of_block[block_id] = holders[0].node_id
 
     def expand_group(
         self, group_id: str, settle: bool = True
@@ -523,49 +545,39 @@ class MendelIndex:
         is unaffected.
         """
         group = self.topology.group(group_id)  # KeyError for unknown groups
-        node = self._new_node(group_id, len(group.nodes))
+        number = len(group.nodes)  # after a removal, a member may hold it
+        while any(m.node_id == f"{group_id}.n{number}" for m in group.nodes):
+            number += 1
+        node = self._new_node(group_id, number)
         held_before = {
             member.node_id: set(member.known_block_ids)
             for member in group.nodes
         }
-        blocks = sorted(
-            set().union(*held_before.values()) if held_before else set()
-        )
+        blocks = sorted(self.blocks_of_group[group_id])
         group.add_node(node)
         streamed = sum(
             count for _, count, _ in self._place(group, blocks, held=held_before)
         )
         self.version += 1
-
-        def _drop_stale() -> None:
-            self._replace_group(group)
-            self.version += 1
-
         change = TopologyChange(
             kind="node_added",
             source=group_id,
             target=node.node_id,
             moved_blocks=streamed,
-            _settle_fn=_drop_stale,
+            _settle_fn=partial(self._replace_group, group),
         )
         if settle:
             change.settle()
         return change
 
-    def add_node(self, group_id: str) -> StorageNode:
-        """Grow *group_id* by one node and settle immediately (the offline
-        convenience wrapper around :meth:`expand_group`)."""
-        change = self.expand_group(group_id)
-        return self.topology.group(group_id).node(change.target)
-
     def remove_node(self, node_id: str) -> StorageNode:
         """Safely drain and remove one node (elastic scale-in).
 
-        The replication factor is never violated: the group's full block
-        set (including what only the leaving node holds) is captured first,
-        membership shrinks, and every block is re-placed over the survivors
-        before the leaving node's storage is released.  Removal is refused
-        when it would leave the group below the replication factor.
+        The replication factor is never violated: membership shrinks and
+        every block placed on the group (including what only the leaving
+        node holds) is re-placed over the survivors before the leaving
+        node's storage is released.  Removal is refused when it would leave
+        the group below the replication factor.
         """
         node = self.node(node_id)  # KeyError for unknown nodes
         group = self.topology.group(node.group_id)
@@ -576,16 +588,12 @@ class MendelIndex:
                 f"factor {self.config.replication}"
             )
         node.flush_durable()  # compact the WAL before the manifest is read
-        blocks = sorted(
-            {bid for member in group.nodes for bid in member.known_block_ids}
-        )
         group.remove_node(node_id)
-        self._replace_group(group, blocks)
+        self._replace_group(group)
         node.reset_storage()
         # Satellite of the scale-in path: the drained node's labelled metric
         # series would otherwise sit in the exposition forever.
         default_registry().purge_labels(node=node_id)
-        self.version += 1
         return node
 
     def split_group(self, group_id: str, settle: bool = True) -> TopologyChange:
@@ -616,9 +624,7 @@ class MendelIndex:
             self.topology.retire_prefix(owned[0], refined, group_id)
             owned = self.topology.prefixes_of(group_id)
 
-        group_blocks = sorted(
-            {bid for member in group.nodes for bid in member.known_block_ids}
-        )
+        group_blocks = sorted(self.blocks_of_group[group_id])
         per_prefix: dict[int, list[int]] = {p: [] for p in owned}
         prefixes, _ = self.prefix_tree.hash_many(
             self.store.codes_matrix(group_blocks)
@@ -651,24 +657,13 @@ class MendelIndex:
         moved = [bid for p in moved_prefixes for bid in per_prefix[p]]
         self._place(new_group, moved)
         self.version += 1
-
-        moved_set = set(moved)
-
-        def _drop_retained() -> None:
-            remaining = sorted(
-                {bid for member in group.nodes for bid in member.known_block_ids}
-                - moved_set
-            )
-            self._replace_group(group, remaining)
-            self.version += 1
-
         change = TopologyChange(
             kind="group_split",
             source=group_id,
             target=new_gid,
             moved_blocks=len(moved),
             refined=refined,
-            _settle_fn=_drop_retained,
+            _settle_fn=partial(self._replace_group, group),
         )
         if settle:
             change.settle()
@@ -692,14 +687,13 @@ class MendelIndex:
         target = self.topology.group(target_id)
         for member in source.nodes:
             member.flush_durable()  # compact WALs before the drain reads them
-        moved = sorted(
-            {bid for member in source.nodes for bid in member.known_block_ids}
-        )
+        moved = sorted(self.blocks_of_group[source_id])
         self.topology.reassign_prefixes(
             self.topology.prefixes_of(source_id), target_id
         )
         self._place(target, moved)
         self.topology.remove_group(source_id)
+        del self.blocks_of_group[source_id]
         self.version += 1
 
         def _drain_source() -> None:

@@ -68,10 +68,6 @@ class QueryParams:
     #: cap on gapped extensions per subject sequence (the bin-level
     #: absorption of section V-B bounds work on noisy bins)
     max_gapped_per_subject: int = 4
-    #: scale on the identity-derived NNS radius bound: 1.0 is lossless (the
-    #: bound equals the largest distance the identity filter could accept);
-    #: < 1.0 trades sensitivity for speed
-    search_radius_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 1:
@@ -103,11 +99,6 @@ class QueryParams:
             raise ValueError(
                 "max_gapped_per_subject must be int >= 1, got "
                 f"{self.max_gapped_per_subject!r}"
-            )
-        if not self.search_radius_scale > 0:
-            raise ValueError(
-                f"search_radius_scale must be positive, got "
-                f"{self.search_radius_scale!r}"
             )
 
     def scoring_matrix(self):

@@ -23,7 +23,10 @@ temporary file and an atomic ``os.replace``, so a crash mid-save leaves any
 previous archive intact; loads verify magic, version, and checksum before a
 single byte is parsed, raising a typed :class:`PersistError` —
 :class:`CorruptArchiveError` for damage, never a confusing decode error
-deep inside ``numpy``.
+deep inside ``numpy``.  A payload that passes the checksum but does not
+decode (an array missing, a header that is not the saved JSON, lengths
+that do not tile the residue codes) is damage too, and is refused before
+any block is placed.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import io
 import json
 import os
 import struct
+import zipfile
 import zlib
 from pathlib import Path
 
@@ -114,44 +118,72 @@ def load_index(path: str | Path) -> MendelIndex:
     inserts.
 
     Raises :class:`CorruptArchiveError` when the container fails its
-    integrity checks, :class:`PersistError` for a missing file or an
-    unsupported format version, and ``ValueError`` — before any block is
-    stored — when the placement does not fit the database, or the saved
-    node list is not the one the config rebuilds (an index saved after a
-    node was added or removed or a group split or merged).
+    integrity checks or its payload does not decode, :class:`PersistError`
+    for a missing file or an unsupported format version, and
+    ``ValueError`` — before any block is stored — when the placement does
+    not fit the database, or the saved node list is not the one the config
+    rebuilds (an index saved after a node was added or removed or a group
+    split or merged).
     """
-    payload = _read_verified(_with_suffix(path))
+    path = _with_suffix(path)
+    payload = _read_verified(path)
+    try:
+        database, config, node_ids, primaries = _decode(payload)
+    except (KeyError, TypeError, ValueError, OSError, EOFError, zlib.error,
+            zipfile.BadZipFile) as exc:
+        raise CorruptArchiveError(
+            f"{path} passed its checksum but does not decode: {exc}"
+        ) from exc
+    return MendelIndex(database, config, placement=(node_ids, primaries))
+
+
+def _decode(
+    payload: bytes,
+) -> tuple[SequenceSet, MendelConfig, list[str], list[int]]:
+    """The database, config, node ids and per-block primaries a verified
+    payload holds; ``KeyError``, ``TypeError`` or ``ValueError`` (or a zip
+    or zlib error) where it does not decode into them."""
     with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
         header = json.loads(bytes(archive["header"]).decode())
-        if header["version"] != FORMAT_VERSION:
-            raise PersistError(
-                f"unsupported index format version {header['version']}"
-            )
-        concat = archive["concat"]
-        lengths = archive["lengths"]
-        placement = archive["placement"]
-
-    alphabet = alphabet_for(header["alphabet"])
-    database = SequenceSet(alphabet=alphabet)
-    offset = 0
-    for seq_id, description, length in zip(
-        header["seq_ids"], header["descriptions"], lengths
-    ):
-        database.add(
-            SequenceRecord(
-                seq_id=seq_id,
-                codes=concat[offset : offset + int(length)].copy(),
-                alphabet=alphabet,
-                description=description,
-            )
+        concat, lengths, placement = (
+            archive[key] for key in ("concat", "lengths", "placement")
         )
-        offset += int(length)
-
-    return MendelIndex(
-        database,
-        MendelConfig(**header["config"]),
-        placement=(header["node_ids"], placement.tolist()),
+    if not isinstance(header, dict):
+        raise TypeError(f"header is a JSON {type(header).__name__}")
+    if header["version"] != FORMAT_VERSION:
+        raise PersistError(f"unsupported index format version {header['version']}")
+    alphabet = alphabet_for(_field(header, "alphabet", str))
+    seq_ids, descriptions, node_ids = (
+        _field(header, key, list) for key in ("seq_ids", "descriptions", "node_ids")
     )
+    if not all(isinstance(text, str) for text in seq_ids + descriptions):
+        raise TypeError("a sequence id or description is not a string")
+    if not (concat.dtype == np.uint8 and lengths.dtype.kind == "i"
+            and placement.dtype.kind == "i"
+            and concat.ndim == lengths.ndim == placement.ndim == 1):
+        raise ValueError("an array is not of the saved type and shape")
+    if (lengths < 0).any() or int(lengths.sum()) != concat.size or not (
+        len(seq_ids) == len(descriptions) == len(lengths)
+    ):
+        raise ValueError("sequence lengths do not tile the residue codes")
+    if concat.size and int(concat.max()) >= alphabet.size:
+        raise ValueError(f"a residue code is outside {alphabet.name}")
+
+    database = SequenceSet(alphabet=alphabet)
+    pieces = np.split(concat, np.cumsum(lengths)[:-1])
+    for seq_id, description, codes in zip(seq_ids, descriptions, pieces):
+        database.add(SequenceRecord(seq_id=seq_id, codes=codes.copy(),
+                                    alphabet=alphabet, description=description))
+    config = MendelConfig(**_field(header, "config", dict))
+    return database, config, node_ids, placement.tolist()
+
+
+def _field(header: dict, key: str, kind: type):
+    """``header[key]``, which must be a *kind*."""
+    value = header[key]
+    if not isinstance(value, kind):
+        raise TypeError(f"header {key!r} is not a {kind.__name__}")
+    return value
 
 
 def _read_verified(path: Path) -> bytes:

@@ -413,8 +413,9 @@ class _QueryState:
     stats: QueryStats = field(default_factory=QueryStats)
     root: "Span | object" = NO_SPAN
     routes: list[WindowRoute] = field(default_factory=list)
-    #: blocks in scope of the routed subqueries / searched by a responder
-    total: set[int] = field(default_factory=set)
+    #: the blocks placed on each routed group (disjoint sets, read as its
+    #: subqueries reach it), and the blocks a responder searched
+    scopes: list[frozenset[int]] = field(default_factory=list)
     covered: set[int] = field(default_factory=set)
     failed: set[str] = field(default_factory=set)
     alignments: list[Alignment] = field(default_factory=list)
@@ -445,6 +446,7 @@ class _BatchRun:
         self.elog = self.monitor.events if self.monitor is not None else None
         self.topo = index.topology
         self.store = index.store
+        self.placed = index.blocks_of_group
         self.matrix = resolve_matrix(params, index.alphabet)
         self.radius = self.engine.search_radius(params)
         self.tolerance = self.engine.tolerance(params)
@@ -655,13 +657,14 @@ class _BatchRun:
 
     def _scope_coverage(self, state: _QueryState, group: StorageGroup,
                         gspan) -> None:
-        """Coverage denominator: every distinct block *group* knows about
-        is in scope for the routed subqueries (a crashed member's durable
-        manifest still counts — its blocks are in scope even though its
-        RAM is gone)."""
+        """Coverage denominator: every block placed on *group* is in scope
+        for the routed subqueries, so a block no live member answers for —
+        its holders crashed, or no copy of it is left — counts against
+        coverage.  (A group merged away after the query routed to it has no
+        placement left; its nodes' retained copies still answer.)"""
+        state.scopes.append(self.placed.get(group.group_id, frozenset()))
         dead_members = []
         for member in group.nodes:
-            state.total.update(member.known_block_ids)
             if not member.alive:
                 state.failed.add(member.node_id)
                 dead_members.append(member.node_id)
@@ -796,8 +799,11 @@ class _BatchRun:
         state.completed_at = now
         stats = state.stats
         stats.turnaround = now - state.arrival
-        if state.total:
-            state.coverage = len(state.covered & state.total) / len(state.total)
+        total = sum(map(len, state.scopes))
+        if total:
+            state.coverage = sum(
+                len(scope & state.covered) for scope in state.scopes
+            ) / total
         trace_id = getattr(state.root, "trace_id", None)
         if self.monitor is not None:
             self.monitor.observe_query(
@@ -856,17 +862,14 @@ class QueryEngine:
         With at most ``max_mismatches(w, i)`` mismatching positions in a
         window of length ``w``, the segment distance cannot exceed
         ``mismatches * max_per_residue_distance`` — so bounding the NNS at
-        that radius is lossless.  ``search_radius_scale`` < 1 tightens it
-        into an approximate (faster) search.
+        that radius is lossless.
         """
         mismatches = max_mismatches(self.index.segment_length, params.i)
         metric = self.index.topology.nodes[0].tree.adapter.metric
         per_residue = getattr(metric, "matrix", None)
         if per_residue is None:
-            radius = float(mismatches)  # Hamming: distance == mismatches
-        else:
-            radius = mismatches * float(np.asarray(per_residue).max())
-        return radius * params.search_radius_scale
+            return float(mismatches)  # Hamming: distance == mismatches
+        return mismatches * float(np.asarray(per_residue).max())
 
     def tolerance(self, params: QueryParams) -> float:
         """Branching tolerance of the tier-1 traversal: ``params.tolerance``,

@@ -1,7 +1,8 @@
 """Re-replication and placement reconciliation.
 
-The invariant this module maintains: **every block a group knows about is
-held by its first ``replication`` alive nodes in preference order** (the
+The invariant this module maintains: **every block placed on a group (the
+index's placement record, ``MendelIndex.blocks_of_group``) is held by its
+first ``replication`` alive nodes in preference order** (the
 group's Dynamo-style preference list, skipping nodes the failure detector
 considers dead).  One sync primitive serves both directions:
 
@@ -14,9 +15,10 @@ considers dead).  One sync primitive serves both directions:
   rejoining node should hold but doesn't (or holds stale) are streamed to
   it, so blocks never stay over- *or* under-replicated.
 
-Blocks whose every holder is dead are *lost* (unreachable, not destroyed):
-they are left where they are and counted, and they come back when a holder
-rejoins.
+Placed blocks that no alive node holds are *lost*: every holder is dead
+(unreachable, not destroyed — they come back when a holder rejoins), or no
+copy is left at all (a replica-1 snapshot or block file that failed its
+checks on replay).  They are counted, never streamed.
 
 Time accounting: the simulated variant (:meth:`ReReplicator.repair_proc`)
 charges per-destination network transfer of the real block bytes plus the
@@ -109,26 +111,17 @@ class ReReplicator:
 
     # -- planning --------------------------------------------------------------
 
-    def group_blocks(self, group: StorageGroup) -> list[int]:
-        """Every block the group knows about (union over member metadata,
-        dead members included — a crashed node's RAM is gone but its durable
-        manifest still records what it held)."""
-        known: set[int] = set()
-        for node in group.nodes:
-            known.update(node.known_block_ids)
-        return sorted(known)
-
     def desired_placement(self, group: StorageGroup) -> dict[str, set[int]]:
-        """Desired per-node block sets: each block on its first
-        ``replication`` alive preference-list nodes."""
+        """Desired per-node block sets: each block placed on *group* on its
+        first ``replication`` alive preference-list nodes."""
         replication = self.index.config.replication
         desired: dict[str, set[int]] = {node.node_id: set() for node in group.nodes}
-        for block_id in self.group_blocks(group):
+        for block_id in self.index.blocks_of_group[group.group_id]:
             key = self.index.store.block_key(block_id)
             holders = group.place_replicas_alive(key, replication, self.is_alive)
             if not holders:
-                # Whole group down (from the detector's view): leave placement
-                # untouched; nothing can move anyway.
+                # Whole group down (from the detector's view): leave each
+                # node's holdings untouched; nothing can move anyway.
                 for node in group.nodes:
                     if block_id in node.known_block_ids:
                         desired[node.node_id].add(block_id)
@@ -142,8 +135,11 @@ class ReReplicator:
 
         Blocks with no alive current holder cannot be streamed: they are
         reported lost and their desired copies are skipped (current copies
-        on dead nodes are kept for the eventual rejoin).
+        on dead nodes are kept for the eventual rejoin).  A copy of a block
+        placed on another group is a split's retained copy, which the split
+        drops when it settles.
         """
+        placed = self.index.blocks_of_group[group.group_id]
         desired = self.desired_placement(group)
         current = {
             node.node_id: set(node.known_block_ids) for node in group.nodes
@@ -168,7 +164,7 @@ class ReReplicator:
                 )
             if not self.is_alive(node) or not node.alive:
                 continue  # cannot reconcile a node we cannot contact
-            for block_id in sorted(current[node_id] - desired[node_id]):
+            for block_id in sorted((current[node_id] & placed) - desired[node_id]):
                 plan.drops.append((block_id, node_id))
         plan.lost = sorted(lost)
         return plan
@@ -177,9 +173,27 @@ class ReReplicator:
 
     def sync_group(self, group: StorageGroup) -> RepairReport:
         """Plan and apply one group's sync immediately (no simulated time);
-        returns the report with an offline makespan estimate."""
+        the report carries an offline makespan estimate (transfer only)."""
         plan = self.plan(group)
-        return self._apply(group, plan, charge=self._estimate_seconds(plan))
+        report = RepairReport(blocks_lost=len(plan.lost))
+        per_dst: dict[str, list[int]] = {}
+        for move in plan.moves:
+            per_dst.setdefault(move.dst, []).append(move.block_id)
+            report.bytes_streamed += self._wire_bytes(move.block_id)
+        for dst_id in sorted(per_dst):
+            block_ids = per_dst[dst_id]
+            group.node(dst_id).store_blocks(
+                self.index.store.codes_matrix(block_ids), block_ids
+            )
+            report.blocks_streamed += len(block_ids)
+        if plan.moves:
+            # 100 MB/s plus a 200 us set-up per block.
+            report.simulated_seconds = (
+                report.bytes_streamed / 1e8 + 200e-6 * len(plan.moves)
+            )
+        self._apply_drops(group, plan, report)
+        self.index.refresh_primaries(group, self.is_alive)
+        return report
 
     def sync_all(self) -> RepairReport:
         """Sync every group; returns the merged report."""
@@ -206,7 +220,7 @@ class ReReplicator:
             node = group.node(dst_id)
             transfer = 0.0
             for move in moves:
-                size = int(self.index.store.codes_of(move.block_id).nbytes) + 72
+                size = self._wire_bytes(move.block_id)
                 transfer += net.transfer(move.src, move.dst, size)
                 report.bytes_streamed += size
             yield transfer
@@ -224,29 +238,8 @@ class ReReplicator:
         if streams:
             yield AllOf(streams)
         self._apply_drops(group, plan, report)
-        self._refresh_primaries(group)
+        self.index.refresh_primaries(group, self.is_alive)
         report.simulated_seconds = sim.now - started
-        return report
-
-    def _apply(
-        self, group: StorageGroup, plan: RepairPlan, charge: float
-    ) -> RepairReport:
-        report = RepairReport(
-            blocks_lost=len(plan.lost), simulated_seconds=charge
-        )
-        per_dst: dict[str, list[int]] = {}
-        for move in plan.moves:
-            per_dst.setdefault(move.dst, []).append(move.block_id)
-            report.bytes_streamed += (
-                int(self.index.store.codes_of(move.block_id).nbytes) + 72
-            )
-        for dst_id in sorted(per_dst):
-            node = group.node(dst_id)
-            block_ids = per_dst[dst_id]
-            node.store_blocks(self.index.store.codes_matrix(block_ids), block_ids)
-            report.blocks_streamed += len(block_ids)
-        self._apply_drops(group, plan, report)
-        self._refresh_primaries(group)
         return report
 
     def _apply_drops(
@@ -264,23 +257,7 @@ class ReReplicator:
             report.blocks_dropped += len(per_node[node_id])
             report.nodes_rebuilt += 1
 
-    def _refresh_primaries(self, group: StorageGroup) -> None:
-        """Refresh the index's primary map after the group's holdings
-        changed."""
-        replication = self.index.config.replication
-        for block_id in self.group_blocks(group):
-            key = self.index.store.block_key(block_id)
-            holders = group.place_replicas_alive(key, replication, self.is_alive)
-            if holders:
-                self.index.node_of_block[block_id] = holders[0].node_id
-
-    def _estimate_seconds(self, plan: RepairPlan) -> float:
-        """Offline repair-time estimate (transfer only) for immediate syncs."""
-        if not plan.moves:
-            return 0.0
-        bandwidth = 1e8
-        total = sum(
-            int(self.index.store.codes_of(move.block_id).nbytes) + 72
-            for move in plan.moves
-        )
-        return total / bandwidth + 200e-6 * len(plan.moves)
+    def _wire_bytes(self, block_id: int) -> int:
+        """Bytes one streamed block puts on the wire: its codes plus a
+        72-byte frame."""
+        return int(self.index.store.codes_of(block_id).nbytes) + 72

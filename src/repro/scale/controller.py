@@ -151,11 +151,10 @@ class AutoScaler:
     def signals(self, now: float) -> ScaleSignals:
         """Build the immutable observation frame for *now*."""
         topology = self.index.topology
-        group_blocks = {g.group_id: 0 for g in topology.groups}
-        for node_id in self.index.node_of_block.values():
-            gid = node_id.split(".", 1)[0]
-            if gid in group_blocks:
-                group_blocks[gid] += 1
+        group_blocks = {
+            g.group_id: len(self.index.blocks_of_group[g.group_id])
+            for g in topology.groups
+        }
         group_sizes = {g.group_id: len(g.nodes) for g in topology.groups}
         unhealthy = frozenset(
             g.group_id

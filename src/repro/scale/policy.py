@@ -56,7 +56,7 @@ class ScaleSignals:
     #: admission queue occupancy (0 / None outside the gateway)
     queue_depth: int = 0
     queue_capacity: int | None = None
-    #: primary blocks owned per group (from ``index.node_of_block``)
+    #: blocks placed on each group (from ``index.blocks_of_group``)
     group_blocks: dict[str, int] = field(default_factory=dict)
     #: member count per group
     group_sizes: dict[str, int] = field(default_factory=dict)

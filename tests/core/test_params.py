@@ -58,8 +58,6 @@ class TestQueryParamsTableI:
             QueryParams(gap_open=0.5, gap_extend=1.0)
         with pytest.raises(ValueError, match="max_gapped_per_subject"):
             QueryParams(max_gapped_per_subject=0)
-        with pytest.raises(ValueError, match="search_radius_scale"):
-            QueryParams(search_radius_scale=0.0)
 
     @pytest.mark.parametrize("gap_open, gap_extend, name", [
         (float("nan"), 1.0, "gap_open"),
@@ -149,7 +147,6 @@ class TestCacheKey:
         assert QueryParams(tolerance=0.5).cache_key() != base
         assert QueryParams(x_drop=30.0).cache_key() != base
         assert QueryParams(max_gapped_per_subject=2).cache_key() != base
-        assert QueryParams(search_radius_scale=0.5).cache_key() != base
 
     def test_covers_every_declared_field(self):
         # A new QueryParams field must show up in the key automatically.

@@ -82,13 +82,6 @@ class TestSearchRadius:
         # i close to 1 on an 8-residue window allows zero mismatches.
         assert mendel.engine.search_radius(QueryParams(i=0.99)) == 0.0
 
-    def test_scale_applies(self, mendel):
-        full = mendel.engine.search_radius(QueryParams(i=0.5))
-        half = mendel.engine.search_radius(
-            QueryParams(i=0.5, search_radius_scale=0.5)
-        )
-        assert half == pytest.approx(full / 2)
-
 
 @pytest.mark.chaos
 class TestNodeKernel:

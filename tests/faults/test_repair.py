@@ -88,7 +88,7 @@ class TestSync:
         report = repairer.sync_group(group)
         assert report.blocks_streamed > 0
         assert report.blocks_lost == 0
-        for block_id in repairer.group_blocks(group):
+        for block_id in mendel.index.blocks_of_group[group.group_id]:
             assert len(alive_holders_of(group, block_id)) == 2
 
     def test_rejoin_reconcile_exact_holders(self):
@@ -101,7 +101,7 @@ class TestSync:
         victim.recover()
         report = repairer.sync_group(group)
         assert report.blocks_dropped > 0  # temporary copies removed
-        for block_id in repairer.group_blocks(group):
+        for block_id in mendel.index.blocks_of_group[group.group_id]:
             assert len(holders_of(group, block_id)) == 2
 
     def test_sync_is_idempotent(self):
@@ -140,7 +140,7 @@ class TestSync:
         canonical = list(node.block_ids)
         own = min(canonical)  # streamed back last, so it would sit last
         extra = next(
-            bid for bid in ReReplicator(mendel.index).group_blocks(group)
+            bid for bid in sorted(mendel.index.blocks_of_group[group.group_id])
             if bid not in canonical
         )
         node.drop_blocks([own], store.codes_matrix)
@@ -149,6 +149,26 @@ class TestSync:
         report = ReReplicator(mendel.index).sync_group(group)
         assert report.blocks_streamed >= 1 and report.blocks_dropped >= 1
         assert node.block_ids == canonical == sorted(canonical)
+
+    def test_a_split_keeps_its_retained_copies_until_it_settles(self):
+        """Repair reconciles a group to the blocks placed on it; the copies
+        an unsettled split keeps of the blocks it moved away are the
+        split's to drop, so in-flight queries still find them."""
+        mendel = build()
+        index = mendel.index
+        change = index.split_group("g00", settle=False)
+        source = index.topology.group("g00")
+        assert change.moved_blocks
+
+        def held():
+            return set().union(*(node.block_ids for node in source.nodes))
+
+        before = held()
+        assert before > index.blocks_of_group["g00"]
+        report = ReReplicator(index).sync_group(source)
+        assert report.blocks_dropped == 0 and held() == before
+        change.settle()
+        assert held() == index.blocks_of_group["g00"]
 
     def test_simulated_repair_matches_immediate_plan(self):
         charged = build()
@@ -179,8 +199,7 @@ class TestIndexEntryPoints:
         version = mendel.index_version
         mendel.fail_node(victim_id, rereplicate=True)
         group = mendel.index.topology.groups[0]
-        repairer = ReReplicator(mendel.index)
-        for block_id in repairer.group_blocks(group):
+        for block_id in mendel.index.blocks_of_group[group.group_id]:
             assert len(alive_holders_of(group, block_id)) == 2
         assert mendel.index_version > version
 
@@ -190,8 +209,7 @@ class TestIndexEntryPoints:
         mendel.fail_node(victim_id, rereplicate=True)
         mendel.recover_node(victim_id)
         group = mendel.index.topology.groups[0]
-        repairer = ReReplicator(mendel.index)
-        for block_id in repairer.group_blocks(group):
+        for block_id in mendel.index.blocks_of_group[group.group_id]:
             assert len(holders_of(group, block_id)) == 2
 
     def test_repair_all_groups(self):
@@ -201,6 +219,5 @@ class TestIndexEntryPoints:
         report = mendel.repair()
         assert report.blocks_streamed > 0
         for group in mendel.index.topology.groups:
-            repairer = ReReplicator(mendel.index)
-            for block_id in repairer.group_blocks(group):
+            for block_id in mendel.index.blocks_of_group[group.group_id]:
                 assert len(alive_holders_of(group, block_id)) == 2

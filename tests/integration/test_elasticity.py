@@ -59,6 +59,18 @@ class TestAddNode:
             assert primary in {n.node_id for n in group.nodes}
             assert block_id in group.node(primary).block_ids
 
+    def test_growth_after_a_removal_takes_a_free_id(self, deployment):
+        """With g00.n0 removed, the group's size names g00.n1 — a member:
+        the new node takes the next id no member holds."""
+        mendel, _ = deployment
+        mendel.add_node("g00")
+        mendel.remove_node("g00.n0")
+        node = mendel.add_node("g00")
+        assert node.node_id == "g00.n3"
+        assert [n.node_id for n in mendel.index.topology.group("g00").nodes] == [
+            "g00.n1", "g00.n2", "g00.n3"
+        ]
+
     def test_unknown_group_rejected(self, deployment):
         mendel, _ = deployment
         with pytest.raises(KeyError):

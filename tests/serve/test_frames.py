@@ -88,6 +88,10 @@ OTHER_FRAMES = {
     ("query", "params", "NaN gap cost"): {
         "op": "query", **REQUIRED["query"], "params": {"gap_open": float("nan")},
     },
+    ("query", "params", "radius scale"): {
+        "op": "query", **REQUIRED["query"],
+        "params": {"search_radius_scale": 0.5},
+    },
 }
 
 #: (op, field, kind) -> the invalid_request message, byte for byte
@@ -147,6 +151,8 @@ MESSAGES = {
         "bad query params: gap_open must be positive, got 0",
     ("query", "params", "NaN gap cost"):
         "bad query params: gap_open must be positive, got nan",
+    ("query", "params", "radius scale"):
+        "unknown query params: search_radius_scale",
     ("query", "seq", "array"): "query needs a non-empty string 'seq'",
     ("query", "seq", "bool"): "query needs a non-empty string 'seq'",
     ("query", "seq", "float"): "query needs a non-empty string 'seq'",
@@ -277,6 +283,12 @@ class TestMalformedFrames:
         the frame answers ``invalid_request`` instead of running the query
         up to ``banded_extend`` and answering ``internal``."""
         frame = OTHER_FRAMES[("query", "params", case)]
+        assert_rejected_then_healthy(server, json.dumps(frame).encode())
+
+    def test_radius_scale_is_no_longer_a_param(self, server):
+        """The lossless radius has no scale: the old field is an unknown
+        param, rejected before the engine."""
+        frame = OTHER_FRAMES[("query", "params", "radius scale")]
         assert_rejected_then_healthy(server, json.dumps(frame).encode())
 
     @seed(SEED)
