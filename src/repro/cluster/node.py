@@ -92,6 +92,16 @@ def parts_selective(width: int, mismatches: int, letters: int) -> bool:
     return mismatches > 0 and bits >= 8
 
 
+def _held(block_ids: np.ndarray) -> np.ndarray:
+    """*block_ids* (sorted, distinct) as a read-only int64 array."""
+    held = np.asarray(block_ids, dtype=np.int64)
+    held.setflags(write=False)
+    return held
+
+
+_NONE_HELD = _held(np.empty(0, dtype=np.int64))
+
+
 class ReadCost(NamedTuple):
     """The cold tier reads one :meth:`StorageNode.local_knn` call paid for
     — pages its distance pass had to take from the device, their compressed
@@ -161,6 +171,10 @@ class StorageNode:
         )
         #: block ids stored locally, in insertion order
         self.block_ids: list[int] = []
+        #: the same ids, sorted and read-only: replaced (never changed in
+        #: place) on every change of holdings, so a reader may key a cache
+        #: on its identity
+        self.held: np.ndarray = _NONE_HELD
         #: the node's local block device and the durable medium on it that
         #: holds its acknowledged blocks — snapshot + WAL, or the block file
         #: while spilled; survives :meth:`fail`, which only kills the in-RAM
@@ -216,6 +230,7 @@ class StorageNode:
         self.tree.insert_batch(codes, payloads=block_ids)
         evals = self.tree.adapter.pair_evaluations - before
         self.block_ids.extend(block_ids)
+        self.held = _held(np.union1d(self.held, block_ids))
         self.stats.blocks_stored += len(block_ids)
         self._journal(block_ids, codes)
         if self._tier_attach is not None and self.alive:
@@ -423,6 +438,7 @@ class StorageNode:
             rng=0,
         )
         self.block_ids = []
+        self.held = _NONE_HELD
 
     def fail(self) -> None:
         """Crash-stop the node: the process (and with it every in-RAM
@@ -460,6 +476,7 @@ class StorageNode:
         if rep.block_ids:
             self.tree.insert_batch(rep.codes, payloads=rep.block_ids)
             self.block_ids = list(rep.block_ids)
+            self.held = _held(np.unique(self.block_ids))
         if isinstance(self.durable, NodeTier):
             self._empty_wal()
             self._journal(rep.block_ids, rep.codes)

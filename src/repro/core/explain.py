@@ -5,11 +5,13 @@
 a :class:`QueryPlan` — the introspection surface behind the paper's
 attrition arguments (Figures 6a-6d all hinge on *where candidates die*):
 
-* **routing** — the subquery windows, the tier-1 vp-prefix routes each
-  window takes (including tolerance-induced replication branches), and the
-  groups/nodes the query fanned out to.  A route's prefixes are the
-  prefix-tree vertices where its walk stopped: a frontier prefix, or an
-  ancestor whose frontier prefixes one group owns;
+* **routing** — the subquery windows, the tier-1 route each window takes,
+  and the groups/nodes the query fanned out to.  A route's ``path`` says
+  what decided it: the part-key directory (``parts``: the groups placing a
+  block equal to the window on a pigeonhole part), or the vp-prefix walk
+  (``walk``, including tolerance-induced replication branches), whose
+  prefixes are the prefix-tree vertices where it stopped: a frontier
+  prefix, or an ancestor whose frontier prefixes one group owns;
 * **funnel** — the per-stage candidate attrition (k-NN candidates ->
   percent-identity filter -> c-score filter -> extension -> merged anchors
   -> gapped extensions -> reported alignments), with counts from
@@ -178,9 +180,10 @@ class QueryPlan:
             f"  windows         : {self.windows} x {self.window_length} "
             f"residues, stride {self.stride}",
             f"  tier-1 routing  : {self.subqueries_routed} subqueries -> "
-            f"{len(self.groups_contacted)} group(s) "
-            f"({self.replicated_windows} window(s) branched by tolerance "
-            f"{self.tolerance:.3g})",
+            f"{len(self.groups_contacted)} group(s) ({self.replicated_windows} "
+            + ("window(s) to >1 group by part keys)"
+               if any(route.path == "parts" for route in self.routes)
+               else f"window(s) branched by tolerance {self.tolerance:.3g})"),
             f"  fan-out         : {len(self.nodes_fanned_out)} node(s), "
             f"replication {self.replication}",
             "  node searches   : " + (" ".join(

@@ -24,6 +24,7 @@ from repro.cluster.group import StorageGroup
 from repro.cluster.node import StorageNode
 from repro.cluster.topology import ClusterSpec, ClusterTopology
 from repro.core.blocks import BlockStore
+from repro.core.directory import PartDirectory
 from repro.core.params import MendelConfig
 from repro.obs.metrics import default_registry
 from repro.seq.distance import default_distance
@@ -177,6 +178,8 @@ class MendelIndex:
         # snapshot (a query's coverage scope) without copying it.
         self.node_of_block: dict[int, str] = {}
         self.blocks_of_group: dict[str, frozenset[int]] = {}
+        #: tier-1 routing by part keys, derived from the record
+        self.part_directory = PartDirectory(self.store, self.blocks_of_group)
         self._disperse(placement)
 
     # -- construction internals ------------------------------------------------
@@ -235,6 +238,7 @@ class MendelIndex:
         group: StorageGroup,
         block_ids: Sequence[int],
         held: dict[str, set[int]] | None = None,
+        sources: frozenset[int] | None = None,
     ) -> list[tuple[StorageNode, int, int]]:
         """Store *block_ids* on their replicas within *group* and record each
         block's primary and group — the one placement step every build,
@@ -243,23 +247,30 @@ class MendelIndex:
 
         A member receives its new blocks in one ``store_blocks`` call, in
         *block_ids* order; a holder that *held* says already has a block is
-        skipped.  Returns ``(node, blocks stored, insert evals)`` for every
-        member that received blocks, in group order.
+        skipped.  A topology change moves blocks nodes hold, so it passes
+        the blocks a node can stream them from as *sources*: a block outside
+        them is recorded but stored nowhere, and repair counts it lost (a
+        build, load or insert stores new input and passes none).  Returns
+        ``(node, blocks stored, insert evals)`` for every member that
+        received blocks, in group order.
         """
         held = held or {}
         record = self.blocks_of_group
         for group_id, placed in list(record.items()):
             if group_id != group.group_id and not placed.isdisjoint(block_ids):
                 record[group_id] = placed.difference(block_ids)
-        record[group.group_id] = record.get(
-            group.group_id, frozenset()
-        ).union(block_ids)
+        if block_ids or group.group_id not in record:
+            record[group.group_id] = record.get(
+                group.group_id, frozenset()
+            ).union(block_ids)
         per_node: dict[str, list[int]] = {node.node_id: [] for node in group.nodes}
         for block_id in block_ids:
             replicas = group.place_replicas(
                 self.store.block_key(block_id), self.config.replication
             )
             self.node_of_block[block_id] = replicas[0].node_id
+            if sources is not None and block_id not in sources:
+                continue
             for replica in replicas:
                 if block_id not in held.get(replica.node_id, ()):
                     per_node[replica.node_id].append(block_id)
@@ -270,6 +281,12 @@ class MendelIndex:
                 evals = member.store_blocks(self.store.codes_matrix(ids), ids)
                 stored.append((member, len(ids), evals))
         return stored
+
+    @staticmethod
+    def _held_by(nodes: Sequence[StorageNode]) -> frozenset[int]:
+        """The blocks *nodes* hold (a crashed node's durable manifest): all
+        a topology change can stream."""
+        return frozenset().union(*(node.known_block_ids for node in nodes))
 
     # -- convenience ----------------------------------------------------------------
 
@@ -505,12 +522,20 @@ class MendelIndex:
             node.attach_tier(self.tier_cache, self.tier_config)
         return node
 
-    def _replace_group(self, group: StorageGroup) -> None:
+    def _replace_group(
+        self, group: StorageGroup, sources: frozenset[int] | None = None
+    ) -> None:
         """Re-place the blocks placed on *group* over its current membership
-        — the canonical layout every mutation converges to."""
+        — the canonical layout every mutation converges to — from the
+        copies its members hold (or *sources*); a block none holds stays
+        lost."""
+        if sources is None:
+            sources = self._held_by(group.nodes)
         for member in group.nodes:
             member.reset_storage()
-        self._place(group, sorted(self.blocks_of_group[group.group_id]))
+        self._place(
+            group, sorted(self.blocks_of_group[group.group_id]), sources=sources
+        )
         self.version += 1
 
     def refresh_primaries(
@@ -556,7 +581,10 @@ class MendelIndex:
         blocks = sorted(self.blocks_of_group[group_id])
         group.add_node(node)
         streamed = sum(
-            count for _, count, _ in self._place(group, blocks, held=held_before)
+            count for _, count, _ in self._place(
+                group, blocks, held=held_before,
+                sources=frozenset().union(*held_before.values()),
+            )
         )
         self.version += 1
         change = TopologyChange(
@@ -588,8 +616,9 @@ class MendelIndex:
                 f"factor {self.config.replication}"
             )
         node.flush_durable()  # compact the WAL before the manifest is read
+        sources = self._held_by(group.nodes)
         group.remove_node(node_id)
-        self._replace_group(group)
+        self._replace_group(group, sources)
         node.reset_storage()
         # Satellite of the scale-in path: the drained node's labelled metric
         # series would otherwise sit in the exposition forever.
@@ -655,7 +684,7 @@ class MendelIndex:
         self.topology.add_group(new_group)
         self.topology.reassign_prefixes(moved_prefixes, new_gid)
         moved = [bid for p in moved_prefixes for bid in per_prefix[p]]
-        self._place(new_group, moved)
+        self._place(new_group, moved, sources=self._held_by(group.nodes))
         self.version += 1
         change = TopologyChange(
             kind="group_split",
@@ -691,7 +720,7 @@ class MendelIndex:
         self.topology.reassign_prefixes(
             self.topology.prefixes_of(source_id), target_id
         )
-        self._place(target, moved)
+        self._place(target, moved, sources=self._held_by(source.nodes))
         self.topology.remove_group(source_id)
         del self.blocks_of_group[source_id]
         self.version += 1

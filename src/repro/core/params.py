@@ -56,9 +56,10 @@ class QueryParams:
 
     # -- engine tuning the paper leaves implicit (documented extensions) -----
     #: vp-prefix traversal branching tolerance (metric units); 0 = never
-    #: replicate, ``None`` = auto: half the identity-derived search radius,
-    #: so low-identity searches replicate widely and read-mapping searches
-    #: route point-to-point
+    #: replicate, ``None`` = auto: half the identity-derived search radius.
+    #: Read only where the walk routes (homologs, and m = 0): where nodes
+    #: serve windows from their pigeonhole part keys, tier 1 routes by the
+    #: part-key directory and ignores it
     tolerance: float | None = None
     #: X-drop for ungapped/gapped extensions
     x_drop: float = 25.0

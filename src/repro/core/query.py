@@ -9,7 +9,10 @@ The pipeline, executed as discrete-event processes so the reported
    intervals of ``k`` (subquery normalisation with reduced amplification);
 3. each window is hashed through the vp-prefix tree *with branching
    tolerance*; every group the traversal reaches becomes a **group entry
-   point** for that window;
+   point** for that window (where nodes serve windows from their
+   pigeonhole part keys, the part-key directory names the groups instead:
+   those placing a block equal to the window on a part,
+   :mod:`repro.core.directory`);
 4. each group broadcasts its windows to all member nodes (tier-2 placement
    is flat, so every node may hold relevant blocks); nodes run local
    vp-tree k-NN, filter candidates by percent identity and c-score, and
@@ -43,7 +46,7 @@ from repro.cluster.messages import (
     QueryResult,
     SubQuery,
 )
-from repro.cluster.node import StorageNode
+from repro.cluster.node import StorageNode, parts_selective
 from repro.core.aggregate import merge_anchors
 from repro.core.anchors import evaluate_candidate, extend_anchor, max_mismatches
 from repro.core.blocks import BlockStore
@@ -150,10 +153,16 @@ class WindowRoute:
     window: int
     query_start: int
     #: prefix-tree vertices where the tolerance traversal stopped: frontier
-    #: prefixes, or ancestors whose frontier prefixes one group owns
+    #: prefixes, or ancestors whose frontier prefixes one group owns (empty
+    #: on the part-key path)
     prefixes: tuple[int, ...]
-    #: distinct groups those prefixes map to, in first-reached order
+    #: the groups the window went to: on the walk, those its prefixes map
+    #: to in first-reached order; on the part-key path, those holding a part
+    #: match, in topology order
     groups: tuple[str, ...]
+    #: which routing decided it: ``"parts"`` (the part-key directory) or
+    #: ``"walk"`` (the vp-prefix walk with branching tolerance)
+    path: str
 
     @property
     def replicated(self) -> bool:
@@ -167,6 +176,7 @@ class WindowRoute:
             "prefixes": list(self.prefixes),
             "groups": list(self.groups),
             "replicated": self.replicated,
+            "path": self.path,
         }
 
 
@@ -413,10 +423,10 @@ class _QueryState:
     stats: QueryStats = field(default_factory=QueryStats)
     root: "Span | object" = NO_SPAN
     routes: list[WindowRoute] = field(default_factory=list)
-    #: the blocks placed on each routed group (disjoint sets, read as its
-    #: subqueries reach it), and the blocks a responder searched
-    scopes: list[frozenset[int]] = field(default_factory=list)
-    covered: set[int] = field(default_factory=set)
+    #: blocks placed on the routed groups (read as a group's subqueries
+    #: reach it), and those of them a responding member of the group holds
+    placed: int = 0
+    covered: int = 0
     failed: set[str] = field(default_factory=set)
     alignments: list[Alignment] = field(default_factory=list)
     completed_at: float | None = None
@@ -450,6 +460,13 @@ class _BatchRun:
         self.matrix = resolve_matrix(params, index.alphabet)
         self.radius = self.engine.search_radius(params)
         self.tolerance = self.engine.tolerance(params)
+        # Where nodes serve windows from their m + 1 part keys, so does
+        # tier 1 (0: the vp-prefix walk routes).
+        width = index.segment_length
+        mismatches = max_mismatches(width, params.i)
+        self.parts = mismatches + 1 if parts_selective(
+            width, mismatches, index.alphabet.canonical_size) else 0
+        self.directory = index.part_directory
         nodes = self.topo.nodes
         self.entry = next((n for n in nodes if n.alive), nodes[0])
         # CPU locks are created on demand: the autoscaler can add nodes
@@ -625,7 +642,7 @@ class _BatchRun:
             entry.node_id, coordinator.node_id,
             self._subquery_bytes(entry.node_id, coordinator.node_id, windows),
         )
-        self._scope_coverage(state, group, gspan)
+        scope = self._scope_coverage(state, group, gspan)
         fanout = [node for node in group.nodes if node.alive]
         node_events = [
             sim.spawn(self.guarded_node(state, node, coordinator, windows,
@@ -638,7 +655,8 @@ class _BatchRun:
             gspan.finish(sim_now=sim.now)
             return []  # whole group down: no anchors from here
         per_node = yield AllOf(node_events)
-        collected = self._collect(state, group, fanout, per_node, gspan)
+        collected = self._collect(state, group, fanout, per_node, scope,
+                                  gspan)
         aspan = gspan.child("group_aggregate", sim_now=sim.now,
                             actor=group.group_id)
         merged = merge_anchors(collected)
@@ -656,13 +674,15 @@ class _BatchRun:
         return merged
 
     def _scope_coverage(self, state: _QueryState, group: StorageGroup,
-                        gspan) -> None:
+                        gspan) -> frozenset[int]:
         """Coverage denominator: every block placed on *group* is in scope
         for the routed subqueries, so a block no live member answers for —
         its holders crashed, or no copy of it is left — counts against
         coverage.  (A group merged away after the query routed to it has no
-        placement left; its nodes' retained copies still answer.)"""
-        state.scopes.append(self.placed.get(group.group_id, frozenset()))
+        placement left; its nodes' retained copies still answer.)  Returns
+        the scope."""
+        scope = self.placed.get(group.group_id, frozenset())
+        state.placed += len(scope)
         dead_members = []
         for member in group.nodes:
             if not member.alive:
@@ -670,21 +690,25 @@ class _BatchRun:
                 dead_members.append(member.node_id)
         if dead_members:
             gspan.annotate(dead_nodes=",".join(sorted(dead_members)))
+        return scope
 
     def _collect(self, state: _QueryState, group: StorageGroup,
                  fanout: list[StorageNode], per_node: list,
-                 gspan) -> list[Anchor]:
-        """Anchors of the nodes that answered (their blocks count as
-        covered); the ones that did not are recorded and reported."""
+                 scope: frozenset[int], gspan) -> list[Anchor]:
+        """Anchors of the nodes that answered (the blocks of *scope* they
+        hold count as covered); the ones that did not are recorded and
+        reported."""
         collected: list[Anchor] = []
         failed_here = []
+        held = []
         for node, result in zip(fanout, per_node):
             if isinstance(result, _NodeFailure):
                 state.failed.add(node.node_id)
                 failed_here.append(node.node_id)
             else:
                 collected.extend(result)
-                state.covered.update(node.block_ids)
+                held.append(node.held)
+        state.covered += self.engine.covered(group.group_id, scope, held)
         if failed_here:
             gspan.annotate(failed_nodes=",".join(sorted(failed_here)))
             if self.elog is not None:
@@ -742,33 +766,49 @@ class _BatchRun:
         self._complete(state)
 
     def _route(self, state: _QueryState):
-        """Window the query and route each window through the vp-prefix
-        tree with branching tolerance, once: the decision is recorded in
-        ``state.routes`` and its evaluations are charged from the routing
-        call's own count.  Returns ``{group id: (group, windows routed to
-        it)}``."""
+        """Window the query and route every window once; the decision is
+        recorded in ``state.routes``.  Where nodes serve windows from their
+        part keys (``self.parts``), a window goes to the groups whose placed
+        blocks equal it on a part — one lookup in the index's part-key
+        directory, charged ``parts`` key lookups a window.  Elsewhere the
+        vp-prefix walk with branching tolerance routes it, charged the
+        walk's own evaluation count.  Returns ``{group id: (group, windows
+        routed to it)}``."""
         entry, stats = self.entry, state.stats
         span = state.root.child("route", sim_now=self.sim.now,
                                 actor=entry.node_id)
         windows = self.engine.windows_for(state.query, self.params)
         stats.windows = len(windows)
+        evals = lookups = 0
+        if self.parts:
+            groups = self.topo.groups
+            hit = self.directory.route(
+                np.stack([window.codes for window in windows]), self.parts,
+                [group.group_id for group in groups])
+            decided = [((), [groups[at] for at in np.flatnonzero(row)])
+                       for row in hit]
+            lookups = self.parts * len(windows)
+        else:
+            decided = []
+            for window in windows:
+                route = self.topo.route(window.codes, self.tolerance)
+                evals += route.evals
+                decided.append((route.prefixes, route.groups))
+        path = "parts" if self.parts else "walk"
         routing: dict[str, tuple[StorageGroup, list[_Window]]] = {}
-        hash_evals = 0
-        for window in windows:
-            route = self.topo.route(window.codes, self.tolerance)
-            hash_evals += route.evals
-            for group in route.groups:
+        for window, (prefixes, groups) in zip(windows, decided):
+            for group in groups:
                 routing.setdefault(group.group_id, (group, []))[1].append(window)
             state.routes.append(WindowRoute(
-                window.index, window.query_start, route.prefixes,
-                tuple(group.group_id for group in route.groups),
+                window.index, window.query_start, prefixes,
+                tuple(group.group_id for group in groups), path,
             ))
         for group_id, (_, routed) in routing.items():
             stats.subqueries_routed += len(routed)
             self.m_routed.labels(group=group_id).inc(len(routed))
         self.publish(stats, "route", _SYSTEM_SITE, {},
-                     distance_evals=hash_evals)
-        yield entry.service_time(hash_evals)
+                     distance_evals=evals, key_lookups=lookups)
+        yield entry.service_time(evals + lookups)
         stats.groups_contacted = len(routing)
         span.annotate(windows=len(windows), groups=len(routing),
                       subqueries=stats.subqueries_routed)
@@ -799,11 +839,8 @@ class _BatchRun:
         state.completed_at = now
         stats = state.stats
         stats.turnaround = now - state.arrival
-        total = sum(map(len, state.scopes))
-        if total:
-            state.coverage = sum(
-                len(scope & state.covered) for scope in state.scopes
-            ) / total
+        if state.placed:
+            state.coverage = state.covered / state.placed
         trace_id = getattr(state.root, "trace_id", None)
         if self.monitor is not None:
             self.monitor.observe_query(
@@ -846,6 +883,8 @@ class QueryEngine:
         self.index = index
         self._ka_cache: dict[str, KarlinAltschulParams] = {}
         self._background = index.database.residue_frequencies()
+        #: group id -> ((scope, responders' held ids), blocks covered)
+        self._covered: dict[str, tuple[tuple, int]] = {}
 
     # -- statistics --------------------------------------------------------
 
@@ -872,11 +911,30 @@ class QueryEngine:
         return mismatches * float(np.asarray(per_residue).max())
 
     def tolerance(self, params: QueryParams) -> float:
-        """Branching tolerance of the tier-1 traversal: ``params.tolerance``,
-        or by default half the search radius."""
+        """Branching tolerance of the tier-1 vp-prefix walk:
+        ``params.tolerance``, or by default half the search radius.  Read
+        only where the walk routes: where nodes serve windows from their
+        part keys, the part-key directory routes and no tolerance applies.
+        """
         if params.tolerance is not None:
             return params.tolerance
         return 0.5 * self.search_radius(params)
+
+    def covered(self, group_id: str, scope: frozenset[int],
+                held: list[np.ndarray]) -> int:
+        """How many blocks of *scope* one of the *held* id arrays holds.
+        The placement record's sets and ``StorageNode.held`` are immutable
+        and replaced on change, so the count is cached per group by their
+        identity."""
+        key = (scope, *held)
+        cached = self._covered.get(group_id)
+        if cached is None or len(cached[0]) != len(key) or any(
+            mine is not theirs for mine, theirs in zip(cached[0], key)
+        ):
+            ids = np.fromiter(scope, dtype=np.int64, count=len(scope))
+            count = int(np.isin(ids, np.concatenate(held)).sum()) if held else 0
+            cached = self._covered[group_id] = (key, count)
+        return cached[1]
 
     # -- window construction ----------------------------------------------------
 

@@ -17,8 +17,8 @@ questions those layers cannot:
   tracing-overhead budget stays checkable.
 
 * **Which code paths paid which simulated costs?**  :class:`CostProfiler`
-  charges the sim-mode resource counters (distance evals, residues
-  compared, blocks scanned, cold-read bytes/seeks, tier-cache hits and
+  charges the sim-mode resource counters (distance evals, part-key
+  lookups, residues compared, blocks scanned, cold-read bytes/seeks, tier-cache hits and
   misses, and the attrition-funnel counts) to ``(stage, code-site)``
   pairs.  Charging happens in simulated event order, so a cost profile
   for a seeded run **replays byte-identically** (:meth:`CostProfiler.
@@ -43,6 +43,7 @@ from typing import Any, Iterable
 #: so profiles from different runs stay field-compatible)
 COST_COUNTERS: tuple[str, ...] = (
     "distance_evals",
+    "key_lookups",
     "residues_compared",
     "blocks_scanned",
     "cold_read_bytes",

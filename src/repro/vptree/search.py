@@ -603,21 +603,17 @@ def _score(tree: "VPTree", queries: np.ndarray, k: int, max_radius: float,
     return lane[keep], row[keep], found[keep]
 
 
-class _PartKeys:
-    """A window batch's pigeonhole part keys, and the test of a block of
-    rows against them.  A row's key is one ``take`` of its codes laying
-    every part out as whole 8-byte words, a part padded with copies of its
-    first position, so a part's words are equal iff the part is.  Each
-    row's first word of every part is looked up in a bitmap of the
-    windows' (passing a superset of the rows that can match), and only the
-    rows it passes are compared word by word with the windows."""
+class PartLayout:
+    """The ``parts`` pigeonhole parts of *width*-residue codes
+    (``np.array_split(range(width), parts)``) as part keys — the one
+    definition the node's keyed pass and the system entry's part-key
+    directory share.  A row's key is one ``take`` of its codes laying every
+    part out as whole 8-byte words, a part padded with copies of its first
+    position, so a part's words are equal iff the part is."""
 
-    #: bits of the first-word bitmap (a chance hit costs a compare)
-    HASH_BITS = 16
-
-    def __init__(self, queries: np.ndarray, parts: int) -> None:
+    def __init__(self, width: int, parts: int) -> None:
         # The parts of ``np.array_split``: the first ``extra`` one longer.
-        size, extra = divmod(queries.shape[1], parts)
+        size, extra = divmod(width, parts)
         ends = [part * size + min(part, extra) for part in range(parts + 1)]
         layout: list[int] = []
         #: each part's ``(first, stop)`` words
@@ -628,14 +624,38 @@ class _PartKeys:
             layout += [*range(start, stop)] + [start] * (8 * count - stop + start)
         #: the code positions of the words
         self.layout = np.array(layout, dtype=np.intp)
-        self.windows = self.pack(queries)
-        self.firsts = [first for first, _stop in self.words]
-        self.seen = np.zeros(1 << self.HASH_BITS, dtype=bool)
-        self.seen[self.slot(self.windows[:, self.firsts])] = True
 
     def pack(self, codes: np.ndarray) -> np.ndarray:
         """``(n, words)`` part keys of ``(n, L)`` codes."""
         return codes.take(self.layout, axis=1).view(np.uint64)
+
+    def keys(self, codes: np.ndarray) -> list[np.ndarray]:
+        """Each part's keys of ``(n, L)`` codes, one sortable scalar a row:
+        the part's word, or its words as one byte string."""
+        packed = self.pack(codes)
+        return [
+            packed[:, first] if stop == first + 1
+            else np.ascontiguousarray(packed[:, first:stop]).view(
+                np.dtype((np.void, 8 * (stop - first)))).ravel()
+            for first, stop in self.words
+        ]
+
+
+class _PartKeys(PartLayout):
+    """A window batch's part keys, and the test of a block of rows against
+    them.  Each row's first word of every part is looked up in a bitmap of
+    the windows' (passing a superset of the rows that can match), and only
+    the rows it passes are compared word by word with the windows."""
+
+    #: bits of the first-word bitmap (a chance hit costs a compare)
+    HASH_BITS = 16
+
+    def __init__(self, queries: np.ndarray, parts: int) -> None:
+        super().__init__(queries.shape[1], parts)
+        self.windows = self.pack(queries)
+        self.firsts = [first for first, _stop in self.words]
+        self.seen = np.zeros(1 << self.HASH_BITS, dtype=bool)
+        self.seen[self.slot(self.windows[:, self.firsts])] = True
 
     def slot(self, keys: np.ndarray) -> np.ndarray:
         """Fibonacci hashing of 64-bit keys to ``HASH_BITS`` bits."""
