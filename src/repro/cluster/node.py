@@ -75,11 +75,9 @@ class SearchCost(NamedTuple):
 
 class Searches(list):
     """One ``(hits, SearchCost)`` per window of a :meth:`StorageNode.local_knn`
-    call, which search served it (``"parts"``/``"vptree"``) and the seconds
-    it paid once for all windows: packing part keys (0.0 on the vp-tree)."""
+    call, and which search served it (``"parts"``/``"vptree"``)."""
 
     path = "vptree"
-    seconds = 0.0
 
 
 def parts_selective(width: int, mismatches: int, letters: int) -> bool:
@@ -92,14 +90,13 @@ def parts_selective(width: int, mismatches: int, letters: int) -> bool:
     return mismatches > 0 and bits >= 8
 
 
-def _held(block_ids: np.ndarray) -> np.ndarray:
-    """*block_ids* (sorted, distinct) as a read-only int64 array."""
-    held = np.asarray(block_ids, dtype=np.int64)
-    held.setflags(write=False)
-    return held
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
-_NONE_HELD = _held(np.empty(0, dtype=np.int64))
+_NONE_HELD = _read_only(np.empty(0, dtype=np.int64))
+_NO_ROWS = _read_only(np.empty(0, dtype=np.intp))
 
 
 class ReadCost(NamedTuple):
@@ -175,6 +172,12 @@ class StorageNode:
         #: place) on every change of holdings, so a reader may key a cache
         #: on its identity
         self.held: np.ndarray = _NONE_HELD
+        #: the tree row of each id of :attr:`held`, replaced with it
+        self.held_rows: np.ndarray = _NO_ROWS
+        #: ``((id(durable), disk generation), {block id: verdict})``, replaced
+        #: whole, never cleared, when either moves (a new medium is written,
+        #: so the generation moves too: no old medium is kept alive)
+        self._verdicts: tuple = ((None, -1), {})
         #: the node's local block device and the durable medium on it that
         #: holds its acknowledged blocks — snapshot + WAL, or the block file
         #: while spilled; survives :meth:`fail`, which only kills the in-RAM
@@ -230,7 +233,7 @@ class StorageNode:
         self.tree.insert_batch(codes, payloads=block_ids)
         evals = self.tree.adapter.pair_evaluations - before
         self.block_ids.extend(block_ids)
-        self.held = _held(np.union1d(self.held, block_ids))
+        self._index_held()
         self.stats.blocks_stored += len(block_ids)
         self._journal(block_ids, codes)
         if self._tier_attach is not None and self.alive:
@@ -253,6 +256,13 @@ class StorageNode:
         if keep:
             self.store_blocks(codes_of(keep), keep)
 
+    def _index_held(self) -> None:
+        """Replace :attr:`held` and :attr:`held_rows` from
+        :attr:`block_ids`, whose order is the tree's row order."""
+        held, rows = np.unique(np.asarray(self.block_ids, dtype=np.int64),
+                               return_index=True)
+        self.held, self.held_rows = _read_only(held), _read_only(rows)
+
     def _journal(self, block_ids: Sequence[int], codes: np.ndarray) -> None:
         """Append one WAL insert per block (row of *codes*).  An append the
         device refused leaves the node serving from RAM with
@@ -268,10 +278,18 @@ class StorageNode:
         copy of the block still match its acknowledged content digest?
         ``True`` when no durable record exists (nothing to distrust — e.g.
         a block indexed during a degraded-durability window).  Every
-        ``False`` counts one corrupt read.  On a spilled node the read hits
-        the block file: each page the ids fall in is decoded once per call,
-        fresh."""
-        verified = [ok is not False for ok in self.durable.verify_many(block_ids)]
+        ``False`` returned counts one corrupt read.  A verdict stands until
+        the durable medium is another object or its disk's ``generation``
+        moves (every write, truncation and bit flip bumps it), so only ids
+        not read since are read: on a spilled node each page they fall in
+        is decoded once per call, fresh."""
+        key, verdicts = self._verdicts
+        if key != (id(self.durable), self.disk.generation):
+            key, verdicts = self._verdicts = ((id(self.durable), self.disk.generation), {})
+        unread = list(dict.fromkeys(b for b in block_ids if b not in verdicts))
+        for block_id, ok in zip(unread, self.durable.verify_many(unread) if unread else ()):
+            verdicts[block_id] = ok is not False
+        verified = [verdicts[block_id] for block_id in block_ids]
         self.stats.corrupt_reads += verified.count(False)
         return verified
 
@@ -356,6 +374,7 @@ class StorageNode:
         max_radius: float = float("inf"),
         mismatches: int | None = None,
         letters: int | None = None,
+        candidates: Sequence[np.ndarray] | None = None,
     ) -> tuple[Searches, ReadCost]:
         """k-NN over the local rows for a ``(W, L)`` batch of query
         windows — one node-subquery; returns ``(searches, reads)``.
@@ -371,25 +390,31 @@ class StorageNode:
 
         Given the identity filter's bound (at most *mismatches*
         mismatches, codes over *letters* letters) where
-        :func:`parts_selective` holds, :func:`~repro.vptree.search.part_search`
-        serves the call instead of the vp-tree: the *k* nearest in the ball
-        among the rows equal to the window on one of ``mismatches + 1``
-        parts, as every filter passer is.  A window is charged an evaluation
-        a row scored and ``mismatches + 1`` word comparisons a row; the
-        call, ``L`` residue operations a row to pack the keys.
+        :func:`parts_selective` holds, and each window's *candidates* (the
+        ids the system entry's part-key directory names: blocks equal to
+        the window on one of ``mismatches + 1`` parts, as every filter
+        passer is), :func:`~repro.vptree.search.part_search` serves the
+        call instead of the vp-tree: the *k* nearest in the ball among the
+        named blocks this node holds, found with one ``searchsorted`` into
+        :attr:`held`.  A spilled node reads only the pages holding them.
+        A window is charged an evaluation a row scored.
         """
-        searches, compare, rows = Searches(), 0.0, len(self.tree)
-        if mismatches is not None and parts_selective(
+        searches = Searches()
+        if candidates is not None and parts_selective(
             self.tree.segment_length, mismatches, letters
         ):
-            found = part_search(self.tree, windows, k, max_radius, mismatches + 1)
+            lanes = np.repeat(np.arange(len(candidates)), [len(c) for c in candidates])
+            ids, held, rows = np.concatenate(candidates), self.held, self.held_rows
+            at = np.searchsorted(held, ids)
+            mine = at < held.size
+            mine[mine] = held[at[mine]] == ids[mine]
+            found = part_search(self.tree, windows, k, max_radius,
+                                lanes[mine], rows[at[mine]])
             searches.path = "parts"
-            searches.seconds = self.service_time_ops(self.tree.segment_length * rows)
-            compare = self.service_time_ops((mismatches + 1) * rows)
         else:
             found = self.tree.knn(windows, k, max_radius=max_radius)
         searches.extend(
-            (hits, SearchCost(evals, self.service_time(evals) + compare))
+            (hits, SearchCost(evals, self.service_time(evals)))
             for hits, evals in found
         )
         reads = ReadCost()
@@ -438,7 +463,7 @@ class StorageNode:
             rng=0,
         )
         self.block_ids = []
-        self.held = _NONE_HELD
+        self.held, self.held_rows = _NONE_HELD, _NO_ROWS
 
     def fail(self) -> None:
         """Crash-stop the node: the process (and with it every in-RAM
@@ -476,7 +501,7 @@ class StorageNode:
         if rep.block_ids:
             self.tree.insert_batch(rep.codes, payloads=rep.block_ids)
             self.block_ids = list(rep.block_ids)
-            self.held = _held(np.unique(self.block_ids))
+            self._index_held()
         if isinstance(self.durable, NodeTier):
             self._empty_wal()
             self._journal(rep.block_ids, rep.codes)

@@ -258,6 +258,9 @@ class _Window:
     index: int
     query_start: int
     codes: np.ndarray
+    #: on the part-key route, the ids of the blocks placed on the group it
+    #: was sent to that equal it on a part (``None`` where the walk routed)
+    candidates: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -288,13 +291,14 @@ def node_kernel(
     # window by window, so the float totals do not depend on the batching.
     # Its cold reads are one charge (0.0 on a RAM node: the sum is unmoved).
     codes = np.stack([window.codes for window in windows])
+    named = ([window.candidates for window in windows]
+             if windows[0].candidates is not None else None)
     searches, reads = node.local_knn(
         codes, params.n, radius, max_mismatches(store.segment_length, params.i),
-        store.database.alphabet.canonical_size)
+        store.database.alphabet.canonical_size, named)
     cost.search = searches.path
     cost.io_seeks, cost.io_bytes, cost.io_seconds = reads
     cost.service_seconds += reads.seconds
-    cost.service_seconds += searches.seconds
     # Candidates as (position in ``windows``, block), window by window and
     # nearest first within a window.
     lanes, block_ids = [], []
@@ -505,7 +509,8 @@ class _BatchRun:
 
     @staticmethod
     def _subquery_bytes(src: str, dst: str, windows: list[_Window]) -> int:
-        nbytes = sum(w.codes.nbytes for w in windows)
+        nbytes = sum(w.codes.nbytes + getattr(w.candidates, "nbytes", 0)
+                     for w in windows)
         return SubQuery(src=src, dst=dst, codes_bytes=nbytes).wire_bytes()
 
     def publish(self, stats: QueryStats, stage: str, site: str,
@@ -770,10 +775,11 @@ class _BatchRun:
         recorded in ``state.routes``.  Where nodes serve windows from their
         part keys (``self.parts``), a window goes to the groups whose placed
         blocks equal it on a part — one lookup in the index's part-key
-        directory, charged ``parts`` key lookups a window.  Elsewhere the
-        vp-prefix walk with branching tolerance routes it, charged the
-        walk's own evaluation count.  Returns ``{group id: (group, windows
-        routed to it)}``."""
+        directory, charged ``parts`` key lookups a window — and carries
+        to each the ids of those blocks, the only rows its nodes score.
+        Elsewhere the vp-prefix walk with branching tolerance routes it,
+        charged the walk's own evaluation count.  Returns ``{group id:
+        (group, windows routed to it)}``."""
         entry, stats = self.entry, state.stats
         span = state.root.child("route", sim_now=self.sim.now,
                                 actor=entry.node_id)
@@ -782,26 +788,32 @@ class _BatchRun:
         evals = lookups = 0
         if self.parts:
             groups = self.topo.groups
-            hit = self.directory.route(
+            named = self.directory.route(
                 np.stack([window.codes for window in windows]), self.parts,
                 [group.group_id for group in groups])
-            decided = [((), [groups[at] for at in np.flatnonzero(row)])
-                       for row in hit]
+            decided = [((), []) for _ in windows]
+            for group, (lanes, ids) in zip(groups, named):
+                lanes, starts = np.unique(lanes, return_index=True)
+                for lane, chunk in zip(lanes.tolist(), np.split(ids, starts[1:])):
+                    window = windows[lane]
+                    decided[lane][1].append((group, _Window(
+                        window.index, window.query_start, window.codes, chunk)))
             lookups = self.parts * len(windows)
         else:
             decided = []
             for window in windows:
                 route = self.topo.route(window.codes, self.tolerance)
                 evals += route.evals
-                decided.append((route.prefixes, route.groups))
+                decided.append((route.prefixes,
+                                [(group, window) for group in route.groups]))
         path = "parts" if self.parts else "walk"
         routing: dict[str, tuple[StorageGroup, list[_Window]]] = {}
-        for window, (prefixes, groups) in zip(windows, decided):
-            for group in groups:
-                routing.setdefault(group.group_id, (group, []))[1].append(window)
+        for window, (prefixes, sent) in zip(windows, decided):
+            for group, copy in sent:
+                routing.setdefault(group.group_id, (group, []))[1].append(copy)
             state.routes.append(WindowRoute(
                 window.index, window.query_start, prefixes,
-                tuple(group.group_id for group in groups), path,
+                tuple(group.group_id for group, _ in sent), path,
             ))
         for group_id, (_, routed) in routing.items():
             stats.subqueries_routed += len(routed)

@@ -12,16 +12,16 @@ Eviction walks probation LRU-first, then protected.
 
 **Paper vs ours.**  The paper's nodes hold their blocks in RAM and have no
 cache.  Ours serves a spilled node's search as one page-ordered pass
-(:func:`repro.vptree.search._fill`): every data page is looked up exactly
-once per node-subquery, in file order, scored with the pages beside it
-against all of the subquery's windows, and not referenced again until the
-next subquery.  So a page is
-reused only *across* passes, and nothing needs holding in place *within*
-one: no page is pinned and none is fetched ahead of the pass.  Passes over
-a node loop, which is LRU's worst case, so the pass — not this cache —
-limits what it admits (:meth:`repro.tier.store.NodeTier.pages`): a cache
-that holds the node's pages makes the next pass free, a smaller one keeps
-a slowly turning subset resident instead of churning through all of them.
+(:func:`repro.vptree.search._fill`) or, on the part path, one read of the
+pages holding a named block: each page is looked up once per
+node-subquery, and again only by the verified read of its candidates.  So
+a page is reused only *across* passes, and nothing needs holding in place
+*within* one: no page is pinned and none is fetched ahead of the pass.
+Passes over a node loop, which is LRU's worst case, so the pass — not
+this cache — limits what it admits (:meth:`repro.tier.store.NodeTier._read`):
+a cache that holds the node's pages makes the next pass free, a smaller
+one keeps a slowly turning subset resident instead of churning through
+all of them.
 
 Gateway worker threads search the same nodes at once, so ``get``, ``put``
 and ``drop_node`` hold one lock, and the resident-byte total and the

@@ -23,9 +23,10 @@ windows scored against a block through the loop that scores a RAM node
 (the walk's visit set is ~all pages at Mendel's radii, and it touched them
 in tree order, many times each).  A page that is not resident costs one
 seek plus its compressed bytes of transfer; the pass counts those reads and
-returns them, and the node charges them once per node-subquery.  Reads are
-not coalesced into sequential runs and no page is skipped — both wait for
-a search that prunes.
+returns them, and the node charges them once per node-subquery.  The part
+path reads only the pages holding a block the system entry named
+(:meth:`NodeTier.read_rows`).  Reads are not coalesced into sequential
+runs.
 
 Spilling is also a durability checkpoint: the block file carries the same
 per-row CRC32 digests the WAL acknowledges, so after a spill the snapshot
@@ -103,11 +104,12 @@ class TieredPoints:
     """Stands in for a vp-tree's ``points`` matrix, backed by the tier's
     pages.
 
-    A search reads it through ``shape`` and :meth:`pages` (see
-    :func:`repro.vptree.search._fill`); nothing indexes its rows, since
-    every writer folds the node back to RAM first.  Coercing it with
-    ``np.asarray`` materialises the same ``uint8`` bytes the RAM matrix
-    held, straight from the device (:meth:`NodeTier.materialize`)."""
+    A scan reads it through ``shape`` and :meth:`pages` (see
+    :func:`repro.vptree.search._fill`), the part path through :meth:`take`;
+    nothing writes it, since every writer folds the node back to RAM
+    first.  Coercing it with ``np.asarray`` materialises the same
+    ``uint8`` bytes the RAM matrix held, straight from the device
+    (:meth:`NodeTier.materialize`)."""
 
     dtype = np.dtype(np.uint8)
 
@@ -127,6 +129,9 @@ class TieredPoints:
 
     def pages(self) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
         return self._tier.pages()
+
+    def take(self, rows: np.ndarray) -> tuple[np.ndarray, int, int]:
+        return self._tier.read_rows(rows)
 
     def __array__(self, dtype=None, copy=None):
         # Explicit materialisation (never on the query path; it exists so
@@ -162,6 +167,8 @@ class NodeTier:
         self._page_rows: list[np.ndarray] = []
         self._pinned_arrays: dict[int, np.ndarray] = {}
         self._row_of_block: dict[int, tuple[int, int]] = {}
+        #: page -> the disk generation its cached copy was decoded at
+        self._cached_at: dict[int, int] = {}
         # Lifetime device traffic for the tier-cache dashboard panel (what
         # a search is charged is returned by its own pass, not read here).
         self._io_lock = threading.Lock()
@@ -258,10 +265,41 @@ class NodeTier:
 
     def pages(self) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
         """Every page once, in file order, as ``(tree rows, codes, cold
-        bytes)``: the feed of a search's distance pass.  Vantage pages are
-        always resident.  A data page comes from the shared cache or,
-        failing that, from the device — then ``cold bytes`` is the
-        compressed length read (else 0).
+        bytes)``: the feed of a scan's distance pass (:meth:`_read`)."""
+        for index, codes, cold_bytes in self._read(range(len(self._page_rows))):
+            yield self._page_rows[index], codes, cold_bytes
+
+    def read_rows(self, rows: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """The codes of the tree rows *rows*, and the pages that had to
+        come from the device and their compressed bytes: each row's block
+        is found in the page and slot it was spilled to, and only the pages
+        holding one are read, each once (:meth:`_read`) — the resident ones
+        first, so that the pass's own admissions cannot evict one before
+        it is taken, then the rest in file order."""
+        payloads = self.node.tree.payloads
+        page, slot = np.array(
+            [self._row_of_block[payloads[row]] for row in rows.tolist()],
+            dtype=np.intp).reshape(-1, 2).T
+        order = np.argsort(page, kind="stable")
+        pages, starts = np.unique(page[order], return_index=True)
+        rows_of = dict(zip(pages.tolist(), np.split(order, starts[1:])))
+        cold = [not (index in self._pinned_arrays or self.cache.contains(
+            (self.node_id, index))) for index in rows_of]
+        codes = np.empty((len(rows), self.width), dtype=np.uint8)
+        reads = nbytes = 0
+        for index, found, cold_bytes in self._read(
+                [index for _, index in sorted(zip(cold, rows_of))]):
+            at = rows_of[index]
+            codes[at] = found[slot[at]]
+            reads += cold_bytes > 0
+            nbytes += cold_bytes
+        return codes, reads, nbytes
+
+    def _read(self, indices) -> Iterator[tuple[int, np.ndarray, int]]:
+        """Pages *indices*, in the order given, each as ``(index, codes,
+        cold bytes)``.  Vantage pages are always resident.  A data page comes
+        from the shared cache or, failing that, from the device — then
+        ``cold bytes`` is the compressed length read (else 0).
 
         A pass is one lap of a looping scan, LRU's worst case: left to
         admit every page it reads, a pass longer than the cache would
@@ -274,7 +312,7 @@ class NodeTier:
         for and never cached: the search surfaces no verified hit from them
         and the scrubber quarantines the real bytes."""
         cache, admit = self.cache, True
-        for index, rows in enumerate(self._page_rows):
+        for index in indices:
             codes = self._pinned_arrays.get(index)
             cold_bytes = 0
             if codes is None:
@@ -293,7 +331,8 @@ class NodeTier:
                     room = cache.capacity_bytes - cache.resident_bytes
                     if admit and cache.put(key, codes):
                         admit = codes.nbytes <= room  # else: its one eviction
-            yield rows, codes, cold_bytes
+                        self._cached_at[index] = self.node.disk.generation
+            yield index, codes, cold_bytes
 
     def decoded(self, index: int) -> np.ndarray:
         """Page *index* without touching the cache or the I/O tally (the
@@ -335,7 +374,9 @@ class NodeTier:
     def verify_many(self, block_ids) -> list[bool | None]:
         """Per id, whether its row still matches its acknowledged digest in
         the device's *current* bytes (``None`` when the file holds no such
-        row).  Each page the ids fall in is read and decoded once."""
+        row).  Each page the ids fall in is read once: from the cache when
+        its copy there was decoded at the disk's current generation (so
+        from the same bytes), else decoded fresh from the device."""
         found: list[bool | None] = [None] * len(block_ids)
         slots_of: dict[int, list[tuple[int, int]]] = {}
         for at, block_id in enumerate(block_ids):
@@ -344,7 +385,13 @@ class NodeTier:
                 page, slot = location
                 slots_of.setdefault(page, []).append((at, slot))
         for page, wanted in slots_of.items():
-            rows = self.reader.verify_rows(page, [slot for _, slot in wanted])
+            slots, key = [slot for _, slot in wanted], (self.node_id, page)
+            # A page cached at another generation, or no longer, is not read.
+            codes = (self.cache.get(key) if self.cache.contains(key) and
+                     self._cached_at.get(page) == self.node.disk.generation else None)
+            digests = self.reader.pages[page].digests
+            rows = (self.reader.verify_rows(page, slots) if codes is None else
+                    [zlib.crc32(codes[s].tobytes()) == digests[s] for s in slots])
             for (at, _), ok in zip(wanted, rows):
                 found[at] = ok
         return found

@@ -61,10 +61,11 @@ that had to come from the device are counted page by page as the pages
 arrive and returned with the results (:class:`BatchResult`), never left in
 a shared tally.
 
-**Filter-first search** (:func:`part_search`) walks no tree: a row the
-identity filter can pass (at most m mismatches) equals its window on one of
-``m + 1`` pigeonhole parts, so one keyed pass over the same blocks scores
-only the rows equal on a part (which search a node runs:
+**Filter-first search** (:func:`part_search`) walks no tree and passes
+over no rows: a row the identity filter can pass (at most m mismatches)
+equals its window on one of ``m + 1`` pigeonhole parts, and the system
+entry's part-key directory names, per window, the blocks that do.  Only
+those rows are read and scored (which search a node runs:
 :func:`repro.cluster.node.parts_selective`).
 """
 
@@ -536,54 +537,45 @@ def _replay(
 
 
 def part_search(
-    tree: "VPTree", queries: np.ndarray, k: int, max_radius: float, parts: int
+    tree: "VPTree", queries: np.ndarray, k: int, max_radius: float,
+    lanes: np.ndarray, rows: np.ndarray,
 ) -> BatchResult:
     """For each row of the ``(W, L)`` batch *queries*, the *k* nearest
-    stored rows within *max_radius* among those equal to it on one of its
-    *parts* (<= L) pigeonhole parts (``np.array_split(range(L), parts)``),
+    within *max_radius* among the stored rows named for it (``rows[j]``
+    for query ``lanes[j]``, each pair once: the rows equal to the window on
+    one of its pigeonhole parts, :class:`repro.core.directory.PartLayout`),
     in ``(distance, row)`` order, and the rows scored for it.
 
-    One keyed pass over the blocks :func:`_fill` reads (a paged store hands
-    over each page once, in order; cold reads counted the same way) tests
-    each block's part keys against the windows' (:class:`_PartKeys`).  The
-    matching pairs are scored by ``tree.adapter.batch``, one call a window,
-    once ``_PASS_CELLS`` are held or the pass ends; a window keeps only its
-    *k* nearest in between, so what is held is bounded whatever W and N."""
+    The named rows' codes are read once (a paged store reads only the
+    pages holding them, each once and in file order, and counts its cold
+    reads the way a scan does).  The pairs are scored by
+    ``tree.adapter.batch``, one call a window, ``_PASS_CELLS`` pairs at a
+    time, and a window keeps only its *k* nearest in between, so beside
+    the named rows and their codes what is held is bounded whatever W."""
     queries = np.asarray(queries, dtype=np.uint8)
     width = queries.shape[0]
-    keys = _PartKeys(queries, parts)
-    results = BatchResult()
+    results, named = BatchResult(), np.unique(rows)
+    if isinstance(tree.points, np.ndarray):
+        codes = tree.points[named]
+    else:
+        codes, results.cold_reads, results.cold_bytes = tree.points.take(named)
     scored = np.zeros(width, dtype=np.intp)
     nearest = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
-    pending, held = [], 0
-    # Blocks sized by their codes alone: a block holds no distance matrix.
-    for block_rows, block_codes, reads, nbytes in _blocks(tree.points, 1):
-        results.cold_reads += reads
-        results.cold_bytes += nbytes
-        for lane, at in keys.matches(block_codes):
-            rows = (at + block_rows.start if isinstance(block_rows, slice)
-                    else block_rows[at])
-            pending.append((lane, rows, block_codes[at]))
-            held += at.size
-            if held >= _PASS_CELLS:
-                nearest = _score(tree, queries, k, max_radius, nearest, pending, scored)
-                held = 0
-    lane, row, found = _score(tree, queries, k, max_radius, nearest, pending, scored)
-    results.extend(zip(_hits(lane, row, found, width, tree.payloads),
-                       scored.tolist()))
+    for start in range(0, lanes.size, _PASS_CELLS):
+        lane, row = lanes[start:start + _PASS_CELLS], rows[start:start + _PASS_CELLS]
+        nearest = _score(tree, queries, k, max_radius, nearest, lane, row,
+                         codes[np.searchsorted(named, row)], scored)
+    results.extend(zip(_hits(*nearest, width, tree.payloads), scored.tolist()))
     return results
 
 
 def _score(tree: "VPTree", queries: np.ndarray, k: int, max_radius: float,
-           nearest: tuple, pending: list, scored: np.ndarray) -> tuple:
-    """Score and empty *pending* ``(lanes, rows, codes)``, one
+           nearest: tuple, lanes: np.ndarray, rows: np.ndarray,
+           codes: np.ndarray, scored: np.ndarray) -> tuple:
+    """Score the pairs ``(lanes, rows)`` whose rows hold *codes*, one
     ``tree.adapter.batch`` call a lane, counting them in *scored*; return
     *nearest* ``(lane, row, distance)`` merged with those inside
     *max_radius*, each lane's *k* nearest in ``(distance, row)`` order."""
-    if not pending:
-        return nearest
-    lanes, rows, codes = (np.concatenate(column) for column in zip(*pending))
-    pending.clear()
     order = np.argsort(lanes, kind="stable")
     lanes, rows, codes = lanes[order], rows[order], codes[order]
     counts = np.bincount(lanes, minlength=len(queries))
@@ -601,85 +593,6 @@ def _score(tree: "VPTree", queries: np.ndarray, k: int, max_radius: float,
     counts = np.bincount(lane, minlength=len(queries))
     keep = np.arange(lane.size) - (np.cumsum(counts) - counts)[lane] < k
     return lane[keep], row[keep], found[keep]
-
-
-class PartLayout:
-    """The ``parts`` pigeonhole parts of *width*-residue codes
-    (``np.array_split(range(width), parts)``) as part keys — the one
-    definition the node's keyed pass and the system entry's part-key
-    directory share.  A row's key is one ``take`` of its codes laying every
-    part out as whole 8-byte words, a part padded with copies of its first
-    position, so a part's words are equal iff the part is."""
-
-    def __init__(self, width: int, parts: int) -> None:
-        # The parts of ``np.array_split``: the first ``extra`` one longer.
-        size, extra = divmod(width, parts)
-        ends = [part * size + min(part, extra) for part in range(parts + 1)]
-        layout: list[int] = []
-        #: each part's ``(first, stop)`` words
-        self.words = []
-        for start, stop in zip(ends, ends[1:]):
-            first, count = len(layout) // 8, -(-(stop - start) // 8)
-            self.words.append((first, first + count))
-            layout += [*range(start, stop)] + [start] * (8 * count - stop + start)
-        #: the code positions of the words
-        self.layout = np.array(layout, dtype=np.intp)
-
-    def pack(self, codes: np.ndarray) -> np.ndarray:
-        """``(n, words)`` part keys of ``(n, L)`` codes."""
-        return codes.take(self.layout, axis=1).view(np.uint64)
-
-    def keys(self, codes: np.ndarray) -> list[np.ndarray]:
-        """Each part's keys of ``(n, L)`` codes, one sortable scalar a row:
-        the part's word, or its words as one byte string."""
-        packed = self.pack(codes)
-        return [
-            packed[:, first] if stop == first + 1
-            else np.ascontiguousarray(packed[:, first:stop]).view(
-                np.dtype((np.void, 8 * (stop - first)))).ravel()
-            for first, stop in self.words
-        ]
-
-
-class _PartKeys(PartLayout):
-    """A window batch's part keys, and the test of a block of rows against
-    them.  Each row's first word of every part is looked up in a bitmap of
-    the windows' (passing a superset of the rows that can match), and only
-    the rows it passes are compared word by word with the windows."""
-
-    #: bits of the first-word bitmap (a chance hit costs a compare)
-    HASH_BITS = 16
-
-    def __init__(self, queries: np.ndarray, parts: int) -> None:
-        super().__init__(queries.shape[1], parts)
-        self.windows = self.pack(queries)
-        self.firsts = [first for first, _stop in self.words]
-        self.seen = np.zeros(1 << self.HASH_BITS, dtype=bool)
-        self.seen[self.slot(self.windows[:, self.firsts])] = True
-
-    def slot(self, keys: np.ndarray) -> np.ndarray:
-        """Fibonacci hashing of 64-bit keys to ``HASH_BITS`` bits."""
-        return (keys * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - self.HASH_BITS)
-
-    def matches(self, codes: np.ndarray):
-        """The ``(window, row)`` pairs, window-major, of the ``(n, L)``
-        block *codes* equal on some part: one ``(windows, rows)`` pair of
-        arrays for each slice of the windows, a slice compared with at most
-        ``_PASS_CELLS`` ``(window, row)`` cells at once."""
-        keys = self.pack(codes)
-        (at,) = np.nonzero(self.seen[self.slot(keys[:, self.firsts])].any(axis=1))
-        keys = keys[at]
-        step = max(1, _PASS_CELLS // max(1, at.size))
-        for start in range(0, len(self.windows) if at.size else 0, step):
-            windows = self.windows[start:start + step]
-            match = np.zeros((len(windows), at.size), dtype=bool)
-            for first, stop in self.words:
-                equal = windows[:, None, first] == keys[None, :, first]
-                for word in range(first + 1, stop):
-                    equal &= windows[:, None, word] == keys[None, :, word]
-                match |= equal
-            lane, hit = np.nonzero(match)
-            yield lane + start, at[hit]
 
 
 def radius_search(

@@ -217,3 +217,34 @@ class TestVerifyBlocks:
         assert node.stats.corrupt_reads - middle == middle - before == 4
         assert node.verify_blocks([]) == []
 
+
+    @pytest.mark.parametrize("spilled", [False, True])
+    def test_a_verdict_stands_until_the_disk_changes(self, spilled, monkeypatch):
+        """A block is read once while its node's disk and medium stay as
+        they were; a bit flip (which bumps ``NodeDisk.generation``) makes
+        every block be read again, and each ``False`` returned still counts
+        a corrupt read."""
+        node = make_node()
+        node.store_blocks(blocks(12), list(range(12)))
+        if spilled:
+            node.attach_tier(BlockCache(1 << 20), TierConfig(page_rows=4))
+            node.spill()
+        asked = []
+        verify_many = type(node.durable).verify_many
+        monkeypatch.setattr(type(node.durable), "verify_many",
+                            lambda medium, ids: asked.append(list(ids))
+                            or verify_many(medium, ids))
+        assert node.verify_blocks([3, 5, 3]) == [True] * 3
+        assert node.verify_blocks([5, 7]) == [True] * 2
+        assert asked == [[3, 5], [7]]
+        memo = node._verdicts
+        generation = node.disk.generation
+        node.durable.corrupt_block(5, bit=3)
+        assert node.disk.generation > generation
+        before = node.stats.corrupt_reads
+        flags = node.verify_blocks([5, 3, 5])
+        assert flags == [ok is not False for ok in verify_many(node.durable, [5, 3, 5])]
+        assert node.verify_blocks([5]) == [False] == flags[:1]
+        assert asked[2:] == [[5, 3]]
+        assert node.stats.corrupt_reads - before == flags.count(False) + 1
+        assert node._verdicts is not memo and memo[1] == {3: True, 5: True, 7: True}

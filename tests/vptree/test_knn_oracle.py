@@ -49,7 +49,7 @@ METRICS = {
 
 class PagedRows:
     """Stands in for ``TieredPoints``: not an ``ndarray``, read through
-    ``pages()``.  Rows are dealt to pages in a shuffled order, *page_rows* a
+    ``pages()`` or, for named rows, ``take()``.  Rows are dealt to pages in a shuffled order, *page_rows* a
     page, so no page lines up with a bucket; every other page claims to be
     cold, each for bytes of its own.  It tallies, page by page, the laps
     made over it and the cold reads it handed over."""
@@ -72,6 +72,18 @@ class PagedRows:
             self.reads += cold_bytes > 0
             self.nbytes += cold_bytes
             yield rows, self._rows[rows], cold_bytes
+
+    def take(self, rows):
+        """The codes of *rows*, reading only the pages holding one, each
+        once: ``(codes, cold reads, cold bytes)`` of this call."""
+        wanted = set(rows.tolist())
+        reads = nbytes = 0
+        for number, page in enumerate(self._pages):
+            if number % 2 == 0 and wanted.intersection(page.tolist()):
+                reads, nbytes = reads + 1, nbytes + 100 + number
+        self.reads += reads
+        self.nbytes += nbytes
+        return self._rows[rows], reads, nbytes
 
 
 def paged(tree, queries, k, radius, page_rows=7):

@@ -2,12 +2,14 @@
 
 The identity filter passes a candidate with at most m mismatching positions
 to its window, so by pigeonhole a passer equals the window on one of m + 1
-parts.  The part path (``repro.vptree.search.part_search``, served by
+parts.  The system entry's part-key directory names those part matches,
+and the part path (``repro.vptree.search.part_search``, served by
 ``StorageNode.local_knn`` where part keys are selective) returns the n
-nearest rows in the ball among those part matches.  Against brute force in
+nearest rows in the ball among the named rows.  Against brute force in
 ``(distance, row)`` order, its identity survivors are a superset on every
 window, and equal, hits and order, wherever the ball holds fewer than n
-rows; a paged store answers as the matrix does.
+rows; a paged store answers as the matrix does, reading only the pages
+that hold a named row.
 """
 
 import copy
@@ -73,11 +75,19 @@ def survivors(hits, points, window, identity):
 
 
 def part_matches(points, window, parts):
-    return sum(
-        any((row[part] == window[part]).all()
-            for part in np.array_split(np.arange(len(window)), parts))
-        for row in points
-    )
+    """The rows of *points* equal to *window* on one of its *parts*."""
+    return [
+        row for row, codes in enumerate(points)
+        if any((codes[part] == window[part]).all()
+               for part in np.array_split(np.arange(len(window)), parts))
+    ]
+
+
+def named_pairs(points, windows, parts):
+    """``(lanes, rows)``: every (window, part match) pair, window-major."""
+    named = [part_matches(points, window, parts) for window in windows]
+    lanes = np.repeat(np.arange(len(windows)), [len(rows) for rows in named])
+    return lanes, np.array([row for rows in named for row in rows], dtype=np.intp)
 
 
 @seed(SEED)
@@ -99,21 +109,25 @@ def test_part_path_keeps_every_survivor(name, length, identity, k, rows, scale, 
     radius = mismatches * widest * scale
     windows = windows_near(rng, points, letters, 10, mismatches)
     tree = VPTree(points, metric, bucket_capacity=4, rng=SEED)
+    lanes, rows = named_pairs(points, windows, mismatches + 1)
     before = tree.adapter.pair_evaluations
-    found = part_search(tree, windows, k, radius, mismatches + 1)
+    found = part_search(tree, windows, k, radius, lanes, rows)
     assert tree.adapter.pair_evaluations - before == sum(e for _, e in found)
     assert (found.cold_reads, found.cold_bytes) == (0, 0)
 
     twin = copy.copy(tree)
     twin.points = store = PagedRows(points, page_rows=7)
-    paged = part_search(twin, windows, k, radius, mismatches + 1)
+    paged = part_search(twin, windows, k, radius, lanes, rows)
     assert paged == found
     assert (paged.cold_reads, paged.cold_bytes) == (store.reads, store.nbytes)
-    assert store.laps == 1
+    held = set(rows.tolist())
+    assert store.reads == sum(bool(held.intersection(page.tolist()))
+                              for page in store._pages[::2])
+    assert store.laps == 0
 
     for window, (hits, evals) in zip(windows, found):
         context = f"window={window.tolist()} m={mismatches} k={k} R={radius}"
-        assert evals == part_matches(points, window, mismatches + 1), context
+        assert evals == len(part_matches(points, window, mismatches + 1)), context
         assert hits == sorted(hits) and len(hits) <= k, context
         assert all(d <= radius and d == metric(window, points[row])
                    for d, row in hits), context
@@ -126,12 +140,12 @@ def test_part_path_keeps_every_survivor(name, length, identity, k, rows, scale, 
 
 @pytest.mark.parametrize("length,parts", [(8, 2), (32, 7)])
 def test_a_long_query_holds_bounded_memory(length, parts):
-    """2,000 windows against a 300-row node where every window matches
-    nearly every row, the worst case, 600,000 pairs: they are compared in
-    slices of at most ``_PASS_CELLS`` (window, row) cells and scored once
-    ``_PASS_CELLS`` pairs are held, so fewer than 2 x ``_PASS_CELLS`` pairs
-    (a lane, a row and L codes each) are held, about three times over
-    while they are scored and merged — not all pairs at once."""
+    """2,000 windows against a 300-row node where every window is named
+    nearly every row, the worst case, 600,000 pairs: they are scored
+    ``_PASS_CELLS`` at a time, so beside one sorted copy of the named rows
+    fewer than ``_PASS_CELLS`` pairs (a lane, a row and L codes each) are
+    held, about three times over while they are scored and merged — not
+    all pairs' codes at once."""
     import tracemalloc
 
     from repro.vptree import search
@@ -140,9 +154,14 @@ def test_a_long_query_holds_bounded_memory(length, parts):
     queries = np.zeros((2000, length), dtype=np.uint8)
     points[-1] = queries[SEED % len(queries)] = 1
     tree = VPTree(points, HammingDistance(), bucket_capacity=8, rng=SEED)
+    equal = queries[:, None, :] == points[None, :, :]
+    lanes, rows = np.nonzero(np.any([
+        equal[:, :, part].all(axis=2)
+        for part in np.array_split(np.arange(length), parts)], axis=0))
+    del equal
     tracemalloc.start()
     try:
-        found = search.part_search(tree, queries, 1, float(length), parts)
+        found = search.part_search(tree, queries, 1, float(length), lanes, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,48 +243,71 @@ def spilled_twins(rows=3000, cache_share=10):
     return nodes, codes, windows_near(rng, codes, 20, 24, 6)
 
 
-def test_spilled_node_reads_as_the_scan_and_answers_as_ram(monkeypatch):
-    """A spilled node on the part path reads exactly the pages the vp-tree
-    scan reads from the same cache state, and answers — hits, evals and
-    charges — as its all-RAM twin."""
-    (parts_node, scan_node), codes, windows = spilled_twins()
+def named_ids(codes, windows, parts):
+    """Per window, the ids of its part matches among *codes* (block id =
+    row): what the part-key directory names."""
+    return [np.array(part_matches(codes, window, parts), dtype=np.int32)
+            for window in windows]
+
+
+def test_spilled_node_reads_as_the_scan_and_answers_as_ram():
+    """A spilled node on the part path reads from the device exactly the
+    pages that hold a named block and are not resident, each once — a
+    cold pass and one over what it left resident — and answers, hits,
+    evals and charges, as its all-RAM twin; the vp-tree scan of its twin
+    reads more."""
+    (node, scan_node), codes, windows = spilled_twins()
     radius, mismatches = 6 * METRICS["matrix"][2], 6
-    for _ in range(2):  # a cold pass, then one over what it left resident
-        searches, reads = parts_node.local_knn(
-            windows, 6, radius, mismatches=mismatches, letters=20)
+    named = named_ids(codes, windows, mismatches + 1)
+    tier, cache = node.tier, node.tier.cache
+    pages = {tier._row_of_block[b][0] for ids in named for b in ids.tolist()}
+    assert pages
+    for _ in range(2):
+        cold = [page for page in sorted(pages) if page not in tier._pinned_arrays
+                and not cache.contains((node.node_id, page))]
+        searches, reads = node.local_knn(
+            windows, 6, radius, mismatches=mismatches, letters=20,
+            candidates=named)
         _, scan_reads = scan_node.local_knn(windows, 6, radius)
         assert searches.path == "parts"
-        assert reads == scan_reads and reads.seeks > 0
+        assert (reads.seeks, reads.nbytes) == (
+            len(cold), sum(tier.reader.pages[page].length for page in cold))
+        assert reads.seeks < scan_reads.seeks
     ram = StorageNode("n0", "g0", lambda: default_distance(PROTEIN),
                       segment_length=32, bucket_capacity=512, rng_seed=SEED)
     ram.store_blocks(codes, list(range(len(codes))))
     in_ram, ram_reads = ram.local_knn(windows, 6, radius, mismatches=mismatches,
-                                      letters=20)
+                                      letters=20, candidates=named)
     assert ram_reads.seeks == 0
-    assert in_ram == searches
-    assert (in_ram.path, in_ram.seconds) == (searches.path, searches.seconds)
+    assert in_ram == searches and in_ram.path == searches.path
 
 
 def test_charges_follow_the_executed_kernel():
-    """A window is charged an evaluation per row scored plus m + 1 word
-    comparisons a row; the call, L residue operations a row for the keys."""
+    """A window is charged an evaluation per row scored: the named rows
+    the node holds, and nothing for the rows it does not."""
     rng = np.random.default_rng([SEED, 43])
     codes = family(rng, 900, 20, 8)
     node = StorageNode("n0", "g0", lambda: default_distance(PROTEIN),
                        segment_length=8)
-    node.store_blocks(codes, list(range(len(codes))))
+    held = np.arange(0, len(codes), 2)
+    node.store_blocks(codes[held], held.tolist())
     windows = windows_near(rng, codes, 20, 30, 1)
+    named = named_ids(codes, windows, 2)
     before = node.tree.adapter.pair_evaluations
-    searches, reads = node.local_knn(windows, 6, 15.0, mismatches=1, letters=20)
+    searches, reads = node.local_knn(windows, 6, 15.0, mismatches=1, letters=20,
+                                     candidates=named)
     assert searches.path == "parts" and reads.seeks == 0
-    assert searches.seconds == node.service_time_ops(8 * 900)
-    for hits, cost in searches:
-        assert cost.seconds == (node.service_time(cost.evals)
-                                + node.service_time_ops(2 * 900))
+    for ids, (hits, cost) in zip(named, searches):
+        assert cost.evals == np.isin(ids, held).sum()
+        assert cost.seconds == node.service_time(cost.evals)
+        assert {block for _, block in hits} <= set(held.tolist())
     assert node.tree.adapter.pair_evaluations - before == sum(
         cost.evals for _, cost in searches)
-    scan, _ = node.local_knn(windows, 6, 15.0, mismatches=4, letters=20)
-    assert scan.path == "vptree" and scan.seconds == 0.0
+    scan, _ = node.local_knn(windows, 6, 15.0, mismatches=4, letters=20,
+                             candidates=named)
+    assert scan.path == "vptree"
+    walked, _ = node.local_knn(windows, 6, 15.0, mismatches=1, letters=20)
+    assert walked.path == "vptree"
 
 
 @pytest.fixture(scope="module")
