@@ -12,6 +12,11 @@ class Anchor:
     ``diagonal`` is the paper's definition: the difference between the
     subject and query start positions; anchors on the same diagonal of the
     same subject can be merged and gap-extended together.
+
+    ``density`` is the best ``score / length`` of the anchors merged into
+    this one (an unmerged anchor's own): the gapped pass admits an anchor
+    when it reaches ``S``, so touching neighbours on a diagonal never dilute
+    a dense part below the gate.
     """
 
     seq_id: str
@@ -20,6 +25,7 @@ class Anchor:
     subject_start: int
     subject_end: int
     score: float
+    density: float | None = None
 
     def __post_init__(self) -> None:
         if self.query_end < self.query_start:
@@ -34,6 +40,8 @@ class Anchor:
             self.subject_end - self.subject_start
         ):
             raise ValueError("anchors are ungapped: spans must be equal length")
+        if self.density is None:
+            object.__setattr__(self, "density", self.score / max(1, self.length))
 
     @property
     def diagonal(self) -> int:
@@ -57,7 +65,8 @@ class Anchor:
         """Union of two overlapping same-diagonal anchors.
 
         The merged score is the maximum of the two (a conservative bound —
-        the true union score is recomputed during gapped extension).
+        the true union score is recomputed during gapped extension), and so
+        is the merged density.
         """
         if not self.overlaps(other):
             raise ValueError(f"cannot merge non-overlapping anchors {self} / {other}")
@@ -70,6 +79,7 @@ class Anchor:
             subject_start=query_start + self.diagonal,
             subject_end=query_end + self.diagonal,
             score=max(self.score, other.score),
+            density=max(self.density, other.density),
         )
 
 

@@ -361,7 +361,8 @@ class _SubjectQueue:
     The order processes best raw score first: long, reliable anchors claim
     the per-subject budget (``max_gapped_per_subject``) before short lucky
     ones, and anchors whose normalised score is below ``S`` never qualify
-    (the normalised score stays the paper's *trigger*, not the order).
+    (the normalised score stays the paper's *trigger*, not the order; a
+    merged anchor's is its best part's, :attr:`Anchor.density`).
 
     Once a gapped extension covers a region, remaining anchors of the same
     sequence within ``l`` diagonals whose seed falls inside it are absorbed
@@ -376,7 +377,7 @@ class _SubjectQueue:
         self.queue = [
             anchor
             for anchor in sorted(anchors, key=lambda a: (-a.score, a.query_start))
-            if anchor.score / max(1, anchor.length) >= params.S
+            if anchor.density >= params.S
         ]
         self.band = params.l
         self.cursor = 0

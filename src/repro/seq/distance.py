@@ -12,7 +12,9 @@ Mendel's vp-trees require a *metric* on fixed-length sequence segments
 
 All kernels are vectorised over ``uint8`` code arrays and support
 one-vs-one, one-vs-many and many-vs-many evaluation: ``batch`` takes one
-query ``(L,)`` or a stack of them ``(W, L)``.  The stacked form is what the
+query ``(L,)`` or a stack of them ``(W, L)``, and ``pairs`` scores two
+``(n, L)`` stacks row against row (the part path's named candidates, each
+``(window, row)`` pair once).  The stacked form is what the
 vp-tree scan runs, one call per block of stored rows: it walks the ``L``
 positions once, adding each position's scores for every ``(row, query)``
 pair at once (for a matrix, from a per-position *query profile*).  Build and
@@ -42,6 +44,14 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"length mismatch: {a.shape[-1]} vs {b.shape[-1]} "
             "(Mendel distances are defined over equal-length segments)"
         )
+    return a, b
+
+
+def _check_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two ``(n, L)`` stacks to score row against row."""
+    a, b = _check_pair(a, b)
+    if a.shape != b.shape or a.ndim != 2:
+        raise ValueError(f"pairs need two (n, L) stacks, got {a.shape} and {b.shape}")
     return a, b
 
 
@@ -169,6 +179,21 @@ class MatrixDistance:
         idx = (query.astype(np.uint16) * self._size)[None, :] + batch
         return np.einsum("ij->i", self._flat.take(idx))
 
+    def pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Distances from each row of *a* ``(n, L)`` to the same row of *b*
+        ``(n, L)``: the diagonal of the stacked :meth:`batch`, from one flat
+        ``take`` and one row sum."""
+        a, b = _check_rows(a, b)
+        # As in the one-query form: a code of *b* at or above the size
+        # would alias into the next matrix row, one of *a* indexes past
+        # the end.
+        if b.max(initial=0) >= self._size:
+            raise IndexError(
+                f"code {b.max()} is out of bounds for a {self._size}-letter matrix"
+            )
+        idx = a.astype(np.uint16) * self._size + b
+        return np.einsum("ij->i", self._flat.take(idx))
+
 
 @dataclass
 class HammingDistance:
@@ -180,6 +205,12 @@ class HammingDistance:
 
     def batch(self, query: np.ndarray, batch: np.ndarray) -> np.ndarray:
         return hamming_batch(query, batch)
+
+    def pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Hamming distance from each row of *a* ``(n, L)`` to the same row
+        of *b*."""
+        a, b = _check_rows(a, b)
+        return np.count_nonzero(a != b, axis=1).astype(np.float64)
 
 
 def default_distance(alphabet: Alphabet):

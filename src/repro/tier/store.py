@@ -6,8 +6,12 @@ untouched.  The exactness contract is structural:
 
 * every internal vertex's **vantage row** lands in a permanently pinned
   page (resident by construction);
-* **leaf buckets** are packed into data pages in depth-first order (a
-  bucket never straddles a page unless it is larger than one);
+* every other row lands in a **data page**, ``page_rows`` rows a page in
+  ascending block id.  A block is a stride-1 window of one record (paper
+  section V-A.1), so consecutive ids are overlapping windows of one
+  sequence: a read's candidates — runs of windows of its source and of
+  each family member — share a page or two, and the page codec sees
+  neighbouring rows that share all but one residue;
 * the tree's ``points`` matrix is replaced by :class:`TieredPoints`, which
   holds the exact same bytes, so the distances a search computes — and with
   them its pruning decisions, its k-NN results and the distance evaluations
@@ -191,32 +195,17 @@ class NodeTier:
             2, int(points.max(initial=0)) + 1
         )
 
-        buckets: list[np.ndarray] = []
         vantages: list[int] = []
         stack: list[VPNode] = [tree.root]
         while stack:
             vertex = stack.pop()
-            if vertex.is_leaf:
-                buckets.append(np.asarray(vertex.bucket, dtype=np.intp))
-                continue
-            vantages.append(int(vertex.vantage_index))
-            if vertex.right is not None:
-                stack.append(vertex.right)
-            if vertex.left is not None:
-                stack.append(vertex.left)
+            if not vertex.is_leaf:
+                vantages.append(int(vertex.vantage_index))
+                stack += [s for s in (vertex.right, vertex.left) if s is not None]
 
-        page_rows: list[np.ndarray] = []
-        current: list[np.ndarray] = []
-        current_rows = 0
-        for bucket in buckets:
-            for part in _chunks(bucket, self.config.page_rows):
-                if current_rows and current_rows + len(part) > self.config.page_rows:
-                    page_rows.append(np.concatenate(current))
-                    current, current_rows = [], 0
-                current.append(part)
-                current_rows += len(part)
-        if current_rows:
-            page_rows.append(np.concatenate(current))
+        data = np.setdiff1d(np.arange(n), vantages)
+        data = data[np.argsort(np.asarray(tree.payloads)[data], kind="stable")]
+        page_rows = list(_chunks(data, self.config.page_rows))
         data_pages = len(page_rows)
         for chunk in _chunks(vantages, self.config.page_rows):
             page_rows.append(np.asarray(chunk, dtype=np.intp))

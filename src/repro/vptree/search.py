@@ -549,9 +549,9 @@ def part_search(
     The named rows' codes are read once (a paged store reads only the
     pages holding them, each once and in file order, and counts its cold
     reads the way a scan does).  The pairs are scored by
-    ``tree.adapter.batch``, one call a window, ``_PASS_CELLS`` pairs at a
-    time, and a window keeps only its *k* nearest in between, so beside
-    the named rows and their codes what is held is bounded whatever W."""
+    ``tree.adapter.pairs``, ``_PASS_CELLS`` pairs a call, and a window keeps
+    only its *k* nearest in between, so beside the named rows and their
+    codes what is held is bounded whatever W."""
     queries = np.asarray(queries, dtype=np.uint8)
     width = queries.shape[0]
     results, named = BatchResult(), np.unique(rows)
@@ -572,19 +572,12 @@ def part_search(
 def _score(tree: "VPTree", queries: np.ndarray, k: int, max_radius: float,
            nearest: tuple, lanes: np.ndarray, rows: np.ndarray,
            codes: np.ndarray, scored: np.ndarray) -> tuple:
-    """Score the pairs ``(lanes, rows)`` whose rows hold *codes*, one
-    ``tree.adapter.batch`` call a lane, counting them in *scored*; return
+    """Score the pairs ``(lanes, rows)`` whose rows hold *codes* in one
+    ``tree.adapter.pairs`` call, counting them in *scored*; return
     *nearest* ``(lane, row, distance)`` merged with those inside
     *max_radius*, each lane's *k* nearest in ``(distance, row)`` order."""
-    order = np.argsort(lanes, kind="stable")
-    lanes, rows, codes = lanes[order], rows[order], codes[order]
-    counts = np.bincount(lanes, minlength=len(queries))
-    scored += counts
-    ends = np.cumsum(counts)
-    found = np.empty(lanes.size)
-    for w in np.flatnonzero(counts).tolist():
-        start = ends[w] - counts[w]
-        found[start:ends[w]] = tree.adapter.batch(queries[w], codes[start:ends[w]])
+    scored += np.bincount(lanes, minlength=len(queries))
+    found = tree.adapter.pairs(queries[lanes], codes)
     inside = found <= max_radius
     lane, row, found = (np.concatenate([held, new[inside]])
                         for held, new in zip(nearest, (lanes, rows, found)))

@@ -5,7 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align.result import Anchor
+from repro.bench.workloads import FamilySpec
 from repro.core.aggregate import bin_by_sequence, merge_anchors, merge_same_diagonal
+from repro.core.params import QueryParams
+from repro.scenario import build_deployment
+from repro.seq.mutate import mutate_to_identity
 
 
 def anchor(seq="s1", qs=0, diag=0, score=10.0, length=8):
@@ -109,3 +113,57 @@ class TestMergeAnchors:
         for i, a in enumerate(merged):
             for b in merged[i + 1 :]:
                 assert not a.overlaps(b)
+
+
+class TestSGate:
+    """The gapped pass admits an anchor whose density reaches ``S``; a merge
+    keeps its best part's density, not the union span's."""
+
+    @settings(max_examples=50)
+    @given(anchors_strategy, st.floats(0.0, 10.0))
+    def test_a_merge_is_eligible_when_a_part_is(self, anchors, gate):
+        for original in anchors:
+            if original.score / original.length < gate:
+                continue
+            [covering] = [
+                m for m in merge_anchors(anchors)
+                if m.seq_id == original.seq_id
+                and m.diagonal == original.diagonal
+                and m.query_start <= original.query_start < m.query_end
+            ]
+            assert covering.density >= gate
+
+    def test_merge_keeps_the_best_part_density(self):
+        dense, loose = anchor(qs=0, score=16.0), anchor(qs=6, score=10.0, length=20)
+        merged = dense.merge(loose)
+        assert merged.score / merged.length < 1.0
+        assert merged.density == 2.0 == merged.merge(anchor(qs=20)).density
+
+    def test_a_diluted_source_is_still_extended(self):
+        """A 50 %-identity mutant whose source's only anchor on its diagonal
+        is a merge of touching parts: the union's density falls below ``S``
+        (1.0), a part's does not, and the source is reported.  Gating on
+        the union dropped it."""
+        params = QueryParams(k=8, n=8, i=0.5, c=0.5)
+        mendel = build_deployment(
+            2, FamilySpec(families=6, members_per_family=4, length=150),
+            group_count=2, group_size=2,
+        )
+        source = mendel.index.database.records[14]
+        query = mutate_to_identity(source, 0.5, rng=2014, seq_id="diluted")
+        engine, seen = mendel.engine, []
+        inner = engine._gapped_pass
+
+        def spy(query, merged, params, matrix):
+            seen.extend(merged)
+            return inner(query, merged, params, matrix)
+
+        engine._gapped_pass = spy
+        try:
+            report = mendel.query(query, params)
+        finally:
+            del engine._gapped_pass
+        diluted = [a for a in seen if a.seq_id == source.seq_id
+                   and a.score / a.length < params.S <= a.density]
+        assert diluted
+        assert source.seq_id in {a.subject_id for a in report.alignments}

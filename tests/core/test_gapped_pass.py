@@ -46,7 +46,7 @@ def sequential_gapped_pass(engine, query, merged, params, matrix):
         per_subject = 0
         for anchor in sorted(by_subject[seq_id],
                              key=lambda a: (-a.score, a.query_start)):
-            if anchor.score / max(1, anchor.length) < params.S:
+            if anchor.density < params.S:
                 fired["below_S"] += 1
                 continue
             if per_subject >= params.max_gapped_per_subject:

@@ -263,6 +263,56 @@ def test_stacked_oracle(kind, size, width, length, rows, seed):
     assert got.tobytes() == pairs.tobytes()
 
 
+class TestPairs:
+    """``pairs(a, b)`` scores row i of *a* against row i of *b*: the
+    diagonal of the stacked ``batch(a, b)``, bit for bit, and through
+    ``MetricAdapter`` counted as one evaluation a pair."""
+
+    @pytest.mark.chaos
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.one_of(st.integers(2, 40), st.just(256)),
+        length=st.integers(1, 40),
+        rows=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(size=256, length=40, rows=60, seed=0)
+    def test_pairs_are_the_diagonal_of_batch(self, size, length, rows, seed):
+        from repro.vptree.metric import MetricAdapter
+
+        rng = np.random.default_rng([SEED, seed])
+        places = rng.integers(0, int(rng.integers(1, 1000)), (size, 3))
+        matrix = np.abs(places[:, None, :] - places[None, :, :]).sum(axis=-1)
+        a = rng.integers(0, size, (rows, length)).astype(np.uint8)
+        b = rng.integers(0, size, (rows, length)).astype(np.uint8)
+        if rows:
+            a[0, -1] = b[-1, 0] = size - 1
+        for metric in (MatrixDistance(matrix), HammingDistance()):
+            adapter = MetricAdapter(metric)
+            got = adapter.pairs(a, b)
+            assert got.dtype == np.float64 and got.shape == (rows,)
+            assert adapter.pair_evaluations == rows
+            want = np.diagonal(metric.batch(a, b)) if rows else np.empty(0)
+            assert got.tobytes() == want.tobytes()
+            loop = MetricAdapter(metric.__call__).pairs(a, b)
+            assert got.tobytes() == loop.tobytes()
+
+    def test_code_outside_the_matrix_raises(self):
+        dist = MatrixDistance(mendel_distance_matrix(BLOSUM62))
+        with pytest.raises(IndexError, match="out of bounds"):
+            dist.pairs(arr([[0, 0]]), arr([[30, 0]]))
+        with pytest.raises(IndexError, match="out of bounds"):
+            dist.pairs(arr([[0, 30]]), arr([[0, 0]]))
+
+    def test_pairs_need_equal_stacks(self):
+        for metric in (MatrixDistance(mendel_distance_matrix(BLOSUM62)),
+                       HammingDistance()):
+            with pytest.raises(ValueError, match="pairs"):
+                metric.pairs(arr([[0, 0], [1, 1]]), arr([[0, 0]]))
+            with pytest.raises(ValueError, match="length mismatch"):
+                metric.pairs(arr([[0, 0]]), arr([[0, 0, 0]]))
+
+
 class TestDefaultDistance:
     def test_dna_is_hamming(self):
         assert isinstance(default_distance(DNA), HammingDistance)
