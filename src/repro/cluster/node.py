@@ -28,7 +28,7 @@ from repro.tier.cache import BlockCache
 from repro.tier.store import NodeTier, TierConfig
 from repro.util.validation import check_positive
 from repro.vptree.dynamic import DynamicVPTree
-from repro.vptree.search import part_search
+from repro.vptree.search import lane_hits, nearest_pairs, part_search
 
 
 @dataclass
@@ -88,6 +88,48 @@ def parts_selective(width: int, mismatches: int, letters: int) -> bool:
     and m > 0 (a radius-0 vp-tree walk is already an exact lookup)."""
     bits = width // (mismatches + 1) * math.log2(letters) - math.log2(mismatches + 1)
     return mismatches > 0 and bits >= 8
+
+
+def named_knn(
+    jobs: "Sequence[tuple[StorageNode, np.ndarray, Sequence[np.ndarray]]]",
+    k: int, max_radius: float,
+) -> list[Searches]:
+    """The part-path search of several all-RAM nodes at once, one
+    ``(node, windows, candidates)`` job each: each node's named rows
+    (:meth:`StorageNode.named_rows`) from its own matrix, every job's pairs
+    scored in one :func:`~repro.vptree.search.nearest_pairs` pass, and each
+    window's *k* nearest within *max_radius* in (distance, tree row) order.
+    A window's result depends on its own pairs alone, so each job's
+    :class:`Searches` equal the node's own :meth:`StorageNode.local_knn`
+    (which reads no cold pages here); like it, nothing is counted on the
+    node."""
+    named = [node.named_rows(candidates) for node, _, candidates in jobs]
+    offsets = np.cumsum([0] + [len(windows) for _, windows, _ in jobs]).tolist()
+    queries = np.concatenate([windows for _, windows, _ in jobs])
+    lanes = np.concatenate([lanes + lo for lo, (lanes, _, _) in zip(offsets, named)])
+    rows = np.concatenate([rows for _, rows, _ in named])
+    gathered = np.concatenate([node.tree.points[rows]
+                               for (node, _, _), (_, rows, _) in zip(jobs, named)])
+    # The pass counts on the first node's metric: each node's share of the
+    # evaluations moves to its own.
+    adapter = jobs[0][0].tree.adapter
+    lane, pair, found, scored = nearest_pairs(
+        adapter, queries, k, max_radius, lanes, rows,
+        lambda start, stop: gathered[start:stop])
+    adapter.pair_evaluations -= lanes.size
+    hits = lane_hits(lane, pair, found, offsets[-1],
+                     np.concatenate([ids for _, _, ids in named]).tolist())
+    out = []
+    for at, ((node, _, _), (_, rows, _)) in enumerate(zip(jobs, named)):
+        node.tree.adapter.pair_evaluations += rows.size
+        lo, hi = offsets[at], offsets[at + 1]
+        searches = Searches()
+        searches.path = "parts"
+        searches.extend(
+            (hits[lane], SearchCost(evals, node.service_time(evals)))
+            for lane, evals in enumerate(scored[lo:hi].tolist(), lo))
+        out.append(searches)
+    return out
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -198,6 +240,9 @@ class StorageNode:
         #: ``(cache, config)`` once the deployment attached tiering; kept
         #: across unspill/reset so maintenance flows can re-spill
         self._tier_attach: tuple[BlockCache, TierConfig] | None = None
+        #: bumped by every change to what a search reads: holdings, tree
+        #: rows, the tier and the durable medium (see :attr:`stamp`)
+        self._mutations = 0
         # Resolved once so the per-search cost is a lock-and-add, not a
         # registry lookup.
         self._m_evals = default_registry().counter(
@@ -262,6 +307,16 @@ class StorageNode:
         held, rows = np.unique(np.asarray(self.block_ids, dtype=np.int64),
                                return_index=True)
         self.held, self.held_rows = _read_only(held), _read_only(rows)
+        self._mutations += 1
+
+    @property
+    def stamp(self) -> int:
+        """A count that moves whenever what a search of this node reads
+        does: its holdings, tree rows, tier (attach, spill, unspill), durable
+        medium, or the bytes on its disk (``NodeDisk.generation``, bumped by
+        every write, truncation and bit flip).  Both terms only grow, so
+        their sum is unchanged exactly when neither moved."""
+        return self._mutations + self.disk.generation
 
     def _journal(self, block_ids: Sequence[int], codes: np.ndarray) -> None:
         """Append one WAL insert per block (row of *codes*).  An append the
@@ -273,12 +328,12 @@ class StorageNode:
             if not self.durable.append_insert(block_id, row):
                 self.durability_degraded = True
 
-    def verify_blocks(self, block_ids: Sequence[int]) -> list[bool]:
+    def verdicts(self, block_ids: Sequence[int]) -> list[bool]:
         """Verified read gate, one flag per id: does this node's durable
         copy of the block still match its acknowledged content digest?
         ``True`` when no durable record exists (nothing to distrust — e.g.
-        a block indexed during a degraded-durability window).  Every
-        ``False`` returned counts one corrupt read.  A verdict stands until
+        a block indexed during a degraded-durability window).  Counts
+        nothing (:meth:`verify_blocks` does).  A verdict stands until
         the durable medium is another object or its disk's ``generation``
         moves (every write, truncation and bit flip bumps it), so only ids
         not read since are read: on a spilled node each page they fall in
@@ -289,9 +344,22 @@ class StorageNode:
         unread = list(dict.fromkeys(b for b in block_ids if b not in verdicts))
         for block_id, ok in zip(unread, self.durable.verify_many(unread) if unread else ()):
             verdicts[block_id] = ok is not False
-        verified = [verdicts[block_id] for block_id in block_ids]
+        return [verdicts[block_id] for block_id in block_ids]
+
+    def verify_blocks(self, block_ids: Sequence[int]) -> list[bool]:
+        """:meth:`verdicts`, counting every ``False`` as one corrupt read."""
+        verified = self.verdicts(block_ids)
         self.stats.corrupt_reads += verified.count(False)
         return verified
+
+    def served(self, windows: int, evals: int, corrupt_reads: int = 0) -> None:
+        """Count one node-subquery this node served: *windows* searches,
+        *evals* distance evaluations, *corrupt_reads* hits whose durable copy
+        failed its digest.  A search counts nothing itself, so the query
+        replay counts each attempt once, at the node's service time."""
+        self.stats.queries_served += windows
+        self.stats.corrupt_reads += corrupt_reads
+        self._m_evals.inc(evals)
 
     # -- tiered storage --------------------------------------------------------
 
@@ -305,11 +373,13 @@ class StorageNode:
         Flows that must fold the node back into RAM (inserts, quarantine
         repair, placement resets, recovery) re-spill on exit."""
         self._tier_attach = (cache, config)
+        self._mutations += 1
 
     def detach_tier(self) -> None:
         """Fold back to RAM and forget the tier policy entirely."""
         self.unspill()
         self._tier_attach = None
+        self._mutations += 1
 
     def spill(self) -> None:
         """Move this node's block codes into its on-disk block file.
@@ -334,6 +404,7 @@ class StorageNode:
         self.durable.reset()
         self.tier = self.durable = tier
         self.durability_degraded = False
+        self._mutations += 1
 
     def unspill(self) -> None:
         """Fold the block file back: rebuild the codes matrix from it,
@@ -346,6 +417,7 @@ class StorageNode:
         if self.tier is not None:
             block_ids, codes = self.block_ids, self.tier.materialize()
             self.tree._storage = self.tree.points = codes
+            self._mutations += 1
         else:
             rep = self.durable.replay()
             block_ids, codes = rep.block_ids, rep.codes
@@ -360,6 +432,7 @@ class StorageNode:
             self.durable = DurableNodeState(self.disk, self.node_id)
         self.tier = None
         self.durable.reset()
+        self._mutations += 1
 
     def tier_occupancy(self) -> dict | None:
         """Tier occupancy report, or ``None`` while all-RAM."""
@@ -386,7 +459,7 @@ class StorageNode:
         once for all the windows, so cold reads belong to the subquery, not
         to a window.  ``max_radius`` bounds the search ball (the query
         pipeline passes the largest distance its identity filter could
-        accept).
+        accept).  The call counts nothing on the node: :meth:`served` does.
 
         Given the identity filter's bound (at most *mismatches*
         mismatches, codes over *letters* letters) where
@@ -395,21 +468,14 @@ class StorageNode:
         the window on one of ``mismatches + 1`` parts, as every filter
         passer is), :func:`~repro.vptree.search.part_search` serves the
         call instead of the vp-tree: the *k* nearest in the ball among the
-        named blocks this node holds, found with one ``searchsorted`` into
-        :attr:`held`.  A spilled node reads only the pages holding them.
-        A window is charged an evaluation a row scored.
+        named blocks this node holds (:meth:`named_rows`).  A spilled node
+        reads only the pages holding them.  A window is charged an
+        evaluation a row scored.
         """
         searches = Searches()
-        if candidates is not None and parts_selective(
-            self.tree.segment_length, mismatches, letters
-        ):
-            lanes = np.repeat(np.arange(len(candidates)), [len(c) for c in candidates])
-            ids, held, rows = np.concatenate(candidates), self.held, self.held_rows
-            at = np.searchsorted(held, ids)
-            mine = at < held.size
-            mine[mine] = held[at[mine]] == ids[mine]
-            found = part_search(self.tree, windows, k, max_radius,
-                                lanes[mine], rows[at[mine]])
+        if self.serves_parts(mismatches, letters, candidates):
+            lanes, rows, _ids = self.named_rows(candidates)
+            found = part_search(self.tree, windows, k, max_radius, lanes, rows)
             searches.path = "parts"
         else:
             found = self.tree.knn(windows, k, max_radius=max_radius)
@@ -425,9 +491,29 @@ class StorageNode:
                 found.cold_reads, found.cold_bytes,
                 self.tier.io_seconds(found.cold_reads, found.cold_bytes),
             )
-        self.stats.queries_served += len(searches)
-        self._m_evals.inc(sum(evals for _, evals in found))
         return searches, reads
+
+    def serves_parts(self, mismatches: int | None, letters: int | None,
+                     candidates) -> bool:
+        """Whether a subquery whose windows carry *candidates* is served
+        from the named blocks (:meth:`local_knn`): they are named and
+        :func:`parts_selective` holds for the filter's bound."""
+        return candidates is not None and parts_selective(
+            self.tree.segment_length, mismatches, letters)
+
+    def named_rows(
+        self, candidates: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The named blocks this node holds, one ``searchsorted`` into
+        :attr:`held`: ``(lanes, rows, ids)`` — the window that named each
+        (its position in *candidates*), its tree row and its block id, in
+        the order named."""
+        lanes = np.repeat(np.arange(len(candidates)), [len(c) for c in candidates])
+        ids, held = np.concatenate(candidates), self.held
+        at = np.searchsorted(held, ids)
+        mine = at < held.size
+        mine[mine] = held[at[mine]] == ids[mine]
+        return lanes[mine], self.held_rows[at[mine]], ids[mine]
 
     def service_time(self, evals: int, overhead_evals: int = 50) -> float:
         """Simulated seconds to perform *evals* distance evaluations
@@ -464,6 +550,7 @@ class StorageNode:
         )
         self.block_ids = []
         self.held, self.held_rows = _NONE_HELD, _NO_ROWS
+        self._mutations += 1
 
     def fail(self) -> None:
         """Crash-stop the node: the process (and with it every in-RAM

@@ -8,8 +8,11 @@ save researchers a lot of time."
 (reference sequences, deployment config, and each block's primary node) to
 a single file; :func:`load_index` builds a live deployment from it through
 the same constructor as a fresh build, taking each block's group from the
-archive — so it skips the vp-prefix hashing of every block, the dominant
-indexing cost, and places every block exactly where a build would.
+archive — so it places every block exactly where a build would without
+hashing any block through the vp-prefix tree.  That hashing is one batched
+pass (``VPPrefixTree.hash_many``), a small share of a build; loading still
+rebuilds the prefix tree from its sample and every node's vp-tree and
+write-ahead log, which is where most of the indexing time goes.
 
 Format: a self-verifying container — magic ``MENDELIX``, a format version,
 and a whole-payload CRC32 — around a compressed ``numpy`` archive holding

@@ -24,9 +24,11 @@ The pipeline, executed as discrete-event processes so the reported
    user matrix ``M``, assigned Karlin–Altschul E-values, filtered at ``E``,
    deduplicated, ranked, and returned.
 
-Step 4's node-local work is the pure :func:`node_kernel`; everything on the
-simulated clock around it is a :class:`_BatchRun`, whose ``publish`` is the
-only writer of a node's cost record to stats, counters, profile and span.
+Step 4's node-local work is the pure :func:`execute`, one call over every
+node-subquery of a query; everything on the simulated clock around it is a
+:class:`_BatchRun`, which replays each node's share at that node's service
+time and whose ``publish`` is the only writer of a node's cost record to
+stats, counters, profile and span.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.cluster.messages import (
     QueryResult,
     SubQuery,
 )
-from repro.cluster.node import StorageNode, parts_selective
+from repro.cluster.node import ReadCost, StorageNode, named_knn, parts_selective
 from repro.core.aggregate import merge_anchors
 from repro.core.anchors import evaluate_candidate, extend_anchor, max_mismatches
 from repro.core.blocks import BlockStore
@@ -129,8 +131,8 @@ _SYSTEM_SITE = "core/query.py:system_proc"
 
 @dataclass
 class NodeCost:
-    """What one node-local subquery cost, returned by value from
-    :func:`node_kernel` (``service_seconds`` includes ``io_seconds``)."""
+    """What one node-local subquery cost, priced from its
+    :class:`NodeWork` (``service_seconds`` includes ``io_seconds``)."""
 
     evals: int = 0
     candidates: int = 0
@@ -146,9 +148,10 @@ class NodeCost:
     search: str = "vptree"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowRoute:
-    """Tier-1 routing of one subquery window, as the run decided it."""
+    """Tier-1 routing of one subquery window, as the run decided it (a
+    report keeps one a window, so it has no per-instance ``__dict__``)."""
 
     window: int
     query_start: int
@@ -271,87 +274,165 @@ class _NodeFailure:
     reason: str  # "unreachable" | "died" | "deadline"
 
 
-def node_kernel(
-    node: StorageNode, query_codes: np.ndarray, windows: list[_Window],
-    params: QueryParams, radius: float, matrix: np.ndarray, store: BlockStore,
-) -> tuple[list[Anchor], NodeCost]:
-    """One node's share of a query (pipeline step 4): local k-NN over its
-    windows, one verified read of every candidate the searches returned,
-    the identity and c-score filters on the verified ones — one
-    :func:`evaluate_candidate` call over their stacked codes — and one
-    :func:`extend_anchor` call lengthening every survivor.
+@dataclass
+class NodeWork:
+    """What :func:`execute` returns for one ``(node, windows)`` job: the
+    node's anchors and, in integer counts, what finding them took.  Pricing
+    it (:meth:`cost`) and counting it on the node
+    (:meth:`StorageNode.served`) is the replay's, at the node's service
+    time."""
 
-    No simulator, registry, span or :class:`QueryStats` in here: what the
-    work cost comes back in the :class:`NodeCost`, each fact counted once.
-    """
-    positives = matrix if store.database.alphabet.name == "protein" else None
-    anchors: list[Anchor] = []
-    cost = NodeCost()
-    # One search call for the whole subquery; CPU costs are still summed
-    # window by window, so the float totals do not depend on the batching.
-    # Its cold reads are one charge (0.0 on a RAM node: the sum is unmoved).
-    codes = np.stack([window.codes for window in windows])
-    named = ([window.candidates for window in windows]
-             if windows[0].candidates is not None else None)
-    searches, reads = node.local_knn(
-        codes, params.n, radius, max_mismatches(store.segment_length, params.i),
-        store.database.alphabet.canonical_size, named)
-    cost.search = searches.path
-    cost.io_seeks, cost.io_bytes, cost.io_seconds = reads
-    cost.service_seconds += reads.seconds
-    # Candidates as (position in ``windows``, block), window by window and
-    # nearest first within a window.
-    lanes, block_ids = [], []
-    for lane, (hits, search) in enumerate(searches):
-        cost.evals += search.evals
-        cost.service_seconds += search.seconds
-        cost.candidates += len(hits)
-        lanes += [lane] * len(hits)
-        block_ids += [block_id for _dist, block_id in hits]
-    # Verified read: a hit whose durable copy fails its content digest is
-    # skipped — the query's fan-out to the block's other replicas answers
-    # from a healthy copy instead of serving rotted bytes.
-    verified = node.verify_blocks(block_ids)
-    lanes = [lane for lane, ok in zip(lanes, verified) if ok]
-    block_ids = [block_id for block_id, ok in zip(block_ids, verified) if ok]
-    if block_ids:
-        score = evaluate_candidate(
-            codes[lanes], store.codes_matrix(block_ids), positives
+    anchors: list[Anchor] = field(default_factory=list)
+    #: distance evaluations of each window, in window order
+    window_evals: tuple[int, ...] = ()
+    candidates: int = 0
+    identity_pass: int = 0
+    cscore_pass: int = 0
+    extension_ops: int = 0
+    io_seeks: int = 0
+    io_bytes: int = 0
+    #: candidates whose durable copy failed its digest (dropped unscored)
+    corrupt_reads: int = 0
+    #: which search served the node: ``"parts"`` or ``"vptree"``
+    search: str = "vptree"
+
+    def cost(self, node: StorageNode) -> NodeCost:
+        """This work priced on *node* at its current speed: the cold reads'
+        device time, then each window's search, then the extension's
+        residue operations, summed in that order."""
+        io_seconds = (node.tier.io_seconds(self.io_seeks, self.io_bytes)
+                      if self.io_seeks else 0.0)
+        seconds = 0.0 + io_seconds
+        for evals in self.window_evals:
+            seconds += node.service_time(evals)
+        seconds += node.service_time_ops(self.extension_ops)
+        return NodeCost(
+            evals=sum(self.window_evals), candidates=self.candidates,
+            identity_pass=self.identity_pass, cscore_pass=self.cscore_pass,
+            anchors=len(self.anchors), extension_ops=self.extension_ops,
+            io_seeks=self.io_seeks, io_bytes=self.io_bytes,
+            io_seconds=io_seconds, service_seconds=seconds, search=self.search,
         )
-        similar = score.identity >= params.i
-        cost.identity_pass = int(similar.sum())
-        survivors = np.flatnonzero(similar & (score.c_score >= params.c))
-        cost.cscore_pass = int(survivors.size)
-        if survivors.size:
-            ids = np.asarray(block_ids)[survivors]
-            starts, record_lo, record_hi = store.flat_spans(ids)
-            found = extend_anchor(
-                query_codes, store.flat_codes(),
-                query_start=[windows[lanes[at]].query_start for at in survivors],
-                subject_start=starts, subject_bounds=(record_lo, record_hi),
-                width=store.segment_length, identity_threshold=params.i,
-                matrix=matrix,
-            )
-            # Neighbouring windows often extend to the same anchor: keep the
-            # first, in survivor order.
-            seen: set[tuple[int, int, int]] = set()
-            for block_id, lo, q_start, q_end, s_start, anchor_score in zip(
-                ids.tolist(), record_lo.tolist(), *(column.tolist() for column in found)
-            ):
-                key = (lo, s_start - lo - q_start, q_start)
-                if key in seen:
-                    continue
-                seen.add(key)
-                cost.extension_ops += q_end - q_start
-                anchors.append(Anchor(
-                    seq_id=store.block(block_id).seq_id, query_start=q_start,
-                    query_end=q_end, subject_start=s_start - lo,
-                    subject_end=s_start - lo + q_end - q_start,
-                    score=float(anchor_score),
-                ))
-    cost.anchors = len(anchors)
-    cost.service_seconds += node.service_time_ops(cost.extension_ops)
-    return anchors, cost
+
+
+def execute(
+    jobs: "list[tuple[StorageNode, list[_Window]]]", query_codes: np.ndarray,
+    params: QueryParams, radius: float, matrix: np.ndarray, store: BlockStore,
+) -> list[NodeWork]:
+    """Node-local work (pipeline step 4) of one query's node-subqueries,
+    one :class:`NodeWork` per ``(node, windows)`` job, in job order: each
+    node's local k-NN over its windows, one verified read of every
+    candidate the searches returned, the identity and c-score filters on
+    the verified ones, and the extension of every survivor.
+
+    The work is fused across jobs wherever the result of each stays its
+    own.  Every all-RAM node the part-key directory named candidates for
+    (:meth:`StorageNode.serves_parts`) is searched in one
+    :func:`~repro.cluster.node.named_knn` call, which scores all their
+    named pairs together, each window keeping its own n nearest by
+    (distance, tree row).  Any other node — a spilled one, or one its
+    vp-tree serves — runs its own :meth:`StorageNode.local_knn`.
+    Each node's candidates pass its own verified read; then one
+    :func:`evaluate_candidate` call and one :func:`extend_anchor` call take
+    every job's rows (both are row by row), and each node keeps the first
+    of its anchors that extend to the same place, in its survivor order.
+    A one-job call is the one node's kernel.
+
+    No simulator, registry, span or :class:`QueryStats` in here, and
+    nothing is counted on a node: what each job did comes back in counts.
+    """
+    width = store.segment_length
+    mismatches = max_mismatches(width, params.i)
+    letters = store.database.alphabet.canonical_size
+    positives = matrix if store.database.alphabet.name == "protein" else None
+    works = [NodeWork() for _ in jobs]
+    # Every job's windows stacked: a window's lane is its row here.
+    windows = [window for _, mine in jobs for window in mine]
+    codes = np.stack([window.codes for window in windows])
+    offsets = np.cumsum([0] + [len(mine) for _, mine in jobs]).tolist()
+    searched: list = [None] * len(jobs)
+    fused = []
+    for at, (node, mine) in enumerate(jobs):
+        named = ([window.candidates for window in mine]
+                 if mine[0].candidates is not None else None)
+        own = codes[offsets[at]:offsets[at + 1]]
+        if node.tier is None and node.serves_parts(mismatches, letters, named):
+            fused.append((at, (node, own, named)))
+        else:
+            searched[at] = node.local_knn(own, params.n, radius, mismatches,
+                                          letters, named)
+    if fused:
+        for (at, _), searches in zip(fused, named_knn(
+                [job for _, job in fused], params.n, radius)):
+            searched[at] = searches, ReadCost()
+    # Each job's candidates as (lane, block), window by window and nearest
+    # first within a window, through the node's verified read: a hit whose
+    # durable copy fails its content digest is skipped — the query's
+    # fan-out to the block's other replicas answers from a healthy copy
+    # instead of serving rotted bytes.
+    job_of, lanes, block_ids = [], [], []
+    for at, ((node, _), work, (searches, reads)) in enumerate(
+            zip(jobs, works, searched)):
+        work.search = searches.path
+        work.io_seeks, work.io_bytes = reads.seeks, reads.nbytes
+        work.window_evals = tuple(search.evals for _, search in searches)
+        hits = [(lane, block_id)
+                for lane, (found, _search) in enumerate(searches, offsets[at])
+                for _dist, block_id in found]
+        work.candidates = len(hits)
+        verified = node.verdicts([block_id for _, block_id in hits]) if hits else []
+        work.corrupt_reads = verified.count(False)
+        for (lane, block_id), ok in zip(hits, verified):
+            if ok:
+                job_of.append(at)
+                lanes.append(lane)
+                block_ids.append(block_id)
+    if not block_ids:
+        return works
+    score = evaluate_candidate(
+        codes[lanes], store.codes_matrix(block_ids), positives)
+    similar = score.identity >= params.i
+    passed = similar & (score.c_score >= params.c)
+    job_of = np.asarray(job_of)
+    for at, (identity, cscore) in enumerate(zip(
+        np.bincount(job_of[similar], minlength=len(jobs)).tolist(),
+        np.bincount(job_of[passed], minlength=len(jobs)).tolist(),
+    )):
+        works[at].identity_pass, works[at].cscore_pass = identity, cscore
+    survivors = np.flatnonzero(passed)
+    if not survivors.size:
+        return works
+    ids = np.asarray(block_ids)[survivors]
+    starts, record_lo, record_hi = store.flat_spans(ids)
+    extended = extend_anchor(
+        query_codes, store.flat_codes(),
+        query_start=[windows[lanes[at]].query_start for at in survivors],
+        subject_start=starts, subject_bounds=(record_lo, record_hi),
+        width=width, identity_threshold=params.i, matrix=matrix,
+    )
+    # Neighbouring windows often extend to the same anchor: each node keeps
+    # the first, in its survivor order.
+    seen: set[tuple[int, int, int]] = set()
+    previous = -1
+    for at, block_id, lo, q_start, q_end, s_start, anchor_score in zip(
+        job_of[survivors].tolist(), ids.tolist(), record_lo.tolist(),
+        *(column.tolist() for column in extended)
+    ):
+        if at != previous:
+            seen, previous = set(), at
+        key = (lo, s_start - lo - q_start, q_start)
+        if key in seen:
+            continue
+        seen.add(key)
+        work = works[at]
+        work.extension_ops += q_end - q_start
+        work.anchors.append(Anchor(
+            seq_id=store.block(block_id).seq_id, query_start=q_start,
+            query_end=q_end, subject_start=s_start - lo,
+            subject_end=s_start - lo + q_end - q_start,
+            score=float(anchor_score),
+        ))
+    return works
 
 
 class _SubjectQueue:
@@ -436,6 +517,9 @@ class _QueryState:
     alignments: list[Alignment] = field(default_factory=list)
     completed_at: float | None = None
     coverage: float = 1.0
+    #: node id -> (windows, node stamp, work) of the node-subqueries run
+    #: right after routing, for the replay to use while the stamp holds
+    executed: dict = field(default_factory=dict)
 
     @property
     def degraded(self) -> bool:
@@ -560,10 +644,9 @@ class _BatchRun:
         lock = self.lock_for(node.node_id)
         yield lock.request()
         try:
-            anchors, cost = node_kernel(
-                node, state.query.codes, windows, self.params, self.radius,
-                self.matrix, self.store,
-            )
+            work = self._work(state, node, windows)
+            anchors, cost = work.anchors, work.cost(node)
+            node.served(len(windows), cost.evals, work.corrupt_reads)
             self.publish_node(cost, state.stats, span)
             # Cold tier reads this subquery paid for (device time is
             # inside the service yield below).
@@ -589,6 +672,34 @@ class _BatchRun:
         if not delivered:
             return _NodeFailure(node.node_id, "unreachable")
         return anchors
+
+    def _work(self, state: _QueryState, node: StorageNode,
+              windows: list[_Window]) -> NodeWork:
+        """The node's work on *windows*: what :meth:`_execute_ahead` found,
+        while the node's stamp says nothing it reads has changed since;
+        else (a spilled node, a node changed or added mid-query) the node
+        alone, now."""
+        ahead = state.executed.get(node.node_id)
+        if ahead is not None and ahead[0] is windows and ahead[1] == node.stamp:
+            return ahead[2]
+        [work] = execute([(node, windows)], state.query.codes, self.params,
+                         self.radius, self.matrix, self.store)
+        return work
+
+    def _execute_ahead(self, state: _QueryState, routing: dict) -> None:
+        """Run, in one :func:`execute` call, the subquery of every alive,
+        all-RAM member of every routed group, each stamped with its node's
+        :attr:`~StorageNode.stamp`.  A spilled node is left to its service
+        time: its cold reads and what its reads admit to the shared cache
+        depend on the cache as it is then."""
+        jobs = [(node, windows) for _, (group, windows) in sorted(routing.items())
+                for node in group.nodes if node.alive and not node.tiered]
+        if not jobs:
+            return
+        works = execute(jobs, state.query.codes, self.params, self.radius,
+                        self.matrix, self.store)
+        for (node, windows), work in zip(jobs, works):
+            state.executed[node.node_id] = (windows, node.stamp, work)
 
     def guarded_node(self, state: _QueryState, node: StorageNode,
                      coordinator: StorageNode, windows: list[_Window],
@@ -744,6 +855,7 @@ class _BatchRun:
         yield net.transfer("client", entry.node_id, query.codes.nbytes + 64)
         span.finish(sim_now=sim.now)
         routing = yield from self._route(state)
+        self._execute_ahead(state, routing)
         span = root.child("fanout", sim_now=sim.now, actor=entry.node_id,
                           groups=len(routing))
         group_events = [
@@ -809,12 +921,15 @@ class _BatchRun:
                                 [(group, window) for group in route.groups]))
         path = "parts" if self.parts else "walk"
         routing: dict[str, tuple[StorageGroup, list[_Window]]] = {}
+        # Windows sent to the same groups share one tuple of their ids.
+        group_ids: dict[tuple[str, ...], tuple[str, ...]] = {}
         for window, (prefixes, sent) in zip(windows, decided):
             for group, copy in sent:
                 routing.setdefault(group.group_id, (group, []))[1].append(copy)
+            ids = tuple(group.group_id for group, _ in sent)
             state.routes.append(WindowRoute(
                 window.index, window.query_start, prefixes,
-                tuple(group.group_id for group, _ in sent), path,
+                group_ids.setdefault(ids, ids), path,
             ))
         for group_id, (_, routed) in routing.items():
             stats.subqueries_routed += len(routed)
@@ -850,6 +965,7 @@ class _BatchRun:
         """Stamp completion and feed the health monitor / event log."""
         now = self.sim.now
         state.completed_at = now
+        state.executed.clear()
         stats = state.stats
         stats.turnaround = now - state.arrival
         if state.placed:

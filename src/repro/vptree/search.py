@@ -390,7 +390,7 @@ def _scan_slice(
     if fills.size:
         kept = _admitted(flat, dists, lane, row, found, tau, k)
         lane, row, found = lane[kept], row[kept], found[kept]
-    results = list(zip(_hits(lane, row, found, width, payloads),
+    results = list(zip(lane_hits(lane, row, found, width, payloads),
                        (met @ flat.weight).tolist()))
     if pruned.size:
         for w, outcome in zip(pruned.tolist(),
@@ -441,15 +441,17 @@ def _admitted(
     return kept
 
 
-def _hits(
+def lane_hits(
     lane: np.ndarray, row: np.ndarray, found: np.ndarray, width: int,
     payloads: list,
 ) -> list[list[tuple[float, object]]]:
     """The rows ``(lane, row)`` at distance *found* — lane by lane, rows
-    ascending — as one list of ``(distance, payload)`` pairs for each of
-    *width* lanes, in ``(distance, row)`` order: the order the walk's heap
-    is read out in.  Sorting by distance and then by lane (both stable)
-    leaves each lane's run in that order."""
+    ascending — as one list of ``(distance, payloads[row])`` pairs for each
+    of *width* lanes, in ``(distance, row)`` order: the order the walk's
+    heap is read out in.  Sorting by distance and then by lane (both
+    stable) leaves each lane's run in that order, so *row* may be any index
+    into *payloads* whose entries already come in that order within a
+    lane."""
     order = np.lexsort((found, lane))
     ends = np.cumsum(np.bincount(lane, minlength=width)).tolist()
     found = found[order].tolist()
@@ -548,10 +550,9 @@ def part_search(
 
     The named rows' codes are read once (a paged store reads only the
     pages holding them, each once and in file order, and counts its cold
-    reads the way a scan does).  The pairs are scored by
-    ``tree.adapter.pairs``, ``_PASS_CELLS`` pairs a call, and a window keeps
-    only its *k* nearest in between, so beside the named rows and their
-    codes what is held is bounded whatever W."""
+    reads the way a scan does) and scored by :func:`nearest_pairs`, so
+    beside the named rows and their codes what is held is bounded whatever
+    W."""
     queries = np.asarray(queries, dtype=np.uint8)
     width = queries.shape[0]
     results, named = BatchResult(), np.unique(rows)
@@ -559,33 +560,53 @@ def part_search(
         codes = tree.points[named]
     else:
         codes, results.cold_reads, results.cold_bytes = tree.points.take(named)
-    scored = np.zeros(width, dtype=np.intp)
-    nearest = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
-    for start in range(0, lanes.size, _PASS_CELLS):
-        lane, row = lanes[start:start + _PASS_CELLS], rows[start:start + _PASS_CELLS]
-        nearest = _score(tree, queries, k, max_radius, nearest, lane, row,
-                         codes[np.searchsorted(named, row)], scored)
-    results.extend(zip(_hits(*nearest, width, tree.payloads), scored.tolist()))
+    lane, pair, found, scored = nearest_pairs(
+        tree.adapter, queries, k, max_radius, lanes, rows,
+        lambda start, stop: codes[np.searchsorted(named, rows[start:stop])])
+    results.extend(zip(lane_hits(lane, rows[pair], found, width, tree.payloads),
+                       scored.tolist()))
     return results
 
 
-def _score(tree: "VPTree", queries: np.ndarray, k: int, max_radius: float,
-           nearest: tuple, lanes: np.ndarray, rows: np.ndarray,
-           codes: np.ndarray, scored: np.ndarray) -> tuple:
-    """Score the pairs ``(lanes, rows)`` whose rows hold *codes* in one
-    ``tree.adapter.pairs`` call, counting them in *scored*; return
-    *nearest* ``(lane, row, distance)`` merged with those inside
-    *max_radius*, each lane's *k* nearest in ``(distance, row)`` order."""
-    scored += np.bincount(lanes, minlength=len(queries))
-    found = tree.adapter.pairs(queries[lanes], codes)
+def nearest_pairs(
+    adapter, queries: np.ndarray, k: int, max_radius: float,
+    lanes: np.ndarray, rows: np.ndarray, codes_of,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score the pairs ``(lanes[j], rows[j])`` — query row ``lanes[j]`` of
+    *queries* against the codes ``codes_of(start, stop)`` gives for pairs
+    ``start:stop`` — by ``adapter.pairs``, ``_PASS_CELLS`` pairs a call,
+    keeping only each lane's *k* nearest inside *max_radius* in between.
+    Returns ``(lane, pair, distance)`` of those — ``pair`` their positions
+    ``j`` — in ``(lane, distance, row)`` order, and the pairs scored per
+    lane.  A lane's result depends on its own pairs alone, so lanes of
+    several trees (each its own rows) may share one call."""
+    scored = np.bincount(lanes, minlength=len(queries))
+    nearest = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
+    for start in range(0, lanes.size, _PASS_CELLS):
+        stop = start + _PASS_CELLS
+        nearest = _score(adapter, queries, k, max_radius, nearest, lanes, rows,
+                         start, codes_of(start, stop))
+    return (*nearest, scored)
+
+
+def _score(adapter, queries: np.ndarray, k: int, max_radius: float,
+           nearest: tuple, lanes: np.ndarray, rows: np.ndarray, start: int,
+           codes: np.ndarray) -> tuple:
+    """Score the pairs from *start* on that hold *codes* in one
+    ``adapter.pairs`` call; return *nearest* ``(lane, pair, distance)``
+    merged with those inside *max_radius*, each lane's *k* nearest in
+    ``(distance, row)`` order."""
+    stop = start + len(codes)
+    found = adapter.pairs(queries[lanes[start:stop]], codes)
     inside = found <= max_radius
-    lane, row, found = (np.concatenate([held, new[inside]])
-                        for held, new in zip(nearest, (lanes, rows, found)))
-    order = np.lexsort((row, found, lane))
-    lane, row, found = lane[order], row[order], found[order]
+    lane, pair, found = (
+        np.concatenate([held, new[inside]]) for held, new
+        in zip(nearest, (lanes[start:stop], np.arange(start, stop), found)))
+    order = np.lexsort((rows[pair], found, lane))
+    lane, pair, found = lane[order], pair[order], found[order]
     counts = np.bincount(lane, minlength=len(queries))
     keep = np.arange(lane.size) - (np.cumsum(counts) - counts)[lane] < k
-    return lane[keep], row[keep], found[keep]
+    return lane[keep], pair[keep], found[keep]
 
 
 def radius_search(

@@ -73,6 +73,9 @@ class TestLocalKnn:
         assert hits[0][1] == 103
         assert hits[0][0] == 0.0
         assert cost.seconds > 0
+        # a search counts nothing itself; the replay's count is its evals
+        assert evals_counted() == counted
+        node.served(1, cost.evals)
         assert cost.evals == evals_counted() - counted > 0
         # an all-RAM node pays no cold reads
         assert reads == (0, 0, 0.0)
@@ -90,6 +93,9 @@ class TestLocalKnn:
         counted = evals_counted()
         searches = node.local_knn(blocks(1, seed=5), 2)[0]
         searches += node.local_knn(blocks(2, seed=6), 2)[0]
+        assert node.stats.queries_served == 0 and evals_counted() == counted
+        for served in (searches[:1], searches[1:]):
+            node.served(len(served), sum(cost.evals for _, cost in served))
         assert node.stats.queries_served == 3
         assert sum(cost.evals for _, cost in searches) == evals_counted() - counted > 0
         assert all(cost.seconds > 0 for _, cost in searches)

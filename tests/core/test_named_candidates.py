@@ -27,6 +27,7 @@ import random
 import numpy as np
 import pytest
 
+import repro.core.query as query_module
 from repro.cluster.node import StorageNode
 from repro.core.anchors import max_mismatches
 from repro.core.params import QueryParams
@@ -50,14 +51,24 @@ def part_match(index, codes: np.ndarray, window: np.ndarray) -> np.ndarray:
 
 
 class Recorder:
-    """Wraps ``StorageNode.local_knn``: keeps each part-path call's node,
-    windows and searches, and checks a spilled node's cold reads against
-    the cache as the call found it."""
+    """Wraps ``StorageNode.local_knn`` and the query's ``named_knn`` (the
+    part path of all-RAM nodes, several at once): keeps each part-path
+    search's node, windows and searches, and checks a spilled node's cold
+    reads against the cache as the call found it."""
 
     def __init__(self, monkeypatch, index) -> None:
         self.calls = []
         self.cold_calls = 0
         original = StorageNode.local_knn
+        fused = query_module.named_knn
+
+        def named_knn(jobs, k, max_radius):
+            found = fused(jobs, k, max_radius)
+            self.calls += [(node, windows, searches, max_radius)
+                           for (node, windows, _), searches in zip(jobs, found)]
+            return found
+
+        monkeypatch.setattr(query_module, "named_knn", named_knn)
 
         def local_knn(node, windows, k, max_radius=float("inf"),
                       mismatches=None, letters=None, candidates=None):
@@ -190,18 +201,26 @@ def test_an_unsettled_split_scores_only_placed_blocks(monkeypatch):
 
     # The same queries with every held part match named, retained copies
     # included: what a node scored when it scored every row it held.
-    scoring = StorageNode.local_knn
+    scoring, fused = StorageNode.local_knn, query_module.named_knn
+
+    def held_matches(node, windows):
+        own = index.store.codes_matrix(node.block_ids)
+        return [np.asarray(node.block_ids)[part_match(index, own, w)]
+                for w in windows]
 
     def every_held_match(node, windows, k, max_radius=float("inf"),
                          mismatches=None, letters=None, candidates=None):
         if candidates is not None:
-            own = index.store.codes_matrix(node.block_ids)
-            candidates = [np.asarray(node.block_ids)[part_match(index, own, w)]
-                          for w in windows]
+            candidates = held_matches(node, windows)
         return scoring(node, windows, k, max_radius, mismatches, letters,
                        candidates)
 
+    def every_held_match_fused(jobs, k, max_radius):
+        return fused([(node, windows, held_matches(node, windows))
+                      for node, windows, _ in jobs], k, max_radius)
+
     monkeypatch.setattr(StorageNode, "local_knn", every_held_match)
+    monkeypatch.setattr(query_module, "named_knn", every_held_match_fused)
     held = [set(answer_signature(mendel.query(probe, PARAMS))) for probe in probes]
     for mine, theirs in zip(named, held):
         assert mine >= theirs

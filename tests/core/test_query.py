@@ -11,7 +11,7 @@ import pytest
 from repro.core import Mendel, MendelConfig
 from repro.core.params import QueryParams
 from repro.core.anchors import evaluate_candidate
-from repro.core.query import NodeCost, QueryEngine, node_kernel, resolve_matrix
+from repro.core.query import NodeCost, QueryEngine, execute, resolve_matrix
 from repro.obs.metrics import default_registry
 from repro.obs.profile import (
     CostProfiler,
@@ -83,11 +83,21 @@ class TestSearchRadius:
         assert mendel.engine.search_radius(QueryParams(i=0.99)) == 0.0
 
 
+def node_kernel(node, query_codes, windows, params, radius, matrix, store):
+    """One node's subquery as the replay runs it: :func:`execute` on the
+    one job, counted on the node and priced at its speed."""
+    [work] = execute([(node, windows)], query_codes, params, radius, matrix,
+                     store)
+    cost = work.cost(node)
+    node.served(len(windows), cost.evals, work.corrupt_reads)
+    return work.anchors, cost
+
+
 @pytest.mark.chaos
 class TestNodeKernel:
     def test_pure_and_equal_to_the_traced_run(self, mendel, planted_probe):
-        """Called directly — no Simulation — the kernel returns what the
-        same node's span reports, and publishes nothing."""
+        """Called directly — no Simulation — execute returns what the
+        same node's span reports, and publishes and counts nothing."""
         probe, _ = planted_probe
         params = QueryParams(k=4, n=6, i=0.7)
         engine, index = mendel.engine, mendel.index
@@ -105,13 +115,18 @@ class TestNodeKernel:
 
         registry = default_registry()
         before = (registry.family_total("repro_query_funnel_total"),
-                  registry.family_total("repro_queries_total"))
-        anchors, cost = node_kernel(
-            node, probe.codes, windows, params, radius,
+                  registry.family_total("repro_queries_total"),
+                  registry.family_total("repro_distance_evaluations_total"),
+                  node.stats.queries_served, node.stats.corrupt_reads)
+        [work] = execute(
+            [(node, windows)], probe.codes, params, radius,
             resolve_matrix(params, index.alphabet), index.store,
         )
         assert before == (registry.family_total("repro_query_funnel_total"),
-                          registry.family_total("repro_queries_total"))
+                          registry.family_total("repro_queries_total"),
+                          registry.family_total("repro_distance_evaluations_total"),
+                          node.stats.queries_served, node.stats.corrupt_reads)
+        anchors, cost = work.anchors, work.cost(node)
         assert {
             "evals": cost.evals, "candidates": cost.candidates,
             "identity_pass": cost.identity_pass,
@@ -213,10 +228,10 @@ class TestNodeKernel:
         monkeypatch.setattr(
             BlockFileReader, "read_page",
             lambda self, index: decoded.append(index) or read_page(self, index))
-        verdicts, verify_blocks = [], node.verify_blocks
+        verdicts, lookup = [], node.verdicts
         monkeypatch.setattr(
-            node, "verify_blocks",
-            lambda ids: verdicts.append((ids, verify_blocks(ids))) or verdicts[-1][1])
+            node, "verdicts",
+            lambda ids: verdicts.append((ids, lookup(ids))) or verdicts[-1][1])
 
         before = node.stats.corrupt_reads
         rotten = node_kernel(*args)
@@ -232,7 +247,7 @@ class TestNodeKernel:
 
 
 def one_candidate_at_a_time(node, query_codes, windows, params, radius, matrix, store):
-    """``node_kernel`` as it read while the verified read, the filter and
+    """A node's kernel as it read while the verified read, the filter and
     the extension were a call per candidate: the reference its
     ``(anchors, NodeCost)`` must equal."""
     positives = matrix if store.database.alphabet.name == "protein" else None
