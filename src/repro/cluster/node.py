@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.tier.cache import BlockCache
 from repro.tier.store import NodeTier, TierConfig
 from repro.util.validation import check_positive
 from repro.vptree.dynamic import DynamicVPTree
-from repro.vptree.search import lane_hits, nearest_pairs, part_search
+from repro.vptree.search import BatchResult, lane_hits, nearest_pairs
 
 
 @dataclass
@@ -65,21 +65,6 @@ class NodeStats:
     corrupt_reads: int = 0
 
 
-class SearchCost(NamedTuple):
-    """What one window of a :meth:`StorageNode.local_knn` call cost: its
-    distance evaluations and the modelled CPU service time for them."""
-
-    evals: int
-    seconds: float
-
-
-class Searches(list):
-    """One ``(hits, SearchCost)`` per window of a :meth:`StorageNode.local_knn`
-    call, and which search served it (``"parts"``/``"vptree"``)."""
-
-    path = "vptree"
-
-
 def parts_selective(width: int, mismatches: int, letters: int) -> bool:
     """Whether *width*-residue windows over *letters* letters are served
     from their ``m + 1`` pigeonhole part keys: a random row equals a window
@@ -93,43 +78,58 @@ def parts_selective(width: int, mismatches: int, letters: int) -> bool:
 def named_knn(
     jobs: "Sequence[tuple[StorageNode, np.ndarray, Sequence[np.ndarray]]]",
     k: int, max_radius: float,
-) -> list[Searches]:
-    """The part-path search of several all-RAM nodes at once, one
-    ``(node, windows, candidates)`` job each: each node's named rows
-    (:meth:`StorageNode.named_rows`) from its own matrix, every job's pairs
-    scored in one :func:`~repro.vptree.search.nearest_pairs` pass, and each
-    window's *k* nearest within *max_radius* in (distance, tree row) order.
-    A window's result depends on its own pairs alone, so each job's
-    :class:`Searches` equal the node's own :meth:`StorageNode.local_knn`
-    (which reads no cold pages here); like it, nothing is counted on the
-    node."""
+) -> list[BatchResult]:
+    """The part-path search of any nodes, all-RAM or spilled, one ``(node,
+    windows, candidates)`` job each: for every window the *k* nearest
+    within *max_radius* among the named blocks its node holds
+    (:meth:`StorageNode.named_rows`), in (distance, tree row) order, and
+    the rows scored for it — one :class:`~repro.vptree.search.BatchResult`
+    a job, as :meth:`~repro.vptree.tree.VPTree.knn` returns.
+
+    Each job's named rows are read once, in row order: from its matrix, or
+    from a spilled node's pages (only those holding one, each once; the
+    cold reads are the job's).  Every job's pairs are scored in one
+    :func:`~repro.vptree.search.nearest_pairs` pass, their codes gathered
+    a pass at a time.  A window's result depends on its own pairs alone, so
+    each job's result equals the job run alone.  Nothing is counted on a
+    node but its adapter's pair evaluations."""
     named = [node.named_rows(candidates) for node, _, candidates in jobs]
     offsets = np.cumsum([0] + [len(windows) for _, windows, _ in jobs]).tolist()
+    # A pair's key is its tree row counted on from its job's first: sorted
+    # and distinct, the keys hold each job's named rows once, job by job.
+    bases = np.cumsum([0] + [node.tree.points.shape[0] for node, _, _ in jobs])
+    keys = np.concatenate([rows + base for base, (_, rows, _)
+                           in zip(bases.tolist(), named)])
+    distinct = np.unique(keys)
+    bounds = np.searchsorted(distinct, bases).tolist()
+    results, codes = [BatchResult() for _ in jobs], []
+    for at, ((node, _, _), result) in enumerate(zip(jobs, results)):
+        rows = distinct[bounds[at]:bounds[at + 1]] - bases[at]
+        points = node.tree.points
+        if isinstance(points, np.ndarray):
+            read = points[rows]
+        else:
+            read, result.cold_reads, result.cold_bytes = points.take(rows)
+        codes.append(read)
+    codes = np.concatenate(codes)
     queries = np.concatenate([windows for _, windows, _ in jobs])
     lanes = np.concatenate([lanes + lo for lo, (lanes, _, _) in zip(offsets, named)])
-    rows = np.concatenate([rows for _, rows, _ in named])
-    gathered = np.concatenate([node.tree.points[rows]
-                               for (node, _, _), (_, rows, _) in zip(jobs, named)])
     # The pass counts on the first node's metric: each node's share of the
     # evaluations moves to its own.
     adapter = jobs[0][0].tree.adapter
     lane, pair, found, scored = nearest_pairs(
-        adapter, queries, k, max_radius, lanes, rows,
-        lambda start, stop: gathered[start:stop])
+        adapter, queries, k, max_radius, lanes, keys,
+        lambda start, stop: codes[np.searchsorted(distinct, keys[start:stop])])
     adapter.pair_evaluations -= lanes.size
     hits = lane_hits(lane, pair, found, offsets[-1],
                      np.concatenate([ids for _, _, ids in named]).tolist())
-    out = []
-    for at, ((node, _, _), (_, rows, _)) in enumerate(zip(jobs, named)):
+    scored = scored.tolist()
+    for at, ((node, _, _), (_, rows, _), result) in enumerate(
+            zip(jobs, named, results)):
         node.tree.adapter.pair_evaluations += rows.size
         lo, hi = offsets[at], offsets[at + 1]
-        searches = Searches()
-        searches.path = "parts"
-        searches.extend(
-            (hits[lane], SearchCost(evals, node.service_time(evals)))
-            for lane, evals in enumerate(scored[lo:hi].tolist(), lo))
-        out.append(searches)
-    return out
+        result.extend(zip(hits[lo:hi], scored[lo:hi]))
+    return results
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -139,16 +139,6 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 _NONE_HELD = _read_only(np.empty(0, dtype=np.int64))
 _NO_ROWS = _read_only(np.empty(0, dtype=np.intp))
-
-
-class ReadCost(NamedTuple):
-    """The cold tier reads one :meth:`StorageNode.local_knn` call paid for
-    — pages its distance pass had to take from the device, their compressed
-    bytes, and the modelled device time (all zero on a RAM node)."""
-
-    seeks: int = 0
-    nbytes: int = 0
-    seconds: float = 0.0
 
 
 class StorageNode:
@@ -438,68 +428,20 @@ class StorageNode:
         """Tier occupancy report, or ``None`` while all-RAM."""
         return self.tier.occupancy() if self.tiered else None
 
-    # -- local search with time accounting ------------------------------------
+    # -- local search ----------------------------------------------------------
 
     def local_knn(
-        self,
-        windows: np.ndarray,
-        k: int,
-        max_radius: float = float("inf"),
-        mismatches: int | None = None,
-        letters: int | None = None,
-        candidates: Sequence[np.ndarray] | None = None,
-    ) -> tuple[Searches, ReadCost]:
-        """k-NN over the local rows for a ``(W, L)`` batch of query
-        windows — one node-subquery; returns ``(searches, reads)``.
-
-        ``searches`` holds one ``(hits, cost)`` per row, in row order:
-        ``hits`` are ``(distance, block_id)`` pairs, ``cost`` the
-        :class:`SearchCost` of that window.  ``reads`` is the
-        :class:`ReadCost` of the whole call: a spilled node reads its pages
-        once for all the windows, so cold reads belong to the subquery, not
-        to a window.  ``max_radius`` bounds the search ball (the query
+        self, windows: np.ndarray, k: int, max_radius: float = float("inf"),
+    ) -> BatchResult:
+        """The vp-tree k-NN over the local rows for a ``(W, L)`` batch of
+        query windows — one node-subquery: one ``(hits, evals)`` per window,
+        in row order, ``hits`` being ``(distance, block_id)`` pairs, and the
+        call's cold reads (a spilled node reads its pages once for all the
+        windows).  ``max_radius`` bounds the search ball (the query
         pipeline passes the largest distance its identity filter could
-        accept).  The call counts nothing on the node: :meth:`served` does.
-
-        Given the identity filter's bound (at most *mismatches*
-        mismatches, codes over *letters* letters) where
-        :func:`parts_selective` holds, and each window's *candidates* (the
-        ids the system entry's part-key directory names: blocks equal to
-        the window on one of ``mismatches + 1`` parts, as every filter
-        passer is), :func:`~repro.vptree.search.part_search` serves the
-        call instead of the vp-tree: the *k* nearest in the ball among the
-        named blocks this node holds (:meth:`named_rows`).  A spilled node
-        reads only the pages holding them.  A window is charged an
-        evaluation a row scored.
-        """
-        searches = Searches()
-        if self.serves_parts(mismatches, letters, candidates):
-            lanes, rows, _ids = self.named_rows(candidates)
-            found = part_search(self.tree, windows, k, max_radius, lanes, rows)
-            searches.path = "parts"
-        else:
-            found = self.tree.knn(windows, k, max_radius=max_radius)
-        searches.extend(
-            (hits, SearchCost(evals, self.service_time(evals)))
-            for hits, evals in found
-        )
-        reads = ReadCost()
-        if found.cold_reads:
-            # Cold page fetches are charged as device time (seek +
-            # transfer), not scaled by CPU speed.
-            reads = ReadCost(
-                found.cold_reads, found.cold_bytes,
-                self.tier.io_seconds(found.cold_reads, found.cold_bytes),
-            )
-        return searches, reads
-
-    def serves_parts(self, mismatches: int | None, letters: int | None,
-                     candidates) -> bool:
-        """Whether a subquery whose windows carry *candidates* is served
-        from the named blocks (:meth:`local_knn`): they are named and
-        :func:`parts_selective` holds for the filter's bound."""
-        return candidates is not None and parts_selective(
-            self.tree.segment_length, mismatches, letters)
+        accept).  The call counts nothing on the node: :meth:`served`
+        does."""
+        return self.tree.knn(windows, k, max_radius=max_radius)
 
     def named_rows(
         self, candidates: Sequence[np.ndarray]

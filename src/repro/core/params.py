@@ -102,10 +102,6 @@ class QueryParams:
                 f"{self.max_gapped_per_subject!r}"
             )
 
-    def scoring_matrix(self):
-        """Resolve ``M`` to its matrix (the user-defined scoring parameter)."""
-        return named_matrix(self.M)
-
     def cache_key(self) -> str:
         """A stable canonical string: equal searches produce equal keys.
 

@@ -48,7 +48,7 @@ from repro.cluster.messages import (
     QueryResult,
     SubQuery,
 )
-from repro.cluster.node import ReadCost, StorageNode, named_knn, parts_selective
+from repro.cluster.node import StorageNode, named_knn, parts_selective
 from repro.core.aggregate import merge_anchors
 from repro.core.anchors import evaluate_candidate, extend_anchor, max_mismatches
 from repro.core.blocks import BlockStore
@@ -127,25 +127,6 @@ _FUNNEL_FIELD = dict(FUNNEL_STAGES)
 #: methods replaced, so PROFILE files diff cleanly across that change.
 _NODE_SITE = "core/query.py:node_proc"
 _SYSTEM_SITE = "core/query.py:system_proc"
-
-
-@dataclass
-class NodeCost:
-    """What one node-local subquery cost, priced from its
-    :class:`NodeWork` (``service_seconds`` includes ``io_seconds``)."""
-
-    evals: int = 0
-    candidates: int = 0
-    identity_pass: int = 0
-    cscore_pass: int = 0
-    anchors: int = 0
-    extension_ops: int = 0
-    io_seeks: int = 0
-    io_bytes: int = 0
-    io_seconds: float = 0.0
-    service_seconds: float = 0.0
-    #: which search served the node: ``"parts"`` or ``"vptree"``
-    search: str = "vptree"
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,7 +259,7 @@ class _NodeFailure:
 class NodeWork:
     """What :func:`execute` returns for one ``(node, windows)`` job: the
     node's anchors and, in integer counts, what finding them took.  Pricing
-    it (:meth:`cost`) and counting it on the node
+    it (:meth:`seconds`) and counting it on the node
     (:meth:`StorageNode.served`) is the replay's, at the node's service
     time."""
 
@@ -296,23 +277,22 @@ class NodeWork:
     #: which search served the node: ``"parts"`` or ``"vptree"``
     search: str = "vptree"
 
-    def cost(self, node: StorageNode) -> NodeCost:
-        """This work priced on *node* at its current speed: the cold reads'
-        device time, then each window's search, then the extension's
-        residue operations, summed in that order."""
+    @property
+    def evals(self) -> int:
+        return sum(self.window_evals)
+
+    def seconds(self, node: StorageNode) -> tuple[float, float]:
+        """This work priced on *node* at its current speed, ``(io_seconds,
+        service_seconds)``: the cold reads' device time, then each window's
+        search, then the extension's residue operations, summed in that
+        order into the service time."""
         io_seconds = (node.tier.io_seconds(self.io_seeks, self.io_bytes)
                       if self.io_seeks else 0.0)
         seconds = 0.0 + io_seconds
         for evals in self.window_evals:
             seconds += node.service_time(evals)
         seconds += node.service_time_ops(self.extension_ops)
-        return NodeCost(
-            evals=sum(self.window_evals), candidates=self.candidates,
-            identity_pass=self.identity_pass, cscore_pass=self.cscore_pass,
-            anchors=len(self.anchors), extension_ops=self.extension_ops,
-            io_seeks=self.io_seeks, io_bytes=self.io_bytes,
-            io_seconds=io_seconds, service_seconds=seconds, search=self.search,
-        )
+        return io_seconds, seconds
 
 
 def execute(
@@ -326,24 +306,21 @@ def execute(
     the verified ones, and the extension of every survivor.
 
     The work is fused across jobs wherever the result of each stays its
-    own.  Every all-RAM node the part-key directory named candidates for
-    (:meth:`StorageNode.serves_parts`) is searched in one
-    :func:`~repro.cluster.node.named_knn` call, which scores all their
-    named pairs together, each window keeping its own n nearest by
-    (distance, tree row).  Any other node — a spilled one, or one its
-    vp-tree serves — runs its own :meth:`StorageNode.local_knn`.
-    Each node's candidates pass its own verified read; then one
-    :func:`evaluate_candidate` call and one :func:`extend_anchor` call take
-    every job's rows (both are row by row), and each node keeps the first
-    of its anchors that extend to the same place, in its survivor order.
-    A one-job call is the one node's kernel.
+    own.  Every job whose windows carry candidates (the part-key route
+    named them) is searched in one :func:`~repro.cluster.node.named_knn`
+    call, RAM and spilled nodes alike, which scores all their named pairs
+    together, each window keeping its own n nearest by (distance, tree
+    row); every other job runs its node's vp-tree
+    (:meth:`StorageNode.local_knn`).  Each node's candidates pass its own
+    verified read; then one :func:`evaluate_candidate` call and one
+    :func:`extend_anchor` call take every job's rows (both are row by row),
+    and each node keeps the first of its anchors that extend to the same
+    place, in its survivor order.  A one-job call is the one node's kernel.
 
     No simulator, registry, span or :class:`QueryStats` in here, and
     nothing is counted on a node: what each job did comes back in counts.
     """
     width = store.segment_length
-    mismatches = max_mismatches(width, params.i)
-    letters = store.database.alphabet.canonical_size
     positives = matrix if store.database.alphabet.name == "protein" else None
     works = [NodeWork() for _ in jobs]
     # Every job's windows stacked: a window's lane is its row here.
@@ -351,34 +328,30 @@ def execute(
     codes = np.stack([window.codes for window in windows])
     offsets = np.cumsum([0] + [len(mine) for _, mine in jobs]).tolist()
     searched: list = [None] * len(jobs)
-    fused = []
+    named = []
     for at, (node, mine) in enumerate(jobs):
-        named = ([window.candidates for window in mine]
-                 if mine[0].candidates is not None else None)
         own = codes[offsets[at]:offsets[at + 1]]
-        if node.tier is None and node.serves_parts(mismatches, letters, named):
-            fused.append((at, (node, own, named)))
+        if mine[0].candidates is not None:
+            named.append((at, (node, own, [window.candidates for window in mine])))
+            works[at].search = "parts"
         else:
-            searched[at] = node.local_knn(own, params.n, radius, mismatches,
-                                          letters, named)
-    if fused:
-        for (at, _), searches in zip(fused, named_knn(
-                [job for _, job in fused], params.n, radius)):
-            searched[at] = searches, ReadCost()
+            searched[at] = node.local_knn(own, params.n, radius)
+    if named:
+        for (at, _), found in zip(named, named_knn(
+                [job for _, job in named], params.n, radius)):
+            searched[at] = found
     # Each job's candidates as (lane, block), window by window and nearest
     # first within a window, through the node's verified read: a hit whose
     # durable copy fails its content digest is skipped — the query's
     # fan-out to the block's other replicas answers from a healthy copy
     # instead of serving rotted bytes.
     job_of, lanes, block_ids = [], [], []
-    for at, ((node, _), work, (searches, reads)) in enumerate(
-            zip(jobs, works, searched)):
-        work.search = searches.path
-        work.io_seeks, work.io_bytes = reads.seeks, reads.nbytes
-        work.window_evals = tuple(search.evals for _, search in searches)
+    for at, ((node, _), work, found) in enumerate(zip(jobs, works, searched)):
+        work.io_seeks, work.io_bytes = found.cold_reads, found.cold_bytes
+        work.window_evals = tuple(evals for _, evals in found)
         hits = [(lane, block_id)
-                for lane, (found, _search) in enumerate(searches, offsets[at])
-                for _dist, block_id in found]
+                for lane, (window_hits, _evals) in enumerate(found, offsets[at])
+                for _dist, block_id in window_hits]
         work.candidates = len(hits)
         verified = node.verdicts([block_id for _, block_id in hits]) if hits else []
         work.corrupt_reads = verified.count(False)
@@ -609,22 +582,23 @@ class _BatchRun:
             self.funnel[name].inc(count)
         profile_charge(stage, site, **costs, **counts)
 
-    def publish_node(self, cost: NodeCost, stats: QueryStats, span) -> None:
-        """One node's cost record, to stats, counters, profile and span."""
-        stats.node_evals += cost.evals
+    def publish_node(self, work: NodeWork, stats: QueryStats, span) -> None:
+        """One node's work record, to stats, counters, profile and span."""
+        evals, candidates = work.evals, work.candidates
+        stats.node_evals += evals
         self.publish(
             stats, "node", _NODE_SITE,
-            {"knn_candidates": cost.candidates,
-             "identity_pass": cost.identity_pass,
-             "cscore_pass": cost.cscore_pass,
-             "anchors_extended": cost.anchors},
-            distance_evals=cost.evals, residues_compared=cost.extension_ops,
-            blocks_scanned=cost.candidates, cold_read_bytes=cost.io_bytes,
-            cold_read_seeks=cost.io_seeks,
+            {"knn_candidates": candidates,
+             "identity_pass": work.identity_pass,
+             "cscore_pass": work.cscore_pass,
+             "anchors_extended": len(work.anchors)},
+            distance_evals=evals, residues_compared=work.extension_ops,
+            blocks_scanned=candidates, cold_read_bytes=work.io_bytes,
+            cold_read_seeks=work.io_seeks,
         )
-        span.annotate(evals=cost.evals, candidates=cost.candidates,
-                      identity_pass=cost.identity_pass,
-                      cscore_pass=cost.cscore_pass, search=cost.search)
+        span.annotate(evals=evals, candidates=candidates,
+                      identity_pass=work.identity_pass,
+                      cscore_pass=work.cscore_pass, search=work.search)
 
     # -- processes ---------------------------------------------------------------
 
@@ -645,17 +619,17 @@ class _BatchRun:
         yield lock.request()
         try:
             work = self._work(state, node, windows)
-            anchors, cost = work.anchors, work.cost(node)
-            node.served(len(windows), cost.evals, work.corrupt_reads)
-            self.publish_node(cost, state.stats, span)
+            anchors, (io_seconds, seconds) = work.anchors, work.seconds(node)
+            node.served(len(windows), work.evals, work.corrupt_reads)
+            self.publish_node(work, state.stats, span)
             # Cold tier reads this subquery paid for (device time is
             # inside the service yield below).
             io_span = span.child(
                 "cold_read", sim_now=sim.now, actor=node.node_id,
-                seeks=cost.io_seeks, bytes=cost.io_bytes, category="io",
-            ) if cost.io_seeks or cost.io_bytes else NO_SPAN
-            yield cost.service_seconds
-            io_span.annotate(io_seconds=cost.io_seconds)
+                seeks=work.io_seeks, bytes=work.io_bytes, category="io",
+            ) if work.io_seeks or work.io_bytes else NO_SPAN
+            yield seconds
+            io_span.annotate(io_seconds=io_seconds)
             io_span.finish(sim_now=sim.now)
         finally:
             lock.release()

@@ -61,11 +61,12 @@ that had to come from the device are counted page by page as the pages
 arrive and returned with the results (:class:`BatchResult`), never left in
 a shared tally.
 
-**Filter-first search** (:func:`part_search`) walks no tree and passes
-over no rows: a row the identity filter can pass (at most m mismatches)
-equals its window on one of ``m + 1`` pigeonhole parts, and the system
-entry's part-key directory names, per window, the blocks that do.  Only
-those rows are read and scored (which search a node runs:
+**Filter-first search** (:func:`repro.cluster.node.named_knn`, over
+:func:`nearest_pairs`) walks no tree and passes over no rows: a row the
+identity filter can pass (at most m mismatches) equals its window on one
+of ``m + 1`` pigeonhole parts, and the system entry's part-key directory
+names, per window, the blocks that do.  Only those rows are read and
+scored (where the route names them:
 :func:`repro.cluster.node.parts_selective`).
 """
 
@@ -85,10 +86,11 @@ SearchResult = tuple[list[tuple[float, object]], int]
 
 
 class BatchResult(list):
-    """What :func:`knn_search` returns for a ``(W, L)`` batch: one
-    :data:`SearchResult` per query row, plus what filling the distance
-    matrix had to read from the device when the point store is paged (both
-    zero over an in-RAM matrix)."""
+    """What a node search returns for a ``(W, L)`` batch — the vp-tree's
+    (:func:`knn_search`) or the part path's
+    (:func:`repro.cluster.node.named_knn`): one :data:`SearchResult` per
+    query row, plus what reading the rows it scored took from the device
+    when the point store is paged (both zero over an in-RAM matrix)."""
 
     #: pages that were not resident, and their compressed bytes
     cold_reads = 0
@@ -536,36 +538,6 @@ def _replay(
 
 
 # -- filter-first search: pigeonhole part keys -----------------------------------
-
-
-def part_search(
-    tree: "VPTree", queries: np.ndarray, k: int, max_radius: float,
-    lanes: np.ndarray, rows: np.ndarray,
-) -> BatchResult:
-    """For each row of the ``(W, L)`` batch *queries*, the *k* nearest
-    within *max_radius* among the stored rows named for it (``rows[j]``
-    for query ``lanes[j]``, each pair once: the rows equal to the window on
-    one of its pigeonhole parts, :class:`repro.core.directory.PartLayout`),
-    in ``(distance, row)`` order, and the rows scored for it.
-
-    The named rows' codes are read once (a paged store reads only the
-    pages holding them, each once and in file order, and counts its cold
-    reads the way a scan does) and scored by :func:`nearest_pairs`, so
-    beside the named rows and their codes what is held is bounded whatever
-    W."""
-    queries = np.asarray(queries, dtype=np.uint8)
-    width = queries.shape[0]
-    results, named = BatchResult(), np.unique(rows)
-    if isinstance(tree.points, np.ndarray):
-        codes = tree.points[named]
-    else:
-        codes, results.cold_reads, results.cold_bytes = tree.points.take(named)
-    lane, pair, found, scored = nearest_pairs(
-        tree.adapter, queries, k, max_radius, lanes, rows,
-        lambda start, stop: codes[np.searchsorted(named, rows[start:stop])])
-    results.extend(zip(lane_hits(lane, rows[pair], found, width, tree.payloads),
-                       scored.tolist()))
-    return results
 
 
 def nearest_pairs(

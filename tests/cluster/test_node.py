@@ -69,42 +69,41 @@ class TestLocalKnn:
         data = blocks(30)
         node.store_blocks(data, list(range(100, 130)))
         counted = evals_counted()
-        [(hits, cost)], reads = node.local_knn(data[3:4], 2)
+        found = node.local_knn(data[3:4], 2)
+        [(hits, evals)] = found
         assert hits[0][1] == 103
         assert hits[0][0] == 0.0
-        assert cost.seconds > 0
         # a search counts nothing itself; the replay's count is its evals
         assert evals_counted() == counted
-        node.served(1, cost.evals)
-        assert cost.evals == evals_counted() - counted > 0
+        node.served(1, evals)
+        assert evals == evals_counted() - counted > 0
         # an all-RAM node pays no cold reads
-        assert reads == (0, 0, 0.0)
+        assert (found.cold_reads, found.cold_bytes) == (0, 0)
 
     def test_empty_node(self):
         node = make_node()
-        [(hits, cost)], _ = node.local_knn(blocks(1), 3)
+        [(hits, evals)] = node.local_knn(blocks(1), 3)
         assert hits == []
-        assert cost.evals == 0
-        assert cost.seconds > 0  # still charges request overhead
+        assert evals == 0
+        assert node.service_time(evals) > 0  # still charges request overhead
 
     def test_stats_accumulate(self):
         node = make_node()
         node.store_blocks(blocks(30), list(range(30)))
         counted = evals_counted()
-        searches = node.local_knn(blocks(1, seed=5), 2)[0]
-        searches += node.local_knn(blocks(2, seed=6), 2)[0]
+        searches = node.local_knn(blocks(1, seed=5), 2)
+        searches += node.local_knn(blocks(2, seed=6), 2)
         assert node.stats.queries_served == 0 and evals_counted() == counted
         for served in (searches[:1], searches[1:]):
-            node.served(len(served), sum(cost.evals for _, cost in served))
+            node.served(len(served), sum(evals for _, evals in served))
         assert node.stats.queries_served == 3
-        assert sum(cost.evals for _, cost in searches) == evals_counted() - counted > 0
-        assert all(cost.seconds > 0 for _, cost in searches)
+        assert sum(evals for _, evals in searches) == evals_counted() - counted > 0
 
     def test_max_radius_passthrough(self):
         node = make_node()
         data = blocks(30)
         node.store_blocks(data, list(range(30)))
-        [(hits, _)], _ = node.local_knn(data[:1], 10, max_radius=0.0)
+        [(hits, _)] = node.local_knn(data[:1], 10, max_radius=0.0)
         assert all(d == 0.0 for d, _ in hits)
 
 
@@ -122,8 +121,7 @@ class TestSearchAcrossMedia:
 
         def answers():
             return [
-                [(hits, cost.evals) for hits, cost in
-                 node.local_knn(windows, k, max_radius=radius)[0]]
+                list(node.local_knn(windows, k, max_radius=radius))
                 for k, radius in ((1, float("inf")), (6, 30.0), (151, 30.0),
                                   (151, 0.0), (6, float("inf")))
             ]
@@ -172,7 +170,7 @@ class TestLifecycle:
         assert node.block_count == 10
         assert node.last_recovery is not None
         assert node.last_recovery["blocks"] == 10
-        [(hits, _)], _ = node.local_knn(blocks(10)[3:4], 1)
+        [(hits, _)] = node.local_knn(blocks(10)[3:4], 1)
         assert hits[0][0] == 0.0
 
     def test_reset_storage_empties_index(self):

@@ -3,7 +3,7 @@ call right after routing; the simulator replays each node's share at the
 node's service time.
 
 Checked on deployments drawn from ``CHAOS_SEED``: every job of a fused call
-equals the job run alone (anchors and priced ``NodeCost``) — RAM nodes at
+equals the job run alone (its ``NodeWork`` and its priced seconds) — RAM nodes at
 replication 1 and 2, the part path, the walk path and m = 0, a node that
 holds none of a window's named blocks, a node whose rotted block the
 verified read drops — and a run counts on its nodes exactly what the same
@@ -152,7 +152,7 @@ def test_each_job_equals_the_job_run_alone(replication, params, monkeypatch):
     for jobs, args, works in calls.ahead():
         for (node, windows), work in zip(jobs, works):
             [one] = execute([(node, windows)], *args)
-            assert (work.anchors, work.cost(node)) == (one.anchors, one.cost(node))
+            assert (work, work.seconds(node)) == (one, one.seconds(node))
             searches.add(work.search)
             dropped += work.corrupt_reads
             if windows[0].candidates is not None:

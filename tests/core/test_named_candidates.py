@@ -28,7 +28,6 @@ import numpy as np
 import pytest
 
 import repro.core.query as query_module
-from repro.cluster.node import StorageNode
 from repro.core.anchors import max_mismatches
 from repro.core.params import QueryParams
 from repro.scenario import answer_signature, build_deployment, planted_probes
@@ -51,47 +50,36 @@ def part_match(index, codes: np.ndarray, window: np.ndarray) -> np.ndarray:
 
 
 class Recorder:
-    """Wraps ``StorageNode.local_knn`` and the query's ``named_knn`` (the
-    part path of all-RAM nodes, several at once): keeps each part-path
-    search's node, windows and searches, and checks a spilled node's cold
-    reads against the cache as the call found it."""
+    """Wraps the query's ``named_knn`` (the part path of every node, RAM or
+    spilled, several at once): keeps each job's node, windows and result,
+    and checks a spilled node's cold reads against the cache as the call
+    found it."""
 
     def __init__(self, monkeypatch, index) -> None:
         self.calls = []
         self.cold_calls = 0
-        original = StorageNode.local_knn
         fused = query_module.named_knn
 
         def named_knn(jobs, k, max_radius):
+            colds = [self.cold_pages(node, candidates) for node, _, candidates in jobs]
             found = fused(jobs, k, max_radius)
-            self.calls += [(node, windows, searches, max_radius)
-                           for (node, windows, _), searches in zip(jobs, found)]
+            for (node, windows, _), result, cold in zip(jobs, found, colds):
+                self.calls.append((node, windows, result, max_radius))
+                if cold is not None:
+                    pages = node.tier.reader.pages
+                    assert (result.cold_reads, result.cold_bytes) == (
+                        len(cold), sum(pages[page].length for page in cold))
+                    self.cold_calls += bool(cold)
             return found
 
         monkeypatch.setattr(query_module, "named_knn", named_knn)
-
-        def local_knn(node, windows, k, max_radius=float("inf"),
-                      mismatches=None, letters=None, candidates=None):
-            cold = self.cold_pages(node, candidates)
-            searches, reads = original(node, windows, k, max_radius,
-                                       mismatches, letters, candidates)
-            if searches.path == "parts":
-                self.calls.append((node, windows, searches, max_radius))
-                if cold is not None:
-                    pages = node.tier.reader.pages
-                    assert (reads.seeks, reads.nbytes) == (
-                        len(cold), sum(pages[page].length for page in cold))
-                    self.cold_calls += bool(cold)
-            return searches, reads
-
-        monkeypatch.setattr(StorageNode, "local_knn", local_knn)
 
     @staticmethod
     def cold_pages(node, candidates):
         """The pages holding a named block *node* holds that are neither
         pinned nor cached (``None`` on a RAM node)."""
         tier = node.tier
-        if tier is None or candidates is None:
+        if tier is None:
             return None
         ids = np.concatenate(candidates)
         pages = {tier._row_of_block[block][0]
@@ -123,9 +111,8 @@ def check_against_oracle(index, recorder) -> int:
     """Every recorded call equals the oracle; returns the rows scored."""
     scored = 0
     for node, windows, searches, radius in recorder.calls:
-        found = [(hits, cost.evals) for hits, cost in searches]
-        assert found == oracle(index, node, windows, radius), node.node_id
-        scored += sum(cost.evals for _, cost in searches)
+        assert list(searches) == oracle(index, node, windows, radius), node.node_id
+        scored += sum(evals for _, evals in searches)
     recorder.calls.clear()
     return scored
 
@@ -201,26 +188,18 @@ def test_an_unsettled_split_scores_only_placed_blocks(monkeypatch):
 
     # The same queries with every held part match named, retained copies
     # included: what a node scored when it scored every row it held.
-    scoring, fused = StorageNode.local_knn, query_module.named_knn
+    fused = query_module.named_knn
 
     def held_matches(node, windows):
         own = index.store.codes_matrix(node.block_ids)
         return [np.asarray(node.block_ids)[part_match(index, own, w)]
                 for w in windows]
 
-    def every_held_match(node, windows, k, max_radius=float("inf"),
-                         mismatches=None, letters=None, candidates=None):
-        if candidates is not None:
-            candidates = held_matches(node, windows)
-        return scoring(node, windows, k, max_radius, mismatches, letters,
-                       candidates)
-
-    def every_held_match_fused(jobs, k, max_radius):
+    def every_held_match(jobs, k, max_radius):
         return fused([(node, windows, held_matches(node, windows))
                       for node, windows, _ in jobs], k, max_radius)
 
-    monkeypatch.setattr(StorageNode, "local_knn", every_held_match)
-    monkeypatch.setattr(query_module, "named_knn", every_held_match_fused)
+    monkeypatch.setattr(query_module, "named_knn", every_held_match)
     held = [set(answer_signature(mendel.query(probe, PARAMS))) for probe in probes]
     for mine, theirs in zip(named, held):
         assert mine >= theirs

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.params import MendelConfig, QueryParams
+from repro.core.query import resolve_matrix
+from repro.seq.alphabet import PROTEIN
 from repro.seq.matrices import BLOSUM62
 
 
@@ -32,7 +34,8 @@ class TestQueryParamsTableI:
             QueryParams(c=-0.1)
 
     def test_m_resolves(self):
-        assert np.array_equal(QueryParams(M="BLOSUM62").scoring_matrix(), BLOSUM62)
+        assert np.array_equal(
+            resolve_matrix(QueryParams(M="BLOSUM62"), PROTEIN), BLOSUM62)
         with pytest.raises(ValueError, match="unknown scoring matrix"):
             QueryParams(M="NOPE")
         with pytest.raises(ValueError, match="M must be"):

@@ -4,6 +4,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro.core import Mendel, MendelConfig
 from repro.core.params import QueryParams
 from repro.core.anchors import evaluate_candidate
-from repro.core.query import NodeCost, QueryEngine, execute, resolve_matrix
+from repro.core.query import QueryEngine, execute, resolve_matrix
 from repro.obs.metrics import default_registry
 from repro.obs.profile import (
     CostProfiler,
@@ -83,14 +84,28 @@ class TestSearchRadius:
         assert mendel.engine.search_radius(QueryParams(i=0.99)) == 0.0
 
 
+def cost_record(**fields) -> SimpleNamespace:
+    """What a node-subquery cost, as the replay publishes it: zero
+    counts but for *fields*."""
+    record = dict(evals=0, candidates=0, identity_pass=0, cscore_pass=0,
+                  anchors=0, extension_ops=0, io_seeks=0, io_bytes=0,
+                  io_seconds=0.0, service_seconds=0.0, search="vptree")
+    return SimpleNamespace(**{**record, **fields})
+
+
 def node_kernel(node, query_codes, windows, params, radius, matrix, store):
     """One node's subquery as the replay runs it: :func:`execute` on the
     one job, counted on the node and priced at its speed."""
     [work] = execute([(node, windows)], query_codes, params, radius, matrix,
                      store)
-    cost = work.cost(node)
-    node.served(len(windows), cost.evals, work.corrupt_reads)
-    return work.anchors, cost
+    io_seconds, seconds = work.seconds(node)
+    node.served(len(windows), work.evals, work.corrupt_reads)
+    return work.anchors, cost_record(
+        evals=work.evals, candidates=work.candidates,
+        identity_pass=work.identity_pass, cscore_pass=work.cscore_pass,
+        anchors=len(work.anchors), extension_ops=work.extension_ops,
+        io_seeks=work.io_seeks, io_bytes=work.io_bytes, io_seconds=io_seconds,
+        service_seconds=seconds, search=work.search)
 
 
 @pytest.mark.chaos
@@ -126,16 +141,16 @@ class TestNodeKernel:
                           registry.family_total("repro_queries_total"),
                           registry.family_total("repro_distance_evaluations_total"),
                           node.stats.queries_served, node.stats.corrupt_reads)
-        anchors, cost = work.anchors, work.cost(node)
+        anchors, (io_seconds, seconds) = work.anchors, work.seconds(node)
         assert {
-            "evals": cost.evals, "candidates": cost.candidates,
-            "identity_pass": cost.identity_pass,
-            "cscore_pass": cost.cscore_pass, "anchors": len(anchors),
+            "evals": work.evals, "candidates": work.candidates,
+            "identity_pass": work.identity_pass,
+            "cscore_pass": work.cscore_pass, "anchors": len(anchors),
         } == {key: span.attrs[key] for key in
               ("evals", "candidates", "identity_pass", "cscore_pass",
                "anchors")}
-        assert cost.anchors == len(anchors) > 0
-        assert cost.service_seconds > 0 and cost.io_seconds == 0.0
+        assert len(anchors) > 0
+        assert seconds > 0 and io_seconds == 0.0
 
 
     def test_equals_the_filter_run_one_candidate_at_a_time(self, protein_db):
@@ -200,10 +215,10 @@ class TestNodeKernel:
             resolve_matrix(params, index.alphabet), index.store,
         )
         healthy = node_kernel(*args)  # also warms the cache
-        searches, reads = node.local_knn(
+        searches = node.local_knn(
             np.stack([window.codes for window in windows]), params.n,
             max_radius=args[4])
-        assert reads.seeks == 0
+        assert searches.cold_reads == 0
         tier = node.tier
         hits = [(window, block_id) for window, (found, _) in zip(windows, searches)
                 for _, block_id in found]
@@ -249,17 +264,19 @@ class TestNodeKernel:
 def one_candidate_at_a_time(node, query_codes, windows, params, radius, matrix, store):
     """A node's kernel as it read while the verified read, the filter and
     the extension were a call per candidate: the reference its
-    ``(anchors, NodeCost)`` must equal."""
+    ``(anchors, cost record)`` must equal."""
     positives = matrix if store.database.alphabet.name == "protein" else None
-    anchors, seen, cost = [], set(), NodeCost()
-    searches, reads = node.local_knn(
+    anchors, seen, cost = [], set(), cost_record()
+    searches = node.local_knn(
         np.stack([window.codes for window in windows]), params.n, max_radius=radius
     )
-    cost.io_seeks, cost.io_bytes, cost.io_seconds = reads
-    cost.service_seconds += reads.seconds
-    for window, (hits, search) in zip(windows, searches):
-        cost.evals += search.evals
-        cost.service_seconds += search.seconds
+    cost.io_seeks, cost.io_bytes = searches.cold_reads, searches.cold_bytes
+    if cost.io_seeks:
+        cost.io_seconds = node.tier.io_seconds(cost.io_seeks, cost.io_bytes)
+    cost.service_seconds += cost.io_seconds
+    for window, (hits, evals) in zip(windows, searches):
+        cost.evals += evals
+        cost.service_seconds += node.service_time(evals)
         cost.candidates += len(hits)
         for _dist, block_id in hits:
             if not node.verify_blocks([block_id])[0]:

@@ -1,5 +1,5 @@
-"""Every modelled second a node or a group aggregation is charged comes
-from a cost-profile counter.
+"""Every modelled second a node, a group aggregation, the route or the
+gapped pass is charged comes from a cost-profile counter.
 
 A node's service time is, per window, a search's distance evaluations plus
 the request overhead, then the extension's residue operations, then the
@@ -9,7 +9,11 @@ cold reads' device time.  Rebuilt from the node charge's profile counters
 costs, it must equal the seconds the simulator advanced for that service.
 A group's aggregation is charged ``4 x max(1, anchors collected)`` residue
 operations, the anchors being the ``anchors_extended`` its nodes were
-charged.  Checked on RAM and spilled deployments drawn from ``CHAOS_SEED``.
+charged.  The route is charged its ``distance_evals`` plus ``key_lookups``
+as evaluations at the system entry, and the gapped pass its
+``residues_compared``.  Checked on RAM and spilled deployments drawn from
+``CHAOS_SEED``, each routed by part keys (i = 0.8) and by the walk
+(i = 0.5).
 """
 
 from __future__ import annotations
@@ -44,10 +48,12 @@ class Charges(CostProfiler):
         self.log.append((stage, costs))
 
 
-def service_yields(process, on_service):
+def service_yields(process, on_service, after_event=True):
     """Wrap a ``_BatchRun`` process generator: *on_service* sees the first
     delay the process yields after its first event (the node's CPU lock, a
-    group's gathered answers) — the seconds charged for that service."""
+    group's gathered answers) — the seconds charged for that service — or,
+    not *after_event*, the first delay it yields at all (the route's, the
+    gapped pass's)."""
 
     def wrapped(run, *args):
         inner = process(run, *args)
@@ -59,7 +65,7 @@ def service_yields(process, on_service):
             except StopIteration as stop:
                 return stop.value
             if isinstance(item, float):
-                if waited and not served:
+                if (waited or not after_event) and not served:
                     served = True
                     on_service(run, args, item)
             else:
@@ -95,6 +101,11 @@ def test_node_and_aggregation_seconds_come_from_counters(spilled, monkeypatch):
     probes, _ = planted_probes(mendel, 3, draw.randrange(1000), spread=True)
     charges = install_cost_profiler(Charges())
     nodes, groups, aggregations = [], [], 0
+    system = []  # (stage, costs, seconds, entry node) of route and gapped
+
+    def system_served(run, args, seconds):
+        stage, costs = charges.log[-1]
+        system.append((stage, costs, seconds, run.entry))
 
     def node_served(run, args, seconds):
         _state, node, _coordinator, windows, _span = args
@@ -109,11 +120,16 @@ def test_node_and_aggregation_seconds_come_from_counters(spilled, monkeypatch):
     monkeypatch.setattr(_BatchRun, "node", service_yields(_BatchRun.node, node_served))
     monkeypatch.setattr(_BatchRun, "group",
                         service_yields(_BatchRun.group, group_aggregated))
+    for stage in ("_route", "_gapped"):
+        monkeypatch.setattr(_BatchRun, stage, service_yields(
+            getattr(_BatchRun, stage), system_served, after_event=False))
+    paths = []
     try:
         for params in (QueryParams(k=4, n=6, i=0.8), QueryParams(k=4, n=6, i=0.5)):
             for probe in probes:
                 before = len(nodes)
-                mendel.query(probe, params)
+                report = mendel.query(probe, params)
+                paths += [route.path for route in report.routes]
                 collected = {}
                 for node, _, costs, _ in nodes[before:]:
                     collected[node.group_id] = (collected.get(node.group_id, 0)
@@ -137,3 +153,13 @@ def test_node_and_aggregation_seconds_come_from_counters(spilled, monkeypatch):
         assert seconds == pytest.approx(rebuilt, rel=1e-12), node.node_id
         cold += costs.get("cold_read_seeks", 0)
     assert (cold > 0) == spilled
+    assert set(paths) == {"parts", "walk"}
+    stages = [stage for stage, _, _, _ in system]
+    assert stages == ["route", "gapped"] * (len(system) // 2) and stages
+    for stage, costs, seconds, entry in system:
+        if stage == "route":
+            assert seconds == entry.service_time(
+                costs["distance_evals"] + costs["key_lookups"])
+            assert (costs["key_lookups"] > 0) != (costs["distance_evals"] > 0)
+        else:
+            assert seconds == entry.service_time_ops(costs["residues_compared"])

@@ -17,8 +17,8 @@ import random
 import numpy as np
 import pytest
 
+import repro.core.query as query_module
 from repro.bench.workloads import FamilySpec
-from repro.cluster.node import StorageNode
 from repro.core.params import QueryParams
 from repro.scenario import answer_signature, build_deployment
 from repro.seq.mutate import sample_read
@@ -113,17 +113,15 @@ def test_a_reads_cold_reads_are_its_candidate_pages(monkeypatch):
     mendel, reads = deployment()
     spill(mendel, 0)
     seen = []
-    original = StorageNode.local_knn
+    fused = query_module.named_knn
 
-    def local_knn(node, windows, k, max_radius=float("inf"),
-                  mismatches=None, letters=None, candidates=None):
-        searches, cost = original(node, windows, k, max_radius,
-                                  mismatches, letters, candidates)
-        if searches.path == "parts":
-            seen.append((node, candidates, cost))
-        return searches, cost
+    def named_knn(jobs, k, max_radius):
+        found = fused(jobs, k, max_radius)
+        seen.extend((node, candidates, result)
+                    for (node, _, candidates), result in zip(jobs, found))
+        return found
 
-    monkeypatch.setattr(StorageNode, "local_knn", local_knn)
+    monkeypatch.setattr(query_module, "named_knn", named_knn)
     for read in reads:
         mendel.query(read, PARAMS)
     assert seen
@@ -139,8 +137,8 @@ def test_a_reads_cold_reads_are_its_candidate_pages(monkeypatch):
         pages = {rank[block] // PAGE_ROWS for block in named if block in rank}
         assert pages == {tier._row_of_block[block][0] for block in named
                          if block in rank}
-        assert cost.seeks == len(pages)
-        assert cost.nbytes == sum(tier.reader.pages[page].length for page in pages)
+        assert cost.cold_reads == len(pages)
+        assert cost.cold_bytes == sum(tier.reader.pages[page].length for page in pages)
         blocks += len(named)
-        pages_read += cost.seeks
+        pages_read += cost.cold_reads
     assert 0 < pages_read < blocks

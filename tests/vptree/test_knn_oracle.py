@@ -560,13 +560,13 @@ def check_spilled(node, points, queries):
     twin.points = points
     seeks = nbytes = 0
     for k, radius in ((1, INF), (6, 96.0), (6, INF), (len(tree) + 1, 96.0)):
-        searches, reads = node.local_knn(queries, k, max_radius=radius)
-        assert reads.seconds == node.tier.io_seconds(reads.seeks, reads.nbytes)
-        seeks, nbytes = seeks + reads.seeks, nbytes + reads.nbytes
+        searches = node.local_knn(queries, k, max_radius=radius)
+        seeks += searches.cold_reads
+        nbytes += searches.cold_bytes
         scanned = twin.knn(queries, k, max_radius=radius)
-        for query, (hits, cost), in_ram in zip(queries, searches, scanned):
-            assert (hits, cost.evals) == in_ram
-            assert (hits, cost.evals) == walk(tree, query, k, radius, points)
+        for query, (hits, evals), in_ram in zip(queries, searches, scanned):
+            assert (hits, evals) == in_ram
+            assert (hits, evals) == walk(tree, query, k, radius, points)
             assert [d for d, _ in hits] == brute(metric, points, query, k, radius)
     return seeks, nbytes
 
@@ -612,8 +612,9 @@ def test_spilled_node_with_an_undecodable_page():
     kept = np.setdiff1d(np.arange(len(ram)), tier._page_rows[rotten])
     assert np.array_equal(points[kept], ram[kept])
     check_spilled(node, points, queries)
-    searches, reads = node.local_knn(queries, len(ram) + 1)
-    assert reads.seeks == 1  # the rest is resident; the rotten page never is
+    searches = node.local_knn(queries, len(ram) + 1)
+    # The rest is resident; the rotten page never is.
+    assert searches.cold_reads == 1
     for hits, _ in searches:
         assert len(hits) == len(ram)
         assert {b for _, b in hits if not node.verify_blocks([b])[0]} == lost
@@ -720,9 +721,10 @@ def test_blocks_take_pages_as_a_page_at_a_time_pass_does(monkeypatch):
         monkeypatch.setattr(search, "_fill", fill)
         node, _ram, queries = spilled_node(rows * 32 // 10, rows, page_rows=64)
         calls = [
-            node.local_knn(queries[start:stop], k, max_radius=radius)
+            (list(found), found.cold_reads, found.cold_bytes)
             for start, stop in ((0, 1), (1, 9), (0, 9), (4, 6))
             for k, radius in ((1, INF), (6, 96.0), (rows + 1, 96.0))
+            for found in [node.local_knn(queries[start:stop], k, max_radius=radius)]
         ]
         tier = node.tier
         outcomes.append((calls, tier.cache.stats(), tier.total_seeks, tier.total_bytes))

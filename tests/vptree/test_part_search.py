@@ -3,13 +3,14 @@
 The identity filter passes a candidate with at most m mismatching positions
 to its window, so by pigeonhole a passer equals the window on one of m + 1
 parts.  The system entry's part-key directory names those part matches,
-and the part path (``repro.vptree.search.part_search``, served by
-``StorageNode.local_knn`` where part keys are selective) returns the n
-nearest rows in the ball among the named rows.  Against brute force in
-``(distance, row)`` order, its identity survivors are a superset on every
-window, and equal, hits and order, wherever the ball holds fewer than n
-rows; a paged store answers as the matrix does, reading only the pages
-that hold a named row.
+and the part path (``repro.cluster.node.named_knn``, which serves every
+node, all-RAM or spilled, whose windows the route named blocks for)
+returns the n nearest rows in the ball among the named rows.  Against
+brute force in ``(distance, row)`` order, its identity survivors are a
+superset on every window, and equal, hits and order, wherever the ball
+holds fewer than n rows; a paged store answers as the matrix does, reading
+only the pages that hold a named row; and one call over several jobs, RAM
+and spilled, answers and reads as each job run alone.
 """
 
 import copy
@@ -20,9 +21,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-import repro.cluster.node as node_module
+import repro.core.query as query_module
 from repro.bench.workloads import FamilySpec, generate_family_database
-from repro.cluster.node import StorageNode, parts_selective
+from repro.cluster.node import StorageNode, named_knn, parts_selective
 from repro.core import Mendel, MendelConfig, QueryParams
 from repro.core.anchors import max_mismatches
 from repro.obs.trace import TraceContext
@@ -32,8 +33,6 @@ from repro.seq.distance import HammingDistance, default_distance
 from repro.seq.mutate import sample_read
 from repro.seq.records import SequenceRecord
 from repro.tier import BlockCache, TierConfig
-from repro.vptree import VPTree
-from repro.vptree.search import part_search
 from tests.vptree.test_knn_oracle import PagedRows, family
 
 pytestmark = pytest.mark.chaos
@@ -83,11 +82,19 @@ def part_matches(points, window, parts):
     ]
 
 
-def named_pairs(points, windows, parts):
-    """``(lanes, rows)``: every (window, part match) pair, window-major."""
-    named = [part_matches(points, window, parts) for window in windows]
-    lanes = np.repeat(np.arange(len(windows)), [len(rows) for rows in named])
-    return lanes, np.array([row for rows in named for row in rows], dtype=np.intp)
+def named_ids(codes, windows, parts):
+    """Per window, the ids of its part matches among *codes* (block id =
+    row): what the part-key directory names."""
+    return [np.array(part_matches(codes, window, parts), dtype=np.int64)
+            for window in windows]
+
+
+def node_of(points, metric, segment_length, **node):
+    """An all-RAM node holding the rows of *points*, block id = row."""
+    held = StorageNode("n0", "g0", lambda: metric, segment_length=segment_length,
+                       **node)
+    held.store_blocks(points, list(range(len(points))))
+    return held
 
 
 @seed(SEED)
@@ -108,26 +115,28 @@ def test_part_path_keeps_every_survivor(name, length, identity, k, rows, scale, 
     mismatches = max_mismatches(length, identity)
     radius = mismatches * widest * scale
     windows = windows_near(rng, points, letters, 10, mismatches)
-    tree = VPTree(points, metric, bucket_capacity=4, rng=SEED)
-    lanes, rows = named_pairs(points, windows, mismatches + 1)
-    before = tree.adapter.pair_evaluations
-    found = part_search(tree, windows, k, radius, lanes, rows)
-    assert tree.adapter.pair_evaluations - before == sum(e for _, e in found)
+    node = node_of(points, metric, length, bucket_capacity=4, rng_seed=SEED)
+    named = named_ids(points, windows, mismatches + 1)
+    adapter = node.tree.adapter
+    before = adapter.pair_evaluations
+    [found] = named_knn([(node, windows, named)], k, radius)
+    assert adapter.pair_evaluations - before == sum(e for _, e in found)
     assert (found.cold_reads, found.cold_bytes) == (0, 0)
 
-    twin = copy.copy(tree)
-    twin.points = store = PagedRows(points, page_rows=7)
-    paged = part_search(twin, windows, k, radius, lanes, rows)
+    twin = copy.copy(node)
+    twin.tree = copy.copy(node.tree)
+    twin.tree.points = store = PagedRows(points, page_rows=7)
+    [paged] = named_knn([(twin, windows, named)], k, radius)
     assert paged == found
     assert (paged.cold_reads, paged.cold_bytes) == (store.reads, store.nbytes)
-    held = set(rows.tolist())
+    held = set(np.concatenate(named).tolist())
     assert store.reads == sum(bool(held.intersection(page.tolist()))
                               for page in store._pages[::2])
     assert store.laps == 0
 
-    for window, (hits, evals) in zip(windows, found):
+    for window, ids, (hits, evals) in zip(windows, named, found):
         context = f"window={window.tolist()} m={mismatches} k={k} R={radius}"
-        assert evals == len(part_matches(points, window, mismatches + 1)), context
+        assert evals == len(ids), context
         assert hits == sorted(hits) and len(hits) <= k, context
         assert all(d <= radius and d == metric(window, points[row])
                    for d, row in hits), context
@@ -138,36 +147,52 @@ def test_part_path_keeps_every_survivor(name, length, identity, k, rows, scale, 
             assert kept == survivors(expected, points, window, identity), context
 
 
-@pytest.mark.parametrize("length,parts", [(8, 2), (32, 7)])
-def test_a_long_query_holds_bounded_memory(length, parts):
-    """2,000 windows against a 300-row node where every window is named
-    nearly every row, the worst case, 600,000 pairs: they are scored
-    ``_PASS_CELLS`` at a time, so beside one sorted copy of the named rows
-    fewer than ``_PASS_CELLS`` pairs (a lane, a row and L codes each) are
-    held, about three times over while they are scored and merged — not
-    all pairs' codes at once."""
-    import tracemalloc
-
-    from repro.vptree import search
-
+def long_query(length, parts):
+    """A 300-row node of *length*-residue rows and 2,000 windows, every
+    window named nearly every row on one of its *parts* parts (the worst
+    case, 598,001 pairs), the nearest row of each window known."""
     points = np.zeros((300, length), dtype=np.uint8)
     queries = np.zeros((2000, length), dtype=np.uint8)
     points[-1] = queries[SEED % len(queries)] = 1
-    tree = VPTree(points, HammingDistance(), bucket_capacity=8, rng=SEED)
+    node = node_of(points, HammingDistance(), length, bucket_capacity=8,
+                   rng_seed=SEED)
     equal = queries[:, None, :] == points[None, :, :]
     lanes, rows = np.nonzero(np.any([
         equal[:, :, part].all(axis=2)
         for part in np.array_split(np.arange(length), parts)], axis=0))
-    del equal
+    named = np.split(rows, np.cumsum(np.bincount(lanes, minlength=len(queries)))[:-1])
+    return node, queries, named
+
+
+def peak_bytes(node, queries, named):
+    """The traced peak of one ``named_knn`` call over the job, and its
+    result."""
+    import tracemalloc
+
     tracemalloc.start()
     try:
-        found = search.part_search(tree, queries, 1, float(length), lanes, rows)
-        peak = tracemalloc.get_traced_memory()[1]
+        [found] = named_knn([(node, queries, named)], 1, float(queries.shape[1]))
+        return tracemalloc.get_traced_memory()[1], found
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * search._PASS_CELLS * (3 * length + 128), peak
+
+
+@pytest.mark.parametrize("length,parts", [(8, 2), (32, 7)])
+def test_a_long_query_holds_bounded_memory(length, parts):
+    """2,000 windows against a 300-row node where every window is named
+    nearly every row: the pairs are scored and their codes gathered
+    ``_PASS_CELLS`` at a time, so the same pairs over rows 64 residues
+    wider cost at most a pass's codes more, held about three times over
+    while they are scored and merged — not every pair's codes at once.
+    The pairs' lanes, rows and ids are held whatever the width."""
+    from repro.vptree import search
+
+    wider = 64
+    narrow, found = peak_bytes(*long_query(length, parts))
+    wide, _ = peak_bytes(*long_query(length + wider, parts))
+    assert wide - narrow <= 2 * search._PASS_CELLS * 3 * wider, (narrow, wide)
     for window, (hits, evals) in enumerate(found):
-        if window == SEED % len(queries):
+        if window == SEED % len(found):
             assert (hits, evals) == ([(0.0, 299)], 1)
         else:
             assert (hits, evals) == ([(0.0, 0)], 299)
@@ -243,19 +268,11 @@ def spilled_twins(rows=3000, cache_share=10):
     return nodes, codes, windows_near(rng, codes, 20, 24, 6)
 
 
-def named_ids(codes, windows, parts):
-    """Per window, the ids of its part matches among *codes* (block id =
-    row): what the part-key directory names."""
-    return [np.array(part_matches(codes, window, parts), dtype=np.int32)
-            for window in windows]
-
-
 def test_spilled_node_reads_as_the_scan_and_answers_as_ram():
     """A spilled node on the part path reads from the device exactly the
     pages that hold a named block and are not resident, each once — a
-    cold pass and one over what it left resident — and answers, hits,
-    evals and charges, as its all-RAM twin; the vp-tree scan of its twin
-    reads more."""
+    cold pass and one over what it left resident — and answers, hits and
+    evals, as its all-RAM twin; the vp-tree scan of its twin reads more."""
     (node, scan_node), codes, windows = spilled_twins()
     radius, mismatches = 6 * METRICS["matrix"][2], 6
     named = named_ids(codes, windows, mismatches + 1)
@@ -265,21 +282,49 @@ def test_spilled_node_reads_as_the_scan_and_answers_as_ram():
     for _ in range(2):
         cold = [page for page in sorted(pages) if page not in tier._pinned_arrays
                 and not cache.contains((node.node_id, page))]
-        searches, reads = node.local_knn(
-            windows, 6, radius, mismatches=mismatches, letters=20,
-            candidates=named)
-        _, scan_reads = scan_node.local_knn(windows, 6, radius)
-        assert searches.path == "parts"
-        assert (reads.seeks, reads.nbytes) == (
+        [found] = named_knn([(node, windows, named)], 6, radius)
+        scan = scan_node.local_knn(windows, 6, radius)
+        assert (found.cold_reads, found.cold_bytes) == (
             len(cold), sum(tier.reader.pages[page].length for page in cold))
-        assert reads.seeks < scan_reads.seeks
-    ram = StorageNode("n0", "g0", lambda: default_distance(PROTEIN),
-                      segment_length=32, bucket_capacity=512, rng_seed=SEED)
-    ram.store_blocks(codes, list(range(len(codes))))
-    in_ram, ram_reads = ram.local_knn(windows, 6, radius, mismatches=mismatches,
-                                      letters=20, candidates=named)
-    assert ram_reads.seeks == 0
-    assert in_ram == searches and in_ram.path == searches.path
+        assert found.cold_reads < scan.cold_reads
+    ram = node_of(codes, default_distance(PROTEIN), 32, bucket_capacity=512,
+                  rng_seed=SEED)
+    [in_ram] = named_knn([(ram, windows, named)], 6, radius)
+    assert in_ram.cold_reads == 0
+    assert in_ram == found
+
+
+def test_one_call_answers_as_each_job_alone():
+    """One call over a RAM job and a spilled job, each its own windows,
+    equals each job run alone — hits, evals, cold reads and each node's
+    pair evaluations — twice: cold, and over what the first call left
+    resident."""
+    spilled, codes, windows = spilled_twins()
+    held = np.arange(0, len(codes), 3)
+    rams = []
+    for _ in range(2):
+        ram = StorageNode("n1", "g0", lambda: default_distance(PROTEIN),
+                          segment_length=32, bucket_capacity=512, rng_seed=SEED)
+        ram.store_blocks(codes[held], held.tolist())
+        rams.append(ram)
+    radius, parts = 6 * METRICS["matrix"][2], 7
+    named = named_ids(codes, windows, parts)
+    jobs = [[(ram, windows[:10], named[:10]), (node, windows[10:], named[10:])]
+            for ram, node in zip(rams, spilled)]
+    for _ in range(2):
+        before = [[node.tree.adapter.pair_evaluations for node, _, _ in pair]
+                  for pair in jobs]
+        together = named_knn(jobs[0], 6, radius)
+        alone = [named_knn([job], 6, radius)[0] for job in jobs[1]]
+        assert [(list(found), found.cold_reads, found.cold_bytes)
+                for found in together] == [
+            (list(found), found.cold_reads, found.cold_bytes) for found in alone]
+        assert together[1].cold_reads and any(hits for hits, _ in together[0])
+        counted = [[node.tree.adapter.pair_evaluations - was
+                    for (node, _, _), was in zip(pair, then)]
+                   for pair, then in zip(jobs, before)]
+        assert counted[0] == counted[1] == [sum(e for _, e in found)
+                                            for found in alone]
 
 
 def test_charges_follow_the_executed_kernel():
@@ -294,20 +339,13 @@ def test_charges_follow_the_executed_kernel():
     windows = windows_near(rng, codes, 20, 30, 1)
     named = named_ids(codes, windows, 2)
     before = node.tree.adapter.pair_evaluations
-    searches, reads = node.local_knn(windows, 6, 15.0, mismatches=1, letters=20,
-                                     candidates=named)
-    assert searches.path == "parts" and reads.seeks == 0
-    for ids, (hits, cost) in zip(named, searches):
-        assert cost.evals == np.isin(ids, held).sum()
-        assert cost.seconds == node.service_time(cost.evals)
+    [found] = named_knn([(node, windows, named)], 6, 15.0)
+    assert found.cold_reads == 0
+    for ids, (hits, evals) in zip(named, found):
+        assert evals == np.isin(ids, held).sum()
         assert {block for _, block in hits} <= set(held.tolist())
     assert node.tree.adapter.pair_evaluations - before == sum(
-        cost.evals for _, cost in searches)
-    scan, _ = node.local_knn(windows, 6, 15.0, mismatches=4, letters=20,
-                             candidates=named)
-    assert scan.path == "vptree"
-    walked, _ = node.local_knn(windows, 6, 15.0, mismatches=1, letters=20)
-    assert walked.path == "vptree"
+        evals for _, evals in found)
 
 
 @pytest.fixture(scope="module")
@@ -331,11 +369,12 @@ def read_mapping():
 
 def test_read_mapping_answers_are_the_vptree_answers(read_mapping, monkeypatch):
     """40 reads answer identically from part keys and from the vp-tree
-    scan of the same deployment, and the span of every node names the part
-    path."""
+    scan of the same deployment, routed alike, and the span of every node
+    names the part path."""
     mendel, reads, params = read_mapping
     parts = [mendel.query(read, params, trace_ctx=TraceContext()) for read in reads]
-    monkeypatch.setattr(node_module, "parts_selective", lambda *args: False)
+    monkeypatch.setattr(query_module, "named_knn", lambda jobs, k, radius: [
+        node.local_knn(windows, k, radius) for node, windows, _ in jobs])
     scans = [mendel.query(read, params) for read in reads]
     assert [answer_signature(r) for r in parts] == [answer_signature(r) for r in scans]
     assert sum(r.stats.identity_pass for r in parts) == sum(
