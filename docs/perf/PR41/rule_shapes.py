@@ -8,6 +8,12 @@ bits (those minus log2(m + 1)).  One node of uniform random rows (2,000,
 10,000, 30,000), 16 and 64 windows copied from its rows with up to m + 1
 positions redrawn; prints part path / vp-tree ratios of CPU (best of three)
 and modelled charge, and the rows each scored.
+
+Runs on the tree of commit 6ce4294, where the rule was
+``repro.cluster.node.parts_selective`` and ``StorageNode.local_knn`` took
+``mismatches``/``letters`` and chose the path itself.  Later trees make
+the decision once a run, in ``repro.core.query.parts_selective``, and a
+node's part-path search needs the block ids the route names.
 """
 import math
 import time

@@ -6,6 +6,12 @@ Every node-subquery of the sweep, all-RAM and then spilled behind a cache of
 10 % of the raw codes, is run on the part path and on the vp-tree path
 (best CPU of three each) and answered from the rule's own choice; prints
 CPU and modelled charge (search seconds plus cold reads) by node size.
+
+Runs on the tree of commit 6ce4294, where the rule was
+``repro.cluster.node.parts_selective`` and ``StorageNode.local_knn`` took
+``mismatches``/``letters`` and chose the path itself.  Later trees make
+the decision once a run, in ``repro.core.query.parts_selective``, and a
+node's part-path search needs the block ids the route names.
 """
 import time
 import numpy as np

@@ -15,7 +15,6 @@ without a physical testbed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -63,16 +62,6 @@ class NodeStats:
     blocks_recovered: int = 0
     recoveries: int = 0
     corrupt_reads: int = 0
-
-
-def parts_selective(width: int, mismatches: int, letters: int) -> bool:
-    """Whether *width*-residue windows over *letters* letters are served
-    from their ``m + 1`` pigeonhole part keys: a random row equals a window
-    on one at odds of at most 1 in 256 (the crossover with the vp-tree,
-    measured between 7.0 and 10.6 bits whatever the node's size; DESIGN.md)
-    and m > 0 (a radius-0 vp-tree walk is already an exact lookup)."""
-    bits = width // (mismatches + 1) * math.log2(letters) - math.log2(mismatches + 1)
-    return mismatches > 0 and bits >= 8
 
 
 def named_knn(

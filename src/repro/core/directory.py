@@ -2,8 +2,8 @@
 
 A row the identity filter can pass has at most m mismatches to its window,
 so it equals the window on one of the window's ``m + 1`` pigeonhole parts.
-Where a node serves a window from those parts
-(:func:`repro.cluster.node.parts_selective`), it returns nothing for a
+Where the route sends a window down the part path
+(:func:`repro.core.query.parts_selective`), a node returns nothing for a
 window that has no part match among its rows.  Sending a window to exactly
 the groups whose placed blocks match it on a part therefore loses nothing
 that a broadcast to every group would find, and the vp-prefix walk's

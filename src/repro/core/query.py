@@ -33,6 +33,7 @@ stats, counters, profile and span.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
@@ -48,7 +49,7 @@ from repro.cluster.messages import (
     QueryResult,
     SubQuery,
 )
-from repro.cluster.node import StorageNode, named_knn, parts_selective
+from repro.cluster.node import StorageNode, named_knn
 from repro.core.aggregate import merge_anchors
 from repro.core.anchors import evaluate_candidate, extend_anchor, max_mismatches
 from repro.core.blocks import BlockStore
@@ -235,6 +236,18 @@ def resolve_matrix(params: QueryParams, alphabet: Alphabet) -> np.ndarray:
     if alphabet.name == "dna" and params.M.lower() == "blosum62":
         return dna_matrix()
     return named_matrix(params.M)
+
+
+def parts_selective(width: int, mismatches: int, letters: int) -> bool:
+    """Whether a query's *width*-residue windows over *letters* letters
+    are routed by, and scored on, their ``m + 1`` pigeonhole part keys —
+    the part-path decision, made once a run by :class:`_BatchRun` and by
+    nothing else: a random row equals a window
+    on one at odds of at most 1 in 256 (the crossover with the vp-tree,
+    measured between 7.0 and 10.6 bits whatever the node's size; DESIGN.md)
+    and m > 0 (a radius-0 vp-tree walk is already an exact lookup)."""
+    bits = width // (mismatches + 1) * math.log2(letters) - math.log2(mismatches + 1)
+    return mismatches > 0 and bits >= 8
 
 
 @dataclass

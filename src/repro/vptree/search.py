@@ -67,7 +67,7 @@ identity filter can pass (at most m mismatches) equals its window on one
 of ``m + 1`` pigeonhole parts, and the system entry's part-key directory
 names, per window, the blocks that do.  Only those rows are read and
 scored (where the route names them:
-:func:`repro.cluster.node.parts_selective`).
+:func:`repro.core.query.parts_selective`).
 """
 
 from __future__ import annotations

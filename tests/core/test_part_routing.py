@@ -1,9 +1,9 @@
 """Tier-1 routing by part keys against brute force.
 
-Where nodes serve a window from its m + 1 pigeonhole part keys
-(``repro.cluster.node.parts_selective``), the system entry sends the window
-to exactly the groups whose placed blocks (``MendelIndex.blocks_of_group``)
-equal it on one of those parts.  A block the identity filter can pass (at
+Where a query takes the part path, scoring windows on their m + 1
+pigeonhole part keys (``repro.core.query.parts_selective``), the system
+entry sends a window to exactly the groups whose placed blocks
+(``MendelIndex.blocks_of_group``) equal it on one of those parts.  A block the identity filter can pass (at
 most m mismatches) equals the window on a part, so those groups include
 every group holding a passer.
 

@@ -23,9 +23,10 @@ from hypothesis import strategies as st
 
 import repro.core.query as query_module
 from repro.bench.workloads import FamilySpec, generate_family_database
-from repro.cluster.node import StorageNode, named_knn, parts_selective
+from repro.cluster.node import StorageNode, named_knn
 from repro.core import Mendel, MendelConfig, QueryParams
 from repro.core.anchors import max_mismatches
+from repro.core.query import parts_selective
 from repro.obs.trace import TraceContext
 from repro.scenario import answer_signature
 from repro.seq.alphabet import PROTEIN
@@ -177,19 +178,36 @@ def peak_bytes(node, queries, named):
         tracemalloc.stop()
 
 
+#: Bytes a named pair holds outside the scoring pass: the window, tree row
+#: and block id ``StorageNode.named_rows`` returns for it (8 B each) beside
+#: the ``searchsorted`` position and mask it filters them with, then the
+#: pair's key and the jobs' concatenated lanes and ids.  ``long_query``
+#: measures 44 B at width 8 beyond the pass budget below (tracemalloc), so
+#: one more array of a word a pair held at the peak fails the bound.
+PAIR_BYTES = 48
+
+
 @pytest.mark.parametrize("length,parts", [(8, 2), (32, 7)])
 def test_a_long_query_holds_bounded_memory(length, parts):
     """2,000 windows against a 300-row node where every window is named
     nearly every row: the pairs are scored and their codes gathered
-    ``_PASS_CELLS`` at a time, so the same pairs over rows 64 residues
-    wider cost at most a pass's codes more, held about three times over
-    while they are scored and merged — not every pair's codes at once.
-    The pairs' lanes, rows and ids are held whatever the width."""
+    ``_PASS_CELLS`` at a time, so beside ``PAIR_BYTES`` a pair fewer than
+    ``_PASS_CELLS`` pairs (a lane, a row and L codes each) are held, about
+    three times over while they are scored and merged — not every pair's
+    codes at once; and the same pairs over rows 64 residues wider cost at
+    most a pass's codes more."""
     from repro.vptree import search
 
+    def bound(width):
+        return pairs * PAIR_BYTES + 2 * search._PASS_CELLS * (3 * width + 128)
+
     wider = 64
-    narrow, found = peak_bytes(*long_query(length, parts))
+    node, queries, named = long_query(length, parts)
+    pairs = sum(len(rows) for rows in named)
+    narrow, found = peak_bytes(node, queries, named)
     wide, _ = peak_bytes(*long_query(length + wider, parts))
+    assert narrow <= bound(length), (narrow, pairs)
+    assert wide <= bound(length + wider), (wide, pairs)
     assert wide - narrow <= 2 * search._PASS_CELLS * 3 * wider, (narrow, wide)
     for window, (hits, evals) in enumerate(found):
         if window == SEED % len(found):
