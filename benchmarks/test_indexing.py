@@ -4,7 +4,9 @@ Section VII-B: "indexing times for exceedingly large datasets can be
 inhibitive.  Adding the ability to save pre-indexed data ... would save
 researchers a lot of time."  This benchmark measures (a) how the simulated
 indexing makespan scales with database size and cluster size, and (b) the
-wall-clock payoff of loading a saved deployment instead of rebuilding it.
+payoff of loading a saved deployment instead of rebuilding it: a load
+hashes no block and models no more indexing time than the build (its wall
+time is printed beside the build's).
 """
 
 import time
@@ -97,8 +99,12 @@ def test_persistence_pays_off(check, tmp_path_factory):
             f"{mendel.block_count} blocks"
         )
         assert loaded.stats.per_node_blocks == mendel.stats.per_node_blocks
-        # Loading skips the vp-prefix hashing of every block: measurably
-        # faster than a full rebuild.
-        assert load_seconds < build_seconds
+        # Loading skips the vp-prefix hashing of every block, so it models
+        # no more indexing time than the build.  The wall times above are
+        # printed, not compared: the hashing is one batched pass, a small
+        # share of a build, and machine noise decides their order.
+        assert loaded.stats.hash_evals == 0 < mendel.stats.hash_evals
+        assert (loaded.stats.simulated_makespan
+                <= mendel.stats.simulated_makespan)
 
     check(body)

@@ -9,7 +9,7 @@ from repro.cluster.balance import (
     gini,
 )
 from repro.cluster.group import StorageGroup
-from repro.cluster.hashring import FlatHash, HashRing, sha1_int
+from repro.cluster.hashring import FlatHash, sha1_int
 from repro.cluster.messages import (
     AnchorReport,
     GroupReport,
@@ -36,7 +36,6 @@ __all__ = [
     "gini",
     "StorageGroup",
     "FlatHash",
-    "HashRing",
     "sha1_int",
     "AnchorReport",
     "GroupReport",

@@ -13,25 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.hashring import FlatHash, HashRing
+from repro.cluster.hashring import FlatHash
 from repro.cluster.node import StorageNode
 
 
 @dataclass
 class StorageGroup:
-    """A named set of nodes plus the intra-group placement hash.
-
-    ``use_ring=True`` swaps the flat ``SHA-1 mod N`` placement for a
-    consistent-hashing ring, so membership changes (the autoscaler's
-    scale-out/scale-in) move only ~``1/N`` of the group's blocks instead
-    of reshuffling almost all of them.  The default stays flat — the
-    paper's evaluated configuration.
-    """
+    """A named set of nodes plus the intra-group placement hash (flat
+    ``SHA-1 mod N``)."""
 
     group_id: str
     nodes: list[StorageNode]
-    use_ring: bool = False
-    _flat: FlatHash | HashRing = field(init=False, repr=False)
+    _flat: FlatHash = field(init=False, repr=False)
     _by_id: dict[str, StorageNode] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -46,11 +39,8 @@ class StorageGroup:
                     f"node {node.node_id!r} belongs to group {node.group_id!r}, "
                     f"not {self.group_id!r}"
                 )
-        self._flat = self._make_placer(ids)
+        self._flat = FlatHash(ids)
         self._by_id = {node.node_id: node for node in self.nodes}
-
-    def _make_placer(self, ids: tuple[str, ...]) -> FlatHash | HashRing:
-        return HashRing(ids) if self.use_ring else FlatHash(ids)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -75,7 +65,7 @@ class StorageGroup:
         if node.node_id in self._by_id:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self.nodes.append(node)
-        self._flat = self._make_placer(tuple(n.node_id for n in self.nodes))
+        self._flat = FlatHash(tuple(n.node_id for n in self.nodes))
         self._by_id[node.node_id] = node
 
     def remove_node(self, node_id: str) -> StorageNode:
@@ -95,7 +85,7 @@ class StorageGroup:
             )
         node = self._by_id.pop(node_id)
         self.nodes.remove(node)
-        self._flat = self._make_placer(tuple(n.node_id for n in self.nodes))
+        self._flat = FlatHash(tuple(n.node_id for n in self.nodes))
         return node
 
     def place(self, key: bytes) -> StorageNode:

@@ -1,21 +1,16 @@
-"""Flat SHA-1 hashing and a consistent-hash ring (section IV-A / V-A.2).
+"""Flat SHA-1 hashing, Mendel's intra-group placement (section V-A.2).
 
 Inside a storage group Mendel uses a "tried-and-true flat hashing scheme,
 SHA-1" so load balance within a group is near perfect.  :class:`FlatHash`
 implements exactly that (SHA-1 of the block bytes, modulo node count).
-
-:class:`HashRing` additionally provides consistent hashing with virtual
-nodes, which the DHT literature the paper builds on (Dynamo, Cassandra)
-uses for incremental scalability; it backs the elasticity tests and the
-standard-DHT comparison in the Fig. 5 load-balance benchmark.
+The Fig. 5 load-balance benchmark also uses it as the one-tier standard
+DHT it compares against.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 
 def sha1_int(data: bytes) -> int:
@@ -38,58 +33,3 @@ class FlatHash:
     def assign(self, key: bytes) -> str:
         """Node id owning *key*."""
         return self.node_ids[sha1_int(key) % len(self.node_ids)]
-
-
-class HashRing:
-    """Consistent-hash ring with virtual nodes over SHA-1 key space.
-
-    Each physical node is mapped to ``replicas`` points on the ring; a key is
-    owned by the first ring point clockwise from its hash.  Adding or
-    removing a node relocates only ``~1/N`` of the keys, which is the
-    incremental-scalability property DHTs advertise.
-    """
-
-    def __init__(self, node_ids: Sequence[str] = (), replicas: int = 64) -> None:
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        self.replicas = int(replicas)
-        self._ring: list[tuple[int, str]] = []
-        self._points: list[int] = []
-        self._nodes: set[str] = set()
-        for node_id in node_ids:
-            self.add_node(node_id)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._nodes))
-
-    def add_node(self, node_id: str) -> None:
-        if node_id in self._nodes:
-            raise ValueError(f"node {node_id!r} already on ring")
-        self._nodes.add(node_id)
-        for replica in range(self.replicas):
-            point = sha1_int(f"{node_id}#{replica}".encode())
-            pos = bisect.bisect(self._points, point)
-            self._points.insert(pos, point)
-            self._ring.insert(pos, (point, node_id))
-
-    def remove_node(self, node_id: str) -> None:
-        if node_id not in self._nodes:
-            raise KeyError(f"node {node_id!r} not on ring")
-        self._nodes.remove(node_id)
-        keep = [(p, n) for p, n in self._ring if n != node_id]
-        self._ring = keep
-        self._points = [p for p, _ in keep]
-
-    def assign(self, key: bytes) -> str:
-        """Node id owning *key* (first ring point clockwise from its hash)."""
-        if not self._ring:
-            raise ValueError("ring is empty")
-        point = sha1_int(key)
-        pos = bisect.bisect(self._points, point)
-        if pos == len(self._points):
-            pos = 0
-        return self._ring[pos][1]

@@ -48,7 +48,6 @@ class ClusterSpec:
     group_size: int = 5
     heterogeneous: bool = True
     bucket_capacity: int = 32
-    ring_placement: bool = False
 
     def __post_init__(self) -> None:
         if self.group_count < 1:
@@ -172,10 +171,7 @@ class ClusterTopology:
                     )
                 )
                 node_counter += 1
-            self.groups.append(
-                StorageGroup(group_id=group_id, nodes=nodes,
-                             use_ring=spec.ring_placement)
-            )
+            self.groups.append(StorageGroup(group_id=group_id, nodes=nodes))
 
         self._groups_by_id = {group.group_id: group for group in self.groups}
         self.prefix_assignment = build_prefix_assignment(

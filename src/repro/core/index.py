@@ -158,7 +158,6 @@ class MendelIndex:
             group_size=config.group_size,
             heterogeneous=config.heterogeneous,
             bucket_capacity=config.bucket_capacity,
-            ring_placement=config.ring_placement,
         )
         self.topology = ClusterTopology(
             spec=spec,
@@ -679,7 +678,6 @@ class MendelIndex:
                 self._new_node(new_gid, i)
                 for i in range(self.config.group_size)
             ],
-            use_ring=self.config.ring_placement,
         )
         self.topology.add_group(new_group)
         self.topology.reassign_prefixes(moved_prefixes, new_gid)

@@ -16,9 +16,10 @@ E     expectation value threshold                float(0..inf)
 ====  =========================================  ============
 
 :class:`QueryParams` carries exactly those eight, validated to those types
-and ranges; engine-internal tuning that the paper leaves implicit (branching
-tolerance, X-drop, gap penalties) lives in the same dataclass but is
-documented as an extension.
+and ranges.  What the paper leaves implicit is not a parameter: the walk's
+branching tolerance is derived from ``i`` (``QueryEngine.tolerance``), and
+the gapped pass's X-drop, gap costs and per-subject budget are constants
+beside it in :mod:`repro.core.query`.
 """
 
 from __future__ import annotations
@@ -26,11 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.seq.matrices import named_matrix
-from repro.util.validation import (
-    check_fraction,
-    check_non_negative,
-    check_positive,
-)
+from repro.util.validation import check_fraction, check_non_negative
 
 
 @dataclass(frozen=True)
@@ -54,22 +51,6 @@ class QueryParams:
     #: expectation-value threshold for reporting
     E: float = 10.0
 
-    # -- engine tuning the paper leaves implicit (documented extensions) -----
-    #: vp-prefix traversal branching tolerance (metric units); 0 = never
-    #: replicate, ``None`` = auto: half the identity-derived search radius.
-    #: Read only where the walk routes (homologs, and m = 0): where nodes
-    #: serve windows from their pigeonhole part keys, tier 1 routes by the
-    #: part-key directory and ignores it
-    tolerance: float | None = None
-    #: X-drop for ungapped/gapped extensions
-    x_drop: float = 25.0
-    #: affine gap penalties for the gapped pass
-    gap_open: float = 11.0
-    gap_extend: float = 1.0
-    #: cap on gapped extensions per subject sequence (the bin-level
-    #: absorption of section V-B bounds work on noisy bins)
-    max_gapped_per_subject: int = 4
-
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError(f"k must be int >= 1, got {self.k!r}")
@@ -84,23 +65,6 @@ class QueryParams:
         if not isinstance(self.l, int) or self.l < 0:
             raise ValueError(f"l must be int >= 0, got {self.l!r}")
         check_non_negative("E", self.E)
-        if self.tolerance is not None:
-            check_non_negative("tolerance", self.tolerance)
-        check_non_negative("x_drop", self.x_drop)
-        check_positive("gap_open", self.gap_open)
-        check_positive("gap_extend", self.gap_extend)
-        if self.gap_open < self.gap_extend:
-            raise ValueError(
-                f"gap_open ({self.gap_open}) must be >= gap_extend "
-                f"({self.gap_extend})"
-            )
-        if not isinstance(self.max_gapped_per_subject, int) or (
-            self.max_gapped_per_subject < 1
-        ):
-            raise ValueError(
-                "max_gapped_per_subject must be int >= 1, got "
-                f"{self.max_gapped_per_subject!r}"
-            )
 
     def cache_key(self) -> str:
         """A stable canonical string: equal searches produce equal keys.
@@ -169,10 +133,6 @@ class MendelConfig:
     #: copies of each block within its group (1 = no replication; the
     #: fault-tolerance extension of section VII-B future work)
     replication: int = 1
-    #: intra-group placement: False = the paper's flat ``SHA-1 mod N``,
-    #: True = a consistent-hashing ring, so elastic membership changes move
-    #: only ~1/N of a group's blocks (the autoscaler-friendly mode)
-    ring_placement: bool = False
     #: master seed for all derived randomness
     seed: int = 42
 

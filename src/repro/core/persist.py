@@ -177,8 +177,13 @@ def _decode(
     for seq_id, description, codes in zip(seq_ids, descriptions, pieces):
         database.add(SequenceRecord(seq_id=seq_id, codes=codes.copy(),
                                     alphabet=alphabet, description=description))
-    config = MendelConfig(**_field(header, "config", dict))
-    return database, config, node_ids, placement.tolist()
+    config = _field(header, "config", dict)
+    # Archives from before intra-group placement was flat SHA-1 only name
+    # it; a ring placement cannot be rebuilt.
+    if config.pop("ring_placement", False) is not False:
+        raise PersistError("the archive places blocks on a consistent-hash "
+                           "ring, which this version cannot rebuild")
+    return database, MendelConfig(**config), node_ids, placement.tolist()
 
 
 def _field(header: dict, key: str, kind: type):

@@ -421,12 +421,22 @@ def execute(
     return works
 
 
+#: X-drop of the gapped pass's banded extensions
+X_DROP = 25.0
+#: affine gap costs of the gapped pass (BLAST's BLOSUM62 defaults)
+GAP_OPEN = 11.0
+GAP_EXTEND = 1.0
+#: gapped extensions per subject sequence (the bin-level absorption of
+#: section V-B bounds work on noisy bins)
+MAX_GAPPED_PER_SUBJECT = 4
+
+
 class _SubjectQueue:
     """One subject's anchors to gapped-extend, in order, handed out a run at
     a time, and the alignments their extensions found.
 
     The order processes best raw score first: long, reliable anchors claim
-    the per-subject budget (``max_gapped_per_subject``) before short lucky
+    the per-subject budget (:data:`MAX_GAPPED_PER_SUBJECT`) before short lucky
     ones, and anchors whose normalised score is below ``S`` never qualify
     (the normalised score stays the paper's *trigger*, not the order; a
     merged anchor's is its best part's, :attr:`Anchor.density`).
@@ -448,7 +458,7 @@ class _SubjectQueue:
         ]
         self.band = params.l
         self.cursor = 0
-        self.budget = params.max_gapped_per_subject
+        self.budget = MAX_GAPPED_PER_SUBJECT
         #: (query start, query end, anchor diagonal) of each alignment found
         self.covered: list[tuple[int, int, int]] = []
         self.found: list[Alignment] = []
@@ -1027,13 +1037,10 @@ class QueryEngine:
         return mismatches * float(np.asarray(per_residue).max())
 
     def tolerance(self, params: QueryParams) -> float:
-        """Branching tolerance of the tier-1 vp-prefix walk:
-        ``params.tolerance``, or by default half the search radius.  Read
-        only where the walk routes: where nodes serve windows from their
-        part keys, the part-key directory routes and no tolerance applies.
-        """
-        if params.tolerance is not None:
-            return params.tolerance
+        """Branching tolerance of the tier-1 vp-prefix walk: half the
+        search radius.  Read only where the walk routes: where nodes serve
+        windows from their part keys, the part-key directory routes and no
+        tolerance applies."""
         return 0.5 * self.search_radius(params)
 
     def covered(self, group_id: str, scope: frozenset[int],
@@ -1327,9 +1334,9 @@ class QueryEngine:
                     for mid, anchor, subject in zip(mids, anchors, subjects)
                 ],
                 bandwidth=params.l,
-                gap_open=params.gap_open,
-                gap_extend=params.gap_extend,
-                x_drop=params.x_drop,
+                gap_open=GAP_OPEN,
+                gap_extend=GAP_EXTEND,
+                x_drop=X_DROP,
             )
             cells = 2 * params.l + 1
             costs = [(ext.query_end - ext.query_start) * cells for ext in extents]

@@ -84,7 +84,7 @@ class ChaosController:
                 is_alive=self._is_alive,
                 event_log=event_log,
                 recorder=recorder,
-                heal=self._scrub_heal if schedule.scrub_auto_heal else None,
+                heal=self._scrub_heal,
             )
         self._repair_tail: dict[str, SimEvent] = {}
         self._nodes = {node.node_id: node for node in index.topology.nodes}

@@ -197,10 +197,8 @@ class FaultSchedule:
         detector declares it dead.
     scrub_interval:
         Simulated seconds between anti-entropy scrub rounds (one group per
-        round, round-robin); 0 disables background scrubbing.
-    scrub_auto_heal:
-        Let the scrubber chain quarantined blocks into the repair path
-        (``False`` detects and quarantines without healing).
+        round, round-robin); 0 disables background scrubbing.  Each round
+        chains the blocks it quarantines into the repair path.
     horizon:
         Simulated time at which heartbeat monitoring stops (the simulation
         cannot drain while monitors loop).  Defaults to the last scripted
@@ -213,7 +211,6 @@ class FaultSchedule:
     miss_threshold: int = 3
     auto_repair: bool = True
     scrub_interval: float = 0.0
-    scrub_auto_heal: bool = True
     horizon: float | None = None
 
     def __post_init__(self) -> None:

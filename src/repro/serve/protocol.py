@@ -69,11 +69,11 @@ node failures a query may cover only part of the index; with
 ``allow_partial: false`` such an answer becomes an ``{"error": "degraded"}``
 response instead of a best-effort result.
 
-``params`` accepts any :class:`~repro.core.params.QueryParams` field by
-name (Table I knobs plus the documented extensions); unknown names are an
-``invalid_request`` error rather than silently ignored.  No field of any
-op takes a JSON boolean where it expects a number: ``"deadline": true`` is
-an ``invalid_request``, not a one-second deadline.
+``params`` accepts the :class:`~repro.core.params.QueryParams` fields by
+name, which are Table I's eight; unknown names are an ``invalid_request``
+error rather than silently ignored.  No field of any op takes a JSON
+boolean where it expects a number: ``"deadline": true`` is an
+``invalid_request``, not a one-second deadline.
 """
 
 from __future__ import annotations

@@ -94,9 +94,6 @@ class QueryService:
         worker plus executing).  Submissions beyond it are shed.
     cache_capacity / cache_ttl:
         Result-cache shape; ``cache_capacity=0`` disables caching.
-    default_deadline:
-        Deadline (seconds) applied when a request does not carry one;
-        ``None`` means no implicit deadline.
     tracing:
         Record a span tree per executed request (``result.trace_id``; the
         tree rides on ``report.root_span``).
@@ -125,7 +122,6 @@ class QueryService:
         max_pending: int = 64,
         cache_capacity: int = 1024,
         cache_ttl: float | None = None,
-        default_deadline: float | None = None,
         clock=time.monotonic,
         tracing: bool = True,
         slow_query_threshold: float | None = None,
@@ -138,7 +134,6 @@ class QueryService:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.mendel = mendel
         self.max_pending = max_pending
-        self.default_deadline = default_deadline
         self.registry = registry if registry is not None else default_registry()
         self.stats = ServiceStats(clock=clock, registry=self.registry)
         self.tracing = tracing
@@ -322,7 +317,6 @@ class QueryService:
                 )
             self._inflight += 1
 
-        deadline = deadline if deadline is not None else self.default_deadline
         now = self._clock()
         request = _Request(
             record=record,
@@ -364,8 +358,7 @@ class QueryService:
         )
 
     def _wait(self, submit, *args, deadline: float | None, **kwargs):
-        """Submit with the deadline (or the default) and wait that long."""
-        deadline = deadline if deadline is not None else self.default_deadline
+        """Submit with the deadline and wait that long."""
         future = submit(*args, deadline=deadline, **kwargs)
         try:
             return future.result(timeout=deadline)

@@ -22,8 +22,8 @@ Fault injection (the :mod:`repro.faults` chaos layer) extends the model with
   ``clear_partition``.
 
 Faulty delivery goes through :meth:`Network.try_transfer`, which reports
-whether the message survived; the legacy :meth:`send`/:meth:`transfer` paths
-ignore drops (always deliver) so fault-oblivious code keeps working.  Drop
+whether the message survived; :meth:`Network.transfer` ignores drops
+(always delivers) for the paths that model none.  Drop
 decisions draw from the network's seeded RNG, so chaos runs replay
 identically from a seed.  Ids in ``immune`` (the pseudo-node ``"client"``)
 are never dropped or partitioned.
@@ -32,7 +32,7 @@ are never dropped or partitioned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
 from repro.sim.engine import Simulation
 from repro.util.rng import RandomSource, as_generator
@@ -189,27 +189,10 @@ class Network:
             delay += fault.extra_delay
         return delay
 
-    def send(
-        self,
-        src: str,
-        dst: str,
-        size_bytes: int,
-        handler: Callable[..., Any],
-        *args: Any,
-    ) -> float:
-        """Deliver a message: schedule ``handler(*args)`` after the modelled
-        delay.  Returns the delay charged.  Ignores drops (always delivers);
-        fault-aware callers use :meth:`try_transfer`."""
-        delay = self.delay_for(src, dst, size_bytes)
-        self._count(src, dst, size_bytes)
-        self.sim.call_later(delay, handler, *args)
-        return delay
-
     def transfer(self, src: str, dst: str, size_bytes: int) -> float:
-        """Charge a message without scheduling a callback; returns the delay
-        for a generator process to ``yield``.  Preferred inside process-style
-        code where control flow already lives in the generator.  Ignores
-        drops; fault-aware callers use :meth:`try_transfer`."""
+        """Charge a message; returns the delay for a generator process to
+        ``yield``.  Ignores drops; fault-aware callers use
+        :meth:`try_transfer`."""
         delay = self.delay_for(src, dst, size_bytes)
         self._count(src, dst, size_bytes)
         return delay
@@ -240,6 +223,3 @@ class Network:
             self.stats.loopback_messages += 1
         else:
             self.stats.bytes_sent += size_bytes
-
-    def reset_stats(self) -> None:
-        self.stats = NetworkStats()

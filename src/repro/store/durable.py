@@ -13,7 +13,10 @@ The durable representation of a node's holdings lives on its
 ``wal``
     An append-only log of everything since that checkpoint.  Each record is
     framed ``[u32 length][u32 crc32(payload)][payload]``; the payload is an
-    insert (op, block id, content digest, codes) or a drop (op, block id).
+    insert (op, block id, content digest, codes).  Nothing journals a drop:
+    a node drops blocks by rebuilding its durable state
+    (``StorageNode.drop_blocks``).  A record of any other op replays as
+    damage and counts in ``crc_errors``.
     Replay truncates a torn tail — an incomplete frame, or a CRC-failing
     *final* record — exactly as journalled filesystems do; a CRC failure in
     the *middle* of the log is bit rot, not a torn write, so the record is
@@ -26,10 +29,10 @@ checkpoint must not re-certify bytes it merely copied.  Silent corruption
 is therefore always detectable as ``crc32(payload) != digest`` no matter
 how many snapshot cycles it survived.
 
-Acknowledgement contract: :meth:`append_insert` / :meth:`append_drop`
-return ``True`` only once the record is fully on the device.  A torn or
-refused write returns ``False`` and the caller must treat the operation as
-not durable (the cluster layer re-replicates from peers after restart).
+Acknowledgement contract: :meth:`append_insert` returns ``True`` only once
+the record is fully on the device.  A torn or refused write returns
+``False`` and the caller must treat the operation as not durable (the
+cluster layer re-replicates from peers after restart).
 
 A spilled node's block file (:class:`~repro.tier.store.NodeTier`) is the
 other durable medium and answers the same read calls.
@@ -56,19 +59,17 @@ WAL_CHECKPOINT_THRESHOLD = 512
 
 _FRAME = struct.Struct("<II")           # record length, payload crc32
 _INSERT_HEAD = struct.Struct("<BqII")   # op, block_id, digest, codes length
-_DROP_HEAD = struct.Struct("<Bq")       # op, block_id
 _SNAP_HEAD = struct.Struct("<4sHI")     # magic, version, body crc32
 _SNAP_ENTRY = struct.Struct("<qII")     # block_id, digest, codes length
 
 _OP_INSERT = 1
-_OP_DROP = 2
-#: the header each op's payload starts with
-_OP_HEAD = {_OP_INSERT: _INSERT_HEAD.size, _OP_DROP: _DROP_HEAD.size}
 
 
 def _well_formed(payload: bytes) -> bool:
-    """Whether *payload* holds an op byte and, for a known op, its header."""
-    return bool(payload) and len(payload) >= _OP_HEAD.get(payload[0], 1)
+    """Whether *payload* holds an op byte and, for an insert, its header."""
+    return bool(payload) and (
+        payload[0] != _OP_INSERT or len(payload) >= _INSERT_HEAD.size
+    )
 
 
 @dataclass(frozen=True)
@@ -169,16 +170,6 @@ class DurableNodeState:
         self._cache_gen = self.disk.generation
         if self._wal_records >= self.checkpoint_threshold:
             self.checkpoint()
-        return True
-
-    def append_drop(self, block_id: int) -> bool:
-        """Log one block drop; returns ``True`` once durably on disk."""
-        self._materialize()
-        if not self._append_record(_DROP_HEAD.pack(_OP_DROP, block_id)):
-            return False
-        self._extents.pop(block_id, None)
-        self._wal_records += 1
-        self._cache_gen = self.disk.generation
         return True
 
     def _append_record(self, payload: bytes) -> bool:
@@ -433,10 +424,6 @@ class DurableNodeState:
                 offset=record_start + _FRAME.size + _INSERT_HEAD.size,
                 length=min(length, len(payload) - _INSERT_HEAD.size),
             )
-            self._wal_records += 1
-        elif op == _OP_DROP and len(payload) >= _DROP_HEAD.size:
-            _op, block_id = _DROP_HEAD.unpack_from(payload, 0)
-            self._extents.pop(block_id, None)
             self._wal_records += 1
         else:
             self._crc_errors += 1

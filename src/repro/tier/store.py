@@ -75,6 +75,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import StorageNode
 
 
+#: simulated seconds per cold page fetch (seek + request dispatch)
+SEEK_SECONDS = 4e-3
+#: simulated seconds per compressed byte read (sequential transfer plus
+#: decompression; ~50 MB/s effective)
+READ_SECONDS_PER_BYTE = 2e-8
+
+
 @dataclass(frozen=True)
 class TierConfig:
     """Deployment-wide tiering knobs (kept out of
@@ -86,11 +93,6 @@ class TierConfig:
     page_rows: int = 128
     #: shared RAM budget (bytes) for the decoded-page cache
     cache_bytes: int = 1 << 20
-    #: simulated seconds per cold fetch (seek + request dispatch)
-    seek_seconds: float = 4e-3
-    #: simulated seconds per compressed byte read (sequential transfer
-    #: plus decompression; ~50 MB/s effective)
-    read_seconds_per_byte: float = 2e-8
     #: residue alphabet size (enables the 2-bit packed codec when <= 4);
     #: 0 derives it from the spilled data
     alphabet_size: int = 0
@@ -100,8 +102,6 @@ class TierConfig:
             raise ValueError(f"page_rows must be >= 1, got {self.page_rows}")
         if self.cache_bytes < 0:
             raise ValueError(f"cache_bytes must be >= 0, got {self.cache_bytes}")
-        if self.seek_seconds < 0 or self.read_seconds_per_byte < 0:
-            raise ValueError("tier time constants must be >= 0")
 
 
 class TieredPoints:
@@ -341,10 +341,7 @@ class NodeTier:
         """Simulated device time for *seeks* cold fetches totalling
         *nbytes* compressed bytes (not scaled by CPU speed — this is the
         storage device, not the node's processor)."""
-        return (
-            seeks * self.config.seek_seconds
-            + nbytes * self.config.read_seconds_per_byte
-        )
+        return seeks * SEEK_SECONDS + nbytes * READ_SECONDS_PER_BYTE
 
     # -- the durable medium ----------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.hashring import FlatHash, HashRing, sha1_int
+from repro.cluster.hashring import FlatHash, sha1_int
 
 
 class TestSha1Int:
@@ -40,58 +40,3 @@ class TestFlatHash:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             FlatHash(("a", "a"))
-
-
-class TestHashRing:
-    def test_assign_deterministic(self):
-        ring = HashRing(["a", "b", "c"])
-        assert ring.assign(b"k") == ring.assign(b"k")
-
-    def test_empty_ring_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            HashRing().assign(b"k")
-
-    def test_add_remove_roundtrip(self):
-        ring = HashRing(["a", "b"])
-        before = {i: ring.assign(str(i).encode()) for i in range(500)}
-        ring.add_node("c")
-        ring.remove_node("c")
-        after = {i: ring.assign(str(i).encode()) for i in range(500)}
-        assert before == after
-
-    def test_incremental_move_fraction(self):
-        # Consistent hashing: adding the 4th node moves ~1/4 of the keys.
-        ring = HashRing(["a", "b", "c"], replicas=128)
-        before = {i: ring.assign(str(i).encode()) for i in range(4000)}
-        ring.add_node("d")
-        moved = sum(
-            1 for i in range(4000) if ring.assign(str(i).encode()) != before[i]
-        )
-        assert 0.15 < moved / 4000 < 0.40
-
-    def test_moved_keys_go_to_new_node(self):
-        ring = HashRing(["a", "b"], replicas=64)
-        before = {i: ring.assign(str(i).encode()) for i in range(1000)}
-        ring.add_node("c")
-        for i in range(1000):
-            now = ring.assign(str(i).encode())
-            if now != before[i]:
-                assert now == "c"
-
-    def test_duplicate_node_rejected(self):
-        ring = HashRing(["a"])
-        with pytest.raises(ValueError, match="already"):
-            ring.add_node("a")
-
-    def test_remove_missing_rejected(self):
-        with pytest.raises(KeyError):
-            HashRing(["a"]).remove_node("b")
-
-    def test_len_and_node_ids(self):
-        ring = HashRing(["b", "a"])
-        assert len(ring) == 2
-        assert ring.node_ids == ("a", "b")
-
-    def test_replicas_validation(self):
-        with pytest.raises(ValueError, match="replicas"):
-            HashRing(replicas=0)

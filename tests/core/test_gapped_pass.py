@@ -17,6 +17,7 @@ import pytest
 
 from repro.align import Alignment, Anchor, banded_extend, diagonal_identity
 from repro.bench.workloads import FamilySpec
+import repro.core.query as query_module
 from repro.core.params import QueryParams
 from repro.core.query import QueryEngine
 from repro.scenario import build_deployment
@@ -49,7 +50,7 @@ def sequential_gapped_pass(engine, query, merged, params, matrix):
             if anchor.density < params.S:
                 fired["below_S"] += 1
                 continue
-            if per_subject >= params.max_gapped_per_subject:
+            if per_subject >= query_module.MAX_GAPPED_PER_SUBJECT:
                 fired["over_budget"] += 1
                 break
             mid = (anchor.query_start + anchor.query_end) // 2
@@ -63,8 +64,9 @@ def sequential_gapped_pass(engine, query, merged, params, matrix):
                     seed_query=min(max(mid, 0), len(query) - 1),
                     seed_subject=min(max(mid + anchor.diagonal, 0),
                                      len(subject) - 1),
-                    bandwidth=params.l, gap_open=params.gap_open,
-                    gap_extend=params.gap_extend, x_drop=params.x_drop,
+                    bandwidth=params.l, gap_open=query_module.GAP_OPEN,
+                    gap_extend=query_module.GAP_EXTEND,
+                    x_drop=query_module.X_DROP,
                 )
                 ops += (ext.query_end - ext.query_start) * (2 * params.l + 1)
             else:
@@ -144,19 +146,25 @@ class TestWaveSchedulingIsTheSequentialPass:
             assert report.stats.alignments_reported == len(alignments)
         assert any(report.alignments for report, *_ in passes)
 
+    # Each case is (query params, the pass's module constants to set).
     @pytest.mark.parametrize("params, rule", [
-        (replace(BASE, max_gapped_per_subject=1), "over_budget"),
-        (replace(BASE, max_gapped_per_subject=2), "over_budget"),
-        (replace(BASE, max_gapped_per_subject=4, S=0.0), "absorbed"),
-        (replace(BASE, S=2.5), "below_S"),
+        ((BASE, {"MAX_GAPPED_PER_SUBJECT": 1}), "over_budget"),
+        ((BASE, {"MAX_GAPPED_PER_SUBJECT": 2}), "over_budget"),
+        ((replace(BASE, S=0.0), {"MAX_GAPPED_PER_SUBJECT": 4}), "absorbed"),
+        ((replace(BASE, S=2.5), {}), "below_S"),
         # every extension fails E: budget is spent, nothing is covered
-        (replace(BASE, E=1e-300, S=0.0), "failed_E"),
-        (replace(BASE, E=1e-12), "failed_E"),
-        (replace(BASE, l=0), None),
-        (replace(BASE, l=0, S=0.0, max_gapped_per_subject=2), "over_budget"),
-        (replace(BASE, l=2, x_drop=8.0, gap_open=5.5, gap_extend=0.7), None),
+        ((replace(BASE, E=1e-300, S=0.0), {}), "failed_E"),
+        ((replace(BASE, E=1e-12), {}), "failed_E"),
+        ((replace(BASE, l=0), {}), None),
+        ((replace(BASE, l=0, S=0.0), {"MAX_GAPPED_PER_SUBJECT": 2}),
+         "over_budget"),
+        ((replace(BASE, l=2),
+          {"X_DROP": 8.0, "GAP_OPEN": 5.5, "GAP_EXTEND": 0.7}), None),
     ])
-    def test_every_rule(self, family, passes, params, rule):
+    def test_every_rule(self, family, passes, params, rule, monkeypatch):
+        params, constants = params
+        for name, value in constants.items():
+            monkeypatch.setattr(query_module, name, value)
         fired = Counter()
         extended = 0
         for _, query, merged, matrix, _ in passes:
@@ -177,7 +185,6 @@ class TestWaveSchedulingIsTheSequentialPass:
         (its lanes add up to ``gapped_count``), and a query takes no more
         rounds than it took waves — one anchor per subject a call, as many
         calls as the busiest subject has extensions — and fewer somewhere."""
-        import repro.core.query as query_module
         import tests.core.test_gapped_pass as this_module
 
         lanes, extended, extend = [], Counter(), banded_extend
@@ -196,13 +203,13 @@ class TestWaveSchedulingIsTheSequentialPass:
         )
         fewer = 0
         for budget in (1, 2, 4):
-            params = replace(BASE, max_gapped_per_subject=budget)
+            monkeypatch.setattr(query_module, "MAX_GAPPED_PER_SUBJECT", budget)
             for _, query, merged, matrix, _ in passes:
                 del lanes[:]
                 extended.clear()
                 (_, gapped_count), _ = family.engine._gapped_pass(
-                    query, merged, params, matrix)
-                sequential_gapped_pass(family.engine, query, merged, params, matrix)
+                    query, merged, BASE, matrix)
+                sequential_gapped_pass(family.engine, query, merged, BASE, matrix)
                 waves = max(extended.values())
                 assert sum(extended.values()) == sum(lanes) == gapped_count
                 assert 1 <= len(lanes) <= waves <= budget

@@ -1,5 +1,7 @@
 """Tests for index persistence (repro.core.persist)."""
 
+import io
+import json
 import os
 
 import numpy as np
@@ -9,7 +11,7 @@ from repro.bench.workloads import FamilySpec
 from repro.cluster.node import StorageNode
 from repro.core import Mendel, MendelConfig, QueryParams
 from repro.core.index import MendelIndex
-from repro.core.persist import load_index, save_index
+from repro.core.persist import PersistError, load_index, save_index
 from repro.core.query import QueryEngine
 from repro.scenario import (
     PARAMS,
@@ -21,6 +23,7 @@ from repro.seq.alphabet import PROTEIN
 from repro.seq.generate import random_set
 from repro.seq.mutate import mutate_to_identity
 from tests.core.test_index import assert_holdings
+from tests.core.test_persist_errors import _repack, _unwrap
 
 SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
@@ -87,27 +90,44 @@ class TestRoundtrip:
         assert loaded.stats.per_node_blocks == index.stats.per_node_blocks
 
 
+def with_ring_placement(path, value: bool):
+    """A copy of the archive at *path* whose header config names
+    ``ring_placement`` as archives written before placement was flat SHA-1
+    only do (re-checksummed, so only the key differs)."""
+    with np.load(io.BytesIO(_unwrap(path)), allow_pickle=False) as archive:
+        header = json.loads(bytes(archive["header"]).decode())
+    header["config"]["ring_placement"] = value
+    out = path.with_name(f"ring-{value}.npz")
+    _repack(path, out, header=np.frombuffer(json.dumps(header).encode(),
+                                            dtype=np.uint8))
+    return out
+
+
 @pytest.mark.chaos
 class TestReloadsWhereSaved:
-    """A reloaded deployment holds every block where the saved one did, for
-    flat and ring placement, one copy or two, on ``CHAOS_SEED``-drawn
-    corpora: the same per-node contents in the same order (which fixes each
-    tree), the same primaries and the same answers and counters."""
+    """A reloaded deployment holds every block where the saved one did, one
+    copy or two, from an archive of this version or one whose config still
+    names ``ring_placement: false``, on ``CHAOS_SEED``-drawn corpora: the
+    same per-node contents in the same order (which fixes each tree), the
+    same primaries and the same answers and counters."""
 
     @pytest.mark.parametrize("replication", [1, 2])
-    @pytest.mark.parametrize("ring_placement", [False, True])
-    def test_round_trip(self, ring_placement, replication, tmp_path):
+    @pytest.mark.parametrize("legacy_header", [False, True])
+    def test_round_trip(self, legacy_header, replication, tmp_path):
         seed = int(np.random.default_rng(
-            [SEED, replication, ring_placement]).integers(0, 2**16))
+            [SEED, replication, legacy_header]).integers(0, 2**16))
         built = build_deployment(
             seed, FamilySpec(6, 3, 100), group_count=2, group_size=3,
-            replication=replication, ring_placement=ring_placement,
+            replication=replication,
         )
-        save_index(built.index, tmp_path / "deploy.npz")
-        index = load_index(tmp_path / "deploy.npz")
+        path = tmp_path / "deploy.npz"
+        save_index(built.index, path)
+        if legacy_header:
+            path = with_ring_placement(path, False)
+        index = load_index(path)
         loaded = Mendel(index=index, engine=QueryEngine(index))
 
-        assert index.config.ring_placement == ring_placement
+        assert index.config == built.index.config
         assert {n.node_id: n.block_ids for n in index.topology.nodes} == {
             n.node_id: n.block_ids for n in built.index.topology.nodes
         }
@@ -119,6 +139,16 @@ class TestReloadsWhereSaved:
             assert answer_signature(
                 loaded.query(probe, PARAMS), counters=True
             ) == answer_signature(built.query(probe, PARAMS), counters=True)
+
+
+class TestRingPlacedArchive:
+    def test_refused(self, built, tmp_path):
+        """A ring placement cannot be rebuilt, so an archive that saved one
+        is refused rather than loaded with its blocks where flat SHA-1 would
+        put them."""
+        save_index(built, tmp_path / "index.npz")
+        with pytest.raises(PersistError, match="ring"):
+            load_index(with_ring_placement(tmp_path / "index.npz", True))
 
 
 class TestTopologyChangedArchive:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import Mendel, MendelConfig, QueryParams
+from repro.core.query import QueryEngine
 from repro.seq.alphabet import DNA, PROTEIN
 from repro.seq.generate import random_set
 from repro.seq.mutate import mutate_to_identity
@@ -64,10 +65,14 @@ class TestExtremeParameters:
         assert report.alignments
         assert report.alignments[0].subject_id == db.records[2].seq_id
 
-    def test_tolerance_zero_single_group_per_window(self, small):
+    def test_tolerance_zero_single_group_per_window(self, small, monkeypatch):
+        """The walk's tolerance is derived, not a parameter; at zero the
+        walk sends each window to exactly one group."""
         mendel, db = small
+        monkeypatch.setattr(QueryEngine, "tolerance", lambda self, params: 0.0)
         probe = mutate_to_identity(db.records[3], 0.9, rng=2, seq_id="p")
-        report = mendel.query(probe, QueryParams(k=4, n=4, tolerance=0.0))
+        report = mendel.query(probe, QueryParams(k=4, n=4))
+        assert {route.path for route in report.routes} == {"walk"}
         assert report.stats.subqueries_routed == report.stats.windows
 
 

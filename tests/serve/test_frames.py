@@ -92,6 +92,10 @@ OTHER_FRAMES = {
         "op": "query", **REQUIRED["query"],
         "params": {"search_radius_scale": 0.5},
     },
+    ("query", "params", "engine settings"): {
+        "op": "query", **REQUIRED["query"],
+        "params": {"tolerance": 1.0, "max_gapped_per_subject": 2},
+    },
 }
 
 #: (op, field, kind) -> the invalid_request message, byte for byte
@@ -148,11 +152,12 @@ MESSAGES = {
     ("query", "params", "str"): "params must be a JSON object, got str",
     ("query", "params", "unknown key"): "unknown query params: bogus",
     ("query", "params", "zero gap costs"):
-        "bad query params: gap_open must be positive, got 0",
-    ("query", "params", "NaN gap cost"):
-        "bad query params: gap_open must be positive, got nan",
+        "unknown query params: gap_extend, gap_open",
+    ("query", "params", "NaN gap cost"): "unknown query params: gap_open",
     ("query", "params", "radius scale"):
         "unknown query params: search_radius_scale",
+    ("query", "params", "engine settings"):
+        "unknown query params: max_gapped_per_subject, tolerance",
     ("query", "seq", "array"): "query needs a non-empty string 'seq'",
     ("query", "seq", "bool"): "query needs a non-empty string 'seq'",
     ("query", "seq", "float"): "query needs a non-empty string 'seq'",
@@ -279,9 +284,9 @@ class TestMalformedFrames:
 
     @pytest.mark.parametrize("case", ["zero gap costs", "NaN gap cost"])
     def test_bad_gap_costs_rejected_before_the_engine(self, server, case):
-        """Gap costs the gapped pass cannot use fail ``QueryParams``, so
-        the frame answers ``invalid_request`` instead of running the query
-        up to ``banded_extend`` and answering ``internal``."""
+        """Gap costs are constants of the gapped pass, not params: a frame
+        naming them answers ``invalid_request`` instead of running the query
+        up to ``banded_extend``, and the server stays healthy."""
         frame = OTHER_FRAMES[("query", "params", case)]
         assert_rejected_then_healthy(server, json.dumps(frame).encode())
 
@@ -289,6 +294,12 @@ class TestMalformedFrames:
         """The lossless radius has no scale: the old field is an unknown
         param, rejected before the engine."""
         frame = OTHER_FRAMES[("query", "params", "radius scale")]
+        assert_rejected_then_healthy(server, json.dumps(frame).encode())
+
+    def test_engine_settings_are_not_params(self, server):
+        """``params`` is Table I only: the walk tolerance and the gapped
+        pass's budget are unknown params, rejected before the engine."""
+        frame = OTHER_FRAMES[("query", "params", "engine settings")]
         assert_rejected_then_healthy(server, json.dumps(frame).encode())
 
     @seed(SEED)

@@ -49,16 +49,23 @@ class TestDelayModel:
 
 class TestSend:
     def test_handler_scheduled_after_delay(self):
+        """A process that yields a transfer's delay resumes when the
+        message arrives."""
         sim = Simulation()
         net = Network(sim=sim)
         got = []
-        net.send("a", "b", 100, lambda: got.append(sim.now))
+
+        def sender():
+            yield net.transfer("a", "b", 100)
+            got.append(sim.now)
+
+        sim.spawn(sender())
         sim.run()
         assert got == [pytest.approx(net.delay_for("a", "b", 100))]
 
     def test_stats_accumulate(self, net):
-        net.send("a", "b", 100, lambda: None)
-        net.send("a", "a", 50, lambda: None)
+        net.transfer("a", "b", 100)
+        net.transfer("a", "a", 50)
         assert net.stats.messages == 2
         assert net.stats.loopback_messages == 1
         assert net.stats.bytes_sent == 100  # loopback not counted
@@ -68,11 +75,6 @@ class TestSend:
         assert delay == pytest.approx(net.delay_for("a", "b", 200))
         assert net.stats.messages == 1
         assert net.stats.bytes_sent == 200
-
-    def test_reset_stats(self, net):
-        net.transfer("a", "b", 10)
-        net.reset_stats()
-        assert net.stats.messages == 0
 
 
 class TestNetworkStats:

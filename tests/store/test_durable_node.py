@@ -4,8 +4,9 @@ The two invariants every test here circles back to:
 
 * **never lose an acked insert** — once ``append_insert`` returns ``True``,
   the block survives any crash, torn write, or checkpoint cycle;
-* **never resurrect a dropped block** — once ``append_drop`` returns
-  ``True``, no replay brings the block back.
+* **never resurrect a dropped block** — once the node is rebuilt without
+  it (``reset`` and the survivors inserted again, as
+  ``StorageNode.drop_blocks`` does), no replay brings the block back.
 """
 
 import struct
@@ -45,16 +46,31 @@ class TestRoundTrip:
         for row, block_id in enumerate(state.block_ids):
             assert np.array_equal(state.codes[row], codes_for(block_id))
 
-    def test_drop_removes_and_insert_overwrites(self):
+    def test_insert_overwrites(self):
         durable = fresh()
         durable.append_insert(1, codes_for(1))
         durable.append_insert(2, codes_for(2))
-        assert durable.append_drop(1)
         new_codes = codes_for(99)
         durable.append_insert(2, new_codes)
         state = durable.replay()
-        assert state.block_ids == [2]
-        assert np.array_equal(state.codes[0], new_codes)
+        assert state.block_ids == [1, 2]
+        assert np.array_equal(state.codes[1], new_codes)
+
+    @pytest.mark.parametrize("where", ["mid-log", "tail"])
+    def test_a_drop_record_replays_as_an_unknown_op(self, where):
+        """Nothing journals a drop (a node drops blocks by rebuilding), so
+        a record with op 2 — the format's old drop — is damage: counted in
+        ``crc_errors``, removing nothing, and the records around it hold."""
+        durable = fresh()
+        durable.append_insert(1, codes_for(1))
+        payload = struct.pack("<Bq", 2, 1)
+        durable.disk.append(WAL_FILE, struct.pack(
+            "<II", len(payload), zlib.crc32(payload)) + payload)
+        if where == "mid-log":
+            durable.append_insert(2, codes_for(2))
+        state = durable.replay()
+        assert state.block_ids == ([1, 2] if where == "mid-log" else [1])
+        assert state.crc_errors == 1 and state.torn_records == 0
 
     def test_empty_device_replays_empty(self):
         state = fresh().replay()
@@ -189,7 +205,7 @@ class TestDiskFull:
         assert durable.append_insert(0, codes_for(0))
         durable.disk.full = True
         assert not durable.append_insert(1, codes_for(1))
-        assert not durable.append_drop(0)
+        assert not durable.append_insert(0, codes_for(99))
         assert durable.unacked_writes == 2
         durable.disk.full = False
         assert durable.append_insert(1, codes_for(1))
@@ -228,9 +244,15 @@ class TestCrashWindowProperty:
             elif fault < 0.12:
                 durable.disk.full = True
             if rng.random() < 0.25 and acked:
+                # Drop by rebuilding: every survivor is inserted again, and
+                # one whose insert is refused or torn is no longer acked.
                 victim = int(rng.choice(list(acked)))
-                if durable.append_drop(victim):
-                    del acked[victim]
+                del acked[victim]
+                durable.reset()
+                for survivor, payload in list(acked.items()):
+                    codes = np.frombuffer(payload, dtype=np.uint8)
+                    if not durable.append_insert(survivor, codes):
+                        del acked[survivor]
             else:
                 codes = codes_for(block_id * 1000 + step)
                 if durable.append_insert(block_id, codes):

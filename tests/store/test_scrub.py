@@ -25,7 +25,6 @@ def rewrite_copy(index, node, block_id):
     bytes: divergence, not rot — the copy passes its own digest check."""
     codes = index.store.codes_matrix([block_id])[0].copy()
     codes[0] ^= 1
-    assert node.durable.append_drop(block_id)
     assert node.durable.append_insert(block_id, codes)
 
 
