@@ -11,10 +11,31 @@ terminates each direction once every cell of the current row falls more than
 The DP is banded: each row holds ``2*bandwidth + 1`` cells.  The row loop is
 Python, so what it costs is interpreter dispatch per row, not arithmetic — and
 every extension of a batch therefore runs in *lockstep*: both directions of
-every anchor are lanes (rows) of one ``(A, 2*bandwidth + 1)`` band, one row
-loop serves them all, and a lane that terminates is compacted away.  Each
-lane performs the same elementwise operations in the same order whatever
-else is in the batch, so a result does not depend on its batch.
+every anchor are lanes (rows) of one ``(A, 2*bandwidth + 1)`` band, and one
+row loop serves them all.  Each lane performs the same elementwise
+operations in the same order whatever else is in the batch, so a result does
+not depend on its batch.
+
+A row costs about twenty numpy calls on the ``(lanes, width)`` band, each
+writing into a buffer the loop owns:
+
+* the substitution scores are gathered for ``_ROW_BLOCK`` rows at once (one
+  fancy index over a sliding window of the subject plane; fewer rows on a
+  band wider than ``_BLOCK_CELLS`` allows), so a row reads a basic slice;
+* the affine gap-in-query scan is one running maximum
+  (:func:`~repro.align.smith_waterman._scan_max_affine`, three calls);
+* the cells that are always minus infinity (f's last column, e's first) stay
+  so in their buffers instead of being written every row, and a lane's last
+  row is looked for only once the earliest of them comes;
+* a lane that finishes writes its result at once and stays in the band,
+  inert; finished lanes are compacted away only once they fill
+  ``_DEAD_SHARE`` of it, so a batch whose spurious anchors die a few at a
+  time does not copy the band at every death.
+
+On integer scores and gap costs (every matrix and cost the engine uses)
+each lane equals the cell-by-cell recurrence exactly; on non-integer gap
+costs the scan may round differently in the last bit, the same in a batch
+as alone.
 """
 
 from __future__ import annotations
@@ -23,16 +44,24 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.align.smith_waterman import _scan_max_affine
 from repro.util.validation import check_non_negative, check_positive
 
 _NEG = -1e18  # effectively -inf but safe under arithmetic
 
-#: Most bytes one lockstep pass allocates (code planes plus band rows); a
+#: Most bytes one lockstep pass allocates (:func:`_lane_bytes` a lane); a
 #: larger batch is extended in several passes, so a long query against many
 #: subjects cannot move peak memory.
 _PASS_BYTES = 4 << 20
+#: Rows of substitution scores one gather fetches for the whole band ...
+_ROW_BLOCK = 16
+#: ... or fewer, so that a block holds at most this many cells (or one row
+#: of a band wider than that) however many lanes the batch has.
+_BLOCK_CELLS = 4096
+#: Share of the band's rows finished lanes may hold before they are dropped.
+_DEAD_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -64,6 +93,17 @@ def diagonal_identity(query: np.ndarray, subject: np.ndarray, extent) -> float:
     return float((q == s).sum()) / span
 
 
+def _lane_bytes(query_len: int, width: int) -> int:
+    """Most bytes one lane holds in a :func:`_lockstep` pass: three byte rows
+    of the code planes (query codes, subject codes, outside flags; at most
+    ``query_len`` columns plus the band's), six float rows of the band (one
+    a column wider) and a byte row of pruned cells, two gathered blocks of
+    at most ``_ROW_BLOCK`` rows of scores (the next is built while the last
+    is held) and sixteen numbers of lane state."""
+    return (3 * (query_len + width) + 8 * (6 * width + 1) + width
+            + 16 * _ROW_BLOCK * width + 16 * 8)
+
+
 def _lockstep(
     lanes: list[tuple[np.ndarray, np.ndarray]],
     scores: np.ndarray,
@@ -79,12 +119,14 @@ def _lockstep(
     Unlike local alignment, scores may go negative (extension semantics);
     the X-drop rule prunes hopeless rows.
 
-    Lane *a* is row *a* of the band.  Its codes sit in two ``uint8`` planes,
-    the subject's shifted right by ``bandwidth`` and padded with the sentinel
-    code (the last column of *scores*, all ``_NEG``), so row ``i`` reads
-    plane columns ``i-1 .. i-1+width`` in every lane and "outside the
-    subject" is the mask ``code == sentinel``.  A lane that X-drops or runs
-    out of rows writes its result and is compacted away.
+    Lane *a* starts as row *a* of the band.  Its codes sit in two ``uint8``
+    planes, the subject's shifted right by ``bandwidth`` and padded with the
+    sentinel code (the last column of *scores*, all ``_NEG``), so row ``i``
+    reads plane columns ``i-1 .. i-1+width`` in every lane and "outside the
+    subject" is the flag ``code == sentinel``.  A lane that X-drops or runs
+    out of rows writes its result and stays in the band, inert: its drop
+    becomes infinite and its last row never comes.  Inert rows are compacted
+    away once they fill ``_DEAD_SHARE`` of the band.
     """
     count = len(lanes)
     width = 2 * bandwidth + 1
@@ -95,7 +137,8 @@ def _lockstep(
     depth = int(rows.max())
     sentinel = scores.shape[1] - 1
     q_plane = np.zeros((count, depth), dtype=np.uint8)
-    s_plane = np.full((count, depth + 2 * bandwidth), sentinel, dtype=np.uint8)
+    # (one column more than row depth reads, so an empty pass has a window)
+    s_plane = np.full((count, depth + width), sentinel, dtype=np.uint8)
     copied = 0
     for a, ((q, s), r) in enumerate(zip(lanes, rows.tolist())):
         q_plane[a, :r] = q[:r]
@@ -103,7 +146,8 @@ def _lockstep(
         reach = min(s.shape[0], r + bandwidth)
         s_plane[a, bandwidth : bandwidth + reach] = s[:reach]
         copied += reach
-    if np.count_nonzero(s_plane == sentinel) != s_plane.size - copied:
+    outside = s_plane == sentinel
+    if np.count_nonzero(outside) != outside.size - copied:
         # (a larger code fails the score lookup below, as it always has)
         raise ValueError(
             f"subject code {sentinel} has no column in the "
@@ -116,71 +160,113 @@ def _lockstep(
     border = np.full(width, _NEG)
     border[bandwidth] = 0.0
     border[bandwidth + 1 :] = -gap_open - gap_extend * (j[bandwidth + 1 :] - 1)
-    h_prev = np.where(j <= subject_len[:, None], border, _NEG)
-    f_prev = np.full((count, width), _NEG)
-    diag, f, h_no_e, h, scan_buf = np.empty((5, count, width))
+    # h and f of rows i - 1 and i sit at [(i - 1) % 2] and [i % 2].  Nothing
+    # writes f's last column or e's first: they stay _NEG.
+    h_rows = np.empty((2, count, width))
+    h_rows[0] = np.where(j <= subject_len[:, None], border, _NEG)
+    f_rows = np.full((2, count, width), _NEG)
+    e = np.full((count, width + 1), _NEG)
+    h_no_e = np.empty((count, width))
 
-    # Results by lane; everything below them is the live lanes' state and
-    # shrinks as lanes finish (``lane`` says which lane each live row is).
+    # Results by lane; everything below them is the band's state, one row
+    # per lane still in it (``lane`` says which).  The best cell of row i at
+    # band position b is subject column i + b - bandwidth.
     consumed_q = np.zeros(count, dtype=np.int64)
     consumed_s = np.zeros(count, dtype=np.int64)
     score = np.zeros(count)
     lane = np.arange(count)
-    best_i, best_j, best = consumed_q.copy(), consumed_s.copy(), score.copy()
-    alive = rows > 0
+    best_i = np.zeros(count, dtype=np.int64)
+    best_b = np.full(count, bandwidth)
+    best = np.zeros(count)
+    drop = np.full(count, float(x_drop))
+    never = depth + 1
+    live = count
+    next_end = 0  # no live lane ends before this row
+    dropped = None
+    reshaped = True
+    block_end = 0  # the rows up to this one are gathered
     i = 0
     while True:
-        if np.count_nonzero(alive) < lane.size:
-            dead = ~alive
-            done = lane[dead]
-            consumed_q[done] = best_i[dead]
-            consumed_s[done] = best_j[dead]
-            score[done] = best[dead]
-            lane, rows, best_i, best_j, best, h_prev, f_prev, q_plane, s_plane = (
-                state[alive] for state in (
-                    lane, rows, best_i, best_j, best, h_prev, f_prev,
-                    q_plane, s_plane)
-            )
-            diag, f, h_no_e, h, scan_buf = (
-                scratch[: lane.size] for scratch in (diag, f, h_no_e, h, scan_buf)
-            )
-        if lane.size == 0:
-            return consumed_q, consumed_s, score
+        done = rows <= i if i >= next_end else None
+        if dropped is not None:
+            done = dropped if done is None else done | dropped
+        if done is not None:
+            finished = lane[done]
+            consumed_q[finished] = best_i[done]
+            consumed_s[finished] = best_i[done] + best_b[done] - bandwidth
+            score[finished] = best[done]
+            live -= finished.size
+            if live == 0:
+                return consumed_q, consumed_s, score
+            drop[done] = np.inf
+            rows[done] = never
+            if lane.size - live >= _DEAD_SHARE * lane.size:
+                keep = rows < never
+                (lane, rows, best_i, best_b, best, drop, q_plane, s_plane,
+                 outside) = (
+                    state[keep] for state in (
+                        lane, rows, best_i, best_b, best, drop, q_plane,
+                        s_plane, outside)
+                )
+                h_rows, f_rows = h_rows[:, keep], f_rows[:, keep]
+                e, h_no_e = e[:live], h_no_e[:live]
+                if i < block_end:
+                    block = block[keep]
+                reshaped = True
+            next_end = int(rows.min())
+        if reshaped:
+            # Row i's codes and outside flags are codes[:, i - 1] and
+            # flags[:, i - 1]; each row buffer goes with the column slices
+            # the recurrences read.
+            codes, flags = (sliding_window_view(plane, width, axis=1)
+                            for plane in (s_plane, outside))
+            h_sliced, f_sliced = (
+                [(x, x[:, 1:], x[:, :-1]) for x in buffers]
+                for buffers in (h_rows, f_rows))
+            e_tail, e_head = e[:, 1:], e[:, :-1]
+            reshaped = False
         i += 1
 
-        # Band position b in row i covers subject column j = i + b - bandwidth,
-        # whose code is plane column i + b - 1.
-        cols = s_plane[:, i - 1 : i - 1 + width]
-        np.add(h_prev, scores[q_plane[:, i - 1, None], cols], out=diag)
-        # f = max(h_prev[b+1] - open, f_prev[b+1] - extend)
-        np.maximum(h_prev[:, 1:] - gap_open, f_prev[:, 1:] - gap_extend,
-                   out=f[:, :-1])
-        f[:, -1] = _NEG
-
-        np.maximum(diag, f, out=h_no_e)
-        np.subtract(h_no_e, gap_open, out=h)  # reuse h as scan input
-        scanned = _scan_max_affine(h, gap_extend, out=scan_buf)
-        np.maximum(h_no_e[:, 1:], scanned[:, :-1], out=h[:, 1:])
-        h[:, 0] = h_no_e[:, 0]
+        if i > block_end:
+            # Band position b in row i covers subject column
+            # j = i + b - bandwidth, whose code is plane column i + b - 1.
+            span = max(1, min(_ROW_BLOCK, _BLOCK_CELLS // (lane.size * width)))
+            block_start, block_end = i, min(i - 1 + span, depth)
+            block = scores[q_plane[:, i - 1 : block_end, None],
+                           codes[:, i - 1 : block_end]]
+        k = i - block_start
+        h_prev, h_prev_tail, _ = h_sliced[(i - 1) & 1]
+        h, _, h_head = h_sliced[i & 1]
+        _, f_prev_tail, _ = f_sliced[(i - 1) & 1]
+        f, _, f_head = f_sliced[i & 1]
+        np.add(h_prev, block[:, k], out=h_no_e)
+        # f = max(h_prev[b+1] - open, f_prev[b+1] - extend), h as scratch
+        np.subtract(h_prev_tail, gap_open, out=h_head)
+        np.subtract(f_prev_tail, gap_extend, out=f_head)
+        np.maximum(h_head, f_head, out=f_head)
+        np.maximum(h_no_e, f, out=h_no_e)
+        # e[b + 1] = max over b' <= b of h_no_e[b'] - open - extend*(b - b')
+        _scan_max_affine(h_no_e, gap_extend, out=e_tail, gap_open=gap_open)
+        np.maximum(h_no_e, e_head, out=h)
         # Valid subject columns are 1..m (column 0 is the gap border).
-        np.copyto(h, _NEG, where=cols == sentinel)
+        np.copyto(h, _NEG, where=flags[:, i - 1])
         # j == 0 with i > 0 means a pure gap in the subject.
         if i <= bandwidth:
             h[:, bandwidth - i] = -gap_open - gap_extend * (i - 1)
 
         b_best = h.argmax(axis=1)
-        row_best = h.max(axis=1)
-        better = row_best > best
+        row_best = np.maximum.reduce(h, axis=1)
+        better = np.greater(row_best, best)
         np.copyto(best, row_best, where=better)
-        best_i[better] = i
-        np.copyto(best_j, b_best + (i - bandwidth), where=better)
-        floor = best - x_drop
-        alive = (row_best >= floor) & (rows > i)
+        np.copyto(best_i, i, where=better)
+        np.copyto(best_b, b_best, where=better)
+        floor = np.subtract(best, drop)
+        dropped = np.less(row_best, floor)
+        if not np.count_nonzero(dropped):
+            dropped = None
         # X-drop inside the band: cells far below best cannot recover more
         # than x_drop, prune them.
-        np.copyto(h, _NEG, where=h < floor[:, None])
-        h_prev, h = h, h_prev
-        f_prev, f = f, f_prev
+        np.copyto(h, _NEG, where=np.less(h, floor[:, None]))
 
 
 def banded_extend(
@@ -235,11 +321,8 @@ def banded_extend(
 
     scores = np.full((matrix.shape[0], matrix.shape[1] + 1), _NEG)
     scores[:, :-1] = matrix
-    # A lane takes two code-plane rows of at most len(query) bytes and nine
-    # float rows of the band.
     per_pass = max(
-        1, _PASS_BYTES // (2 * query.shape[0] + 72 * (2 * bandwidth + 1))
-    )
+        1, _PASS_BYTES // _lane_bytes(query.shape[0], 2 * bandwidth + 1))
     passes = [
         _lockstep(lanes[start : start + per_pass], scores, bandwidth,
                   gap_open, gap_extend, x_drop)

@@ -83,7 +83,7 @@ class Anchor:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alignment:
     """A scored (possibly gapped) local alignment, ranked by E-value."""
 

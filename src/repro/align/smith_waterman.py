@@ -11,14 +11,15 @@ Recurrences (match ``H``, gap-in-query ``E``, gap-in-subject ``F``)::
     F[i][j] = max(H[i-1][j] - open, F[i-1][j] - extend)
     H[i][j] = max(0, H[i-1][j-1] + s(q_i, s_j), E[i][j], F[i][j])
 
-``E`` has an intra-row dependency; it is resolved with the standard
-prefix-scan trick (a logarithmic number of shifted maxima) so no Python
-loop over columns is needed.
+``E`` has an intra-row dependency; it is resolved as one running maximum
+over the row (``_scan_max_affine``), so no Python loop over columns is
+needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,31 +45,38 @@ class LocalAlignmentResult:
     aligned_subject: str = ""
 
 
-def _scan_max_affine(
-    values: np.ndarray, extend: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """For each j return ``max_{k<=j}(values[k] - extend*(j-k))`` along the
-    last axis (every leading index is its own independent scan).
+@lru_cache(maxsize=32)
+def _ramps(n: int, extend: float,
+           gap_open: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(ramp - gap_open, ramp)`` with ``ramp = extend * arange(n)``,
+    read-only (they are shared by every scan of that length)."""
+    ramp = extend * np.arange(n, dtype=np.float64)
+    lifted = ramp - gap_open
+    ramp.flags.writeable = lifted.flags.writeable = False
+    return lifted, ramp
 
-    This is the affine-gap prefix scan: computed in O(n log n) with doubling
-    shifts, all vectorised.  Pass *out* to reuse a scratch buffer on hot
-    paths (it must not alias *values*).
+
+def _scan_max_affine(
+    values: np.ndarray,
+    extend: float,
+    out: np.ndarray | None = None,
+    gap_open: float = 0.0,
+) -> np.ndarray:
+    """For each j return ``max_{k<=j}(values[k] - gap_open - extend*(j-k))``
+    along the last axis (every leading index is its own independent scan).
+
+    This is the affine-gap prefix scan, as three calls whatever the length:
+    ``max.accumulate(values + (ramp - gap_open)) - ramp`` with ``ramp =
+    extend * arange(n)``.  On integer-valued inputs it equals the quadratic
+    definition exactly, and so does a value of the banded kernel's ``-1e18``
+    "minus infinity" while ``gap_open + extend*(n-1)`` stays under 64 (half
+    the float spacing at 1e18).  Non-integer costs may round differently
+    in the last bit.  *out* may be a scratch buffer or *values* itself.
     """
-    if out is None:
-        result = values.copy()
-    else:
-        result = out
-        np.copyto(result, values)
-    n = result.shape[-1]
-    shift = 1
-    while shift < n:
-        # result[shift:] = max(result[shift:], result[:-shift] - extend*shift).
-        # The read slice is the pre-step value only through the subtraction
-        # temporary, so this is the standard Jacobi doubling update.
-        tail = result[..., shift:]
-        np.maximum(tail, result[..., :-shift] - extend * shift, out=tail)
-        shift *= 2
-    return result
+    lifted, ramp = _ramps(values.shape[-1], float(extend), float(gap_open))
+    result = np.add(values, lifted, out=out)
+    np.maximum.accumulate(result, axis=-1, out=result)
+    return np.subtract(result, ramp, out=result)
 
 
 def smith_waterman_score(
@@ -109,7 +117,7 @@ def smith_waterman_score(
         # scan with H-no-E is sufficient: chaining E off an H that itself
         # came from E is dominated by extending the original gap whenever
         # open >= extend (asserted above).
-        scanned = _scan_max_affine(h_no_e - gap_open, gap_extend)
+        scanned = _scan_max_affine(h_no_e, gap_extend, gap_open=gap_open)
         e = np.full(m, -np.inf)
         e[1:] = scanned[:-1]
         h = np.maximum(h_no_e, e)

@@ -31,6 +31,7 @@ the span tree of the same run — tested in ``tests/core/test_explain.py``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -81,7 +82,7 @@ class QueryPlan:
     stride: int
     tolerance: float
     replication: int
-    routes: list[WindowRoute]
+    routes: Sequence[WindowRoute]
     groups_contacted: list[str]
     nodes_fanned_out: list[str]
     subqueries_routed: int

@@ -34,6 +34,8 @@ stats, counters, profile and span.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
@@ -71,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.schedule import FaultSchedule
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryStats:
     """Per-query accounting reported alongside the alignments."""
 
@@ -132,8 +134,8 @@ _SYSTEM_SITE = "core/query.py:system_proc"
 
 @dataclass(frozen=True, slots=True)
 class WindowRoute:
-    """Tier-1 routing of one subquery window, as the run decided it (a
-    report keeps one a window, so it has no per-instance ``__dict__``)."""
+    """Tier-1 routing of one subquery window, as the run decided it (what
+    :class:`Routes` yields)."""
 
     window: int
     query_start: int
@@ -165,6 +167,55 @@ class WindowRoute:
         }
 
 
+class Routes(Sequence):
+    """Where one run sent each window of a query, in window order: a
+    sequence of :class:`WindowRoute`, route ``i`` being window ``i``'s.
+
+    Every kept report holds one, so it is stored a column a field rather
+    than an object a window: the starts as one integer array, each distinct
+    group-id tuple once with a pick a window, the prefixes only where the
+    walk routed (``None``: every window's are empty), and the path once.
+    """
+
+    __slots__ = ("_starts", "_groups", "_picks", "_prefixes", "path")
+
+    def __init__(
+        self,
+        starts: Sequence[int] = (),
+        groups: Sequence[tuple[str, ...]] = (),
+        prefixes: tuple[tuple[int, ...], ...] | None = None,
+        path: str = "walk",
+    ) -> None:
+        distinct: dict[tuple[str, ...], int] = {}
+        self._starts = array("q", starts)
+        self._picks = array(
+            "I", [distinct.setdefault(ids, len(distinct)) for ids in groups])
+        self._groups = tuple(distinct)
+        self._prefixes = prefixes
+        self.path = path
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        window = range(len(self))[index]
+        return WindowRoute(
+            window, self._starts[window],
+            () if self._prefixes is None else self._prefixes[window],
+            self._groups[self._picks[window]], self.path,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Routes, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Routes({list(self)!r})"
+
+
 @dataclass
 class QueryReport:
     """Result of one query: ranked alignments plus statistics.
@@ -187,7 +238,7 @@ class QueryReport:
     failed_nodes: list[str] = field(default_factory=list)
     #: where the run sent each window, in window order (what EXPLAIN reads;
     #: empty on a report merged from several runs)
-    routes: list[WindowRoute] = field(default_factory=list)
+    routes: Routes = field(default_factory=Routes)
     #: root of the span tree recorded when a :class:`~repro.obs.trace.
     #: TraceContext` was attached to the run (``None`` otherwise); its
     #: sim-clock duration equals ``stats.turnaround``
@@ -504,7 +555,7 @@ class _QueryState:
     trace_ctx: TraceContext | None
     stats: QueryStats = field(default_factory=QueryStats)
     root: "Span | object" = NO_SPAN
-    routes: list[WindowRoute] = field(default_factory=list)
+    routes: Routes = field(default_factory=Routes)
     #: blocks placed on the routed groups (read as a group's subqueries
     #: reach it), and those of them a responding member of the group holds
     placed: int = 0
@@ -916,18 +967,16 @@ class _BatchRun:
                 evals += route.evals
                 decided.append((route.prefixes,
                                 [(group, window) for group in route.groups]))
-        path = "parts" if self.parts else "walk"
         routing: dict[str, tuple[StorageGroup, list[_Window]]] = {}
-        # Windows sent to the same groups share one tuple of their ids.
-        group_ids: dict[tuple[str, ...], tuple[str, ...]] = {}
-        for window, (prefixes, sent) in zip(windows, decided):
+        for _, sent in decided:
             for group, copy in sent:
                 routing.setdefault(group.group_id, (group, []))[1].append(copy)
-            ids = tuple(group.group_id for group, _ in sent)
-            state.routes.append(WindowRoute(
-                window.index, window.query_start, prefixes,
-                group_ids.setdefault(ids, ids), path,
-            ))
+        state.routes = Routes(
+            [window.query_start for window in windows],
+            [tuple(group.group_id for group, _ in sent) for _, sent in decided],
+            None if self.parts else tuple(prefixes for prefixes, _ in decided),
+            "parts" if self.parts else "walk",
+        )
         for group_id, (_, routed) in routing.items():
             stats.subqueries_routed += len(routed)
             self.m_routed.labels(group=group_id).inc(len(routed))
@@ -1163,7 +1212,7 @@ class QueryEngine:
             trace_contexts,
         )
         sim = Simulation()
-        net = Network(sim=sim, rng=faults.seed if faults is not None else None)
+        net = Network(rng=faults.seed if faults is not None else None)
         reports = BatchReports()
         reports.monitor, reports.chaos = self._attach_health(
             sim, net, faults, monitor, autoscaler,

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.sim.engine import Simulation
 from repro.util.rng import RandomSource, as_generator
 from repro.util.validation import check_fraction, check_non_negative, check_positive
 
@@ -74,12 +73,11 @@ class LinkFault:
 
 @dataclass
 class Network:
-    """Latency/bandwidth network attached to a :class:`Simulation`.
+    """Latency/bandwidth network: what a message costs on the simulated
+    LAN, and whether it arrives (the simulation clock is the caller's).
 
     Parameters
     ----------
-    sim:
-        The simulation clock messages are scheduled on.
     base_latency:
         Fixed per-message one-way latency in seconds (default 200 us — a
         typical gigabit-LAN RPC floor).
@@ -99,7 +97,6 @@ class Network:
         edge; chaos targets the cluster interior).
     """
 
-    sim: Simulation
     base_latency: float = 200e-6
     bandwidth: float = 1e8
     jitter: float = 0.0

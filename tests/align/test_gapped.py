@@ -1,6 +1,8 @@
 """Tests for the banded gapped extension (repro.align.gapped)."""
 
 import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -120,6 +122,14 @@ def reference_extend(query, subject, matrix, bandwidth, gap_open, gap_extend,
     """One direction from position 0: ``(query_consumed, subject_consumed,
     score)``.  Row ``i`` holds the columns ``j`` with ``|j - i| <= bandwidth``
     and ``0 <= j <= m``; column 0 is the pure-gap border."""
+    return reference_rows(query, subject, matrix, bandwidth, gap_open,
+                          gap_extend, x_drop)[:3]
+
+
+def reference_rows(query, subject, matrix, bandwidth, gap_open, gap_extend,
+                   x_drop):
+    """:func:`reference_extend`'s result plus the row the extension X-dropped
+    on (``None`` when it ran out of rows)."""
     n, m = len(query), len(subject)
     gone = float("-inf")
     best, best_i, best_j = 0.0, 0, 0
@@ -150,12 +160,12 @@ def reference_extend(query, subject, matrix, bandwidth, gap_open, gap_extend,
         if row_best > best:
             best, best_i, best_j = row_best, i, row_j
         if row_best < best - x_drop:
-            break
+            return best_i, best_j, best, i
         for j in h:
             if h[j] < best - x_drop:
                 h[j] = gone
         h_prev, f_prev = h, f
-    return best_i, best_j, best
+    return best_i, best_j, best, None
 
 
 def reference_banded_extend(query, subject, matrix, seed_query, seed_subject,
@@ -382,9 +392,172 @@ class TestLockstepBatch:
             gapped, "_lockstep",
             lambda lanes, *rest: passes.append(len(lanes)) or lockstep(lanes, *rest))
         # Room for three lanes a pass: anchors straddle pass boundaries.
-        monkeypatch.setattr(gapped, "_PASS_BYTES", 3 * (2 * q.size + 72 * 17))
+        monkeypatch.setattr(gapped, "_PASS_BYTES",
+                            3 * gapped._lane_bytes(q.size, 17))
         assert banded_extend(q, subjects, M, seed_q, seed_s) == whole
         assert passes == [3, 3, 3, 3]
+
+
+# -- row blocks, inert lanes, lazy compaction ----------------------------------
+# The kernel gathers ``_ROW_BLOCK`` rows of substitution scores at once (fewer
+# when that passes ``_BLOCK_CELLS``), keeps a finished lane in the band
+# (inert) and drops finished lanes only once they fill ``_DEAD_SHARE`` of it.
+# None of that may reach a lane's result.
+
+
+def lockstep(lanes, matrix=M, bandwidth=8, gap_open=11.0, gap_extend=1.0,
+             x_drop=25.0):
+    """The kernel on one-direction *lanes*, scored as ``banded_extend``
+    scores them: ``(query_consumed, subject_consumed, score)`` a lane."""
+    scores = np.full((matrix.shape[0], matrix.shape[1] + 1), gapped._NEG)
+    scores[:, :-1] = matrix
+    out = gapped._lockstep(lanes, scores, bandwidth, gap_open, gap_extend,
+                           x_drop)
+    return list(zip(*(part.tolist() for part in out)))
+
+
+def reference_lanes(lanes, matrix=M, bandwidth=8, gap_open=11.0,
+                    gap_extend=1.0, x_drop=25.0):
+    return [reference_extend(q, s, matrix, bandwidth, gap_open, gap_extend,
+                             x_drop) for q, s in lanes]
+
+
+def dropping_lanes(rng, block, bandwidth=4, x_drop=10.0):
+    """Lanes whose extension X-drops on the first row of a row block and on
+    its last, past the first block: ``(first, last)`` lists.  Each is a query
+    and its copy with the residues after a drawn point redrawn."""
+    first, last = [], []
+    q = rng.integers(0, 20, 90).astype(np.uint8)
+    while len(first) < 4 or len(last) < 4:
+        s = q.copy()
+        cut = int(rng.integers(block, 70))
+        s[cut:] = rng.integers(0, 20, s.size - cut)
+        row = reference_rows(q, s, M, bandwidth, 11.0, 1.0, x_drop)[3]
+        if row is None or row <= block:
+            continue
+        if row % block == 1 and len(first) < 4:
+            first.append((q, s))
+        elif row % block == 0 and len(last) < 4:
+            last.append((q, s))
+    return first, last
+
+
+@pytest.mark.chaos
+class TestRowBlocks:
+    @pytest.mark.parametrize("block, cells", [
+        (1, 4096), (3, 4096), (1000, 1 << 30), (16, 1)])
+    def test_block_size_reaches_no_result(self, monkeypatch, block, cells):
+        """One row a gather, a block that divides no lane's length, one
+        block deeper than every lane, and a cell cap that leaves one row a
+        gather all equal the reference."""
+        monkeypatch.setattr(gapped, "_ROW_BLOCK", block)
+        monkeypatch.setattr(gapped, "_BLOCK_CELLS", cells)
+        for seed in PAIR_SEEDS[:10]:
+            q, subjects, seed_q, seed_s = mixed_batch(seed)
+            for bandwidth in BANDWIDTHS:
+                for x_drop in X_DROPS:
+                    batch = banded_extend(q, subjects, M, seed_q, seed_s,
+                                          bandwidth=bandwidth, x_drop=x_drop)
+                    for lane, (s, sq, ss) in enumerate(
+                            zip(subjects, seed_q, seed_s)):
+                        assert as_tuple(batch[lane]) == reference_banded_extend(
+                            q, s, M, sq, ss, bandwidth=bandwidth,
+                            gap_open=11.0, gap_extend=1.0, x_drop=x_drop), (
+                            seed, bandwidth, x_drop, lane)
+
+    @pytest.mark.parametrize("block", [3, 16])
+    def test_drop_on_a_blocks_first_and_last_row(self, monkeypatch, block):
+        """Lanes X-drop on the row a block is gathered for and on the last
+        row it serves; half of them dropping compacts the band mid-block or
+        right before the next gather."""
+        monkeypatch.setattr(gapped, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(int(os.environ.get("CHAOS_SEED", "0")))
+        first, last = dropping_lanes(rng, block)
+        kw = dict(bandwidth=4, x_drop=10.0)
+        for lanes in (first + last, last + first, first[:2] + last[:1]):
+            assert lockstep(lanes, **kw) == reference_lanes(lanes, **kw)
+
+    @pytest.mark.parametrize("dead, compactions", [(3, 0), (4, 1), (5, 1)])
+    def test_compaction_threshold(self, monkeypatch, dead, compactions):
+        """Eight lanes, *dead* of which X-drop on the same row: one short of
+        half the band keeps every row, exactly half and one lane past it
+        compact once (each compaction re-views the two code planes)."""
+        views = []
+        window = gapped.sliding_window_view
+        monkeypatch.setattr(
+            gapped, "sliding_window_view",
+            lambda *a, **kw: views.append(1) or window(*a, **kw))
+        rng = np.random.default_rng(int(os.environ.get("CHAOS_SEED", "0")))
+        q = rng.integers(0, 20, 60).astype(np.uint8)
+        stranger = rng.integers(0, 20, 60).astype(np.uint8)
+        lanes = [(q, stranger)] * dead + [(q, q.copy())] * (8 - dead)
+        order = rng.permutation(8)
+        lanes = [lanes[p] for p in order]
+        assert lockstep(lanes) == reference_lanes(lanes)
+        assert len(views) == 2 * (1 + compactions)
+
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    def test_dead_share_reaches_no_result(self, monkeypatch, share):
+        """Compacting after every finish (the eager rule), at half the band,
+        and never: the same lanes, the same results."""
+        monkeypatch.setattr(gapped, "_DEAD_SHARE", share)
+        for seed in PAIR_SEEDS[:12]:
+            q, subjects, seed_q, seed_s = mixed_batch(seed)
+            kw = dict(bandwidth=BANDWIDTHS[seed % 3], x_drop=X_DROPS[seed % 2])
+            batch = banded_extend(q, subjects, M, seed_q, seed_s, **kw)
+            for lane, (s, sq, ss) in enumerate(zip(subjects, seed_q, seed_s)):
+                assert as_tuple(batch[lane]) == reference_banded_extend(
+                    q, s, M, sq, ss, gap_open=11.0, gap_extend=1.0, **kw), (
+                    seed, lane)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           block=st.sampled_from([1, 2, 5, 16]),
+           cells=st.sampled_from([1, 40, 4096]),
+           bandwidth=st.integers(0, 5),
+           gap_open=st.integers(1, 12),
+           gap_extend=st.integers(1, 4),
+           x_drop=st.integers(0, 30))
+    def test_random_integer_lanes(self, seed, block, cells, bandwidth,
+                                  gap_open, gap_extend, x_drop):
+        """Any integer scoring system, any lanes: exactly the reference."""
+        rng = np.random.default_rng(seed)
+        letters = int(rng.integers(2, 6))
+        matrix = rng.integers(-6, 7, (letters, letters)).astype(np.float64)
+        lanes = []
+        for _ in range(int(rng.integers(1, 9))):
+            q = rng.integers(0, letters, int(rng.integers(0, 40)))
+            s = q.copy() if rng.random() < 0.5 else rng.integers(
+                0, letters, int(rng.integers(0, 40)))
+            flips = rng.random(s.size) < rng.random()
+            s[flips] = rng.integers(0, letters, int(flips.sum()))
+            lanes.append((q.astype(np.uint8), s.astype(np.uint8)))
+        kw = dict(matrix=matrix, bandwidth=bandwidth, gap_open=float(gap_open),
+                  gap_extend=float(gap_extend), x_drop=float(x_drop))
+        with mock.patch.multiple(gapped, _ROW_BLOCK=block, _BLOCK_CELLS=cells):
+            assert lockstep(lanes, **kw) == reference_lanes(lanes, **kw)
+
+    def test_lane_bytes_bound_a_pass(self):
+        """Past the numpy iterators' fixed buffers, a pass's peak grows by
+        at most ``_lane_bytes`` a lane, so ``_PASS_BYTES`` bounds a pass."""
+        rng = np.random.default_rng(1)
+        q = rng.integers(0, 20, 400).astype(np.uint8)
+        lanes = []
+        for a in range(300):
+            s = q.copy()
+            flips = rng.random(q.size) < 0.05 * (a % 6)
+            s[flips] = rng.integers(0, 20, int(flips.sum()))
+            lanes.append((q, s))
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                lockstep(lanes[:count], x_drop=40.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(300) - peak(100) <= 200 * gapped._lane_bytes(q.size, 17)
 
 
 class TestBatchValidation:

@@ -12,7 +12,7 @@ from repro.align.smith_waterman import (
     smith_waterman_score,
 )
 from repro.seq.alphabet import PROTEIN
-from repro.seq.matrices import BLOSUM62
+from repro.seq.matrices import BLOSUM62, PAM250, dna_matrix
 
 M = BLOSUM62.astype(np.float64)
 
@@ -57,6 +57,30 @@ class TestScanMaxAffine:
             expected = max(values[k] - extend * (j - k) for k in range(j + 1))
             assert out[j] == pytest.approx(expected)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        gap_open=st.integers(0, 12),
+        extend=st.integers(1, 3),
+        n=st.integers(1, 17),
+        in_place=st.booleans(),
+    )
+    def test_exact_on_integers_and_the_sentinel(self, seed, gap_open, extend,
+                                                n, in_place):
+        """Integer values, some of them the banded kernel's -1e18 "minus
+        infinity", across its band widths: bit for bit the quadratic
+        definition, into a fresh array or over *values* itself."""
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-60, 61, (3, n)).astype(np.float64)
+        values[rng.random((3, n)) < 0.3] = -1e18
+        want = [[max(values[row, k] - gap_open - extend * (j - k)
+                     for k in range(j + 1)) for j in range(n)]
+                for row in range(3)]
+        out = _scan_max_affine(values, float(extend),
+                               out=values if in_place else None,
+                               gap_open=float(gap_open))
+        assert out.tolist() == want
+
 
 class TestScoreOnly:
     def test_matches_reference_random(self, rng):
@@ -96,6 +120,23 @@ class TestScoreOnly:
         s = rng.integers(0, 20, int(rng.integers(1, 25))).astype(np.uint8)
         got = smith_waterman_score(q, s, M, gap_open=go, gap_extend=ge).score
         assert got == pytest.approx(reference_sw(q, s, M, go, ge))
+
+    @pytest.mark.parametrize("name", ["BLOSUM62", "PAM250", "dna"])
+    def test_integer_matrices_exact(self, name, rng):
+        """Integer scores and gap costs: the reference's score bit for bit."""
+        matrix = {"BLOSUM62": BLOSUM62, "PAM250": PAM250,
+                  "dna": dna_matrix()}[name].astype(np.float64)
+        letters = 4 if name == "dna" else 20
+        for go, ge in ((11.0, 1.0), (5.0, 2.0)):
+            for _ in range(10):
+                q = rng.integers(0, letters, int(rng.integers(1, 30)))
+                s = q.copy()
+                flips = rng.random(s.size) < 0.4
+                s[flips] = rng.integers(0, letters, int(flips.sum()))
+                q, s = q.astype(np.uint8), np.delete(s, s.size // 2).astype(np.uint8)
+                got = smith_waterman_score(q, s, matrix, gap_open=go,
+                                           gap_extend=ge).score
+                assert got == reference_sw(q, s, matrix, go, ge)
 
 
 class TestFullTraceback:

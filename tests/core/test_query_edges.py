@@ -1,11 +1,15 @@
 """Edge-case tests for the query pipeline (dead groups, minimal queries,
-DNA radii, extreme parameters)."""
+DNA radii, extreme parameters, the values a report holds)."""
+
+import copy
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.core import Mendel, MendelConfig, QueryParams
-from repro.core.query import QueryEngine
+from repro.core.query import QueryEngine, Routes, WindowRoute
 from repro.seq.alphabet import DNA, PROTEIN
 from repro.seq.generate import random_set
 from repro.seq.mutate import mutate_to_identity
@@ -74,6 +78,38 @@ class TestExtremeParameters:
         report = mendel.query(probe, QueryParams(k=4, n=4))
         assert {route.path for route in report.routes} == {"walk"}
         assert report.stats.subqueries_routed == report.stats.windows
+
+
+class TestReportValues:
+    def test_routes_read_as_a_list_of_window_routes(self, small):
+        """A report stores its routes a column a field; read back they are
+        the run's ``WindowRoute`` values, window ``i`` at index ``i``."""
+        mendel, db = small
+        probe = mutate_to_identity(db.records[1], 0.9, rng=4, seq_id="p")
+        report = mendel.query(probe, QueryParams(k=4, n=4))
+        routes, listed = report.routes, list(report.routes)
+        assert len(routes) == len(listed) == report.stats.windows > 3
+        assert [route.window for route in listed] == list(range(len(routes)))
+        assert all(isinstance(route, WindowRoute) for route in listed)
+        assert routes[-1] == listed[-1] and routes[1:3] == listed[1:3]
+        assert routes == listed and routes == tuple(listed)
+        with pytest.raises(IndexError):
+            routes[len(routes)]
+        assert pickle.loads(pickle.dumps(routes)) == routes
+        assert copy.deepcopy(routes) == routes
+        assert Routes() == [] and not Routes()
+
+    def test_slotted_values_pickle_copy_and_replace(self, small):
+        mendel, db = small
+        probe = SequenceRecord("x", db.records[2].codes.copy(), PROTEIN)
+        report = mendel.query(probe, QueryParams(k=4, n=4, i=0.9))
+        best, stats = report.alignments[0], report.stats
+        for value in (best, stats):
+            assert not hasattr(value, "__dict__")
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert copy.copy(value) == value
+        assert dataclasses.replace(best, query_id="y").query_id == "y"
+        assert dataclasses.replace(report, query_id="y").routes == report.routes
 
 
 class TestDeadCluster:

@@ -40,19 +40,19 @@ class TestValidation:
     def test_interval_positive(self):
         sim = Simulation()
         with pytest.raises(ValueError, match="interval"):
-            FailureDetector(sim=sim, net=Network(sim=sim), interval=0.0)
+            FailureDetector(sim=sim, net=Network(), interval=0.0)
 
     def test_miss_threshold_validated(self):
         sim = Simulation()
         with pytest.raises(ValueError, match="miss_threshold"):
-            FailureDetector(sim=sim, net=Network(sim=sim), interval=0.01,
+            FailureDetector(sim=sim, net=Network(), interval=0.01,
                             miss_threshold=0)
 
 
 class TestDetection:
     def test_healthy_group_stays_alive(self):
         sim = Simulation()
-        net = Network(sim=sim, rng=0)
+        net = Network(rng=0)
         group = make_group()
         detector = run_detector(group, sim, net)
         sim.run()
@@ -62,7 +62,7 @@ class TestDetection:
 
     def test_dead_node_declared_after_threshold(self):
         sim = Simulation()
-        net = Network(sim=sim, rng=0)
+        net = Network(rng=0)
         group = make_group()
         victim = group.nodes[1]
         deaths = []
@@ -80,7 +80,7 @@ class TestDetection:
 
     def test_suspected_before_declared(self):
         sim = Simulation()
-        net = Network(sim=sim, rng=0)
+        net = Network(rng=0)
         group = make_group()
         victim = group.nodes[2]
         victim.fail()
@@ -94,7 +94,7 @@ class TestDetection:
 
     def test_rejoin_detected(self):
         sim = Simulation()
-        net = Network(sim=sim, rng=0)
+        net = Network(rng=0)
         group = make_group()
         victim = group.nodes[1]
         rejoins = []
@@ -111,7 +111,7 @@ class TestDetection:
 
     def test_lossy_link_causes_false_suspicion(self):
         sim = Simulation()
-        net = Network(sim=sim, rng=0)
+        net = Network(rng=0)
         group = make_group()
         coordinator = group.entry_point()
         target = group.nodes[1]
@@ -124,7 +124,7 @@ class TestDetection:
 
     def test_mark_recovered_clears_state(self):
         sim = Simulation()
-        net = Network(sim=sim, rng=0)
+        net = Network(rng=0)
         group = make_group()
         victim = group.nodes[1]
         detector = run_detector(group, sim, net, miss_threshold=2)
@@ -138,7 +138,7 @@ class TestDetection:
 
     def test_monitor_terminates_at_stop_at(self):
         sim = Simulation()
-        net = Network(sim=sim, rng=0)
+        net = Network(rng=0)
         group = make_group()
         run_detector(group, sim, net, rounds=4, interval=0.01)
         final = sim.run()  # must drain, not loop forever

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.sim.engine import Simulation
 from repro.sim.network import LinkFault, Network
 
 pytestmark = pytest.mark.chaos
@@ -10,7 +9,7 @@ pytestmark = pytest.mark.chaos
 
 @pytest.fixture()
 def net():
-    return Network(sim=Simulation(), rng=5)
+    return Network(rng=5)
 
 
 class TestLinkFault:
@@ -48,7 +47,7 @@ class TestLinkFault:
 
     def test_drop_sequence_deterministic_per_seed(self):
         def outcomes(seed):
-            net = Network(sim=Simulation(), rng=seed)
+            net = Network(rng=seed)
             net.set_link_fault("a", "b", drop=0.5)
             return [net.try_transfer("a", "b", 100)[0] for _ in range(50)]
 
@@ -62,7 +61,7 @@ class TestLinkFault:
         assert net.link_fault("a", "client") is None
 
     def test_default_fault_applies_to_unlisted_links(self):
-        net = Network(sim=Simulation(), rng=1,
+        net = Network(rng=1,
                       default_fault=LinkFault(drop=1.0))
         assert not net.try_transfer("x", "y", 10)[0]
         # Loopback is exempt from the default fault.

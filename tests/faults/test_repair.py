@@ -177,7 +177,7 @@ class TestSync:
         immediate.index.topology.groups[0].nodes[0].fail()
 
         sim = Simulation()
-        net = Network(sim=sim)
+        net = Network()
         group = charged.index.topology.groups[0]
         repairer = ReReplicator(charged.index)
         done = sim.spawn(repairer.repair_proc(group, sim, net), name="repair")

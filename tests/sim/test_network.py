@@ -8,7 +8,7 @@ from repro.sim.network import Network, NetworkStats
 
 @pytest.fixture()
 def net():
-    return Network(sim=Simulation())
+    return Network()
 
 
 class TestDelayModel:
@@ -27,24 +27,24 @@ class TestDelayModel:
             net.delay_for("a", "b", -1)
 
     def test_jitter_bounded(self):
-        net = Network(sim=Simulation(), jitter=0.2, rng=1)
-        base = Network(sim=Simulation()).delay_for("a", "b", 1000)
+        net = Network(jitter=0.2, rng=1)
+        base = Network().delay_for("a", "b", 1000)
         for _ in range(100):
             d = net.delay_for("a", "b", 1000)
             assert 0.8 * base <= d <= 1.2 * base
 
     def test_jitter_deterministic_with_seed(self):
-        a = Network(sim=Simulation(), jitter=0.1, rng=5)
-        b = Network(sim=Simulation(), jitter=0.1, rng=5)
+        a = Network(jitter=0.1, rng=5)
+        b = Network(jitter=0.1, rng=5)
         assert [a.delay_for("x", "y", 10) for _ in range(10)] == [
             b.delay_for("x", "y", 10) for _ in range(10)
         ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Network(sim=Simulation(), base_latency=-1)
+            Network(base_latency=-1)
         with pytest.raises(ValueError):
-            Network(sim=Simulation(), bandwidth=0)
+            Network(bandwidth=0)
 
 
 class TestSend:
@@ -52,7 +52,7 @@ class TestSend:
         """A process that yields a transfer's delay resumes when the
         message arrives."""
         sim = Simulation()
-        net = Network(sim=sim)
+        net = Network()
         got = []
 
         def sender():
